@@ -1,14 +1,17 @@
 """Command-line front end: Wigner grids, reconstruction, verification suites,
 convergence tables and inter-kernel relation transforms.
 
-Exit codes: 0 success, 1 unexpected identity failure, 2 invalid state,
-3 kernel/dimension mismatch, 4 reconstruction residual too large,
-5 invalid continuum embedding.
+Exit codes: 0 success, 1 unexpected identity failure, 2 invalid state or
+malformed grid file, 3 kernel/dimension mismatch or invalid grid
+parameters, 4 reconstruction residual too large, 5 invalid continuum
+embedding.  Malformed input exits with its code and one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 
@@ -37,12 +40,12 @@ from .states import (
 )
 from .tomography import (
     EmbeddingError,
-    Line,
     continuum_study,
+    embed_state,
+    family_projectors,
     halfgrid_to_json,
     leonhardt_reconstruct,
     leonhardt_wigner,
-    line_projector,
     load_halfgrid,
     relate_even,
     relate_odd,
@@ -50,6 +53,7 @@ from .tomography import (
 from .wigner import (
     ReconstructionError,
     WignerGrid,
+    check_density,
     load_wigner,
     marginals,
     reconstruct,
@@ -116,62 +120,65 @@ def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
     raise _fail(EXIT_KERNEL_MISMATCH, f"unknown kernel {name!r}")
 
 
+def _resolve_grid(dim: int, phi0: float) -> PhaseGrid:
+    try:
+        return PhaseGrid(dim, phi0)
+    except ValueError as exc:
+        raise _fail(EXIT_KERNEL_MISMATCH, f"invalid grid: {exc}")
+
+
+def _load_state_file(path: str) -> np.ndarray:
+    try:
+        return load_density_json(path)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        raise _fail(EXIT_BAD_STATE, f"invalid state file: {exc}")
+
+
 def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
-    """Turn a state spec (named generator or JSON path) into a density matrix."""
+    """Turn a state spec (named generator or JSON path) into a density matrix.
+
+    Every returned state has passed :func:`check_density`.
+    """
     if not tokens:
         raise _fail(EXIT_BAD_STATE, "empty state spec")
     name, args = tokens[0], tokens[1:]
-    try:
-        if name == "fock":
-            return _embed(fock_state(int(args[0]) + 1, int(args[0])), dim)
-        if name == "phase":
-            return phase_state(dim, int(args[0]), phi0)
-        if name == "mixed":
-            return maximally_mixed(dim)
-        if name == "qubit":
-            if dim != 2:
-                raise _fail(EXIT_BAD_STATE, "qubit states require --dim 2")
-            return qubit_state(float(args[0]), float(args[1]), float(args[2]))
-        if name == "superposition01":
-            return superposition01(dim)
-    except CliError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise _fail(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
-    if os.path.exists(name):
-        try:
-            rho = load_density_json(name)
-        except (ValueError, KeyError, OSError) as exc:
-            raise _fail(EXIT_BAD_STATE, f"invalid state file: {exc}")
+    if name not in ("fock", "phase", "mixed", "qubit", "superposition01"):
+        if not os.path.exists(name):
+            raise _fail(EXIT_BAD_STATE, f"unknown state spec {name!r}")
+        rho = _load_state_file(name)
         if rho.shape[0] != dim:
             raise _fail(
                 EXIT_BAD_STATE,
                 f"state file dimension {rho.shape[0]} does not match --dim {dim}",
             )
         return rho
-    raise _fail(EXIT_BAD_STATE, f"unknown state spec {name!r}")
-
-
-def _embed(rho: np.ndarray, dim: int) -> np.ndarray:
-    if rho.shape[0] > dim:
-        raise _fail(
-            EXIT_BAD_STATE,
-            f"state needs dimension {rho.shape[0]} but --dim is {dim}",
-        )
-    out = np.zeros((dim, dim), dtype=complex)
-    out[: rho.shape[0], : rho.shape[0]] = rho
-    return out
+    if name == "qubit" and dim != 2:
+        raise _fail(EXIT_BAD_STATE, "qubit states require --dim 2")
+    try:
+        if name == "fock":
+            rho = embed_state(fock_state(int(args[0]) + 1, int(args[0])), dim)
+        elif name == "phase":
+            rho = phase_state(dim, int(args[0]), phi0)
+        elif name == "mixed":
+            rho = maximally_mixed(dim)
+        elif name == "qubit":
+            rho = qubit_state(float(args[0]), float(args[1]), float(args[2]))
+        else:
+            rho = superposition01(dim)
+        return check_density(rho)
+    except (IndexError, ValueError) as exc:
+        raise _fail(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
 
 
 def cmd_wigner(args) -> int:
     kernel = _resolve_kernel(args.kernel, args.dim, args.epsilon)
+    grid = _resolve_grid(args.dim, args.phi0)
     rho = _resolve_state(args.state, args.dim, args.phi0)
-    grid = PhaseGrid(args.dim, args.phi0)
-    w = wigner_grid(grid, kernel, rho)
+    w = wigner_grid(grid, kernel, rho, validate_state=False)
 
     phase_m, number_m = marginals(w)
     p = phase_basis(grid)
-    phase_true = np.real(np.einsum("nm,nk,km->m", p.conj(), rho, p))
+    phase_true = np.real((p.conj() * (rho @ p)).sum(0))
     number_true = np.real(np.diagonal(rho))
     print(f"normalization: sum = {w.values.sum():.12f}")
     print(f"phase marginal max deviation: {np.max(np.abs(phase_m - phase_true)):.3e}")
@@ -208,18 +215,21 @@ def _state_residual(rho: np.ndarray) -> float:
     return float(max(herm, tr, -pivot))
 
 
-def cmd_reconstruct(args) -> int:
+def _read_grid_file(path, loader=None):
+    """The kernel label of a grid file, or the grid ``loader`` reads from it."""
     try:
-        import json
+        if loader is not None:
+            return loader(path)
+        with open(path) as fh:
+            return json.load(fh).get("kernel")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise _fail(EXIT_BAD_STATE, f"invalid grid file: {exc}")
 
-        with open(args.grid) as fh:
-            head = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise _fail(EXIT_BAD_STATE, f"cannot read grid file: {exc}")
 
-    label = head.get("kernel")
+def cmd_reconstruct(args) -> int:
+    label = _read_grid_file(args.grid)
     if label == "leonhardt":
-        half = load_halfgrid(args.grid)
+        half = _read_grid_file(args.grid, load_halfgrid)
         rho = leonhardt_reconstruct(half)
         hermitized = (rho + rho.conj().T) / 2.0
         back = leonhardt_wigner(half.n_half, half.phi0, hermitized, validate_state=False)
@@ -227,7 +237,7 @@ def cmd_reconstruct(args) -> int:
             _state_residual(rho), float(np.max(np.abs(back.values - half.values)))
         )
     else:
-        w = load_wigner(args.grid)
+        w = _read_grid_file(args.grid, load_wigner)
         if label in ("symmetric", "wootters", "almost-symmetric"):
             kernel = _resolve_kernel(
                 label, w.dim, w.epsilon if w.epsilon is not None else args.epsilon
@@ -268,7 +278,7 @@ def _print_check(name: str, dev: float | None, expect_pass: bool = True, note: s
 
 def cmd_verify(args) -> int:
     kernel = _resolve_kernel(args.kernel, args.dim, args.epsilon)
-    grid = PhaseGrid(args.dim, args.phi0)
+    grid = _resolve_grid(args.dim, args.phi0)
 
     ok = True
     validity = validate(kernel)
@@ -309,20 +319,16 @@ def cmd_verify(args) -> int:
     if kernel.label == "wootters":
         worst_p = 0.0
         worst_c = 0.0
-        import math
-
         for n1 in range(grid.dim):
             for n2 in range(grid.dim):
                 if n1 == 0 and n2 == 0:
                     continue
                 if math.gcd(math.gcd(n1, n2), grid.dim) > 1:
                     continue
-                total = np.zeros((grid.dim, grid.dim), dtype=complex)
-                for n3 in range(grid.dim):
-                    proj = line_projector(q, Line(n1, n2, n3, grid.dim))
-                    worst_p = max(worst_p, frob_dist(proj @ proj, proj))
-                    total += proj
-                worst_c = max(worst_c, frob_dist(total, np.eye(grid.dim)))
+                projs = family_projectors(q, n1, n2)
+                idem = np.linalg.norm(projs @ projs - projs, axis=(-2, -1))
+                worst_p = max(worst_p, float(np.max(idem)))
+                worst_c = max(worst_c, frob_dist(projs.sum(axis=0), np.eye(grid.dim)))
         ok &= _print_check("line projectivity", worst_p)
         ok &= _print_check("line completeness", worst_c)
     elif grid.dim % 2 == 0:
@@ -345,19 +351,21 @@ def cmd_converge(args) -> int:
     family = args.kernel
     if family not in ("symmetric", "wootters", "almost-symmetric"):
         raise _fail(EXIT_KERNEL_MISMATCH, f"unsupported kernel family {family!r}")
+    if not (math.isfinite(args.phi) and math.isfinite(args.phi0)):
+        raise _fail(EXIT_BAD_EMBEDDING, "--phi and --phi0 must be finite")
 
     tokens = args.state
     name = tokens[0]
     if name == "superposition01":
         rho = superposition01()
     elif name == "fock":
-        level = int(tokens[1])
-        rho = fock_state(level + 1, level)
-    elif os.path.exists(name):
         try:
-            rho = load_density_json(name)
-        except (ValueError, KeyError, OSError) as exc:
-            raise _fail(EXIT_BAD_STATE, f"invalid state file: {exc}")
+            level = int(tokens[1])
+            rho = fock_state(level + 1, level)
+        except (IndexError, ValueError) as exc:
+            raise _fail(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
+    elif os.path.exists(name):
+        rho = _load_state_file(name)
     else:
         raise _fail(EXIT_BAD_STATE, f"state spec {name!r} not usable for a continuum study")
 
@@ -380,14 +388,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    import json
-
-    try:
-        with open(args.grid) as fh:
-            head = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise _fail(EXIT_BAD_STATE, f"cannot read grid file: {exc}")
-    label = head.get("kernel")
+    label = _read_grid_file(args.grid)
 
     if args.direction == "odd":
         if label != "wootters":
@@ -395,8 +396,11 @@ def cmd_relate(args) -> int:
                 EXIT_KERNEL_MISMATCH,
                 f"odd relation needs a wootters grid, got kernel {label!r}",
             )
-        w = load_wigner(args.grid)
-        out_grid = relate_odd(w)
+        w = _read_grid_file(args.grid, load_wigner)
+        try:
+            out_grid = relate_odd(w)
+        except ValueError as exc:
+            raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
         direct_fn = lambda rho: wigner_symmetric(out_grid.grid, rho)
     else:
         if label != "leonhardt":
@@ -404,9 +408,12 @@ def cmd_relate(args) -> int:
                 EXIT_KERNEL_MISMATCH,
                 f"even relation needs a leonhardt half grid, got kernel {label!r}",
             )
-        half = load_halfgrid(args.grid)
+        half = _read_grid_file(args.grid, load_halfgrid)
         eps = args.epsilon if args.epsilon is not None else 1.0 / (2 * half.n_half)
-        out_grid = relate_even(half, eps)
+        try:
+            out_grid = relate_even(half, eps)
+        except ValueError as exc:
+            raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
         direct_fn = lambda rho: wigner_almost_symmetric(out_grid.grid, rho, eps)
 
     if args.state:

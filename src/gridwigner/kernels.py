@@ -157,6 +157,8 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
         raise ValueError("N must be a positive integer")
     if eps is None:
         eps = default_epsilon(N)
+    if not np.isfinite(eps):
+        raise ValueError(f"eps={eps!r} rejected: not a finite angle")
     if abs(np.cos(eps)) <= ZERO_TOL:
         raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
     d = 2 * N

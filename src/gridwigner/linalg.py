@@ -81,25 +81,30 @@ def min_diag_pivot(a) -> float:
     Runs diagonal-pivoted symmetric (Cholesky-style) elimination.  All
     pivots of a positive semidefinite matrix are nonnegative up to
     roundoff, so a return value below roughly ``-1e-8`` rules PSD out.
-    No eigendecomposition is involved.
+    A pivot within ``1e-14`` times the largest entry counts as zero, and
+    the block left at that point must vanish as well.  No
+    eigendecomposition is involved.
     """
     m = as_matrix(a).copy()
-    active = list(range(m.shape[0]))
+    tiny = 1e-14 * float(np.max(np.abs(m), initial=0.0))
     smallest = np.inf
-    while active:
-        diag = np.array([m[j, j].real for j in active])
+    for j in range(m.shape[0]):
+        rest = m[j:, j:]  # view of the block not yet eliminated
+        diag = rest.diagonal().real
         i = int(np.argmax(diag))
         pivot = float(diag[i])
-        if pivot <= 1e-14:
-            # No usable pivot left; the remaining diagonal entries are the
-            # final pivot candidates.
-            return float(min(smallest, diag.min()))
+        if pivot <= tiny:
+            # No usable pivot left.  A PSD remainder then vanishes up to
+            # roundoff (|m_ij|**2 <= m_ii m_jj); an off-diagonal entry x
+            # bounds its smallest eigenvalue from above by pivot - |x|.
+            off = float(np.max(np.abs(rest - np.diag(rest.diagonal()))))
+            return float(min(smallest, diag.min(), pivot - off))
         smallest = min(smallest, pivot)
-        j = active.pop(i)
-        col = m[:, j].copy()
-        m -= np.outer(col, col.conj()) / pivot
-        m[j, :] = 0.0
-        m[:, j] = 0.0
+        if i:  # move the pivot to the front of the block
+            rest[[0, i]] = rest[[i, 0]]
+            rest[:, [0, i]] = rest[:, [i, 0]]
+        col = rest[1:, 0]
+        rest[1:, 1:] -= np.outer(col, col.conj() / pivot)
     return float(smallest)
 
 

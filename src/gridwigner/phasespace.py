@@ -3,12 +3,16 @@
 A grid of dimension ``d`` couples ``d`` equally spaced phase angles with
 ``d`` number levels.  This module provides both orthonormal bases (number
 and phase), the number and phase operators, the clock/shift unitaries,
-the discrete displacement operators and the grid Fourier transform.
+the displacement operators, the grid Fourier transform and the
+characteristic-function pair that every state/grid map runs through.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +28,15 @@ class PhaseGrid:
     phi0: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
+        try:
+            dim = operator.index(self.dim)
+        except TypeError:
+            raise ValueError(f"grid dimension must be an integer, got {self.dim!r}") from None
+        if dim < 1:
             raise ValueError("grid dimension must be a positive integer")
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"reference angle phi0 must be finite, got {self.phi0!r}")
+        object.__setattr__(self, "dim", dim)
 
     @property
     def phis(self) -> np.ndarray:
@@ -35,6 +46,17 @@ class PhaseGrid:
     def phi(self, m) -> float:
         """Phase angle for an arbitrary (also non-integer) index ``m``."""
         return self.phi0 + 2.0 * np.pi * m / self.dim
+
+    @cached_property
+    def _core_tables(self):
+        """Tables of :func:`characteristic`: ``diag[k, a] = (a - k) mod dim``,
+        ``exp(i*dim*phi0)`` on the wrapped entries ``a < k``, the shear."""
+        d = self.dim
+        idx = np.arange(d)
+        diag = (idx[None, :] - idx[:, None]) % d
+        corner = np.where(idx[None, :] < idx[:, None], np.exp(1j * d * self.phi0), 1.0)
+        shear = np.exp(-1j * np.pi * np.arange(2 * d) / d)[np.outer(idx, idx) % (2 * d)]
+        return idx, diag, corner, shear
 
 
 def number_ket(grid: PhaseGrid, n: int) -> np.ndarray:
@@ -97,12 +119,7 @@ def u_op(grid: PhaseGrid) -> np.ndarray:
     Equals ``exp(i * phase_op)``; its dim-th power is
     ``exp(i*dim*phi0)`` times the identity.
     """
-    d = grid.dim
-    u = np.zeros((d, d), dtype=complex)
-    for n in range(d - 1):
-        u[n, n + 1] = 1.0
-    u[d - 1, 0] = np.exp(1j * d * grid.phi0)
-    return u
+    return displacement(grid, 1, 0)
 
 
 def u_op_spectral(grid: PhaseGrid) -> np.ndarray:
@@ -110,23 +127,20 @@ def u_op_spectral(grid: PhaseGrid) -> np.ndarray:
     return phase_function_op(grid, np.exp(1j * grid.phis))
 
 
-def _unitary_power(u: np.ndarray, k: int) -> np.ndarray:
-    if k >= 0:
-        return np.linalg.matrix_power(u, k)
-    return np.linalg.matrix_power(u.conj().T, -k)
-
-
 def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     """Discrete displacement operator for any integers ``k``, ``l``.
 
-    Built as ``exp(-i*pi*k*l/dim) * U^k * V^l`` with the literal product
-    ``k*l`` in the phase, so shifting an index by ``dim`` changes the
-    operator by a sign in general.
+    ``exp(-i*pi*k*l/dim) * U^k * V^l`` with the literal product ``k*l`` in
+    the phase, so shifting an index by ``dim`` changes the operator by a
+    sign in general.  Row ``a`` holds one entry, in column ``b = a + k mod
+    dim``, carrying the corner phase once per wrap of ``a + k``.
     """
     d = grid.dim
-    uk = _unitary_power(u_op(grid), k)
-    vl = np.exp(2j * np.pi * np.arange(d) * l / d)
-    return np.exp(-1j * np.pi * k * l / d) * (uk * vl[None, :])
+    a = np.arange(d)
+    b = (a + k) % d
+    out = np.zeros((d, d), dtype=complex)
+    out[a, b] = np.exp(1j * ((a + k) // d * d * grid.phi0 + 2 * np.pi * b * l / d))
+    return np.exp(-1j * np.pi * k * l / d) * out
 
 
 def displacement_phase_form(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
@@ -152,13 +166,17 @@ def _fourier_factors(grid: PhaseGrid):
     return e, f
 
 
+def _angle_phases(grid: PhaseGrid) -> np.ndarray:
+    """Column ``exp(-i*k*phi0)``: the reference-angle part of ``E[k, m]``."""
+    return np.exp(-1j * np.arange(grid.dim) * grid.phi0)[:, None]
+
+
 def fourier_coeffs(grid: PhaseGrid, values) -> np.ndarray:
-    """Grid Fourier coefficients with the symmetric ``1/dim`` prefactor."""
+    """Grid Fourier coefficients with the symmetric ``1/dim`` prefactor (one FFT2)."""
     v = np.asarray(values, dtype=complex)
     if v.shape != (grid.dim, grid.dim):
         raise ValueError("grid function shape does not match the grid")
-    e, f = _fourier_factors(grid)
-    return e @ v @ f.T / grid.dim
+    return _angle_phases(grid) * np.fft.fft2(v) / grid.dim
 
 
 def inverse_fourier(grid: PhaseGrid, coeffs) -> np.ndarray:
@@ -166,5 +184,31 @@ def inverse_fourier(grid: PhaseGrid, coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (grid.dim, grid.dim):
         raise ValueError("coefficient table shape does not match the grid")
-    e, f = _fourier_factors(grid)
-    return e.conj().T @ c @ f.conj() / grid.dim
+    return np.fft.ifft2(c / _angle_phases(grid)) * grid.dim
+
+
+def characteristic(grid: PhaseGrid, a) -> np.ndarray:
+    """Characteristic function ``chi[k, l] = trace(a D(k, l))``, ``0 <= k, l < dim``.
+
+    Row ``k`` is one FFT of the k-th cyclic diagonal ``a[n, n - k]`` (corner
+    phase on its wrapped entries), sheared by ``exp(-i*pi*k*l/dim)``:
+    O(dim**2 log dim).  Leading axes of ``a`` are batch axes.
+    """
+    idx, diag, corner, shear = grid._core_tables
+    s = np.asarray(a, dtype=complex)[..., idx, diag] * corner
+    return np.fft.ifft(s, norm="forward") * shear
+
+
+def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
+    """Exact inverse of :func:`characteristic`: ``sum_{k,l} chi[k, l] D(k, l)^+ / dim``;
+    leading axes of ``chi`` are batch axes."""
+    idx, diag, corner, shear = grid._core_tables
+    s = np.fft.fft(chi * shear.conj(), norm="forward") * corner.conj()
+    return s[..., diag.T, idx[:, None]]
+
+
+def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
+    """``sum_{k,l} coeffs[k, l] D(k, l)``: entry ``[a, b]`` is the sheared inverse row
+    FFT of row ``b - a mod dim`` at ``b``, times the corner phase when ``b < a``."""
+    idx, diag, corner, shear = grid._core_tables
+    return np.fft.ifft(coeffs * shear, norm="forward")[..., diag, idx] * corner

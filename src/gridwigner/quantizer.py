@@ -1,74 +1,94 @@
 """Phase-point operators, quantization of grid functions and their symbols.
 
 The phase-point operators (Stratonovich-Weyl quantizer) turn functions on
-the grid into operators and back.  They are cached on construction:
-``(dim**2)`` matrices of size ``dim x dim`` are cheap at desk scale and
-make the identity checks below inexpensive.
+the grid into operators and back.  Every such map is a kernel-weighted
+displacement sum, so it runs through the characteristic-function core of
+:mod:`phasespace` in O(dim**2 log dim); the explicit ``dim**2`` operators
+are built only on request, for the identity checks below.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import TOL, frob_dist, is_hermitian
+from .linalg import TOL, frob_dist
 from .kernels import Kernel, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
+    _angle_phases,
+    _displacement_sum,
     _fourier_factors,
+    characteristic,
     number_ket,
     phase_basis,
     phase_function_op,
     phase_ket,
-    u_op,
 )
 
 #: Kernel moduli below this trigger a conditioning warning on inversion.
 CONDITION_TOL = 1e-6
 
 
-def _displacement_tensor(grid: PhaseGrid) -> np.ndarray:
-    """All displacement operators for ``0 <= k, l < dim`` as a 4-D array."""
-    d = grid.dim
-    upow = np.empty((d, d, d), dtype=complex)
-    upow[0] = np.eye(d)
-    u = u_op(grid)
-    for k in range(1, d):
-        upow[k] = upow[k - 1] @ u
-    idx = np.arange(d)
-    vph = np.exp(2j * np.pi * np.outer(idx, idx) / d)  # vph[l, b]
-    pref = np.exp(-1j * np.pi * np.outer(idx, idx) / d)  # pref[k, l]
-    return (
-        pref[:, :, None, None]
-        * upow[:, None, :, :]
-        * vph[None, :, None, :]
-    )
+def _kernel_weights(grid: PhaseGrid, kernel: Kernel) -> np.ndarray:
+    """``K[k, l] exp(-i*k*phi0) / dim**2``: the weight of ``D(k, l)`` in every map."""
+    return kernel.values * _angle_phases(grid) / grid.dim**2
 
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Cached phase-point operators for one grid/kernel pair.
+    """Phase-point operators of one grid/kernel pair, held implicitly.
 
-    ``omega[m, n]`` is the operator attached to the grid point
-    ``(phi_m, n)``; ``dtensor[k, l]`` holds the displacement operators
-    the cache was built from.
+    Only ``weights`` (:func:`_kernel_weights`) is stored.  ``omega[m, n]``,
+    the operator of the grid point ``(phi_m, n)``, is built on first
+    access and kept (``16 * dim**4`` bytes).
     """
 
     grid: PhaseGrid
     kernel: Kernel
-    omega: np.ndarray
-    dtensor: np.ndarray
+    weights: np.ndarray
+    check: bool = True
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """All phase-point operators, ``(dim, dim, dim, dim)``; checked if ``check``.
+
+        Entry ``[a, b]`` involves one displacement, ``k = b - a mod dim``:
+        ``exp(-i*k*phi_m)`` times the corner phase times the row FFT of
+        the sheared kernel at ``(k, n - b)``.
+        """
+        grid = self.grid
+        _, diag, corner, shear = grid._core_tables
+        g = np.fft.fft(self.kernel.values * shear)
+        e = np.exp(-1j * np.outer(grid.phis, np.arange(grid.dim)))  # e[m, k]
+        omega = e[:, None, diag] * (corner * g[diag, diag.T[:, None, :]]) / grid.dim
+        if self.check:
+            herm, tr = _hermiticity_and_trace_devs(omega)
+            if herm > 10 * TOL:
+                raise ValueError("phase-point operator is not Hermitian")
+            if tr > 10 * TOL:
+                raise ValueError("phase-point operator has non-unit trace")
+        return omega
+
+
+def _max_frob(a, b) -> float:
+    """Largest Frobenius distance between matching matrices of two stacks."""
+    return float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
+
+
+def _hermiticity_and_trace_devs(omega: np.ndarray) -> tuple[float, float]:
+    herm = _max_frob(omega, omega.conj().swapaxes(-1, -2))
+    return herm, float(np.max(np.abs(np.trace(omega, axis1=-2, axis2=-1) - 1.0)))
 
 
 def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quantizer:
-    """Assemble the phase-point operators from a kernel.
+    """Set up the quantizer of a grid/kernel pair (kernel weights only).
 
-    Each operator is the kernel-weighted displacement sum carrying the
-    plane-wave factor of its grid point.  With ``check`` the kernel is
-    validated first and the Hermiticity/unit-trace invariants of the
-    result are asserted.
+    With ``check`` the kernel is validated first, and the Hermiticity and
+    unit traces of the lazily built operators are asserted.
     """
     if kernel.dim != grid.dim:
         raise ValueError(
@@ -76,22 +96,7 @@ def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quan
         )
     if check and not validate(kernel).valid:
         raise ValueError("kernel does not satisfy the validity conditions")
-
-    d = grid.dim
-    dtensor = _displacement_tensor(grid)
-    e, f = _fourier_factors(grid)  # e[k, m], f[l, n]
-    omega = np.einsum(
-        "kl,klab,km,ln->mnab", kernel.values, dtensor, e, f, optimize=True
-    ) / d
-
-    if check:
-        for m in range(d):
-            for n in range(d):
-                if not is_hermitian(omega[m, n], tol=10 * TOL):
-                    raise ValueError("phase-point operator is not Hermitian")
-                if abs(np.trace(omega[m, n]) - 1.0) > 10 * TOL:
-                    raise ValueError("phase-point operator has non-unit trace")
-    return Quantizer(grid=grid, kernel=kernel, omega=omega, dtensor=dtensor)
+    return Quantizer(grid=grid, kernel=kernel, weights=_kernel_weights(grid, kernel), check=check)
 
 
 def symmetric_phase_point_op(grid: PhaseGrid, m: int, n: int) -> np.ndarray:
@@ -124,12 +129,14 @@ def quantize(q: Quantizer, values) -> np.ndarray:
     """Map a grid function to its operator.
 
     The operator is the phase-point-operator average of the function;
-    real functions give Hermitian operators for any valid kernel.
+    real functions give Hermitian operators for any valid kernel.  One
+    displacement sum over the weighted FFT2; leading axes are batch axes.
     """
     v = np.asarray(values, dtype=complex)
-    if v.shape != (q.grid.dim, q.grid.dim):
+    d = q.grid.dim
+    if v.shape[-2:] != (d, d):
         raise ValueError("grid function shape does not match the quantizer grid")
-    return np.einsum("mn,mnab->ab", v, q.omega) / q.grid.dim
+    return _displacement_sum(q.grid, q.weights * np.fft.fft2(v))
 
 
 def _warn_if_ill_conditioned(kernel: Kernel):
@@ -144,19 +151,17 @@ def _warn_if_ill_conditioned(kernel: Kernel):
 def symbol(q: Quantizer, op) -> np.ndarray:
     """Inverse of :func:`quantize`: the grid function of an operator.
 
-    Uses the kernel-division form: displacement traces of the operator
-    are divided by the kernel and Fourier-summed back onto the grid.
+    Uses the kernel-division form: the displacement traces
+    ``trace(D(k, l)^+ op)`` are divided by the kernel weights and
+    Fourier-summed back onto the grid.
     """
     a = np.asarray(op, dtype=complex)
     d = q.grid.dim
     if a.shape != (d, d):
         raise ValueError("operator dimension does not match the quantizer grid")
     _warn_if_ill_conditioned(q.kernel)
-    t = np.einsum("ab,klab->kl", a, q.dtensor.conj())
-    e, f = _fourier_factors(q.grid)
-    return np.einsum(
-        "kl,km,ln->mn", t / q.kernel.values, e.conj(), f.conj()
-    ) / d
+    t = characteristic(q.grid, a.conj().T).conj()
+    return np.fft.ifft2(t / q.weights) / d
 
 
 def symbol_via_overlaps(q: Quantizer, op) -> np.ndarray:
@@ -165,13 +170,8 @@ def symbol_via_overlaps(q: Quantizer, op) -> np.ndarray:
     Cross-check path: validates the squared-modulus kernel algebra
     against the primary kernel-division route.
     """
-    a = np.asarray(op, dtype=complex)
-    d = q.grid.dim
-    g = np.einsum("ab,mnba->mn", a, q.omega)
-    e, f = _fourier_factors(q.grid)
-    h = np.einsum("mn,km,ln->kl", g, e, f)
-    w = np.abs(q.kernel.values) ** 2
-    return np.einsum("kl,km,ln->mn", h / w, e.conj(), f.conj()) / d**2
+    g = np.einsum("ab,mnba->mn", np.asarray(op, dtype=complex), q.omega)
+    return np.fft.ifft2(np.fft.fft2(g) / np.abs(q.kernel.values) ** 2)
 
 
 def symbol_unimodular(q: Quantizer, op) -> np.ndarray:
@@ -236,25 +236,11 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     d = q.grid.dim
     omega = q.omega
 
-    herm = max(
-        frob_dist(omega[m, n], omega[m, n].conj().T)
-        for m in range(d)
-        for n in range(d)
-    )
-    tr = max(
-        abs(np.trace(omega[m, n]) - 1.0) for m in range(d) for n in range(d)
-    )
-
-    p = phase_basis(q.grid)
-    phase_sum = max(
-        frob_dist(omega[m].sum(axis=0) / d, np.outer(p[:, m], p[:, m].conj()))
-        for m in range(d)
-    )
-    number_sum = 0.0
-    for n in range(d):
-        proj = np.zeros((d, d), dtype=complex)
-        proj[n, n] = 1.0
-        number_sum = max(number_sum, frob_dist(omega[:, n].sum(axis=0) / d, proj))
+    herm, tr = _hermiticity_and_trace_devs(omega)
+    p = phase_basis(q.grid).T  # row m is |phi_m>
+    phase_sum = _max_frob(omega.sum(axis=1) / d, p[:, :, None] * p.conj()[:, None, :])
+    eye = np.eye(d)
+    number_sum = _max_frob(omega.sum(axis=0) / d, eye[:, :, None] * eye[:, None, :])
     completeness = frob_dist(omega.sum(axis=(0, 1)) / d, np.eye(d))
 
     overlaps = np.einsum("mnab,pqba->mnpq", omega, omega)
@@ -269,10 +255,10 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     orth_dev = float(np.max(np.abs(overlaps - delta)))
 
     return QuantizerReport(
-        hermiticity_dev=float(herm),
-        trace_dev=float(tr),
-        phase_sum_dev=float(phase_sum),
-        number_sum_dev=float(number_sum),
+        hermiticity_dev=herm,
+        trace_dev=tr,
+        phase_sum_dev=phase_sum,
+        number_sum_dev=number_sum,
         completeness_dev=float(completeness),
         overlap_dev=overlap_dev,
         orthogonality_dev=orth_dev,

@@ -6,8 +6,8 @@ import json
 
 import numpy as np
 
-from .linalg import TOL, is_hermitian, is_positive_semidefinite
 from .phasespace import PhaseGrid, phase_ket
+from .wigner import check_density
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -82,10 +82,4 @@ def load_density_json(path) -> np.ndarray:
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValueError("density file matrix does not match its dim field")
     rho = np.array([[complex(re, im) for re, im in row] for row in rows])
-    if not is_hermitian(rho, tol=TOL):
-        raise ValueError("density file matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > TOL:
-        raise ValueError("density file matrix trace differs from 1")
-    if not is_positive_semidefinite(rho):
-        raise ValueError("density file matrix is not positive semidefinite")
-    return rho
+    return check_density(rho)

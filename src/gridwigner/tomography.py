@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import TOL
 from .phasespace import PhaseGrid, displacement, phase_ket
-from .quantizer import Quantizer
+from .quantizer import Quantizer, quantize
 from .wigner import WignerGrid, check_density, wigner_almost_symmetric, wigner_symmetric
 
 
@@ -68,11 +68,25 @@ def line_points(line: Line) -> list[tuple[int, int]]:
 def line_projector(q: Quantizer, line: Line) -> np.ndarray:
     """Average of the phase-point operators along a line.
 
-    For the sign kernel these averages are rank-deficient projectors and
-    each parallel family resolves the identity; for other kernels the
-    axis-parallel families still give basis projectors but tilted lines
-    generally fail projectivity.
+    The quantization of the line's indicator function.  For the sign
+    kernel these averages are rank-deficient projectors and each parallel
+    family resolves the identity; for other kernels the axis-parallel
+    families still give basis projectors but tilted lines generally fail
+    projectivity.
     """
+    return _quantize_lines(q, line, line.n3)
+
+
+def family_projectors(q: Quantizer, n1: int, n2: int) -> np.ndarray:
+    """All ``dim`` line projectors of a parallel family as one batched stack.
+
+    Entry ``[n3]`` equals ``line_projector(q, Line(n1, n2, n3, dim))``.
+    """
+    d = q.grid.dim
+    return _quantize_lines(q, Line(n1, n2, 0, d), np.arange(d)[:, None, None])
+
+
+def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
     d = q.grid.dim
     if d % 2 == 0:
         raise ValueError("line projectors are defined for odd dimensions here")
@@ -81,13 +95,9 @@ def line_projector(q: Quantizer, line: Line) -> np.ndarray:
     if line.degenerate:
         raise ValueError("degenerate line: both direction coefficients vanish")
     if line.family_gcd > 1:
-        raise ValueError(
-            f"degenerate line family (gcd {line.family_gcd}); refusing to sum"
-        )
-    acc = np.zeros((d, d), dtype=complex)
-    for m, n in line_points(line):
-        acc += q.omega[m, n]
-    return acc / d
+        raise ValueError(f"degenerate line family (gcd {line.family_gcd}); refusing to sum")
+    idx = np.arange(d)
+    return quantize(q, (line.n1 * idx[:, None] + line.n2 * idx) % d == offsets)
 
 
 def displacement_zero_phase(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
@@ -145,6 +155,8 @@ class HalfIntegerWignerGrid:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (4 * self.n_half, 4 * self.n_half):
             raise ValueError("half-integer table must be 4N x 4N")
+        if not (np.all(np.isfinite(v)) and math.isfinite(self.phi0)):
+            raise ValueError("half-integer grid has a non-finite value or phi0")
         object.__setattr__(self, "values", v)
 
     @property
@@ -310,8 +322,8 @@ def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
     with prefactor ``1/(2N cos(eps))`` for a table normalised to total
     one.  The output lives on the integer ``2N x 2N`` grid.
     """
-    if abs(np.cos(eps)) <= 1e-12:
-        raise ValueError(f"eps={eps!r} inadmissible: cos(eps) vanishes")
+    if not np.isfinite(eps) or abs(np.cos(eps)) <= 1e-12:
+        raise ValueError(f"eps={eps!r} inadmissible: not finite or cos(eps) vanishes")
     N = w.n_half
     d = 2 * N
     jidx = np.arange(4 * N)
@@ -344,9 +356,9 @@ def load_halfgrid(path) -> HalfIntegerWignerGrid:
         obj = json.load(fh)
     if obj.get("kernel") != "leonhardt":
         raise ValueError("not a half-integer grid file")
-    d = int(obj["dim"])
-    if d % 2:
-        raise ValueError("half-integer grids require an even Hilbert dimension")
+    d = obj["dim"]
+    if not isinstance(d, int) or d % 2:
+        raise ValueError("half-integer grids require an even integer Hilbert dimension")
     return HalfIntegerWignerGrid(
         n_half=d // 2,
         phi0=float(obj.get("phi0", 0.0)),

@@ -8,15 +8,20 @@ is dropped, so kernel bugs cannot hide behind a silent truncation.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import TOL, is_hermitian, is_positive_semidefinite
-from .kernels import Kernel, is_unimodular
-from .phasespace import PhaseGrid, fourier_coeffs, phase_basis, u_op
-from .quantizer import CONDITION_TOL, Quantizer
+from .kernels import Kernel, is_unimodular, symmetric_kernel
+from .phasespace import (
+    PhaseGrid,
+    _displacement_sum,
+    characteristic,
+    operator_from_characteristic,
+    phase_basis,
+)
+from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
 
 #: Slack allowed on the smallest pivot of a density operator.
 PSD_SLACK = 1e-8
@@ -53,6 +58,8 @@ class WignerGrid:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.dim, self.grid.dim):
             raise ValueError("Wigner table shape does not match the grid")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("Wigner table has non-finite entries")
         object.__setattr__(self, "values", v)
 
     @property
@@ -70,25 +77,16 @@ def _real_or_raise(values: np.ndarray, tol: float = TOL) -> np.ndarray:
 
 
 def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
-    """Wigner function of a state through the cached phase-point operators."""
-    r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
-    d = q.grid.dim
-    if r.shape != (d, d):
-        raise ValueError("state dimension does not match the quantizer grid")
-    raw = np.einsum("ab,mnba->mn", r, q.omega) / d
-    return WignerGrid(
-        grid=q.grid,
-        kernel_label=q.kernel.label,
-        values=_real_or_raise(raw),
-        epsilon=q.kernel.eps,
-    )
+    """Wigner function of a state on the quantizer's grid (see :func:`wigner_grid`)."""
+    return wigner_grid(q.grid, q.kernel, rho, validate_state)
 
 
 def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = True) -> WignerGrid:
-    """Wigner function without materialising the phase-point cache.
+    """Wigner function of a state: the normalised phase-point overlaps.
 
-    Same map as :func:`wigner`, organised through displacement traces of
-    the state; memory stays quadratic in the dimension.
+    ``W = fft2(K * chi * exp(-i*k*phi0)) / dim**2`` with ``chi`` the
+    characteristic function of the state; O(dim**2 log dim) time and
+    O(dim**2) memory.
     """
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
     d = grid.dim
@@ -96,22 +94,7 @@ def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = Tru
         raise ValueError("kernel dimension does not match the grid")
     if r.shape != (d, d):
         raise ValueError("state dimension does not match the grid")
-
-    idx = np.arange(d)
-    # t[k, l] = trace of rho * D(k, l), via running powers of the shift unitary
-    t = np.empty((d, d), dtype=complex)
-    u = u_op(grid)
-    m = r.copy()
-    dft = np.exp(2j * np.pi * np.outer(idx, idx) / d)  # dft[a, l]
-    for k in range(d):
-        t[k] = np.diagonal(m) @ dft
-        m = m @ u
-    t *= np.exp(-1j * np.pi * np.outer(idx, idx) / d)
-
-    phis = grid.phis
-    em = np.exp(-1j * np.outer(idx, phis))  # em[k, m]
-    fn = np.exp(-2j * np.pi * np.outer(idx, idx) / d)  # fn[l, n]
-    raw = np.einsum("kl,km,ln->mn", kernel.values * t, em, fn) / d**2
+    raw = np.fft.fft2(_kernel_weights(grid, kernel) * characteristic(grid, r))
     return WignerGrid(
         grid=grid,
         kernel_label=kernel.label,
@@ -151,13 +134,12 @@ def wigner_wootters(grid: PhaseGrid, rho) -> WignerGrid:
     if d % 2 == 0:
         raise ValueError("sign kernel requires an odd dimension")
     r = np.asarray(rho, dtype=complex)
-    raw = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        acc = np.zeros(d, dtype=complex)
-        for a in range(d):
-            b = (2 * n - a) % d
-            acc += r[a, b] * np.exp(1j * (b - a) * grid.phis)
-        raw[:, n] = acc / d
+    a = np.arange(d)
+    b = (2 * a[:, None] - a) % d  # b[n, a]: the partner of a at level n
+    # the offsets b - a of one level are distinct mod odd d: one inverse DFT
+    g = np.zeros((d, d), dtype=complex)
+    g[a[:, None], (b - a) % d] = r[a, b] * np.exp(1j * (b - a) * grid.phi0)
+    raw = np.fft.ifft(g).T
     return WignerGrid(grid=grid, kernel_label="wootters", values=_real_or_raise(raw))
 
 
@@ -189,33 +171,20 @@ def phase_matrix_elements(w: WignerGrid, kernel: Kernel) -> np.ndarray:
         raise ValueError(
             f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}"
         )
-    mn = float(np.min(np.abs(kernel.values)))
-    if mn < CONDITION_TOL:
-        warnings.warn(
-            f"kernel inversion is ill-conditioned (min |K| = {mn:.3e})",
-            stacklevel=2,
-        )
-
-    idx = np.arange(d)
-    dft = np.exp(2j * np.pi * np.outer(idx, idx) / d)
-    s = dft @ w.values @ dft.T  # s[k, l] = sum_{m,n} e^{2pi i(km+ln)/d} W[m,n]
-
-    elements = np.zeros((d, d), dtype=complex)
-    for r in range(d):
-        for rp in range(r + 1):  # r' <= r
-            l = r - rp
-            k_phase = np.exp(-1j * np.pi * idx * (r + rp) / d)
-            elements[rp, r] = np.sum(k_phase * s[:, l] / kernel.values[:, l]) / d
+    _warn_if_ill_conditioned(kernel)
+    # Divide the grid's displacement traces by the kernel, then invert.  In
+    # the phase basis D(k, l) shifts by l, so that is the core's inverse with
+    # k and l swapped, on the zero-angle grid (phi0 cancels in the traces).
+    s = np.fft.ifft2(w.values, norm="forward")
+    elements = operator_from_characteristic(PhaseGrid(d), (s / kernel.values).T).T
 
     diag_resid = float(np.max(np.abs(np.diagonal(elements).imag)))
     if diag_resid > 10 * TOL:
         raise ReconstructionError(
             f"inconsistent Wigner grid: diagonal residue {diag_resid:.3e}"
         )
-    lower = np.tril_indices(d, -1)
-    elements[lower] = elements.T[lower].conj()
-    np.fill_diagonal(elements, np.diagonal(elements).real)
-    return elements
+    upper = np.triu(elements, 1)
+    return upper + upper.conj().T + np.diag(np.diagonal(elements).real)
 
 
 def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
@@ -240,27 +209,15 @@ def reconstruct_unimodular(w: WignerGrid, kernel: Kernel) -> np.ndarray:
     """Shortcut reconstruction for unimodular kernels.
 
     The state is the Wigner-weighted sum of phase-point operators,
-    assembled here through the displacement expansion so no operator
-    cache is required.
+    assembled as one displacement sum over the kernel-weighted FFT of
+    the grid, so no operator cache is required.
     """
     if not is_unimodular(kernel):
         raise ValueError("shortcut requires a unimodular kernel")
     if kernel.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
-    grid = w.grid
-    d = grid.dim
-    coeffs = kernel.values * fourier_coeffs(grid, w.values.astype(complex))
-    idx = np.arange(d)
-    u = u_op(grid)
-    rho = np.zeros((d, d), dtype=complex)
-    uk = np.eye(d, dtype=complex)
-    for k in range(d):
-        # D(k, l) = e^{-i pi k l / d} U^k diag(e^{2 pi i n l / d})
-        pref = np.exp(-1j * np.pi * k * idx / d) * coeffs[k]
-        cols = np.exp(2j * np.pi * np.outer(idx, idx) / d) @ pref  # over l, per n
-        rho += uk * cols[None, :]
-        uk = uk @ u
-    return rho
+    coeffs = _kernel_weights(w.grid, kernel) * np.fft.fft2(w.values) * w.dim
+    return _displacement_sum(w.grid, coeffs)
 
 
 def _symmetric_k_range(d: int) -> np.ndarray:
@@ -290,8 +247,6 @@ def phase_matrix_elements_symmetric(w: WignerGrid) -> np.ndarray:
             den = np.exp(1j * ks * grid.phi(r)) + np.exp(1j * ks * grid.phi(rp))
             if np.min(np.abs(den)) < 1e-9:
                 if generic is None:
-                    from .kernels import symmetric_kernel
-
                     generic = phase_matrix_elements(w, symmetric_kernel((d - 1) // 2))
                 elements[rp, r] = generic[rp, r]
                 continue
@@ -325,7 +280,7 @@ def load_wigner(path) -> WignerGrid:
     """Read a Wigner grid from its JSON format."""
     with open(path) as fh:
         obj = json.load(fh)
-    grid = PhaseGrid(int(obj["dim"]), float(obj.get("phi0", 0.0)))
+    grid = PhaseGrid(obj["dim"], float(obj.get("phi0", 0.0)))
     values = np.array(obj["values"], dtype=float)
     eps = obj.get("epsilon")
     return WignerGrid(

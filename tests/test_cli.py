@@ -284,3 +284,97 @@ class TestJsonStability:
         second = tmp_path / "b.json"
         gw.save_density_json(gw.load_density_json(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def run_rejected(capsys, *argv):
+    """Run a command expected to fail; its stderr must be one ``error:`` line."""
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    return code
+
+
+def write_grid(path, dim, kernel, rows, cols, phi0=0.0):
+    path.write_text(json.dumps(
+        {"dim": dim, "phi0": phi0, "kernel": kernel, "values": np.full((rows, cols), 0.1).tolist()}
+    ))
+    return str(path)
+
+
+class TestInputBoundary:
+    def test_converge_fock_without_level(self, capsys):
+        assert run_rejected(
+            capsys, "converge", "--kernel", "symmetric", "--state", "fock",
+            "--n", "0", "--phi", "0", "--Ns", "5,10",
+        ) == 2
+
+    @pytest.mark.parametrize("kernel, dim, size", [
+        ("symmetric", 3, 2), ("wootters", 5, 3), ("leonhardt", 4, 5),
+    ])
+    def test_reconstruct_table_not_matching_dim(self, tmp_path, capsys, kernel, dim, size):
+        grid = write_grid(tmp_path / "g.json", dim, kernel, size, size)
+        assert run_rejected(capsys, "reconstruct", "--grid", grid) == 2
+
+    @pytest.mark.parametrize("direction, kernel, dim, size", [
+        ("odd", "wootters", 5, 3), ("even", "leonhardt", 4, 6),
+    ])
+    def test_relate_table_not_matching_dim(self, tmp_path, capsys, direction, kernel, dim, size):
+        grid = write_grid(tmp_path / "g.json", dim, kernel, size, size + 1)
+        assert run_rejected(capsys, "relate", "--direction", direction, "--grid", grid) == 2
+
+    @pytest.mark.parametrize("kernel", ["symmetric", "leonhardt"])
+    def test_grid_file_with_fractional_dim(self, tmp_path, capsys, kernel):
+        grid = write_grid(tmp_path / "g.json", 2.5, kernel, 2, 2)
+        assert run_rejected(capsys, "reconstruct", "--grid", grid) == 2
+
+    @pytest.mark.parametrize("kernel", ["wootters", "leonhardt"])
+    def test_grid_file_with_nan_phi0(self, tmp_path, capsys, kernel):
+        dim, size = (3, 3) if kernel == "wootters" else (2, 4)
+        grid = write_grid(tmp_path / "g.json", dim, kernel, size, size, phi0=float("nan"))
+        assert run_rejected(capsys, "reconstruct", "--grid", grid) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_phi0(self, tmp_path, capsys, value):
+        out = str(tmp_path / "w.json")
+        assert run_rejected(
+            capsys, "wigner", "--dim", "3", "--kernel", "symmetric",
+            f"--phi0={value}", "--state", "mixed", "--out", out,
+        ) == 3
+        assert run_rejected(capsys, "verify", "--dim", "3", "--kernel", "wootters", f"--phi0={value}") == 3
+        assert run_rejected(
+            capsys, "converge", "--kernel", "symmetric", "--state", "superposition01",
+            "--n", "0", "--phi", "0", "--Ns", "5,10", f"--phi0={value}",
+        ) == 5
+
+    def test_non_finite_epsilon(self, capsys):
+        assert run_rejected(
+            capsys, "wigner", "--dim", "4", "--kernel", "almost-symmetric",
+            "--epsilon", "nan", "--state", "mixed",
+        ) == 3
+
+    def test_each_state_is_validated_once(self, tmp_path, monkeypatch, rng):
+        import sys
+
+        import gridwigner.cli
+        import gridwigner.states
+
+        wigner_module = sys.modules["gridwigner.wigner"]  # the package attribute is the function
+        calls = []
+        original = wigner_module.check_density
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (gridwigner.cli, gridwigner.states, wigner_module):
+            monkeypatch.setattr(module, "check_density", counted)
+        state_file = tmp_path / "rho.json"
+        gw.save_density_json(gw.random_density(3, rng), state_file)
+        for spec in (["fock", "1"], ["phase", "2"], ["mixed"], [str(state_file)]):
+            calls.clear()
+            assert run(
+                "wigner", "--dim", "3", "--kernel", "symmetric", "--state", *spec,
+                "--out", str(tmp_path / "w.json"),
+            ) == 0
+            assert len(calls) == 1, spec

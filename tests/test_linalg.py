@@ -150,6 +150,17 @@ class TestPredicates:
         indef = psd - 2 * np.linalg.norm(psd) * np.eye(5)
         assert not linalg.is_positive_semidefinite(indef)
 
+    def test_zero_pivot_with_coupled_remainder_is_not_psd(self):
+        # eigenvalues (-1, 1, 1): eliminating the first pivot leaves a block
+        # with a zero diagonal but a unit off-diagonal entry
+        swap = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+        assert linalg.min_diag_pivot(swap) <= -1.0 + 1e-12
+        assert not linalg.is_positive_semidefinite(swap)
+        assert not linalg.is_positive_semidefinite(1e-3 * swap)
+
+    def test_zero_matrix_is_psd(self):
+        assert linalg.min_diag_pivot(np.zeros((3, 3))) == 0.0
+
     def test_psd_rank_deficient(self, rng):
         v = random_complex(rng, 4)
         proj = np.outer(v, v.conj())

@@ -218,3 +218,19 @@ class TestGrid:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             gw.PhaseGrid(0)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("dim", [2.5, 3.0, "3", None])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ValueError):
+            gw.PhaseGrid(dim)
+
+    @pytest.mark.parametrize("phi0", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phi0_rejected(self, phi0):
+        with pytest.raises(ValueError):
+            gw.PhaseGrid(3, phi0)
+
+    def test_numpy_integer_dim_accepted(self):
+        g = gw.PhaseGrid(np.int64(4), 0.2)
+        assert g.dim == 4 and type(g.dim) is int

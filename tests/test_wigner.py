@@ -134,6 +134,25 @@ class TestWignerValues:
             gw.wigner(q, np.eye(3))  # trace 3
 
 
+class TestCheckDensity:
+    def test_rejects_state_with_negative_eigenvalue(self):
+        # Hermitian, unit trace, eigenvalues (-1, 1, 1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            gw.check_density([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+    @pytest.mark.parametrize("phi0", [0.0, 0.37, 0.99])
+    def test_accepts_rank_one_states_at_d129(self, phi0):
+        for m in (0, 1, 64, 128):
+            gw.check_density(gw.phase_state(129, m, phi0))
+            gw.check_density(gw.fock_state(129, m))
+
+    def test_accepts_low_rank_mixture(self, rng):
+        kets = random_complex(rng, 3, 129)
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        rho = sum(np.outer(k, k.conj()) for k in kets) / 3
+        gw.check_density(rho)
+
+
 class TestExpectation:
     def test_constant_one(self, rng):
         q = gw.build_quantizer(gw.PhaseGrid(4, 0.8), gw.almost_symmetric_kernel(2))
