@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .linalg import TOL, frob_dist
+from .linalg import TOL, adjoint, frob_dist, min_diag_pivot
 from .kernels import (
     Kernel,
     almost_symmetric_kernel,
@@ -107,7 +107,7 @@ def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
         path = name[5:]
         try:
             kernel = load_kernel(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise _fail(EXIT_KERNEL_MISMATCH, f"cannot load kernel file: {exc}")
         if kernel.dim != dim:
             raise _fail(
@@ -207,8 +207,6 @@ def _grid_residual(w: WignerGrid, kernel: Kernel, rho: np.ndarray) -> float:
 
 def _state_residual(rho: np.ndarray) -> float:
     """How far a reconstructed matrix is from a valid density operator."""
-    from .linalg import adjoint, min_diag_pivot
-
     herm = frob_dist(rho, adjoint(rho))
     tr = abs(np.trace(rho) - 1.0)
     pivot = min(min_diag_pivot((rho + rho.conj().T) / 2.0), 0.0)
@@ -253,6 +251,8 @@ def cmd_reconstruct(args) -> int:
             rho = reconstruct(w, kernel, validate_state=False)
         except ReconstructionError as exc:
             raise _fail(EXIT_RESIDUAL, f"reconstruction failed: {exc}")
+        except ValueError as exc:  # the kernel does not match the grid's label
+            raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
         residual = max(_state_residual(rho), _grid_residual(w, kernel, rho))
 
     print(f"round-trip residual: {residual:.3e}")
@@ -260,8 +260,7 @@ def cmd_reconstruct(args) -> int:
     save_density_json(rho, out)
     print(f"wrote {out}")
     if residual > 10 * TOL:
-        print("residual exceeds tolerance", file=sys.stderr)
-        return EXIT_RESIDUAL
+        raise _fail(EXIT_RESIDUAL, f"round-trip residual {residual:.3e} exceeds tolerance")
     return EXIT_OK
 
 
@@ -278,7 +277,9 @@ def _print_check(name: str, dev: float | None, expect_pass: bool = True, note: s
 
 def cmd_verify(args) -> int:
     kernel = _resolve_kernel(args.kernel, args.dim, args.epsilon)
+    # the identities depend on phi0 mod 2*pi only; reduced, a large angle keeps its precision
     grid = _resolve_grid(args.dim, args.phi0)
+    grid = PhaseGrid(grid.dim, math.remainder(grid.phi0, 2 * math.pi))
 
     ok = True
     validity = validate(kernel)
@@ -317,18 +318,24 @@ def cmd_verify(args) -> int:
         _print_check("operator ordering", None, note="kernel family has no ordering rule")
 
     if kernel.label == "wootters":
+        d = grid.dim
+        units = [c for c in range(1, d) if math.gcd(c, d) == 1]
         worst_p = 0.0
         worst_c = 0.0
-        for n1 in range(grid.dim):
-            for n2 in range(grid.dim):
-                if n1 == 0 and n2 == 0:
-                    continue
-                if math.gcd(math.gcd(n1, n2), grid.dim) > 1:
+        for n1 in range(d):
+            for n2 in range(d):
+                # (c*n1, c*n2), c a unit mod d, labels the same lines: check the smallest
+                labels = [((c * n1) % d, (c * n2) % d) for c in units]
+                if math.gcd(math.gcd(n1, n2), d) > 1 or min(labels) < (n1, n2):
                     continue
                 projs = family_projectors(q, n1, n2)
                 idem = np.linalg.norm(projs @ projs - projs, axis=(-2, -1))
                 worst_p = max(worst_p, float(np.max(idem)))
-                worst_c = max(worst_c, frob_dist(projs.sum(axis=0), np.eye(grid.dim)))
+                # line n3 under label c is line n3/c here: sum in each labelling, as per pair
+                by_line = projs.transpose(1, 2, 0)
+                for c in units:
+                    total = np.take(by_line, np.arange(d) * pow(c, -1, d) % d, axis=-1).sum(-1)
+                    worst_c = max(worst_c, frob_dist(total, np.eye(d)))
         ok &= _print_check("line projectivity", worst_p)
         ok &= _print_check("line completeness", worst_c)
     elif grid.dim % 2 == 0:

@@ -162,14 +162,14 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     if abs(np.cos(eps)) <= ZERO_TOL:
         raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
     d = 2 * N
-    k = np.arange(d)[:, None]
-    l = np.arange(d)[None, :]
-    raw = np.cos(np.pi * k * l / d + eps)
-    if np.min(np.abs(raw)) <= ZERO_TOL:
+    a = np.pi * np.outer(np.arange(d), np.arange(d)) / d
+    # cos(a + eps) / cos(eps), expanded so that a large eps keeps its precision
+    values = np.cos(a) - np.tan(eps) * np.sin(a)
+    if np.min(np.abs(values * np.cos(eps))) <= ZERO_TOL:
         raise ValueError(
             f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps"
         )
-    return Kernel(raw / np.cos(eps), label="almost-symmetric", eps=float(eps))
+    return Kernel(values, label="almost-symmetric", eps=float(eps))
 
 
 def is_unimodular(kernel: Kernel, tol: float = TOL) -> bool:

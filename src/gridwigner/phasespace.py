@@ -17,6 +17,14 @@ from functools import cached_property
 import numpy as np
 
 
+def _as_index(value, what: str) -> int:
+    """``value`` as a Python int; floats and other non-integers raise ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """A ``dim x dim`` phase-space grid with reference angle ``phi0``.
@@ -28,10 +36,7 @@ class PhaseGrid:
     phi0: float = 0.0
 
     def __post_init__(self):
-        try:
-            dim = operator.index(self.dim)
-        except TypeError:
-            raise ValueError(f"grid dimension must be an integer, got {self.dim!r}") from None
+        dim = _as_index(self.dim, "grid dimension")
         if dim < 1:
             raise ValueError("grid dimension must be a positive integer")
         if not math.isfinite(self.phi0):

@@ -243,7 +243,8 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     number_sum = _max_frob(omega.sum(axis=0) / d, eye[:, :, None] * eye[:, None, :])
     completeness = frob_dist(omega.sum(axis=(0, 1)) / d, np.eye(d))
 
-    overlaps = np.einsum("mnab,pqba->mnpq", omega, omega)
+    flat = omega.reshape(d * d, d * d)
+    overlaps = (flat @ omega.swapaxes(-1, -2).reshape(d * d, d * d).T).reshape((d,) * 4)
     e, f = _fourier_factors(q.grid)
     w = np.abs(q.kernel.values) ** 2
     predicted = np.einsum(

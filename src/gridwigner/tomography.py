@@ -14,10 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL
-from .phasespace import PhaseGrid, displacement, phase_ket
+from .phasespace import PhaseGrid, _as_index, displacement, phase_ket
 from .quantizer import Quantizer, quantize
-from .wigner import WignerGrid, check_density, wigner_almost_symmetric, wigner_symmetric
+from .wigner import (
+    WignerGrid,
+    _real_or_raise,
+    check_density,
+    wigner_almost_symmetric,
+    wigner_symmetric,
+    wigner_wootters,
+)
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,8 @@ class Line:
     dim: int
 
     def __post_init__(self):
+        for name in ("n1", "n2", "n3", "dim"):
+            object.__setattr__(self, name, _as_index(getattr(self, name), f"line {name}"))
         if self.dim < 1:
             raise ValueError("line dimension must be positive")
         for c in (self.n1, self.n2, self.n3):
@@ -150,6 +158,7 @@ class HalfIntegerWignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_half", _as_index(self.n_half, "N"))
         if self.n_half < 1:
             raise ValueError("N must be a positive integer")
         v = np.asarray(self.values, dtype=float)
@@ -197,31 +206,20 @@ def leonhardt_phase_point_op(N: int, phi0: float, jm: int, jn: int) -> np.ndarra
 def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> HalfIntegerWignerGrid:
     """Half-integer-grid Wigner function of an even-dimension state.
 
-    Sums the state's exact anti-diagonals with half-step offsets; terms
-    whose number indices would be half-odd or out of range drop out.
+    Column ``jn`` is one inverse DFT of the anti-diagonal ``a + b = jn``,
+    indexed by ``b - a mod 4N`` and weighted by ``exp(i*(b - a)*phi0)``.
     The table is real and sums to one over all ``16 N**2`` points.
     """
     d = 2 * N
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
     if r.shape != (d, d):
         raise ValueError(f"state dimension {r.shape[0]} does not match 2N={d}")
-    phis = phi0 + np.pi * np.arange(4 * N) / d
-    raw = np.zeros((4 * N, 4 * N), dtype=complex)
-    for jn in range(4 * N):
-        acc = np.zeros(4 * N, dtype=complex)
-        for jr in range(-jn, jn + 1):
-            if (jn - jr) % 2:
-                continue
-            a = (jn - jr) // 2
-            b = (jn + jr) // 2
-            if a >= d or b >= d:
-                continue
-            acc += r[a, b] * np.exp(1j * jr * phis)
-        raw[:, jn] = acc / (4 * N)
-    resid = float(np.max(np.abs(raw.imag)))
-    if resid > TOL:
-        raise ValueError(f"half-integer Wigner values have residue {resid:.3e}")
-    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=raw.real)
+    a = np.arange(d)
+    jr = a - a[:, None]  # b - a
+    g = np.zeros((4 * N, 4 * N), dtype=complex)
+    g[a[:, None] + a, jr % (4 * N)] = r * np.exp(1j * jr * phi0)
+    raw = np.fft.ifft(g).T
+    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
 
 
 def leonhardt_wigner_phase_form(N: int, phi0: float, rho) -> HalfIntegerWignerGrid:
@@ -250,10 +248,7 @@ def leonhardt_wigner_phase_form(N: int, phi0: float, rho) -> HalfIntegerWignerGr
                     left.conj() @ r @ right
                 )
             raw[jm, jn] = acc / (8 * N)
-    resid = float(np.max(np.abs(raw.imag)))
-    if resid > TOL:
-        raise ValueError(f"half-integer Wigner values have residue {resid:.3e}")
-    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=raw.real)
+    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
 
 
 def leonhardt_wigner_via_ops(N: int, phi0: float, rho) -> HalfIntegerWignerGrid:
@@ -270,34 +265,33 @@ def leonhardt_wigner_via_ops(N: int, phi0: float, rho) -> HalfIntegerWignerGrid:
         for jn in range(4 * N):
             a = leonhardt_phase_point_op(N, phi0, jm, jn)
             raw[jm, jn] = np.trace(r @ a) / (4 * N)
-    resid = float(np.max(np.abs(raw.imag)))
-    if resid > TOL:
-        raise ValueError(f"half-integer Wigner values have residue {resid:.3e}")
-    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=raw.real)
+    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
 
 
 def leonhardt_reconstruct(w: HalfIntegerWignerGrid) -> np.ndarray:
     """Invert the half-integer-grid Wigner map.
 
-    The state is the table-weighted half-step sum of the phase-point
-    operators; the round trip reproduces the input within roundoff.
+    The state is the table-weighted sum of the phase-point operators.
+    Operator ``(jm, jn)`` is ``exp(i*(a - b)*(phi0 + pi*jm/dim))`` on the
+    anti-diagonal ``a + b = jn``, so the sum is one DFT over ``jm``.
     """
     N = w.n_half
-    d = 2 * N
-    rho = np.zeros((d, d), dtype=complex)
-    for jm in range(4 * N):
-        for jn in range(4 * N):
-            if w.values[jm, jn] == 0.0:
-                continue
-            rho += w.values[jm, jn] * leonhardt_phase_point_op(N, w.phi0, jm, jn)
-    return rho
+    a = np.arange(2 * N)
+    jr = a[:, None] - a  # a - b
+    f = np.fft.ifft(w.values, axis=0, norm="forward")
+    return np.exp(1j * jr * w.phi0) * f[jr % (4 * N), a[:, None] + a]
+
+
+def _convolve(values: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Circular convolution ``sum_{x,y} c[i - x, j - y] * values[x, y]`` by FFT2."""
+    return np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(c), s=values.shape)
 
 
 def relate_odd(w: WignerGrid) -> WignerGrid:
     """Map a sign-kernel Wigner grid to the symmetric-kernel one.
 
-    Exact finite-dimension identity: a cosine average over index
-    differences.  Input and output share the grid and the state.
+    Exact finite-dimension identity: the table convolved with
+    ``cos(4*pi*x*y/dim) / dim``.  Input and output share the grid and the state.
     """
     if w.kernel_label != "wootters":
         raise ValueError(
@@ -307,31 +301,24 @@ def relate_odd(w: WignerGrid) -> WignerGrid:
     if d % 2 == 0:
         raise ValueError("odd relation requires an odd dimension")
     idx = np.arange(d)
-    out = np.empty((d, d))
-    for m in range(d):
-        for n in range(d):
-            ang = 4.0 * np.pi * np.outer(m - idx, n - idx) / d
-            out[m, n] = float(np.sum(np.cos(ang) * w.values)) / d
-    return WignerGrid(grid=w.grid, kernel_label="symmetric", values=out)
+    c = np.cos(4.0 * np.pi * (np.outer(idx, idx) % d) / d) / d
+    return WignerGrid(grid=w.grid, kernel_label="symmetric", values=_convolve(w.values, c))
 
 
 def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
     """Map a half-integer-grid Wigner table to the skewed even-dimension one.
 
-    Exact finite-dimension identity: a shifted-cosine half-step average
-    with prefactor ``1/(2N cos(eps))`` for a table normalised to total
-    one.  The output lives on the integer ``2N x 2N`` grid.
+    Exact finite-dimension identity: the table convolved with
+    ``cos(pi*x*y/dim - eps) / (2N cos(eps))`` on the doubled grid, sampled
+    at even indices, i.e. on the integer ``2N x 2N`` grid.
     """
     if not np.isfinite(eps) or abs(np.cos(eps)) <= 1e-12:
         raise ValueError(f"eps={eps!r} inadmissible: not finite or cos(eps) vanishes")
     N = w.n_half
     d = 2 * N
     jidx = np.arange(4 * N)
-    out = np.empty((d, d))
-    for m in range(d):
-        for n in range(d):
-            ang = np.pi * np.outer(2 * m - jidx, 2 * n - jidx) / d - eps
-            out[m, n] = float(np.sum(np.cos(ang) * w.values)) / (2 * N * np.cos(eps))
+    c = np.cos(np.pi * (np.outer(jidx, jidx) % (2 * d)) / d - eps)
+    out = _convolve(w.values, c)[::2, ::2] / (2 * N * np.cos(eps))
     grid = PhaseGrid(d, w.phi0)
     return WignerGrid(
         grid=grid, kernel_label="almost-symmetric", values=out, epsilon=float(eps)
@@ -344,7 +331,7 @@ def halfgrid_to_json(w: HalfIntegerWignerGrid, path) -> None:
         "dim": w.dim,
         "phi0": w.phi0,
         "kernel": "leonhardt",
-        "values": [[float(x) for x in row] for row in w.values],
+        "values": w.values.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(obj, fh)
@@ -493,7 +480,7 @@ def continuum_study(
     n_max = r.shape[0] - 1
     n_list = list(N_list)
     if not n_list:
-        raise ValueError("need at least one grid size")
+        raise EmbeddingError("need at least one grid size")
     if any(N < 1 for N in n_list):
         raise EmbeddingError("grid sizes must be positive")
     smallest = min(n_list)
@@ -517,8 +504,6 @@ def continuum_study(
             w = wigner_almost_symmetric(grid, rho, eps)
             target = number_phase_target(r, n, phi)
         else:
-            from .wigner import wigner_wootters
-
             w = wigner_wootters(grid, rho)
             target = wootters_target(r, n, phi)
         scaled = dim / (2.0 * np.pi) * float(w.values[m_star, n])

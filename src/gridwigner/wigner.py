@@ -268,7 +268,7 @@ def wigner_to_json(w: WignerGrid, path) -> None:
         "dim": w.dim,
         "phi0": w.grid.phi0,
         "kernel": w.kernel_label,
-        "values": [[float(x) for x in row] for row in w.values],
+        "values": w.values.tolist(),
     }
     if w.epsilon is not None:
         obj["epsilon"] = w.epsilon

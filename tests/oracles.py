@@ -4,8 +4,9 @@ Each function is the direct sum its library counterpart reorganises:
 the displacement tensor with the einsum-built phase-point operators, the
 einsum Wigner function, quantization and symbol, the double loop of the
 phase-basis inversion, the shift-power loop of the unimodular shortcut,
-and the point sum of a line projector.  They cost O(dim**4) to
-O(dim**6) and are meant for small grids only.
+the point sum of a line projector, the operator sum of the half-integer
+reconstruction and the point loops of both relation transforms.  They
+cost O(dim**4) to O(dim**6) and are meant for small grids only.
 """
 
 from __future__ import annotations
@@ -105,6 +106,40 @@ def line_projector(grid, kernel, line):
     """Average of the oracle phase-point operators over the line's points."""
     om = omega(grid, kernel)
     return sum(om[m, n] for m, n in gw.line_points(line)) / grid.dim
+
+
+def leonhardt_reconstruct(w):
+    """Table-weighted sum of the half-integer phase-point operators."""
+    N = w.n_half
+    rho = np.zeros((2 * N, 2 * N), dtype=complex)
+    for jm in range(4 * N):
+        for jn in range(4 * N):
+            rho += w.values[jm, jn] * gw.leonhardt_phase_point_op(N, w.phi0, jm, jn)
+    return rho
+
+
+def relate_odd(values):
+    """Cosine average ``sum cos(4*pi*(m - a)*(n - b)/d) * W[a, b] / d``, point by point."""
+    d = values.shape[0]
+    idx = np.arange(d)
+    out = np.empty((d, d))
+    for m in range(d):
+        for n in range(d):
+            ang = 4.0 * np.pi * np.outer(m - idx, n - idx) / d
+            out[m, n] = np.sum(np.cos(ang) * values) / d
+    return out
+
+
+def relate_even(values, eps):
+    """Shifted-cosine half-step average onto the integer grid, point by point."""
+    d = values.shape[0] // 2
+    jidx = np.arange(2 * d)
+    out = np.empty((d, d))
+    for m in range(d):
+        for n in range(d):
+            ang = np.pi * np.outer(2 * m - jidx, 2 * n - jidx) / d - eps
+            out[m, n] = np.sum(np.cos(ang) * values) / (d * np.cos(eps))
+    return out
 
 
 def random_kernel(d, rng, unimodular=False):

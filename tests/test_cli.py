@@ -145,7 +145,9 @@ class TestReconstructCommand:
         gw.wigner_to_json(tampered, grid_file)
         code = run("reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "o.json"))
         assert code == 4
-        assert "residual" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "residual" in captured.out
+        assert captured.err.startswith("error: round-trip residual")
 
     def test_leonhardt_half_grid(self, tmp_path, rng):
         rho = gw.random_density(4, rng)
@@ -346,6 +348,31 @@ class TestInputBoundary:
             capsys, "converge", "--kernel", "symmetric", "--state", "superposition01",
             "--n", "0", "--phi", "0", "--Ns", "5,10", f"--phi0={value}",
         ) == 5
+
+    def test_converge_without_grid_sizes(self, capsys):
+        assert run_rejected(
+            capsys, "converge", "--kernel", "symmetric", "--state", "superposition01",
+            "--n", "0", "--phi", "0", "--Ns=",
+        ) == 5
+
+    def test_kernel_file_of_wrong_json_type(self, tmp_path, capsys):
+        kpath = tmp_path / "k.json"
+        kpath.write_text("null")
+        assert run_rejected(capsys, "verify", "--dim", "3", "--kernel", f"file:{kpath}") == 3
+
+    def test_reconstruct_kernel_not_matching_grid_label(self, tmp_path, capsys):
+        kpath = tmp_path / "k.json"
+        gw.save_kernel(gw.symmetric_kernel(1), kpath)
+        grid = write_grid(tmp_path / "g.json", 3, "custom", 3, 3)
+        assert run_rejected(capsys, "reconstruct", "--grid", grid, "--kernel", f"file:{kpath}") == 3
+
+    @pytest.mark.parametrize("extra", [
+        ("--kernel", "wootters", "--dim", "5", "--phi0=1e10"),
+        ("--kernel", "almost-symmetric", "--dim", "4", "--epsilon=1e300"),
+    ])
+    def test_verify_with_a_large_angle(self, capsys, extra):
+        assert run("verify", *extra) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_non_finite_epsilon(self, capsys):
         assert run_rejected(

@@ -1,9 +1,11 @@
-"""Property tests: the FFT characteristic-function core against the oracles.
+"""Property tests: the FFT routes against the oracles.
 
 Random odd and even dimensions up to 40, random reference angles, random
 states and random valid kernels (built-in families and custom tables from
 the pairing rule).  Every library map must agree with its literal route
-in ``oracles.py`` to 1e-12.
+in ``oracles.py`` to 1e-12.  The half-integer grid (N up to 8) and the
+relation transforms (odd dim up to 41) are also checked on arbitrary
+real tables, relative to the table norm.
 """
 
 import math
@@ -140,3 +142,74 @@ def test_omega_is_built_on_first_access():
     assert "omega" not in vars(q)
     assert q.omega is q.omega
     assert not hasattr(q, "dtensor")
+
+
+half_cases = st.fixed_dictionaries(
+    {
+        "N": st.integers(1, 8),
+        "phi0": st.floats(-2 * math.pi, 2 * math.pi),
+        "seed": st.integers(0, 2**32 - 1),
+        "from_state": st.booleans(),
+    }
+)
+
+
+def _rel_dev(a, b, table):
+    return _dev(a, b) / max(float(np.linalg.norm(table)), 1.0)
+
+
+@SETTINGS
+@given(half_cases)
+def test_leonhardt_wigner_matches_phase_sums(case):
+    rng = np.random.default_rng(case["seed"])
+    N, phi0 = case["N"], case["phi0"]
+    if case["from_state"]:
+        rho = gw.random_density(2 * N, rng)
+    else:  # any Hermitian matrix has a real table
+        a = random_complex(rng, 2 * N, 2 * N)
+        rho = a + a.conj().T
+    w = gw.leonhardt_wigner(N, phi0, rho, validate_state=case["from_state"])
+    assert _rel_dev(w.values, gw.leonhardt_wigner_phase_form(N, phi0, rho).values, rho) <= AGREE
+    if N <= 4:  # the operator traces cost O(N**5)
+        assert _rel_dev(w.values, gw.tomography.leonhardt_wigner_via_ops(N, phi0, rho).values, rho) <= AGREE
+    assert _rel_dev(gw.leonhardt_reconstruct(w), rho, rho) <= AGREE
+
+
+@settings(max_examples=15, deadline=None)  # the operator-sum oracle costs O(N**5)
+@given(half_cases, st.floats(-1.5, 1.5))
+def test_half_grid_maps_match_operator_and_point_sums(case, eps):
+    rng = np.random.default_rng(case["seed"])
+    N, phi0 = case["N"], case["phi0"]
+    rho = gw.random_density(2 * N, rng)
+    if case["from_state"]:
+        w = gw.leonhardt_wigner(N, phi0, rho)
+    else:
+        w = gw.HalfIntegerWignerGrid(N, phi0, rng.standard_normal((4 * N, 4 * N)))
+    assert _rel_dev(gw.leonhardt_reconstruct(w), oracles.leonhardt_reconstruct(w), w.values) <= AGREE
+    out = gw.relate_even(w, eps)
+    scale = abs(math.cos(eps))
+    assert _rel_dev(out.values, oracles.relate_even(w.values, eps), w.values) * scale <= AGREE
+    if case["from_state"]:
+        direct = gw.wigner_almost_symmetric(gw.PhaseGrid(2 * N, phi0), rho, eps)
+        assert _dev(out.values, direct.values) * scale <= AGREE
+
+
+@SETTINGS
+@given(
+    st.integers(0, 20).map(lambda h: 2 * h + 1),
+    st.floats(-2 * math.pi, 2 * math.pi),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_relate_odd_matches_point_sums(d, phi0, seed, from_state):
+    rng = np.random.default_rng(seed)
+    grid = gw.PhaseGrid(d, phi0)
+    rho = gw.random_density(d, rng)
+    if from_state:
+        w = gw.wigner_wootters(grid, rho)
+    else:
+        w = gw.WignerGrid(grid, "wootters", rng.standard_normal((d, d)))
+    out = gw.relate_odd(w)
+    assert _rel_dev(out.values, oracles.relate_odd(w.values), w.values) <= AGREE
+    if from_state:
+        assert _dev(out.values, gw.wigner_symmetric(grid, rho).values) <= AGREE

@@ -69,6 +69,16 @@ class TestAlmostSymmetricKernel:
         for n in range(1, 7):
             assert gw.validate(gw.almost_symmetric_kernel(n)).valid
 
+    def test_large_eps_keeps_precision(self):
+        # rounding cos(a + eps) at a large eps loses a; the kernel depends on tan(eps) only
+        for eps in (1e6 + 0.25, 1e300):
+            k = gw.almost_symmetric_kernel(2, eps)
+            assert gw.validate(k).valid
+            np.testing.assert_allclose(
+                k.values, gw.almost_symmetric_kernel(2, float(np.arctan(np.tan(eps)))).values,
+                atol=1e-9,
+            )
+
     def test_rejected_eps(self):
         # eps = pi/4 at N=2 puts a zero at k*l = 1
         with pytest.raises(ValueError):

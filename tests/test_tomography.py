@@ -27,6 +27,16 @@ class TestLinePoints:
         assert len(gw.line_points(gw.Line(0, 0, 0, 3))) == 9
         assert gw.Line(0, 0, 0, 3).degenerate
 
+    @pytest.mark.parametrize("args", [(1.5, 0, 0, 5), (1, 0, 0, 5.0), (1, 0, 0.0, 5)])
+    def test_non_integer_coefficients_rejected(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            gw.Line(*args)
+
+    def test_numpy_integer_coefficients_accepted(self):
+        line = gw.Line(np.int64(1), np.int32(2), np.int64(0), np.int64(5))
+        assert type(line.dim) is int
+        assert len(gw.line_points(line)) == 5
+
     def test_point_count(self):
         for d in (3, 5, 7):
             for n1 in range(d):
@@ -236,6 +246,14 @@ class TestLeonhardt:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gw.leonhardt_wigner(2, 0.0, gw.fock_state(2, 0))
+
+    def test_non_integer_half_dimension_rejected(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            gw.HalfIntegerWignerGrid(2.5, 0.0, np.zeros((10, 10)))
+
+    def test_numpy_integer_half_dimension_accepted(self):
+        w = gw.HalfIntegerWignerGrid(np.int64(2), 0.0, np.zeros((8, 8)))
+        assert w.dim == 4 and type(w.n_half) is int
 
     def test_halfgrid_io(self, tmp_path, rng):
         w = gw.leonhardt_wigner(2, 0.15, gw.random_density(4, rng))
