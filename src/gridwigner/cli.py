@@ -10,13 +10,14 @@ embedding.  Malformed input exits with its code and one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import os
 import sys
 
 import numpy as np
 
+from ._jsonio import read_json
 from .linalg import TOL, adjoint, frob_dist, min_diag_pivot
 from .kernels import (
     Kernel,
@@ -40,21 +41,20 @@ from .states import (
 )
 from .tomography import (
     EmbeddingError,
+    _halfgrid_from_json,
     continuum_study,
     embed_state,
     family_projectors,
-    halfgrid_to_json,
     leonhardt_reconstruct,
     leonhardt_wigner,
-    load_halfgrid,
     relate_even,
     relate_odd,
 )
 from .wigner import (
     ReconstructionError,
     WignerGrid,
+    _wigner_from_json,
     check_density,
-    load_wigner,
     marginals,
     reconstruct,
     wigner_almost_symmetric,
@@ -213,29 +213,33 @@ def _state_residual(rho: np.ndarray) -> float:
     return float(max(herm, tr, -pivot))
 
 
-def _read_grid_file(path, loader=None):
-    """The kernel label of a grid file, or the grid ``loader`` reads from it."""
+def _grid_loader(label):
+    return _halfgrid_from_json if label == "leonhardt" else _wigner_from_json
+
+
+def _read_grid_file(path, loader_for=_grid_loader):
+    """Decode a grid file once: its kernel label and the grid built by ``loader_for(label)``.
+
+    The decoded file, several times the size of its table, is freed on return.
+    """
     try:
-        if loader is not None:
-            return loader(path)
-        with open(path) as fh:
-            return json.load(fh).get("kernel")
+        obj = read_json(path)
+        label = obj.get("kernel")
+        return label, loader_for(label)(obj)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise _fail(EXIT_BAD_STATE, f"invalid grid file: {exc}")
 
 
 def cmd_reconstruct(args) -> int:
-    label = _read_grid_file(args.grid)
+    label, w = _read_grid_file(args.grid)
     if label == "leonhardt":
-        half = _read_grid_file(args.grid, load_halfgrid)
-        rho = leonhardt_reconstruct(half)
+        rho = leonhardt_reconstruct(w)
         hermitized = (rho + rho.conj().T) / 2.0
-        back = leonhardt_wigner(half.n_half, half.phi0, hermitized, validate_state=False)
+        back = leonhardt_wigner(w.n_half, w.phi0, hermitized, validate_state=False)
         residual = max(
-            _state_residual(rho), float(np.max(np.abs(back.values - half.values)))
+            _state_residual(rho), float(np.max(np.abs(back.values - w.values)))
         )
     else:
-        w = _read_grid_file(args.grid, load_wigner)
         if label in ("symmetric", "wootters", "almost-symmetric"):
             kernel = _resolve_kernel(
                 label, w.dim, w.epsilon if w.epsilon is not None else args.epsilon
@@ -395,30 +399,30 @@ def cmd_converge(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    label = _read_grid_file(args.grid)
-
-    if args.direction == "odd":
-        if label != "wootters":
+    def loader_for(label):
+        if args.direction == "odd" and label != "wootters":
             raise _fail(
                 EXIT_KERNEL_MISMATCH,
                 f"odd relation needs a wootters grid, got kernel {label!r}",
             )
-        w = _read_grid_file(args.grid, load_wigner)
+        if args.direction == "even" and label != "leonhardt":
+            raise _fail(
+                EXIT_KERNEL_MISMATCH,
+                f"even relation needs a leonhardt half grid, got kernel {label!r}",
+            )
+        return _grid_loader(label)
+
+    _, w = _read_grid_file(args.grid, loader_for)
+    if args.direction == "odd":
         try:
             out_grid = relate_odd(w)
         except ValueError as exc:
             raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
         direct_fn = lambda rho: wigner_symmetric(out_grid.grid, rho)
     else:
-        if label != "leonhardt":
-            raise _fail(
-                EXIT_KERNEL_MISMATCH,
-                f"even relation needs a leonhardt half grid, got kernel {label!r}",
-            )
-        half = _read_grid_file(args.grid, load_halfgrid)
-        eps = args.epsilon if args.epsilon is not None else 1.0 / (2 * half.n_half)
+        eps = args.epsilon if args.epsilon is not None else 1.0 / (2 * w.n_half)
         try:
-            out_grid = relate_even(half, eps)
+            out_grid = relate_even(w, eps)
         except ValueError as exc:
             raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
         direct_fn = lambda rho: wigner_almost_symmetric(out_grid.grid, rho, eps)
@@ -434,7 +438,9 @@ def cmd_relate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gridwigner",
         description="Discrete Wigner functions on finite number-phase grids",

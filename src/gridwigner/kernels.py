@@ -8,11 +8,11 @@ phase-only and number-only functions quantize spectrally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonio import complex_table, integer, read_json, write_json
 from .linalg import TOL
 
 #: Entries smaller than this are treated as structural zeros.
@@ -184,25 +184,11 @@ def kernel_from_table(values, label: str = "custom") -> Kernel:
 
 def save_kernel(kernel: Kernel, path) -> None:
     """Write a kernel as JSON ``{"dim": d, "values": [[[re, im], ...]]}``."""
-    obj = {
-        "dim": kernel.dim,
-        "values": [
-            [[z.real, z.imag] for z in row] for row in kernel.values
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    write_json(path, {"dim": kernel.dim, "values": kernel.values})
 
 
 def load_kernel(path, label: str = "file") -> Kernel:
     """Read a kernel from the JSON table format."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    d = int(obj["dim"])
-    rows = obj["values"]
-    if len(rows) != d or any(len(r) != d for r in rows):
-        raise ValueError("kernel file table does not match its dim field")
-    values = np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-    )
-    return Kernel(values, label=label)
+    obj = read_json(path)
+    d = integer(obj["dim"], "kernel file dim")
+    return Kernel(complex_table(obj["values"], d, "kernel file table"), label=label)

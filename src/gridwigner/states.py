@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
+from ._jsonio import complex_table, integer, read_json, write_json
 from .phasespace import PhaseGrid, phase_ket
 from .wigner import check_density
 
@@ -65,21 +64,11 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 def save_density_json(rho, path) -> None:
     """Write a density matrix as JSON ``{"dim": d, "matrix": [[[re, im], ...]]}``."""
     r = np.asarray(rho, dtype=complex)
-    obj = {
-        "dim": r.shape[0],
-        "matrix": [[[z.real, z.imag] for z in row] for row in r],
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    write_json(path, {"dim": r.shape[0], "matrix": r})
 
 
 def load_density_json(path) -> np.ndarray:
     """Read and validate a density matrix from its JSON format."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    d = int(obj["dim"])
-    rows = obj["matrix"]
-    if len(rows) != d or any(len(r) != d for r in rows):
-        raise ValueError("density file matrix does not match its dim field")
-    rho = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return check_density(rho)
+    obj = read_json(path)
+    d = integer(obj["dim"], "density file dim")
+    return check_density(complex_table(obj["matrix"], d, "density file matrix"))

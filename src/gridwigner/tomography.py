@@ -8,12 +8,12 @@ phase factor is evaluated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonio import integer, number, number_table, read_json, write_json
 from .phasespace import PhaseGrid, _as_index, displacement, phase_ket
 from .quantizer import Quantizer, quantize
 from .wigner import (
@@ -174,14 +174,15 @@ class HalfIntegerWignerGrid:
         return 2 * self.n_half
 
 
-def half_phase_ket(dim: int, phi0: float, j2: int) -> np.ndarray:
+def half_phase_ket(dim: int, phi0: float, j2) -> np.ndarray:
     """Phase-type unit vector for a doubled angle index ``j2``.
 
     Extends the grid phase kets to half-integer indices; for even ``j2``
-    it coincides with the ordinary phase ket of index ``j2/2``.
+    it coincides with the ordinary phase ket of index ``j2/2``.  An array
+    of indices gives the stack of their kets, one per row.
     """
-    phi = phi0 + np.pi * j2 / dim
-    return np.exp(1j * np.arange(dim) * phi) / np.sqrt(dim)
+    phi = phi0 + np.pi * np.asarray(j2) / dim
+    return np.exp(1j * np.multiply.outer(phi, np.arange(dim))) / np.sqrt(dim)
 
 
 def leonhardt_phase_point_op(N: int, phi0: float, jm: int, jn: int) -> np.ndarray:
@@ -194,13 +195,9 @@ def leonhardt_phase_point_op(N: int, phi0: float, jm: int, jn: int) -> np.ndarra
     analysis-side traces carry half the naive prefactor.
     """
     d = 2 * N
-    acc = np.zeros((d, d), dtype=complex)
-    for jp in range(-2 * N, 2 * N):
-        phase = np.exp(-1j * np.pi * jp * jn / d)
-        acc += phase * np.outer(
-            half_phase_ket(d, phi0, jm + jp), half_phase_ket(d, phi0, jm - jp).conj()
-        )
-    return acc / 2.0
+    jp = np.arange(-2 * N, 2 * N)
+    left = half_phase_ket(d, phi0, jm + jp) * np.exp(-1j * np.pi * jp * jn / d)[:, None]
+    return left.T @ half_phase_ket(d, phi0, jm - jp).conj() / 2.0
 
 
 def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> HalfIntegerWignerGrid:
@@ -327,29 +324,25 @@ def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
 
 def halfgrid_to_json(w: HalfIntegerWignerGrid, path) -> None:
     """Write a half-integer grid as JSON (kernel tag ``leonhardt``)."""
-    obj = {
-        "dim": w.dim,
-        "phi0": w.phi0,
-        "kernel": "leonhardt",
-        "values": w.values.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    write_json(path, {"dim": w.dim, "phi0": w.phi0, "kernel": "leonhardt", "values": w.values})
 
 
 def load_halfgrid(path) -> HalfIntegerWignerGrid:
     """Read a half-integer grid from its JSON format."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    return _halfgrid_from_json(read_json(path))
+
+
+def _halfgrid_from_json(obj: dict) -> HalfIntegerWignerGrid:
+    """The half-integer grid of a decoded grid file."""
     if obj.get("kernel") != "leonhardt":
         raise ValueError("not a half-integer grid file")
-    d = obj["dim"]
-    if not isinstance(d, int) or d % 2:
+    d = integer(obj["dim"], "grid dim")
+    if d % 2:
         raise ValueError("half-integer grids require an even integer Hilbert dimension")
     return HalfIntegerWignerGrid(
         n_half=d // 2,
-        phi0=float(obj.get("phi0", 0.0)),
-        values=np.array(obj["values"], dtype=float),
+        phi0=number(obj.get("phi0", 0.0), "grid phi0"),
+        values=number_table(obj["values"], 2, "grid values"),
     )
 
 

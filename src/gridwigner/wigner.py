@@ -7,11 +7,11 @@ is dropped, so kernel bugs cannot hide behind a silent truncation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonio import integer, number, number_table, read_json, write_json
 from .linalg import TOL, is_hermitian, is_positive_semidefinite
 from .kernels import Kernel, is_unimodular, symmetric_kernel
 from .phasespace import (
@@ -264,38 +264,33 @@ def reconstruct_symmetric(w: WignerGrid) -> np.ndarray:
 
 def wigner_to_json(w: WignerGrid, path) -> None:
     """Write a Wigner grid as JSON with dim/phi0/kernel/values fields."""
-    obj: dict = {
-        "dim": w.dim,
-        "phi0": w.grid.phi0,
-        "kernel": w.kernel_label,
-        "values": w.values.tolist(),
-    }
+    obj: dict = {"dim": w.dim, "phi0": w.grid.phi0, "kernel": w.kernel_label, "values": w.values}
     if w.epsilon is not None:
         obj["epsilon"] = w.epsilon
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    write_json(path, obj)
 
 
 def load_wigner(path) -> WignerGrid:
     """Read a Wigner grid from its JSON format."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    grid = PhaseGrid(obj["dim"], float(obj.get("phi0", 0.0)))
-    values = np.array(obj["values"], dtype=float)
+    return _wigner_from_json(read_json(path))
+
+
+def _wigner_from_json(obj: dict) -> WignerGrid:
+    """The Wigner grid of a decoded grid file."""
+    grid = PhaseGrid(integer(obj["dim"], "grid dim"), number(obj.get("phi0", 0.0), "grid phi0"))
     eps = obj.get("epsilon")
     return WignerGrid(
         grid=grid,
         kernel_label=str(obj["kernel"]),
-        values=values,
-        epsilon=None if eps is None else float(eps),
+        values=number_table(obj["values"], 2, "grid values"),
+        epsilon=None if eps is None else number(eps, "grid epsilon"),
     )
 
 
 def wigner_to_csv(w: WignerGrid, path) -> None:
     """Write a Wigner grid as CSV rows ``m,n,phi,value`` (17 digits)."""
-    phis = w.grid.phis
     with open(path, "w") as fh:
         fh.write("m,n,phi,value\n")
-        for m in range(w.dim):
-            for n in range(w.dim):
-                fh.write(f"{m},{n},{phis[m]:.17g},{w.values[m, n]:.17g}\n")
+        for m, (phi, row) in enumerate(zip(w.grid.phis.tolist(), w.values.tolist())):
+            head, mid = f"{m},", f",{phi:.17g},"
+            fh.write("".join([f"{head}{n}{mid}{v:.17g}\n" for n, v in enumerate(row)]))

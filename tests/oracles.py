@@ -4,12 +4,17 @@ Each function is the direct sum its library counterpart reorganises:
 the displacement tensor with the einsum-built phase-point operators, the
 einsum Wigner function, quantization and symbol, the double loop of the
 phase-basis inversion, the shift-power loop of the unimodular shortcut,
-the point sum of a line projector, the operator sum of the half-integer
+the point sum of a line projector, the dyad sum of a half-integer
+phase-point operator, the operator sum of the half-integer
 reconstruction and the point loops of both relation transforms.  They
-cost O(dim**4) to O(dim**6) and are meant for small grids only.
+cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
+file writers at the end are the ``json.dump`` and per-value CSV forms
+whose output the streaming writers must reproduce byte for byte.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -108,6 +113,18 @@ def line_projector(grid, kernel, line):
     return sum(om[m, n] for m, n in gw.line_points(line)) / grid.dim
 
 
+def leonhardt_phase_point_op(N, phi0, jm, jn):
+    """Half-step sum of ``4N`` phase dyads, one outer product each."""
+    d = 2 * N
+    acc = np.zeros((d, d), dtype=complex)
+    for jp in range(-2 * N, 2 * N):
+        phase = np.exp(-1j * np.pi * jp * jn / d)
+        acc += phase * np.outer(
+            gw.half_phase_ket(d, phi0, jm + jp), gw.half_phase_ket(d, phi0, jm - jp).conj()
+        )
+    return acc / 2.0
+
+
 def leonhardt_reconstruct(w):
     """Table-weighted sum of the half-integer phase-point operators."""
     N = w.n_half
@@ -165,3 +182,39 @@ def random_kernel(d, rng, unimodular=False):
     kernel = gw.kernel_from_table(k)
     assert gw.validate(kernel).valid
     return kernel
+
+
+def save_density_json(rho, path):
+    r = np.asarray(rho, dtype=complex)
+    obj = {"dim": r.shape[0], "matrix": [[[z.real, z.imag] for z in row] for row in r]}
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+def save_kernel(kernel, path):
+    obj = {"dim": kernel.dim, "values": [[[z.real, z.imag] for z in row] for row in kernel.values]}
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+def wigner_to_json(w, path):
+    obj = {"dim": w.dim, "phi0": w.grid.phi0, "kernel": w.kernel_label, "values": w.values.tolist()}
+    if w.epsilon is not None:
+        obj["epsilon"] = w.epsilon
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+def halfgrid_to_json(w, path):
+    obj = {"dim": w.dim, "phi0": w.phi0, "kernel": "leonhardt", "values": w.values.tolist()}
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+def wigner_to_csv(w, path):
+    phis = w.grid.phis
+    with open(path, "w") as fh:
+        fh.write("m,n,phi,value\n")
+        for m in range(w.dim):
+            for n in range(w.dim):
+                fh.write(f"{m},{n},{phis[m]:.17g},{w.values[m, n]:.17g}\n")

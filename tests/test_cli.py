@@ -405,3 +405,71 @@ class TestInputBoundary:
                 "--out", str(tmp_path / "w.json"),
             ) == 0
             assert len(calls) == 1, spec
+
+
+class TestNonNumberEntries:
+    """File entries must be JSON numbers: strings and booleans exit with one error line."""
+
+    @staticmethod
+    def grid_of(tmp_path, rng, label, entry):
+        rho = gw.random_density(4 if label == "leonhardt" else 3, rng)
+        if label == "leonhardt":
+            values = gw.leonhardt_wigner(2, 0.0, rho).values.tolist()
+        else:
+            values = gw.wigner_wootters(gw.PhaseGrid(3), rho).values.tolist()
+        values[0] = [entry(v) for v in values[0]]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"dim": len(rho), "phi0": 0.0, "kernel": label, "values": values}))
+        return str(path)
+
+    @pytest.mark.parametrize("label", ["wootters", "leonhardt"])
+    @pytest.mark.parametrize("entry", [str, lambda v: True])
+    def test_reconstruct_rejects_grid_entries(self, tmp_path, capsys, rng, label, entry):
+        grid = self.grid_of(tmp_path, rng, label, entry)
+        assert run_rejected(capsys, "reconstruct", "--grid", grid, "--out", str(tmp_path / "s.json")) == 2
+
+    @pytest.mark.parametrize("direction, label", [("odd", "wootters"), ("even", "leonhardt")])
+    def test_relate_rejects_string_entries(self, tmp_path, capsys, rng, direction, label):
+        grid = self.grid_of(tmp_path, rng, label, str)
+        assert run_rejected(
+            capsys, "relate", "--direction", direction, "--grid", grid, "--out", str(tmp_path / "r.json")
+        ) == 2
+
+    @pytest.mark.parametrize("entry", ["0.5", True])
+    def test_wigner_rejects_state_entries(self, tmp_path, capsys, entry):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dim": 2, "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [entry, 0.0]]]}))
+        assert run_rejected(
+            capsys, "wigner", "--dim", "2", "--kernel", "almost-symmetric",
+            "--state", str(path), "--out", str(tmp_path / "w.json"),
+        ) == 2
+
+    def test_verify_rejects_string_kernel_entries(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        gw.save_kernel(gw.wootters_kernel(1), path)
+        path.write_text(path.read_text().replace("1.0", '"1.0"', 1))
+        assert run_rejected(capsys, "verify", "--dim", "3", "--kernel", f"file:{path}") == 3
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["reconstruct"], "wootters"), (["reconstruct"], "leonhardt"),
+    (["relate", "--direction", "odd"], "wootters"), (["relate", "--direction", "even"], "leonhardt"),
+])
+def test_grid_file_is_decoded_once(tmp_path, monkeypatch, rng, argv, label):
+    grid = TestNonNumberEntries.grid_of(tmp_path, rng, label, float)
+    decoded = []
+    original = json.load
+
+    def counted(fh, *args, **kwargs):
+        decoded.append(fh.name)
+        return original(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted)
+    assert run(*argv, "--grid", grid, "--out", str(tmp_path / "out.json")) == 0
+    assert decoded == [grid]
+
+
+def test_parser_is_built_once():
+    from gridwigner.cli import build_parser
+
+    assert build_parser() is build_parser()

@@ -38,13 +38,23 @@ json_values = st.recursive(
 labels = st.sampled_from(["symmetric", "wootters", "almost-symmetric", "leonhardt", "custom", "file"])
 
 
+def taint(draw, rows):
+    """Stringify or boolify a few entries of a table of numbers, or none."""
+    how = draw(st.sampled_from([None, None, str, lambda v: v > 0]))
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    if how is not None and cells:
+        for i, j in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)):
+            rows[i][j] = how(rows[i][j])
+    return rows
+
+
 @st.composite
 def tables(draw, max_side=2 * MAX_DIM):
     rows = draw(st.integers(0, max_side))
     cols = draw(st.one_of(st.just(rows), st.integers(0, max_side)))
     scale = draw(st.sampled_from([1.0, 1e-3, 1e300]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return (np.random.default_rng(seed).standard_normal((rows, cols)) * scale).tolist()
+    return taint(draw, (np.random.default_rng(seed).standard_normal((rows, cols)) * scale).tolist())
 
 
 @st.composite
@@ -101,7 +111,7 @@ def grid_files(draw):
             values = gw.wigner_wootters(gw.PhaseGrid(d), rho).values
         else:
             values = gw.wigner_symmetric(gw.PhaseGrid(d), rho).values
-        values = values.tolist()
+        values = taint(draw, values.tolist())
     else:
         values = draw(tables())
     obj = {"dim": draw(st.one_of(st.just(d), json_values)), "phi0": phi0, "kernel": label, "values": values}

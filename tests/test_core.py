@@ -170,9 +170,15 @@ def test_leonhardt_wigner_matches_phase_sums(case):
         rho = a + a.conj().T
     w = gw.leonhardt_wigner(N, phi0, rho, validate_state=case["from_state"])
     assert _rel_dev(w.values, gw.leonhardt_wigner_phase_form(N, phi0, rho).values, rho) <= AGREE
-    if N <= 4:  # the operator traces cost O(N**5)
-        assert _rel_dev(w.values, gw.tomography.leonhardt_wigner_via_ops(N, phi0, rho).values, rho) <= AGREE
+    assert _rel_dev(w.values, gw.tomography.leonhardt_wigner_via_ops(N, phi0, rho).values, rho) <= AGREE
     assert _rel_dev(gw.leonhardt_reconstruct(w), rho, rho) <= AGREE
+
+
+@SETTINGS
+@given(half_cases, st.integers(-20, 20), st.integers(-20, 20))
+def test_half_grid_operator_matches_dyad_sum(case, jm, jn):
+    N, phi0 = case["N"], case["phi0"]
+    assert _dev(gw.leonhardt_phase_point_op(N, phi0, jm, jn), oracles.leonhardt_phase_point_op(N, phi0, jm, jn)) <= AGREE
 
 
 @settings(max_examples=15, deadline=None)  # the operator-sum oracle costs O(N**5)
