@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ._jsonio import read_json
-from .linalg import TOL, adjoint, frob_dist, min_diag_pivot
+from .linalg import TOL, adjoint, frob_dist, psd_deficit
 from .kernels import (
     Kernel,
     almost_symmetric_kernel,
@@ -209,8 +209,7 @@ def _state_residual(rho: np.ndarray) -> float:
     """How far a reconstructed matrix is from a valid density operator."""
     herm = frob_dist(rho, adjoint(rho))
     tr = abs(np.trace(rho) - 1.0)
-    pivot = min(min_diag_pivot((rho + rho.conj().T) / 2.0), 0.0)
-    return float(max(herm, tr, -pivot))
+    return float(max(herm, tr, psd_deficit(rho)))
 
 
 def _grid_loader(label):

@@ -23,7 +23,7 @@ from .phasespace import (
 )
 from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
 
-#: Slack allowed on the smallest pivot of a density operator.
+#: Slack allowed on the smallest eigenvalue of a density operator.
 PSD_SLACK = 1e-8
 
 
@@ -32,10 +32,12 @@ class ReconstructionError(ValueError):
 
 
 def check_density(rho, tol: float = TOL, psd_slack: float = PSD_SLACK) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, PSD."""
+    """Validate a density operator: finite, Hermitian, unit trace, PSD."""
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"density operator must be square, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("density operator has non-finite entries")
     if not is_hermitian(r, tol=tol):
         raise ValueError("density operator is not Hermitian")
     if abs(np.trace(r) - 1.0) > tol:

@@ -8,6 +8,8 @@ the point sum of a line projector, the dyad sum of a half-integer
 phase-point operator, the operator sum of the half-integer
 reconstruction and the point loops of both relation transforms.  They
 cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
+pivot loop of diagonal-pivoted elimination is the positivity check that
+the Cholesky and eigenvalue routes replaced.  The
 file writers at the end are the ``json.dump`` and per-value CSV forms
 whose output the streaming writers must reproduce byte for byte.
 """
@@ -182,6 +184,39 @@ def random_kernel(d, rng, unimodular=False):
     kernel = gw.kernel_from_table(k)
     assert gw.validate(kernel).valid
     return kernel
+
+
+def min_diag_pivot(a) -> float:
+    """Smallest diagonal pivot met while eliminating a Hermitian matrix.
+
+    Runs diagonal-pivoted symmetric (Cholesky-style) elimination.  All
+    pivots of a positive semidefinite matrix are nonnegative up to
+    roundoff, so a return value below roughly ``-1e-8`` rules PSD out.
+    A pivot within ``1e-14`` times the largest entry counts as zero, and
+    the block left at that point must vanish as well.  No
+    eigendecomposition is involved.
+    """
+    m = gw.linalg.as_matrix(a).copy()
+    tiny = 1e-14 * float(np.max(np.abs(m), initial=0.0))
+    smallest = np.inf
+    for j in range(m.shape[0]):
+        rest = m[j:, j:]  # view of the block not yet eliminated
+        diag = rest.diagonal().real
+        i = int(np.argmax(diag))
+        pivot = float(diag[i])
+        if pivot <= tiny:
+            # No usable pivot left.  A PSD remainder then vanishes up to
+            # roundoff (|m_ij|**2 <= m_ii m_jj); an off-diagonal entry x
+            # bounds its smallest eigenvalue from above by pivot - |x|.
+            off = float(np.max(np.abs(rest - np.diag(rest.diagonal()))))
+            return float(min(smallest, diag.min(), pivot - off))
+        smallest = min(smallest, pivot)
+        if i:  # move the pivot to the front of the block
+            rest[[0, i]] = rest[[i, 0]]
+            rest[:, [0, i]] = rest[:, [i, 0]]
+        col = rest[1:, 0]
+        rest[1:, 1:] -= np.outer(col, col.conj() / pivot)
+    return float(smallest)
 
 
 def save_density_json(rho, path):

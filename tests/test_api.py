@@ -1,0 +1,43 @@
+"""The public names of the package, pinned.
+
+Adding, removing or renaming an export is a change of the public API: it
+must show up as a diff of this list.  Submodules are not counted; they
+appear as package attributes only once something imports them.
+"""
+
+import inspect
+
+import gridwigner
+
+PUBLIC = [
+    "ConvergenceReport", "ConvergenceRow", "EmbeddingError", "HalfIntegerWignerGrid", "Kernel",
+    "KernelValidity", "Line", "OrderingReport", "PhaseGrid", "Quantizer", "QuantizerReport",
+    "ReconstructionError", "TOL", "WignerGrid", "adjoint", "almost_symmetric_kernel",
+    "almost_symmetric_phase_point_op", "build_quantizer", "characteristic", "check_density",
+    "continuum_study", "default_epsilon", "displacement", "displacement_from_quantizer",
+    "displacement_phase_form", "displacement_zero_phase", "embed_state", "expectation",
+    "family_projectors", "fock_state", "fourier_coeffs", "frob_dist", "half_phase_ket",
+    "halfgrid_to_json", "inverse_fourier", "is_hermitian", "is_positive_semidefinite",
+    "is_unimodular", "is_unitary", "kernel_from_table", "leonhardt_phase_point_op",
+    "leonhardt_reconstruct", "leonhardt_wigner", "leonhardt_wigner_phase_form",
+    "leonhardt_wigner_via_ops", "line_points", "line_projector", "load_density_json",
+    "load_halfgrid", "load_kernel", "load_wigner", "marginals", "matmul", "maximally_mixed",
+    "number_ket", "number_op", "number_phase_target", "operator_from_characteristic",
+    "ordering_check", "outer", "phase_basis", "phase_density", "phase_function_op", "phase_ket",
+    "phase_matrix_elements", "phase_matrix_elements_symmetric", "phase_op", "phase_state",
+    "psd_deficit", "quantize", "qubit_state", "random_density", "reconstruct",
+    "reconstruct_symmetric", "reconstruct_unimodular", "relate_even", "relate_odd",
+    "save_density_json", "save_kernel", "superposition01", "symbol", "symbol_unimodular",
+    "symbol_via_overlaps", "symmetric_kernel", "symmetric_phase_point_op", "trace", "u_op",
+    "u_op_spectral", "v_op", "validate", "verify_quantizer", "wigner",
+    "wigner_almost_symmetric", "wigner_grid", "wigner_symmetric", "wigner_to_csv",
+    "wigner_to_json", "wigner_wootters", "wootters_kernel", "wootters_matrix_element",
+    "wootters_omega", "wootters_target",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name for name, obj in vars(gridwigner).items() if not name.startswith("_") and not inspect.ismodule(obj)
+    )
+    assert names == PUBLIC

@@ -349,6 +349,16 @@ class TestInputBoundary:
             "--n", "0", "--phi", "0", "--Ns", "5,10", f"--phi0={value}",
         ) == 5
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_state_file_with_non_finite_entry(self, tmp_path, capsys, bad):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dim": 2, "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [bad, 0.0]]]}))
+        code = run("wigner", "--dim", "2", "--kernel", "almost-symmetric",
+                   "--state", str(path), "--out", str(tmp_path / "w.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "non-finite entries" in err, err
+
     def test_converge_without_grid_sizes(self, capsys):
         assert run_rejected(
             capsys, "converge", "--kernel", "symmetric", "--state", "superposition01",

@@ -5,7 +5,9 @@ states and random valid kernels (built-in families and custom tables from
 the pairing rule).  Every library map must agree with its literal route
 in ``oracles.py`` to 1e-12.  The half-integer grid (N up to 8) and the
 relation transforms (odd dim up to 41) are also checked on arbitrary
-real tables, relative to the table norm.
+real tables, relative to the table norm.  The positivity check is tested
+over dimensions up to 64 against the eigenvalues and against the pivot
+loop of diagonal-pivoted elimination.
 """
 
 import math
@@ -219,3 +221,108 @@ def test_relate_odd_matches_point_sums(d, phi0, seed, from_state):
     assert _rel_dev(out.values, oracles.relate_odd(w.values), w.values) <= AGREE
     if from_state:
         assert _dev(out.values, gw.wigner_symmetric(grid, rho).values) <= AGREE
+
+
+psd_cases = st.fixed_dictionaries(
+    {
+        "d": st.integers(1, 64),
+        "phi0": st.floats(-2 * math.pi, 2 * math.pi),
+        "seed": st.integers(0, 2**32 - 1),
+        "kind": st.sampled_from(("full", "mixture", "fock", "phase")),
+    }
+)
+
+
+def _unit(rng, d):
+    v = random_complex(rng, d)
+    return v / np.linalg.norm(v)
+
+
+def _psd_state(case):
+    """A density operator of the case's kind; mixtures have a random rank r <= d."""
+    rng = np.random.default_rng(case["seed"])
+    d, kind = case["d"], case["kind"]
+    if kind == "full":
+        return rng, gw.random_density(d, rng)
+    if kind == "mixture":
+        weights = rng.uniform(0.1, 1.0, size=int(rng.integers(1, d + 1)))
+        kets = [_unit(rng, d) for _ in weights]
+        return rng, sum(p * np.outer(k, k.conj()) for p, k in zip(weights / weights.sum(), kets))
+    m = int(rng.integers(d))
+    return rng, gw.fock_state(d, m) if kind == "fock" else gw.phase_state(d, m, case["phi0"])
+
+
+def _lambda_min(a):
+    return float(np.linalg.eigvalsh(a)[0])
+
+
+def _oracle_accepts(a):
+    return oracles.min_diag_pivot(a) >= -1e-8  # the default slack of is_positive_semidefinite
+
+
+@SETTINGS
+@given(psd_cases)
+def test_states_pass_the_positivity_check(case):
+    _, rho = _psd_state(case)
+    gw.check_density(rho)
+    assert gw.psd_deficit(rho) <= AGREE
+
+
+@SETTINGS
+@given(psd_cases, st.floats(1e-6, 1.0))
+def test_a_negative_direction_is_rejected(case, t):
+    # v^H bad v = -t, so the smallest eigenvalue of bad is at most -t
+    rng, rho = _psd_state(case)
+    d = case["d"]
+    v = _unit(rng, d)
+    delta = float(np.vdot(v, rho @ v).real) + t
+    bad = rho - delta * np.outer(v, v.conj())
+    assert _lambda_min(bad) <= -t * (1 - 1e-9)
+    assert not gw.is_positive_semidefinite(bad)
+    assert not _oracle_accepts(bad)
+    assert gw.psd_deficit(bad) >= t * (1 - 1e-9)
+    if d >= 2:  # moving the weight onto a direction w orthogonal to v keeps unit trace
+        w = _unit(rng, d)
+        w -= np.vdot(v, w) * v
+        w /= np.linalg.norm(w)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            gw.check_density(bad + delta * np.outer(w, w.conj()))
+
+
+@SETTINGS
+@given(psd_cases, st.floats(-1.0, 1.0))
+def test_deficit_matches_the_smallest_eigenvalue(case, shift):
+    rng, rho = _psd_state(case)
+    d = case["d"]
+    if case["seed"] % 2:  # a random Hermitian matrix
+        g = random_complex(rng, d, d)
+        a = g + g.conj().T
+    else:  # a state shifted by up to its own norm: lambda_min on either side of zero
+        a = rho - shift * np.linalg.norm(rho, 2) * np.eye(d)
+    expected = max(0.0, -_lambda_min(a))
+    assert abs(gw.psd_deficit(a) - expected) <= AGREE * np.linalg.norm(a)
+
+
+@SETTINGS
+@given(psd_cases, st.floats(-6.0, -1.0), st.booleans())
+def test_decisions_agree_with_the_pivot_oracle(case, log_gap, negative):
+    # lambda_min is placed at +-10**log_gap, at least 1e-6 away from zero
+    _, rho = _psd_state(case)
+    target = (-1.0 if negative else 1.0) * 10.0**log_gap
+    a = rho + (target - _lambda_min(rho)) * np.eye(case["d"])
+    assert abs(_lambda_min(a)) >= 1e-6 * (1 - 1e-6)
+    assert gw.is_positive_semidefinite(a) == _oracle_accepts(a) == (not negative)
+    assert (gw.psd_deficit(a) > 0) == negative
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("fock", "phase", "ket")))
+def test_scaled_rank_one_projectors_are_accepted(seed, kind):
+    rng = np.random.default_rng(seed)
+    d, m = 129, int(rng.integers(129))
+    if kind == "ket":
+        v = _unit(rng, d)
+        proj = np.outer(v, v.conj())
+    else:
+        proj = gw.fock_state(d, m) if kind == "fock" else gw.phase_state(d, m, rng.uniform(0, 2 * math.pi))
+    assert gw.is_positive_semidefinite(1e6 * proj)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from gridwigner import linalg
 from conftest import random_complex
 
@@ -145,7 +146,8 @@ class TestPredicates:
     def test_psd_pivot(self, rng):
         a = random_complex(rng, 5, 5)
         psd = a @ a.conj().T
-        assert linalg.min_diag_pivot(psd) >= -1e-12
+        assert oracles.min_diag_pivot(psd) >= -1e-12
+        assert linalg.psd_deficit(psd) == 0.0
         assert linalg.is_positive_semidefinite(psd)
         indef = psd - 2 * np.linalg.norm(psd) * np.eye(5)
         assert not linalg.is_positive_semidefinite(indef)
@@ -154,14 +156,36 @@ class TestPredicates:
         # eigenvalues (-1, 1, 1): eliminating the first pivot leaves a block
         # with a zero diagonal but a unit off-diagonal entry
         swap = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-        assert linalg.min_diag_pivot(swap) <= -1.0 + 1e-12
+        assert oracles.min_diag_pivot(swap) <= -1.0 + 1e-12
+        assert linalg.psd_deficit(swap) >= 1.0 - 1e-12
         assert not linalg.is_positive_semidefinite(swap)
         assert not linalg.is_positive_semidefinite(1e-3 * swap)
+        assert linalg.psd_deficit(1e-3 * swap) == pytest.approx(1e-3, rel=1e-12)
 
     def test_zero_matrix_is_psd(self):
-        assert linalg.min_diag_pivot(np.zeros((3, 3))) == 0.0
+        assert oracles.min_diag_pivot(np.zeros((3, 3))) == 0.0
+        assert linalg.psd_deficit(np.zeros((3, 3))) == 0.0
+        assert linalg.is_positive_semidefinite(np.zeros((3, 3)))
 
     def test_psd_rank_deficient(self, rng):
         v = random_complex(rng, 4)
         proj = np.outer(v, v.conj())
         assert linalg.is_positive_semidefinite(proj)
+        assert linalg.psd_deficit(proj) <= 1e-12 * np.linalg.norm(proj)
+
+    def test_deficit_is_of_the_hermitian_part(self):
+        # the antihermitian part does not count: [[1, 2], [0, 1]] has Hermitian part [[1, 1], [1, 1]]
+        assert linalg.psd_deficit([[1, 2], [0, 1]]) <= 1e-15
+        assert linalg.is_positive_semidefinite([[1, 2], [0, 1]])
+        assert linalg.psd_deficit([[1, 4], [0, 1]]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_are_rejected(self, bad):
+        for where in ((1, 2), (2, 2)):
+            a = np.eye(3, dtype=complex)
+            a[where] = bad
+            assert not linalg.is_positive_semidefinite(a)
+            assert linalg.psd_deficit(a) == np.inf
+        # a lone infinite diagonal entry factors as sqrt(inf) without a breakdown
+        assert not linalg.is_positive_semidefinite([[bad]])
+        assert linalg.psd_deficit([[bad]]) == np.inf

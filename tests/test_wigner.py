@@ -146,6 +146,13 @@ class TestCheckDensity:
             gw.check_density(gw.phase_state(129, m, phi0))
             gw.check_density(gw.fock_state(129, m))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        rho = np.eye(3, dtype=complex) / 3
+        rho[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            gw.check_density(rho)
+
     def test_accepts_low_rank_mixture(self, rng):
         kets = random_complex(rng, 3, 129)
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
