@@ -6,7 +6,10 @@ of growing dimension and compares the scaled Wigner values with the
 continuum formulas.  The cosine-kernel route converges to the
 number-phase Wigner function with the correct phase marginal; the
 sign-kernel route converges to a target whose level sum stays flat in
-the angle.
+the angle.  Each grid size costs O(support), so the sweep at the exact
+angle reaches N = 10**5 and separates the two error sources: the
+symmetric kernel has none there, while the skew of the almost-symmetric
+kernel leaves an O(1/N) error (fitted log-log slope -1).
 """
 
 import numpy as np
@@ -25,6 +28,14 @@ for family, n in [("wootters", 0), ("wootters", 1), ("symmetric", 0)]:
             f"target={row.target:.10f}  err={row.abs_error:.1e}"
         )
     print(f"  errors non-increasing: {rep.monotone()}")
+
+print("\nexact angle phi = 0.9, N = 10 .. 10**5:")
+wide = [10**k for k in range(1, 6)]
+for family in ("symmetric", "almost-symmetric"):
+    rep = gw.continuum_study(rho, family, 0, phi=0.9, N_list=wide, exact_angle=True)
+    errs = "  ".join(f"{e:.1e}" for e in rep.errors())
+    slope = rep.slope()
+    print(f"  {family:16s} errors {errs}  fitted slope {'n/a' if slope is None else f'{slope:.3f}'}")
 
 print("\nmarginal contrast at phi = 0.9:")
 phi = 0.9

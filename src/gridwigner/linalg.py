@@ -109,4 +109,7 @@ def is_positive_semidefinite(a, slack: float = 1e-8) -> bool:
     stable on semidefinite matrices (Higham 1990), it passes rank-deficient states.
     """
     h = _hermitian_part(a)
-    return h is not None and _cholesky_succeeds(h + slack * np.eye(len(h)))
+    if h is None:
+        return False
+    h.flat[:: len(h) + 1] += slack  # h is a fresh array: shift its diagonal in place
+    return _cholesky_succeeds(h)

@@ -16,14 +16,7 @@ import numpy as np
 from ._jsonio import integer, number, number_table, read_json, write_json
 from .phasespace import PhaseGrid, _as_index, displacement, phase_ket
 from .quantizer import Quantizer, quantize
-from .wigner import (
-    WignerGrid,
-    _real_or_raise,
-    check_density,
-    wigner_almost_symmetric,
-    wigner_symmetric,
-    wigner_wootters,
-)
+from .wigner import WignerGrid, _real_or_raise, check_density
 
 
 @dataclass(frozen=True)
@@ -385,13 +378,14 @@ def wootters_target(rho_small, n: int, phi: float) -> float:
     elements vanish.
     """
     r = np.asarray(rho_small, dtype=complex)
-    dim = r.shape[0]
-    acc = 0.0 + 0.0j
-    for s in range(-n, n + 1):
-        a, b = n - s, n + s
-        if a < dim and b < dim:
-            acc += np.exp(2j * s * phi) * r[a, b]
-    return float(acc.real) / (2.0 * np.pi)
+    offsets, coeffs = _antidiagonal(r, n)
+    return float(np.sum(np.exp(1j * offsets * phi) * coeffs).real) / (2.0 * np.pi)
+
+
+def _antidiagonal(r: np.ndarray, n: int):
+    """Offsets ``b - a`` and entries ``r[a, b]`` of the pairs with ``a + b = 2n``."""
+    a = np.arange(max(0, 2 * n - len(r) + 1), min(2 * n, len(r) - 1) + 1)
+    return 2 * (n - a), r[a, 2 * n - a]
 
 
 def phase_density(rho_small, phi: float) -> float:
@@ -433,6 +427,19 @@ class ConvergenceReport:
         e = self.errors()
         return all(e[i + 1] <= e[i] + floor for i in range(len(e) - 1))
 
+    def slope(self) -> float | None:
+        """Least-squares slope of ``log(abs_error)`` against ``log(N)``.
+
+        Fitted over the rows whose error exceeds 1e-14, the roundoff
+        floor; ``None`` unless they span at least two grid sizes.
+        """
+        rows = [r for r in self.rows if r.abs_error > 1e-14]
+        if len({r.N for r in rows}) < 2:
+            return None
+        x = np.log([r.N for r in rows])
+        x -= x.mean()
+        return float(x @ np.log([r.abs_error for r in rows]) / (x @ x))
+
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("N,n,phi_grid,scaled_value,target,abs_error\n")
@@ -455,6 +462,7 @@ def continuum_study(
     phi: float,
     N_list,
     phi0: float = 0.0,
+    exact_angle: bool = False,
 ) -> ConvergenceReport:
     """Scaled Wigner values along growing grids against the continuum target.
 
@@ -462,52 +470,63 @@ def continuum_study(
     is sampled at the grid angle nearest ``phi`` and scaled by
     ``dim / (2 pi)``, and the target is the continuum value at ``phi``
     itself (the sampled angle is reported so the offset is visible).
+    With ``exact_angle`` the closed form is evaluated at ``phi`` itself,
+    which leaves only the kernel's own error (zero for ``symmetric``,
+    O(1/N) from the skew of ``almost-symmetric``).
     Kernel families: ``symmetric`` and ``almost-symmetric`` share the
     number-phase target; ``wootters`` keeps its own anti-diagonal target,
     whose level sum stays flat in ``phi`` (the marginal defect of that
     route).
+
+    One value needs only the state's support ``s``: ``dim * W(phi_m, n)``
+    is ``Re sum_a rho[n, a] e^{i(a - n) phi_m}`` (symmetric; the skewed
+    kernel multiplies by ``e^{i eps}`` before the real part and divides by
+    ``cos eps``, ``eps = 1/(2N)``) or the anti-diagonal sum
+    ``Re sum_{a+b=2n} rho[a, b] e^{i(b - a) phi_m}`` (wootters; no pair
+    wraps modulo ``dim`` because ``n + s < N``).  Each size costs O(s).
     """
     if kernel_family not in ("symmetric", "wootters", "almost-symmetric"):
         raise ValueError(f"unknown kernel family {kernel_family!r}")
     r = check_density(rho_small)
+    n = _as_index(n, "query level")
+    if not math.isfinite(phi):
+        raise ValueError(f"target angle phi must be finite, got {phi!r}")
     n_max = r.shape[0] - 1
     n_list = list(N_list)
     if not n_list:
         raise EmbeddingError("need at least one grid size")
     if any(N < 1 for N in n_list):
         raise EmbeddingError("grid sizes must be positive")
+    if n < 0:
+        raise EmbeddingError(f"query level {n} is negative")
     smallest = min(n_list)
     if n_max + n >= smallest:
         raise EmbeddingError(
             f"state support {n_max} plus query level {n} too close to N={smallest}"
         )
 
-    rows = []
-    for N in n_list:
-        dim = 2 * N if kernel_family == "almost-symmetric" else 2 * N + 1
-        grid = PhaseGrid(dim, phi0)
-        m_star = _nearest_grid_index(grid, phi)
-        phi_grid = grid.phi(m_star)
-        rho = embed_state(r, dim)
-        if kernel_family == "symmetric":
-            w = wigner_symmetric(grid, rho)
-            target = number_phase_target(r, n, phi)
-        elif kernel_family == "almost-symmetric":
-            eps = 1.0 / (2 * N)
-            w = wigner_almost_symmetric(grid, rho, eps)
-            target = number_phase_target(r, n, phi)
-        else:
-            w = wigner_wootters(grid, rho)
-            target = wootters_target(r, n, phi)
-        scaled = dim / (2.0 * np.pi) * float(w.values[m_star, n])
-        rows.append(
-            ConvergenceRow(
-                N=int(N),
-                dim=dim,
-                n=n,
-                phi_grid=float(phi_grid),
-                scaled_value=scaled,
-                target=target,
-            )
+    odd = kernel_family != "almost-symmetric"
+    grids = [PhaseGrid(2 * N + odd, phi0) for N in n_list]
+    if exact_angle:
+        phi_grid = np.full(len(grids), float(phi))
+    else:
+        phi_grid = np.array([g.phi(_nearest_grid_index(g, phi)) for g in grids])
+    if kernel_family == "wootters":
+        offsets, coeffs = _antidiagonal(r, n)
+        target = wootters_target(r, n, phi)
+    else:
+        offsets = np.arange(len(r)) - n
+        coeffs = r[n] if n < len(r) else np.zeros(len(r))
+        target = number_phase_target(r, n, phi)
+    z = np.exp(1j * np.multiply.outer(phi_grid, offsets)) @ coeffs
+    if kernel_family == "almost-symmetric":
+        eps = 1.0 / (2.0 * np.array(n_list))
+        z = np.exp(1j * eps) * z / np.cos(eps)
+    scaled = z.real / (2.0 * np.pi)
+    rows = [
+        ConvergenceRow(
+            N=int(N), dim=g.dim, n=n, phi_grid=float(p), scaled_value=float(v), target=target
         )
+        for N, g, p, v in zip(n_list, grids, phi_grid, scaled)
+    ]
     return ConvergenceReport(kernel_label=kernel_family, n=n, phi=phi, rows=rows)

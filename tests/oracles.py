@@ -9,7 +9,8 @@ phase-point operator, the operator sum of the half-integer
 reconstruction and the point loops of both relation transforms.  They
 cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
-the Cholesky and eigenvalue routes replaced.  The
+the Cholesky and eigenvalue routes replaced.  The continuum sweep that
+builds a whole table per grid size checks the point evaluation.  The
 file writers at the end are the ``json.dump`` and per-value CSV forms
 whose output the streaming writers must reproduce byte for byte.
 """
@@ -217,6 +218,34 @@ def min_diag_pivot(a) -> float:
         col = rest[1:, 0]
         rest[1:, 1:] -= np.outer(col, col.conj() / pivot)
     return float(smallest)
+
+
+def continuum_study_table(rho_small, kernel_family, n, phi, N_list, phi0=0.0):
+    """``continuum_study`` read from the whole Wigner table of each padded state.
+
+    Zero-pads the state into every grid dimension, builds the closed-form
+    table (O(dim**3)) and reads entry ``[m*, n]`` at the grid angle
+    nearest ``phi``.
+    """
+    r = gw.check_density(rho_small)
+    rows = []
+    for N in N_list:
+        dim = 2 * N if kernel_family == "almost-symmetric" else 2 * N + 1
+        grid = gw.PhaseGrid(dim, phi0)
+        m_star = gw.tomography._nearest_grid_index(grid, phi)
+        rho = gw.embed_state(r, dim)
+        if kernel_family == "symmetric":
+            w = gw.wigner_symmetric(grid, rho)
+            target = gw.number_phase_target(r, n, phi)
+        elif kernel_family == "almost-symmetric":
+            w = gw.wigner_almost_symmetric(grid, rho, 1.0 / (2 * N))
+            target = gw.number_phase_target(r, n, phi)
+        else:
+            w = gw.wigner_wootters(grid, rho)
+            target = gw.wootters_target(r, n, phi)
+        scaled = dim / (2.0 * np.pi) * float(w.values[m_star, n])
+        rows.append(gw.ConvergenceRow(int(N), dim, n, float(grid.phi(m_star)), scaled, target))
+    return gw.ConvergenceReport(kernel_label=kernel_family, n=n, phi=phi, rows=rows)
 
 
 def save_density_json(rho, path):

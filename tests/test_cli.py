@@ -160,6 +160,31 @@ class TestReconstructCommand:
         assert recovered.shape == (4, 4)
         assert gw.frob_dist(recovered, rho) <= 1e-9
 
+    def test_pure_state_needs_no_eigenvalues(self, tmp_path, monkeypatch):
+        # a pure state's reconstruction has no Cholesky factor of its own; the shifted
+        # test at the exit threshold decides its PSD term without an eigensolver
+        grid_file, state_out = tmp_path / "w.json", tmp_path / "s.json"
+        assert run(
+            "wigner", "--dim", "257", "--kernel", "wootters", "--phi0", "0.37",
+            "--state", "phase", "3", "--out", str(grid_file),
+        ) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert run("reconstruct", "--grid", str(grid_file), "--out", str(state_out)) == 0
+        rho = gw.phase_state(257, 3, 0.37)
+        assert gw.frob_dist(gw.load_density_json(state_out), rho) <= 1e-9
+
+    def test_non_psd_grid_exits_4(self, tmp_path, rng, capsys):
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        bad = u @ np.diag([0.8, 0.4, -0.2]) @ u.conj().T  # Hermitian, unit trace, not PSD
+        grid_file = tmp_path / "w.json"
+        gw.wigner_to_json(gw.wigner_wootters(gw.PhaseGrid(3), bad), grid_file)
+        code = run_rejected(capsys, "reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json"))
+        assert code == 4
+
 
 class TestVerifyCommand:
     def test_symmetric(self, capsys):
@@ -213,6 +238,21 @@ class TestConvergeCommand:
         ) == 0
         for line in out.read_text().strip().split("\n")[1:]:
             assert float(line.split(",")[3]) == pytest.approx(1 / (2 * np.pi), abs=1e-12)
+
+    @pytest.mark.parametrize("kernel, slope", [
+        ("symmetric", "fitted error slope: n/a"), ("almost-symmetric", "fitted error slope: -1.000"),
+    ])
+    def test_exact_angle_to_a_million(self, kernel, slope, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(
+            "converge", "--kernel", kernel, "--state", "superposition01", "--n", "0",
+            "--phi", "0.7", "--Ns", "100,1000,10000,100000,1000000", "--exact-angle", "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().out.splitlines()[-3:-1] == ["monotone error decrease: yes", slope]
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [float(row[2]) for row in rows] == [0.7] * 5
+        if kernel == "symmetric":
+            assert max(float(row[5]) for row in rows) < 1e-14
 
     def test_bad_embedding(self):
         assert run(

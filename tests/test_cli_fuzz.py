@@ -3,7 +3,8 @@
 Every run of the five subcommands must end in a documented exit code
 (0, 2, 3, 4 or 5), print at most one ``error:`` line (exactly one when
 it fails) and never raise.  Dimensions stay at or below 12 so that no
-case allocates large arrays.
+case allocates large arrays; ``converge`` grid sizes reach 10**6, since a
+continuum sweep costs O(support) per size and builds no table.
 """
 
 import contextlib
@@ -165,13 +166,14 @@ def argvs(command, paths):
             kernel_specs(paths).map(lambda k: ["--kernel", k]), phi0_eps,
         ]
     elif command == "converge":
-        ns = st.lists(st.integers(-1, MAX_DIM // 2).map(str) | numbers, max_size=4).map(",".join)
+        ns = st.lists(st.integers(-1, 10**6).map(str) | numbers, max_size=4).map(",".join)
         parts = [
             st.just(["converge", "--kernel"]),
             st.sampled_from(["symmetric", "wootters", "almost-symmetric", "bogus"]).map(lambda k: [k]),
             state_specs(paths).map(lambda s: ["--state", *s]),
             small_ints.map(lambda n: ["--n", str(n)]), angles.map(lambda p: ["--phi", repr(p)]),
-            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", angles.map(repr))]), st.just(out),
+            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", angles.map(repr))]),
+            st.sampled_from([[], ["--exact-angle"]]), st.just(out),
         ]
     else:
         parts = [

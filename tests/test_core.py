@@ -7,14 +7,16 @@ in ``oracles.py`` to 1e-12.  The half-integer grid (N up to 8) and the
 relation transforms (odd dim up to 41) are also checked on arbitrary
 real tables, relative to the table norm.  The positivity check is tested
 over dimensions up to 64 against the eigenvalues and against the pivot
-loop of diagonal-pivoted elimination.
+loop of diagonal-pivoted elimination.  The continuum sweep's point
+evaluation is checked against whole tables for N up to 160, and its
+exact-angle errors are pinned out to N = 10**6.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
@@ -326,3 +328,55 @@ def test_scaled_rank_one_projectors_are_accepted(seed, kind):
     else:
         proj = gw.fock_state(d, m) if kind == "fock" else gw.phase_state(d, m, rng.uniform(0, 2 * math.pi))
     assert gw.is_positive_semidefinite(1e6 * proj)
+
+
+@st.composite
+def continuum_cases(draw, max_n=160):
+    """A state of support 1..6, a kernel family, a level, angles and grid sizes up to ``max_n``."""
+    support = draw(st.integers(1, 6))
+    n = draw(st.integers(0, max_n - support))
+    return {
+        "rho": gw.random_density(support, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))),
+        "family": draw(st.sampled_from(("symmetric", "wootters", "almost-symmetric"))),
+        "n": n,
+        "phi": draw(st.floats(-10, 10)),
+        "phi0": draw(st.floats(-10, 10)),
+        "Ns": draw(st.lists(st.integers(support + n, max_n), min_size=1, max_size=4)),
+    }
+
+
+@SETTINGS
+@given(continuum_cases())
+def test_continuum_points_match_the_tables(case):
+    args = (case["rho"], case["family"], case["n"], case["phi"], case["Ns"])
+    point = gw.continuum_study(*args, phi0=case["phi0"])
+    table = oracles.continuum_study_table(*args, phi0=case["phi0"])
+    assert len(point.rows) == len(table.rows)
+    for p, t in zip(point.rows, table.rows):
+        assert (p.N, p.dim, p.n, p.phi_grid, p.target) == (t.N, t.dim, t.n, t.phi_grid, t.target)
+        assert abs(p.scaled_value - t.scaled_value) <= 1e-13
+
+
+@SETTINGS
+@given(continuum_cases(max_n=50))
+def test_exact_angle_leaves_no_error_without_skew(case):
+    # symmetric (and wootters) values at phi itself equal their targets at every N
+    rho, n, phi = case["rho"], case["n"], case["phi"]
+    sizes = np.unique(np.geomspace(len(rho) + n, 1e6, 20).astype(int)).tolist()
+    for family in ("symmetric", "wootters"):
+        rep = gw.continuum_study(rho, family, n, phi, sizes, phi0=case["phi0"], exact_angle=True)
+        assert [r.phi_grid for r in rep.rows] == [phi] * len(sizes)
+        assert max(rep.errors()) < 1e-14
+        assert rep.slope() is None
+
+
+@SETTINGS
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(-10, 10), st.floats(-10, 10), st.data())
+def test_almost_symmetric_exact_angle_error_is_first_order(support, seed, phi, phi0, data):
+    # the skew leaves tan(eps) * Im z / (2 pi), eps = 1/(2N): slope -1 unless Im z vanishes
+    rho = gw.random_density(support, np.random.default_rng(seed))
+    n = data.draw(st.integers(0, support - 1), label="n")
+    assume(abs((rho[n] @ np.exp(1j * (np.arange(support) - n) * phi)).imag) > 1e-3)
+    sizes = np.unique(np.geomspace(1e2, 1e5, 12).astype(int)).tolist()
+    rep = gw.continuum_study(rho, "almost-symmetric", n, phi, sizes, phi0=phi0, exact_angle=True)
+    assert abs(rep.slope() + 1.0) <= 0.05

@@ -379,3 +379,18 @@ class TestContinuum:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "N,n,phi_grid,scaled_value,target,abs_error"
         assert len(lines) == 3
+
+    def test_slope_of_a_power_law(self):
+        rows = [gw.ConvergenceRow(N, 2 * N + 1, 0, 0.0, 1.0 + 3.0 / N**2, 1.0) for N in (10, 20, 40, 80)]
+        assert gw.ConvergenceReport("symmetric", 0, 0.0, rows).slope() == pytest.approx(-2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("errors", [[], [0.0, 1e-15, 0.1], [0.1, 0.2]])
+    def test_slope_needs_two_sizes_above_roundoff(self, errors):
+        # the last case repeats one size: no spread in N, nothing to fit
+        sizes = [10, 20, 40] if len(errors) == 3 else [10] * len(errors)
+        rows = [gw.ConvergenceRow(N, 2 * N + 1, 0, 0.0, 1.0 + e, 1.0) for N, e in zip(sizes, errors)]
+        assert gw.ConvergenceReport("symmetric", 0, 0.0, rows).slope() is None
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(gw.EmbeddingError, match="negative"):
+            gw.continuum_study(gw.superposition01(), "symmetric", -1, 0.0, [5, 10])
