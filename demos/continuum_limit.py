@@ -6,10 +6,11 @@ of growing dimension and compares the scaled Wigner values with the
 continuum formulas.  The cosine-kernel route converges to the
 number-phase Wigner function with the correct phase marginal; the
 sign-kernel route converges to a target whose level sum stays flat in
-the angle.  Each grid size costs O(support), so the sweep at the exact
-angle reaches N = 10**5 and separates the two error sources: the
-symmetric kernel has none there, while the skew of the almost-symmetric
-kernel leaves an O(1/N) error (fitted log-log slope -1).
+the angle.  Each grid size costs O(support), so a sweep on grids
+through the target angle (phi0 = phi) reaches N = 10**5 and separates
+the two error sources: the symmetric kernel has none there, while the
+skew of the almost-symmetric kernel leaves an O(1/N) error (fitted
+log-log slope -1).
 """
 
 import numpy as np
@@ -29,10 +30,10 @@ for family, n in [("wootters", 0), ("wootters", 1), ("symmetric", 0)]:
         )
     print(f"  errors non-increasing: {rep.monotone()}")
 
-print("\nexact angle phi = 0.9, N = 10 .. 10**5:")
+print("\ngrids through phi = 0.9 (phi0 = phi), N = 10 .. 10**5:")
 wide = [10**k for k in range(1, 6)]
 for family in ("symmetric", "almost-symmetric"):
-    rep = gw.continuum_study(rho, family, 0, phi=0.9, N_list=wide, exact_angle=True)
+    rep = gw.continuum_study(rho, family, 0, phi=0.9, N_list=wide, phi0=0.9)
     errs = "  ".join(f"{e:.1e}" for e in rep.errors())
     slope = rep.slope()
     print(f"  {family:16s} errors {errs}  fitted slope {'n/a' if slope is None else f'{slope:.3f}'}")

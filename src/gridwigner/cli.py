@@ -385,9 +385,7 @@ def cmd_converge(args) -> int:
         raise _fail(EXIT_BAD_STATE, f"state spec {name!r} not usable for a continuum study")
 
     try:
-        report = continuum_study(
-            rho, family, args.n, args.phi, n_list, phi0=args.phi0, exact_angle=args.exact_angle
-        )
+        report = continuum_study(rho, family, args.n, args.phi, n_list, phi0=args.phi0)
     except EmbeddingError as exc:
         raise _fail(EXIT_BAD_EMBEDDING, str(exc))
 
@@ -490,11 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, required=True, help="target angle (radians)")
     p.add_argument("--Ns", required=True, help="comma-separated grid sizes")
     p.add_argument("--phi0", type=float, default=0.0)
-    p.add_argument(
-        "--exact-angle",
-        action="store_true",
-        help="evaluate at --phi itself instead of the nearest grid angle",
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_converge)
 

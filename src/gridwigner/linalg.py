@@ -109,7 +109,4 @@ def is_positive_semidefinite(a, slack: float = 1e-8) -> bool:
     stable on semidefinite matrices (Higham 1990), it passes rank-deficient states.
     """
     h = _hermitian_part(a)
-    if h is None:
-        return False
-    h.flat[:: len(h) + 1] += slack  # h is a fresh array: shift its diagonal in place
-    return _cholesky_succeeds(h)
+    return h is not None and _cholesky_succeeds(h + slack * np.eye(len(h)))

@@ -436,7 +436,7 @@ class ConvergenceReport:
         rows = [r for r in self.rows if r.abs_error > 1e-14]
         if len({r.N for r in rows}) < 2:
             return None
-        x = np.log([r.N for r in rows])
+        x = np.log([float(r.N) for r in rows])
         x -= x.mean()
         return float(x @ np.log([r.abs_error for r in rows]) / (x @ x))
 
@@ -462,7 +462,6 @@ def continuum_study(
     phi: float,
     N_list,
     phi0: float = 0.0,
-    exact_angle: bool = False,
 ) -> ConvergenceReport:
     """Scaled Wigner values along growing grids against the continuum target.
 
@@ -470,9 +469,9 @@ def continuum_study(
     is sampled at the grid angle nearest ``phi`` and scaled by
     ``dim / (2 pi)``, and the target is the continuum value at ``phi``
     itself (the sampled angle is reported so the offset is visible).
-    With ``exact_angle`` the closed form is evaluated at ``phi`` itself,
-    which leaves only the kernel's own error (zero for ``symmetric``,
-    O(1/N) from the skew of ``almost-symmetric``).
+    With ``phi0 = phi`` the angle lies on every grid, which leaves only
+    the kernel's own error (zero for ``symmetric``, O(1/N) from the skew
+    of ``almost-symmetric``).
     Kernel families: ``symmetric`` and ``almost-symmetric`` share the
     number-phase target; ``wootters`` keeps its own anti-diagonal target,
     whose level sum stays flat in ``phi`` (the marginal defect of that
@@ -507,10 +506,7 @@ def continuum_study(
 
     odd = kernel_family != "almost-symmetric"
     grids = [PhaseGrid(2 * N + odd, phi0) for N in n_list]
-    if exact_angle:
-        phi_grid = np.full(len(grids), float(phi))
-    else:
-        phi_grid = np.array([g.phi(_nearest_grid_index(g, phi)) for g in grids])
+    phi_grid = np.array([g.phi(_nearest_grid_index(g, phi)) for g in grids])
     if kernel_family == "wootters":
         offsets, coeffs = _antidiagonal(r, n)
         target = wootters_target(r, n, phi)
@@ -520,7 +516,7 @@ def continuum_study(
         target = number_phase_target(r, n, phi)
     z = np.exp(1j * np.multiply.outer(phi_grid, offsets)) @ coeffs
     if kernel_family == "almost-symmetric":
-        eps = 1.0 / (2.0 * np.array(n_list))
+        eps = 1.0 / np.array([float(g.dim) for g in grids])  # dim = 2N
         z = np.exp(1j * eps) * z / np.cos(eps)
     scaled = z.real / (2.0 * np.pi)
     rows = [

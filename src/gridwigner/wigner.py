@@ -70,8 +70,14 @@ class WignerGrid:
 
 
 def _real_or_raise(values: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """The real part of a table whose imaginary part is roundoff.
+
+    Roundoff grows with the entries, so the bound is ``tol`` times the
+    largest real entry, or ``tol`` itself for tables of entries up to 1
+    (every table of a density operator).
+    """
     resid = float(np.max(np.abs(values.imag)))
-    if resid > tol:
+    if resid > tol and resid > tol * float(np.max(np.abs(values.real))):
         raise ValueError(
             f"Wigner values have imaginary residue {resid:.3e} beyond tolerance"
         )

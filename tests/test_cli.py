@@ -242,17 +242,28 @@ class TestConvergeCommand:
     @pytest.mark.parametrize("kernel, slope", [
         ("symmetric", "fitted error slope: n/a"), ("almost-symmetric", "fitted error slope: -1.000"),
     ])
-    def test_exact_angle_to_a_million(self, kernel, slope, tmp_path, capsys):
+    def test_grid_through_phi_to_a_million(self, kernel, slope, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert run(
-            "converge", "--kernel", kernel, "--state", "superposition01", "--n", "0",
-            "--phi", "0.7", "--Ns", "100,1000,10000,100000,1000000", "--exact-angle", "--out", str(out),
+            "converge", "--kernel", kernel, "--state", "superposition01", "--n", "0", "--phi", "0.7",
+            "--phi0", "0.7", "--Ns", "100,1000,10000,100000,1000000", "--out", str(out),
         ) == 0
         assert capsys.readouterr().out.splitlines()[-3:-1] == ["monotone error decrease: yes", slope]
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert [float(row[2]) for row in rows] == [0.7] * 5
         if kernel == "symmetric":
             assert max(float(row[5]) for row in rows) < 1e-14
+
+    @pytest.mark.parametrize("kernel", ["symmetric", "almost-symmetric", "wootters"])
+    def test_grid_size_beyond_int64(self, kernel, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(
+            "converge", "--kernel", kernel, "--state", "superposition01", "--n", "0",
+            "--phi", "0.7", "--Ns", "100,100000000000000000000", "--out", str(out),
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert int(rows[1][0]) == 10**20
+        assert float(rows[1][5]) < 1e-12
 
     def test_bad_embedding(self):
         assert run(
@@ -375,6 +386,16 @@ class TestInputBoundary:
         dim, size = (3, 3) if kernel == "wootters" else (2, 4)
         grid = write_grid(tmp_path / "g.json", dim, kernel, size, size, phi0=float("nan"))
         assert run_rejected(capsys, "reconstruct", "--grid", grid) == 2
+
+    @pytest.mark.parametrize("kernel, dim, size", [("leonhardt", 2, 4), ("wootters", 3, 3)])
+    def test_reconstruct_grid_of_huge_values(self, tmp_path, capsys, rng, kernel, dim, size):
+        # the imaginary roundoff of the re-mapped table grows with its entries
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "dim": dim, "phi0": 0.0, "kernel": kernel,
+            "values": (1e299 * rng.standard_normal((size, size))).tolist(),
+        }))
+        assert run_rejected(capsys, "reconstruct", "--grid", str(path), "--out", str(tmp_path / "s.json")) == 4
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_phi0(self, tmp_path, capsys, value):

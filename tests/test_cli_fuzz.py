@@ -172,8 +172,7 @@ def argvs(command, paths):
             st.sampled_from(["symmetric", "wootters", "almost-symmetric", "bogus"]).map(lambda k: [k]),
             state_specs(paths).map(lambda s: ["--state", *s]),
             small_ints.map(lambda n: ["--n", str(n)]), angles.map(lambda p: ["--phi", repr(p)]),
-            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", angles.map(repr))]),
-            st.sampled_from([[], ["--exact-angle"]]), st.just(out),
+            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", angles.map(repr))]), st.just(out),
         ]
     else:
         parts = [

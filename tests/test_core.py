@@ -8,8 +8,8 @@ relation transforms (odd dim up to 41) are also checked on arbitrary
 real tables, relative to the table norm.  The positivity check is tested
 over dimensions up to 64 against the eigenvalues and against the pivot
 loop of diagonal-pivoted elimination.  The continuum sweep's point
-evaluation is checked against whole tables for N up to 160, and its
-exact-angle errors are pinned out to N = 10**6.
+evaluation is checked against whole tables for N up to 160, and so is
+the absence of error on grids through the target angle.
 """
 
 import math
@@ -359,24 +359,26 @@ def test_continuum_points_match_the_tables(case):
 
 @SETTINGS
 @given(continuum_cases(max_n=50))
-def test_exact_angle_leaves_no_error_without_skew(case):
-    # symmetric (and wootters) values at phi itself equal their targets at every N
+def test_grids_through_phi_leave_no_error_without_skew(case):
+    # with phi0 = phi the whole tables of symmetric and wootters equal their targets
     rho, n, phi = case["rho"], case["n"], case["phi"]
-    sizes = np.unique(np.geomspace(len(rho) + n, 1e6, 20).astype(int)).tolist()
+    sizes = np.unique(np.geomspace(len(rho) + n, 160, 6).astype(int)).tolist()
     for family in ("symmetric", "wootters"):
-        rep = gw.continuum_study(rho, family, n, phi, sizes, phi0=case["phi0"], exact_angle=True)
+        rep = oracles.continuum_study_table(rho, family, n, phi, sizes, phi0=phi)
         assert [r.phi_grid for r in rep.rows] == [phi] * len(sizes)
         assert max(rep.errors()) < 1e-14
         assert rep.slope() is None
 
 
 @SETTINGS
-@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(-10, 10), st.floats(-10, 10), st.data())
-def test_almost_symmetric_exact_angle_error_is_first_order(support, seed, phi, phi0, data):
-    # the skew leaves tan(eps) * Im z / (2 pi), eps = 1/(2N): slope -1 unless Im z vanishes
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(-10, 10), st.data())
+def test_almost_symmetric_skew_error_is_first_order(support, seed, phi, data):
+    # on grids through phi the skew leaves tan(eps) * Im z / (2 pi), eps = 1/(2N):
+    # slope -1 unless Im z vanishes
     rho = gw.random_density(support, np.random.default_rng(seed))
     n = data.draw(st.integers(0, support - 1), label="n")
     assume(abs((rho[n] @ np.exp(1j * (np.arange(support) - n) * phi)).imag) > 1e-3)
     sizes = np.unique(np.geomspace(1e2, 1e5, 12).astype(int)).tolist()
-    rep = gw.continuum_study(rho, "almost-symmetric", n, phi, sizes, phi0=phi0, exact_angle=True)
+    rep = gw.continuum_study(rho, "almost-symmetric", n, phi, sizes, phi0=phi)
+    assert [r.phi_grid for r in rep.rows] == [phi] * len(sizes)
     assert abs(rep.slope() + 1.0) <= 0.05
