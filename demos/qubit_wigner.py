@@ -17,8 +17,11 @@ quantizer = gw.build_quantizer(grid, kernel)
 print("phase-point operators (quarter-turn skew, phi0 = 0):")
 for m in range(2):
     for n in range(2):
+        # quantize averages f * Omega over the grid: dim times a one-point indicator
+        point = np.zeros((2, 2))
+        point[m, n] = grid.dim
         print(f"  Omega(phi_{m}, {n}) =")
-        print(np.round(quantizer.omega[m, n], 6))
+        print(np.round(gw.quantize(quantizer, point), 6))
 
 for bloch in [(0, 0, 1), (1, 0, 0), (0, 1, 0), (0.3, -0.4, 0.5)]:
     rho = gw.qubit_state(*bloch)

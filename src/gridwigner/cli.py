@@ -44,11 +44,11 @@ from .tomography import (
     _halfgrid_from_json,
     continuum_study,
     embed_state,
-    family_projectors,
     leonhardt_reconstruct,
     leonhardt_wigner,
     relate_even,
     relate_odd,
+    verify_lines,
 )
 from .wigner import (
     ReconstructionError,
@@ -283,11 +283,15 @@ def _print_check(name: str, dev: float | None, expect_pass: bool = True, note: s
     return ok == expect_pass
 
 
+def _print_sample(checks: str, checked: int, total: int, units: str, seed: int | None) -> None:
+    """Name checks that ran on a seeded sample; silent when every item was checked."""
+    if seed is not None:
+        print(f"sampled: {checks} on {checked} of {total} {units} (seed {seed})")
+
+
 def cmd_verify(args) -> int:
     kernel = _resolve_kernel(args.kernel, args.dim, args.epsilon)
-    # the identities depend on phi0 mod 2*pi only; reduced, a large angle keeps its precision
     grid = _resolve_grid(args.dim, args.phi0)
-    grid = PhaseGrid(grid.dim, math.remainder(grid.phi0, 2 * math.pi))
 
     ok = True
     validity = validate(kernel)
@@ -315,6 +319,7 @@ def cmd_verify(args) -> int:
         ok &= _print_check("overlap orthogonality", report.orthogonality_dev)
     else:
         _print_check("overlap orthogonality", None, note="kernel not unimodular")
+    _print_sample("Hermiticity, unit trace and overlaps", report.checked, grid.dim**2, "operators", report.seed)
 
     rng = np.random.default_rng(0)
     if kernel.label in ("symmetric", "almost-symmetric"):
@@ -326,26 +331,10 @@ def cmd_verify(args) -> int:
         _print_check("operator ordering", None, note="kernel family has no ordering rule")
 
     if kernel.label == "wootters":
-        d = grid.dim
-        units = [c for c in range(1, d) if math.gcd(c, d) == 1]
-        worst_p = 0.0
-        worst_c = 0.0
-        for n1 in range(d):
-            for n2 in range(d):
-                # (c*n1, c*n2), c a unit mod d, labels the same lines: check the smallest
-                labels = [((c * n1) % d, (c * n2) % d) for c in units]
-                if math.gcd(math.gcd(n1, n2), d) > 1 or min(labels) < (n1, n2):
-                    continue
-                projs = family_projectors(q, n1, n2)
-                idem = np.linalg.norm(projs @ projs - projs, axis=(-2, -1))
-                worst_p = max(worst_p, float(np.max(idem)))
-                # line n3 under label c is line n3/c here: sum in each labelling, as per pair
-                by_line = projs.transpose(1, 2, 0)
-                for c in units:
-                    total = np.take(by_line, np.arange(d) * pow(c, -1, d) % d, axis=-1).sum(-1)
-                    worst_c = max(worst_c, frob_dist(total, np.eye(d)))
-        ok &= _print_check("line projectivity", worst_p)
-        ok &= _print_check("line completeness", worst_c)
+        lines = verify_lines(q)
+        ok &= _print_check("line projectivity", lines.projectivity_dev)
+        ok &= _print_check("line completeness", lines.completeness_dev)
+        _print_sample("line projectivity and completeness", lines.checked, lines.families, "line families", lines.seed)
     elif grid.dim % 2 == 0:
         _print_check("line projectivity", None, note="even dim")
     else:

@@ -25,11 +25,19 @@ def _as_index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _reduced(phi0: float) -> float:
+    """``phi0`` reduced mod 2 pi into ``[-pi, pi]`` (bit for bit ``phi0`` there):
+    the angle at which every factor ``exp(i*integer*phi0)`` is evaluated."""
+    return math.remainder(phi0, 2 * math.pi)
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """A ``dim x dim`` phase-space grid with reference angle ``phi0``.
 
     Phase values are ``phi0 + 2*pi*m/dim`` for ``m = 0 .. dim-1``.
+    ``phi0`` is kept as given; every factor ``exp(i*integer*phi0)`` is
+    evaluated at :attr:`phi0_reduced`, so a large angle keeps its precision.
     """
 
     dim: int
@@ -53,15 +61,26 @@ class PhaseGrid:
         return self.phi0 + 2.0 * np.pi * m / self.dim
 
     @cached_property
+    def phi0_reduced(self) -> float:
+        """:func:`_reduced` of ``phi0``, computed once."""
+        return _reduced(self.phi0)
+
+    @cached_property
     def _core_tables(self):
         """Tables of :func:`characteristic`: ``diag[k, a] = (a - k) mod dim``,
         ``exp(i*dim*phi0)`` on the wrapped entries ``a < k``, the shear."""
         d = self.dim
         idx = np.arange(d)
         diag = (idx[None, :] - idx[:, None]) % d
-        corner = np.where(idx[None, :] < idx[:, None], np.exp(1j * d * self.phi0), 1.0)
+        corner = np.where(idx[None, :] < idx[:, None], np.exp(1j * d * self.phi0_reduced), 1.0)
         shear = np.exp(-1j * np.pi * np.arange(2 * d) / d)[np.outer(idx, idx) % (2 * d)]
         return idx, diag, corner, shear
+
+
+def _angles(grid: PhaseGrid, m) -> np.ndarray:
+    """Grid angles of the indices ``m`` with the reduced reference angle: for
+    factors ``exp(i*integer*phi_m)`` only, which do not see the reduction."""
+    return grid.phi0_reduced + 2.0 * np.pi * np.asarray(m) / grid.dim
 
 
 def number_ket(grid: PhaseGrid, n: int) -> np.ndarray:
@@ -79,15 +98,14 @@ def phase_ket(grid: PhaseGrid, r: int) -> np.ndarray:
     Any integer index is accepted; the ket is periodic in ``r`` with
     period ``grid.dim``.
     """
-    phi = grid.phi(r)
     n = np.arange(grid.dim)
-    return np.exp(1j * n * phi) / np.sqrt(grid.dim)
+    return np.exp(1j * n * _angles(grid, r)) / np.sqrt(grid.dim)
 
 
 def phase_basis(grid: PhaseGrid) -> np.ndarray:
     """Matrix ``P`` with ``P[n, m] = <n|phi_m>`` (columns are phase kets)."""
     n = np.arange(grid.dim)[:, None]
-    return np.exp(1j * n * grid.phis[None, :]) / np.sqrt(grid.dim)
+    return np.exp(1j * n * _angles(grid, np.arange(grid.dim))[None, :]) / np.sqrt(grid.dim)
 
 
 def number_op(grid: PhaseGrid) -> np.ndarray:
@@ -129,7 +147,7 @@ def u_op(grid: PhaseGrid) -> np.ndarray:
 
 def u_op_spectral(grid: PhaseGrid) -> np.ndarray:
     """The shift unitary built spectrally from the phase basis."""
-    return phase_function_op(grid, np.exp(1j * grid.phis))
+    return phase_function_op(grid, np.exp(1j * _angles(grid, np.arange(grid.dim))))
 
 
 def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
@@ -144,7 +162,7 @@ def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     a = np.arange(d)
     b = (a + k) % d
     out = np.zeros((d, d), dtype=complex)
-    out[a, b] = np.exp(1j * ((a + k) // d * d * grid.phi0 + 2 * np.pi * b * l / d))
+    out[a, b] = np.exp(1j * ((a + k) // d * d * grid.phi0_reduced + 2 * np.pi * b * l / d))
     return np.exp(-1j * np.pi * k * l / d) * out
 
 
@@ -156,24 +174,15 @@ def displacement_phase_form(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     d = grid.dim
     out = np.zeros((d, d), dtype=complex)
     for m in range(d):
-        out += np.exp(1j * k * grid.phi(m)) * np.outer(
+        out += np.exp(1j * k * _angles(grid, m)) * np.outer(
             phase_ket(grid, m + l), phase_ket(grid, m).conj()
         )
     return np.exp(1j * np.pi * k * l / d) * out
 
 
-def _fourier_factors(grid: PhaseGrid):
-    """Return ``E[k, m] = exp(-i*k*phi_m)`` and ``F[l, n] = exp(-2pi*i*l*n/d)``."""
-    d = grid.dim
-    k = np.arange(d)[:, None]
-    e = np.exp(-1j * k * grid.phis[None, :])
-    f = np.exp(-2j * np.pi * k * np.arange(d)[None, :] / d)
-    return e, f
-
-
 def _angle_phases(grid: PhaseGrid) -> np.ndarray:
-    """Column ``exp(-i*k*phi0)``: the reference-angle part of ``E[k, m]``."""
-    return np.exp(-1j * np.arange(grid.dim) * grid.phi0)[:, None]
+    """Column ``exp(-i*k*phi0)``: the reference-angle factor of every map."""
+    return np.exp(-1j * np.arange(grid.dim) * grid.phi0_reduced)[:, None]
 
 
 def fourier_coeffs(grid: PhaseGrid, values) -> np.ndarray:

@@ -3,8 +3,8 @@
 The phase-point operators (Stratonovich-Weyl quantizer) turn functions on
 the grid into operators and back.  Every such map is a kernel-weighted
 displacement sum, so it runs through the characteristic-function core of
-:mod:`phasespace` in O(dim**2 log dim); the explicit ``dim**2`` operators
-are built only on request, for the identity checks below.
+:mod:`phasespace` in O(dim**2 log dim); explicit operators are built only
+for the identity checks below, and only those that are checked.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .kernels import Kernel, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
     _angle_phases,
+    _angles,
     _displacement_sum,
-    _fourier_factors,
     characteristic,
     number_ket,
     phase_basis,
@@ -31,6 +31,14 @@ from .phasespace import (
 
 #: Kernel moduli below this trigger a conditioning warning on inversion.
 CONDITION_TOL = 1e-6
+
+#: Budget of the identity checks, in complex entries of explicit operators:
+#: every operator and every line family is checked while ``dim**4 <= BUDGET``
+#: (``dim <= 45``); above that a sample of ``BUDGET // dim**2`` operators and
+#: of ``BUDGET // dim**3`` line families (at least one), drawn with
+#: ``SAMPLE_SEED``.  No step of the checks holds more than ``BUDGET`` entries.
+BUDGET = 45**4
+SAMPLE_SEED = 0
 
 
 def _kernel_weights(grid: PhaseGrid, kernel: Kernel) -> np.ndarray:
@@ -44,7 +52,7 @@ class Quantizer:
 
     Only ``weights`` (:func:`_kernel_weights`) is stored.  ``omega[m, n]``,
     the operator of the grid point ``(phi_m, n)``, is built on first
-    access and kept (``16 * dim**4`` bytes).
+    access and kept (``16 * dim**4`` bytes); nothing in the library reads it.
     """
 
     grid: PhaseGrid
@@ -54,19 +62,11 @@ class Quantizer:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """All phase-point operators, ``(dim, dim, dim, dim)``; checked if ``check``.
-
-        Entry ``[a, b]`` involves one displacement, ``k = b - a mod dim``:
-        ``exp(-i*k*phi_m)`` times the corner phase times the row FFT of
-        the sheared kernel at ``(k, n - b)``.
-        """
-        grid = self.grid
-        _, diag, corner, shear = grid._core_tables
-        g = np.fft.fft(self.kernel.values * shear)
-        e = np.exp(-1j * np.outer(grid.phis, np.arange(grid.dim)))  # e[m, k]
-        omega = e[:, None, diag] * (corner * g[diag, diag.T[:, None, :]]) / grid.dim
+        """All phase-point operators, ``(dim, dim, dim, dim)``; checked if ``check``."""
+        d = self.grid.dim
+        omega = _phase_point_ops(self, *np.divmod(np.arange(d * d), d)).reshape((d,) * 4)
         if self.check:
-            herm, tr = _hermiticity_and_trace_devs(omega)
+            herm, tr = _hermiticity_and_trace_devs(omega.real, omega.imag)
             if herm > 10 * TOL:
                 raise ValueError("phase-point operator is not Hermitian")
             if tr > 10 * TOL:
@@ -74,14 +74,61 @@ class Quantizer:
         return omega
 
 
+def _phase_point_ops(q: Quantizer, m, n) -> np.ndarray:
+    """The operators of the grid points ``(phi_m[s], n[s])``, stacked.
+
+    Entry ``[a, b]`` involves one displacement, ``k = b - a mod dim``:
+    ``exp(-i*k*phi_m)`` times the corner phase times the row FFT of the
+    sheared kernel at ``(k, n - b mod dim)``, read from the row-doubled
+    table at ``(k, (-b mod dim) + n)``.  Both factors are built once per
+    distinct ``m`` and ``n``; O(dim**2) per operator.
+    """
+    grid = q.grid
+    d = grid.dim
+    idx, diag, corner, shear = grid._core_tables
+    g = np.fft.fft(q.kernel.values * shear) / d
+    doubled = np.concatenate([g, g], axis=1).ravel()
+    ms, m_at = np.unique(m, return_inverse=True)
+    ns, n_at = np.unique(n, return_inverse=True)
+    phases = np.take(np.exp(-1j * np.outer(_angles(grid, ms), idx)), diag, axis=1)
+    kernel_part = np.take(doubled, diag * (2 * d) + (-idx) % d + ns[:, None, None]) * corner
+    return phases[m_at] * kernel_part[n_at]
+
+
+def _checked(dim: int, total: int, entries: int) -> tuple[np.ndarray, int | None]:
+    """Indices of the ``total`` items (``entries`` complex numbers each) to check.
+
+    Every item while ``dim**4 <= BUDGET``; otherwise ``BUDGET // entries``
+    of them, at least one, drawn without replacement with ``SAMPLE_SEED``
+    and sorted.  The seed is returned with a sample, ``None`` otherwise.
+    """
+    count = max(1, BUDGET // entries)
+    if dim**4 <= BUDGET or count >= total:
+        return np.arange(total), None
+    rng = np.random.default_rng(SAMPLE_SEED)
+    return np.sort(rng.choice(total, size=count, replace=False)), SAMPLE_SEED
+
+
+def _chunks(total: int, dim: int):
+    """Slices of ``range(total)`` over ``dim x dim`` matrices: at most ``dim`` of
+    them, and at most ``BUDGET`` entries, per slice (one matrix at least)."""
+    step = max(1, min(dim, BUDGET // dim**2))
+    return [slice(i, min(i + step, total)) for i in range(0, total, step)]
+
+
 def _max_frob(a, b) -> float:
     """Largest Frobenius distance between matching matrices of two stacks."""
     return float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
 
 
-def _hermiticity_and_trace_devs(omega: np.ndarray) -> tuple[float, float]:
-    herm = _max_frob(omega, omega.conj().swapaxes(-1, -2))
-    return herm, float(np.max(np.abs(np.trace(omega, axis1=-2, axis2=-1) - 1.0)))
+def _hermiticity_and_trace_devs(re: np.ndarray, im: np.ndarray) -> tuple[float, float]:
+    """Largest ``||Omega - Omega^+||_F`` and ``|trace(Omega) - 1|`` over a stack of
+    operators given by their real and imaginary parts."""
+    a = re - re.swapaxes(-1, -2)
+    b = im + im.swapaxes(-1, -2)
+    herm = np.einsum("...ab,...ab->...", a, a) + np.einsum("...ab,...ab->...", b, b)
+    tr = np.hypot(np.trace(re, axis1=-2, axis2=-1) - 1.0, np.trace(im, axis1=-2, axis2=-1))
+    return float(np.sqrt(np.max(herm))), float(np.max(tr))
 
 
 def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quantizer:
@@ -164,41 +211,15 @@ def symbol(q: Quantizer, op) -> np.ndarray:
     return np.fft.ifft2(t / q.weights) / d
 
 
-def symbol_via_overlaps(q: Quantizer, op) -> np.ndarray:
-    """Symbol computed from phase-point-operator overlaps.
-
-    Cross-check path: validates the squared-modulus kernel algebra
-    against the primary kernel-division route.
-    """
-    g = np.einsum("ab,mnba->mn", np.asarray(op, dtype=complex), q.omega)
-    return np.fft.ifft2(np.fft.fft2(g) / np.abs(q.kernel.values) ** 2)
-
-
-def symbol_unimodular(q: Quantizer, op) -> np.ndarray:
-    """Shortcut symbol for unimodular kernels: plain overlap traces."""
-    if not is_unimodular(q.kernel):
-        raise ValueError("shortcut requires a unimodular kernel")
-    a = np.asarray(op, dtype=complex)
-    return np.einsum("ab,mnba->mn", a, q.omega)
-
-
-def displacement_from_quantizer(q: Quantizer, k: int, l: int) -> np.ndarray:
-    """Rebuild a displacement operator from the phase-point operators.
-
-    Identity check: inverts the kernel-weighted sum defining the cache.
-    Valid for ``0 <= k, l < dim``.
-    """
-    d = q.grid.dim
-    if not (0 <= k < d and 0 <= l < d):
-        raise ValueError("indices must lie in the principal range")
-    e, f = _fourier_factors(q.grid)
-    acc = np.einsum("m,n,mnab->ab", e[k].conj(), f[l].conj(), q.omega)
-    return acc / (d * q.kernel.values[k, l])
-
-
 @dataclass(frozen=True)
 class QuantizerReport:
-    """Maximum deviations of the phase-point-operator identities."""
+    """Maximum deviations of the phase-point-operator identities.
+
+    The axis sums and completeness cover every grid point.  Hermiticity,
+    unit trace and both overlap checks cover ``checked`` operators: all
+    ``dim**2`` of them, or a sample drawn with ``seed`` (``None`` when
+    every operator was checked).
+    """
 
     hermiticity_dev: float
     trace_dev: float
@@ -208,6 +229,8 @@ class QuantizerReport:
     overlap_dev: float
     orthogonality_dev: float
     unimodular: bool
+    checked: int
+    seed: int | None
 
     def core_pass(self, tol: float = TOL) -> bool:
         """All kernel-generic identities within ``tol``."""
@@ -226,34 +249,54 @@ class QuantizerReport:
 
 
 def verify_quantizer(q: Quantizer) -> QuantizerReport:
-    """Measure every phase-point-operator identity on the cache.
+    """Measure every phase-point-operator identity.
 
     Checks Hermiticity, unit traces, the two axis sums that reproduce
     basis projectors, completeness, the overlap-trace formula, and the
     overlap orthogonality that holds exactly when the kernel is
     unimodular.
+
+    The axis sums and completeness are quantizations of indicator
+    functions, checked for every ``m`` and ``n`` in chunks of at most
+    ``dim`` indicators.  The other checks build the operators of
+    :func:`_checked` (all of them for ``dim <= 45``), ``dim`` at a time.  Their overlaps
+    ``trace(Omega_s Omega_t)`` are one real Gram product of the rows
+    ``[Re Omega, Im Omega]``, which equals the trace for the Hermitian
+    operators checked alongside, and are compared with
+    ``fft2(|K|**2) / dim`` at ``(m_s - m_t, n_s - n_t) mod dim``.
     """
-    d = q.grid.dim
-    omega = q.omega
+    grid = q.grid
+    d = grid.dim
+    idx = np.arange(d)
+    p = phase_basis(grid).T  # row m is |phi_m>
+    phase_sum = number_sum = 0.0
+    for part in _chunks(d, d):
+        sel = idx[part]
+        ind = np.broadcast_to((sel[:, None] == idx)[:, :, None], (len(sel), d, d))
+        phase_sum = max(phase_sum, _max_frob(quantize(q, ind), p[sel, :, None] * p[sel].conj()[:, None, :]))
+        proj = np.zeros((len(sel), d, d))
+        proj[np.arange(len(sel)), sel, sel] = 1.0
+        number_sum = max(number_sum, _max_frob(quantize(q, ind.swapaxes(-1, -2)), proj))
+    completeness = frob_dist(quantize(q, np.ones((d, d))), np.eye(d))
 
-    herm, tr = _hermiticity_and_trace_devs(omega)
-    p = phase_basis(q.grid).T  # row m is |phi_m>
-    phase_sum = _max_frob(omega.sum(axis=1) / d, p[:, :, None] * p.conj()[:, None, :])
-    eye = np.eye(d)
-    number_sum = _max_frob(omega.sum(axis=0) / d, eye[:, :, None] * eye[:, None, :])
-    completeness = frob_dist(omega.sum(axis=(0, 1)) / d, np.eye(d))
-
-    flat = omega.reshape(d * d, d * d)
-    overlaps = (flat @ omega.swapaxes(-1, -2).reshape(d * d, d * d).T).reshape((d,) * 4)
-    e, f = _fourier_factors(q.grid)
-    w = np.abs(q.kernel.values) ** 2
-    predicted = np.einsum(
-        "kl,km,kp,ln,lq->mnpq", w, e, e.conj(), f, f.conj(), optimize=True
-    ) / d
-    overlap_dev = float(np.max(np.abs(overlaps - predicted)))
-
-    delta = np.einsum("mp,nq->mnpq", np.eye(d), np.eye(d)) * d
-    orth_dev = float(np.max(np.abs(overlaps - delta)))
+    flat, seed = _checked(d, d * d, d * d)
+    m, n = np.divmod(flat, d)
+    parts = np.empty((len(flat), 2, d, d))  # [s, 0] = Re Omega_s, [s, 1] = Im Omega_s
+    for chunk in _chunks(len(flat), d):
+        ops = _phase_point_ops(q, m[chunk], n[chunk])
+        parts[chunk, 0] = ops.real
+        parts[chunk, 1] = ops.imag
+    herm, tr = _hermiticity_and_trace_devs(parts[:, 0], parts[:, 1])
+    rows = parts.reshape(len(flat), -1)
+    overlaps = rows @ rows.T
+    # the predicted table tiled 2 x 2 takes the differences m_s - m_t + d, n_s - n_t + d
+    predicted = np.tile(np.fft.fft2(np.abs(q.kernel.values) ** 2) / d, (2, 2))
+    code = m * (2 * d) + n
+    at = code[:, None] - code + d * (2 * d + 1)
+    dev = overlaps - np.take(predicted.real, at)
+    overlap_dev = float(np.sqrt(np.max(dev * dev + np.take(predicted.imag, at) ** 2)))
+    overlaps[np.diag_indices(len(flat))] -= d
+    orth_dev = float(np.max(np.abs(overlaps)))
 
     return QuantizerReport(
         hermiticity_dev=herm,
@@ -264,6 +307,8 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
         overlap_dev=overlap_dev,
         orthogonality_dev=orth_dev,
         unimodular=is_unimodular(q.kernel),
+        checked=len(flat),
+        seed=seed,
     )
 
 

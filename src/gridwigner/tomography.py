@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_json
-from .phasespace import PhaseGrid, _as_index, displacement, phase_ket
-from .quantizer import Quantizer, quantize
+from .linalg import frob_dist
+from .phasespace import PhaseGrid, _angles, _as_index, _reduced, displacement, phase_ket
+from .quantizer import SAMPLE_SEED, Quantizer, _checked, _chunks, quantize
 from .wigner import WignerGrid, _real_or_raise, check_density
 
 
@@ -101,6 +102,79 @@ def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
     return quantize(q, (line.n1 * idx[:, None] + line.n2 * idx) % d == offsets)
 
 
+#: Seeded Gaussian probe columns of the Freivalds projectivity test.
+PROBES = 4
+
+
+def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Direction labels ``(n1, n2)`` of the parallel line families of a grid.
+
+    One label per family: ``(c*n1, c*n2)`` with ``c`` a unit mod ``dim``
+    gives the same lines, so only the smallest such pair (in ``n1``, then
+    ``n2``) is kept; pairs with ``gcd(n1, n2, dim) > 1`` are left out.
+    """
+    code = np.arange(dim * dim)
+    n1, n2 = np.divmod(code, dim)
+    smallest = code.copy()
+    for c in range(2, dim):
+        if math.gcd(c, dim) == 1:
+            np.minimum(smallest, (c * n1 % dim) * dim + c * n2 % dim, out=smallest)
+    keep = (smallest == code) & (np.gcd(np.gcd(n1, n2), dim) == 1)
+    return n1[keep], n2[keep]
+
+
+@dataclass(frozen=True)
+class LineReport:
+    """Worst deviations of the line-projector identities.
+
+    ``projectivity_dev`` is the largest Freivalds estimate
+    ``||(P @ P - P) V||_F / sqrt(PROBES)`` over the checked projectors,
+    with ``V`` the ``PROBES`` Gaussian probe columns drawn with
+    ``SAMPLE_SEED`` (its square estimates ``||P @ P - P||_F**2`` without
+    bias); ``completeness_dev`` is the largest Frobenius distance of a
+    family's projector sum from the identity.  ``checked`` of the
+    ``families`` families were checked: all of them, or a sample drawn
+    with ``seed`` (``None`` when every family was checked).
+    """
+
+    projectivity_dev: float
+    completeness_dev: float
+    checked: int
+    families: int
+    seed: int | None
+
+
+def verify_lines(q: Quantizer) -> LineReport:
+    """Check that every line family gives projectors that resolve the identity.
+
+    The families chosen by the quantizer's budget (all of them for
+    ``dim <= 45``) are quantized one family, or one chunk of at most
+    ``BUDGET`` entries, at a time; each family's sum is formed once,
+    whatever its labelling.  O(dim**2) per projector besides its
+    quantization.
+    """
+    d = q.grid.dim
+    if d % 2 == 0:
+        raise ValueError("line projectors are defined for odd dimensions here")
+    n1, n2 = _line_families(d)
+    chosen, seed = _checked(d, len(n1), d**3)
+    rng = np.random.default_rng(SAMPLE_SEED)
+    probes = (rng.standard_normal((d, PROBES)) + 1j * rng.standard_normal((d, PROBES))) / math.sqrt(2)
+    offsets = np.arange(d)[:, None, None]
+    projectivity = completeness = 0.0
+    for f in chosen:
+        line = Line(int(n1[f]), int(n2[f]), 0, d)
+        total = np.zeros((d, d), dtype=complex)
+        for part in _chunks(d, d):
+            projs = _quantize_lines(q, line, offsets[part])
+            pv = (projs.reshape(-1, d) @ probes).reshape(len(projs), d, PROBES)
+            excess = np.linalg.norm(projs @ pv - pv, axis=(-2, -1)) / math.sqrt(PROBES)
+            projectivity = max(projectivity, float(np.max(excess)))
+            total += projs.sum(axis=0)
+        completeness = max(completeness, frob_dist(total, np.eye(d)))
+    return LineReport(projectivity, completeness, len(chosen), len(n1), seed)
+
+
 def displacement_zero_phase(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     """Displacement operator with the reference-angle phase stripped.
 
@@ -108,7 +182,7 @@ def displacement_zero_phase(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     ``displacement_zero_phase(a*r, b*r) == displacement_zero_phase(a, b)**r``
     over the integers, which underpins the line-projector algebra.
     """
-    return np.exp(-1j * k * grid.phi0) * displacement(grid, k, l)
+    return np.exp(-1j * k * grid.phi0_reduced) * displacement(grid, k, l)
 
 
 def wootters_matrix_element(grid: PhaseGrid, m: int, n: int, a: int, b: int) -> complex:
@@ -118,7 +192,7 @@ def wootters_matrix_element(grid: PhaseGrid, m: int, n: int, a: int, b: int) -> 
     d = grid.dim
     if (a + b - 2 * n) % d != 0:
         return 0.0 + 0.0j
-    return complex(np.exp(1j * (a - b) * grid.phi(m)))
+    return complex(np.exp(1j * (a - b) * _angles(grid, m)))
 
 
 def wootters_omega(grid: PhaseGrid, m: int, n: int) -> np.ndarray:
@@ -172,9 +246,10 @@ def half_phase_ket(dim: int, phi0: float, j2) -> np.ndarray:
 
     Extends the grid phase kets to half-integer indices; for even ``j2``
     it coincides with the ordinary phase ket of index ``j2/2``.  An array
-    of indices gives the stack of their kets, one per row.
+    of indices gives the stack of their kets, one per row.  The entries
+    are integer multiples of the angle, so ``phi0`` enters reduced mod 2 pi.
     """
-    phi = phi0 + np.pi * np.asarray(j2) / dim
+    phi = _reduced(phi0) + np.pi * np.asarray(j2) / dim
     return np.exp(1j * np.multiply.outer(phi, np.arange(dim))) / np.sqrt(dim)
 
 
@@ -197,8 +272,9 @@ def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> H
     """Half-integer-grid Wigner function of an even-dimension state.
 
     Column ``jn`` is one inverse DFT of the anti-diagonal ``a + b = jn``,
-    indexed by ``b - a mod 4N`` and weighted by ``exp(i*(b - a)*phi0)``.
-    The table is real and sums to one over all ``16 N**2`` points.
+    indexed by ``b - a mod 4N`` and weighted by ``exp(i*(b - a)*phi0)``
+    (``phi0`` reduced mod 2 pi).  The table is real and sums to one over
+    all ``16 N**2`` points.
     """
     d = 2 * N
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
@@ -207,7 +283,7 @@ def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> H
     a = np.arange(d)
     jr = a - a[:, None]  # b - a
     g = np.zeros((4 * N, 4 * N), dtype=complex)
-    g[a[:, None] + a, jr % (4 * N)] = r * np.exp(1j * jr * phi0)
+    g[a[:, None] + a, jr % (4 * N)] = r * np.exp(1j * jr * _reduced(phi0))
     raw = np.fft.ifft(g).T
     return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
 
@@ -269,7 +345,7 @@ def leonhardt_reconstruct(w: HalfIntegerWignerGrid) -> np.ndarray:
     a = np.arange(2 * N)
     jr = a[:, None] - a  # a - b
     f = np.fft.ifft(w.values, axis=0, norm="forward")
-    return np.exp(1j * jr * w.phi0) * f[jr % (4 * N), a[:, None] + a]
+    return np.exp(1j * jr * _reduced(w.phi0)) * f[jr % (4 * N), a[:, None] + a]
 
 
 def _convolve(values: np.ndarray, c: np.ndarray) -> np.ndarray:

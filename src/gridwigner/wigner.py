@@ -16,6 +16,7 @@ from .linalg import TOL, is_hermitian, is_positive_semidefinite
 from .kernels import Kernel, is_unimodular, symmetric_kernel
 from .phasespace import (
     PhaseGrid,
+    _angles,
     _displacement_sum,
     characteristic,
     operator_from_characteristic,
@@ -146,7 +147,7 @@ def wigner_wootters(grid: PhaseGrid, rho) -> WignerGrid:
     b = (2 * a[:, None] - a) % d  # b[n, a]: the partner of a at level n
     # the offsets b - a of one level are distinct mod odd d: one inverse DFT
     g = np.zeros((d, d), dtype=complex)
-    g[a[:, None], (b - a) % d] = r[a, b] * np.exp(1j * (b - a) * grid.phi0)
+    g[a[:, None], (b - a) % d] = r[a, b] * np.exp(1j * (b - a) * grid.phi0_reduced)
     raw = np.fft.ifft(g).T
     return WignerGrid(grid=grid, kernel_label="wootters", values=_real_or_raise(raw))
 
@@ -245,21 +246,20 @@ def phase_matrix_elements_symmetric(w: WignerGrid) -> np.ndarray:
     d = w.dim
     grid = w.grid
     ks = _symmetric_k_range(d)
-    phis = grid.phis
-    ekm = np.exp(1j * np.outer(ks, phis))  # ekm[k, m]
+    ekm = np.exp(1j * np.outer(ks, _angles(grid, np.arange(d))))  # ekm[k, m]
 
     generic = None
     elements = np.zeros((d, d), dtype=complex)
     for r in range(d):
         for rp in range(d):
-            den = np.exp(1j * ks * grid.phi(r)) + np.exp(1j * ks * grid.phi(rp))
+            den = np.exp(1j * ks * _angles(grid, r)) + np.exp(1j * ks * _angles(grid, rp))
             if np.min(np.abs(den)) < 1e-9:
                 if generic is None:
                     generic = phase_matrix_elements(w, symmetric_kernel((d - 1) // 2))
                 elements[rp, r] = generic[rp, r]
                 continue
             coef = (ekm / den[:, None]).sum(axis=0)  # over k, per m
-            nphase = np.exp(1j * np.arange(d) * (grid.phi(r) - grid.phi(rp)))
+            nphase = np.exp(1j * np.arange(d) * (_angles(grid, r) - _angles(grid, rp)))
             elements[rp, r] = 2.0 / d * np.sum(coef[:, None] * nphase[None, :] * w.values)
     return elements
 

@@ -4,7 +4,9 @@ Each function is the direct sum its library counterpart reorganises:
 the displacement tensor with the einsum-built phase-point operators, the
 einsum Wigner function, quantization and symbol, the double loop of the
 phase-basis inversion, the shift-power loop of the unimodular shortcut,
-the point sum of a line projector, the dyad sum of a half-integer
+the point sum of a line projector, the dense identity suite over the
+whole operator table with the per-labelling line loop, the overlap and
+displacement routes through that table, the dyad sum of a half-integer
 phase-point operator, the operator sum of the half-integer
 reconstruction and the point loops of both relation transforms.  They
 cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
@@ -18,6 +20,7 @@ whose output the streaming writers must reproduce byte for byte.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -114,6 +117,81 @@ def line_projector(grid, kernel, line):
     """Average of the oracle phase-point operators over the line's points."""
     om = omega(grid, kernel)
     return sum(om[m, n] for m, n in gw.line_points(line)) / grid.dim
+
+
+def symbol_via_overlaps(q, op):
+    """Symbol from the phase-point-operator overlaps, divided by ``|K|**2``."""
+    g = np.einsum("ab,mnba->mn", np.asarray(op, dtype=complex), q.omega)
+    return np.fft.ifft2(np.fft.fft2(g) / np.abs(q.kernel.values) ** 2)
+
+
+def symbol_unimodular(q, op):
+    """Plain overlap traces: the symbol of a unimodular kernel."""
+    if not gw.is_unimodular(q.kernel):
+        raise ValueError("shortcut requires a unimodular kernel")
+    return np.einsum("ab,mnba->mn", np.asarray(op, dtype=complex), q.omega)
+
+
+def displacement_from_quantizer(q, k, l):
+    """``D(k, l)`` from the kernel-weighted Fourier sum of the operator table."""
+    d = q.grid.dim
+    if not (0 <= k < d and 0 <= l < d):
+        raise ValueError("indices must lie in the principal range")
+    e, f = fourier_factors(q.grid)
+    acc = np.einsum("m,n,mnab->ab", e[k].conj(), f[l].conj(), q.omega)
+    return acc / (d * q.kernel.values[k, l])
+
+
+def _max_frob(a, b):
+    return float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
+
+
+def verify_dense(q, lines=False):
+    """Every identity deviation over the whole ``dim**4`` operator table.
+
+    The complex ``dim**2 x dim**2`` overlap product against the einsum of
+    the predicted overlaps, O(dim**6); ``overlap_imag`` is the largest
+    imaginary part of that product, zero but for roundoff.  With ``lines``, also the line
+    checks: ``P @ P - P`` per projector of each family (smallest label
+    among its unit multiples) and the family sum once per labelling.
+    """
+    d = q.grid.dim
+    omega = q.omega
+    out = {
+        "hermiticity_dev": _max_frob(omega, omega.conj().swapaxes(-1, -2)),
+        "trace_dev": float(np.max(np.abs(np.trace(omega, axis1=-2, axis2=-1) - 1.0))),
+    }
+    p = gw.phase_basis(q.grid).T  # row m is |phi_m>
+    out["phase_sum_dev"] = _max_frob(omega.sum(axis=1) / d, p[:, :, None] * p.conj()[:, None, :])
+    eye = np.eye(d)
+    out["number_sum_dev"] = _max_frob(omega.sum(axis=0) / d, eye[:, :, None] * eye[:, None, :])
+    out["completeness_dev"] = float(gw.frob_dist(omega.sum(axis=(0, 1)) / d, eye))
+    flat = omega.reshape(d * d, d * d)
+    overlaps = (flat @ omega.swapaxes(-1, -2).reshape(d * d, d * d).T).reshape((d,) * 4)
+    e, f = fourier_factors(q.grid)
+    w = np.abs(q.kernel.values) ** 2
+    predicted = np.einsum("kl,km,kp,ln,lq->mnpq", w, e, e.conj(), f, f.conj(), optimize=True) / d
+    out["overlap_dev"] = float(np.max(np.abs(overlaps - predicted)))
+    out["overlap_imag"] = float(np.max(np.abs(overlaps.imag)))
+    delta = np.einsum("mp,nq->mnpq", eye, eye) * d
+    out["orthogonality_dev"] = float(np.max(np.abs(overlaps - delta)))
+    if lines:
+        units = [c for c in range(1, d) if math.gcd(c, d) == 1]
+        worst_p = worst_c = 0.0
+        for n1 in range(d):
+            for n2 in range(d):
+                labels = [((c * n1) % d, (c * n2) % d) for c in units]
+                if math.gcd(math.gcd(n1, n2), d) > 1 or min(labels) < (n1, n2):
+                    continue
+                projs = gw.family_projectors(q, n1, n2)
+                worst_p = max(worst_p, float(np.max(np.linalg.norm(projs @ projs - projs, axis=(-2, -1)))))
+                by_line = projs.transpose(1, 2, 0)
+                for c in units:
+                    total = np.take(by_line, np.arange(d) * pow(c, -1, d) % d, axis=-1).sum(-1)
+                    worst_c = max(worst_c, gw.frob_dist(total, eye))
+        out["projectivity_dev"] = worst_p
+        out["line_completeness_dev"] = worst_c
+    return out
 
 
 def leonhardt_phase_point_op(N, phi0, jm, jn):

@@ -11,10 +11,11 @@ import gridwigner
 
 PUBLIC = [
     "ConvergenceReport", "ConvergenceRow", "EmbeddingError", "HalfIntegerWignerGrid", "Kernel",
-    "KernelValidity", "Line", "OrderingReport", "PhaseGrid", "Quantizer", "QuantizerReport",
+    "KernelValidity", "Line", "LineReport", "OrderingReport", "PhaseGrid", "Quantizer",
+    "QuantizerReport",
     "ReconstructionError", "TOL", "WignerGrid", "adjoint", "almost_symmetric_kernel",
     "almost_symmetric_phase_point_op", "build_quantizer", "characteristic", "check_density",
-    "continuum_study", "default_epsilon", "displacement", "displacement_from_quantizer",
+    "continuum_study", "default_epsilon", "displacement",
     "displacement_phase_form", "displacement_zero_phase", "embed_state", "expectation",
     "family_projectors", "fock_state", "fourier_coeffs", "frob_dist", "half_phase_ket",
     "halfgrid_to_json", "inverse_fourier", "is_hermitian", "is_positive_semidefinite",
@@ -27,9 +28,9 @@ PUBLIC = [
     "phase_matrix_elements", "phase_matrix_elements_symmetric", "phase_op", "phase_state",
     "psd_deficit", "quantize", "qubit_state", "random_density", "reconstruct",
     "reconstruct_symmetric", "reconstruct_unimodular", "relate_even", "relate_odd",
-    "save_density_json", "save_kernel", "superposition01", "symbol", "symbol_unimodular",
-    "symbol_via_overlaps", "symmetric_kernel", "symmetric_phase_point_op", "trace", "u_op",
-    "u_op_spectral", "v_op", "validate", "verify_quantizer", "wigner",
+    "save_density_json", "save_kernel", "superposition01", "symbol",
+    "symmetric_kernel", "symmetric_phase_point_op", "trace", "u_op",
+    "u_op_spectral", "v_op", "validate", "verify_lines", "verify_quantizer", "wigner",
     "wigner_almost_symmetric", "wigner_grid", "wigner_symmetric", "wigner_to_csv",
     "wigner_to_json", "wigner_wootters", "wootters_kernel", "wootters_matrix_element",
     "wootters_omega", "wootters_target",

@@ -206,6 +206,27 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "n/a (even dim)" in out
 
+    @pytest.mark.parametrize("dim, kernel", [(61, "symmetric"), (61, "wootters"), (60, "almost-symmetric")])
+    def test_sampled_size(self, capsys, dim, kernel):
+        outputs = []
+        for _ in range(2):
+            assert run("verify", "--dim", str(dim), "--kernel", kernel, "--phi0", "0.37") == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        out = outputs[0]
+        assert "FAIL" not in out
+        checked = gw.quantizer.BUDGET // dim**2
+        assert (
+            f"sampled: Hermiticity, unit trace and overlaps on {checked} of {dim * dim} operators (seed 0)"
+            in out.splitlines()
+        )
+        if kernel == "wootters":
+            assert "sampled: line projectivity and completeness on 18 of 62 line families (seed 0)" in out
+
+    def test_every_operator_checked_up_to_45(self, capsys):
+        assert run("verify", "--dim", "45", "--kernel", "wootters") == 0
+        assert "sampled" not in capsys.readouterr().out
+
 
 class TestConvergeCommand:
     def test_wootters_superposition(self, tmp_path, capsys):

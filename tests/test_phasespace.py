@@ -1,5 +1,7 @@
 """Tests for grids, bases, clock/shift unitaries, displacements and Fourier."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,3 +236,36 @@ class TestGridValidation:
     def test_numpy_integer_dim_accepted(self):
         g = gw.PhaseGrid(np.int64(4), 0.2)
         assert g.dim == 4 and type(g.dim) is int
+
+
+class TestLargeAngle:
+    def test_phi0_kept_and_reduced_once(self):
+        g = gw.PhaseGrid(5, 1e8)
+        assert g.phi0 == 1e8
+        assert g.phi0_reduced == math.remainder(1e8, 2 * math.pi)
+        assert g.phis[0] == 1e8  # the phase operator keeps the angles as given
+
+    @pytest.mark.parametrize("phi0", [0.0, 0.37, 1.3, -2.5, math.pi])
+    def test_reduction_leaves_small_angles_bit_for_bit(self, phi0):
+        g = gw.PhaseGrid(7, phi0)
+        assert g.phi0_reduced == phi0
+        n = np.arange(7)[:, None]
+        assert np.array_equal(gw.phase_basis(g), np.exp(1j * n * g.phis[None, :]) / np.sqrt(7))
+
+    @pytest.mark.parametrize("phi0", [1e4, 1e8, -3e12])
+    def test_round_trip_at_a_large_angle(self, rng, phi0):
+        # before the reduction the error was 4.6e-13 at 1e4 and 4.1e-9 at 1e8
+        grid = gw.PhaseGrid(21, phi0)
+        kernel = gw.wootters_kernel(10)
+        rho = gw.random_density(21, rng)
+        back = gw.reconstruct(gw.wigner_grid(grid, kernel, rho), kernel)
+        assert np.max(np.abs(back - rho)) <= 1e-12
+
+    def test_factors_are_periodic_in_phi0(self):
+        small, large = gw.PhaseGrid(9, 0.37), gw.PhaseGrid(9, 0.37 + 2 * math.pi * 10**6)
+        assert abs(large.phi0_reduced - 0.37) < 1e-9
+        for k, l in [(1, 0), (4, 7), (8, 8)]:
+            np.testing.assert_allclose(
+                gw.displacement(large, k, l), gw.displacement(small, k, l), atol=1e-8
+            )
+        np.testing.assert_allclose(gw.phase_basis(large), gw.phase_basis(small), atol=1e-8)

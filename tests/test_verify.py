@@ -1,0 +1,160 @@
+"""The identity suite against the dense suite it replaced.
+
+``oracles.verify_dense`` builds the whole ``dim**4`` operator table, forms
+the complex overlap product and loops over every line-family labelling.
+The library checks the same identities on the operators and families its
+budget allows, with a real Gram product, an FFT-predicted overlap table
+and Freivalds' projectivity test.  Both must give the same PASS/FAIL
+verdict on every check and deviations within 1e-12, for every valid
+dimension 3..45 of the three built-in kernels and for random custom
+kernels.  The two overlap deviations of the dense suite also carry the
+imaginary roundoff of its complex product (up to 2.4e-12 at dim 45),
+which the real Gram product does not form; that residue is allowed on
+top.  With the budget shrunk so that sampling runs at these sizes, the
+verdicts must not change.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gridwigner as gw
+import oracles
+from gridwigner import quantizer
+
+AGREE = 1e-12
+CHECKS = (
+    "hermiticity_dev", "trace_dev", "phase_sum_dev", "number_sum_dev",
+    "completeness_dev", "overlap_dev", "orthogonality_dev",
+)
+LINE_CHECKS = {"projectivity_dev": "projectivity_dev", "completeness_dev": "line_completeness_dev"}
+KERNELS = {
+    "symmetric": gw.symmetric_kernel,
+    "wootters": gw.wootters_kernel,
+    "almost-symmetric": gw.almost_symmetric_kernel,
+}
+CASES = [
+    (d, family, phi0)
+    for d in range(3, 46)
+    for family in KERNELS
+    if (family == "almost-symmetric") == (d % 2 == 0)
+    for phi0 in (0.0, 0.37, 1.3)
+]
+
+
+def _quantizer(d, family, phi0):
+    return gw.build_quantizer(gw.PhaseGrid(d, phi0), KERNELS[family](d // 2))
+
+
+@functools.cache
+def _dense(d, family, phi0):
+    return oracles.verify_dense(_quantizer(d, family, phi0), lines=family == "wootters")
+
+
+def _verdicts(devs):
+    return {name: dev <= gw.TOL for name, dev in devs.items()}
+
+
+def _library(q, lines):
+    report = gw.verify_quantizer(q)
+    devs = {name: getattr(report, name) for name in CHECKS}
+    if lines:
+        line_report = gw.verify_lines(q)
+        devs.update({key: getattr(line_report, name) for name, key in LINE_CHECKS.items()})
+    return report, devs
+
+
+def _assert_agree(q, dense, lines):
+    report, devs = _library(q, lines)
+    assert report.seed is None and report.checked == q.grid.dim**2
+    assert _verdicts(devs) == _verdicts({name: dense[name] for name in devs})
+    for name, dev in devs.items():
+        # the complex product leaves an imaginary residue on the overlaps that
+        # the real Gram product of Hermitian operators does not form at all
+        slack = dense["overlap_imag"] if name in ("overlap_dev", "orthogonality_dev") else 0.0
+        assert abs(dev - dense[name]) <= AGREE + slack, name
+
+
+@pytest.mark.parametrize("d, family, phi0", CASES)
+def test_matches_the_dense_suite(d, family, phi0):
+    _assert_agree(_quantizer(d, family, phi0), _dense(d, family, phi0), family == "wootters")
+
+
+@pytest.mark.parametrize("d, family, phi0", CASES)
+def test_sampling_keeps_every_verdict(monkeypatch, d, family, phi0):
+    budget = 9**4
+    monkeypatch.setattr(quantizer, "BUDGET", budget)
+    report, devs = _library(_quantizer(d, family, phi0), family == "wootters")
+    dense = _dense(d, family, phi0)
+    assert _verdicts(devs) == _verdicts({name: dense[name] for name in devs})
+    if d**4 > budget:
+        assert report.seed == quantizer.SAMPLE_SEED
+        assert report.checked == max(1, budget // d**2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 15),
+    phi0=st.floats(-2 * math.pi, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+    unimodular=st.booleans(),
+)
+def test_custom_kernels_match_the_dense_suite(d, phi0, seed, unimodular):
+    kernel = oracles.random_kernel(d, np.random.default_rng(seed), unimodular=unimodular)
+    q = gw.build_quantizer(gw.PhaseGrid(d, phi0), kernel)
+    report, devs = _library(q, lines=False)
+    dense = oracles.verify_dense(q, lines=d % 2 == 1)
+    _assert_agree(q, dense, lines=False)
+    assert report.unimodular == unimodular
+    if d % 2:
+        # tilted lines of a custom kernel are no projectors: the estimate must fail with the norm
+        line_report = gw.verify_lines(q)
+        assert (line_report.projectivity_dev <= gw.TOL) == (dense["projectivity_dev"] <= gw.TOL)
+        assert (line_report.completeness_dev <= gw.TOL) == (dense["line_completeness_dev"] <= gw.TOL)
+
+
+def test_non_unimodular_custom_kernel_fails_orthogonality_in_both():
+    kernel = oracles.random_kernel(9, np.random.default_rng(3))
+    q = gw.build_quantizer(gw.PhaseGrid(9, 0.37), kernel)
+    dense = oracles.verify_dense(q, lines=True)
+    _assert_agree(q, dense, lines=False)
+    report = gw.verify_quantizer(q)
+    assert report.core_pass() and not report.orthogonality_pass()
+    assert dense["orthogonality_dev"] > 1e-3
+
+
+def test_sample_is_seeded_and_within_the_budget():
+    q = _quantizer(61, "wootters", 0.37)
+    first, again = gw.verify_quantizer(q), gw.verify_quantizer(q)
+    assert first == again
+    assert first.seed == quantizer.SAMPLE_SEED and first.checked == quantizer.BUDGET // 61**2
+    lines = gw.verify_lines(q)
+    assert lines.families == 62 and lines.checked == quantizer.BUDGET // 61**3
+    assert lines.seed == quantizer.SAMPLE_SEED
+
+
+@pytest.mark.parametrize("d", [3, 9, 15, 21, 45, 47])
+def test_line_families_are_the_smallest_labels(d):
+    n1, n2 = gw.tomography._line_families(d)
+    units = [c for c in range(1, d) if math.gcd(c, d) == 1]
+    expected = [
+        (a, b)
+        for a in range(d)
+        for b in range(d)
+        if math.gcd(math.gcd(a, b), d) == 1 and min(((c * a) % d, (c * b) % d) for c in units) == (a, b)
+    ]
+    assert list(zip(n1.tolist(), n2.tolist())) == expected
+
+
+def test_sampled_check_catches_a_broken_operator(monkeypatch):
+    # a kernel without the conjugation pairing makes non-Hermitian operators
+    values = gw.symmetric_kernel(10).values.copy()
+    values[3, 4] *= 1.5
+    q = gw.build_quantizer(gw.PhaseGrid(21, 0.37), gw.kernel_from_table(values), check=False)
+    monkeypatch.setattr(quantizer, "BUDGET", 9**4)
+    report = gw.verify_quantizer(q)
+    assert report.seed is not None
+    assert report.hermiticity_dev > gw.TOL and report.overlap_dev > gw.TOL
