@@ -2,8 +2,10 @@
 
 Writers send each table through the C encoder of :func:`json.dumps` one
 row at a time, so a file is byte-identical to ``json.dump`` of the same
-nested lists but is never held in memory as one string.  Readers accept
-JSON numbers only: strings, booleans and nulls are rejected, not coerced.
+nested lists but is never held in memory as one string.  A complex table
+that is exactly Hermitian off its diagonal formats each conjugate pair
+once.  Readers accept JSON numbers only: strings, booleans and nulls are
+rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -13,11 +15,43 @@ from itertools import chain
 
 import numpy as np
 
+_SIGN = np.uint64(1 << 63)
+
+
+def _pair_rows(table: np.ndarray):
+    """Row texts of a complex square table of ``[re, im]`` pairs.
+
+    Each row is the text ``json.dumps`` gives it.  When every off-diagonal
+    entry is finite and the bitwise conjugate of its mirror, only the upper
+    triangle and the diagonal are formatted: a lower entry takes its
+    mirror's strings with the sign of the imaginary part flipped, and the
+    strings kept for a row are dropped once it is written.  Any other table
+    is formatted entry by entry.
+    """
+    pairs = np.stack([table.real, table.imag], -1)
+    bits = pairs.view(np.uint64)
+    re, im = bits[..., 0], bits[..., 1]
+    mirror = (re == re.T) & (im == im.T ^ _SIGN) & np.isfinite(table)
+    np.fill_diagonal(mirror, True)
+    if not mirror.all():
+        yield from (json.dumps(row.tolist()) for row in pairs)
+        return
+    kept = [[] for _ in range(len(table))]  # kept[i]: "re, -im" of (j, i) for j < i
+    for i, row in enumerate(pairs):
+        text = json.dumps(row[i:].tolist())
+        # "a, b], [c, -d" -> ["a, -b", "c, d"]: flip the sign after every ", ",
+        # which also turns the separators "], [" into "], -["
+        conj = text[2:-2].replace(", -", "\0").replace(", ", ", -").replace("\0", ", ")
+        list(map(list.append, kept[i + 1:], conj.split("], -[")[1:]))
+        lower, kept[i] = kept[i], None
+        yield f"[[{'], ['.join(lower)}], {text[1:]}" if i else text
+
 
 def write_json(path, obj: dict) -> None:
     """Write ``obj`` in key order; an ndarray value is a table written by rows.
 
-    A complex table is written as ``[re, im]`` pairs.
+    A complex table is square and written as ``[re, im]`` pairs by
+    :func:`_pair_rows`.
     """
     with open(path, "w") as fh:
         fh.write("{")
@@ -27,10 +61,12 @@ def write_json(path, obj: dict) -> None:
                 fh.write(json.dumps(value))
                 continue
             if np.iscomplexobj(value):
-                value = np.stack([value.real, value.imag], -1)
+                rows = _pair_rows(value)
+            else:
+                rows = (json.dumps(row.tolist()) for row in value)
             fh.write("[")
-            for j, row in enumerate(value):
-                fh.write(f"{', ' if j else ''}{json.dumps(row.tolist())}")
+            for j, row in enumerate(rows):
+                fh.write(f"{', ' if j else ''}{row}")
             fh.write("]")
         fh.write("}")
 

@@ -16,11 +16,11 @@ from .linalg import TOL, is_hermitian, is_positive_semidefinite
 from .kernels import Kernel, is_unimodular, symmetric_kernel
 from .phasespace import (
     PhaseGrid,
+    _angle_phases,
     _angles,
     _displacement_sum,
     characteristic,
     operator_from_characteristic,
-    phase_basis,
 )
 from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
 
@@ -113,9 +113,16 @@ def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = Tru
 
 
 def _phase_overlap_table(grid: PhaseGrid, rho) -> np.ndarray:
-    """Table ``z[m, n] = <n|rho|phi_m><phi_m|n>``."""
-    p = phase_basis(grid)
-    return ((np.asarray(rho, dtype=complex) @ p) * p.conj()).T
+    """Table ``z[m, n] = <n|rho|phi_m><phi_m|n>``.
+
+    ``rho @ phase_basis`` is one inverse FFT along the rows of ``rho``
+    with ``exp(i*a*phi0)`` on its columns: O(dim**2 log dim).
+    """
+    d = grid.dim
+    c = _angle_phases(grid)
+    n = np.arange(d)
+    twiddle = np.exp(-2j * np.pi * n / d)[np.outer(n, n) % d]
+    return (np.fft.ifft(np.asarray(rho, dtype=complex) * c.conj().T, axis=1) * twiddle * c).T
 
 
 def wigner_symmetric(grid: PhaseGrid, rho) -> WignerGrid:
@@ -200,17 +207,30 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     """Recover the density operator behind a Wigner grid.
 
     Inverts the quantization map pair-by-pair in the phase basis and
-    rotates back to the number basis.  The result must satisfy the
-    density-operator invariants within ``10 * TOL``.
+    rotates back to the number basis with two FFTs.  The upper triangle is
+    mirrored onto the lower one with a real diagonal, so the result is
+    exactly Hermitian.  It must satisfy the density-operator invariants
+    within ``10 * TOL``.
     """
-    elements = phase_matrix_elements(w, kernel)
-    p = phase_basis(w.grid)
-    rho = p @ elements @ p.conj().T
+    rho = _to_number_basis(w.grid, phase_matrix_elements(w, kernel))
+    for a in range(1, w.dim):
+        rho[a, :a] = rho[:a, a].conj()
+    np.fill_diagonal(rho.imag, 0.0)
     if validate_state:
         try:
             check_density(rho, tol=10 * TOL)
         except ValueError as exc:
             raise ReconstructionError(str(exc)) from exc
+    return rho
+
+
+def _to_number_basis(grid: PhaseGrid, elements: np.ndarray) -> np.ndarray:
+    """``P @ elements @ P^H`` for ``P = phase_basis(grid)``, as two FFTs:
+    ``rho[a, b] = exp(i*(a - b)*phi0) * ifft(fft(E, axis=1), axis=0)[a, b]``."""
+    rho = np.fft.ifft(np.fft.fft(elements, axis=1), axis=0)
+    c = _angle_phases(grid)
+    rho *= c.conj()
+    rho *= c.T
     return rho
 
 
@@ -266,8 +286,7 @@ def phase_matrix_elements_symmetric(w: WignerGrid) -> np.ndarray:
 
 def reconstruct_symmetric(w: WignerGrid) -> np.ndarray:
     """Closed-form reconstruction for the symmetric kernel."""
-    p = phase_basis(w.grid)
-    return p @ phase_matrix_elements_symmetric(w) @ p.conj().T
+    return _to_number_basis(w.grid, phase_matrix_elements_symmetric(w))
 
 
 def wigner_to_json(w: WignerGrid, path) -> None:

@@ -3,7 +3,9 @@
 Each function is the direct sum its library counterpart reorganises:
 the displacement tensor with the einsum-built phase-point operators, the
 einsum Wigner function, quantization and symbol, the double loop of the
-phase-basis inversion, the shift-power loop of the unimodular shortcut,
+phase-basis inversion with the dense rotation back to the number basis,
+the dense ``rho @ P`` table of phase overlaps, the shift-power loop of the
+unimodular shortcut,
 the point sum of a line projector, the dense identity suite over the
 whole operator table with the per-labelling line loop, the overlap and
 displacement routes through that table, the dyad sum of a half-integer
@@ -91,9 +93,20 @@ def phase_matrix_elements(w, kernel):
     return elements
 
 
+def to_number_basis(grid, elements):
+    """The dense rotation ``P @ elements @ P^H`` from the phase basis."""
+    p = gw.phase_basis(grid)
+    return p @ elements @ p.conj().T
+
+
 def reconstruct(w, kernel):
-    p = gw.phase_basis(w.grid)
-    return p @ phase_matrix_elements(w, kernel) @ p.conj().T
+    return to_number_basis(w.grid, phase_matrix_elements(w, kernel))
+
+
+def phase_overlap_table(grid, rho):
+    """``z[m, n] = <n|rho|phi_m><phi_m|n>`` from the dense product ``rho @ P``."""
+    p = gw.phase_basis(grid)
+    return ((np.asarray(rho, dtype=complex) @ p) * p.conj()).T
 
 
 def reconstruct_unimodular(w, kernel):

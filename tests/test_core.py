@@ -9,7 +9,11 @@ real tables, relative to the table norm.  The positivity check is tested
 over dimensions up to 64 against the eigenvalues and against the pivot
 loop of diagonal-pivoted elimination.  The continuum sweep's point
 evaluation is checked against whole tables for N up to 160, and so is
-the absence of error on grids through the target angle.
+the absence of error on grids through the target angle.  The FFT
+rotation of ``reconstruct`` back to the number basis and the row-FFT
+phase-overlap table are checked against their dense products for the
+three built-in kernels at dimensions 2 to 65 and angles up to 1e8, to
+1e-13, and the reconstruction must be exactly Hermitian.
 """
 
 import math
@@ -20,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
+from gridwigner.wigner import _phase_overlap_table
 from conftest import random_complex
 
 AGREE = 1e-12
@@ -99,6 +104,32 @@ def test_quantize_and_symbol_match_einsum(case):
 def test_lazy_omega_matches_einsum(case):
     _, grid, kernel, q = _setup(case)
     assert _dev(q.omega, oracles.omega(grid, kernel)) <= AGREE
+
+
+FAMILIES = {
+    "symmetric": gw.symmetric_kernel,
+    "wootters": gw.wootters_kernel,
+    "almost-symmetric": gw.almost_symmetric_kernel,
+}
+builtin = st.tuples(st.integers(1, 32), st.sampled_from(sorted(FAMILIES)))  # dim 2..65
+large_angles = st.sampled_from((0.0, 0.37, 1e4, 1e8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtin, large_angles, st.integers(0, 2**32 - 1))
+def test_fft_rotation_matches_dense_and_is_exactly_hermitian(family, phi0, seed):
+    kernel = FAMILIES[family[1]](family[0])
+    d = kernel.dim
+    grid = gw.PhaseGrid(d, phi0)
+    rho = gw.random_density(d, np.random.default_rng(seed))
+    w = gw.wigner_grid(grid, kernel, rho)
+    rec = gw.reconstruct(w, kernel)
+    assert _dev(rec, oracles.to_number_basis(grid, gw.phase_matrix_elements(w, kernel))) <= 1e-13
+    lower = np.tril_indices(d, -1)
+    assert rec[lower].view(np.uint64).tobytes() == rec.T[lower].conj().view(np.uint64).tobytes()
+    assert np.all(np.diagonal(rec).imag == 0)
+    z = _phase_overlap_table(grid, rho)
+    assert _dev(z, oracles.phase_overlap_table(grid, rho)) <= 1e-13
 
 
 @SETTINGS

@@ -2,7 +2,9 @@
 CSV oracles, exact round trips, and loaders that accept JSON numbers only.
 
 Tables have side 1 to 40 and carry the float edge values ``-0.0``,
-``5e-324``, ``1e308`` and ``1e-300`` at random places.
+``5e-324``, ``1e308`` and ``1e-300`` at random places; the exactly
+Hermitian state tables also carry ``nan`` and ``inf``, in conjugate pairs
+and singly.
 """
 
 import json
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
+from gridwigner import _jsonio
 
 EDGES = (-0.0, 5e-324, 1e308, 1e-300, -1e308, 0.0)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -52,6 +55,41 @@ def _bytes_match(write, oracle, obj):
 @SETTINGS
 @given(complex_tables())
 def test_state_writer_matches_json_dump(table):
+    _bytes_match(gw.save_density_json, oracles.save_density_json, table)
+
+
+PLANTS = EDGES + (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def hermitian_tables(draw):
+    """An exactly Hermitian table: the lower triangle is the bitwise conjugate of
+    the upper one and the diagonal is real.  Edge and non-finite values are
+    planted in conjugate pairs and singly, and one mirror entry may be moved by
+    one ulp."""
+    table = draw(complex_tables())
+    d = table.shape[0]
+    for a in range(1, d):
+        table[a, :a] = table[:a, a].conj()
+    np.fill_diagonal(table.imag, 0.0)
+    index = st.integers(0, d - 1)
+    plant = st.tuples(index, index, st.sampled_from(PLANTS), st.sampled_from(PLANTS))
+    for i, j, re, im in draw(st.lists(plant, max_size=6)):
+        table[i, j] = complex(re, im)
+        table[j, i] = np.conj(table[i, j])
+    for i, j, re, im in draw(st.lists(plant, max_size=3)):
+        table[i, j] = complex(re, im)
+    if d > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, d - 1))
+        j = draw(st.integers(0, i - 1))
+        part = table[i:, j:].real if draw(st.booleans()) else table[i:, j:].imag
+        part[0, 0] = np.nextafter(part[0, 0], draw(st.sampled_from([-math.inf, math.inf])))
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermitian_tables())
+def test_state_writer_matches_json_dump_on_hermitian_tables(table):
     _bytes_match(gw.save_density_json, oracles.save_density_json, table)
 
 
@@ -122,19 +160,39 @@ def test_halfgrid_round_trip_is_exact(values, phi0):
 
 
 def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
-    """A table is encoded row by row: no single ``json.dumps`` call sees it whole."""
-    calls = []
-    original = json.dumps
+    """A table is written row by row: no ``write`` call carries more than one row's text."""
+    sizes = []
 
-    def counted(obj, *args, **kwargs):
-        calls.append(obj)
-        return original(obj, *args, **kwargs)
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(json, "dumps", counted)
-    rho = gw.random_density(6, np.random.default_rng(1))
-    gw.save_density_json(rho, tmp_path / "s.json")
-    assert len(calls) == 2 + 1 + 6  # two keys, the dim, six rows
-    assert all(len(c) <= 6 for c in calls if isinstance(c, list))
+        def write(self, text):
+            sizes.append(len(text))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(_jsonio, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
+    rng = np.random.default_rng(1)
+    kernel = gw.symmetric_kernel(3)
+    state = gw.reconstruct(gw.wigner_grid(gw.PhaseGrid(7), kernel, gw.random_density(7, rng)), kernel)
+    path = tmp_path / "f.json"
+    for write, key, obj in [
+        (gw.save_density_json, "matrix", state),  # exactly Hermitian: lower rows reuse strings
+        (gw.save_kernel, "values", gw.kernel_from_table(rng.standard_normal((6, 6)) + 1j)),
+        (gw.wigner_to_json, "values", gw.WignerGrid(gw.PhaseGrid(6), "custom", rng.standard_normal((6, 6)))),
+    ]:
+        sizes.clear()
+        write(obj, path)
+        text = path.read_text()
+        rows = json.loads(text)[key]
+        assert sum(sizes) == len(text) and len(sizes) > len(rows) >= 6
+        assert max(sizes) <= len(", ") + max(len(json.dumps(row)) for row in rows)
 
 
 # --- loaders take JSON numbers only ------------------------------------------
