@@ -241,11 +241,11 @@ def _read_grid_file(path, loader_for=_grid_loader):
 def cmd_reconstruct(args) -> int:
     label, w = _read_grid_file(args.grid)
     if label == "leonhardt":
-        rho = leonhardt_reconstruct(w)
-        hermitized = (rho + rho.conj().T) / 2.0
-        back = leonhardt_wigner(w.n_half, w.phi0, hermitized, validate_state=False)
+        raw = leonhardt_reconstruct(w)
+        rho = (raw + raw.conj().T) / 2.0  # bitwise conjugate-symmetric
+        back = leonhardt_wigner(w.n_half, w.phi0, rho, validate_state=False)
         residual = max(
-            _state_residual(rho), float(np.max(np.abs(back.values - w.values)))
+            _state_residual(raw), float(np.max(np.abs(back.values - w.values)))
         )
     else:
         if label in ("symmetric", "wootters", "almost-symmetric"):

@@ -223,6 +223,12 @@ def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
 
 def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
     """``sum_{k,l} coeffs[k, l] D(k, l)``: entry ``[a, b]`` is the sheared inverse row
-    FFT of row ``b - a mod dim`` at ``b``, times the corner phase when ``b < a``."""
+    FFT of row ``b - a mod dim`` at ``b``, times the corner phase when ``b < a``.
+    Leading axes are batch axes; the stack comes back C-contiguous, and at most
+    two stacks besides ``coeffs`` are held at once."""
     idx, diag, corner, shear = grid._core_tables
-    return np.fft.ifft(coeffs * shear, norm="forward")[..., diag, idx] * corner
+    s = coeffs * shear
+    np.fft.ifft(s, norm="forward", out=s)
+    out = np.take(s.reshape(*s.shape[:-2], -1), diag * grid.dim + idx, axis=-1)
+    out *= corner
+    return out

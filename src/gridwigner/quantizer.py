@@ -64,35 +64,45 @@ class Quantizer:
     def omega(self) -> np.ndarray:
         """All phase-point operators, ``(dim, dim, dim, dim)``; checked if ``check``."""
         d = self.grid.dim
-        omega = _phase_point_ops(self, *np.divmod(np.arange(d * d), d)).reshape((d,) * 4)
+        p, m_at, kp, n_at = _factors(self, *np.divmod(np.arange(d * d), d))
+        ops = np.take(p, self.grid._core_tables[1], axis=1)[m_at] * kp[n_at]
         if self.check:
-            herm, tr = _hermiticity_and_trace_devs(omega.real, omega.imag)
-            if herm > 10 * TOL:
+            if _max_frob(ops, ops.conj().swapaxes(-1, -2)) > 10 * TOL:
                 raise ValueError("phase-point operator is not Hermitian")
-            if tr > 10 * TOL:
+            if np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)) > 10 * TOL:
                 raise ValueError("phase-point operator has non-unit trace")
-        return omega
+        return ops.reshape((d,) * 4)
 
 
-def _phase_point_ops(q: Quantizer, m, n) -> np.ndarray:
-    """The operators of the grid points ``(phi_m[s], n[s])``, stacked.
+def _factors(q: Quantizer, m, n):
+    """Factor tables ``p, m_at, kp, n_at`` of the operators of the points ``(phi_m[s], n[s])``.
 
-    Entry ``[a, b]`` involves one displacement, ``k = b - a mod dim``:
-    ``exp(-i*k*phi_m)`` times the corner phase times the row FFT of the
-    sheared kernel at ``(k, n - b mod dim)``, read from the row-doubled
-    table at ``(k, (-b mod dim) + n)``.  Both factors are built once per
-    distinct ``m`` and ``n``; O(dim**2) per operator.
+    Entry ``[a, b]``, ``k = b - a mod dim``, is ``p[m_at[s], k] * kp[n_at[s], a, b]``:
+    ``exp(-i*k*phi_m)`` (rows for the distinct ``m``) times the corner phase and the
+    row FFT of the sheared kernel at ``(k, n - b mod dim)`` (for the distinct ``n``).
     """
     grid = q.grid
     d = grid.dim
     idx, diag, corner, shear = grid._core_tables
     g = np.fft.fft(q.kernel.values * shear) / d
-    doubled = np.concatenate([g, g], axis=1).ravel()
     ms, m_at = np.unique(m, return_inverse=True)
     ns, n_at = np.unique(n, return_inverse=True)
-    phases = np.take(np.exp(-1j * np.outer(_angles(grid, ms), idx)), diag, axis=1)
-    kernel_part = np.take(doubled, diag * (2 * d) + (-idx) % d + ns[:, None, None]) * corner
-    return phases[m_at] * kernel_part[n_at]
+    p = np.exp(-1j * np.outer(_angles(grid, ms), idx))
+    return p, m_at, g[diag, (ns[:, None, None] - idx) % d] * corner, n_at
+
+
+def _line_sums(q: Quantizer, n1: int, n2: int, offsets) -> np.ndarray:
+    """``quantize`` of the indicators of the lines ``n1*m + n2*n = offsets[i] (mod dim)``.
+
+    With ``gcd(n1, n2, dim) == 1`` the fft2 of an indicator is ``dim *
+    exp(-2*pi*i*j*n3/dim)`` at ``(j*n1, j*n2) mod dim`` and zero elsewhere: those
+    ``dim`` coefficients are placed, no fft2 is taken."""
+    d = q.grid.dim
+    j = np.arange(d)
+    k, l = j * n1 % d, j * n2 % d
+    coeffs = np.zeros((len(offsets), d, d), dtype=complex)
+    coeffs[:, k, l] = d * q.weights[k, l] * np.exp(-2j * np.pi * (np.outer(offsets, j) % d) / d)
+    return _displacement_sum(q.grid, coeffs)
 
 
 def _checked(dim: int, total: int, entries: int) -> tuple[np.ndarray, int | None]:
@@ -118,17 +128,8 @@ def _chunks(total: int, dim: int):
 
 def _max_frob(a, b) -> float:
     """Largest Frobenius distance between matching matrices of two stacks."""
-    return float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
-
-
-def _hermiticity_and_trace_devs(re: np.ndarray, im: np.ndarray) -> tuple[float, float]:
-    """Largest ``||Omega - Omega^+||_F`` and ``|trace(Omega) - 1|`` over a stack of
-    operators given by their real and imaginary parts."""
-    a = re - re.swapaxes(-1, -2)
-    b = im + im.swapaxes(-1, -2)
-    herm = np.einsum("...ab,...ab->...", a, a) + np.einsum("...ab,...ab->...", b, b)
-    tr = np.hypot(np.trace(re, axis1=-2, axis2=-1) - 1.0, np.trace(im, axis1=-2, axis2=-1))
-    return float(np.sqrt(np.max(herm))), float(np.max(tr))
+    diff = np.asarray(a - b, dtype=complex).reshape(len(a), -1).view(float)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
 
 
 def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quantizer:
@@ -251,52 +252,54 @@ class QuantizerReport:
 def verify_quantizer(q: Quantizer) -> QuantizerReport:
     """Measure every phase-point-operator identity.
 
-    Checks Hermiticity, unit traces, the two axis sums that reproduce
-    basis projectors, completeness, the overlap-trace formula, and the
-    overlap orthogonality that holds exactly when the kernel is
-    unimodular.
+    Checks Hermiticity, unit traces, the two axis sums that reproduce basis
+    projectors, completeness, the overlap-trace formula, and the overlap
+    orthogonality that holds exactly when the kernel is unimodular.
 
-    The axis sums and completeness are quantizations of indicator
-    functions, checked for every ``m`` and ``n`` in chunks of at most
-    ``dim`` indicators.  The other checks build the operators of
-    :func:`_checked` (all of them for ``dim <= 45``), ``dim`` at a time.  Their overlaps
-    ``trace(Omega_s Omega_t)`` are one real Gram product of the rows
-    ``[Re Omega, Im Omega]``, which equals the trace for the Hermitian
-    operators checked alongside, and are compared with
-    ``fft2(|K|**2) / dim`` at ``(m_s - m_t, n_s - n_t) mod dim``.
+    The axis sums are :func:`_line_sums` of the directions ``(1, 0)`` and
+    ``(0, 1)``.  The operators of :func:`_checked` (all for ``dim <= 45``) are
+    read from the :func:`_factors` tables, one distinct ``n`` at a time.  Their
+    overlaps ``Re sum_ab Omega_s[a, b] conj(Omega_t[a, b])`` (the trace of
+    ``Omega_s Omega_t`` if Hermitian) are ``Re sum_k p[m_s, k] conj(p[m_t, k])
+    H_k[n_s, n_t]``, ``H_k[n, n'] = sum_a kp[n, a, a + k] conj(kp[n', a, a + k])``:
+    O(dim**5) on the whole grid.  They are compared with ``fft2(|K|**2) / dim``
+    at ``(m_s - m_t, n_s - n_t) mod dim``.
     """
     grid = q.grid
     d = grid.dim
     idx = np.arange(d)
-    p = phase_basis(grid).T  # row m is |phi_m>
+    kets, eye = phase_basis(grid).T, np.eye(d)  # row m of kets is |phi_m>
     phase_sum = number_sum = 0.0
     for part in _chunks(d, d):
-        sel = idx[part]
-        ind = np.broadcast_to((sel[:, None] == idx)[:, :, None], (len(sel), d, d))
-        phase_sum = max(phase_sum, _max_frob(quantize(q, ind), p[sel, :, None] * p[sel].conj()[:, None, :]))
-        proj = np.zeros((len(sel), d, d))
-        proj[np.arange(len(sel)), sel, sel] = 1.0
-        number_sum = max(number_sum, _max_frob(quantize(q, ind.swapaxes(-1, -2)), proj))
-    completeness = frob_dist(quantize(q, np.ones((d, d))), np.eye(d))
+        phase_sum = max(phase_sum, _max_frob(_line_sums(q, 1, 0, idx[part]), kets[part, :, None] * kets[part].conj()[:, None, :]))
+        number_sum = max(number_sum, _max_frob(_line_sums(q, 0, 1, idx[part]), eye[part, :, None] * eye[part, None, :]))
+    constant = np.pad([[d * d * q.weights[0, 0]]], (0, d - 1))  # the fft2 of 1: dim**2 at (0, 0)
+    completeness = frob_dist(_displacement_sum(grid, constant), eye)
 
     flat, seed = _checked(d, d * d, d * d)
     m, n = np.divmod(flat, d)
-    parts = np.empty((len(flat), 2, d, d))  # [s, 0] = Re Omega_s, [s, 1] = Im Omega_s
-    for chunk in _chunks(len(flat), d):
-        ops = _phase_point_ops(q, m[chunk], n[chunk])
-        parts[chunk, 0] = ops.real
-        parts[chunk, 1] = ops.imag
-    herm, tr = _hermiticity_and_trace_devs(parts[:, 0], parts[:, 1])
-    rows = parts.reshape(len(flat), -1)
-    overlaps = rows @ rows.T
+    p, m_at, kp, n_at = _factors(q, m, n)
+    # entries [a, a + k] at [k, a]: Omega is p[m, k] cyc, Omega^+ is conj(p[m, -k] flip)
+    shifted, kp = (idx + idx[:, None]) % d, kp.reshape(len(kp), -1)
+    cyc = np.take(kp, idx * d + shifted, axis=1)
+    h = np.matmul(cyc.transpose(1, 0, 2), cyc.transpose(1, 2, 0).conj()).transpose(2, 1, 0).copy()  # [n', n, k]
+    flip = np.take(kp, shifted * d + idx, axis=1)
+    rows = p[m_at]
     # the predicted table tiled 2 x 2 takes the differences m_s - m_t + d, n_s - n_t + d
     predicted = np.tile(np.fft.fft2(np.abs(q.kernel.values) ** 2) / d, (2, 2))
     code = m * (2 * d) + n
-    at = code[:, None] - code + d * (2 * d + 1)
-    dev = overlaps - np.take(predicted.real, at)
-    overlap_dev = float(np.sqrt(np.max(dev * dev + np.take(predicted.imag, at) ** 2)))
-    overlaps[np.diag_indices(len(flat))] -= d
-    orth_dev = float(np.max(np.abs(overlaps)))
+    herm = tr = overlap_dev = orth_dev = 0.0
+    for j in range(len(kp)):  # the checked operators t with n_t = n_j
+        t = np.flatnonzero(n_at == j)
+        pt = p[m_at[t], :, None]
+        herm = max(herm, _max_frob(pt * cyc[j], (p[m_at[t]][:, -idx, None] * flip[j]).conj()))
+        tr = max(tr, float(np.max(np.abs(np.sum(pt[:, 0] * cyc[j, 0], axis=-1) - 1.0))))
+        z = rows * h[j][n_at]
+        overlaps = z.view(float) @ rows[t].view(float).T  # Re(z conj(rows[t]))
+        expected = np.take(predicted, code[:, None] + (d * (2 * d + 1) - code[t]))
+        overlap_dev = max(overlap_dev, float(np.max(np.abs(overlaps - expected))))
+        overlaps[t, np.arange(len(t))] -= d
+        orth_dev = max(orth_dev, float(np.max(np.abs(overlaps))))
 
     return QuantizerReport(
         hermiticity_dev=herm,

@@ -16,7 +16,7 @@ import numpy as np
 from ._jsonio import integer, number, number_table, read_json, write_json
 from .linalg import frob_dist
 from .phasespace import PhaseGrid, _angles, _as_index, _reduced, displacement, phase_ket
-from .quantizer import SAMPLE_SEED, Quantizer, _checked, _chunks, quantize
+from .quantizer import SAMPLE_SEED, Quantizer, _checked, _chunks, _line_sums
 from .wigner import WignerGrid, _real_or_raise, check_density
 
 
@@ -76,7 +76,7 @@ def line_projector(q: Quantizer, line: Line) -> np.ndarray:
     families still give basis projectors but tilted lines generally fail
     projectivity.
     """
-    return _quantize_lines(q, line, line.n3)
+    return _quantize_lines(q, line, [line.n3])[0]
 
 
 def family_projectors(q: Quantizer, n1: int, n2: int) -> np.ndarray:
@@ -85,7 +85,7 @@ def family_projectors(q: Quantizer, n1: int, n2: int) -> np.ndarray:
     Entry ``[n3]`` equals ``line_projector(q, Line(n1, n2, n3, dim))``.
     """
     d = q.grid.dim
-    return _quantize_lines(q, Line(n1, n2, 0, d), np.arange(d)[:, None, None])
+    return _quantize_lines(q, Line(n1, n2, 0, d), np.arange(d))
 
 
 def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
@@ -98,8 +98,7 @@ def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
         raise ValueError("degenerate line: both direction coefficients vanish")
     if line.family_gcd > 1:
         raise ValueError(f"degenerate line family (gcd {line.family_gcd}); refusing to sum")
-    idx = np.arange(d)
-    return quantize(q, (line.n1 * idx[:, None] + line.n2 * idx) % d == offsets)
+    return _line_sums(q, line.n1, line.n2, offsets)
 
 
 #: Seeded Gaussian probe columns of the Freivalds projectivity test.
@@ -148,10 +147,9 @@ def verify_lines(q: Quantizer) -> LineReport:
     """Check that every line family gives projectors that resolve the identity.
 
     The families chosen by the quantizer's budget (all of them for
-    ``dim <= 45``) are quantized one family, or one chunk of at most
-    ``BUDGET`` entries, at a time; each family's sum is formed once,
-    whatever its labelling.  O(dim**2) per projector besides its
-    quantization.
+    ``dim <= 45``) are summed from placed line coefficients one family, or
+    one chunk of at most ``BUDGET`` entries, at a time; each family's sum is
+    formed once, whatever its labelling.  O(dim**2 log dim) per projector.
     """
     d = q.grid.dim
     if d % 2 == 0:
@@ -160,13 +158,11 @@ def verify_lines(q: Quantizer) -> LineReport:
     chosen, seed = _checked(d, len(n1), d**3)
     rng = np.random.default_rng(SAMPLE_SEED)
     probes = (rng.standard_normal((d, PROBES)) + 1j * rng.standard_normal((d, PROBES))) / math.sqrt(2)
-    offsets = np.arange(d)[:, None, None]
     projectivity = completeness = 0.0
     for f in chosen:
-        line = Line(int(n1[f]), int(n2[f]), 0, d)
         total = np.zeros((d, d), dtype=complex)
         for part in _chunks(d, d):
-            projs = _quantize_lines(q, line, offsets[part])
+            projs = _line_sums(q, int(n1[f]), int(n2[f]), np.arange(d)[part])
             pv = (projs.reshape(-1, d) @ probes).reshape(len(projs), d, PROBES)
             excess = np.linalg.norm(projs @ pv - pv, axis=(-2, -1)) / math.sqrt(PROBES)
             projectivity = max(projectivity, float(np.max(excess)))

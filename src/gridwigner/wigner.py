@@ -318,6 +318,8 @@ def wigner_to_csv(w: WignerGrid, path) -> None:
     """Write a Wigner grid as CSV rows ``m,n,phi,value`` (17 digits)."""
     with open(path, "w") as fh:
         fh.write("m,n,phi,value\n")
+        args = [0] * (2 * w.dim)  # n, value, n, value, ...
+        args[::2] = range(w.dim)
         for m, (phi, row) in enumerate(zip(w.grid.phis.tolist(), w.values.tolist())):
-            head, mid = f"{m},", f",{phi:.17g},"
-            fh.write("".join([f"{head}{n}{mid}{v:.17g}\n" for n, v in enumerate(row)]))
+            args[1::2] = row
+            fh.write(f"{m},%d,{phi:.17g},%.17g\n" * w.dim % tuple(args))

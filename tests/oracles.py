@@ -7,7 +7,8 @@ phase-basis inversion with the dense rotation back to the number basis,
 the dense ``rho @ P`` table of phase overlaps, the shift-power loop of the
 unimodular shortcut,
 the point sum of a line projector, the dense identity suite over the
-whole operator table with the per-labelling line loop, the overlap and
+whole operator table with the per-labelling line loop, the real Gram
+product of the checked operators' overlaps, the overlap and
 displacement routes through that table, the dyad sum of a half-integer
 phase-point operator, the operator sum of the half-integer
 reconstruction and the point loops of both relation transforms.  They
@@ -27,6 +28,7 @@ import math
 import numpy as np
 
 import gridwigner as gw
+from gridwigner import quantizer
 
 
 def fourier_factors(grid):
@@ -205,6 +207,25 @@ def verify_dense(q, lines=False):
         out["projectivity_dev"] = worst_p
         out["line_completeness_dev"] = worst_c
     return out
+
+
+def overlap_gram(q):
+    """``(overlap_dev, orthogonality_dev)`` of the operators ``verify_quantizer``
+    checks, from the explicit real Gram product ``B @ B.T`` of the rows
+    ``[Re Omega, Im Omega]``: O(S**2 dim**2) for S checked operators, O(dim**6)
+    on the whole grid.  Each operator is ``dim * quantize`` of its point."""
+    d = q.grid.dim
+    flat, _ = quantizer._checked(d, d * d, d * d)
+    m, n = np.divmod(flat, d)
+    points = np.zeros((len(flat), d, d))
+    points[np.arange(len(flat)), m, n] = d
+    ops = gw.quantize(q, points)
+    rows = np.concatenate([ops.real, ops.imag], axis=1).reshape(len(flat), -1)
+    overlaps = rows @ rows.T
+    predicted = np.fft.fft2(np.abs(q.kernel.values) ** 2) / d
+    overlap_dev = float(np.max(np.abs(overlaps - predicted[(m[:, None] - m) % d, (n[:, None] - n) % d])))
+    overlaps[np.diag_indices(len(flat))] -= d
+    return overlap_dev, float(np.max(np.abs(overlaps)))
 
 
 def leonhardt_phase_point_op(N, phi0, jm, jn):

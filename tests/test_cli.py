@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gridwigner as gw
+from gridwigner import cli
 from gridwigner.cli import main
 
 
@@ -159,6 +160,23 @@ class TestReconstructCommand:
         recovered = gw.load_density_json(state_out)
         assert recovered.shape == (4, 4)
         assert gw.frob_dist(recovered, rho) <= 1e-9
+
+    def test_leonhardt_state_file_is_exactly_hermitian(self, tmp_path, capsys, rng):
+        # the raw reconstruction is Hermitian only to roundoff; the file holds its
+        # hermitized copy, while the printed residual still measures the raw one
+        half = gw.leonhardt_wigner(6, 0.37, gw.random_density(12, rng))
+        grid_file, state_out = tmp_path / "half.json", tmp_path / "state.json"
+        gw.halfgrid_to_json(half, grid_file)
+        assert run("reconstruct", "--grid", str(grid_file), "--out", str(state_out)) == 0
+        raw = gw.leonhardt_reconstruct(half)
+        rho = (raw + raw.conj().T) / 2.0
+        back = gw.leonhardt_wigner(6, 0.37, rho, validate_state=False)
+        residual = max(cli._state_residual(raw), float(np.max(np.abs(back.values - half.values))))
+        assert capsys.readouterr().out.splitlines()[0] == f"round-trip residual: {residual:.3e}"
+        recovered = gw.load_density_json(state_out)
+        assert np.array_equal(recovered, recovered.conj().T)
+        assert recovered.tobytes() == rho.tobytes()
+        assert not np.array_equal(raw, raw.conj().T)
 
     def test_pure_state_needs_no_eigenvalues(self, tmp_path, monkeypatch):
         # a pure state's reconstruction has no Cholesky factor of its own; the shifted

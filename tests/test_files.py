@@ -100,9 +100,15 @@ def test_kernel_writer_matches_json_dump(table):
 
 
 @SETTINGS
-@given(tables(), angles, st.one_of(st.none(), angles), st.sampled_from(["symmetric", "custom", "sümmetrisch"]))
-def test_grid_writers_match_json_dump_and_csv_loop(values, phi0, eps, label):
+@given(
+    tables(), angles, st.one_of(st.none(), angles), st.sampled_from(["symmetric", "custom", "sümmetrisch"]),
+    st.lists(st.tuples(st.integers(0, 40 * 40 - 1), st.sampled_from(PLANTS)), max_size=6),
+)
+def test_grid_writers_match_json_dump_and_csv_loop(values, phi0, eps, label, planted):
     w = gw.WignerGrid(gw.PhaseGrid(values.shape[0], phi0), label, values, eps)
+    # the writers format whatever the table holds, also values the constructor refuses
+    for i, v in planted:
+        w.values.flat[i % w.values.size] = v
     _bytes_match(gw.wigner_to_json, oracles.wigner_to_json, w)
     _bytes_match(gw.wigner_to_csv, oracles.wigner_to_csv, w)
 

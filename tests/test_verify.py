@@ -3,15 +3,18 @@
 ``oracles.verify_dense`` builds the whole ``dim**4`` operator table, forms
 the complex overlap product and loops over every line-family labelling.
 The library checks the same identities on the operators and families its
-budget allows, with a real Gram product, an FFT-predicted overlap table
-and Freivalds' projectivity test.  Both must give the same PASS/FAIL
-verdict on every check and deviations within 1e-12, for every valid
-dimension 3..45 of the three built-in kernels and for random custom
-kernels.  The two overlap deviations of the dense suite also carry the
-imaginary roundoff of its complex product (up to 2.4e-12 at dim 45),
-which the real Gram product does not form; that residue is allowed on
-top.  With the budget shrunk so that sampling runs at these sizes, the
-verdicts must not change.
+budget allows: real overlaps contracted from the operators' factor
+tables, an FFT-predicted overlap table, line projectors from placed
+Fourier coefficients and Freivalds' projectivity test.  Both must give
+the same PASS/FAIL verdict on every check and deviations within 1e-12,
+for every valid dimension 3..45 of the three built-in kernels and for
+random custom kernels.  The two overlap deviations of the dense suite
+also carry the imaginary roundoff of its complex product (up to 2.4e-12
+at dim 45), which the real overlaps do not form; that residue is allowed
+on top.  With the budget shrunk so that sampling runs at these sizes, the
+verdicts must not change.  The overlaps also match the explicit real
+Gram product of the checked operators, and the placed line coefficients
+match the FFT2 of the line indicators.
 """
 
 import functools
@@ -73,7 +76,7 @@ def _assert_agree(q, dense, lines):
     assert _verdicts(devs) == _verdicts({name: dense[name] for name in devs})
     for name, dev in devs.items():
         # the complex product leaves an imaginary residue on the overlaps that
-        # the real Gram product of Hermitian operators does not form at all
+        # the library's real overlaps do not form at all
         slack = dense["overlap_imag"] if name in ("overlap_dev", "orthogonality_dev") else 0.0
         assert abs(dev - dense[name]) <= AGREE + slack, name
 
@@ -158,3 +161,77 @@ def test_sampled_check_catches_a_broken_operator(monkeypatch):
     report = gw.verify_quantizer(q)
     assert report.seed is not None
     assert report.hermiticity_dev > gw.TOL and report.overlap_dev > gw.TOL
+
+
+@pytest.mark.parametrize(
+    "d, family, budget",
+    [(15, "wootters", None), (20, "almost-symmetric", None), (21, "symmetric", 9**4), (61, "wootters", 9**4)],
+)
+def test_overlaps_match_the_explicit_gram(monkeypatch, d, family, budget):
+    if budget is not None:
+        monkeypatch.setattr(quantizer, "BUDGET", budget)
+    q = _quantizer(d, family, 0.37)
+    report = gw.verify_quantizer(q)
+    assert (report.seed is None) == (budget is None)
+    overlap, orthogonality = oracles.overlap_gram(q)
+    assert abs(report.overlap_dev - overlap) <= AGREE
+    assert abs(report.orthogonality_dev - orthogonality) <= AGREE
+
+
+def test_overlaps_of_broken_operators_match_the_explicit_gram(monkeypatch):
+    # the operators are not Hermitian, so the overlaps are Re sum Omega_s conj(Omega_t), not traces
+    values = gw.symmetric_kernel(10).values.copy()
+    values[3, 4] *= 1.5
+    q = gw.build_quantizer(gw.PhaseGrid(21, 0.37), gw.kernel_from_table(values), check=False)
+    monkeypatch.setattr(quantizer, "BUDGET", 9**4)
+    report = gw.verify_quantizer(q)
+    overlap, orthogonality = oracles.overlap_gram(q)
+    assert overlap > gw.TOL
+    assert abs(report.overlap_dev - overlap) <= AGREE
+    assert abs(report.orthogonality_dev - orthogonality) <= AGREE
+
+
+def _indicators(d, n1, n2, offsets):
+    idx = np.arange(d)
+    return ((n1 * idx[:, None] + n2 * idx) % d == np.asarray(offsets)[:, None, None]).astype(float)
+
+
+def _assert_lines_match_the_indicator_fft(q, n1, n2):
+    d = q.grid.dim
+    expected = gw.quantize(q, _indicators(d, n1, n2, range(d)))
+    if d % 2:
+        assert np.max(np.abs(gw.family_projectors(q, n1, n2) - expected)) <= AGREE
+        for n3 in (0, d // 2, d - 1):
+            assert np.max(np.abs(gw.line_projector(q, gw.Line(n1, n2, n3, d)) - expected[n3])) <= AGREE
+    assert np.max(np.abs(quantizer._line_sums(q, n1, n2, np.arange(d)) - expected)) <= AGREE
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 45),
+    phi0=st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e8, 1e8)),
+    seed=st.integers(0, 2**32 - 1),
+    custom=st.booleans(),
+)
+def test_placed_line_coefficients_match_the_indicator_fft(d, phi0, seed, custom):
+    rng = np.random.default_rng(seed)
+    if custom:
+        kernel = oracles.random_kernel(d, rng, unimodular=bool(rng.integers(2)))
+    else:
+        kernel = (gw.wootters_kernel if d % 2 else gw.almost_symmetric_kernel)(d // 2)
+    q = gw.build_quantizer(gw.PhaseGrid(d, phi0), kernel)
+    # the axis directions, which the axis sums of the identity suite use at any parity
+    _assert_lines_match_the_indicator_fft(q, 1, 0)
+    _assert_lines_match_the_indicator_fft(q, 0, 1)
+    if d % 2:
+        n1, n2 = gw.tomography._line_families(d)
+        f = rng.integers(len(n1))
+        _assert_lines_match_the_indicator_fft(q, int(n1[f]), int(n2[f]))
+
+
+@pytest.mark.parametrize(
+    "d, n1, n2", [(9, 3, 1), (15, 5, 2), (15, 3, 7), (21, 7, 3), (25, 5, 1), (45, 9, 2), (45, 15, 4), (45, 0, 1)]
+)
+def test_placed_line_coefficients_where_n1_is_no_unit(d, n1, n2):
+    q = gw.build_quantizer(gw.PhaseGrid(d, 0.37), gw.wootters_kernel(d // 2))
+    _assert_lines_match_the_indicator_fft(q, n1, n2)
