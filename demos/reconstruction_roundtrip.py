@@ -29,15 +29,17 @@ for dim, kernel in [
         worst = max(worst, gw.frob_dist(gw.reconstruct(w, kernel), rho))
     print(f"{kernel.label} kernel, dim {dim}: worst recovery error {worst:.2e}")
 
-# unimodular shortcut and the closed cosine-kernel inversion
+# a unimodular kernel inverts by quantization: rho = dim * quantize(W);
+# the closed-form cosine-kernel table inverts through reconstruct
 grid = gw.PhaseGrid(5, phi0=0.1)
 rho = gw.random_density(5, rng)
-w = gw.wigner(gw.build_quantizer(grid, gw.wootters_kernel(2)), rho)
-short = gw.reconstruct_unimodular(w, gw.wootters_kernel(2))
-print(f"unimodular shortcut error:   {gw.frob_dist(short, rho):.2e}")
+q = gw.build_quantizer(grid, gw.wootters_kernel(2))
+w = gw.wigner(q, rho)
+short = w.dim * gw.quantize(q, w.values)
+print(f"unimodular identity error:   {gw.frob_dist(short, rho):.2e}")
 
 w_sym = gw.wigner_symmetric(grid, rho)
-closed = gw.reconstruct_symmetric(w_sym)
+closed = gw.reconstruct(w_sym, gw.symmetric_kernel(2))
 print(f"cosine closed-form error:    {gw.frob_dist(closed, rho):.2e}")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -13,16 +13,12 @@ from .linalg import (
     is_hermitian,
     is_positive_semidefinite,
     is_unitary,
-    matmul,
-    outer,
     psd_deficit,
-    trace,
 )
 from .phasespace import (
     PhaseGrid,
     characteristic,
     displacement,
-    displacement_phase_form,
     fourier_coeffs,
     inverse_fourier,
     number_ket,
@@ -33,7 +29,6 @@ from .phasespace import (
     phase_ket,
     phase_op,
     u_op,
-    u_op_spectral,
     v_op,
 )
 from .kernels import (
@@ -53,12 +48,10 @@ from .quantizer import (
     OrderingReport,
     Quantizer,
     QuantizerReport,
-    almost_symmetric_phase_point_op,
     build_quantizer,
     ordering_check,
     quantize,
     symbol,
-    symmetric_phase_point_op,
     verify_quantizer,
 )
 from .wigner import (
@@ -69,10 +62,7 @@ from .wigner import (
     load_wigner,
     marginals,
     phase_matrix_elements,
-    phase_matrix_elements_symmetric,
     reconstruct,
-    reconstruct_symmetric,
-    reconstruct_unimodular,
     wigner,
     wigner_almost_symmetric,
     wigner_grid,
@@ -89,7 +79,6 @@ from .tomography import (
     Line,
     LineReport,
     continuum_study,
-    displacement_zero_phase,
     embed_state,
     family_projectors,
     half_phase_ket,
@@ -97,8 +86,6 @@ from .tomography import (
     leonhardt_phase_point_op,
     leonhardt_reconstruct,
     leonhardt_wigner,
-    leonhardt_wigner_phase_form,
-    leonhardt_wigner_via_ops,
     line_points,
     line_projector,
     load_halfgrid,
@@ -107,8 +94,6 @@ from .tomography import (
     relate_even,
     relate_odd,
     verify_lines,
-    wootters_matrix_element,
-    wootters_omega,
     wootters_target,
 )
 from .states import (

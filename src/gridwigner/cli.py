@@ -22,7 +22,6 @@ from .linalg import TOL, adjoint, frob_dist, is_positive_semidefinite, psd_defic
 from .kernels import (
     Kernel,
     almost_symmetric_kernel,
-    is_unimodular,
     load_kernel,
     symmetric_kernel,
     validate,

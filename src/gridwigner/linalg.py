@@ -21,41 +21,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce ``v`` to a 1-D complex vector."""
-    u = np.asarray(v, dtype=complex)
-    if u.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {u.shape}")
-    return u
-
-
 def _same_shape(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def matmul(a, b) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    a, b = as_matrix(a), as_matrix(b)
-    _same_shape(a, b)
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal entries."""
-    return complex(np.trace(as_matrix(a)))
-
-
-def outer(u, v) -> np.ndarray:
-    """Dyad |u><v|, entries ``u[i] * conj(v[j])``."""
-    u, v = as_vector(u), as_vector(v)
-    _same_shape(u, v)
-    return np.outer(u, v.conj())
 
 
 def frob_dist(a, b) -> float:

@@ -145,11 +145,6 @@ def u_op(grid: PhaseGrid) -> np.ndarray:
     return displacement(grid, 1, 0)
 
 
-def u_op_spectral(grid: PhaseGrid) -> np.ndarray:
-    """The shift unitary built spectrally from the phase basis."""
-    return phase_function_op(grid, np.exp(1j * _angles(grid, np.arange(grid.dim))))
-
-
 def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     """Discrete displacement operator for any integers ``k``, ``l``.
 
@@ -164,20 +159,6 @@ def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)
     out[a, b] = np.exp(1j * ((a + k) // d * d * grid.phi0_reduced + 2 * np.pi * b * l / d))
     return np.exp(-1j * np.pi * k * l / d) * out
-
-
-def displacement_phase_form(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
-    """Displacement operator assembled from phase-basis dyads.
-
-    Independent construction used to cross-check :func:`displacement`.
-    """
-    d = grid.dim
-    out = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        out += np.exp(1j * k * _angles(grid, m)) * np.outer(
-            phase_ket(grid, m + l), phase_ket(grid, m).conj()
-        )
-    return np.exp(1j * np.pi * k * l / d) * out
 
 
 def _angle_phases(grid: PhaseGrid) -> np.ndarray:

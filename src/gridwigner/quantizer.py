@@ -23,10 +23,8 @@ from .phasespace import (
     _angles,
     _displacement_sum,
     characteristic,
-    number_ket,
     phase_basis,
     phase_function_op,
-    phase_ket,
 )
 
 #: Kernel moduli below this trigger a conditioning warning on inversion.
@@ -145,32 +143,6 @@ def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quan
     if check and not validate(kernel).valid:
         raise ValueError("kernel does not satisfy the validity conditions")
     return Quantizer(grid=grid, kernel=kernel, weights=_kernel_weights(grid, kernel), check=check)
-
-
-def symmetric_phase_point_op(grid: PhaseGrid, m: int, n: int) -> np.ndarray:
-    """Closed form of the symmetric-kernel phase-point operator.
-
-    ``(dim/2) * (|phi_m><phi_m|n><n| + |n><n|phi_m><phi_m|)`` -- an
-    independent construction used to cross-check the generic build.
-    """
-    pm = phase_ket(grid, m)
-    en = number_ket(grid, n)
-    half = np.outer(pm, pm.conj()) @ np.outer(en, en.conj())
-    return grid.dim / 2.0 * (half + half.conj().T)
-
-
-def almost_symmetric_phase_point_op(
-    grid: PhaseGrid, m: int, n: int, eps: float
-) -> np.ndarray:
-    """Closed form of the even-dimension skewed phase-point operator."""
-    if grid.dim % 2:
-        raise ValueError("almost-symmetric construction needs an even dimension")
-    half_n = grid.dim // 2
-    pm = phase_ket(grid, m)
-    en = number_ket(grid, n)
-    p = np.outer(pm, pm.conj()) @ np.outer(en, en.conj())
-    pd = p.conj().T
-    return half_n * (p + pd) + 1j * half_n * np.tan(eps) * (p - pd)
 
 
 def quantize(q: Quantizer, values) -> np.ndarray:

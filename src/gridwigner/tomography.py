@@ -15,7 +15,7 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_json
 from .linalg import frob_dist
-from .phasespace import PhaseGrid, _angles, _as_index, _reduced, displacement, phase_ket
+from .phasespace import PhaseGrid, _as_index, _reduced
 from .quantizer import SAMPLE_SEED, Quantizer, _checked, _chunks, _line_sums
 from .wigner import WignerGrid, _real_or_raise, check_density
 
@@ -58,13 +58,9 @@ def line_points(line: Line) -> list[tuple[int, int]]:
 
     A degenerate line is the whole grid (offset zero) or empty.
     """
-    d = line.dim
-    return [
-        (m, n)
-        for m in range(d)
-        for n in range(d)
-        if (line.n1 * m + line.n2 * n - line.n3) % d == 0
-    ]
+    idx = np.arange(line.dim)
+    m, n = np.nonzero((line.n1 * idx[:, None] + line.n2 * idx - line.n3) % line.dim == 0)
+    return list(zip(m.tolist(), n.tolist()))
 
 
 def line_projector(q: Quantizer, line: Line) -> np.ndarray:
@@ -111,15 +107,21 @@ def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
     One label per family: ``(c*n1, c*n2)`` with ``c`` a unit mod ``dim``
     gives the same lines, so only the smallest such pair (in ``n1``, then
     ``n2``) is kept; pairs with ``gcd(n1, n2, dim) > 1`` are left out.
+
+    The codes ``n1*dim + n2`` are walked in ascending order: an open code is
+    the smallest of its family, whose unit multiples are then closed at once.
     """
-    code = np.arange(dim * dim)
-    n1, n2 = np.divmod(code, dim)
-    smallest = code.copy()
-    for c in range(2, dim):
-        if math.gcd(c, dim) == 1:
-            np.minimum(smallest, (c * n1 % dim) * dim + c * n2 % dim, out=smallest)
-    keep = (smallest == code) & (np.gcd(np.gcd(n1, n2), dim) == 1)
-    return n1[keep], n2[keep]
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    is_open = np.gcd(np.gcd(n1, n2), dim) == 1
+    c = np.arange(1, dim + 1)
+    units = c[np.gcd(c, dim) == 1]
+    labels = []
+    code = 0
+    while is_open[code:].any():
+        code += int(np.argmax(is_open[code:]))
+        labels.append(code)
+        is_open[(units * n1[code] % dim) * dim + units * n2[code] % dim] = False
+    return n1[labels], n2[labels]
 
 
 @dataclass(frozen=True)
@@ -169,42 +171,6 @@ def verify_lines(q: Quantizer) -> LineReport:
             total += projs.sum(axis=0)
         completeness = max(completeness, frob_dist(total, np.eye(d)))
     return LineReport(projectivity, completeness, len(chosen), len(n1), seed)
-
-
-def displacement_zero_phase(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
-    """Displacement operator with the reference-angle phase stripped.
-
-    Satisfies the exact power identity
-    ``displacement_zero_phase(a*r, b*r) == displacement_zero_phase(a, b)**r``
-    over the integers, which underpins the line-projector algebra.
-    """
-    return np.exp(-1j * k * grid.phi0_reduced) * displacement(grid, k, l)
-
-
-def wootters_matrix_element(grid: PhaseGrid, m: int, n: int, a: int, b: int) -> complex:
-    """Closed-form number-basis entry ``<a|Omega(phi_m, n)|b>`` of the
-    sign-kernel phase-point operator: nonzero only when ``a + b`` is
-    congruent to ``2n`` mod dim."""
-    d = grid.dim
-    if (a + b - 2 * n) % d != 0:
-        return 0.0 + 0.0j
-    return complex(np.exp(1j * (a - b) * _angles(grid, m)))
-
-
-def wootters_omega(grid: PhaseGrid, m: int, n: int) -> np.ndarray:
-    """Sign-kernel phase-point operator from phase-basis dyads.
-
-    Independent of the generic kernel-weighted build; used to cross-check
-    it and to derive the odd-dimension relation transform.
-    """
-    d = grid.dim
-    half = (d - 1) // 2
-    acc = np.zeros((d, d), dtype=complex)
-    for p in range(-half, half + 1):
-        acc += np.exp(-4j * np.pi * p * n / d) * np.outer(
-            phase_ket(grid, m + p), phase_ket(grid, m - p).conj()
-        )
-    return acc
 
 
 @dataclass(frozen=True)
@@ -281,52 +247,6 @@ def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> H
     g = np.zeros((4 * N, 4 * N), dtype=complex)
     g[a[:, None] + a, jr % (4 * N)] = r * np.exp(1j * jr * _reduced(phi0))
     raw = np.fft.ifft(g).T
-    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
-
-
-def leonhardt_wigner_phase_form(N: int, phi0: float, rho) -> HalfIntegerWignerGrid:
-    """Half-integer Wigner function via phase-vector overlaps.
-
-    Cross-check path using the extended half-index phase vectors.  The
-    half-odd offsets double-count the exact anti-diagonal sum, hence the
-    period-averaged prefactor ``1/(8N)``; agrees with
-    :func:`leonhardt_wigner` identically.
-    """
-    d = 2 * N
-    r = np.asarray(rho, dtype=complex)
-    kets = [half_phase_ket(d, phi0, j2) for j2 in range(-4 * N, 8 * N)]
-
-    def ket(j2: int) -> np.ndarray:
-        return kets[j2 + 4 * N]
-
-    raw = np.zeros((4 * N, 4 * N), dtype=complex)
-    for jm in range(4 * N):
-        for jn in range(4 * N):
-            acc = 0.0 + 0.0j
-            for jp in range(4 * N):
-                left = ket(jm - jp)
-                right = ket(jm + jp)
-                acc += np.exp(-1j * np.pi * jp * jn / d) * (
-                    left.conj() @ r @ right
-                )
-            raw[jm, jn] = acc / (8 * N)
-    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
-
-
-def leonhardt_wigner_via_ops(N: int, phi0: float, rho) -> HalfIntegerWignerGrid:
-    """Half-integer Wigner function as phase-point-operator traces.
-
-    Analysis-side route ``values[jm, jn] = trace(rho A) / (4N)``; the
-    halved prefactor mirrors the weight-two identity resolution of the
-    operator family.
-    """
-    d = 2 * N
-    r = np.asarray(rho, dtype=complex)
-    raw = np.empty((4 * N, 4 * N), dtype=complex)
-    for jm in range(4 * N):
-        for jn in range(4 * N):
-            a = leonhardt_phase_point_op(N, phi0, jm, jn)
-            raw[jm, jn] = np.trace(r @ a) / (4 * N)
     return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
 
 
@@ -537,9 +457,9 @@ def continuum_study(
 ) -> ConvergenceReport:
     """Scaled Wigner values along growing grids against the continuum target.
 
-    The state is zero-padded into each grid dimension, the Wigner value
-    is sampled at the grid angle nearest ``phi`` and scaled by
-    ``dim / (2 pi)``, and the target is the continuum value at ``phi``
+    The state is read as embedded in each grid dimension (it is not
+    padded; see below), the Wigner value is sampled at the grid angle
+    nearest ``phi`` and scaled by ``dim / (2 pi)``, and the target is the continuum value at ``phi``
     itself (the sampled angle is reported so the offset is visible).
     With ``phi0 = phi`` the angle lies on every grid, which leaves only
     the kernel's own error (zero for ``symmetric``, O(1/N) from the skew

@@ -13,15 +13,8 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_json
 from .linalg import TOL, is_hermitian, is_positive_semidefinite
-from .kernels import Kernel, is_unimodular, symmetric_kernel
-from .phasespace import (
-    PhaseGrid,
-    _angle_phases,
-    _angles,
-    _displacement_sum,
-    characteristic,
-    operator_from_characteristic,
-)
+from .kernels import Kernel
+from .phasespace import PhaseGrid, _angle_phases, characteristic, operator_from_characteristic
 from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
 
 #: Slack allowed on the smallest eigenvalue of a density operator.
@@ -32,8 +25,8 @@ class ReconstructionError(ValueError):
     """Raised when a Wigner grid does not determine a valid state."""
 
 
-def check_density(rho, tol: float = TOL, psd_slack: float = PSD_SLACK) -> np.ndarray:
-    """Validate a density operator: finite, Hermitian, unit trace, PSD."""
+def check_density(rho, tol: float = TOL) -> np.ndarray:
+    """Validate a density operator: finite, Hermitian, unit trace, PSD within ``PSD_SLACK``."""
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"density operator must be square, got shape {r.shape}")
@@ -43,7 +36,7 @@ def check_density(rho, tol: float = TOL, psd_slack: float = PSD_SLACK) -> np.nda
         raise ValueError("density operator is not Hermitian")
     if abs(np.trace(r) - 1.0) > tol:
         raise ValueError("density operator trace differs from 1")
-    if not is_positive_semidefinite(r, slack=psd_slack):
+    if not is_positive_semidefinite(r, slack=PSD_SLACK):
         raise ValueError("density operator is not positive semidefinite")
     return r
 
@@ -232,61 +225,6 @@ def _to_number_basis(grid: PhaseGrid, elements: np.ndarray) -> np.ndarray:
     rho *= c.conj()
     rho *= c.T
     return rho
-
-
-def reconstruct_unimodular(w: WignerGrid, kernel: Kernel) -> np.ndarray:
-    """Shortcut reconstruction for unimodular kernels.
-
-    The state is the Wigner-weighted sum of phase-point operators,
-    assembled as one displacement sum over the kernel-weighted FFT of
-    the grid, so no operator cache is required.
-    """
-    if not is_unimodular(kernel):
-        raise ValueError("shortcut requires a unimodular kernel")
-    if kernel.dim != w.dim:
-        raise ValueError("kernel dimension does not match the Wigner grid")
-    coeffs = _kernel_weights(w.grid, kernel) * np.fft.fft2(w.values) * w.dim
-    return _displacement_sum(w.grid, coeffs)
-
-
-def _symmetric_k_range(d: int) -> np.ndarray:
-    half = (d - 1) // 2
-    return np.arange(-half, half + 1)
-
-
-def phase_matrix_elements_symmetric(w: WignerGrid) -> np.ndarray:
-    """Phase-basis elements via the symmetric-kernel closed inversion.
-
-    Uses the two-exponential expansion of the cosine kernel.  Near-zero
-    denominators (possible only off the principal branch) fall back to
-    the generic inversion for that entry.
-    """
-    if w.kernel_label != "symmetric":
-        raise ValueError("closed inversion applies to the symmetric kernel only")
-    d = w.dim
-    grid = w.grid
-    ks = _symmetric_k_range(d)
-    ekm = np.exp(1j * np.outer(ks, _angles(grid, np.arange(d))))  # ekm[k, m]
-
-    generic = None
-    elements = np.zeros((d, d), dtype=complex)
-    for r in range(d):
-        for rp in range(d):
-            den = np.exp(1j * ks * _angles(grid, r)) + np.exp(1j * ks * _angles(grid, rp))
-            if np.min(np.abs(den)) < 1e-9:
-                if generic is None:
-                    generic = phase_matrix_elements(w, symmetric_kernel((d - 1) // 2))
-                elements[rp, r] = generic[rp, r]
-                continue
-            coef = (ekm / den[:, None]).sum(axis=0)  # over k, per m
-            nphase = np.exp(1j * np.arange(d) * (_angles(grid, r) - _angles(grid, rp)))
-            elements[rp, r] = 2.0 / d * np.sum(coef[:, None] * nphase[None, :] * w.values)
-    return elements
-
-
-def reconstruct_symmetric(w: WignerGrid) -> np.ndarray:
-    """Closed-form reconstruction for the symmetric kernel."""
-    return _to_number_basis(w.grid, phase_matrix_elements_symmetric(w))
 
 
 def wigner_to_json(w: WignerGrid, path) -> None:

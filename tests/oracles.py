@@ -16,8 +16,15 @@ cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
 the Cholesky and eigenvalue routes replaced.  The continuum sweep that
 builds a whole table per grid size checks the point evaluation.  The
-file writers at the end are the ``json.dump`` and per-value CSV forms
-whose output the streaming writers must reproduce byte for byte.
+closed forms are second constructions of library objects: the spectral
+shift unitary, the dyad sums of the displacement, of the sign-kernel
+phase-point operator and of the symmetric and almost-symmetric ones, the
+sign kernel's matrix elements, the displacement without its reference
+angle phase, the phase-vector and operator-trace half-integer Wigner
+tables, the closed inversion of the symmetric kernel (an O(dim**4) loop)
+and the point loop of ``line_points``.  The file writers at the end are
+the ``json.dump`` and per-value CSV forms whose output the streaming
+writers must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import numpy as np
 
 import gridwigner as gw
 from gridwigner import quantizer
+from gridwigner.phasespace import _angles
+from gridwigner.wigner import _real_or_raise
 
 
 def fourier_factors(grid):
@@ -131,7 +140,7 @@ def reconstruct_unimodular(w, kernel):
 def line_projector(grid, kernel, line):
     """Average of the oracle phase-point operators over the line's points."""
     om = omega(grid, kernel)
-    return sum(om[m, n] for m, n in gw.line_points(line)) / grid.dim
+    return sum(om[m, n] for m, n in line_points(line)) / grid.dim
 
 
 def symbol_via_overlaps(q, op):
@@ -272,6 +281,151 @@ def relate_even(values, eps):
             ang = np.pi * np.outer(2 * m - jidx, 2 * n - jidx) / d - eps
             out[m, n] = np.sum(np.cos(ang) * values) / (d * np.cos(eps))
     return out
+
+
+def u_op_spectral(grid):
+    """The shift unitary built spectrally from the phase basis."""
+    return gw.phase_function_op(grid, np.exp(1j * _angles(grid, np.arange(grid.dim))))
+
+
+def displacement_phase_form(grid, k, l):
+    """Displacement operator assembled from phase-basis dyads."""
+    d = grid.dim
+    out = np.zeros((d, d), dtype=complex)
+    for m in range(d):
+        out += np.exp(1j * k * _angles(grid, m)) * np.outer(
+            gw.phase_ket(grid, m + l), gw.phase_ket(grid, m).conj()
+        )
+    return np.exp(1j * np.pi * k * l / d) * out
+
+
+def displacement_zero_phase(grid, k, l):
+    """Displacement operator with the reference-angle phase stripped.
+
+    Satisfies the exact power identity
+    ``displacement_zero_phase(a*r, b*r) == displacement_zero_phase(a, b)**r``
+    over the integers, which underpins the line-projector algebra.
+    """
+    return np.exp(-1j * k * grid.phi0_reduced) * gw.displacement(grid, k, l)
+
+
+def symmetric_phase_point_op(grid, m, n):
+    """``(dim/2) * (|phi_m><phi_m|n><n| + |n><n|phi_m><phi_m|)``."""
+    pm = gw.phase_ket(grid, m)
+    en = gw.number_ket(grid, n)
+    half = np.outer(pm, pm.conj()) @ np.outer(en, en.conj())
+    return grid.dim / 2.0 * (half + half.conj().T)
+
+
+def almost_symmetric_phase_point_op(grid, m, n, eps):
+    """The even-dimension skewed phase-point operator: the symmetrized dyad
+    product plus ``i*tan(eps)`` times its commutator, both times ``dim/2``."""
+    if grid.dim % 2:
+        raise ValueError("almost-symmetric construction needs an even dimension")
+    half_n = grid.dim // 2
+    pm = gw.phase_ket(grid, m)
+    en = gw.number_ket(grid, n)
+    p = np.outer(pm, pm.conj()) @ np.outer(en, en.conj())
+    pd = p.conj().T
+    return half_n * (p + pd) + 1j * half_n * np.tan(eps) * (p - pd)
+
+
+def wootters_matrix_element(grid, m, n, a, b):
+    """Number-basis entry ``<a|Omega(phi_m, n)|b>`` of the sign-kernel
+    phase-point operator: nonzero only when ``a + b`` is congruent to ``2n``."""
+    if (a + b - 2 * n) % grid.dim != 0:
+        return 0.0 + 0.0j
+    return complex(np.exp(1j * (a - b) * _angles(grid, m)))
+
+
+def wootters_omega(grid, m, n):
+    """Sign-kernel phase-point operator as a sum of phase-basis dyads."""
+    d = grid.dim
+    half = (d - 1) // 2
+    acc = np.zeros((d, d), dtype=complex)
+    for p in range(-half, half + 1):
+        acc += np.exp(-4j * np.pi * p * n / d) * np.outer(
+            gw.phase_ket(grid, m + p), gw.phase_ket(grid, m - p).conj()
+        )
+    return acc
+
+
+def line_points(line):
+    """The grid points of a line, by a loop over every point."""
+    d = line.dim
+    return [
+        (m, n)
+        for m in range(d)
+        for n in range(d)
+        if (line.n1 * m + line.n2 * n - line.n3) % d == 0
+    ]
+
+
+def leonhardt_wigner_phase_form(N, phi0, rho):
+    """Half-integer Wigner table from the extended half-index phase vectors.
+
+    The half-odd offsets double-count the exact anti-diagonal sum, hence
+    the period-averaged prefactor ``1/(8N)``.
+    """
+    d = 2 * N
+    r = np.asarray(rho, dtype=complex)
+    kets = [gw.half_phase_ket(d, phi0, j2) for j2 in range(-4 * N, 8 * N)]
+    raw = np.zeros((4 * N, 4 * N), dtype=complex)
+    for jm in range(4 * N):
+        for jn in range(4 * N):
+            acc = 0.0 + 0.0j
+            for jp in range(4 * N):
+                left, right = kets[jm - jp + 4 * N], kets[jm + jp + 4 * N]
+                acc += np.exp(-1j * np.pi * jp * jn / d) * (left.conj() @ r @ right)
+            raw[jm, jn] = acc / (8 * N)
+    return gw.HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
+
+
+def leonhardt_wigner_via_ops(N, phi0, rho):
+    """Half-integer Wigner table as ``trace(rho A) / (4N)`` over the library's
+    phase-point operators; the halved prefactor mirrors the weight-two
+    identity resolution of the operator family."""
+    r = np.asarray(rho, dtype=complex)
+    raw = np.empty((4 * N, 4 * N), dtype=complex)
+    for jm in range(4 * N):
+        for jn in range(4 * N):
+            raw[jm, jn] = np.trace(r @ gw.leonhardt_phase_point_op(N, phi0, jm, jn)) / (4 * N)
+    return gw.HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
+
+
+def phase_matrix_elements_symmetric(w):
+    """Phase-basis elements by the closed inversion of the symmetric kernel.
+
+    Uses the two-exponential expansion of the cosine kernel.  Near-zero
+    denominators (possible only off the principal branch) fall back to
+    the library inversion for that entry.
+    """
+    if w.kernel_label != "symmetric":
+        raise ValueError("closed inversion applies to the symmetric kernel only")
+    d = w.dim
+    grid = w.grid
+    half = (d - 1) // 2
+    ks = np.arange(-half, half + 1)
+    ekm = np.exp(1j * np.outer(ks, _angles(grid, np.arange(d))))  # ekm[k, m]
+    generic = None
+    elements = np.zeros((d, d), dtype=complex)
+    for r in range(d):
+        for rp in range(d):
+            den = np.exp(1j * ks * _angles(grid, r)) + np.exp(1j * ks * _angles(grid, rp))
+            if np.min(np.abs(den)) < 1e-9:
+                if generic is None:
+                    generic = gw.phase_matrix_elements(w, gw.symmetric_kernel(half))
+                elements[rp, r] = generic[rp, r]
+                continue
+            coef = (ekm / den[:, None]).sum(axis=0)  # over k, per m
+            nphase = np.exp(1j * np.arange(d) * (_angles(grid, r) - _angles(grid, rp)))
+            elements[rp, r] = 2.0 / d * np.sum(coef[:, None] * nphase[None, :] * w.values)
+    return elements
+
+
+def reconstruct_symmetric(w):
+    """Closed-form reconstruction for the symmetric kernel, rotated densely."""
+    return to_number_basis(w.grid, phase_matrix_elements_symmetric(w))
 
 
 def random_kernel(d, rng, unimodular=False):

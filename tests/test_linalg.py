@@ -14,28 +14,6 @@ def dft_matrix(d):
     return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
 
 
-class TestMatmul:
-    def test_identity(self, rng):
-        a = random_complex(rng, 4, 4)
-        np.testing.assert_allclose(linalg.matmul(np.eye(4), a), a)
-
-    def test_unitary_inverse(self):
-        f = dft_matrix(5)
-        np.testing.assert_allclose(
-            linalg.matmul(f, f.conj().T), np.eye(5), atol=1e-12
-        )
-
-    def test_hand_product(self):
-        a = np.array([[1, 1j], [0, 1]])
-        b = np.array([[1, 0], [1j, 1]])
-        expected = np.array([[0, 1j], [1j, 1]])
-        np.testing.assert_allclose(linalg.matmul(a, b), expected)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.matmul(np.eye(2), np.eye(3))
-
-
 class TestAdjoint:
     def test_identity(self):
         np.testing.assert_allclose(linalg.adjoint(np.eye(3)), np.eye(3))
@@ -55,64 +33,6 @@ class TestAdjoint:
         np.testing.assert_allclose(
             linalg.adjoint(a @ b), linalg.adjoint(b) @ linalg.adjoint(a), atol=1e-12
         )
-
-
-class TestTrace:
-    def test_identity(self):
-        assert linalg.trace(np.eye(7)) == pytest.approx(7)
-
-    def test_unit_vector_projector(self, rng):
-        v = random_complex(rng, 6)
-        v /= np.linalg.norm(v)
-        assert linalg.trace(linalg.outer(v, v)) == pytest.approx(1, abs=1e-12)
-
-    def test_cyclic(self, rng):
-        a = random_complex(rng, 4, 4)
-        b = random_complex(rng, 4, 4)
-        assert linalg.trace(a @ b) == pytest.approx(linalg.trace(b @ a), abs=1e-12)
-
-    def test_cyclic_three(self, rng):
-        a, b, c = (random_complex(rng, 3, 3) for _ in range(3))
-        assert linalg.trace(a @ b @ c) == pytest.approx(
-            linalg.trace(c @ a @ b), abs=1e-12
-        )
-
-    def test_linear(self, rng):
-        a = random_complex(rng, 3, 3)
-        b = random_complex(rng, 3, 3)
-        assert linalg.trace(2.5 * a + 1j * b) == pytest.approx(
-            2.5 * linalg.trace(a) + 1j * linalg.trace(b), abs=1e-12
-        )
-
-
-class TestOuter:
-    def test_basis_projector(self):
-        e0 = np.array([1, 0, 0], dtype=complex)
-        np.testing.assert_allclose(linalg.outer(e0, e0), np.diag([1, 0, 0]))
-
-    def test_trace_is_inner_product(self, rng):
-        u = random_complex(rng, 5)
-        v = random_complex(rng, 5)
-        assert linalg.trace(linalg.outer(u, v)) == pytest.approx(
-            np.vdot(v, u), abs=1e-12
-        )
-
-    def test_rank_one(self, rng):
-        u = random_complex(rng, 4)
-        v = random_complex(rng, 4)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        m = linalg.outer(u, v)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(4):
-                    for l in range(k + 1, 4):
-                        minor = m[i, k] * m[j, l] - m[i, l] * m[j, k]
-                        assert abs(minor) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.outer(np.ones(2), np.ones(3))
 
 
 class TestFrobDist:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridwigner as gw
+import oracles
 from conftest import random_complex
 
 
@@ -96,7 +97,7 @@ class TestOperators:
 
     def test_u_shift_equals_spectral(self):
         g = gw.PhaseGrid(5, 0.9)
-        np.testing.assert_allclose(gw.u_op(g), gw.u_op_spectral(g), atol=1e-12)
+        np.testing.assert_allclose(gw.u_op(g), oracles.u_op_spectral(g), atol=1e-12)
 
     def test_u_v_unitary(self):
         g = gw.PhaseGrid(6, 0.2)
@@ -135,7 +136,7 @@ class TestDisplacement:
         g = gw.PhaseGrid(5, 0.37)
         np.testing.assert_allclose(
             gw.displacement(g, k, l),
-            gw.displacement_phase_form(g, k, l),
+            oracles.displacement_phase_form(g, k, l),
             atol=1e-12,
         )
 

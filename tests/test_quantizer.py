@@ -21,7 +21,7 @@ class TestBuild:
             for n in range(3):
                 np.testing.assert_allclose(
                     q.omega[m, n],
-                    gw.symmetric_phase_point_op(g, m, n),
+                    oracles.symmetric_phase_point_op(g, m, n),
                     atol=1e-12,
                 )
 
@@ -32,7 +32,7 @@ class TestBuild:
             for n in range(4):
                 np.testing.assert_allclose(
                     q.omega[m, n],
-                    gw.almost_symmetric_phase_point_op(g, m, n, 0.25),
+                    oracles.almost_symmetric_phase_point_op(g, m, n, 0.25),
                     atol=1e-12,
                 )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gridwigner as gw
-from gridwigner.tomography import leonhardt_wigner_via_ops
+import oracles
 
 
 class TestLinePoints:
@@ -59,6 +59,13 @@ class TestLinePoints:
                     assert not (seen & set(pts))
                     seen |= set(pts)
                 assert len(seen) == d * d
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 9, 10, 15, 16, 27, 44, 45])
+    def test_points_match_the_point_loop(self, d):
+        # every direction, the degenerate one (empty) included, and the whole grid
+        lines = [gw.Line(n1, n2, (n1 + 2 * n2 + 1) % d, d) for n1 in range(d) for n2 in range(d)]
+        for line in lines + [gw.Line(0, 0, 0, d)]:
+            assert gw.line_points(line) == oracles.line_points(line)
 
 
 class TestLineProjectors:
@@ -138,8 +145,8 @@ class TestDisplacementPowers:
             n2 = int(rng.integers(0, dim))
             r = int(rng.integers(0, 2 * dim))
             np.testing.assert_allclose(
-                gw.displacement_zero_phase(g, n1 * r, n2 * r),
-                np.linalg.matrix_power(gw.displacement_zero_phase(g, n1, n2), r),
+                oracles.displacement_zero_phase(g, n1 * r, n2 * r),
+                np.linalg.matrix_power(oracles.displacement_zero_phase(g, n1, n2), r),
                 atol=1e-10,
             )
 
@@ -147,9 +154,9 @@ class TestDisplacementPowers:
 class TestWoottersForms:
     def test_matrix_element_basics(self):
         g = gw.PhaseGrid(3, 0.0)
-        assert gw.wootters_matrix_element(g, 0, 0, 0, 0) == pytest.approx(1)
+        assert oracles.wootters_matrix_element(g, 0, 0, 0, 0) == pytest.approx(1)
         # vanishes unless 2n is congruent to the index sum
-        assert gw.wootters_matrix_element(g, 0, 0, 0, 1) == 0
+        assert oracles.wootters_matrix_element(g, 0, 0, 0, 1) == 0
 
     def test_matrix_element_table_matches_generic(self):
         g = gw.PhaseGrid(3, 0.8)
@@ -158,7 +165,7 @@ class TestWoottersForms:
             for n in range(3):
                 table = np.array(
                     [
-                        [gw.wootters_matrix_element(g, m, n, a, b) for b in range(3)]
+                        [oracles.wootters_matrix_element(g, m, n, a, b) for b in range(3)]
                         for a in range(3)
                     ]
                 )
@@ -170,7 +177,7 @@ class TestWoottersForms:
         for m in range(5):
             for n in range(5):
                 np.testing.assert_allclose(
-                    q.omega[m, n], gw.wootters_omega(g, m, n), atol=1e-10
+                    q.omega[m, n], oracles.wootters_omega(g, m, n), atol=1e-10
                 )
 
 
@@ -196,12 +203,12 @@ class TestLeonhardt:
         w = gw.leonhardt_wigner(n_half, 0.35, rho)
         np.testing.assert_allclose(
             w.values,
-            gw.leonhardt_wigner_phase_form(n_half, 0.35, rho).values,
+            oracles.leonhardt_wigner_phase_form(n_half, 0.35, rho).values,
             atol=1e-10,
         )
         np.testing.assert_allclose(
             w.values,
-            leonhardt_wigner_via_ops(n_half, 0.35, rho).values,
+            oracles.leonhardt_wigner_via_ops(n_half, 0.35, rho).values,
             atol=1e-10,
         )
 

@@ -139,7 +139,7 @@ def test_sample_is_seeded_and_within_the_budget():
     assert lines.seed == quantizer.SAMPLE_SEED
 
 
-@pytest.mark.parametrize("d", [3, 9, 15, 21, 45, 47])
+@pytest.mark.parametrize("d", [3, 9, 15, 21, 25, 27, 45, 47, 63, 105])
 def test_line_families_are_the_smallest_labels(d):
     n1, n2 = gw.tomography._line_families(d)
     units = [c for c in range(1, d) if math.gcd(c, d) == 1]

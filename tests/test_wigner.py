@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridwigner as gw
+import oracles
 from conftest import random_complex
 
 
@@ -248,9 +249,9 @@ class TestReconstruct:
         g = gw.PhaseGrid(5, 0.25)
         q = gw.build_quantizer(g, kernel)
         w = gw.wigner(q, gw.random_density(5, rng))
-        np.testing.assert_allclose(
-            gw.reconstruct_unimodular(w, kernel), gw.reconstruct(w, kernel), atol=1e-10
-        )
+        back = oracles.reconstruct_unimodular(w, kernel)
+        np.testing.assert_allclose(back, gw.reconstruct(w, kernel), atol=1e-10)
+        np.testing.assert_allclose(back, w.dim * gw.quantize(q, w.values), atol=1e-10)
 
     def test_symmetric_closed_inversion_agrees(self, rng):
         kernel = gw.symmetric_kernel(2)
@@ -258,7 +259,7 @@ class TestReconstruct:
         q = gw.build_quantizer(g, kernel)
         w = gw.wigner(q, gw.random_density(5, rng))
         np.testing.assert_allclose(
-            gw.reconstruct_symmetric(w), gw.reconstruct(w, kernel), atol=1e-10
+            oracles.reconstruct_symmetric(w), gw.reconstruct(w, kernel), atol=1e-10
         )
 
     def test_number_elements_literal_sum(self, rng):
@@ -293,7 +294,7 @@ class TestReconstruct:
                                     * w.values[m, n]
                                 )
                 oracle[np_, npp] = 2 * acc / d**2
-        np.testing.assert_allclose(oracle, gw.reconstruct_symmetric(w), atol=1e-10)
+        np.testing.assert_allclose(oracle, oracles.reconstruct_symmetric(w), atol=1e-10)
 
     def test_kernel_mismatch_rejected(self, rng):
         g = gw.PhaseGrid(5, 0.0)
