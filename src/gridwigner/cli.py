@@ -310,7 +310,7 @@ def cmd_verify(args) -> int:
         print(f"{cond}: {'PASS' if value else 'FAIL'}")
         ok = ok and value
 
-    q = build_quantizer(grid, kernel)
+    q = build_quantizer(grid, kernel, check=False)  # the validity is printed above
     report = verify_quantizer(q)
     ok &= _print_check("phase-point Hermiticity", report.hermiticity_dev)
     ok &= _print_check("phase-point unit trace", report.trace_dev)

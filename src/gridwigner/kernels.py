@@ -14,6 +14,7 @@ import numpy as np
 
 from ._jsonio import complex_table, integer, read_json, write_json
 from .linalg import TOL
+from .phasespace import _as_index
 
 #: Entries smaller than this are treated as structural zeros.
 ZERO_TOL = 1e-12
@@ -116,6 +117,7 @@ def validate(kernel: Kernel, tol: float = TOL) -> KernelValidity:
 
 def symmetric_kernel(N: int) -> Kernel:
     """Cosine kernel of odd dimension ``2N+1`` (symmetric ordering)."""
+    N = _as_index(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
     d = 2 * N + 1
@@ -129,6 +131,7 @@ def wootters_kernel(N: int) -> Kernel:
 
     Unimodular; its line sums are projectors (see the tomography module).
     """
+    N = _as_index(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
     d = 2 * N + 1
@@ -142,7 +145,7 @@ def default_epsilon(N: int) -> float:
 
     Vanishes as the dimension grows, which the continuum limit requires.
     """
-    return 1.0 / (2 * N)
+    return 1.0 / (2 * _as_index(N, "N"))
 
 
 def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
@@ -153,6 +156,7 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     chosen ``eps`` leaves a vanishing entry; the caller should then pick
     another value.
     """
+    N = _as_index(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
     if eps is None:

@@ -18,11 +18,13 @@ import numpy as np
 
 
 def _as_index(value, what: str) -> int:
-    """``value`` as a Python int; floats and other non-integers raise ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as a Python int; booleans, floats and other non-integers raise ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _reduced(phi0: float) -> float:

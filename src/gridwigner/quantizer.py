@@ -65,7 +65,7 @@ class Quantizer:
         p, m_at, kp, n_at = _factors(self, *np.divmod(np.arange(d * d), d))
         ops = np.take(p, self.grid._core_tables[1], axis=1)[m_at] * kp[n_at]
         if self.check:
-            if _max_frob(ops, ops.conj().swapaxes(-1, -2)) > 10 * TOL:
+            if _hermiticity(ops) > 10 * TOL:
                 raise ValueError("phase-point operator is not Hermitian")
             if np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)) > 10 * TOL:
                 raise ValueError("phase-point operator has non-unit trace")
@@ -86,21 +86,33 @@ def _factors(q: Quantizer, m, n):
     ms, m_at = np.unique(m, return_inverse=True)
     ns, n_at = np.unique(n, return_inverse=True)
     p = np.exp(-1j * np.outer(_angles(grid, ms), idx))
-    return p, m_at, g[diag, (ns[:, None, None] - idx) % d] * corner, n_at
+    kp = g[diag, (ns[:, None, None] - idx) % d]
+    kp *= corner
+    return p, m_at, kp, n_at
+
+
+def _place_lines(q: Quantizer, n1, n2, phases) -> np.ndarray:
+    """Tables ``s`` with ``dim * phases[s, j]`` times the weight at ``(j*n1[s], j*n2[s])
+    mod dim`` and zeros elsewhere; ``n1``, ``n2`` and the rows of ``phases`` broadcast.
+
+    With ``gcd(n1, n2, dim) == 1`` the fft2 of the indicator of the line ``n1*m +
+    n2*n = n3 (mod dim)`` is ``dim * exp(-2*pi*i*j*n3/dim)`` at ``(j*n1, j*n2)`` and
+    zero elsewhere: those ``dim`` coefficients are placed, no fft2 is taken."""
+    d = q.grid.dim
+    j = np.arange(d)
+    k, l = np.asarray(n1)[..., None] * j % d, np.asarray(n2)[..., None] * j % d
+    values = d * q.weights[k, l] * phases
+    coeffs = np.zeros((len(values), d, d), dtype=complex)
+    coeffs[np.arange(len(values))[:, None], k, l] = values
+    return coeffs
 
 
 def _line_sums(q: Quantizer, n1: int, n2: int, offsets) -> np.ndarray:
-    """``quantize`` of the indicators of the lines ``n1*m + n2*n = offsets[i] (mod dim)``.
-
-    With ``gcd(n1, n2, dim) == 1`` the fft2 of an indicator is ``dim *
-    exp(-2*pi*i*j*n3/dim)`` at ``(j*n1, j*n2) mod dim`` and zero elsewhere: those
-    ``dim`` coefficients are placed, no fft2 is taken."""
+    """``quantize`` of the indicators of the lines ``n1*m + n2*n = offsets[i] (mod dim)``:
+    the displacement sums of their :func:`_place_lines` coefficients."""
     d = q.grid.dim
-    j = np.arange(d)
-    k, l = j * n1 % d, j * n2 % d
-    coeffs = np.zeros((len(offsets), d, d), dtype=complex)
-    coeffs[:, k, l] = d * q.weights[k, l] * np.exp(-2j * np.pi * (np.outer(offsets, j) % d) / d)
-    return _displacement_sum(q.grid, coeffs)
+    phases = np.exp(-2j * np.pi * (np.outer(offsets, np.arange(d)) % d) / d)
+    return _displacement_sum(q.grid, _place_lines(q, n1, n2, phases))
 
 
 def _checked(dim: int, total: int, entries: int) -> tuple[np.ndarray, int | None]:
@@ -124,10 +136,17 @@ def _chunks(total: int, dim: int):
     return [slice(i, min(i + step, total)) for i in range(0, total, step)]
 
 
-def _max_frob(a, b) -> float:
-    """Largest Frobenius distance between matching matrices of two stacks."""
-    diff = np.asarray(a - b, dtype=complex).reshape(len(a), -1).view(float)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
+def _max_norm(stack) -> float:
+    """Largest Frobenius norm among the matrices of a stack."""
+    flat = np.asarray(stack, dtype=complex).reshape(len(stack), -1).view(float)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", flat, flat))))
+
+
+def _hermiticity(ops) -> float:
+    """Largest ``||Omega - Omega^+||_F`` of a stack, with one stack besides it."""
+    dev = np.conjugate(ops.swapaxes(-1, -2), out=np.empty_like(ops))
+    dev -= ops
+    return _max_norm(dev)
 
 
 def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quantizer:
@@ -189,9 +208,9 @@ class QuantizerReport:
     """Maximum deviations of the phase-point-operator identities.
 
     The axis sums and completeness cover every grid point.  Hermiticity,
-    unit trace and both overlap checks cover ``checked`` operators: all
-    ``dim**2`` of them, or a sample drawn with ``seed`` (``None`` when
-    every operator was checked).
+    unit trace and both overlap checks cover every operator at the levels
+    ``n`` of ``checked`` operators: all ``dim**2`` of them, or a sample
+    drawn with ``seed`` (``None`` when every operator was checked).
     """
 
     hermiticity_dev: float
@@ -228,50 +247,50 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     projectors, completeness, the overlap-trace formula, and the overlap
     orthogonality that holds exactly when the kernel is unimodular.
 
-    The axis sums are :func:`_line_sums` of the directions ``(1, 0)`` and
-    ``(0, 1)``.  The operators of :func:`_checked` (all for ``dim <= 45``) are
-    read from the :func:`_factors` tables, one distinct ``n`` at a time.  Their
-    overlaps ``Re sum_ab Omega_s[a, b] conj(Omega_t[a, b])`` (the trace of
-    ``Omega_s Omega_t`` if Hermitian) are ``Re sum_k p[m_s, k] conj(p[m_t, k])
-    H_k[n_s, n_t]``, ``H_k[n, n'] = sum_a kp[n, a, a + k] conj(kp[n', a, a + k])``:
-    O(dim**5) on the whole grid.  They are compared with ``fft2(|K|**2) / dim``
-    at ``(m_s - m_t, n_s - n_t) mod dim``.
+    Every operator is a displacement conjugate of another, for any kernel:
+    ``Omega(m + 1, n) = V Omega(m, n) V^+`` with the clock ``V`` and
+    ``Omega(m, n + 1) = U^+ Omega(m, n) U`` with the shift ``U``.  Conjugation
+    keeps every deviation, so the phase-axis sum is checked at ``m = 0`` and
+    the number-axis sum at ``n = 0`` (:func:`_line_sums` of the directions
+    ``(1, 0)`` and ``(0, 1)``).  Hermiticity and unit trace are checked on the
+    operators ``Omega(0, n)`` at the levels of the :func:`_checked` operators
+    (every level for ``dim <= 45``), built from the :func:`_factors` tables,
+    and cover every ``m`` there.  On the cyclic diagonal ``b = a + k``,
+    ``Omega(m, n)`` is ``exp(-2*pi*i*k*m/dim) Omega(0, n)``, so the overlaps
+    ``Re sum_ab Omega_s[a, b] conj(Omega_t[a, b])`` (the trace of ``Omega_s
+    Omega_t`` if Hermitian) of every pair at those levels are one table,
+    ``fft(H, axis=k).real`` indexed ``[m_s - m_t, n_s, n_t]``, with
+    ``H_k[n, n'] = sum_a Omega(0, n)[a, a + k] conj(Omega(0, n')[a, a + k])``:
+    O(dim**4) on the whole grid.  It is compared with ``fft2(|K|**2) / dim`` at
+    ``(m_s - m_t, n_s - n_t) mod dim``; orthogonality subtracts ``dim`` where
+    both differences vanish.
     """
     grid = q.grid
     d = grid.dim
-    idx = np.arange(d)
-    kets, eye = phase_basis(grid).T, np.eye(d)  # row m of kets is |phi_m>
-    phase_sum = number_sum = 0.0
-    for part in _chunks(d, d):
-        phase_sum = max(phase_sum, _max_frob(_line_sums(q, 1, 0, idx[part]), kets[part, :, None] * kets[part].conj()[:, None, :]))
-        number_sum = max(number_sum, _max_frob(_line_sums(q, 0, 1, idx[part]), eye[part, :, None] * eye[part, None, :]))
+    idx, diag = grid._core_tables[:2]
+    eye = np.eye(d)
+    ket = phase_basis(grid)[:, 0]
+    phase_sum = frob_dist(_line_sums(q, 1, 0, [0])[0], np.outer(ket, ket.conj()))
+    number_sum = frob_dist(_line_sums(q, 0, 1, [0])[0], eye[:, :1] * eye[0])
     constant = np.pad([[d * d * q.weights[0, 0]]], (0, d - 1))  # the fft2 of 1: dim**2 at (0, 0)
     completeness = frob_dist(_displacement_sum(grid, constant), eye)
 
     flat, seed = _checked(d, d * d, d * d)
-    m, n = np.divmod(flat, d)
-    p, m_at, kp, n_at = _factors(q, m, n)
-    # entries [a, a + k] at [k, a]: Omega is p[m, k] cyc, Omega^+ is conj(p[m, -k] flip)
-    shifted, kp = (idx + idx[:, None]) % d, kp.reshape(len(kp), -1)
-    cyc = np.take(kp, idx * d + shifted, axis=1)
-    h = np.matmul(cyc.transpose(1, 0, 2), cyc.transpose(1, 2, 0).conj()).transpose(2, 1, 0).copy()  # [n', n, k]
-    flip = np.take(kp, shifted * d + idx, axis=1)
-    rows = p[m_at]
-    # the predicted table tiled 2 x 2 takes the differences m_s - m_t + d, n_s - n_t + d
-    predicted = np.tile(np.fft.fft2(np.abs(q.kernel.values) ** 2) / d, (2, 2))
-    code = m * (2 * d) + n
-    herm = tr = overlap_dev = orth_dev = 0.0
-    for j in range(len(kp)):  # the checked operators t with n_t = n_j
-        t = np.flatnonzero(n_at == j)
-        pt = p[m_at[t], :, None]
-        herm = max(herm, _max_frob(pt * cyc[j], (p[m_at[t]][:, -idx, None] * flip[j]).conj()))
-        tr = max(tr, float(np.max(np.abs(np.sum(pt[:, 0] * cyc[j, 0], axis=-1) - 1.0))))
-        z = rows * h[j][n_at]
-        overlaps = z.view(float) @ rows[t].view(float).T  # Re(z conj(rows[t]))
-        expected = np.take(predicted, code[:, None] + (d * (2 * d + 1) - code[t]))
-        overlap_dev = max(overlap_dev, float(np.max(np.abs(overlaps - expected))))
-        overlaps[t, np.arange(len(t))] -= d
-        orth_dev = max(orth_dev, float(np.max(np.abs(overlaps))))
+    ns = np.unique(flat % d)
+    p, _, ops, _ = _factors(q, 0, ns)
+    ops *= p[0, diag]  # Omega(0, n) at the checked levels n
+    herm = _hermiticity(ops)
+    tr = float(np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)))
+    # entries [a, a + k] at [k, a]; there Omega(m, n) is exp(-2*pi*i*k*m/dim) Omega(0, n)
+    cyc = np.take(ops.reshape(len(ops), -1), idx * d + (idx + idx[:, None]) % d, axis=1)
+    del ops
+    h = np.matmul(cyc.transpose(1, 0, 2), cyc.transpose(1, 2, 0).conj())  # [k, n, n']
+    del cyc
+    overlaps = np.fft.fft(h, axis=0, out=h).real  # [m_s - m_t, n_s, n_t]
+    predicted = np.fft.fft2(np.abs(q.kernel.values) ** 2) / d
+    overlap_dev = float(np.max(np.abs(overlaps - predicted[:, (ns[:, None] - ns) % d])))
+    overlaps[0, np.arange(len(ns)), np.arange(len(ns))] -= d
+    orth_dev = float(np.max(np.abs(overlaps)))
 
     return QuantizerReport(
         hermiticity_dev=herm,

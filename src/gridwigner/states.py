@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._jsonio import complex_table, integer, read_json, write_json
-from .phasespace import PhaseGrid, phase_ket
+from .phasespace import PhaseGrid, _as_index, phase_ket
 from .wigner import check_density
 
 PAULI = (
@@ -17,6 +17,7 @@ PAULI = (
 
 def fock_state(dim: int, n: int) -> np.ndarray:
     """Pure number state |n><n| in the given dimension."""
+    dim, n = _as_index(dim, "dimension"), _as_index(n, "number level")
     if not 0 <= n < dim:
         raise ValueError(f"number level {n} outside 0..{dim - 1}")
     rho = np.zeros((dim, dim), dtype=complex)
@@ -26,12 +27,15 @@ def fock_state(dim: int, n: int) -> np.ndarray:
 
 def phase_state(dim: int, m: int, phi0: float = 0.0) -> np.ndarray:
     """Pure phase state |phi_m><phi_m| on the grid with angle phi0."""
-    v = phase_ket(PhaseGrid(dim, phi0), m)
+    v = phase_ket(PhaseGrid(dim, phi0), _as_index(m, "phase index"))
     return np.outer(v, v.conj())
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state 1/dim."""
+    dim = _as_index(dim, "dimension")
+    if dim < 1:
+        raise ValueError("dimension must be a positive integer")
     return np.eye(dim, dtype=complex) / dim
 
 
@@ -47,6 +51,7 @@ def qubit_state(a1: float, a2: float, a3: float) -> np.ndarray:
 
 def superposition01(dim: int = 2) -> np.ndarray:
     """Equal superposition of the two lowest number states, as a density matrix."""
+    dim = _as_index(dim, "dimension")
     if dim < 2:
         raise ValueError("need dimension at least 2")
     rho = np.zeros((dim, dim), dtype=complex)
@@ -56,6 +61,7 @@ def superposition01(dim: int = 2) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density operator (Gram construction)."""
+    dim = _as_index(dim, "dimension")
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)

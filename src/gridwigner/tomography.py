@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_json
-from .linalg import frob_dist
-from .phasespace import PhaseGrid, _as_index, _reduced
-from .quantizer import SAMPLE_SEED, Quantizer, _checked, _chunks, _line_sums
+from .phasespace import PhaseGrid, _as_index, _displacement_sum, _reduced
+from .quantizer import Quantizer, _checked, _chunks, _line_sums, _max_norm, _place_lines
 from .wigner import WignerGrid, _real_or_raise, check_density
 
 
@@ -97,10 +96,6 @@ def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
     return _line_sums(q, line.n1, line.n2, offsets)
 
 
-#: Seeded Gaussian probe columns of the Freivalds projectivity test.
-PROBES = 4
-
-
 def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Direction labels ``(n1, n2)`` of the parallel line families of a grid.
 
@@ -128,14 +123,11 @@ def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
 class LineReport:
     """Worst deviations of the line-projector identities.
 
-    ``projectivity_dev`` is the largest Freivalds estimate
-    ``||(P @ P - P) V||_F / sqrt(PROBES)`` over the checked projectors,
-    with ``V`` the ``PROBES`` Gaussian probe columns drawn with
-    ``SAMPLE_SEED`` (its square estimates ``||P @ P - P||_F**2`` without
-    bias); ``completeness_dev`` is the largest Frobenius distance of a
-    family's projector sum from the identity.  ``checked`` of the
-    ``families`` families were checked: all of them, or a sample drawn
-    with ``seed`` (``None`` when every family was checked).
+    ``projectivity_dev`` is the largest ``||P @ P - P||_F`` and
+    ``completeness_dev`` the largest Frobenius distance of a family's
+    projector sum from the identity, over every line of ``checked`` of the
+    ``families`` families: all of them, or a sample drawn with ``seed``
+    (``None`` when every family was checked).
     """
 
     projectivity_dev: float
@@ -148,28 +140,28 @@ class LineReport:
 def verify_lines(q: Quantizer) -> LineReport:
     """Check that every line family gives projectors that resolve the identity.
 
-    The families chosen by the quantizer's budget (all of them for
-    ``dim <= 45``) are summed from placed line coefficients one family, or
-    one chunk of at most ``BUDGET`` entries, at a time; each family's sum is
-    formed once, whatever its labelling.  O(dim**2 log dim) per projector.
+    Each line of a family is a displacement conjugate of the family's line
+    through the origin, for any kernel, and conjugation keeps ``||P @ P -
+    P||_F``: projectivity is that exact norm of one projector per family.
+    The family's sum is, by linearity, the displacement sum of its placed
+    coefficients summed over all offsets.  The families chosen by the
+    quantizer's budget (all of them for ``dim <= 45``) go in chunks of at
+    most ``dim`` families and ``BUDGET`` entries: O(dim**3) per family.
     """
     d = q.grid.dim
     if d % 2 == 0:
         raise ValueError("line projectors are defined for odd dimensions here")
     n1, n2 = _line_families(d)
     chosen, seed = _checked(d, len(n1), d**3)
-    rng = np.random.default_rng(SAMPLE_SEED)
-    probes = (rng.standard_normal((d, PROBES)) + 1j * rng.standard_normal((d, PROBES))) / math.sqrt(2)
+    j = np.arange(d)
+    summed = np.exp(-2j * np.pi * (np.outer(j, j) % d) / d).sum(axis=0)  # over the offsets n3
     projectivity = completeness = 0.0
-    for f in chosen:
-        total = np.zeros((d, d), dtype=complex)
-        for part in _chunks(d, d):
-            projs = _line_sums(q, int(n1[f]), int(n2[f]), np.arange(d)[part])
-            pv = (projs.reshape(-1, d) @ probes).reshape(len(projs), d, PROBES)
-            excess = np.linalg.norm(projs @ pv - pv, axis=(-2, -1)) / math.sqrt(PROBES)
-            projectivity = max(projectivity, float(np.max(excess)))
-            total += projs.sum(axis=0)
-        completeness = max(completeness, frob_dist(total, np.eye(d)))
+    for part in _chunks(len(chosen), d):
+        f = chosen[part]
+        origin = _displacement_sum(q.grid, _place_lines(q, n1[f], n2[f], 1.0))
+        projectivity = max(projectivity, _max_norm(origin @ origin - origin))
+        total = _displacement_sum(q.grid, _place_lines(q, n1[f], n2[f], summed))
+        completeness = max(completeness, _max_norm(total - np.eye(d)))
     return LineReport(projectivity, completeness, len(chosen), len(n1), seed)
 
 

@@ -206,8 +206,8 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     within ``10 * TOL``.
     """
     rho = _to_number_basis(w.grid, phase_matrix_elements(w, kernel))
-    for a in range(1, w.dim):
-        rho[a, :a] = rho[:a, a].conj()
+    lower = np.tri(w.dim, k=-1, dtype=bool)
+    rho[lower] = rho.T[lower].conj()
     np.fill_diagonal(rho.imag, 0.0)
     if validate_state:
         try:

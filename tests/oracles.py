@@ -41,9 +41,10 @@ from gridwigner.wigner import _real_or_raise
 
 
 def fourier_factors(grid):
-    """``E[k, m] = exp(-i*k*phi_m)`` and ``F[l, n] = exp(-2*pi*i*l*n/dim)``."""
+    """``E[k, m] = exp(-i*k*phi_m)`` and ``F[l, n] = exp(-2*pi*i*l*n/dim)``; the
+    exponents are integer multiples of ``phi_m``, taken at the reduced angle."""
     idx = np.arange(grid.dim)
-    e = np.exp(-1j * np.outer(idx, grid.phis))
+    e = np.exp(-1j * np.outer(idx, _angles(grid, idx)))
     f = np.exp(-2j * np.pi * np.outer(idx, idx) / grid.dim)
     return e, f
 
@@ -220,20 +221,21 @@ def verify_dense(q, lines=False):
 
 def overlap_gram(q):
     """``(overlap_dev, orthogonality_dev)`` of the operators ``verify_quantizer``
-    checks, from the explicit real Gram product ``B @ B.T`` of the rows
-    ``[Re Omega, Im Omega]``: O(S**2 dim**2) for S checked operators, O(dim**6)
-    on the whole grid.  Each operator is ``dim * quantize`` of its point."""
+    checks, every ``m`` at the levels of its checked operators, from the explicit
+    real Gram product ``B @ B.T`` of the rows ``[Re Omega, Im Omega]``: O(S**2
+    dim**2) for S operators, O(dim**6) on the whole grid.  Each operator is
+    ``dim * quantize`` of its point."""
     d = q.grid.dim
     flat, _ = quantizer._checked(d, d * d, d * d)
-    m, n = np.divmod(flat, d)
-    points = np.zeros((len(flat), d, d))
-    points[np.arange(len(flat)), m, n] = d
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(d), np.unique(flat % d), indexing="ij"))
+    points = np.zeros((len(m), d, d))
+    points[np.arange(len(m)), m, n] = d
     ops = gw.quantize(q, points)
-    rows = np.concatenate([ops.real, ops.imag], axis=1).reshape(len(flat), -1)
+    rows = np.concatenate([ops.real, ops.imag], axis=1).reshape(len(m), -1)
     overlaps = rows @ rows.T
     predicted = np.fft.fft2(np.abs(q.kernel.values) ** 2) / d
     overlap_dev = float(np.max(np.abs(overlaps - predicted[(m[:, None] - m) % d, (n[:, None] - n) % d])))
-    overlaps[np.diag_indices(len(flat))] -= d
+    overlaps[np.diag_indices(len(m))] -= d
     return overlap_dev, float(np.max(np.abs(overlaps)))
 
 

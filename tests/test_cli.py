@@ -241,6 +241,13 @@ class TestVerifyCommand:
         if kernel == "wootters":
             assert "sampled: line projectivity and completeness on 18 of 62 line families (seed 0)" in out
 
+    def test_a_kernel_failing_validity_is_reported_not_raised(self, capsys):
+        # cos(eps) ~ 3e-8: the skewed kernel's entries reach 1e7 and miss the pairing tolerance
+        assert run("verify", "--dim", "4", "--kernel", "almost-symmetric", "--epsilon", "1.5707963") == 1
+        captured = capsys.readouterr()
+        assert "kernel conjugation pairing: FAIL" in captured.out.splitlines()
+        assert captured.err == "verification failed\n"
+
     def test_every_operator_checked_up_to_45(self, capsys):
         assert run("verify", "--dim", "45", "--kernel", "wootters") == 0
         assert "sampled" not in capsys.readouterr().out

@@ -13,7 +13,8 @@ the absence of error on grids through the target angle.  The FFT
 rotation of ``reconstruct`` back to the number basis and the row-FFT
 phase-overlap table are checked against their dense products for the
 three built-in kernels at dimensions 2 to 65 and angles up to 1e8, to
-1e-13, and the reconstruction must be exactly Hermitian.
+1e-13, and the reconstruction must be exactly Hermitian: its vectorised
+mirror of the upper triangle gives bit for bit the row loop's output.
 """
 
 import math
@@ -24,7 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
-from gridwigner.wigner import _phase_overlap_table
+from gridwigner.wigner import _phase_overlap_table, _to_number_basis
 from conftest import random_complex
 
 AGREE = 1e-12
@@ -130,6 +131,20 @@ def test_fft_rotation_matches_dense_and_is_exactly_hermitian(family, phi0, seed)
     assert np.all(np.diagonal(rec).imag == 0)
     z = _phase_overlap_table(grid, rho)
     assert _dev(z, oracles.phase_overlap_table(grid, rho)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(builtin, large_angles, st.integers(0, 2**32 - 1))
+def test_reconstruction_mirror_is_bitwise_the_row_loop(family, phi0, seed):
+    kernel = FAMILIES[family[1]](family[0])
+    d = kernel.dim
+    grid = gw.PhaseGrid(d, phi0)
+    w = gw.wigner_grid(grid, kernel, gw.random_density(d, np.random.default_rng(seed)))
+    expected = _to_number_basis(grid, gw.phase_matrix_elements(w, kernel))
+    for a in range(1, d):
+        expected[a, :a] = expected[:a, a].conj()
+    np.fill_diagonal(expected.imag, 0.0)
+    assert gw.reconstruct(w, kernel).tobytes() == expected.tobytes()
 
 
 @SETTINGS

@@ -182,3 +182,26 @@ class TestKernelIO:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             gw.kernel_from_table(np.ones((2, 3)))
+
+
+NON_INTEGERS = {
+    "fock level True": lambda: gw.fock_state(3, True),
+    "fock level 1.5": lambda: gw.fock_state(3, 1.5),
+    "fock dim 3.0": lambda: gw.fock_state(3.0, 1),
+    "phase index 0.5": lambda: gw.phase_state(3, 0.5),
+    "mixed dim 2.0": lambda: gw.maximally_mixed(2.0),
+    "superposition dim True": lambda: gw.superposition01(True),
+    "random dim 2.5": lambda: gw.random_density(2.5, np.random.default_rng(0)),
+    "symmetric N 2.5": lambda: gw.symmetric_kernel(2.5),
+    "wootters N True": lambda: gw.wootters_kernel(True),
+    "almost-symmetric N 1.5": lambda: gw.almost_symmetric_kernel(1.5),
+    "epsilon N 1.5": lambda: gw.default_epsilon(1.5),
+    "grid dim True": lambda: gw.PhaseGrid(True),
+    "line n2 True": lambda: gw.Line(1, True, 0, 3),
+}
+
+
+@pytest.mark.parametrize("make", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_sizes_and_levels_reject_non_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()

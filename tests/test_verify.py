@@ -1,20 +1,26 @@
 """The identity suite against the dense suite it replaced.
 
 ``oracles.verify_dense`` builds the whole ``dim**4`` operator table, forms
-the complex overlap product and loops over every line-family labelling.
-The library checks the same identities on the operators and families its
-budget allows: real overlaps contracted from the operators' factor
-tables, an FFT-predicted overlap table, line projectors from placed
-Fourier coefficients and Freivalds' projectivity test.  Both must give
-the same PASS/FAIL verdict on every check and deviations within 1e-12,
-for every valid dimension 3..45 of the three built-in kernels and for
-random custom kernels.  The two overlap deviations of the dense suite
-also carry the imaginary roundoff of its complex product (up to 2.4e-12
-at dim 45), which the real overlaps do not form; that residue is allowed
-on top.  With the budget shrunk so that sampling runs at these sizes, the
-verdicts must not change.  The overlaps also match the explicit real
-Gram product of the checked operators, and the placed line coefficients
-match the FFT2 of the line indicators.
+the complex overlap product and loops over every line and every
+line-family labelling.  The library checks the same identities through
+displacement covariance: every operator is a clock and shift conjugate of
+an operator ``Omega(0, n)``, and every line projector of a family a
+displacement conjugate of the family's line through the origin, so it
+builds the operators ``Omega(0, n)`` of the levels its budget allows,
+reads all their overlaps from one FFT of the factor-table products,
+checks one axis line per axis and the exact projectivity of one projector
+per family.  Both must give the same PASS/FAIL verdict on every check and
+deviations within 1e-12, for every valid dimension 3..45 of the three
+built-in kernels and for random custom kernels, whose tilted lines are no
+projectors: there the projectivity deviation is matched to 1e-12
+relative.  The two overlap deviations of the dense suite also carry the
+imaginary roundoff of its complex product (up to 2.4e-12 at dim 45), which
+the real overlaps do not form; that residue is allowed on top.  With the
+budget shrunk so that sampling runs at these sizes, the verdicts must not
+change.  The overlaps also match the explicit real Gram product of the
+checked operators, the placed line coefficients match the FFT2 of the line
+indicators, and the covariance itself is checked on the oracle operators
+and line projectors.
 """
 
 import functools
@@ -113,10 +119,12 @@ def test_custom_kernels_match_the_dense_suite(d, phi0, seed, unimodular):
     _assert_agree(q, dense, lines=False)
     assert report.unimodular == unimodular
     if d % 2:
-        # tilted lines of a custom kernel are no projectors: the estimate must fail with the norm
+        # tilted lines of a custom kernel are no projectors: the exact norm must match the dense one
         line_report = gw.verify_lines(q)
-        assert (line_report.projectivity_dev <= gw.TOL) == (dense["projectivity_dev"] <= gw.TOL)
-        assert (line_report.completeness_dev <= gw.TOL) == (dense["line_completeness_dev"] <= gw.TOL)
+        dense_p = dense["projectivity_dev"]
+        assert abs(line_report.projectivity_dev - dense_p) <= AGREE * max(1.0, dense_p)
+        assert (line_report.projectivity_dev <= gw.TOL) == (dense_p <= gw.TOL)
+        assert abs(line_report.completeness_dev - dense["line_completeness_dev"]) <= AGREE
 
 
 def test_non_unimodular_custom_kernel_fails_orthogonality_in_both():
@@ -235,3 +243,42 @@ def test_placed_line_coefficients_match_the_indicator_fft(d, phi0, seed, custom)
 def test_placed_line_coefficients_where_n1_is_no_unit(d, n1, n2):
     q = gw.build_quantizer(gw.PhaseGrid(d, 0.37), gw.wootters_kernel(d // 2))
     _assert_lines_match_the_indicator_fft(q, n1, n2)
+
+
+def _conjugator(grid, a, b):
+    """``V**a (U^+)**b``, which takes ``Omega(m, n)`` to ``Omega(m + a, n + b)``."""
+    u_dagger = gw.u_op(grid).conj().T
+    return np.linalg.matrix_power(gw.v_op(grid), a) @ np.linalg.matrix_power(u_dagger, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 15),
+    phi0=st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e8, 1e8)),
+    seed=st.integers(0, 2**32 - 1),
+    custom=st.booleans(),
+)
+def test_operators_and_lines_are_displacement_covariant(d, phi0, seed, custom):
+    rng = np.random.default_rng(seed)
+    if custom:
+        kernel = oracles.random_kernel(d, rng, unimodular=bool(rng.integers(2)))
+    elif d % 2:
+        kernel = (gw.symmetric_kernel, gw.wootters_kernel)[rng.integers(2)](d // 2)
+    else:
+        kernel = gw.almost_symmetric_kernel(d // 2)
+    grid = gw.PhaseGrid(d, phi0)
+    om = oracles.omega(grid, kernel)
+    clock, shift = _conjugator(grid, 1, 0), _conjugator(grid, 0, 1)
+    assert np.max(np.abs(np.roll(om, -1, axis=0) - clock @ om @ clock.conj().T)) <= AGREE
+    assert np.max(np.abs(np.roll(om, -1, axis=1) - shift @ om @ shift.conj().T)) <= AGREE
+    if d % 2:
+        n1s, n2s = gw.tomography._line_families(d)
+        f = rng.integers(len(n1s))
+        n1, n2 = int(n1s[f]), int(n2s[f])
+        origin = oracles.line_projector(grid, kernel, gw.Line(n1, n2, 0, d))
+        a, b = np.divmod(np.arange(d * d), d)
+        for n3 in {0, 1, int(rng.integers(d))}:
+            at = np.flatnonzero((n1 * a + n2 * b) % d == n3)[0]
+            x = _conjugator(grid, int(a[at]), int(b[at]))
+            line = oracles.line_projector(grid, kernel, gw.Line(n1, n2, n3, d))
+            assert np.max(np.abs(line - x @ origin @ x.conj().T)) <= AGREE
