@@ -1,17 +1,24 @@
-"""JSON files of the state, kernel and grid formats.
+"""JSON files of the state, kernel and grid formats, and the one opener of
+every output file.
 
-Writers send each table through the C encoder of :func:`json.dumps` one
-row at a time, so a file is byte-identical to ``json.dump`` of the same
-nested lists but is never held in memory as one string.  A complex table
-that is exactly Hermitian off its diagonal formats each conjugate pair
-once.  Readers accept JSON numbers only: strings, booleans and nulls are
+Every writer of the package, JSON and CSV, opens its file with
+:func:`open_out`, which rewrites a file in place: the old blocks are
+reused and only the tail beyond the new text is trimmed.  JSON writers
+send each table through the C encoder of :func:`json.dumps` one row at a
+time, so a file is byte-identical to ``json.dump`` of the same nested
+lists but is never held in memory as one string.  A complex table that is
+exactly Hermitian off its diagonal formats each conjugate pair once.
+Readers accept JSON numbers only: strings, booleans and nulls are
 rejected, not coerced.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from itertools import chain
+from stat import S_ISREG
 
 import numpy as np
 
@@ -47,13 +54,32 @@ def _pair_rows(table: np.ndarray):
         yield f"[[{'], ['.join(lower)}], {text[1:]}" if i else text
 
 
+@contextmanager
+def open_out(path):
+    """A text handle that rewrites ``path`` from offset 0, creating it if needed.
+
+    The file is opened without ``O_TRUNC`` and cut at the final position on
+    exit, also when the writer raises: a regular file then holds the text
+    written so far and nothing of its old content, as after ``open(path,
+    "w")``, but its blocks are not freed and allocated again.  A target that
+    is not a regular file (``/dev/null``, a FIFO) is written and not cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            yield fh
+        finally:
+            if S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_json(path, obj: dict) -> None:
     """Write ``obj`` in key order; an ndarray value is a table written by rows.
 
     A complex table is square and written as ``[re, im]`` pairs by
     :func:`_pair_rows`.
     """
-    with open(path, "w") as fh:
+    with open_out(path) as fh:
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
             fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")

@@ -4,7 +4,8 @@ convergence tables and inter-kernel relation transforms.
 Exit codes: 0 success, 1 unexpected identity failure, 2 invalid state or
 malformed grid file, 3 kernel/dimension mismatch or invalid grid
 parameters, 4 reconstruction residual too large, 5 invalid continuum
-embedding.  Malformed input exits with its code and one ``error:`` line.
+embedding, 6 output file cannot be written.  Malformed input and an
+unwritable ``--out`` exit with their code and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from ._jsonio import read_json
 from .linalg import TOL, adjoint, frob_dist, is_positive_semidefinite, psd_deficit
 from .kernels import (
     Kernel,
+    KernelValidity,
     almost_symmetric_kernel,
     load_kernel,
     symmetric_kernel,
@@ -39,6 +41,7 @@ from .states import (
     superposition01,
 )
 from .tomography import (
+    ConvergenceReport,
     EmbeddingError,
     _halfgrid_from_json,
     continuum_study,
@@ -71,6 +74,7 @@ EXIT_BAD_STATE = 2
 EXIT_KERNEL_MISMATCH = 3
 EXIT_RESIDUAL = 4
 EXIT_BAD_EMBEDDING = 5
+EXIT_WRITE = 6
 
 
 class CliError(Exception):
@@ -85,6 +89,14 @@ def _fail(code: int, message: str) -> CliError:
 
 def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
     """Build the kernel named on the command line, enforcing parity rules."""
+    return _resolve_kernel_validity(name, dim, epsilon)[0]
+
+
+def _resolve_kernel_validity(
+    name: str, dim: int, epsilon: float | None
+) -> tuple[Kernel, KernelValidity | None]:
+    """The kernel of :func:`_resolve_kernel` and, for a ``file:`` kernel, the
+    validity that admitted it (``None`` for a built-in family)."""
     if name == "symmetric" or name == "wootters":
         if dim % 2 == 0 or dim < 3:
             raise _fail(
@@ -92,7 +104,7 @@ def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
                 f"kernel {name!r} requires an odd dimension >= 3, got {dim}",
             )
         n_half = (dim - 1) // 2
-        return symmetric_kernel(n_half) if name == "symmetric" else wootters_kernel(n_half)
+        return (symmetric_kernel(n_half) if name == "symmetric" else wootters_kernel(n_half)), None
     if name == "almost-symmetric":
         if dim % 2 or dim < 2:
             raise _fail(
@@ -100,7 +112,7 @@ def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
                 f"kernel 'almost-symmetric' requires an even dimension >= 2, got {dim}",
             )
         try:
-            return almost_symmetric_kernel(dim // 2, epsilon)
+            return almost_symmetric_kernel(dim // 2, epsilon), None
         except ValueError as exc:
             raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
     if name.startswith("file:"):
@@ -114,9 +126,10 @@ def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
                 EXIT_KERNEL_MISMATCH,
                 f"kernel file dimension {kernel.dim} does not match --dim {dim}",
             )
-        if not validate(kernel).valid:
+        validity = validate(kernel)
+        if not validity.valid:
             raise _fail(EXIT_KERNEL_MISMATCH, "kernel file fails the validity conditions")
-        return kernel
+        return kernel, validity
     raise _fail(EXIT_KERNEL_MISMATCH, f"unknown kernel {name!r}")
 
 
@@ -184,12 +197,17 @@ def cmd_wigner(args) -> int:
     print(f"number marginal max deviation: {np.max(np.abs(number_m - number_true)):.3e}")
 
     out = args.out or "wigner.json"
-    if args.format == "csv":
-        wigner_to_csv(w, out)
-    else:
-        wigner_to_json(w, out)
+    _write(wigner_to_csv if args.format == "csv" else wigner_to_json, w, out)
     print(f"wrote {out}")
     return EXIT_OK
+
+
+def _write(write, obj, path) -> None:
+    """Write ``obj`` to ``path``; a file that cannot be written exits 6."""
+    try:
+        write(obj, path)
+    except OSError as exc:
+        raise _fail(EXIT_WRITE, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _grid_residual(w: WignerGrid, kernel: Kernel, rho: np.ndarray) -> float:
@@ -268,7 +286,7 @@ def cmd_reconstruct(args) -> int:
 
     print(f"round-trip residual: {residual:.3e}")
     out = args.out or "state.json"
-    save_density_json(rho, out)
+    _write(save_density_json, rho, out)
     print(f"wrote {out}")
     if residual > 10 * TOL:
         raise _fail(EXIT_RESIDUAL, f"round-trip residual {residual:.3e} exceeds tolerance")
@@ -293,11 +311,12 @@ def _print_sample(checks: str, checked: int, total: int, units: str, seed: int |
 
 
 def cmd_verify(args) -> int:
-    kernel = _resolve_kernel(args.kernel, args.dim, args.epsilon)
+    kernel, validity = _resolve_kernel_validity(args.kernel, args.dim, args.epsilon)
     grid = _resolve_grid(args.dim, args.phi0)
 
     ok = True
-    validity = validate(kernel)
+    if validity is None:
+        validity = validate(kernel)
     for cond, value in (
         ("kernel nonvanishing", validity.nonvanishing),
         ("kernel conjugation pairing", validity.hermitian_pairing),
@@ -391,7 +410,7 @@ def cmd_converge(args) -> int:
     slope = report.slope()
     print(f"fitted error slope: {'n/a' if slope is None else f'{slope:.3f}'}")
     out = args.out or "converge.csv"
-    report.to_csv(out)
+    _write(ConvergenceReport.to_csv, report, out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -431,7 +450,7 @@ def cmd_relate(args) -> int:
         print(f"max deviation vs direct: {np.max(np.abs(out_grid.values - direct.values)):.3e}")
 
     out = args.out or "related.json"
-    wigner_to_json(out_grid, out)
+    _write(wigner_to_json, out_grid, out)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import integer, number, number_table, read_json, write_json
+from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .phasespace import PhaseGrid, _as_index, _displacement_sum, _reduced
 from .quantizer import Quantizer, _checked, _chunks, _line_sums, _max_norm, _place_lines
 from .wigner import WignerGrid, _real_or_raise, check_density
@@ -425,7 +425,7 @@ class ConvergenceReport:
         return float(x @ np.log([r.abs_error for r in rows]) / (x @ x))
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with open_out(path) as fh:
             fh.write("N,n,phi_grid,scaled_value,target,abs_error\n")
             for r in self.rows:
                 fh.write(

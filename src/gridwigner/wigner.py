@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonio import integer, number, number_table, read_json, write_json
+from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .linalg import TOL, is_hermitian, is_positive_semidefinite
 from .kernels import Kernel
 from .phasespace import PhaseGrid, _angle_phases, characteristic, operator_from_characteristic
@@ -206,8 +206,7 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     within ``10 * TOL``.
     """
     rho = _to_number_basis(w.grid, phase_matrix_elements(w, kernel))
-    lower = np.tri(w.dim, k=-1, dtype=bool)
-    rho[lower] = rho.T[lower].conj()
+    _mirror_upper(rho)
     np.fill_diagonal(rho.imag, 0.0)
     if validate_state:
         try:
@@ -215,6 +214,31 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
         except ValueError as exc:
             raise ReconstructionError(str(exc)) from exc
     return rho
+
+
+_BAND = 128
+_BANDED_ROWS = 512
+_BELOW = np.tri(_BAND, k=-1, dtype=bool)
+
+
+def _mirror_upper(rho: np.ndarray) -> None:
+    """Set each entry below the diagonal to the conjugate of its mirror, in place.
+
+    The first 512 rows go a band of 128 rows at a time: one transposed copy
+    left of the band's diagonal block, a mask inside it.  Later rows go one
+    at a time, each reading one column of the upper triangle; at d >= 1025
+    that is faster than a transposed copy per band.  Either way entry
+    ``(a, b)`` is the bitwise conjugate of ``(b, a)``.
+    """
+    d = len(rho)
+    for i in range(0, min(d, _BANDED_ROWS), _BAND):
+        j = min(i + _BAND, d)
+        if i:
+            np.conjugate(rho[:i, i:j].T, out=rho[i:j, :i])
+        block, below = rho[i:j, i:j], _BELOW[: j - i, : j - i]
+        block[below] = block.T[below].conj()
+    for a in range(_BANDED_ROWS, d):
+        np.conjugate(rho[:a, a], out=rho[a, :a])
 
 
 def _to_number_basis(grid: PhaseGrid, elements: np.ndarray) -> np.ndarray:
@@ -254,7 +278,7 @@ def _wigner_from_json(obj: dict) -> WignerGrid:
 
 def wigner_to_csv(w: WignerGrid, path) -> None:
     """Write a Wigner grid as CSV rows ``m,n,phi,value`` (17 digits)."""
-    with open(path, "w") as fh:
+    with open_out(path) as fh:
         fh.write("m,n,phi,value\n")
         args = [0] * (2 * w.dim)  # n, value, n, value, ...
         args[::2] = range(w.dim)

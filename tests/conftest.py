@@ -9,3 +9,28 @@ def rng():
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+WRITING = ["wigner-json", "wigner-csv", "reconstruct", "reconstruct-half", "converge", "relate-odd", "relate-even"]
+
+
+def writing_commands(tmp_path):
+    """``{name: argv}`` without ``--out`` for every CLI command that writes a file,
+    each valid, over input grids written into ``tmp_path``."""
+    import gridwigner as gw
+
+    grid, half = tmp_path / "grid.json", tmp_path / "half.json"
+    gw.wigner_to_json(gw.wigner_wootters(gw.PhaseGrid(5), gw.fock_state(5, 1)), grid)
+    gw.halfgrid_to_json(gw.leonhardt_wigner(1, 0.0, gw.qubit_state(0, 0, 1)), half)
+    wigner = ["wigner", "--dim", "5", "--kernel", "symmetric", "--state", "fock", "1"]
+    commands = {
+        "wigner-json": wigner,
+        "wigner-csv": [*wigner, "--format", "csv"],
+        "reconstruct": ["reconstruct", "--grid", str(grid)],
+        "reconstruct-half": ["reconstruct", "--grid", str(half)],
+        "converge": ["converge", "--kernel", "symmetric", "--state", "fock", "1", "--n", "1", "--phi", "0.5", "--Ns", "5,10"],
+        "relate-odd": ["relate", "--direction", "odd", "--grid", str(grid)],
+        "relate-even": ["relate", "--direction", "even", "--grid", str(half)],
+    }
+    assert list(commands) == WRITING
+    return commands

@@ -61,3 +61,34 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing: ``os.open``, ``write_text``,
+    ``write_bytes``, or ``open``/``fdopen`` with a mode that is not a read."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and (func.value.id, func.attr) == ("os", "open"):
+        return True
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    read = lambda mode: isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")
+    return not all(map(read, modes))
+
+
+def test_every_output_file_is_opened_by_the_one_opener():
+    """No module opens a file for writing except ``_jsonio.open_out``."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        opener = [n for n in tree.body if isinstance(n, ast.FunctionDef) and (path.name, n.name) == ("_jsonio.py", "open_out")]
+        exempt = {id(node) for n in opener for node in ast.walk(n)}
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in exempt and _opens_for_writing(node)
+        ]
+    assert found == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gridwigner as gw
+from conftest import WRITING, writing_commands
 from gridwigner import cli
 from gridwigner.cli import main
 
@@ -522,6 +523,43 @@ class TestInputBoundary:
                 "--out", str(tmp_path / "w.json"),
             ) == 0
             assert len(calls) == 1, spec
+
+
+@pytest.mark.parametrize("command", WRITING)
+@pytest.mark.parametrize("target, reason", [("", "Is a directory"), ("missing/out", "No such file or directory")])
+def test_unwritable_out_exits_6_with_one_error_line(tmp_path, capsys, command, target, reason):
+    argv = writing_commands(tmp_path)[command]
+    out = tmp_path / target
+    assert run(*argv, "--out", str(out)) == cli.EXIT_WRITE
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_verify_validates_a_file_kernel_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = cli.validate
+
+    def counted(kernel, *args, **kwargs):
+        calls.append(kernel.label)
+        return original(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    path = tmp_path / "k.json"
+    gw.save_kernel(gw.wootters_kernel(2), path)
+    assert run("verify", "--dim", "5", "--kernel", f"file:{path}") == 0
+    assert calls == ["file"]
+    assert "kernel nonvanishing: PASS" in capsys.readouterr().out.splitlines()
+    calls.clear()
+    assert run("verify", "--dim", "5", "--kernel", "wootters") == 0
+    assert calls == ["wootters"]
+    bad = gw.wootters_kernel(2).values.copy()
+    bad[0, 1] = 0.5
+    gw.save_kernel(gw.kernel_from_table(bad), path)
+    calls.clear()
+    capsys.readouterr()
+    assert run("verify", "--dim", "5", "--kernel", f"file:{path}") == 3
+    assert capsys.readouterr().err == "error: kernel file fails the validity conditions\n"
+    assert calls == ["file"]
 
 
 class TestNonNumberEntries:

@@ -1,8 +1,9 @@
 """Fuzz of the command line over argv and file contents.
 
 Every run of the five subcommands must end in a documented exit code
-(0, 2, 3, 4 or 5), print at most one ``error:`` line (exactly one when
-it fails) and never raise.  Dimensions stay at or below 12 so that no
+(0, 2, 3, 4 or 5, and 6 when ``--out`` is a directory or lies in a
+missing one), print at most one ``error:`` line (exactly one when it
+fails) and never raise.  Dimensions stay at or below 12 so that no
 case allocates large arrays; ``converge`` grid sizes reach 10**6, since a
 continuum sweep costs O(support) per size and builds no table.
 """
@@ -23,6 +24,7 @@ from gridwigner.cli import main
 
 MAX_DIM = 12
 EXIT_CODES = {0, 2, 3, 4, 5}
+EXIT_WRITE = 6
 
 small_ints = st.integers(-2, MAX_DIM)
 odd_floats = st.sampled_from([math.nan, math.inf, -math.inf, math.pi / 2, math.pi / 4, 1e300, -0.0])
@@ -145,7 +147,7 @@ def options(pairs):
 
 
 def argvs(command, paths):
-    out = ["--out", paths["out"]]
+    out = st.sampled_from([paths["out"], paths["dir"], paths["missing"]]).map(lambda path: ["--out", path])
     phi0_eps = options([("--phi0", angles.map(repr)), ("--epsilon", angles.map(repr))])
     dims = st.one_of(small_ints.map(str), numbers)
     if command == "wigner":
@@ -153,12 +155,12 @@ def argvs(command, paths):
             st.just(["wigner", "--dim"]), dims.map(lambda d: [d]),
             kernel_specs(paths).map(lambda k: ["--kernel", k]), phi0_eps,
             state_specs(paths).map(lambda s: ["--state", *s]),
-            options([("--format", st.sampled_from(["json", "csv"]))]), st.just(out),
+            options([("--format", st.sampled_from(["json", "csv"]))]), out,
         ]
     elif command == "reconstruct":
         parts = [
             st.just(["reconstruct", "--grid", paths["grid"]]),
-            options([("--kernel", kernel_specs(paths)), ("--epsilon", angles.map(repr))]), st.just(out),
+            options([("--kernel", kernel_specs(paths)), ("--epsilon", angles.map(repr))]), out,
         ]
     elif command == "verify":
         parts = [
@@ -172,14 +174,14 @@ def argvs(command, paths):
             st.sampled_from(["symmetric", "wootters", "almost-symmetric", "bogus"]).map(lambda k: [k]),
             state_specs(paths).map(lambda s: ["--state", *s]),
             small_ints.map(lambda n: ["--n", str(n)]), angles.map(lambda p: ["--phi", repr(p)]),
-            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", angles.map(repr))]), st.just(out),
+            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", angles.map(repr))]), out,
         ]
     else:
         parts = [
             st.just(["relate", "--direction"]), st.sampled_from([["odd"], ["even"]]),
             st.just(["--grid", paths["grid"]]),
             st.one_of(st.just([]), state_specs(paths).map(lambda s: ["--state", *s])),
-            options([("--epsilon", angles.map(repr))]), st.just(out),
+            options([("--epsilon", angles.map(repr))]), out,
         ]
     return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
 
@@ -200,12 +202,14 @@ def run_cli(argv):
 def test_cli_exits_with_a_documented_code(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: str(Path(tmp) / f"{name}.json") for name in ("state", "kernel", "grid", "out")}
+        paths.update(dir=tmp, missing=str(Path(tmp) / "missing" / "out.json"))
         Path(paths["state"]).write_text(data.draw(state_files(), label="state file"))
         Path(paths["kernel"]).write_text(data.draw(kernel_files(), label="kernel file"))
         Path(paths["grid"]).write_text(data.draw(grid_files(), label="grid file"))
         argv = data.draw(argvs(command, paths), label="argv")
         code, err = run_cli(argv)
-    assert code in EXIT_CODES, (code, err)
+    unwritable = argv[-2:] in (["--out", paths["dir"]], ["--out", paths["missing"]])
+    assert code in (EXIT_CODES - {0} | {EXIT_WRITE} if unwritable else EXIT_CODES), (code, err)
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert len(error_lines) == (code != 0), err
     assert "Traceback" not in err

@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
-from gridwigner.wigner import _phase_overlap_table, _to_number_basis
+from gridwigner.wigner import _mirror_upper, _phase_overlap_table, _to_number_basis
 from conftest import random_complex
 
 AGREE = 1e-12
@@ -145,6 +145,21 @@ def test_reconstruction_mirror_is_bitwise_the_row_loop(family, phi0, seed):
         expected[a, :a] = expected[:a, a].conj()
     np.fill_diagonal(expected.imag, 0.0)
     assert gw.reconstruct(w, kernel).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(1, 300), st.integers(510, 700)), st.integers(0, 2**32 - 1))
+def test_banded_mirror_is_bitwise_the_row_loop(d, seed):
+    """Both parts of the mirror: bands of 128 rows, then single rows from row 512."""
+    rng = np.random.default_rng(seed)
+    table = random_complex(rng, d, d)
+    for value in (complex(math.nan, -0.0), complex(-0.0, math.inf), complex(0.0, -0.0)):
+        table.flat[rng.integers(d * d)] = value
+    expected = table.copy()
+    for a in range(1, d):
+        expected[a, :a] = expected[:a, a].conj()
+    _mirror_upper(table)
+    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))  # bitwise, NaN included
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """The file layer: streaming writers against the ``json.dump`` and per-value
-CSV oracles, exact round trips, and loaders that accept JSON numbers only.
+CSV oracles, exact round trips, in-place rewrites of existing files, and
+loaders that accept JSON numbers only.
 
 Tables have side 1 to 40 and carry the float edge values ``-0.0``,
 ``5e-324``, ``1e308`` and ``1e-300`` at random places; the exactly
@@ -9,7 +10,10 @@ and singly.
 
 import json
 import math
+import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
+from conftest import WRITING, writing_commands
 from gridwigner import _jsonio
 
 EDGES = (-0.0, 5e-324, 1e308, 1e-300, -1e308, 0.0)
@@ -177,6 +182,9 @@ def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
             sizes.append(len(text))
             return self.fh.write(text)
 
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
         def __enter__(self):
             return self
 
@@ -199,6 +207,126 @@ def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
         rows = json.loads(text)[key]
         assert sum(sizes) == len(text) and len(sizes) > len(rows) >= 6
         assert max(sizes) <= len(", ") + max(len(json.dumps(row)) for row in rows)
+
+
+# --- every writer rewrites its file in place ---------------------------------
+
+
+def _routes():
+    """Every writer route with a small object: ``{name: (write, obj)}``."""
+    rng = np.random.default_rng(5)
+    kernel = gw.symmetric_kernel(2)
+    grid = gw.WignerGrid(gw.PhaseGrid(5, 0.37), "symmetric", rng.standard_normal((5, 5)))
+    return {
+        "state": (gw.save_density_json, gw.reconstruct(gw.wigner_grid(gw.PhaseGrid(5), kernel, gw.random_density(5, rng)), kernel)),
+        "kernel": (gw.save_kernel, kernel),
+        "grid-json": (gw.wigner_to_json, grid),
+        "half-grid": (gw.halfgrid_to_json, gw.HalfIntegerWignerGrid(2, 0.37, rng.standard_normal((8, 8)))),
+        "grid-csv": (gw.wigner_to_csv, grid),
+        "converge-csv": (gw.ConvergenceReport.to_csv, gw.continuum_study(gw.superposition01(), "symmetric", 0, 0.5, [5, 10, 20])),
+    }
+
+
+ROUTES = _routes()
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_overwriting_a_file_gives_the_bytes_of_a_fresh_write(tmp_path, route):
+    write, obj = ROUTES[route]
+    fresh = tmp_path / "fresh"
+    write(obj, fresh)
+    expected = fresh.read_bytes()
+    for old in (b"#" * (3 * len(expected) + 4097), b"#" * (len(expected) // 2), expected + b"\n"):
+        path = tmp_path / "old"
+        path.write_bytes(old)
+        write(obj, path)
+        assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_writers_never_truncate_on_open(tmp_path, monkeypatch, route):
+    flags = []
+    real_open = os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    write, obj = ROUTES[route]
+    path = tmp_path / "f"
+    path.write_bytes(b"#" * 100_000)
+    write(obj, path)
+    assert flags == [os.O_WRONLY | os.O_CREAT]
+    assert b"#" not in path.read_bytes()
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_writer_failing_midway_leaves_no_old_tail(tmp_path, monkeypatch, route):
+    """As after ``open(path, "w")``: the text written so far, nothing of the old file."""
+    write, obj = ROUTES[route]
+    fresh = tmp_path / "fresh"
+    write(obj, fresh)
+    expected = fresh.read_bytes()
+
+    class FailsOnThirdWrite:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise Boom
+            return self.fh.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(_jsonio, "open", lambda *a, **k: FailsOnThirdWrite(open(*a, **k)), raising=False)
+    path = tmp_path / "old"
+    path.write_bytes(b"#" * (2 * len(expected)))
+    with pytest.raises(Boom):
+        write(obj, path)
+    left = path.read_bytes()
+    assert 0 < len(left) < len(expected) and expected.startswith(left)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_fifo_is_written_and_not_truncated(tmp_path, route):
+    write, obj = ROUTES[route]
+    fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+    write(obj, fresh)
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        write(obj, fifo)
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive() and received == [fresh.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+@pytest.mark.parametrize("command", WRITING)
+def test_cli_writes_to_the_null_device(tmp_path, capsys, command):
+    from gridwigner.cli import main
+
+    assert main([*writing_commands(tmp_path)[command], "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 # --- loaders take JSON numbers only ------------------------------------------
