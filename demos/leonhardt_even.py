@@ -33,7 +33,7 @@ for jn in range(4 * N):
 
 eps = 1.0 / (2 * N)
 related = gw.relate_even(half, eps)
-direct = gw.wigner_almost_symmetric(gw.PhaseGrid(dim), rho, eps)
+direct = gw.wigner_grid(gw.PhaseGrid(dim), gw.almost_symmetric_kernel(N, eps), rho)
 print(
     f"\nhalf grid -> skewed-cosine grid (eps = {eps}): "
     f"max deviation from direct computation {np.max(np.abs(related.values - direct.values)):.2e}"

@@ -30,7 +30,7 @@ for dim, kernel in [
     print(f"{kernel.label} kernel, dim {dim}: worst recovery error {worst:.2e}")
 
 # a unimodular kernel inverts by quantization: rho = dim * quantize(W);
-# the closed-form cosine-kernel table inverts through reconstruct
+# the cosine-kernel table of the same state inverts through reconstruct
 grid = gw.PhaseGrid(5, phi0=0.1)
 rho = gw.random_density(5, rng)
 q = gw.build_quantizer(grid, gw.wootters_kernel(2))
@@ -38,9 +38,9 @@ w = gw.wigner(q, rho)
 short = w.dim * gw.quantize(q, w.values)
 print(f"unimodular identity error:   {gw.frob_dist(short, rho):.2e}")
 
-w_sym = gw.wigner_symmetric(grid, rho)
+w_sym = gw.wigner_grid(grid, gw.symmetric_kernel(2), rho)
 closed = gw.reconstruct(w_sym, gw.symmetric_kernel(2))
-print(f"cosine closed-form error:    {gw.frob_dist(closed, rho):.2e}")
+print(f"cosine kernel error:         {gw.frob_dist(closed, rho):.2e}")
 
 with tempfile.TemporaryDirectory() as tmp:
     json_path = Path(tmp) / "grid.json"

@@ -61,15 +61,11 @@ from .wigner import (
     expectation,
     load_wigner,
     marginals,
-    phase_matrix_elements,
     reconstruct,
     wigner,
-    wigner_almost_symmetric,
     wigner_grid,
-    wigner_symmetric,
     wigner_to_csv,
     wigner_to_json,
-    wigner_wootters,
 )
 from .tomography import (
     ConvergenceReport,
@@ -91,6 +87,7 @@ from .tomography import (
     load_halfgrid,
     number_phase_target,
     phase_density,
+    relate,
     relate_even,
     relate_odd,
     verify_lines,

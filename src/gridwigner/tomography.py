@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
-from .phasespace import PhaseGrid, _as_index, _displacement_sum, _reduced
-from .quantizer import Quantizer, _checked, _chunks, _line_sums, _max_norm, _place_lines
+from .kernels import Kernel, symmetric_kernel, wootters_kernel
+from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _reduced
+from .quantizer import Quantizer, _checked, _chunks, _line_sums, _max_norm, _place_lines, _warn_if_ill_conditioned
 from .wigner import WignerGrid, _real_or_raise, check_density
 
 
@@ -261,12 +262,30 @@ def _convolve(values: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(c), s=values.shape)
 
 
-def relate_odd(w: WignerGrid) -> WignerGrid:
-    """Map a sign-kernel Wigner grid to the symmetric-kernel one.
+def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
+    """Map a Wigner grid of one kernel to the grid of another kernel on the same grid.
 
-    Exact finite-dimension identity: the table convolved with
-    ``cos(4*pi*x*y/dim) / dim``.  Input and output share the grid and the state.
+    Exact finite-dimension identity: on one grid the two tables differ by
+    the kernel ratio in Fourier space, ``W_to = Re fft2(ifft2(W_from) *
+    K_to / K_from)`` (the angle factor cancels).  Division by ``K_from``
+    amplifies noise by up to ``max |K_to / K_from|``.  Input and output
+    share the grid and the state.
     """
+    if kernel_from.label != w.kernel_label:
+        raise ValueError(
+            f"kernel {kernel_from.label!r} does not match grid kernel {w.kernel_label!r}"
+        )
+    if kernel_from.dim != w.dim or kernel_to.dim != w.dim:
+        raise ValueError("kernel dimension does not match the Wigner grid")
+    _warn_if_ill_conditioned(kernel_from)
+    raw = np.fft.fft2(np.fft.ifft2(w.values) * (kernel_to.values / kernel_from.values))
+    return WignerGrid(
+        grid=w.grid, kernel_label=kernel_to.label, values=_real_or_raise(raw), epsilon=kernel_to.eps
+    )
+
+
+def relate_odd(w: WignerGrid) -> WignerGrid:
+    """Map a sign-kernel Wigner grid to the symmetric-kernel one (see :func:`relate`)."""
     if w.kernel_label != "wootters":
         raise ValueError(
             f"odd relation needs a sign-kernel grid, got {w.kernel_label!r}"
@@ -274,9 +293,9 @@ def relate_odd(w: WignerGrid) -> WignerGrid:
     d = w.dim
     if d % 2 == 0:
         raise ValueError("odd relation requires an odd dimension")
-    idx = np.arange(d)
-    c = np.cos(4.0 * np.pi * (np.outer(idx, idx) % d) / d) / d
-    return WignerGrid(grid=w.grid, kernel_label="symmetric", values=_convolve(w.values, c))
+    if d == 1:  # both kernels are the table [[1]]
+        return WignerGrid(grid=w.grid, kernel_label="symmetric", values=w.values)
+    return relate(w, wootters_kernel(d // 2), symmetric_kernel(d // 2))
 
 
 def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
@@ -347,10 +366,13 @@ def number_phase_target(rho_small, n: int, phi: float) -> float:
 
     The real part of the state's matrix element between the number level
     and the continuum phase vector, with ``<phi|n> = e^{-i n phi} / sqrt(2 pi)``.
+    Every factor is ``e^{i k phi}`` with an integer ``k``, taken at ``phi``
+    reduced mod 2 pi (so for :func:`wootters_target` and :func:`phase_density`).
     """
     r = np.asarray(rho_small, dtype=complex)
     if n >= r.shape[0]:
         return 0.0
+    phi = _reduced(phi)
     z = np.exp(-1j * n * phi) * np.sum(r[n, :] * np.exp(1j * np.arange(r.shape[0]) * phi))
     return float(z.real) / (2.0 * np.pi)
 
@@ -363,7 +385,7 @@ def wootters_target(rho_small, n: int, phi: float) -> float:
     """
     r = np.asarray(rho_small, dtype=complex)
     offsets, coeffs = _antidiagonal(r, n)
-    return float(np.sum(np.exp(1j * offsets * phi) * coeffs).real) / (2.0 * np.pi)
+    return float(np.sum(np.exp(1j * offsets * _reduced(phi)) * coeffs).real) / (2.0 * np.pi)
 
 
 def _antidiagonal(r: np.ndarray, n: int):
@@ -376,7 +398,7 @@ def phase_density(rho_small, phi: float) -> float:
     """Continuum phase marginal ``<phi|rho|phi>`` of a finite-rank state."""
     r = np.asarray(rho_small, dtype=complex)
     idx = np.arange(r.shape[0])
-    v = np.exp(1j * idx * phi)
+    v = np.exp(1j * idx * _reduced(phi))
     return float(np.real(v.conj() @ r @ v)) / (2.0 * np.pi)
 
 
@@ -435,7 +457,7 @@ class ConvergenceReport:
 
 
 def _nearest_grid_index(grid: PhaseGrid, phi: float) -> int:
-    frac = (phi - grid.phi0) * grid.dim / (2.0 * np.pi)
+    frac = (_reduced(phi) - grid.phi0_reduced) * grid.dim / (2.0 * np.pi)
     return int(round(frac)) % grid.dim
 
 
@@ -467,6 +489,8 @@ def continuum_study(
     ``cos eps``, ``eps = 1/(2N)``) or the anti-diagonal sum
     ``Re sum_{a+b=2n} rho[a, b] e^{i(b - a) phi_m}`` (wootters; no pair
     wraps modulo ``dim`` because ``n + s < N``).  Each size costs O(s).
+    The nearest index and the factors ``e^{i k phi_m}`` take both angles
+    reduced mod 2 pi, so a large ``phi`` or ``phi0`` keeps its precision.
     """
     if kernel_family not in ("symmetric", "wootters", "almost-symmetric"):
         raise ValueError(f"unknown kernel family {kernel_family!r}")
@@ -490,7 +514,9 @@ def continuum_study(
 
     odd = kernel_family != "almost-symmetric"
     grids = [PhaseGrid(2 * N + odd, phi0) for N in n_list]
-    phi_grid = np.array([g.phi(_nearest_grid_index(g, phi)) for g in grids])
+    m = [_nearest_grid_index(g, phi) for g in grids]
+    phi_grid = [g.phi(i) for g, i in zip(grids, m)]
+    angles = np.array([_angles(g, i) for g, i in zip(grids, m)])
     if kernel_family == "wootters":
         offsets, coeffs = _antidiagonal(r, n)
         target = wootters_target(r, n, phi)
@@ -498,7 +524,7 @@ def continuum_study(
         offsets = np.arange(len(r)) - n
         coeffs = r[n] if n < len(r) else np.zeros(len(r))
         target = number_phase_target(r, n, phi)
-    z = np.exp(1j * np.multiply.outer(phi_grid, offsets)) @ coeffs
+    z = np.exp(1j * np.multiply.outer(angles, offsets)) @ coeffs
     if kernel_family == "almost-symmetric":
         eps = 1.0 / np.array([float(g.dim) for g in grids])  # dim = 2N
         z = np.exp(1j * eps) * z / np.cos(eps)

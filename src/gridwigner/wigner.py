@@ -14,7 +14,7 @@ import numpy as np
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .linalg import TOL, is_hermitian, is_positive_semidefinite
 from .kernels import Kernel
-from .phasespace import PhaseGrid, _angle_phases, characteristic, operator_from_characteristic
+from .phasespace import PhaseGrid, characteristic, operator_from_characteristic
 from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
 
 #: Slack allowed on the smallest eigenvalue of a density operator.
@@ -105,53 +105,6 @@ def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = Tru
     )
 
 
-def _phase_overlap_table(grid: PhaseGrid, rho) -> np.ndarray:
-    """Table ``z[m, n] = <n|rho|phi_m><phi_m|n>``.
-
-    ``rho @ phase_basis`` is one inverse FFT along the rows of ``rho``
-    with ``exp(i*a*phi0)`` on its columns: O(dim**2 log dim).
-    """
-    d = grid.dim
-    c = _angle_phases(grid)
-    n = np.arange(d)
-    twiddle = np.exp(-2j * np.pi * n / d)[np.outer(n, n) % d]
-    return (np.fft.ifft(np.asarray(rho, dtype=complex) * c.conj().T, axis=1) * twiddle * c).T
-
-
-def wigner_symmetric(grid: PhaseGrid, rho) -> WignerGrid:
-    """Closed form of the symmetric-kernel Wigner function."""
-    vals = _phase_overlap_table(grid, rho).real
-    return WignerGrid(grid=grid, kernel_label="symmetric", values=vals)
-
-
-def wigner_almost_symmetric(grid: PhaseGrid, rho, eps: float) -> WignerGrid:
-    """Closed form of the even-dimension skewed Wigner function."""
-    z = _phase_overlap_table(grid, rho)
-    vals = np.real(np.exp(1j * eps) * z) / np.cos(eps)
-    return WignerGrid(
-        grid=grid, kernel_label="almost-symmetric", values=vals, epsilon=float(eps)
-    )
-
-
-def wigner_wootters(grid: PhaseGrid, rho) -> WignerGrid:
-    """Closed form of the sign-kernel Wigner function (odd dimensions).
-
-    Sums the state's anti-diagonals: the pair ``(n', n'')`` contributes
-    at level ``n`` when ``n' + n''`` is congruent to ``2n`` mod dim.
-    """
-    d = grid.dim
-    if d % 2 == 0:
-        raise ValueError("sign kernel requires an odd dimension")
-    r = np.asarray(rho, dtype=complex)
-    a = np.arange(d)
-    b = (2 * a[:, None] - a) % d  # b[n, a]: the partner of a at level n
-    # the offsets b - a of one level are distinct mod odd d: one inverse DFT
-    g = np.zeros((d, d), dtype=complex)
-    g[a[:, None], (b - a) % d] = r[a, b] * np.exp(1j * (b - a) * grid.phi0_reduced)
-    raw = np.fft.ifft(g).T
-    return WignerGrid(grid=grid, kernel_label="wootters", values=_real_or_raise(raw))
-
-
 def expectation(w: WignerGrid, values) -> complex:
     """Grid average of a function against the Wigner table."""
     v = np.asarray(values, dtype=complex)
@@ -165,89 +118,40 @@ def marginals(w: WignerGrid):
     return w.values.sum(axis=1), w.values.sum(axis=0)
 
 
-def phase_matrix_elements(w: WignerGrid, kernel: Kernel) -> np.ndarray:
-    """Phase-basis matrix elements of the state behind a Wigner grid.
+def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
+    """Recover the density operator behind a Wigner grid.
 
-    Entry ``[r', r]`` is ``<phi_r'|rho|phi_r>``.  The upper triangle
-    (``r >= r'``) comes from the kernel-division inversion; the lower
-    one is filled by conjugation.  A diagonal imaginary residue signals
-    an inconsistent input grid.
+    The exact inverse of :func:`wigner_grid`: ``ifft2(W)`` divided by the
+    kernel weights is the state's characteristic function, mapped back by
+    :func:`operator_from_characteristic` (one inverse FFT2, one division and
+    one row FFT).  A kernel without the conjugation pairing leaves an
+    anti-Hermitian part; beyond ``10 * TOL`` times the largest entry (or
+    ``10 * TOL`` for entries up to 1, as for every state) it raises.  The
+    result is averaged with its adjoint, so its off-diagonal pairs are
+    bitwise conjugates and its diagonal imaginary parts are +0.0.  It must
+    satisfy the density-operator invariants within ``10 * TOL``.
     """
-    d = w.dim
-    if kernel.dim != d:
+    if kernel.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
     if kernel.label != w.kernel_label:
         raise ValueError(
             f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}"
         )
     _warn_if_ill_conditioned(kernel)
-    # Divide the grid's displacement traces by the kernel, then invert.  In
-    # the phase basis D(k, l) shifts by l, so that is the core's inverse with
-    # k and l swapped, on the zero-angle grid (phi0 cancels in the traces).
-    s = np.fft.ifft2(w.values, norm="forward")
-    elements = operator_from_characteristic(PhaseGrid(d), (s / kernel.values).T).T
-
-    diag_resid = float(np.max(np.abs(np.diagonal(elements).imag)))
-    if diag_resid > 10 * TOL:
-        raise ReconstructionError(
-            f"inconsistent Wigner grid: diagonal residue {diag_resid:.3e}"
-        )
-    upper = np.triu(elements, 1)
-    return upper + upper.conj().T + np.diag(np.diagonal(elements).real)
-
-
-def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
-    """Recover the density operator behind a Wigner grid.
-
-    Inverts the quantization map pair-by-pair in the phase basis and
-    rotates back to the number basis with two FFTs.  The upper triangle is
-    mirrored onto the lower one with a real diagonal, so the result is
-    exactly Hermitian.  It must satisfy the density-operator invariants
-    within ``10 * TOL``.
-    """
-    rho = _to_number_basis(w.grid, phase_matrix_elements(w, kernel))
-    _mirror_upper(rho)
-    np.fill_diagonal(rho.imag, 0.0)
+    chi = np.fft.ifft2(w.values) / _kernel_weights(w.grid, kernel)
+    rho = operator_from_characteristic(w.grid, chi)
+    h = rho.conj().T
+    defect = float(np.max(np.abs(rho - h)))
+    if not defect <= 10 * TOL * max(1.0, float(np.max(np.abs(rho)))):  # NaN fails too
+        raise ReconstructionError(f"inconsistent Wigner grid: anti-Hermitian part {defect:.3e}")
+    rho = (rho + h) / 2
+    # equal imaginary parts average to +0.0 on both sides: give the lower one the conjugate's sign
+    np.copysign(rho.imag, -rho.imag.T, out=rho.imag, where=np.tri(w.dim, k=-1, dtype=bool))
     if validate_state:
         try:
             check_density(rho, tol=10 * TOL)
         except ValueError as exc:
             raise ReconstructionError(str(exc)) from exc
-    return rho
-
-
-_BAND = 128
-_BANDED_ROWS = 512
-_BELOW = np.tri(_BAND, k=-1, dtype=bool)
-
-
-def _mirror_upper(rho: np.ndarray) -> None:
-    """Set each entry below the diagonal to the conjugate of its mirror, in place.
-
-    The first 512 rows go a band of 128 rows at a time: one transposed copy
-    left of the band's diagonal block, a mask inside it.  Later rows go one
-    at a time, each reading one column of the upper triangle; at d >= 1025
-    that is faster than a transposed copy per band.  Either way entry
-    ``(a, b)`` is the bitwise conjugate of ``(b, a)``.
-    """
-    d = len(rho)
-    for i in range(0, min(d, _BANDED_ROWS), _BAND):
-        j = min(i + _BAND, d)
-        if i:
-            np.conjugate(rho[:i, i:j].T, out=rho[i:j, :i])
-        block, below = rho[i:j, i:j], _BELOW[: j - i, : j - i]
-        block[below] = block.T[below].conj()
-    for a in range(_BANDED_ROWS, d):
-        np.conjugate(rho[:a, a], out=rho[a, :a])
-
-
-def _to_number_basis(grid: PhaseGrid, elements: np.ndarray) -> np.ndarray:
-    """``P @ elements @ P^H`` for ``P = phase_basis(grid)``, as two FFTs:
-    ``rho[a, b] = exp(i*(a - b)*phi0) * ifft(fft(E, axis=1), axis=0)[a, b]``."""
-    rho = np.fft.ifft(np.fft.fft(elements, axis=1), axis=0)
-    c = _angle_phases(grid)
-    rho *= c.conj()
-    rho *= c.T
     return rho
 
 

@@ -18,9 +18,10 @@ def writing_commands(tmp_path):
     """``{name: argv}`` without ``--out`` for every CLI command that writes a file,
     each valid, over input grids written into ``tmp_path``."""
     import gridwigner as gw
+    import oracles
 
     grid, half = tmp_path / "grid.json", tmp_path / "half.json"
-    gw.wigner_to_json(gw.wigner_wootters(gw.PhaseGrid(5), gw.fock_state(5, 1)), grid)
+    gw.wigner_to_json(oracles.wigner_wootters(gw.PhaseGrid(5), gw.fock_state(5, 1)), grid)
     gw.halfgrid_to_json(gw.leonhardt_wigner(1, 0.0, gw.qubit_state(0, 0, 1)), half)
     wigner = ["wigner", "--dim", "5", "--kernel", "symmetric", "--state", "fock", "1"]
     commands = {

@@ -21,8 +21,10 @@ shift unitary, the dyad sums of the displacement, of the sign-kernel
 phase-point operator and of the symmetric and almost-symmetric ones, the
 sign kernel's matrix elements, the displacement without its reference
 angle phase, the phase-vector and operator-trace half-integer Wigner
-tables, the closed inversion of the symmetric kernel (an O(dim**4) loop)
-and the point loop of ``line_points``.  The file writers at the end are
+tables, the closed inversion of the symmetric kernel (an O(dim**4) loop),
+the point loop of ``line_points``, the closed-form Wigner maps of the
+three built-in kernels (phase overlaps and anti-diagonal sums) and the
+cosine convolution of the odd relation.  The file writers at the end are
 the ``json.dump`` and per-value CSV forms whose output the streaming
 writers must reproduce byte for byte.
 """
@@ -119,6 +121,36 @@ def phase_overlap_table(grid, rho):
     """``z[m, n] = <n|rho|phi_m><phi_m|n>`` from the dense product ``rho @ P``."""
     p = gw.phase_basis(grid)
     return ((np.asarray(rho, dtype=complex) @ p) * p.conj()).T
+
+
+def wigner_symmetric(grid, rho):
+    """Closed form of the symmetric-kernel Wigner function: ``Re z``."""
+    return gw.WignerGrid(grid=grid, kernel_label="symmetric", values=phase_overlap_table(grid, rho).real)
+
+
+def wigner_almost_symmetric(grid, rho, eps):
+    """Closed form of the even-dimension skewed Wigner function:
+    ``Re(exp(i*eps) * z) / cos(eps)``."""
+    vals = np.real(np.exp(1j * eps) * phase_overlap_table(grid, rho)) / np.cos(eps)
+    return gw.WignerGrid(grid=grid, kernel_label="almost-symmetric", values=vals, epsilon=float(eps))
+
+
+def wigner_wootters(grid, rho):
+    """Closed form of the sign-kernel Wigner function (odd dimensions).
+
+    Sums the state's anti-diagonals: the pair ``(n', n'')`` contributes
+    at level ``n`` when ``n' + n''`` is congruent to ``2n`` mod dim.
+    """
+    d = grid.dim
+    if d % 2 == 0:
+        raise ValueError("sign kernel requires an odd dimension")
+    r = np.asarray(rho, dtype=complex)
+    a = np.arange(d)
+    b = (2 * a[:, None] - a) % d  # b[n, a]: the partner of a at level n
+    # the offsets b - a of one level are distinct mod odd d: one inverse DFT
+    g = np.zeros((d, d), dtype=complex)
+    g[a[:, None], (b - a) % d] = r[a, b] * np.exp(1j * (b - a) * grid.phi0_reduced)
+    return gw.WignerGrid(grid=grid, kernel_label="wootters", values=_real_or_raise(np.fft.ifft(g).T))
 
 
 def reconstruct_unimodular(w, kernel):
@@ -273,6 +305,14 @@ def relate_odd(values):
     return out
 
 
+def relate_odd_convolution(values):
+    """The same cosine average as one circular convolution, by FFT2."""
+    d = values.shape[0]
+    idx = np.arange(d)
+    c = np.cos(4.0 * np.pi * (np.outer(idx, idx) % d) / d) / d
+    return np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(c), s=values.shape)
+
+
 def relate_even(values, eps):
     """Shifted-cosine half-step average onto the integer grid, point by point."""
     d = values.shape[0] // 2
@@ -416,7 +456,7 @@ def phase_matrix_elements_symmetric(w):
             den = np.exp(1j * ks * _angles(grid, r)) + np.exp(1j * ks * _angles(grid, rp))
             if np.min(np.abs(den)) < 1e-9:
                 if generic is None:
-                    generic = gw.phase_matrix_elements(w, gw.symmetric_kernel(half))
+                    generic = phase_matrix_elements(w, gw.symmetric_kernel(half))
                 elements[rp, r] = generic[rp, r]
                 continue
             coef = (ekm / den[:, None]).sum(axis=0)  # over k, per m
@@ -503,13 +543,13 @@ def continuum_study_table(rho_small, kernel_family, n, phi, N_list, phi0=0.0):
         m_star = gw.tomography._nearest_grid_index(grid, phi)
         rho = gw.embed_state(r, dim)
         if kernel_family == "symmetric":
-            w = gw.wigner_symmetric(grid, rho)
+            w = wigner_symmetric(grid, rho)
             target = gw.number_phase_target(r, n, phi)
         elif kernel_family == "almost-symmetric":
-            w = gw.wigner_almost_symmetric(grid, rho, 1.0 / (2 * N))
+            w = wigner_almost_symmetric(grid, rho, 1.0 / (2 * N))
             target = gw.number_phase_target(r, n, phi)
         else:
-            w = gw.wigner_wootters(grid, rho)
+            w = wigner_wootters(grid, rho)
             target = gw.wootters_target(r, n, phi)
         scaled = dim / (2.0 * np.pi) * float(w.values[m_star, n])
         rows.append(gw.ConvergenceRow(int(N), dim, n, float(grid.phi(m_star)), scaled, target))

@@ -27,14 +27,14 @@ PUBLIC = [
     "load_halfgrid", "load_kernel", "load_wigner", "marginals", "maximally_mixed",
     "number_ket", "number_op", "number_phase_target", "operator_from_characteristic",
     "ordering_check", "phase_basis", "phase_density", "phase_function_op", "phase_ket",
-    "phase_matrix_elements", "phase_op", "phase_state",
+    "phase_op", "phase_state",
     "psd_deficit", "quantize", "qubit_state", "random_density", "reconstruct",
-    "relate_even", "relate_odd",
+    "relate", "relate_even", "relate_odd",
     "save_density_json", "save_kernel", "superposition01", "symbol",
     "symmetric_kernel", "u_op",
     "v_op", "validate", "verify_lines", "verify_quantizer", "wigner",
-    "wigner_almost_symmetric", "wigner_grid", "wigner_symmetric", "wigner_to_csv",
-    "wigner_to_json", "wigner_wootters", "wootters_kernel",
+    "wigner_grid", "wigner_to_csv",
+    "wigner_to_json", "wootters_kernel",
     "wootters_target",
 ]
 

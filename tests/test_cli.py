@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import gridwigner as gw
+import oracles
 from conftest import WRITING, writing_commands
 from gridwigner import cli
 from gridwigner.cli import main
@@ -47,7 +49,7 @@ class TestWignerCommand:
             "--state", "fock", "2", "--out", str(out),
         ) == 0
         w = gw.load_wigner(out)
-        oracle = gw.wigner_wootters(gw.PhaseGrid(5, 0.0), gw.fock_state(5, 2))
+        oracle = oracles.wigner_wootters(gw.PhaseGrid(5, 0.0), gw.fock_state(5, 2))
         np.testing.assert_allclose(w.values, oracle.values, atol=1e-12)
 
     def test_csv_output(self, tmp_path):
@@ -95,7 +97,7 @@ class TestWignerCommand:
         ) == 0
         w = gw.load_wigner(out)
         np.testing.assert_allclose(
-            w.values, gw.wigner_wootters(gw.PhaseGrid(3), rho).values, atol=1e-12
+            w.values, oracles.wigner_wootters(gw.PhaseGrid(3), rho).values, atol=1e-12
         )
 
     def test_file_kernel(self, tmp_path):
@@ -107,7 +109,7 @@ class TestWignerCommand:
             "--state", "fock", "0", "--out", str(out),
         ) == 0
         w = gw.load_wigner(out)
-        oracle = gw.wigner_symmetric(gw.PhaseGrid(3), gw.fock_state(3, 0))
+        oracle = oracles.wigner_symmetric(gw.PhaseGrid(3), gw.fock_state(3, 0))
         np.testing.assert_allclose(w.values, oracle.values, atol=1e-12)
 
 
@@ -138,7 +140,7 @@ class TestReconstructCommand:
 
     def test_tampered_grid(self, tmp_path, rng, capsys):
         rho = gw.random_density(3, rng)
-        w = gw.wigner_symmetric(gw.PhaseGrid(3), rho)
+        w = oracles.wigner_symmetric(gw.PhaseGrid(3), rho)
         tampered = gw.WignerGrid(
             grid=w.grid, kernel_label="symmetric",
             values=w.values + 0.1 * np.eye(3),
@@ -200,7 +202,7 @@ class TestReconstructCommand:
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         bad = u @ np.diag([0.8, 0.4, -0.2]) @ u.conj().T  # Hermitian, unit trace, not PSD
         grid_file = tmp_path / "w.json"
-        gw.wigner_to_json(gw.wigner_wootters(gw.PhaseGrid(3), bad), grid_file)
+        gw.wigner_to_json(oracles.wigner_wootters(gw.PhaseGrid(3), bad), grid_file)
         code = run_rejected(capsys, "reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json"))
         assert code == 4
 
@@ -318,6 +320,34 @@ class TestConvergeCommand:
             "--n", "0", "--phi", "0", "--Ns", "3,5",
         ) == 5
 
+    @pytest.mark.parametrize("angles", [
+        ["--phi", "1e307"], ["--phi", "0", "--phi0", "1e308"], ["--phi=-1e308", "--phi0", "1e308"],
+    ])
+    def test_huge_angles_give_one_row_per_size(self, angles, tmp_path, capsys):
+        # the nearest grid index used to form (phi - phi0) * dim, which overflows
+        out = tmp_path / "c.csv"
+        assert run(
+            "converge", "--kernel", "symmetric", "--state", "superposition01", "--n", "0",
+            *angles, "--Ns", "5,10", "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().err == ""
+        assert [row.split(",")[0] for row in out.read_text().strip().split("\n")[1:]] == ["5", "10"]
+
+    @pytest.mark.parametrize("kernel", ["symmetric", "almost-symmetric", "wootters"])
+    def test_large_phi0_gives_the_rows_of_its_reduced_angle(self, kernel, tmp_path):
+        # at phi0 = 1e20 the grid angles lost 2 pi m / dim: error 1.5e-2 at every N, slope 0
+        rows = {}
+        for phi0 in (1e20, math.remainder(1e20, 2 * math.pi)):
+            out = tmp_path / "c.csv"
+            assert run(
+                "converge", "--kernel", kernel, "--state", "superposition01", "--n", "0",
+                "--phi", "0.3", f"--phi0={phi0!r}", "--Ns", "5,10,20,40,80", "--out", str(out),
+            ) == 0
+            rows[phi0] = np.array([[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]])
+        far, near = rows.values()
+        assert np.array_equal(far[:, :2], near[:, :2])
+        np.testing.assert_allclose(far[:, 3:], near[:, 3:], rtol=0, atol=1e-12)
+
 
 class TestRelateCommand:
     def test_odd_relation(self, tmp_path, capsys):
@@ -334,7 +364,7 @@ class TestRelateCommand:
         text = capsys.readouterr().out
         assert "max deviation vs direct" in text
         w = gw.load_wigner(out)
-        direct = gw.wigner_symmetric(gw.PhaseGrid(3), gw.fock_state(3, 0))
+        direct = oracles.wigner_symmetric(gw.PhaseGrid(3), gw.fock_state(3, 0))
         np.testing.assert_allclose(w.values, direct.values, atol=1e-10)
 
     def test_even_relation_qubit(self, tmp_path):
@@ -359,6 +389,18 @@ class TestRelateCommand:
         assert run("relate", "--direction", "odd", "--grid", str(grid_file), "--out", str(out)) == 0
         np.testing.assert_allclose(gw.load_wigner(out).values, np.full((3, 3), 1 / 9), atol=1e-12)
 
+    @pytest.mark.parametrize("state", [[], ["--state", "mixed"]])
+    def test_even_relation_refuses_an_epsilon_with_a_vanishing_entry(self, tmp_path, capsys, rng, state):
+        # eps = pi/4 voids an entry at dim 4: the related grid could not be reconstructed
+        grid_file = tmp_path / "half.json"
+        gw.halfgrid_to_json(gw.leonhardt_wigner(2, 0.0, gw.random_density(4, rng)), grid_file)
+        out = tmp_path / "related.json"
+        assert run_rejected(
+            capsys, "relate", "--direction", "even", "--grid", str(grid_file),
+            "--epsilon", "0.7853981633974483", *state, "--out", str(out),
+        ) == 3
+        assert not out.exists()
+
     def test_kernel_mismatch(self, tmp_path):
         grid_file = tmp_path / "sym.json"
         assert run(
@@ -372,7 +414,7 @@ class TestJsonStability:
     def test_grid_files_rewrite_identically(self, tmp_path, rng):
         rho = gw.random_density(3, rng)
         first = tmp_path / "a.json"
-        gw.wigner_to_json(gw.wigner_symmetric(gw.PhaseGrid(3, 0.2), rho), first)
+        gw.wigner_to_json(oracles.wigner_symmetric(gw.PhaseGrid(3, 0.2), rho), first)
         second = tmp_path / "b.json"
         gw.wigner_to_json(gw.load_wigner(first), second)
         assert first.read_bytes() == second.read_bytes()
@@ -571,7 +613,7 @@ class TestNonNumberEntries:
         if label == "leonhardt":
             values = gw.leonhardt_wigner(2, 0.0, rho).values.tolist()
         else:
-            values = gw.wigner_wootters(gw.PhaseGrid(3), rho).values.tolist()
+            values = oracles.wigner_wootters(gw.PhaseGrid(3), rho).values.tolist()
         values[0] = [entry(v) for v in values[0]]
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"dim": len(rho), "phi0": 0.0, "kernel": label, "values": values}))

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridwigner as gw
+import oracles
 from gridwigner.cli import main
 
 MAX_DIM = 12
@@ -29,6 +30,7 @@ EXIT_WRITE = 6
 small_ints = st.integers(-2, MAX_DIM)
 odd_floats = st.sampled_from([math.nan, math.inf, -math.inf, math.pi / 2, math.pi / 4, 1e300, -0.0])
 angles = st.one_of(st.floats(-10, 10), odd_floats)
+huge_angles = st.one_of(angles, st.sampled_from([1.7e308, -1.7e308]))  # (phi - phi0) * dim overflows
 numbers = st.one_of(small_ints.map(str), angles.map(repr), st.sampled_from(["", "x", "1e400", "0x3"]))
 json_scalars = st.one_of(
     st.none(), st.booleans(), small_ints, st.floats(), st.text(max_size=3)
@@ -111,9 +113,9 @@ def grid_files(draw):
         if label == "leonhardt" and d % 2 == 0:
             values = gw.leonhardt_wigner(d // 2, 0.0, rho).values
         elif label == "wootters" and d % 2:
-            values = gw.wigner_wootters(gw.PhaseGrid(d), rho).values
+            values = oracles.wigner_wootters(gw.PhaseGrid(d), rho).values
         else:
-            values = gw.wigner_symmetric(gw.PhaseGrid(d), rho).values
+            values = oracles.wigner_symmetric(gw.PhaseGrid(d), rho).values
         values = taint(draw, values.tolist())
     else:
         values = draw(tables())
@@ -173,15 +175,25 @@ def argvs(command, paths):
             st.just(["converge", "--kernel"]),
             st.sampled_from(["symmetric", "wootters", "almost-symmetric", "bogus"]).map(lambda k: [k]),
             state_specs(paths).map(lambda s: ["--state", *s]),
-            small_ints.map(lambda n: ["--n", str(n)]), angles.map(lambda p: ["--phi", repr(p)]),
-            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", angles.map(repr))]), out,
+            small_ints.map(lambda n: ["--n", str(n)]), huge_angles.map(lambda p: [f"--phi={p!r}"]),
+            ns.map(lambda n: [f"--Ns={n}"]), options([("--phi0", huge_angles.map(repr))]), out,
         ]
     else:
+        state = state_specs(paths).map(lambda s: ["--state", *s])
+        flat = lambda ps: [tok for p in ps for tok in p]
         parts = [
-            st.just(["relate", "--direction"]), st.sampled_from([["odd"], ["even"]]),
-            st.just(["--grid", paths["grid"]]),
-            st.one_of(st.just([]), state_specs(paths).map(lambda s: ["--state", *s])),
-            options([("--epsilon", angles.map(repr))]), out,
+            st.just(["relate", "--direction"]),
+            st.one_of(
+                st.tuples(
+                    st.sampled_from([["odd"], ["even"]]), st.just(["--grid", paths["grid"]]),
+                    st.one_of(st.just([]), state), options([("--epsilon", angles.map(repr))]),
+                ).map(flat),
+                # a skew together with a state: the even relation resolves its kernel for both
+                st.tuples(
+                    st.just(["even", "--grid", paths["grid"]]), angles.map(lambda e: [f"--epsilon={e!r}"]), state
+                ).map(flat),
+            ),
+            out,
         ]
     return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
 

@@ -9,12 +9,15 @@ real tables, relative to the table norm.  The positivity check is tested
 over dimensions up to 64 against the eigenvalues and against the pivot
 loop of diagonal-pivoted elimination.  The continuum sweep's point
 evaluation is checked against whole tables for N up to 160, and so is
-the absence of error on grids through the target angle.  The FFT
-rotation of ``reconstruct`` back to the number basis and the row-FFT
-phase-overlap table are checked against their dense products for the
-three built-in kernels at dimensions 2 to 65 and angles up to 1e8, to
-1e-13, and the reconstruction must be exactly Hermitian: its vectorised
-mirror of the upper triangle gives bit for bit the row loop's output.
+the absence of error on grids through the target angle.
+``reconstruct``, the exact inverse of ``wigner_grid``, is checked against
+the phase-basis inversion with its dense rotation for the three built-in
+kernels at dimensions 2 to 65 and angles up to 1e8, to 1e-13, and it must
+be exactly Hermitian (bitwise conjugate pairs, +0.0 imaginary diagonal)
+at every size up to 700.  The kernel ratio of ``relate`` is checked
+against the target kernel's Wigner grid in both directions and against
+the cosine convolution, and the CLI phase marginal against the dense
+phase-overlap table, for dimensions 3 to 257 and angles up to 1e8.
 """
 
 import math
@@ -25,7 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
-from gridwigner.wigner import _mirror_upper, _phase_overlap_table, _to_number_basis
+from gridwigner.cli import _phase_marginal
 from conftest import random_complex
 
 AGREE = 1e-12
@@ -116,50 +119,45 @@ builtin = st.tuples(st.integers(1, 32), st.sampled_from(sorted(FAMILIES)))  # di
 large_angles = st.sampled_from((0.0, 0.37, 1e4, 1e8))
 
 
+def _assert_exactly_hermitian(rec):
+    lower = np.tril_indices(len(rec), -1)
+    assert rec[lower].view(np.uint64).tobytes() == rec.T[lower].conj().view(np.uint64).tobytes()
+    assert np.all(np.diagonal(rec).imag.view(np.uint64) == 0)  # +0.0
+
+
 @settings(max_examples=60, deadline=None)
-@given(builtin, large_angles, st.integers(0, 2**32 - 1))
-def test_fft_rotation_matches_dense_and_is_exactly_hermitian(family, phi0, seed):
+@given(builtin, large_angles, st.integers(0, 2**32 - 1), st.sampled_from(("random", "fock", "phase", "mixed")))
+def test_fft_rotation_matches_dense_and_is_exactly_hermitian(family, phi0, seed, kind):
+    """Real states too: pairs whose imaginary parts come out equal still conjugate bitwise."""
     kernel = FAMILIES[family[1]](family[0])
     d = kernel.dim
     grid = gw.PhaseGrid(d, phi0)
-    rho = gw.random_density(d, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    rho = {
+        "random": lambda: gw.random_density(d, rng),
+        "fock": lambda: gw.fock_state(d, int(rng.integers(d))),
+        "phase": lambda: gw.phase_state(d, int(rng.integers(d)), phi0),
+        "mixed": lambda: gw.maximally_mixed(d),
+    }[kind]()
     w = gw.wigner_grid(grid, kernel, rho)
     rec = gw.reconstruct(w, kernel)
-    assert _dev(rec, oracles.to_number_basis(grid, gw.phase_matrix_elements(w, kernel))) <= 1e-13
-    lower = np.tril_indices(d, -1)
-    assert rec[lower].view(np.uint64).tobytes() == rec.T[lower].conj().view(np.uint64).tobytes()
-    assert np.all(np.diagonal(rec).imag == 0)
-    z = _phase_overlap_table(grid, rho)
-    assert _dev(z, oracles.phase_overlap_table(grid, rho)) <= 1e-13
-
-
-@settings(max_examples=40, deadline=None)
-@given(builtin, large_angles, st.integers(0, 2**32 - 1))
-def test_reconstruction_mirror_is_bitwise_the_row_loop(family, phi0, seed):
-    kernel = FAMILIES[family[1]](family[0])
-    d = kernel.dim
-    grid = gw.PhaseGrid(d, phi0)
-    w = gw.wigner_grid(grid, kernel, gw.random_density(d, np.random.default_rng(seed)))
-    expected = _to_number_basis(grid, gw.phase_matrix_elements(w, kernel))
-    for a in range(1, d):
-        expected[a, :a] = expected[:a, a].conj()
-    np.fill_diagonal(expected.imag, 0.0)
-    assert gw.reconstruct(w, kernel).tobytes() == expected.tobytes()
+    assert _dev(rec, oracles.reconstruct(w, kernel)) <= 1e-13
+    _assert_exactly_hermitian(rec)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.integers(1, 300), st.integers(510, 700)), st.integers(0, 2**32 - 1))
-def test_banded_mirror_is_bitwise_the_row_loop(d, seed):
-    """Both parts of the mirror: bands of 128 rows, then single rows from row 512."""
+def test_reconstruction_is_exactly_hermitian_at_every_size(d, seed):
+    """Sizes 1 to 700, on grids of random states and of random real tables."""
     rng = np.random.default_rng(seed)
-    table = random_complex(rng, d, d)
-    for value in (complex(math.nan, -0.0), complex(-0.0, math.inf), complex(0.0, -0.0)):
-        table.flat[rng.integers(d * d)] = value
-    expected = table.copy()
-    for a in range(1, d):
-        expected[a, :a] = expected[:a, a].conj()
-    _mirror_upper(table)
-    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))  # bitwise, NaN included
+    if d == 1:
+        kernel = gw.kernel_from_table(np.ones((1, 1)))
+    else:
+        kernel = FAMILIES["almost-symmetric" if d % 2 == 0 else "symmetric"](d // 2)
+    grid = gw.PhaseGrid(d, float(rng.uniform(-10, 10)))
+    _assert_exactly_hermitian(gw.reconstruct(gw.wigner_grid(grid, kernel, gw.random_density(d, rng)), kernel))
+    table = gw.WignerGrid(grid, kernel.label, rng.standard_normal((d, d)) / d, kernel.eps)
+    _assert_exactly_hermitian(gw.reconstruct(table, kernel, validate_state=False))
 
 
 @SETTINGS
@@ -168,7 +166,6 @@ def test_reconstruction_matches_loop(case):
     rng, grid, kernel, q = _setup(case)
     rho = gw.random_density(grid.dim, rng)
     w = gw.wigner_grid(grid, kernel, rho)
-    assert _dev(gw.phase_matrix_elements(w, kernel), oracles.phase_matrix_elements(w, kernel)) <= AGREE
     rec = gw.reconstruct(w, kernel)
     assert _dev(rec, oracles.reconstruct(w, kernel)) <= AGREE
     assert _dev(rec, rho) <= AGREE
@@ -195,12 +192,21 @@ def test_line_projectors_match_point_sums(case):
 
 
 def test_inconsistent_kernel_fails_like_the_loop(rng):
-    # a kernel without the pairing makes the phase-basis diagonal complex
+    # a kernel without the pairing leaves an anti-Hermitian part
     grid = gw.PhaseGrid(5, 0.4)
     kernel = gw.kernel_from_table(oracles.random_kernel(5, rng).values * np.exp(0.3j))
     w = gw.WignerGrid(grid, kernel.label, rng.uniform(size=(5, 5)) / 25)
-    with pytest.raises(gw.ReconstructionError, match="diagonal residue"):
-        gw.phase_matrix_elements(w, kernel)
+    with pytest.raises(gw.ReconstructionError, match="anti-Hermitian part"):
+        gw.reconstruct(w, kernel, validate_state=False)
+
+
+def test_zero_kernel_entry_fails_instead_of_returning_nan(rng):
+    values = oracles.random_kernel(5, rng).values
+    values[2, 3] = values[3, 2] = 0.0
+    kernel = gw.kernel_from_table(values)
+    w = gw.WignerGrid(gw.PhaseGrid(5), kernel.label, rng.uniform(size=(5, 5)) / 25)
+    with pytest.warns(UserWarning, match="ill-conditioned"), pytest.raises(gw.ReconstructionError, match="nan"):
+        gw.reconstruct(w, kernel, validate_state=False)
 
 
 def test_omega_is_built_on_first_access():
@@ -262,7 +268,7 @@ def test_half_grid_maps_match_operator_and_point_sums(case, eps):
     scale = abs(math.cos(eps))
     assert _rel_dev(out.values, oracles.relate_even(w.values, eps), w.values) * scale <= AGREE
     if case["from_state"]:
-        direct = gw.wigner_almost_symmetric(gw.PhaseGrid(2 * N, phi0), rho, eps)
+        direct = oracles.wigner_almost_symmetric(gw.PhaseGrid(2 * N, phi0), rho, eps)
         assert _dev(out.values, direct.values) * scale <= AGREE
 
 
@@ -278,13 +284,64 @@ def test_relate_odd_matches_point_sums(d, phi0, seed, from_state):
     grid = gw.PhaseGrid(d, phi0)
     rho = gw.random_density(d, rng)
     if from_state:
-        w = gw.wigner_wootters(grid, rho)
+        w = oracles.wigner_wootters(grid, rho)
     else:
         w = gw.WignerGrid(grid, "wootters", rng.standard_normal((d, d)))
     out = gw.relate_odd(w)
     assert _rel_dev(out.values, oracles.relate_odd(w.values), w.values) <= AGREE
     if from_state:
-        assert _dev(out.values, gw.wigner_symmetric(grid, rho).values) <= AGREE
+        assert _dev(out.values, oracles.wigner_symmetric(grid, rho).values) <= AGREE
+
+
+relation_cases = st.fixed_dictionaries(
+    {
+        "d": st.integers(3, 257),
+        "phi0": large_angles,
+        "seed": st.integers(0, 2**32 - 1),
+        "custom": st.booleans(),
+    }
+)
+
+
+def _relation_pair(d, rng, custom):
+    """Two kernels of one grid: sign and cosine (odd d), two skews (even d), or two random tables."""
+    if custom:
+        return oracles.random_kernel(d, rng), oracles.random_kernel(d, rng)
+    if d % 2:
+        return gw.wootters_kernel(d // 2), gw.symmetric_kernel(d // 2)
+    while True:  # a skew whose kernel has no vanishing entry
+        try:
+            return gw.almost_symmetric_kernel(d // 2), gw.almost_symmetric_kernel(d // 2, float(rng.uniform(-1.5, 1.5)))
+        except ValueError:
+            continue
+
+
+@settings(max_examples=30, deadline=None)
+@given(relation_cases)
+def test_relate_is_the_kernel_ratio_in_both_directions(case):
+    d, rng = case["d"], np.random.default_rng(case["seed"])
+    grid = gw.PhaseGrid(d, case["phi0"])
+    rho = gw.random_density(d, rng)
+    first, second = _relation_pair(d, rng, case["custom"])
+    for k_from, k_to in ((first, second), (second, first)):
+        w_from, w_to = gw.wigner_grid(grid, k_from, rho), gw.wigner_grid(grid, k_to, rho)
+        out = gw.relate(w_from, k_from, k_to)
+        assert (out.kernel_label, out.epsilon, out.grid) == (k_to.label, k_to.eps, grid)
+        gain = float(np.max(np.abs(k_to.values / k_from.values)))
+        assert _dev(out.values, w_to.values) <= 1e-15 * max(gain, 1.0)
+    if d % 2 and not case["custom"]:
+        w_from = gw.wigner_grid(grid, first, rho)
+        out = gw.relate(w_from, first, second)
+        assert _rel_dev(out.values, oracles.relate_odd_convolution(w_from.values), w_from.values) <= 1e-15
+        assert _dev(gw.relate_odd(w_from).values, out.values) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 257), large_angles, st.integers(0, 2**32 - 1))
+def test_cli_phase_marginal_is_the_phase_overlap_sum(d, phi0, seed):
+    grid = gw.PhaseGrid(d, phi0)
+    rho = gw.random_density(d, np.random.default_rng(seed))
+    assert _dev(_phase_marginal(grid, rho), oracles.phase_overlap_table(grid, rho).sum(1).real) <= 1e-13
 
 
 psd_cases = st.fixed_dictionaries(

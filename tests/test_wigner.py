@@ -75,7 +75,7 @@ class TestWignerValues:
         q = gw.build_quantizer(g, gw.wootters_kernel(1))
         rho = gw.random_density(3, rng)
         np.testing.assert_allclose(
-            gw.wigner_wootters(g, rho).values, gw.wigner(q, rho).values, atol=1e-10
+            oracles.wigner_wootters(g, rho).values, gw.wigner(q, rho).values, atol=1e-10
         )
 
     def test_memory_light_route_agrees(self, rng):
@@ -94,13 +94,13 @@ class TestWignerValues:
         rho = gw.random_density(5, rng)
         q = gw.build_quantizer(g, gw.symmetric_kernel(2))
         np.testing.assert_allclose(
-            gw.wigner_symmetric(g, rho).values, gw.wigner(q, rho).values, atol=1e-12
+            oracles.wigner_symmetric(g, rho).values, gw.wigner(q, rho).values, atol=1e-12
         )
         g4 = gw.PhaseGrid(4, 0.4)
         rho4 = gw.random_density(4, rng)
         q4 = gw.build_quantizer(g4, gw.almost_symmetric_kernel(2, 0.25))
         np.testing.assert_allclose(
-            gw.wigner_almost_symmetric(g4, rho4, 0.25).values,
+            oracles.wigner_almost_symmetric(g4, rho4, 0.25).values,
             gw.wigner(q4, rho4).values,
             atol=1e-12,
         )
