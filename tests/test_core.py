@@ -146,6 +146,24 @@ def test_fft_rotation_matches_dense_and_is_exactly_hermitian(family, phi0, seed,
 
 
 @settings(max_examples=40, deadline=None)
+@given(builtin, large_angles, st.integers(0, 2**32 - 1))
+def test_reconstruction_mirror_is_bitwise_the_row_loop(family, phi0, seed):
+    """The output is its own upper triangle mirrored by the row loop, and that triangle is the phase-basis one."""
+    kernel = FAMILIES[family[1]](family[0])
+    d = kernel.dim
+    grid = gw.PhaseGrid(d, phi0)
+    w = gw.wigner_grid(grid, kernel, gw.random_density(d, np.random.default_rng(seed)))
+    rec = gw.reconstruct(w, kernel)
+    expected = rec.copy()
+    for a in range(1, d):
+        expected[a, :a] = expected[:a, a].conj()
+    np.fill_diagonal(expected.imag, 0.0)
+    assert rec.tobytes() == expected.tobytes()
+    upper = np.triu_indices(d)
+    assert np.max(np.abs(rec[upper] - oracles.reconstruct(w, kernel)[upper])) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.one_of(st.integers(1, 300), st.integers(510, 700)), st.integers(0, 2**32 - 1))
 def test_reconstruction_is_exactly_hermitian_at_every_size(d, seed):
     """Sizes 1 to 700, on grids of random states and of random real tables."""
