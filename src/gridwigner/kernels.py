@@ -115,15 +115,23 @@ def validate(kernel: Kernel, tol: float = TOL) -> KernelValidity:
     )
 
 
-def symmetric_kernel(N: int) -> Kernel:
-    """Cosine kernel of odd dimension ``2N+1`` (symmetric ordering)."""
+def _positive_half(N) -> int:
+    """``N`` of a dimension ``2N`` or ``2N+1``, an integer of at least 1."""
     N = _as_index(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    d = 2 * N + 1
-    k = np.arange(d)[:, None]
-    l = np.arange(d)[None, :]
-    return Kernel(np.cos(np.pi * k * l / d), label="symmetric")
+    return N
+
+
+def _cosine_angles(d: int) -> np.ndarray:
+    """``pi*k*l/d`` with ``k*l`` reduced mod ``2d`` in integers: the pairing holds to roundoff."""
+    k = np.arange(d)
+    return np.pi * (np.multiply.outer(k, k) % (2 * d)) / d
+
+
+def symmetric_kernel(N: int) -> Kernel:
+    """Cosine kernel of odd dimension ``2N+1`` (symmetric ordering)."""
+    return Kernel(np.cos(_cosine_angles(2 * _positive_half(N) + 1)), label="symmetric")
 
 
 def wootters_kernel(N: int) -> Kernel:
@@ -131,10 +139,7 @@ def wootters_kernel(N: int) -> Kernel:
 
     Unimodular; its line sums are projectors (see the tomography module).
     """
-    N = _as_index(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    d = 2 * N + 1
+    d = 2 * _positive_half(N) + 1
     k = np.arange(d)[:, None]
     l = np.arange(d)[None, :]
     return Kernel((-1.0) ** (k * l), label="wootters")
@@ -145,7 +150,7 @@ def default_epsilon(N: int) -> float:
 
     Vanishes as the dimension grows, which the continuum limit requires.
     """
-    return 1.0 / (2 * _as_index(N, "N"))
+    return 1.0 / (2 * _positive_half(N))
 
 
 def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
@@ -156,17 +161,14 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     chosen ``eps`` leaves a vanishing entry; the caller should then pick
     another value.
     """
-    N = _as_index(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    N = _positive_half(N)
     if eps is None:
         eps = default_epsilon(N)
     if not np.isfinite(eps):
         raise ValueError(f"eps={eps!r} rejected: not a finite angle")
     if abs(np.cos(eps)) <= ZERO_TOL:
         raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
-    d = 2 * N
-    a = np.pi * np.outer(np.arange(d), np.arange(d)) / d
+    a = _cosine_angles(2 * N)
     # cos(a + eps) / cos(eps), expanded so that a large eps keeps its precision
     values = np.cos(a) - np.tan(eps) * np.sin(a)
     if np.min(np.abs(values * np.cos(eps))) <= ZERO_TOL:

@@ -41,8 +41,8 @@ def maximally_mixed(dim: int) -> np.ndarray:
 
 def qubit_state(a1: float, a2: float, a3: float) -> np.ndarray:
     """Two-level state with the given Bloch vector."""
-    if a1 * a1 + a2 * a2 + a3 * a3 > 1.0 + 1e-12:
-        raise ValueError("Bloch vector must have length at most 1")
+    if not a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + 1e-12:  # a NaN component fails too
+        raise ValueError("Bloch vector must be finite with length at most 1")
     rho = np.eye(2, dtype=complex)
     for a, s in zip((a1, a2, a3), PAULI):
         rho += a * s

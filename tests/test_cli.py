@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import importlib
 import json
 import math
 
@@ -166,7 +167,8 @@ class TestReconstructCommand:
 
     def test_leonhardt_state_file_is_exactly_hermitian(self, tmp_path, capsys, rng):
         # the raw reconstruction is Hermitian only to roundoff; the file holds its
-        # hermitized copy, while the printed residual still measures the raw one
+        # hermitized copy, the printed residual takes the raw one's trace and PSD
+        # terms and the hermitized copy's round trip
         half = gw.leonhardt_wigner(6, 0.37, gw.random_density(12, rng))
         grid_file, state_out = tmp_path / "half.json", tmp_path / "state.json"
         gw.halfgrid_to_json(half, grid_file)
@@ -197,6 +199,35 @@ class TestReconstructCommand:
         assert run("reconstruct", "--grid", str(grid_file), "--out", str(state_out)) == 0
         rho = gw.phase_state(257, 3, 0.37)
         assert gw.frob_dist(gw.load_density_json(state_out), rho) <= 1e-9
+
+    @pytest.mark.parametrize("dim,kernel", [(5, "symmetric"), (5, "wootters"), (4, "almost-symmetric")])
+    def test_kernel_grid_runs_no_forward_map(self, dim, kernel, tmp_path, monkeypatch, rng):
+        # reconstruct is the exact inverse of wigner_grid: only the state term decides exit 4
+        grid_file = tmp_path / "w.json"
+        kernel = cli._resolve_kernel(kernel, dim, None)
+        gw.wigner_to_json(gw.wigner_grid(gw.PhaseGrid(dim, 0.37), kernel, gw.random_density(dim, rng)), grid_file)
+        calls = []
+        for module in (cli, importlib.import_module("gridwigner.wigner")):
+            monkeypatch.setattr(module, "wigner_grid", lambda *args, **kwargs: calls.append(args))
+        assert run("reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json")) == 0
+        assert calls == []
+
+    def test_huge_kernel_grid_exits_4(self, tmp_path, capsys):
+        # finite entries near 1e307 and the file's skew: the reconstruction fails the state term
+        rng = np.random.default_rng(22)
+        values = rng.standard_normal((4, 4)) * 1e307
+        eps, phi0 = rng.uniform(-3, 3), rng.uniform(-10, 10)
+        w = gw.WignerGrid(grid=gw.PhaseGrid(4, phi0), kernel_label="almost-symmetric", values=values, epsilon=eps)
+        grid_file = tmp_path / "w.json"
+        gw.wigner_to_json(w, grid_file)
+        assert run_rejected(capsys, "reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json")) == 4
+
+    def test_overflowing_half_grid_round_trip_exits_4(self, tmp_path, capsys):
+        # a checkerboard of +-1e308 sums to 8e308 along the angle axis
+        values = np.where(np.add.outer(np.arange(8), np.arange(8)) % 2, 1e308, -1e308)
+        grid_file = tmp_path / "half.json"
+        gw.halfgrid_to_json(gw.HalfIntegerWignerGrid(n_half=2, phi0=0.0, values=values), grid_file)
+        assert run_rejected(capsys, "reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json")) == 4
 
     def test_non_psd_grid_exits_4(self, tmp_path, rng, capsys):
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
@@ -245,8 +276,9 @@ class TestVerifyCommand:
             assert "sampled: line projectivity and completeness on 18 of 62 line families (seed 0)" in out
 
     def test_a_kernel_failing_validity_is_reported_not_raised(self, capsys):
-        # cos(eps) ~ 3e-8: the skewed kernel's entries reach 1e7 and miss the pairing tolerance
-        assert run("verify", "--dim", "4", "--kernel", "almost-symmetric", "--epsilon", "1.5707963") == 1
+        # cos(eps) ~ 3e-8: the skewed kernel's entries reach 1e7, and the roundoff of its
+        # sine table misses the pairing tolerance (at d = 4 the reduced angles pair exactly)
+        assert run("verify", "--dim", "6", "--kernel", "almost-symmetric", "--epsilon", "1.5707963") == 1
         captured = capsys.readouterr()
         assert "kernel conjugation pairing: FAIL" in captured.out.splitlines()
         assert captured.err == "verification failed\n"

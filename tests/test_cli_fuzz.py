@@ -5,7 +5,9 @@ Every run of the five subcommands must end in a documented exit code
 missing one), print at most one ``error:`` line (exactly one when it
 fails) and never raise.  Dimensions stay at or below 12 so that no
 case allocates large arrays; ``converge`` grid sizes reach 10**6, since a
-continuum sweep costs O(support) per size and builds no table.
+continuum sweep costs O(support) per size and builds no table.  Random
+tables seldom have a grid's shape, so ``reconstruct`` is also fuzzed on
+well-formed grid files whose finite entries reach 1.7e308.
 """
 
 import contextlib
@@ -57,7 +59,7 @@ def taint(draw, rows):
 def tables(draw, max_side=2 * MAX_DIM):
     rows = draw(st.integers(0, max_side))
     cols = draw(st.one_of(st.just(rows), st.integers(0, max_side)))
-    scale = draw(st.sampled_from([1.0, 1e-3, 1e300]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e300, 1e307, 1.7e308]))
     seed = draw(st.integers(0, 2**32 - 1))
     return taint(draw, (np.random.default_rng(seed).standard_normal((rows, cols)) * scale).tolist())
 
@@ -224,4 +226,31 @@ def test_cli_exits_with_a_documented_code(command, data):
     assert code in (EXIT_CODES - {0} | {EXIT_WRITE} if unwritable else EXIT_CODES), (code, err)
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert len(error_lines) == (code != 0), err
+    assert "Traceback" not in err
+
+
+@st.composite
+def huge_grid_files(draw):
+    """A well-formed kernel or half grid file whose finite entries reach the largest floats."""
+    label = draw(st.sampled_from(["symmetric", "wootters", "almost-symmetric", "leonhardt"]))
+    d = 2 * draw(st.integers(1, MAX_DIM // 2 - 1)) + (label in ("symmetric", "wootters"))
+    side = 2 * d if label == "leonhardt" else d
+    scale = draw(st.sampled_from([1e300, 1e307, 1.7e308]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, (side, side)) * scale
+    obj = {"dim": d, "phi0": draw(st.floats(-10, 10)), "kernel": label, "values": values.tolist()}
+    if draw(st.booleans()):
+        obj["epsilon"] = draw(st.floats(-3, 3))
+    return json.dumps(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=huge_grid_files())
+def test_reconstruct_of_huge_finite_grids_exits_with_a_documented_code(grid):
+    # the inverse or the half grid's round trip overflows: exit 4 with one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.json"
+        path.write_text(grid)
+        code, err = run_cli(["reconstruct", "--grid", str(path), "--out", str(Path(tmp) / "out.json")])
+    assert code in EXIT_CODES, (code, err)
+    assert len([line for line in err.splitlines() if "error:" in line]) == (code != 0), err
     assert "Traceback" not in err

@@ -14,7 +14,10 @@ the absence of error on grids through the target angle.
 the phase-basis inversion with its dense rotation for the three built-in
 kernels at dimensions 2 to 65 and angles up to 1e8, to 1e-13, and it must
 be exactly Hermitian (bitwise conjugate pairs, +0.0 imaginary diagonal)
-at every size up to 700.  The kernel ratio of ``relate`` is checked
+at every size up to 700; whenever it passes and the CLI's state term is
+within 10*TOL, ``wigner_grid`` gives the table back (built-in, random and
+perturbed kernels, states, real tables and noisy states).  The kernel
+ratio of ``relate`` is checked
 against the target kernel's Wigner grid in both directions and against
 the cosine convolution, and the CLI phase marginal against the dense
 phase-overlap table, for dimensions 3 to 257 and angles up to 1e8.
@@ -28,6 +31,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
+from gridwigner import cli
 from gridwigner.cli import _phase_marginal
 from conftest import random_complex
 
@@ -192,6 +196,46 @@ def test_reconstruction_matches_loop(case):
         assert _dev(rec, back) <= AGREE
         assert _dev(grid.dim * gw.quantize(q, w.values), back) <= AGREE
         assert _dev(back, rho) <= AGREE
+
+
+def _perturbed(kernel, rng):
+    """The kernel with every entry moved by up to ``0.4 * TOL``: still valid, as a file kernel may be."""
+    d = kernel.dim
+    step = 0.4 * gw.TOL * rng.uniform(size=(d, d)) * np.exp(2j * np.pi * rng.uniform(size=(d, d)))
+    perturbed = gw.kernel_from_table(kernel.values + step)
+    assert gw.validate(perturbed).valid
+    return perturbed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 65), st.floats(-1e8, 1e8), st.integers(0, 2**32 - 1),
+    st.sampled_from(("builtin", "custom", "perturbed")), st.sampled_from(("state", "table", "noisy")),
+)
+def test_a_passing_state_term_implies_the_grid_round_trip(d, phi0, seed, family, kind):
+    """What the CLI's dropped forward map checked: with ``reconstruct`` passing and the
+    state term at most 10*TOL, ``wigner_grid`` of the result gives the table back."""
+    rng = np.random.default_rng(seed)
+    grid = gw.PhaseGrid(d, phi0)
+    kernel = _kernel(d, "custom" if family == "custom" else "builtin", rng)
+    if family == "perturbed":
+        kernel = _perturbed(kernel, rng)
+    if kind == "table":
+        values = rng.standard_normal((d, d)) * 10 ** rng.uniform(-3, 3)
+    else:
+        values = gw.wigner_grid(grid, kernel, gw.random_density(d, rng)).values
+        if kind == "noisy":
+            values = values + rng.standard_normal((d, d)) * 10 ** rng.uniform(-14, -9)
+    w = gw.WignerGrid(grid, kernel.label, values, kernel.eps)
+    try:
+        rho = gw.reconstruct(w, kernel, validate_state=False)
+    except gw.ReconstructionError:
+        assert family == "perturbed"
+        return
+    if cli._state_residual(rho) <= 10 * gw.TOL:
+        assert _dev(gw.wigner_grid(grid, kernel, rho, validate_state=False).values, values) <= 10 * gw.TOL
+    else:
+        assert kind != "state"
 
 
 @SETTINGS

@@ -1,5 +1,7 @@
 """Tests for kernel construction, validity conditions and file round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,13 @@ class TestSymmetricKernel:
 
     def test_not_unimodular(self):
         assert not gw.is_unimodular(gw.symmetric_kernel(1))
+
+
+@pytest.mark.parametrize("d", [510, 511, 700, 1025])
+def test_cosine_kernels_keep_their_pairing_at_large_dim(d):
+    # k*l is reduced mod 2d before the cosine, so the pairing holds to roundoff at any d
+    kernel = gw.symmetric_kernel(d // 2) if d % 2 else gw.almost_symmetric_kernel(d // 2)
+    assert gw.validate(kernel, tol=1e-14).hermitian_pairing
 
 
 class TestWoottersKernel:
@@ -205,3 +214,24 @@ NON_INTEGERS = {
 def test_sizes_and_levels_reject_non_integers(make):
     with pytest.raises(ValueError, match="must be an integer"):
         make()
+
+
+BELOW_ONE = {
+    "symmetric N 0": lambda: gw.symmetric_kernel(0),
+    "wootters N -1": lambda: gw.wootters_kernel(-1),
+    "almost-symmetric N 0": lambda: gw.almost_symmetric_kernel(0),
+    "epsilon N 0": lambda: gw.default_epsilon(0),
+    "epsilon N -1": lambda: gw.default_epsilon(-1),
+}
+
+
+@pytest.mark.parametrize("make", BELOW_ONE.values(), ids=BELOW_ONE.keys())
+def test_half_sizes_reject_values_below_one(make):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        make()
+
+
+@pytest.mark.parametrize("bloch", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, -math.inf), (1, 1, 0)])
+def test_qubit_state_rejects_non_finite_and_long_bloch_vectors(bloch):
+    with pytest.raises(ValueError, match="Bloch vector"):
+        gw.qubit_state(*bloch)
