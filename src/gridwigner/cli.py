@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from ._jsonio import read_json
-from .linalg import TOL, is_positive_semidefinite, psd_deficit
+from .linalg import is_positive_semidefinite, psd_deficit, within
 from .kernels import (
     Kernel,
     KernelValidity,
@@ -78,10 +78,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> CliError:
-    return CliError(code, message)
-
-
 def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
     """Build the kernel named on the command line, enforcing parity rules."""
     return _resolve_kernel_validity(name, dim, epsilon)[0]
@@ -94,7 +90,7 @@ def _resolve_kernel_validity(
     validity that admitted it (``None`` for a built-in family)."""
     if name == "symmetric" or name == "wootters":
         if dim % 2 == 0 or dim < 3:
-            raise _fail(
+            raise CliError(
                 EXIT_KERNEL_MISMATCH,
                 f"kernel {name!r} requires an odd dimension >= 3, got {dim}",
             )
@@ -102,44 +98,44 @@ def _resolve_kernel_validity(
         return (symmetric_kernel(n_half) if name == "symmetric" else wootters_kernel(n_half)), None
     if name == "almost-symmetric":
         if dim % 2 or dim < 2:
-            raise _fail(
+            raise CliError(
                 EXIT_KERNEL_MISMATCH,
                 f"kernel 'almost-symmetric' requires an even dimension >= 2, got {dim}",
             )
         try:
             return almost_symmetric_kernel(dim // 2, epsilon), None
         except ValueError as exc:
-            raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
+            raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
     if name.startswith("file:"):
         path = name[5:]
         try:
             kernel = load_kernel(path)
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise _fail(EXIT_KERNEL_MISMATCH, f"cannot load kernel file: {exc}")
+            raise CliError(EXIT_KERNEL_MISMATCH, f"cannot load kernel file: {exc}")
         if kernel.dim != dim:
-            raise _fail(
+            raise CliError(
                 EXIT_KERNEL_MISMATCH,
                 f"kernel file dimension {kernel.dim} does not match --dim {dim}",
             )
         validity = validate(kernel)
         if not validity.valid:
-            raise _fail(EXIT_KERNEL_MISMATCH, "kernel file fails the validity conditions")
+            raise CliError(EXIT_KERNEL_MISMATCH, "kernel file fails the validity conditions")
         return kernel, validity
-    raise _fail(EXIT_KERNEL_MISMATCH, f"unknown kernel {name!r}")
+    raise CliError(EXIT_KERNEL_MISMATCH, f"unknown kernel {name!r}")
 
 
 def _resolve_grid(dim: int, phi0: float) -> PhaseGrid:
     try:
         return PhaseGrid(dim, phi0)
     except ValueError as exc:
-        raise _fail(EXIT_KERNEL_MISMATCH, f"invalid grid: {exc}")
+        raise CliError(EXIT_KERNEL_MISMATCH, f"invalid grid: {exc}")
 
 
 def _load_state_file(path: str) -> np.ndarray:
     try:
         return load_density_json(path)
     except (ValueError, KeyError, TypeError, OSError) as exc:
-        raise _fail(EXIT_BAD_STATE, f"invalid state file: {exc}")
+        raise CliError(EXIT_BAD_STATE, f"invalid state file: {exc}")
 
 
 def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
@@ -148,20 +144,20 @@ def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
     Every returned state has passed :func:`check_density`.
     """
     if not tokens:
-        raise _fail(EXIT_BAD_STATE, "empty state spec")
+        raise CliError(EXIT_BAD_STATE, "empty state spec")
     name, args = tokens[0], tokens[1:]
     if name not in ("fock", "phase", "mixed", "qubit", "superposition01"):
         if not os.path.exists(name):
-            raise _fail(EXIT_BAD_STATE, f"unknown state spec {name!r}")
+            raise CliError(EXIT_BAD_STATE, f"unknown state spec {name!r}")
         rho = _load_state_file(name)
         if rho.shape[0] != dim:
-            raise _fail(
+            raise CliError(
                 EXIT_BAD_STATE,
                 f"state file dimension {rho.shape[0]} does not match --dim {dim}",
             )
         return rho
     if name == "qubit" and dim != 2:
-        raise _fail(EXIT_BAD_STATE, "qubit states require --dim 2")
+        raise CliError(EXIT_BAD_STATE, "qubit states require --dim 2")
     try:
         if name == "fock":
             rho = embed_state(fock_state(int(args[0]) + 1, int(args[0])), dim)
@@ -175,7 +171,7 @@ def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
             rho = superposition01(dim)
         return check_density(rho)
     except (IndexError, ValueError) as exc:
-        raise _fail(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
+        raise CliError(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
 
 
 def cmd_wigner(args) -> int:
@@ -210,19 +206,19 @@ def _write(write, obj, path) -> None:
     try:
         write(obj, path)
     except OSError as exc:
-        raise _fail(EXIT_WRITE, f"cannot write {path}: {exc.strerror or exc}")
+        raise CliError(EXIT_WRITE, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _state_residual(rho: np.ndarray) -> float:
     """The larger of the trace deviation and the PSD deficit of ``rho`` (inf if not finite).
 
-    A PSD deficit below the ``10 * TOL`` exit threshold counts as zero, so only
-    a matrix that fails the shifted Cholesky test pays for the eigenvalue.
+    A PSD deficit that passes the tolerance counts as zero, so only a matrix
+    that fails the shifted Cholesky test pays for the eigenvalue.
     This state term alone decides exit 4 for a kernel grid: ``reconstruct``
     is the exact inverse of ``wigner_grid`` and returns an exactly Hermitian
     matrix, so neither a grid round trip nor a Hermiticity term can fail.
     """
-    psd = 0.0 if is_positive_semidefinite(rho, slack=10 * TOL) else psd_deficit(rho)
+    psd = 0.0 if is_positive_semidefinite(rho) else psd_deficit(rho)
     return float(max(psd, abs(np.trace(rho) - 1.0)))  # an inf deficit wins over a NaN trace
 
 
@@ -240,7 +236,7 @@ def _read_grid_file(path, loader_for=_grid_loader):
         label = obj.get("kernel")
         return label, loader_for(label)(obj)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise _fail(EXIT_BAD_STATE, f"invalid grid file: {exc}")
+        raise CliError(EXIT_BAD_STATE, f"invalid grid file: {exc}")
 
 
 def cmd_reconstruct(args) -> int:
@@ -262,36 +258,37 @@ def cmd_reconstruct(args) -> int:
         elif args.kernel:
             kernel = _resolve_kernel(args.kernel, w.dim, args.epsilon)
         else:
-            raise _fail(
+            raise CliError(
                 EXIT_KERNEL_MISMATCH,
                 f"grid kernel {label!r} is not built in; pass --kernel file:<path>",
             )
         try:
             rho = reconstruct(w, kernel, validate_state=False)
         except ReconstructionError as exc:
-            raise _fail(EXIT_RESIDUAL, f"reconstruction failed: {exc}")
+            raise CliError(EXIT_RESIDUAL, f"reconstruction failed: {exc}")
         except ValueError as exc:  # the kernel does not match the grid's label
-            raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
+            raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
         residual = _state_residual(rho)
 
     print(f"round-trip residual: {residual:.3e}")
     out = args.out or "state.json"
-    _write(save_density_json, rho, out)
-    print(f"wrote {out}")
-    if residual > 10 * TOL:
-        raise _fail(EXIT_RESIDUAL, f"round-trip residual {residual:.3e} exceeds tolerance")
+    if np.isfinite(rho).all():  # no JSON reader accepts a NaN token
+        _write(save_density_json, rho, out)
+        print(f"wrote {out}")
+    if not within(residual):
+        raise CliError(EXIT_RESIDUAL, f"round-trip residual {residual:.3e} exceeds tolerance")
     return EXIT_OK
 
 
-def _print_check(name: str, dev: float | None, expect_pass: bool = True, note: str = "") -> bool:
-    """Print one verification line; returns False on an unexpected failure."""
+def _print_check(name: str, dev: float | None, scale: float = 1.0, note: str = "") -> bool:
+    """Print one verification line, the deviation checked on ``scale``; False on a failure."""
     if dev is None:
         print(f"{name}: n/a ({note})")
         return True
-    ok = dev <= TOL
+    ok = within(dev, scale)
     status = "PASS" if ok else "FAIL"
     print(f"{name}: {status} (max deviation {dev:.3e})")
-    return ok == expect_pass
+    return ok
 
 
 def _print_sample(checks: str, checked: int, total: int, units: str, seed: int | None) -> None:
@@ -318,17 +315,18 @@ def cmd_verify(args) -> int:
     ):
         print(f"{cond}: {'PASS' if value else 'FAIL'}")
         ok = ok and value
+    print(f"kernel conditioning: max|K| / min|K| = {kernel.scale / float(np.min(np.abs(kernel.values))):.3e}")
 
     q = build_quantizer(grid, kernel, check=False)  # the validity is printed above
     report = verify_quantizer(q)
-    ok &= _print_check("phase-point Hermiticity", report.hermiticity_dev)
-    ok &= _print_check("phase-point unit trace", report.trace_dev)
-    ok &= _print_check("phase-axis sums give phase projectors", report.phase_sum_dev)
-    ok &= _print_check("number-axis sums give number projectors", report.number_sum_dev)
-    ok &= _print_check("completeness", report.completeness_dev)
-    ok &= _print_check("overlap trace matches kernel sum", report.overlap_dev)
+    ok &= _print_check("phase-point Hermiticity", report.hermiticity_dev, report.scale)
+    ok &= _print_check("phase-point unit trace", report.trace_dev, report.scale)
+    ok &= _print_check("phase-axis sums give phase projectors", report.phase_sum_dev, report.scale)
+    ok &= _print_check("number-axis sums give number projectors", report.number_sum_dev, report.scale)
+    ok &= _print_check("completeness", report.completeness_dev, report.scale)
+    ok &= _print_check("overlap trace matches kernel sum", report.overlap_dev, report.scale**2)
     if report.unimodular:
-        ok &= _print_check("overlap orthogonality", report.orthogonality_dev)
+        ok &= _print_check("overlap orthogonality", report.orthogonality_dev, report.scale**2)
     else:
         _print_check("overlap orthogonality", None, note="kernel not unimodular")
     _print_sample("Hermiticity, unit trace and overlaps", report.checked, grid.dim**2, "operators", report.seed)
@@ -338,7 +336,7 @@ def cmd_verify(args) -> int:
         f1 = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
         f2 = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
         rep = ordering_check(q, f1, f2)
-        ok &= _print_check("operator ordering", rep.deviation)
+        ok &= _print_check("operator ordering", rep.deviation, rep.scale)
     else:
         _print_check("operator ordering", None, note="kernel family has no ordering rule")
 
@@ -363,12 +361,12 @@ def cmd_converge(args) -> int:
     try:
         n_list = [int(tok) for tok in args.Ns.split(",") if tok]
     except ValueError:
-        raise _fail(EXIT_BAD_EMBEDDING, f"bad --Ns list {args.Ns!r}")
+        raise CliError(EXIT_BAD_EMBEDDING, f"bad --Ns list {args.Ns!r}")
     family = args.kernel
     if family not in ("symmetric", "wootters", "almost-symmetric"):
-        raise _fail(EXIT_KERNEL_MISMATCH, f"unsupported kernel family {family!r}")
+        raise CliError(EXIT_KERNEL_MISMATCH, f"unsupported kernel family {family!r}")
     if not (math.isfinite(args.phi) and math.isfinite(args.phi0)):
-        raise _fail(EXIT_BAD_EMBEDDING, "--phi and --phi0 must be finite")
+        raise CliError(EXIT_BAD_EMBEDDING, "--phi and --phi0 must be finite")
 
     tokens = args.state
     name = tokens[0]
@@ -379,16 +377,16 @@ def cmd_converge(args) -> int:
             level = int(tokens[1])
             rho = fock_state(level + 1, level)
         except (IndexError, ValueError) as exc:
-            raise _fail(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
+            raise CliError(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
     elif os.path.exists(name):
         rho = _load_state_file(name)
     else:
-        raise _fail(EXIT_BAD_STATE, f"state spec {name!r} not usable for a continuum study")
+        raise CliError(EXIT_BAD_STATE, f"state spec {name!r} not usable for a continuum study")
 
     try:
         report = continuum_study(rho, family, args.n, args.phi, n_list, phi0=args.phi0)
     except EmbeddingError as exc:
-        raise _fail(EXIT_BAD_EMBEDDING, str(exc))
+        raise CliError(EXIT_BAD_EMBEDDING, str(exc))
 
     for row in report.rows:
         print(
@@ -408,12 +406,12 @@ def cmd_converge(args) -> int:
 def cmd_relate(args) -> int:
     def loader_for(label):
         if args.direction == "odd" and label != "wootters":
-            raise _fail(
+            raise CliError(
                 EXIT_KERNEL_MISMATCH,
                 f"odd relation needs a wootters grid, got kernel {label!r}",
             )
         if args.direction == "even" and label != "leonhardt":
-            raise _fail(
+            raise CliError(
                 EXIT_KERNEL_MISMATCH,
                 f"even relation needs a leonhardt half grid, got kernel {label!r}",
             )
@@ -424,7 +422,7 @@ def cmd_relate(args) -> int:
         try:
             out_grid = relate_odd(w)
         except ValueError as exc:
-            raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
+            raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
         target = lambda: _resolve_kernel("symmetric", w.dim, None)
     else:
         eps = args.epsilon if args.epsilon is not None else 1.0 / (2 * w.n_half)
@@ -432,7 +430,7 @@ def cmd_relate(args) -> int:
         try:
             out_grid = relate_even(w, eps)
         except ValueError as exc:
-            raise _fail(EXIT_KERNEL_MISMATCH, str(exc))
+            raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
         target = lambda: kernel
 
     if args.state:
@@ -505,13 +503,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a closed stdout (``| head``) ends it quietly with exit 141, as SIGPIPE would."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        sys.stdout = None  # nothing more can reach the reader, also not at exit
+        return 141
 
 
 if __name__ == "__main__":

@@ -8,12 +8,12 @@ phase-only and number-only functions quantize spectrally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from ._jsonio import complex_table, integer, read_json, write_json
-from .linalg import TOL
+from .linalg import within
 from .phasespace import _as_index
 
 #: Entries smaller than this are treated as structural zeros.
@@ -42,6 +42,11 @@ class Kernel:
     def dim(self) -> int:
         return self.values.shape[0]
 
+    @property
+    def scale(self) -> float:
+        """``max |K|``: the scale of every check on what is linear in the kernel."""
+        return float(np.max(np.abs(self.values)))
+
 
 @dataclass(frozen=True)
 class KernelValidity:
@@ -57,52 +62,35 @@ class KernelValidity:
 
     @property
     def valid(self) -> bool:
-        return all(
-            (
-                self.nonvanishing,
-                self.hermitian_pairing,
-                self.first_row_hermitian,
-                self.first_col_hermitian,
-                self.corner_real,
-                self.first_col_unit,
-                self.first_row_unit,
-            )
-        )
+        return all(astuple(self))
 
 
-def validate(kernel: Kernel, tol: float = TOL) -> KernelValidity:
+def validate(kernel: Kernel) -> KernelValidity:
     """Check every kernel condition and report them individually.
 
     The conjugation pairing couples ``K[k, l]`` with ``K[d-k, d-l]``
     through the sign ``(-1)**(d+k+l)``; together with nonvanishing
     entries and unit edge lines it characterises admissible kernels.
+    The interior pairing is measured on the scale ``max |K|``, the edge
+    lines and the corner on the scale 1 of their unit entries.
     """
     v = kernel.values
     d = kernel.dim
 
     nonvanishing = bool(np.min(np.abs(v)) > ZERO_TOL)
 
-    if d > 1:
-        sub = v[1:, 1:]
-        flipped = sub[::-1, ::-1]  # K[d-k, d-l] for 1 <= k, l <= d-1
-        k = np.arange(1, d)[:, None]
-        l = np.arange(1, d)[None, :]
-        signs = (-1.0) ** (d + k + l)
-        hermitian_pairing = bool(np.max(np.abs(sub.conj() - signs * flipped)) <= tol)
-        first_row_hermitian = bool(
-            np.max(np.abs(v[0, 1:].conj() - v[0, 1:][::-1])) <= tol
-        )
-        first_col_hermitian = bool(
-            np.max(np.abs(v[1:, 0].conj() - v[1:, 0][::-1])) <= tol
-        )
-    else:
-        hermitian_pairing = True
-        first_row_hermitian = True
-        first_col_hermitian = True
-
-    corner_real = bool(abs(v[0, 0].imag) <= tol)
-    first_col_unit = bool(np.max(np.abs(v[:, 0] - 1.0)) <= tol)
-    first_row_unit = bool(np.max(np.abs(v[0, :] - 1.0)) <= tol)
+    sub = v[1:, 1:]
+    flipped = sub[::-1, ::-1]  # K[d-k, d-l] for 1 <= k, l <= d-1
+    k = np.arange(1, d)[:, None]
+    l = np.arange(1, d)[None, :]
+    signs = (-1.0) ** (d + k + l)
+    # the edge and interior tables are empty at d = 1: a maximum of 0
+    hermitian_pairing = within(np.max(np.abs(sub.conj() - signs * flipped), initial=0.0), kernel.scale)
+    first_row_hermitian = within(np.max(np.abs(v[0, 1:].conj() - v[0, 1:][::-1]), initial=0.0))
+    first_col_hermitian = within(np.max(np.abs(v[1:, 0].conj() - v[1:, 0][::-1]), initial=0.0))
+    corner_real = within(abs(v[0, 0].imag))
+    first_col_unit = within(np.max(np.abs(v[:, 0] - 1.0)))
+    first_row_unit = within(np.max(np.abs(v[0, :] - 1.0)))
 
     return KernelValidity(
         nonvanishing=nonvanishing,
@@ -153,6 +141,15 @@ def default_epsilon(N: int) -> float:
     return 1.0 / (2 * _positive_half(N))
 
 
+def _admissible_eps(eps: float) -> float:
+    """``eps`` itself; raises unless it is a finite angle whose cosine does not vanish."""
+    if not np.isfinite(eps):
+        raise ValueError(f"eps={eps!r} rejected: not a finite angle")
+    if abs(np.cos(eps)) <= ZERO_TOL:
+        raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
+    return eps
+
+
 def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     """Skewed cosine kernel of even dimension ``2N``.
 
@@ -162,12 +159,7 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     another value.
     """
     N = _positive_half(N)
-    if eps is None:
-        eps = default_epsilon(N)
-    if not np.isfinite(eps):
-        raise ValueError(f"eps={eps!r} rejected: not a finite angle")
-    if abs(np.cos(eps)) <= ZERO_TOL:
-        raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
+    eps = default_epsilon(N) if eps is None else _admissible_eps(eps)
     a = _cosine_angles(2 * N)
     # cos(a + eps) / cos(eps), expanded so that a large eps keeps its precision
     values = np.cos(a) - np.tan(eps) * np.sin(a)
@@ -178,9 +170,9 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     return Kernel(values, label="almost-symmetric", eps=float(eps))
 
 
-def is_unimodular(kernel: Kernel, tol: float = TOL) -> bool:
-    """True iff every entry has unit modulus within ``tol``."""
-    return bool(np.max(np.abs(np.abs(kernel.values) - 1.0)) <= tol)
+def is_unimodular(kernel: Kernel) -> bool:
+    """True iff every entry has unit modulus within ``TOL``."""
+    return within(np.max(np.abs(np.abs(kernel.values) - 1.0)))
 
 
 def kernel_from_table(values, label: str = "custom") -> Kernel:

@@ -9,8 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Global tolerance for equality, Hermiticity and unitarity checks.
+#: The one tolerance of the package, applied by :func:`within`.
 TOL = 1e-10
+
+
+def within(dev, scale=1.0) -> bool:
+    """The tolerance rule: ``dev <= TOL * scale``; a NaN deviation fails.
+
+    ``scale`` is the size of what the deviation is measured on: 1 for a state,
+    a kernel's edge lines or a unit modulus, ``max |K|`` for anything linear in
+    the kernel ``K``, ``max |K|**2`` for what is quadratic in it.
+    """
+    return bool(dev <= TOL * scale)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -38,14 +48,13 @@ def frob_dist(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def is_hermitian(a, tol: float = TOL) -> bool:
-    a = as_matrix(a)
-    return frob_dist(a, adjoint(a)) <= tol
+def is_hermitian(a) -> bool:
+    return within(frob_dist(a, adjoint(a)))
 
 
-def is_unitary(a, tol: float = TOL) -> bool:
+def is_unitary(a) -> bool:
     a = as_matrix(a)
-    return frob_dist(a @ a.conj().T, np.eye(a.shape[0])) <= tol
+    return within(frob_dist(a @ a.conj().T, np.eye(a.shape[0])))
 
 
 def _hermitian_part(a) -> np.ndarray | None:
@@ -75,11 +84,12 @@ def psd_deficit(a) -> float:
     return 0.0 if _cholesky_succeeds(h) else max(0.0, -float(np.linalg.eigvalsh(h)[0]))
 
 
-def is_positive_semidefinite(a, slack: float = 1e-8) -> bool:
-    """Whether ``a`` is finite and its Hermitian part has all eigenvalues above ``-slack``.
+def is_positive_semidefinite(a) -> bool:
+    """Whether ``a`` is finite and its Hermitian part has no eigenvalue below ``-TOL``.
 
-    One Cholesky factorization of the Hermitian part plus ``slack * I``; being backward
-    stable on semidefinite matrices (Higham 1990), it passes rank-deficient states.
+    One Cholesky factorization of the Hermitian part plus ``TOL * I`` (the scale of a
+    state is 1); being backward stable on semidefinite matrices (Higham 1990), it
+    passes rank-deficient states.
     """
     h = _hermitian_part(a)
-    return h is not None and _cholesky_succeeds(h + slack * np.eye(len(h)))
+    return h is not None and _cholesky_succeeds(h + TOL * np.eye(len(h)))

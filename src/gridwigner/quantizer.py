@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import TOL, frob_dist
+from .linalg import frob_dist, within
 from .kernels import Kernel, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
@@ -65,9 +65,9 @@ class Quantizer:
         p, m_at, kp, n_at = _factors(self, *np.divmod(np.arange(d * d), d))
         ops = np.take(p, self.grid._core_tables[1], axis=1)[m_at] * kp[n_at]
         if self.check:
-            if _hermiticity(ops) > 10 * TOL:
+            if not within(_hermiticity(ops), self.kernel.scale):
                 raise ValueError("phase-point operator is not Hermitian")
-            if np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)) > 10 * TOL:
+            if not within(np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)), self.kernel.scale):
                 raise ValueError("phase-point operator has non-unit trace")
         return ops.reshape((d,) * 4)
 
@@ -210,7 +210,9 @@ class QuantizerReport:
     The axis sums and completeness cover every grid point.  Hermiticity,
     unit trace and both overlap checks cover every operator at the levels
     ``n`` of ``checked`` operators: all ``dim**2`` of them, or a sample
-    drawn with ``seed`` (``None`` when every operator was checked).
+    drawn with ``seed`` (``None`` when every operator was checked).  The
+    deviations are absolute; ``scale`` is ``max |K|``, the scale of the
+    identities linear in the kernel (the overlaps take its square).
     """
 
     hermiticity_dev: float
@@ -223,21 +225,16 @@ class QuantizerReport:
     unimodular: bool
     checked: int
     seed: int | None
+    scale: float
 
-    def core_pass(self, tol: float = TOL) -> bool:
-        """All kernel-generic identities within ``tol``."""
-        return (
-            self.hermiticity_dev <= tol
-            and self.trace_dev <= tol
-            and self.phase_sum_dev <= tol
-            and self.number_sum_dev <= tol
-            and self.completeness_dev <= tol
-            and self.overlap_dev <= tol
-        )
+    def core_pass(self) -> bool:
+        """All kernel-generic identities within tolerance."""
+        linear = (self.hermiticity_dev, self.trace_dev, self.phase_sum_dev, self.number_sum_dev, self.completeness_dev)
+        return all(within(dev, self.scale) for dev in linear) and within(self.overlap_dev, self.scale**2)
 
-    def orthogonality_pass(self, tol: float = TOL) -> bool:
+    def orthogonality_pass(self) -> bool:
         """Overlap orthogonality; expected only for unimodular kernels."""
-        return self.orthogonality_dev <= tol
+        return within(self.orthogonality_dev, self.scale**2)
 
 
 def verify_quantizer(q: Quantizer) -> QuantizerReport:
@@ -303,18 +300,20 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
         unimodular=is_unimodular(q.kernel),
         checked=len(flat),
         seed=seed,
+        scale=q.kernel.scale,
     )
 
 
 @dataclass(frozen=True)
 class OrderingReport:
-    """Deviation of a product quantization from its ordered target."""
+    """Deviation of a product quantization from its ordered target, on the scale ``max |K|``."""
 
     deviation: float
     tan_eps: float
+    scale: float
 
-    def ok(self, tol: float = TOL) -> bool:
-        return self.deviation <= tol
+    def ok(self) -> bool:
+        return within(self.deviation, self.scale)
 
 
 def ordering_check(q: Quantizer, f1, f2) -> OrderingReport:
@@ -343,4 +342,4 @@ def ordering_check(q: Quantizer, f1, f2) -> OrderingReport:
     if label == "almost-symmetric":
         tan_eps = float(np.tan(q.kernel.eps))
         target = target + 0.5j * tan_eps * (a @ b - b @ a)
-    return OrderingReport(deviation=frob_dist(op, target), tan_eps=tan_eps)
+    return OrderingReport(deviation=frob_dist(op, target), tan_eps=tan_eps, scale=q.kernel.scale)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
-from .kernels import Kernel, symmetric_kernel, wootters_kernel
+from .kernels import Kernel, _admissible_eps, symmetric_kernel, wootters_kernel
 from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _reduced
 from .quantizer import Quantizer, _checked, _chunks, _line_sums, _max_norm, _place_lines, _warn_if_ill_conditioned
 from .wigner import WignerGrid, _real_or_raise, check_density
@@ -278,9 +278,11 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
     if kernel_from.dim != w.dim or kernel_to.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
     _warn_if_ill_conditioned(kernel_from)
-    raw = np.fft.fft2(np.fft.ifft2(w.values) * (kernel_to.values / kernel_from.values))
+    ratio = kernel_to.values / kernel_from.values
+    raw = np.fft.fft2(np.fft.ifft2(w.values) * ratio)
+    scale = float(np.max(np.abs(ratio))) * max(1.0, float(np.max(np.abs(w.values))))
     return WignerGrid(
-        grid=w.grid, kernel_label=kernel_to.label, values=_real_or_raise(raw), epsilon=kernel_to.eps
+        grid=w.grid, kernel_label=kernel_to.label, values=_real_or_raise(raw, scale), epsilon=kernel_to.eps
     )
 
 
@@ -305,8 +307,7 @@ def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
     ``cos(pi*x*y/dim - eps) / (2N cos(eps))`` on the doubled grid, sampled
     at even indices, i.e. on the integer ``2N x 2N`` grid.
     """
-    if not np.isfinite(eps) or abs(np.cos(eps)) <= 1e-12:
-        raise ValueError(f"eps={eps!r} inadmissible: not finite or cos(eps) vanishes")
+    _admissible_eps(eps)
     N = w.n_half
     d = 2 * N
     jidx = np.arange(4 * N)

@@ -12,31 +12,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
-from .linalg import TOL, is_hermitian, is_positive_semidefinite
+from .linalg import is_hermitian, is_positive_semidefinite, within
 from .kernels import Kernel
 from .phasespace import PhaseGrid, characteristic, operator_from_characteristic
 from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
-
-#: Slack allowed on the smallest eigenvalue of a density operator.
-PSD_SLACK = 1e-8
-
 
 class ReconstructionError(ValueError):
     """Raised when a Wigner grid does not determine a valid state."""
 
 
-def check_density(rho, tol: float = TOL) -> np.ndarray:
-    """Validate a density operator: finite, Hermitian, unit trace, PSD within ``PSD_SLACK``."""
+def check_density(rho) -> np.ndarray:
+    """Validate a density operator: finite, Hermitian, unit trace and PSD, on the scale 1 of a state."""
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"density operator must be square, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError("density operator has non-finite entries")
-    if not is_hermitian(r, tol=tol):
+    if not is_hermitian(r):
         raise ValueError("density operator is not Hermitian")
-    if abs(np.trace(r) - 1.0) > tol:
+    if not within(abs(np.trace(r) - 1.0)):
         raise ValueError("density operator trace differs from 1")
-    if not is_positive_semidefinite(r, slack=PSD_SLACK):
+    if not is_positive_semidefinite(r):
         raise ValueError("density operator is not positive semidefinite")
     return r
 
@@ -63,15 +59,11 @@ class WignerGrid:
         return self.grid.dim
 
 
-def _real_or_raise(values: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """The real part of a table whose imaginary part is roundoff.
-
-    Roundoff grows with the entries, so the bound is ``tol`` times the
-    largest real entry, or ``tol`` itself for tables of entries up to 1
-    (every table of a density operator).
-    """
+def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The real part of a table whose imaginary part is roundoff on the ``scale``
+    of the terms summed into it (``max |K|`` for a kernel map of a state)."""
     resid = float(np.max(np.abs(values.imag)))
-    if resid > tol and resid > tol * float(np.max(np.abs(values.real))):
+    if not within(resid, scale):
         raise ValueError(
             f"Wigner values have imaginary residue {resid:.3e} beyond tolerance"
         )
@@ -100,7 +92,7 @@ def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = Tru
     return WignerGrid(
         grid=grid,
         kernel_label=kernel.label,
-        values=_real_or_raise(raw),
+        values=_real_or_raise(raw, kernel.scale),
         epsilon=kernel.eps,
     )
 
@@ -125,11 +117,11 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     kernel weights is the state's characteristic function, mapped back by
     :func:`operator_from_characteristic` (one inverse FFT2, one division and
     one row FFT).  A kernel without the conjugation pairing leaves an
-    anti-Hermitian part; beyond ``10 * TOL`` times the largest entry (or
-    ``10 * TOL`` for entries up to 1, as for every state) it raises.  The
-    result is averaged with its adjoint, so its off-diagonal pairs are
-    bitwise conjugates and its diagonal imaginary parts are +0.0.  It must
-    satisfy the density-operator invariants within ``10 * TOL``.
+    anti-Hermitian part; it raises when that part fails the tolerance on
+    the scale ``max |K| * max(1, max |rho|)``.  The result is averaged with
+    its adjoint, so its off-diagonal pairs are bitwise conjugates and its
+    diagonal imaginary parts are +0.0.  With ``validate_state`` it must
+    pass :func:`check_density`.
     """
     if kernel.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
@@ -142,14 +134,14 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     rho = operator_from_characteristic(w.grid, chi)
     h = rho.conj().T
     defect = float(np.max(np.abs(rho - h)))
-    if not defect <= 10 * TOL * max(1.0, float(np.max(np.abs(rho)))):  # NaN fails too
+    if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):
         raise ReconstructionError(f"inconsistent Wigner grid: anti-Hermitian part {defect:.3e}")
     rho = (rho + h) / 2
     # equal imaginary parts average to +0.0 on both sides: give the lower one the conjugate's sign
     np.copysign(rho.imag, -rho.imag.T, out=rho.imag, where=np.tri(w.dim, k=-1, dtype=bool))
     if validate_state:
         try:
-            check_density(rho, tol=10 * TOL)
+            check_density(rho)
         except ValueError as exc:
             raise ReconstructionError(str(exc)) from exc
     return rho

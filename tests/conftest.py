@@ -11,6 +11,22 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def planted(kernel, defect, rng, size=1e-8):
+    """``kernel`` with one defect of relative size ``size``: an interior entry moved by
+    ``1j * size * max |K|`` (``defect="pairing"``) or an edge entry by ``size``
+    (``"edge"``).  Either breaks its condition by ``size`` relative to what it measures."""
+    import gridwigner as gw
+
+    d, values = kernel.dim, kernel.values.copy()
+    if defect == "pairing":
+        k, l = (int(x) for x in rng.integers(1, d, size=2))
+        values[k, l] += 1j * size * np.max(np.abs(values))
+    else:
+        i = int(rng.integers(d))
+        values[(0, i) if rng.integers(2) else (i, 0)] += size
+    return gw.Kernel(values, kernel.label, kernel.eps)
+
+
 WRITING = ["wigner-json", "wigner-csv", "reconstruct", "reconstruct-half", "converge", "relate-odd", "relate-even"]
 
 

@@ -92,3 +92,24 @@ def test_every_output_file_is_opened_by_the_one_opener():
             if isinstance(node, ast.Call) and id(node) not in exempt and _opens_for_writing(node)
         ]
     assert found == []
+
+
+def test_the_tolerance_is_named_in_linalg_alone():
+    """No module but ``linalg`` (and ``__init__``, which exports it) names ``TOL``:
+    every check goes through ``linalg.within``.  No public function takes ``tol`` or ``slack``."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name not in ("linalg.py", "__init__.py"):
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if (isinstance(node, ast.Name) and node.id == "TOL")
+                or (isinstance(node, ast.Attribute) and node.attr == "TOL")
+                or (isinstance(node, ast.alias) and node.name == "TOL")
+            ]
+        found += [
+            f"{path.name}:{node.lineno} {node.name}({arg.arg})" for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            for arg in node.args.args + node.args.kwonlyargs if arg.arg in ("tol", "slack")
+        ]
+    assert found == []

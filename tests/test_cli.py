@@ -3,13 +3,17 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gridwigner as gw
 import oracles
-from conftest import WRITING, writing_commands
+from conftest import WRITING, planted, writing_commands
 from gridwigner import cli
 from gridwigner.cli import main
 
@@ -228,6 +232,7 @@ class TestReconstructCommand:
         grid_file = tmp_path / "half.json"
         gw.halfgrid_to_json(gw.HalfIntegerWignerGrid(n_half=2, phi0=0.0, values=values), grid_file)
         assert run_rejected(capsys, "reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json")) == 4
+        assert not (tmp_path / "s.json").exists()  # a state that is not finite has no JSON file
 
     def test_non_psd_grid_exits_4(self, tmp_path, rng, capsys):
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
@@ -275,9 +280,10 @@ class TestVerifyCommand:
         if kernel == "wootters":
             assert "sampled: line projectivity and completeness on 18 of 62 line families (seed 0)" in out
 
-    def test_a_kernel_failing_validity_is_reported_not_raised(self, capsys):
-        # cos(eps) ~ 3e-8: the skewed kernel's entries reach 1e7, and the roundoff of its
-        # sine table misses the pairing tolerance (at d = 4 the reduced angles pair exactly)
+    def test_a_kernel_failing_validity_is_reported_not_raised(self, capsys, monkeypatch, rng):
+        # a built-in kernel with a planted pairing defect: verify prints the failed condition
+        broken = planted(gw.almost_symmetric_kernel(3, 1.5707963), "pairing", rng)
+        monkeypatch.setattr(cli, "almost_symmetric_kernel", lambda N, eps: broken)
         assert run("verify", "--dim", "6", "--kernel", "almost-symmetric", "--epsilon", "1.5707963") == 1
         captured = capsys.readouterr()
         assert "kernel conjugation pairing: FAIL" in captured.out.splitlines()
@@ -458,6 +464,17 @@ class TestJsonStability:
         second = tmp_path / "b.json"
         gw.save_density_json(gw.load_density_json(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_closed_stdout_ends_quietly():
+    # ``gridwigner verify ... | head -1`` once the reader has gone: no traceback, exit 141 as by SIGPIPE
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(gw.__file__).parents[1])}
+    argv = [sys.executable, "-m", "gridwigner.cli", "verify", "--dim", "45", "--kernel", "wootters"]
+    proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def run_rejected(capsys, *argv):

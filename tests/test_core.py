@@ -15,7 +15,7 @@ the phase-basis inversion with its dense rotation for the three built-in
 kernels at dimensions 2 to 65 and angles up to 1e8, to 1e-13, and it must
 be exactly Hermitian (bitwise conjugate pairs, +0.0 imaginary diagonal)
 at every size up to 700; whenever it passes and the CLI's state term is
-within 10*TOL, ``wigner_grid`` gives the table back (built-in, random and
+within tolerance, ``wigner_grid`` gives the table back (built-in, random and
 perturbed kernels, states, real tables and noisy states).  The kernel
 ratio of ``relate`` is checked
 against the target kernel's Wigner grid in both directions and against
@@ -31,7 +31,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
-from gridwigner import cli
+from gridwigner import cli, linalg
 from gridwigner.cli import _phase_marginal
 from conftest import random_complex
 
@@ -214,7 +214,7 @@ def _perturbed(kernel, rng):
 )
 def test_a_passing_state_term_implies_the_grid_round_trip(d, phi0, seed, family, kind):
     """What the CLI's dropped forward map checked: with ``reconstruct`` passing and the
-    state term at most 10*TOL, ``wigner_grid`` of the result gives the table back."""
+    state term within tolerance, ``wigner_grid`` of the result gives the table back."""
     rng = np.random.default_rng(seed)
     grid = gw.PhaseGrid(d, phi0)
     kernel = _kernel(d, "custom" if family == "custom" else "builtin", rng)
@@ -232,7 +232,7 @@ def test_a_passing_state_term_implies_the_grid_round_trip(d, phi0, seed, family,
     except gw.ReconstructionError:
         assert family == "perturbed"
         return
-    if cli._state_residual(rho) <= 10 * gw.TOL:
+    if linalg.within(cli._state_residual(rho)):
         assert _dev(gw.wigner_grid(grid, kernel, rho, validate_state=False).values, values) <= 10 * gw.TOL
     else:
         assert kind != "state"
@@ -440,7 +440,7 @@ def _lambda_min(a):
 
 
 def _oracle_accepts(a):
-    return oracles.min_diag_pivot(a) >= -1e-8  # the default slack of is_positive_semidefinite
+    return oracles.min_diag_pivot(a) >= -gw.TOL  # the slack of is_positive_semidefinite
 
 
 @SETTINGS

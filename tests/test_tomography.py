@@ -83,7 +83,7 @@ class TestLineProjectors:
                 projs = []
                 for n3 in range(dim):
                     p = gw.line_projector(q, gw.Line(n1, n2, n3, dim))
-                    assert gw.is_hermitian(p, tol=1e-10)
+                    assert gw.is_hermitian(p)
                     assert gw.frob_dist(p @ p, p) <= 1e-10
                     total += p
                     projs.append(p)
