@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .kernels import (
     validate,
     wootters_kernel,
 )
-from .phasespace import PhaseGrid, _angle_phases
+from .phasespace import PhaseGrid, _angle_phases, _diagonals
 from .quantizer import build_quantizer, ordering_check, verify_quantizer
 from .states import (
     fock_state,
@@ -195,9 +196,8 @@ def cmd_wigner(args) -> int:
 
 def _phase_marginal(grid: PhaseGrid, rho: np.ndarray) -> np.ndarray:
     """``<phi_m|rho|phi_m>``: one FFT of the cyclic-diagonal sums of ``rho``, the
-    ``l = 0`` column of ``characteristic`` (corner phase on the wrapped entries)."""
-    idx, diag, corner, _ = grid._core_tables
-    sums = (rho[idx, diag] * corner).sum(axis=1)
+    ``l = 0`` column of ``characteristic``."""
+    sums = _diagonals(grid, rho).sum(axis=1)
     return np.fft.fft(sums * _angle_phases(grid)[:, 0]).real / grid.dim
 
 
@@ -444,10 +444,15 @@ def cmd_relate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line: one error line, exit 2
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridwigner",
         description="Discrete Wigner functions on finite number-phase grids",
     )
@@ -503,11 +508,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a closed stdout (``| head``) ends it quietly with exit 141, as SIGPIPE would."""
+    """Run one command; a closed stdout (``| head``) ends it quietly with exit 141, as SIGPIPE would.
+    Each Python warning is one ``warning:`` line; numpy's floating-point flags are ignored,
+    as every command maps a non-finite result to its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except CliError as exc:

@@ -185,8 +185,8 @@ def save_kernel(kernel: Kernel, path) -> None:
     write_json(path, {"dim": kernel.dim, "values": kernel.values})
 
 
-def load_kernel(path, label: str = "file") -> Kernel:
-    """Read a kernel from the JSON table format."""
+def load_kernel(path) -> Kernel:
+    """Read a kernel from the JSON table format; its label is ``"file"``."""
     obj = read_json(path)
     d = integer(obj["dim"], "kernel file dim")
-    return Kernel(complex_table(obj["values"], d, "kernel file table"), label=label)
+    return Kernel(complex_table(obj["values"], d, "kernel file table"), label="file")

@@ -31,11 +31,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _same_shape(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
@@ -44,7 +39,8 @@ def adjoint(a) -> np.ndarray:
 def frob_dist(a, b) -> float:
     """Frobenius norm of ``a - b``; the library-wide equality metric."""
     a, b = as_matrix(a), as_matrix(b)
-    _same_shape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
 
 

@@ -184,24 +184,26 @@ def inverse_fourier(grid: PhaseGrid, coeffs) -> np.ndarray:
     return np.fft.ifft2(c / _angle_phases(grid)) * grid.dim
 
 
+def _diagonals(grid: PhaseGrid, a) -> np.ndarray:
+    """Row ``k`` is the k-th cyclic diagonal ``a[n, n - k mod dim]``, times the corner
+    phase ``exp(i*dim*phi0)`` on its wrapped entries ``n < k``; leading axes are batch axes."""
+    idx, diag, corner, _ = grid._core_tables
+    return np.asarray(a, dtype=complex)[..., idx, diag] * corner
+
+
 def characteristic(grid: PhaseGrid, a) -> np.ndarray:
     """Characteristic function ``chi[k, l] = trace(a D(k, l))``, ``0 <= k, l < dim``.
 
-    Row ``k`` is one FFT of the k-th cyclic diagonal ``a[n, n - k]`` (corner
-    phase on its wrapped entries), sheared by ``exp(-i*pi*k*l/dim)``:
-    O(dim**2 log dim).  Leading axes of ``a`` are batch axes.
+    Row ``k`` is one FFT of row ``k`` of :func:`_diagonals`, sheared by
+    ``exp(-i*pi*k*l/dim)``: O(dim**2 log dim).  Leading axes of ``a`` are batch axes.
     """
-    idx, diag, corner, shear = grid._core_tables
-    s = np.asarray(a, dtype=complex)[..., idx, diag] * corner
-    return np.fft.ifft(s, norm="forward") * shear
+    return np.fft.ifft(_diagonals(grid, a), norm="forward") * grid._core_tables[3]
 
 
 def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
-    """Exact inverse of :func:`characteristic`: ``sum_{k,l} chi[k, l] D(k, l)^+ / dim``;
-    leading axes of ``chi`` are batch axes."""
-    idx, diag, corner, shear = grid._core_tables
-    s = np.fft.fft(chi * shear.conj(), norm="forward") * corner.conj()
-    return s[..., diag.T, idx[:, None]]
+    """Exact inverse of :func:`characteristic`: ``sum_{k,l} chi[k, l] D(k, l)^+ / dim``,
+    the adjoint of a displacement sum; leading axes of ``chi`` are batch axes."""
+    return _displacement_sum(grid, np.conj(chi)).swapaxes(-1, -2).conj() / grid.dim
 
 
 def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
@@ -215,3 +217,15 @@ def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
     out = np.take(s.reshape(*s.shape[:-2], -1), diag * grid.dim + idx, axis=-1)
     out *= corner
     return out
+
+
+def _level_shifts(grid: PhaseGrid, a, levels) -> np.ndarray:
+    """``U**-n a U**n`` for each level ``0 <= n < dim`` (``U`` the shift :func:`u_op`): ``a[b - n, c - n]``
+    (mod dim) at ``[b, c]``, times ``exp(i*dim*phi0)`` where ``c < n`` and its conjugate where ``b < n``;
+    the window at ``(dim - n, dim - n)`` of ``a`` tiled 2 x 2, those phases on its first columns and rows."""
+    d = grid.dim
+    wrapped = np.where(np.arange(2 * d) < d, np.exp(1j * d * grid.phi0_reduced), 1.0)
+    tiled = np.tile(a, (2, 2)) * wrapped
+    tiled *= wrapped.conj()[:, None]
+    start = d - np.asarray(levels)
+    return np.lib.stride_tricks.sliding_window_view(tiled, (d, d))[start, start]

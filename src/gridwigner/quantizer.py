@@ -3,8 +3,9 @@
 The phase-point operators (Stratonovich-Weyl quantizer) turn functions on
 the grid into operators and back.  Every such map is a kernel-weighted
 displacement sum, so it runs through the characteristic-function core of
-:mod:`phasespace` in O(dim**2 log dim); explicit operators are built only
-for the identity checks below, and only those that are checked.
+:mod:`phasespace` in O(dim**2 log dim).  Explicit operators are one
+displacement sum, ``Omega(0, 0)``, and its clock and shift conjugates; they
+are built only for the identity checks below, and only those that are checked.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .kernels import Kernel, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
     _angle_phases,
-    _angles,
     _displacement_sum,
+    _level_shifts,
     characteristic,
     phase_basis,
     phase_function_op,
@@ -32,8 +33,8 @@ CONDITION_TOL = 1e-6
 
 #: Budget of the identity checks, in complex entries of explicit operators:
 #: every operator and every line family is checked while ``dim**4 <= BUDGET``
-#: (``dim <= 45``); above that a sample of ``BUDGET // dim**2`` operators and
-#: of ``BUDGET // dim**3`` line families (at least one), drawn with
+#: (``dim <= 45``); above that every operator at the levels of ``BUDGET // dim**2``
+#: grid points, and ``BUDGET // dim**3`` line families (at least one), drawn with
 #: ``SAMPLE_SEED``.  No step of the checks holds more than ``BUDGET`` entries.
 BUDGET = 45**4
 SAMPLE_SEED = 0
@@ -60,35 +61,19 @@ class Quantizer:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """All phase-point operators, ``(dim, dim, dim, dim)``; checked if ``check``."""
+        """All phase-point operators ``Omega(m, n) = V**m U**-n Omega(0, 0) U**n V**-m``,
+        ``(dim, dim, dim, dim)``; checked if ``check``."""
         d = self.grid.dim
-        p, m_at, kp, n_at = _factors(self, *np.divmod(np.arange(d * d), d))
-        ops = np.take(p, self.grid._core_tables[1], axis=1)[m_at] * kp[n_at]
+        idx = np.arange(d)
+        clock = np.exp(2j * np.pi * idx / d)[np.multiply.outer(idx, idx[:, None] - idx) % d]
+        origin = _displacement_sum(self.grid, d * self.weights)  # the fft2 of the origin's indicator is 1
+        ops = (clock[:, None] * _level_shifts(self.grid, origin, idx)).reshape(d * d, d, d)
         if self.check:
             if not within(_hermiticity(ops), self.kernel.scale):
                 raise ValueError("phase-point operator is not Hermitian")
             if not within(np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)), self.kernel.scale):
                 raise ValueError("phase-point operator has non-unit trace")
         return ops.reshape((d,) * 4)
-
-
-def _factors(q: Quantizer, m, n):
-    """Factor tables ``p, m_at, kp, n_at`` of the operators of the points ``(phi_m[s], n[s])``.
-
-    Entry ``[a, b]``, ``k = b - a mod dim``, is ``p[m_at[s], k] * kp[n_at[s], a, b]``:
-    ``exp(-i*k*phi_m)`` (rows for the distinct ``m``) times the corner phase and the
-    row FFT of the sheared kernel at ``(k, n - b mod dim)`` (for the distinct ``n``).
-    """
-    grid = q.grid
-    d = grid.dim
-    idx, diag, corner, shear = grid._core_tables
-    g = np.fft.fft(q.kernel.values * shear) / d
-    ms, m_at = np.unique(m, return_inverse=True)
-    ns, n_at = np.unique(n, return_inverse=True)
-    p = np.exp(-1j * np.outer(_angles(grid, ms), idx))
-    kp = g[diag, (ns[:, None, None] - idx) % d]
-    kp *= corner
-    return p, m_at, kp, n_at
 
 
 def _place_lines(q: Quantizer, n1, n2, phases) -> np.ndarray:
@@ -208,9 +193,9 @@ class QuantizerReport:
     """Maximum deviations of the phase-point-operator identities.
 
     The axis sums and completeness cover every grid point.  Hermiticity,
-    unit trace and both overlap checks cover every operator at the levels
-    ``n`` of ``checked`` operators: all ``dim**2`` of them, or a sample
-    drawn with ``seed`` (``None`` when every operator was checked).  The
+    unit trace and both overlap checks cover the ``checked`` operators, all
+    those at the levels ``n`` hit by grid points drawn with ``seed``; it is
+    ``None`` when they hit every level, so every operator is checked.  The
     deviations are absolute; ``scale`` is ``max |K|``, the scale of the
     identities linear in the kernel (the overlaps take its square).
     """
@@ -251,8 +236,8 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     the number-axis sum at ``n = 0`` (:func:`_line_sums` of the directions
     ``(1, 0)`` and ``(0, 1)``).  Hermiticity and unit trace are checked on the
     operators ``Omega(0, n)`` at the levels of the :func:`_checked` operators
-    (every level for ``dim <= 45``), built from the :func:`_factors` tables,
-    and cover every ``m`` there.  On the cyclic diagonal ``b = a + k``,
+    (every level for ``dim <= 45``), shifts of ``Omega(0, 0)``, and cover
+    every ``m`` there.  On the cyclic diagonal ``b = a + k``,
     ``Omega(m, n)`` is ``exp(-2*pi*i*k*m/dim) Omega(0, n)``, so the overlaps
     ``Re sum_ab Omega_s[a, b] conj(Omega_t[a, b])`` (the trace of ``Omega_s
     Omega_t`` if Hermitian) of every pair at those levels are one table,
@@ -264,7 +249,7 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     """
     grid = q.grid
     d = grid.dim
-    idx, diag = grid._core_tables[:2]
+    idx = np.arange(d)
     eye = np.eye(d)
     ket = phase_basis(grid)[:, 0]
     phase_sum = frob_dist(_line_sums(q, 1, 0, [0])[0], np.outer(ket, ket.conj()))
@@ -274,8 +259,9 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
 
     flat, seed = _checked(d, d * d, d * d)
     ns = np.unique(flat % d)
-    p, _, ops, _ = _factors(q, 0, ns)
-    ops *= p[0, diag]  # Omega(0, n) at the checked levels n
+    if len(ns) == d:
+        seed = None  # the sample hits every level: every operator is checked
+    ops = _level_shifts(grid, _displacement_sum(grid, d * q.weights), ns)  # Omega(0, n) at the checked levels n
     herm = _hermiticity(ops)
     tr = float(np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)))
     # entries [a, a + k] at [k, a]; there Omega(m, n) is exp(-2*pi*i*k*m/dim) Omega(0, n)
@@ -298,7 +284,7 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
         overlap_dev=overlap_dev,
         orthogonality_dev=orth_dev,
         unimodular=is_unimodular(q.kernel),
-        checked=len(flat),
+        checked=len(ns) * d,
         seed=seed,
         scale=q.kernel.scale,
     )

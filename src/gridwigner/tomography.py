@@ -257,11 +257,6 @@ def leonhardt_reconstruct(w: HalfIntegerWignerGrid) -> np.ndarray:
     return np.exp(1j * jr * _reduced(w.phi0)) * f[jr % (4 * N), a[:, None] + a]
 
 
-def _convolve(values: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Circular convolution ``sum_{x,y} c[i - x, j - y] * values[x, y]`` by FFT2."""
-    return np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(c), s=values.shape)
-
-
 def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
     """Map a Wigner grid of one kernel to the grid of another kernel on the same grid.
 
@@ -303,16 +298,16 @@ def relate_odd(w: WignerGrid) -> WignerGrid:
 def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
     """Map a half-integer-grid Wigner table to the skewed even-dimension one.
 
-    Exact finite-dimension identity: the table convolved with
-    ``cos(pi*x*y/dim - eps) / (2N cos(eps))`` on the doubled grid, sampled
-    at even indices, i.e. on the integer ``2N x 2N`` grid.
+    Exact finite-dimension identity: the table circularly convolved (one FFT2
+    product) with ``cos(pi*x*y/dim - eps) / (2N cos(eps))`` on the doubled grid,
+    sampled at even indices, i.e. on the integer ``2N x 2N`` grid.
     """
     _admissible_eps(eps)
     N = w.n_half
     d = 2 * N
     jidx = np.arange(4 * N)
     c = np.cos(np.pi * (np.outer(jidx, jidx) % (2 * d)) / d - eps)
-    out = _convolve(w.values, c)[::2, ::2] / (2 * N * np.cos(eps))
+    out = np.fft.irfft2(np.fft.rfft2(w.values) * np.fft.rfft2(c), s=c.shape)[::2, ::2] / (2 * N * np.cos(eps))
     grid = PhaseGrid(d, w.phi0)
     return WignerGrid(
         grid=grid, kernel_label="almost-symmetric", values=out, epsilon=float(eps)
@@ -429,10 +424,10 @@ class ConvergenceReport:
     def errors(self) -> list[float]:
         return [r.abs_error for r in self.rows]
 
-    def monotone(self, floor: float = 1e-12) -> bool:
-        """Whether errors never increase beyond a roundoff floor."""
+    def monotone(self) -> bool:
+        """Whether errors never increase by more than a roundoff floor of 1e-12."""
         e = self.errors()
-        return all(e[i + 1] <= e[i] + floor for i in range(len(e) - 1))
+        return all(e[i + 1] <= e[i] + 1e-12 for i in range(len(e) - 1))
 
     def slope(self) -> float | None:
         """Least-squares slope of ``log(abs_error)`` against ``log(N)``.

@@ -14,7 +14,7 @@ import numpy as np
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .linalg import is_hermitian, is_positive_semidefinite, within
 from .kernels import Kernel
-from .phasespace import PhaseGrid, characteristic, operator_from_characteristic
+from .phasespace import PhaseGrid, _displacement_sum, characteristic
 from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
 
 class ReconstructionError(ValueError):
@@ -113,10 +113,10 @@ def marginals(w: WignerGrid):
 def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
     """Recover the density operator behind a Wigner grid.
 
-    The exact inverse of :func:`wigner_grid`: ``ifft2(W)`` divided by the
-    kernel weights is the state's characteristic function, mapped back by
-    :func:`operator_from_characteristic` (one inverse FFT2, one division and
-    one row FFT).  A kernel without the conjugation pairing leaves an
+    The exact inverse of :func:`wigner_grid`: ``chi = ifft2(W) / weights`` is
+    the state's characteristic function, its conjugate ``fft2(W) / conj(weights)
+    / dim**2`` as ``W`` is real, and the state the adjoint of the displacement
+    sum of ``conj(chi) / dim``.  A kernel without the conjugation pairing leaves an
     anti-Hermitian part; it raises when that part fails the tolerance on
     the scale ``max |K| * max(1, max |rho|)``.  The result is averaged with
     its adjoint, so its off-diagonal pairs are bitwise conjugates and its
@@ -130,9 +130,9 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
             f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}"
         )
     _warn_if_ill_conditioned(kernel)
-    chi = np.fft.ifft2(w.values) / _kernel_weights(w.grid, kernel)
-    rho = operator_from_characteristic(w.grid, chi)
-    h = rho.conj().T
+    # conj(chi) / dim; one complex division, as dividing by a real scalar costs one as well
+    h = _displacement_sum(w.grid, np.fft.fft2(w.values) / (np.conj(_kernel_weights(w.grid, kernel)) * w.dim**3))
+    rho = h.conj().T
     defect = float(np.max(np.abs(rho - h)))
     if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):
         raise ReconstructionError(f"inconsistent Wigner grid: anti-Hermitian part {defect:.3e}")

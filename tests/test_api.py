@@ -113,3 +113,18 @@ def test_the_tolerance_is_named_in_linalg_alone():
             for arg in node.args.args + node.args.kwonlyargs if arg.arg in ("tol", "slack")
         ]
     assert found == []
+
+
+def test_the_core_layout_is_read_in_phasespace_alone():
+    """No module but ``phasespace`` names ``_core_tables``: every other module gathers
+    through ``_diagonals`` and places through ``_displacement_sum``."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        if path.name != "phasespace.py":
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if (isinstance(node, ast.Attribute) and node.attr == "_core_tables")
+                or (isinstance(node, ast.Name) and node.id == "_core_tables")
+                or (isinstance(node, ast.Constant) and node.value == "_core_tables")
+            ]
+    assert found == []

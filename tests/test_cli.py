@@ -272,13 +272,18 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1]
         out = outputs[0]
         assert "FAIL" not in out
-        checked = gw.quantizer.BUDGET // dim**2
-        assert (
-            f"sampled: Hermiticity, unit trace and overlaps on {checked} of {dim * dim} operators (seed 0)"
-            in out.splitlines()
-        )
+        # the drawn operators hit every level here, so every operator is checked
+        assert "sampled: Hermiticity" not in out
         if kernel == "wootters":
             assert "sampled: line projectivity and completeness on 18 of 62 line families (seed 0)" in out
+
+    @pytest.mark.parametrize("dim, kernel, levels", [(101, "symmetric", 97), (101, "wootters", 97), (100, "almost-symmetric", 98)])
+    def test_sampled_levels(self, capsys, dim, kernel, levels):
+        assert run("verify", "--dim", str(dim), "--kernel", kernel, "--phi0", "0.37") == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        line = f"sampled: Hermiticity, unit trace and overlaps on {levels * dim} of {dim * dim} operators (seed 0)"
+        assert line in out.splitlines()
 
     def test_a_kernel_failing_validity_is_reported_not_raised(self, capsys, monkeypatch, rng):
         # a built-in kernel with a planted pairing defect: verify prints the failed condition
@@ -651,6 +656,31 @@ def test_verify_validates_a_file_kernel_once(tmp_path, monkeypatch, capsys):
     assert run("verify", "--dim", "5", "--kernel", f"file:{path}") == 3
     assert capsys.readouterr().err == "error: kernel file fails the validity conditions\n"
     assert calls == ["file"]
+
+
+class TestStderrLines:
+    """Standard error holds the ``error:`` line of a failure and ``warning:`` lines, nothing else."""
+
+    def test_overflowing_half_grid_prints_no_numpy_warning(self, tmp_path, capsys):
+        # a +-1e308 checkerboard overflows the transforms; numpy flags it, the exit code says it
+        values = 1e308 * (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
+        grid_file = tmp_path / "half.json"
+        grid_file.write_text(json.dumps({"dim": 4, "phi0": 0.0, "kernel": "leonhardt", "values": values.tolist()}))
+        assert run_rejected(capsys, "reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json")) == 4
+
+    def test_ill_conditioned_kernel_is_one_warning_line(self, tmp_path, capsys):
+        grid_file = tmp_path / "g.json"
+        argv = ["--dim", "4", "--kernel", "almost-symmetric", "--epsilon", "0.785398", "--state", "mixed"]
+        assert run("wigner", *argv, "--out", str(grid_file)) == 0
+        capsys.readouterr()
+        assert run("reconstruct", "--grid", str(grid_file), "--out", str(tmp_path / "s.json")) == 0
+        assert capsys.readouterr().err == "warning: kernel inversion is ill-conditioned (min |K| = 2.311e-07)\n"
+
+    def test_malformed_command_line_is_one_error_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--dim", "x", "--kernel", "wootters")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: argument --dim: invalid int value: 'x'\n"
 
 
 class TestNonNumberEntries:

@@ -100,8 +100,11 @@ def test_sampling_keeps_every_verdict(monkeypatch, d, family, phi0):
     dense = _dense(d, family, phi0)
     assert _verdicts(devs) == _verdicts({name: dense[name] for name in devs})
     if d**4 > budget:
-        assert report.seed == quantizer.SAMPLE_SEED
-        assert report.checked == max(1, budget // d**2)
+        # every operator at the levels the drawn points hit; no seed once they hit every level
+        drawn = np.random.default_rng(quantizer.SAMPLE_SEED).choice(d * d, max(1, budget // d**2), replace=False)
+        levels = len(np.unique(drawn % d))
+        assert report.checked == levels * d
+        assert report.seed == (None if levels == d else quantizer.SAMPLE_SEED)
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,13 +141,21 @@ def test_non_unimodular_custom_kernel_fails_orthogonality_in_both():
 
 
 def test_sample_is_seeded_and_within_the_budget():
-    q = _quantizer(61, "wootters", 0.37)
+    # at d = 101 the BUDGET // d**2 = 401 drawn points hit 97 of the 101 levels
+    q = _quantizer(101, "wootters", 0.37)
     first, again = gw.verify_quantizer(q), gw.verify_quantizer(q)
     assert first == again
-    assert first.seed == quantizer.SAMPLE_SEED and first.checked == quantizer.BUDGET // 61**2
+    assert first.seed == quantizer.SAMPLE_SEED and first.checked == 97 * 101
     lines = gw.verify_lines(q)
-    assert lines.families == 62 and lines.checked == quantizer.BUDGET // 61**3
+    assert lines.families == 102 and lines.checked == quantizer.BUDGET // 101**3
     assert lines.seed == quantizer.SAMPLE_SEED
+
+
+@pytest.mark.parametrize("d", [47, 61])
+def test_a_sample_that_hits_every_level_checks_every_operator(d):
+    # d = 47: 1856 drawn points, d = 61: 1102, and both hit every level
+    report = gw.verify_quantizer(_quantizer(d, "wootters", 0.37))
+    assert report.seed is None and report.checked == d * d
 
 
 @pytest.mark.parametrize("d", [3, 9, 15, 21, 25, 27, 45, 47, 63, 105])
