@@ -2,10 +2,10 @@
 convergence tables and inter-kernel relation transforms.
 
 Exit codes: 0 success, 1 unexpected identity failure, 2 invalid state or
-malformed grid file, 3 kernel/dimension mismatch or invalid grid
-parameters, 4 reconstruction residual too large, 5 invalid continuum
-embedding, 6 output file cannot be written.  Malformed input and an
-unwritable ``--out`` exit with their code and one ``error:`` line.
+malformed grid file, 3 kernel/dimension mismatch, invalid grid parameters
+or a table too large for memory, 4 reconstruction residual too large,
+5 invalid continuum embedding, 6 output file cannot be written.  Malformed
+input and an unwritable ``--out`` exit with their code and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .tomography import (
     EmbeddingError,
     _halfgrid_from_json,
     continuum_study,
-    embed_state,
     leonhardt_reconstruct,
     leonhardt_wigner,
     relate_even,
@@ -161,7 +160,7 @@ def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
         raise CliError(EXIT_BAD_STATE, "qubit states require --dim 2")
     try:
         if name == "fock":
-            rho = embed_state(fock_state(int(args[0]) + 1, int(args[0])), dim)
+            rho = fock_state(dim, int(args[0]))
         elif name == "phase":
             rho = phase_state(dim, int(args[0]), phi0)
         elif name == "mixed":
@@ -519,9 +518,9 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()
         return code
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    except (CliError, MemoryError) as exc:  # a table too large for the host is a refused grid size
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return exc.code if isinstance(exc, CliError) else EXIT_KERNEL_MISMATCH
     except BrokenPipeError:
         sys.stdout = None  # nothing more can reach the reader, also not at exit
         return 141

@@ -1,9 +1,9 @@
 """Finite number-phase grids, their bases, and the operators living on them.
 
 A grid of dimension ``d`` couples ``d`` equally spaced phase angles with
-``d`` number levels.  This module provides both orthonormal bases (number
-and phase), the number and phase operators, the clock/shift unitaries,
-the displacement operators, the grid Fourier transform and the
+``d`` number levels and holds no tables.  This module provides both bases
+(number and phase), the number and phase operators, the clock/shift
+unitaries, the displacement operators, the grid Fourier transform and the
 characteristic-function pair that every state/grid map runs through.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,21 +61,10 @@ class PhaseGrid:
         """Phase angle for an arbitrary (also non-integer) index ``m``."""
         return self.phi0 + 2.0 * np.pi * m / self.dim
 
-    @cached_property
+    @property
     def phi0_reduced(self) -> float:
-        """:func:`_reduced` of ``phi0``, computed once."""
+        """:func:`_reduced` of ``phi0``."""
         return _reduced(self.phi0)
-
-    @cached_property
-    def _core_tables(self):
-        """Tables of :func:`characteristic`: ``diag[k, a] = (a - k) mod dim``,
-        ``exp(i*dim*phi0)`` on the wrapped entries ``a < k``, the shear."""
-        d = self.dim
-        idx = np.arange(d)
-        diag = (idx[None, :] - idx[:, None]) % d
-        corner = np.where(idx[None, :] < idx[:, None], np.exp(1j * d * self.phi0_reduced), 1.0)
-        shear = np.exp(-1j * np.pi * np.arange(2 * d) / d)[np.outer(idx, idx) % (2 * d)]
-        return idx, diag, corner, shear
 
 
 def _angles(grid: PhaseGrid, m) -> np.ndarray:
@@ -186,9 +174,22 @@ def inverse_fourier(grid: PhaseGrid, coeffs) -> np.ndarray:
 
 def _diagonals(grid: PhaseGrid, a) -> np.ndarray:
     """Row ``k`` is the k-th cyclic diagonal ``a[n, n - k mod dim]``, times the corner
-    phase ``exp(i*dim*phi0)`` on its wrapped entries ``n < k``; leading axes are batch axes."""
-    idx, diag, corner, _ = grid._core_tables
-    return np.asarray(a, dtype=complex)[..., idx, diag] * corner
+    phase ``exp(i*dim*phi0)`` on its wrapped entries ``n < k``; leading axes are batch axes.
+    Read from the rows ``[a * exp(i*dim*phi0) | a]`` as rows one entry longer, where
+    ``[n, dim - k]`` is ``[n, n - k + dim]``; returned C-contiguous, owning its memory."""
+    a = np.asarray(a, dtype=complex)
+    d, batch = grid.dim, a.shape[:-2]
+    buf = np.empty((*batch, d * (2 * d + 1)), dtype=complex)
+    rows = buf[..., : 2 * d * d].reshape(*batch, d, 2, d)  # a times 1 + 0j, not copied: the signed zeros of written files
+    np.multiply(a[..., None, :], np.array([[np.exp(1j * d * grid.phi0_reduced)], [1.0]]), out=rows)
+    return buf.reshape(*batch, d, 2 * d + 1)[..., d:0:-1].swapaxes(-1, -2).copy()
+
+
+def _shear(grid: PhaseGrid) -> np.ndarray:
+    """``exp(-i*pi*k*l/dim)``, read from its length ``2*dim`` period with ``k*l`` reduced in integers."""
+    kl = np.multiply.outer(np.arange(grid.dim), np.arange(grid.dim))
+    kl %= 2 * grid.dim
+    return np.exp(-1j * np.pi * np.arange(2 * grid.dim) / grid.dim).take(kl)
 
 
 def characteristic(grid: PhaseGrid, a) -> np.ndarray:
@@ -197,7 +198,7 @@ def characteristic(grid: PhaseGrid, a) -> np.ndarray:
     Row ``k`` is one FFT of row ``k`` of :func:`_diagonals`, sheared by
     ``exp(-i*pi*k*l/dim)``: O(dim**2 log dim).  Leading axes of ``a`` are batch axes.
     """
-    return np.fft.ifft(_diagonals(grid, a), norm="forward") * grid._core_tables[3]
+    return np.fft.ifft(_diagonals(grid, a), norm="forward") * _shear(grid)
 
 
 def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
@@ -208,15 +209,12 @@ def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
 
 def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
     """``sum_{k,l} coeffs[k, l] D(k, l)``: entry ``[a, b]`` is the sheared inverse row
-    FFT of row ``b - a mod dim`` at ``b``, times the corner phase when ``b < a``.
-    Leading axes are batch axes; the stack comes back C-contiguous, and at most
-    two stacks besides ``coeffs`` are held at once."""
-    idx, diag, corner, shear = grid._core_tables
-    s = coeffs * shear
+    FFT ``s`` of row ``b - a mod dim`` at ``b``, times the corner phase when ``b < a``,
+    which is row ``a`` of :func:`_diagonals` of ``s`` transposed.  Leading axes are
+    batch axes; the stack comes back C-contiguous."""
+    s = np.multiply(coeffs, _shear(grid))  # ``*`` could reuse the temporary as shear * coeffs: other bits
     np.fft.ifft(s, norm="forward", out=s)
-    out = np.take(s.reshape(*s.shape[:-2], -1), diag * grid.dim + idx, axis=-1)
-    out *= corner
-    return out
+    return _diagonals(grid, s.swapaxes(-1, -2))
 
 
 def _level_shifts(grid: PhaseGrid, a, levels) -> np.ndarray:

@@ -273,8 +273,9 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
     if kernel_from.dim != w.dim or kernel_to.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
     _warn_if_ill_conditioned(kernel_from)
-    ratio = kernel_to.values / kernel_from.values
-    raw = np.fft.fft2(np.fft.ifft2(w.values) * ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero K_from leaves NaN: _real_or_raise raises
+        ratio = kernel_to.values / kernel_from.values
+        raw = np.fft.fft2(np.fft.ifft2(w.values) * ratio)
     scale = float(np.max(np.abs(ratio))) * max(1.0, float(np.max(np.abs(w.values))))
     return WignerGrid(
         grid=w.grid, kernel_label=kernel_to.label, values=_real_or_raise(raw, scale), epsilon=kernel_to.eps

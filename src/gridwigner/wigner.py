@@ -131,7 +131,8 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
         )
     _warn_if_ill_conditioned(kernel)
     # conj(chi) / dim; one complex division, as dividing by a real scalar costs one as well
-    h = _displacement_sum(w.grid, np.fft.fft2(w.values) / (np.conj(_kernel_weights(w.grid, kernel)) * w.dim**3))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight leaves NaN: the defect check raises
+        h = _displacement_sum(w.grid, np.fft.fft2(w.values) / (np.conj(_kernel_weights(w.grid, kernel)) * w.dim**3))
     rho = h.conj().T
     defect = float(np.max(np.abs(rho - h)))
     if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):

@@ -9,7 +9,10 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import gridwigner
+from gridwigner import cli
 
 PUBLIC = [
     "ConvergenceReport", "ConvergenceRow", "EmbeddingError", "HalfIntegerWignerGrid", "Kernel",
@@ -115,16 +118,23 @@ def test_the_tolerance_is_named_in_linalg_alone():
     assert found == []
 
 
-def test_the_core_layout_is_read_in_phasespace_alone():
-    """No module but ``phasespace`` names ``_core_tables``: every other module gathers
-    through ``_diagonals`` and places through ``_displacement_sum``."""
-    found = []
-    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
-        if path.name != "phasespace.py":
-            found += [
-                f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
-                if (isinstance(node, ast.Attribute) and node.attr == "_core_tables")
-                or (isinstance(node, ast.Name) and node.id == "_core_tables")
-                or (isinstance(node, ast.Constant) and node.value == "_core_tables")
-            ]
-    assert found == []
+def test_a_grid_holds_no_tables():
+    """Every map leaves its grid a plain value: after the maps run, no attribute of the
+    ``PhaseGrid`` is an array or a tuple holding one, so no table outlives its call."""
+    grid = gridwigner.PhaseGrid(7, 0.37)
+    kernel = gridwigner.wootters_kernel(3)
+    rho = gridwigner.fock_state(7, 2)
+    q = gridwigner.build_quantizer(grid, kernel)
+    w = gridwigner.wigner_grid(grid, kernel, rho)
+    gridwigner.characteristic(grid, rho)
+    gridwigner.reconstruct(w, kernel)
+    gridwigner.symbol(q, gridwigner.quantize(q, w.values))
+    gridwigner.verify_quantizer(q)
+    cli._phase_marginal(grid, rho)
+    assert q.grid is grid and w.grid is grid
+    held = [
+        name for name, value in vars(grid).items()
+        if isinstance(value, np.ndarray)
+        or (isinstance(value, tuple) and any(isinstance(v, np.ndarray) for v in value))
+    ]
+    assert held == []

@@ -682,6 +682,32 @@ class TestStderrLines:
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: argument --dim: invalid int value: 'x'\n"
 
+    @pytest.mark.parametrize(
+        "message, line",
+        [("Unable to allocate 74.5 GiB", "error: Unable to allocate 74.5 GiB\n"), ("", "error: out of memory\n")],
+    )
+    @pytest.mark.parametrize(
+        "argv, allocating",
+        [
+            ("verify --dim 100001 --kernel wootters", "wootters_kernel"),
+            ("converge --kernel symmetric --state fock 40000 --n 0 --phi 0 --Ns 5", "fock_state"),
+        ],
+    )
+    def test_a_size_the_host_cannot_hold_is_one_error_line(self, monkeypatch, capsys, argv, allocating, message, line):
+        # the refused allocation is planted: a real one may be granted and written on an overcommitting host
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, allocating, refuse)
+        assert run(*argv.split()) == 3
+        assert capsys.readouterr().err == line
+
+    def test_a_fock_level_beyond_the_grid_is_refused_before_any_table(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "fock_state", lambda dim, n: built.append((dim, n)) or gw.fock_state(dim, n))
+        assert run_rejected(capsys, *"wigner --dim 5 --kernel symmetric --state fock 40000".split()) == 2
+        assert built == [(5, 40000)]
+
 
 class TestNonNumberEntries:
     """File entries must be JSON numbers: strings and booleans exit with one error line."""

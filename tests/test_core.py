@@ -271,6 +271,15 @@ def test_zero_kernel_entry_fails_instead_of_returning_nan(rng):
         gw.reconstruct(w, kernel, validate_state=False)
 
 
+def test_relate_from_a_kernel_with_a_zero_entry_fails_without_a_numpy_warning(rng):
+    values = oracles.random_kernel(5, rng).values
+    values[2, 3] = values[3, 2] = 0.0
+    kernel = gw.kernel_from_table(values)
+    w = gw.WignerGrid(gw.PhaseGrid(5), kernel.label, rng.uniform(size=(5, 5)) / 25)
+    with pytest.warns(UserWarning, match="ill-conditioned"), pytest.raises(ValueError, match="nan"):
+        gw.relate(w, kernel, gw.symmetric_kernel(2))
+
+
 def test_omega_is_built_on_first_access():
     q = gw.build_quantizer(gw.PhaseGrid(5, 0.2), gw.symmetric_kernel(2))
     assert "omega" not in vars(q)

@@ -194,6 +194,31 @@ def test_level_shifts_are_shift_conjugates(d, phi0, seed):
     assert np.max(np.abs(gw.phasespace._level_shifts(grid, a, levels) - expected)) <= 1e-12
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 33),
+    phi0=st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e8, 1e8)),
+    batch=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_gather_and_the_displacement_sum_match_their_definitions(d, phi0, batch, seed):
+    """``_diagonals`` is the corner-phased cyclic-diagonal gather, and ``_displacement_sum``
+    the dense sum of displacements, C-contiguous and owning its memory (no doubled buffer)."""
+    rng = np.random.default_rng(seed)
+    grid = gw.PhaseGrid(d, phi0)
+    a = random_complex(rng, batch, d, d)
+    n, k = np.arange(d), np.arange(d)[:, None]
+    corner = np.where(n < k, np.exp(1j * d * grid.phi0_reduced), 1.0)
+    gathered = gw.phasespace._diagonals(grid, a)
+    assert np.max(np.abs(gathered - a[:, n, (n - k) % d] * corner)) <= 1e-15 * np.max(np.abs(a))
+    ops = np.array([[gw.displacement(grid, kk, ll) for ll in range(d)] for kk in range(d)])
+    placed = gw.phasespace._displacement_sum(grid, a)
+    assert np.max(np.abs(placed - np.einsum("bkl,klij->bij", a, ops))) <= 1e-13 * d * np.max(np.abs(a))
+    for out in (placed, gw.phasespace._displacement_sum(grid, a[0])):
+        assert out.flags.c_contiguous and out.base is None
+
+
 class TestFourier:
     def test_constant_function(self):
         g = gw.PhaseGrid(4, 0.0)
