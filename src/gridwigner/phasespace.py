@@ -105,20 +105,24 @@ def number_op(grid: PhaseGrid) -> np.ndarray:
 
 def phase_op(grid: PhaseGrid) -> np.ndarray:
     """The phase operator, diagonal in the phase basis."""
-    p = phase_basis(grid)
-    return (p * grid.phis[None, :]) @ p.conj().T
+    return phase_function_op(grid, grid.phis)
 
 
 def phase_function_op(grid: PhaseGrid, values) -> np.ndarray:
     """Spectral function of the phase operator with eigenvalues ``values``.
 
-    ``values[m]`` is attached to the eigenvector |phi_m>.
+    ``values[m]`` is attached to the eigenvector |phi_m>.  Entry ``[a, b]``,
+    ``sum_m values[m] exp(i*(a - b)*phi_m) / dim``, depends on ``a - b`` only:
+    ``exp(i*(a - b)*phi0)`` times the inverse FFT of ``values`` at ``a - b mod dim``.
     """
     v = np.asarray(values, dtype=complex)
-    if v.shape != (grid.dim,):
+    d = grid.dim
+    if v.shape != (d,):
         raise ValueError("need one value per phase angle")
-    p = phase_basis(grid)
-    return (p * v[None, :]) @ p.conj().T
+    j = np.arange(1 - d, d)  # a - b
+    diffs = np.exp(1j * j * grid.phi0_reduced) * np.fft.ifft(v)[j % d]
+    a = np.arange(d)
+    return diffs[np.subtract.outer(a, a) + (d - 1)]
 
 
 def v_op(grid: PhaseGrid) -> np.ndarray:

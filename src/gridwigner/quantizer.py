@@ -3,13 +3,14 @@
 The phase-point operators (Stratonovich-Weyl quantizer) turn functions on
 the grid into operators and back.  Every such map is a kernel-weighted
 displacement sum, so it runs through the characteristic-function core of
-:mod:`phasespace` in O(dim**2 log dim).  Explicit operators are one
-displacement sum, ``Omega(0, 0)``, and its clock and shift conjugates; they
-are built only for the identity checks below, and only those that are checked.
+:mod:`phasespace` in O(dim**2 log dim).  Every operator is a clock and shift
+conjugate of ``Omega(0, 0)``, one displacement sum, which is the only
+operator the identity checks below build.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,20 +25,12 @@ from .phasespace import (
     _displacement_sum,
     _level_shifts,
     characteristic,
-    phase_basis,
     phase_function_op,
+    phase_ket,
 )
 
 #: Kernel moduli below this trigger a conditioning warning on inversion.
 CONDITION_TOL = 1e-6
-
-#: Budget of the identity checks, in complex entries of explicit operators:
-#: every operator and every line family is checked while ``dim**4 <= BUDGET``
-#: (``dim <= 45``); above that every operator at the levels of ``BUDGET // dim**2``
-#: grid points, and ``BUDGET // dim**3`` line families (at least one), drawn with
-#: ``SAMPLE_SEED``.  No step of the checks holds more than ``BUDGET`` entries.
-BUDGET = 45**4
-SAMPLE_SEED = 0
 
 
 def _kernel_weights(grid: PhaseGrid, kernel: Kernel) -> np.ndarray:
@@ -100,38 +93,12 @@ def _line_sums(q: Quantizer, n1: int, n2: int, offsets) -> np.ndarray:
     return _displacement_sum(q.grid, _place_lines(q, n1, n2, phases))
 
 
-def _checked(dim: int, total: int, entries: int) -> tuple[np.ndarray, int | None]:
-    """Indices of the ``total`` items (``entries`` complex numbers each) to check.
-
-    Every item while ``dim**4 <= BUDGET``; otherwise ``BUDGET // entries``
-    of them, at least one, drawn without replacement with ``SAMPLE_SEED``
-    and sorted.  The seed is returned with a sample, ``None`` otherwise.
-    """
-    count = max(1, BUDGET // entries)
-    if dim**4 <= BUDGET or count >= total:
-        return np.arange(total), None
-    rng = np.random.default_rng(SAMPLE_SEED)
-    return np.sort(rng.choice(total, size=count, replace=False)), SAMPLE_SEED
-
-
-def _chunks(total: int, dim: int):
-    """Slices of ``range(total)`` over ``dim x dim`` matrices: at most ``dim`` of
-    them, and at most ``BUDGET`` entries, per slice (one matrix at least)."""
-    step = max(1, min(dim, BUDGET // dim**2))
-    return [slice(i, min(i + step, total)) for i in range(0, total, step)]
-
-
-def _max_norm(stack) -> float:
-    """Largest Frobenius norm among the matrices of a stack."""
-    flat = np.asarray(stack, dtype=complex).reshape(len(stack), -1).view(float)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", flat, flat))))
-
-
 def _hermiticity(ops) -> float:
     """Largest ``||Omega - Omega^+||_F`` of a stack, with one stack besides it."""
     dev = np.conjugate(ops.swapaxes(-1, -2), out=np.empty_like(ops))
     dev -= ops
-    return _max_norm(dev)
+    flat = dev.reshape(len(dev), -1).view(float)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", flat, flat))))
 
 
 def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quantizer:
@@ -190,13 +157,10 @@ def symbol(q: Quantizer, op) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizerReport:
-    """Maximum deviations of the phase-point-operator identities.
+    """Maximum deviations of the phase-point-operator identities, over every
+    operator and every pair of operators.
 
-    The axis sums and completeness cover every grid point.  Hermiticity,
-    unit trace and both overlap checks cover the ``checked`` operators, all
-    those at the levels ``n`` hit by grid points drawn with ``seed``; it is
-    ``None`` when they hit every level, so every operator is checked.  The
-    deviations are absolute; ``scale`` is ``max |K|``, the scale of the
+    The deviations are absolute; ``scale`` is ``max |K|``, the scale of the
     identities linear in the kernel (the overlaps take its square).
     """
 
@@ -208,8 +172,6 @@ class QuantizerReport:
     overlap_dev: float
     orthogonality_dev: float
     unimodular: bool
-    checked: int
-    seed: int | None
     scale: float
 
     def core_pass(self) -> bool:
@@ -222,6 +184,20 @@ class QuantizerReport:
         return within(self.orthogonality_dev, self.scale**2)
 
 
+def _completeness_dev(q: Quantizer) -> float:
+    """``||quantize(1) - 1||_F``.  The fft2 of 1 is ``dim**2`` at ``(0, 0)``, so
+    ``quantize(1)`` is that one weighted coefficient times ``D(0, 0) = 1``."""
+    d = q.grid.dim
+    return float(math.sqrt(d) * abs(d * d * q.weights[0, 0] - 1.0))
+
+
+def _overlap_table(q: Quantizer, origin) -> np.ndarray:
+    """``Re sum_ab Omega(m, n)[a, b] conj(origin[a, b])`` at ``[m, n]``: ``dim`` times
+    the forward kernel map of ``origin^+``, since ``Omega(m, n)`` is ``dim`` times
+    the quantization of the point ``(m, n)``."""
+    return (q.grid.dim * np.fft.fft2(q.weights * characteristic(q.grid, origin.conj().T))).real
+
+
 def verify_quantizer(q: Quantizer) -> QuantizerReport:
     """Measure every phase-point-operator identity.
 
@@ -229,63 +205,39 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     projectors, completeness, the overlap-trace formula, and the overlap
     orthogonality that holds exactly when the kernel is unimodular.
 
-    Every operator is a displacement conjugate of another, for any kernel:
-    ``Omega(m + 1, n) = V Omega(m, n) V^+`` with the clock ``V`` and
-    ``Omega(m, n + 1) = U^+ Omega(m, n) U`` with the shift ``U``.  Conjugation
-    keeps every deviation, so the phase-axis sum is checked at ``m = 0`` and
-    the number-axis sum at ``n = 0`` (:func:`_line_sums` of the directions
-    ``(1, 0)`` and ``(0, 1)``).  Hermiticity and unit trace are checked on the
-    operators ``Omega(0, n)`` at the levels of the :func:`_checked` operators
-    (every level for ``dim <= 45``), shifts of ``Omega(0, 0)``, and cover
-    every ``m`` there.  On the cyclic diagonal ``b = a + k``,
-    ``Omega(m, n)`` is ``exp(-2*pi*i*k*m/dim) Omega(0, n)``, so the overlaps
-    ``Re sum_ab Omega_s[a, b] conj(Omega_t[a, b])`` (the trace of ``Omega_s
-    Omega_t`` if Hermitian) of every pair at those levels are one table,
-    ``fft(H, axis=k).real`` indexed ``[m_s - m_t, n_s, n_t]``, with
-    ``H_k[n, n'] = sum_a Omega(0, n)[a, a + k] conj(Omega(0, n')[a, a + k])``:
-    O(dim**4) on the whole grid.  It is compared with ``fft2(|K|**2) / dim`` at
-    ``(m_s - m_t, n_s - n_t) mod dim``; orthogonality subtracts ``dim`` where
-    both differences vanish.
+    Every operator is a displacement conjugate of ``Omega(0, 0)``, for any
+    kernel: ``Omega(m, n) = V**m U**-n Omega(0, 0) U**n V**-m`` with the clock
+    ``V`` and the shift ``U``.  A unitary conjugation keeps ``||Omega -
+    Omega^+||_F``, the trace and the Hilbert-Schmidt product, so Hermiticity
+    and unit trace are checked on ``Omega(0, 0)`` alone, the phase-axis sum at
+    ``m = 0`` and the number-axis sum at ``n = 0`` (:func:`_line_sums` of the
+    directions ``(1, 0)`` and ``(0, 1)``).  The overlaps ``Re sum_ab
+    Omega_s[a, b] conj(Omega_t[a, b])`` (the trace of ``Omega_s Omega_t`` if
+    Hermitian) of every pair are the :func:`_overlap_table` of ``Omega(0, 0)``
+    at ``s - t``, O(dim**2 log dim).  It is compared with ``fft2(|K|**2) / dim``
+    entrywise; orthogonality subtracts ``dim`` at ``(0, 0)``.  Completeness is
+    :func:`_completeness_dev`.
     """
     grid = q.grid
     d = grid.dim
-    idx = np.arange(d)
     eye = np.eye(d)
-    ket = phase_basis(grid)[:, 0]
+    ket = phase_ket(grid, 0)
     phase_sum = frob_dist(_line_sums(q, 1, 0, [0])[0], np.outer(ket, ket.conj()))
     number_sum = frob_dist(_line_sums(q, 0, 1, [0])[0], eye[:, :1] * eye[0])
-    constant = np.pad([[d * d * q.weights[0, 0]]], (0, d - 1))  # the fft2 of 1: dim**2 at (0, 0)
-    completeness = frob_dist(_displacement_sum(grid, constant), eye)
-
-    flat, seed = _checked(d, d * d, d * d)
-    ns = np.unique(flat % d)
-    if len(ns) == d:
-        seed = None  # the sample hits every level: every operator is checked
-    ops = _level_shifts(grid, _displacement_sum(grid, d * q.weights), ns)  # Omega(0, n) at the checked levels n
-    herm = _hermiticity(ops)
-    tr = float(np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)))
-    # entries [a, a + k] at [k, a]; there Omega(m, n) is exp(-2*pi*i*k*m/dim) Omega(0, n)
-    cyc = np.take(ops.reshape(len(ops), -1), idx * d + (idx + idx[:, None]) % d, axis=1)
-    del ops
-    h = np.matmul(cyc.transpose(1, 0, 2), cyc.transpose(1, 2, 0).conj())  # [k, n, n']
-    del cyc
-    overlaps = np.fft.fft(h, axis=0, out=h).real  # [m_s - m_t, n_s, n_t]
-    predicted = np.fft.fft2(np.abs(q.kernel.values) ** 2) / d
-    overlap_dev = float(np.max(np.abs(overlaps - predicted[:, (ns[:, None] - ns) % d])))
-    overlaps[0, np.arange(len(ns)), np.arange(len(ns))] -= d
-    orth_dev = float(np.max(np.abs(overlaps)))
+    origin = _displacement_sum(grid, d * q.weights)  # the fft2 of the origin's indicator is 1
+    overlaps = _overlap_table(q, origin)
+    overlap_dev = float(np.max(np.abs(overlaps - np.fft.fft2(np.abs(q.kernel.values) ** 2) / d)))
+    overlaps[0, 0] -= d
 
     return QuantizerReport(
-        hermiticity_dev=herm,
-        trace_dev=tr,
+        hermiticity_dev=frob_dist(origin, origin.conj().T),
+        trace_dev=float(abs(np.trace(origin) - 1.0)),
         phase_sum_dev=phase_sum,
         number_sum_dev=number_sum,
-        completeness_dev=float(completeness),
+        completeness_dev=_completeness_dev(q),
         overlap_dev=overlap_dev,
-        orthogonality_dev=orth_dev,
+        orthogonality_dev=float(np.max(np.abs(overlaps))),
         unimodular=is_unimodular(q.kernel),
-        checked=len(ns) * d,
-        seed=seed,
         scale=q.kernel.scale,
     )
 
@@ -322,10 +274,10 @@ def ordering_check(q: Quantizer, f1, f2) -> OrderingReport:
 
     op = quantize(q, np.outer(f1, f2))
     a = phase_function_op(q.grid, f1)
-    b = np.diag(f2)
-    target = (a @ b + b @ a) / 2.0
+    ab, ba = a * f2, f2[:, None] * a  # the products with the diagonal matrix of f2
+    target = (ab + ba) / 2.0
     tan_eps = 0.0
     if label == "almost-symmetric":
         tan_eps = float(np.tan(q.kernel.eps))
-        target = target + 0.5j * tan_eps * (a @ b - b @ a)
+        target = target + 0.5j * tan_eps * (ab - ba)
     return OrderingReport(deviation=frob_dist(op, target), tan_eps=tan_eps, scale=q.kernel.scale)

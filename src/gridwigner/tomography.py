@@ -16,8 +16,15 @@ import numpy as np
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .kernels import Kernel, _admissible_eps, symmetric_kernel, wootters_kernel
 from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _reduced
-from .quantizer import Quantizer, _checked, _chunks, _line_sums, _max_norm, _place_lines, _warn_if_ill_conditioned
+from .quantizer import Quantizer, _completeness_dev, _line_sums, _place_lines, _warn_if_ill_conditioned
 from .wigner import WignerGrid, _real_or_raise, check_density
+
+#: Budget of the line-family checks, in complex entries of explicit operators:
+#: every line family is checked while ``dim**4 <= BUDGET`` (``dim <= 45``); above
+#: that ``BUDGET // dim**3`` families (at least one), drawn with ``SAMPLE_SEED``.
+#: No step of the checks holds more than ``BUDGET`` entries.
+BUDGET = 45**4
+SAMPLE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -120,15 +127,42 @@ def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return n1[labels], n2[labels]
 
 
+def _checked(dim: int, total: int) -> tuple[np.ndarray, int | None]:
+    """Indices of the ``total`` line families to check.
+
+    Every family while ``dim**4 <= BUDGET``; otherwise ``BUDGET // dim**3``
+    of them, at least one, drawn without replacement with ``SAMPLE_SEED``
+    and sorted.  The seed is returned with a sample, ``None`` otherwise.
+    """
+    count = max(1, BUDGET // dim**3)
+    if dim**4 <= BUDGET or count >= total:
+        return np.arange(total), None
+    rng = np.random.default_rng(SAMPLE_SEED)
+    return np.sort(rng.choice(total, size=count, replace=False)), SAMPLE_SEED
+
+
+def _chunks(total: int, dim: int):
+    """Slices of ``range(total)`` over ``dim x dim`` matrices: at most ``dim`` of
+    them, and at most ``BUDGET`` entries, per slice (one matrix at least)."""
+    step = max(1, min(dim, BUDGET // dim**2))
+    return [slice(i, min(i + step, total)) for i in range(0, total, step)]
+
+
+def _max_norm(stack) -> float:
+    """Largest Frobenius norm among the matrices of a stack."""
+    flat = np.asarray(stack, dtype=complex).reshape(len(stack), -1).view(float)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", flat, flat))))
+
+
 @dataclass(frozen=True)
 class LineReport:
     """Worst deviations of the line-projector identities.
 
-    ``projectivity_dev`` is the largest ``||P @ P - P||_F`` and
-    ``completeness_dev`` the largest Frobenius distance of a family's
-    projector sum from the identity, over every line of ``checked`` of the
-    ``families`` families: all of them, or a sample drawn with ``seed``
-    (``None`` when every family was checked).
+    ``projectivity_dev`` is the largest ``||P @ P - P||_F`` over every line
+    of ``checked`` of the ``families`` families: all of them, or a sample
+    drawn with ``seed`` (``None`` when every family was checked).
+    ``completeness_dev`` is the Frobenius distance of a family's projector
+    sum from the identity, the same for every family.
     """
 
     projectivity_dev: float
@@ -144,26 +178,22 @@ def verify_lines(q: Quantizer) -> LineReport:
     Each line of a family is a displacement conjugate of the family's line
     through the origin, for any kernel, and conjugation keeps ``||P @ P -
     P||_F``: projectivity is that exact norm of one projector per family.
-    The family's sum is, by linearity, the displacement sum of its placed
-    coefficients summed over all offsets.  The families chosen by the
-    quantizer's budget (all of them for ``dim <= 45``) go in chunks of at
-    most ``dim`` families and ``BUDGET`` entries: O(dim**3) per family.
+    The families chosen by :data:`BUDGET` (all of them for ``dim <= 45``) go
+    in chunks of at most ``dim`` families and ``BUDGET`` entries: O(dim**3)
+    per family.  The lines of a family partition the grid, so by linearity
+    every family sums to ``quantize(1)``: completeness is checked once.
     """
     d = q.grid.dim
     if d % 2 == 0:
         raise ValueError("line projectors are defined for odd dimensions here")
     n1, n2 = _line_families(d)
-    chosen, seed = _checked(d, len(n1), d**3)
-    j = np.arange(d)
-    summed = np.exp(-2j * np.pi * (np.outer(j, j) % d) / d).sum(axis=0)  # over the offsets n3
-    projectivity = completeness = 0.0
+    chosen, seed = _checked(d, len(n1))
+    projectivity = 0.0
     for part in _chunks(len(chosen), d):
         f = chosen[part]
         origin = _displacement_sum(q.grid, _place_lines(q, n1[f], n2[f], 1.0))
         projectivity = max(projectivity, _max_norm(origin @ origin - origin))
-        total = _displacement_sum(q.grid, _place_lines(q, n1[f], n2[f], summed))
-        completeness = max(completeness, _max_norm(total - np.eye(d)))
-    return LineReport(projectivity, completeness, len(chosen), len(n1), seed)
+    return LineReport(projectivity, _completeness_dev(q), len(chosen), len(n1), seed)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ the dense ``rho @ P`` table of phase overlaps, the shift-power loop of the
 unimodular shortcut,
 the point sum of a line projector, the dense identity suite over the
 whole operator table with the per-labelling line loop, the real Gram
-product of the checked operators' overlaps, the overlap and
+product of the overlaps of every pair of operators, the overlap and
 displacement routes through that table, the dyad sum of a half-integer
 phase-point operator, the operator sum of the half-integer
 reconstruction and the point loops of both relation transforms.  They
@@ -16,15 +16,16 @@ cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
 the Cholesky and eigenvalue routes replaced.  The continuum sweep that
 builds a whole table per grid size checks the point evaluation.  The
-closed forms are second constructions of library objects: the spectral
-shift unitary, the dyad sums of the displacement, of the sign-kernel
-phase-point operator and of the symmetric and almost-symmetric ones, the
-sign kernel's matrix elements, the displacement without its reference
-angle phase, the phase-vector and operator-trace half-integer Wigner
-tables, the closed inversion of the symmetric kernel (an O(dim**4) loop),
-the point loop of ``line_points``, the closed-form Wigner maps of the
-three built-in kernels (phase overlaps and anti-diagonal sums) and the
-cosine convolution of the odd relation.  The file writers at the end are
+closed forms are second constructions of library objects: the dense
+products of a phase-operator function, the spectral shift unitary, the
+dyad sums of the displacement, of the sign-kernel phase-point operator
+and of the symmetric and almost-symmetric ones, the sign kernel's matrix
+elements, the displacement without its reference angle phase, the
+phase-vector and operator-trace half-integer Wigner tables, the closed
+inversion of the symmetric kernel (an O(dim**4) loop), the point loop of
+``line_points``, the closed-form Wigner maps of the three built-in
+kernels (phase overlaps and anti-diagonal sums) and the cosine
+convolution of the odd relation.  The file writers at the end are
 the ``json.dump`` and per-value CSV forms whose output the streaming
 writers must reproduce byte for byte.
 """
@@ -37,7 +38,6 @@ import math
 import numpy as np
 
 import gridwigner as gw
-from gridwigner import quantizer
 from gridwigner.phasespace import _angles
 from gridwigner.wigner import _real_or_raise
 
@@ -252,14 +252,11 @@ def verify_dense(q, lines=False):
 
 
 def overlap_gram(q):
-    """``(overlap_dev, orthogonality_dev)`` of the operators ``verify_quantizer``
-    checks, every ``m`` at the levels of its checked operators, from the explicit
-    real Gram product ``B @ B.T`` of the rows ``[Re Omega, Im Omega]``: O(S**2
-    dim**2) for S operators, O(dim**6) on the whole grid.  Each operator is
-    ``dim * quantize`` of its point."""
+    """``(overlap_dev, orthogonality_dev)`` of every pair of operators on the grid,
+    from the explicit real Gram product ``B @ B.T`` of the rows ``[Re Omega, Im
+    Omega]``: O(dim**6).  Each operator is ``dim * quantize`` of its point."""
     d = q.grid.dim
-    flat, _ = quantizer._checked(d, d * d, d * d)
-    m, n = (a.ravel() for a in np.meshgrid(np.arange(d), np.unique(flat % d), indexing="ij"))
+    m, n = np.divmod(np.arange(d * d), d)
     points = np.zeros((len(m), d, d))
     points[np.arange(len(m)), m, n] = d
     ops = gw.quantize(q, points)
@@ -323,6 +320,12 @@ def relate_even(values, eps):
             ang = np.pi * np.outer(2 * m - jidx, 2 * n - jidx) / d - eps
             out[m, n] = np.sum(np.cos(ang) * values) / (d * np.cos(eps))
     return out
+
+
+def phase_function_op(grid, values):
+    """Spectral function of the phase operator by the dense products ``P diag(values) P^H``."""
+    p = gw.phase_basis(grid)
+    return (p * np.asarray(values, dtype=complex)[None, :]) @ p.conj().T
 
 
 def u_op_spectral(grid):

@@ -272,18 +272,21 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1]
         out = outputs[0]
         assert "FAIL" not in out
-        # the drawn operators hit every level here, so every operator is checked
+        # every operator is checked at any size; only the line families are sampled
         assert "sampled: Hermiticity" not in out
         if kernel == "wootters":
-            assert "sampled: line projectivity and completeness on 18 of 62 line families (seed 0)" in out
+            assert "sampled: line projectivity on 18 of 62 line families (seed 0)" in out
 
     @pytest.mark.parametrize("dim, kernel, levels", [(101, "symmetric", 97), (101, "wootters", 97), (100, "almost-symmetric", 98)])
     def test_sampled_levels(self, capsys, dim, kernel, levels):
+        # a seeded sample of operators once checked only `levels` of the `dim` levels; now no operator is sampled
         assert run("verify", "--dim", str(dim), "--kernel", kernel, "--phi0", "0.37") == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        line = f"sampled: Hermiticity, unit trace and overlaps on {levels * dim} of {dim * dim} operators (seed 0)"
-        assert line in out.splitlines()
+        assert f"on {levels * dim} of {dim * dim} operators" not in out
+        sampled = [line for line in out.splitlines() if line.startswith("sampled:")]
+        expected = ["sampled: line projectivity on 3 of 102 line families (seed 0)"] if kernel == "wootters" else []
+        assert sampled == expected
 
     def test_a_kernel_failing_validity_is_reported_not_raised(self, capsys, monkeypatch, rng):
         # a built-in kernel with a planted pairing defect: verify prints the failed condition
@@ -295,6 +298,7 @@ class TestVerifyCommand:
         assert captured.err == "verification failed\n"
 
     def test_every_operator_checked_up_to_45(self, capsys):
+        # every operator at any size, and every line family up to 45: nothing is sampled
         assert run("verify", "--dim", "45", "--kernel", "wootters") == 0
         assert "sampled" not in capsys.readouterr().out
 

@@ -219,6 +219,24 @@ def test_the_gather_and_the_displacement_sum_match_their_definitions(d, phi0, ba
         assert out.flags.c_contiguous and out.base is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 65),
+    phi0=st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e8, 1e8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_function_op_matches_the_dense_products(d, phi0, seed):
+    """One inverse FFT of the eigenvalues, laid along the diagonals ``a - b``, is
+    ``P diag(values) P^H``, C-contiguous and owning its memory; ``phase_op`` takes the angles."""
+    grid = gw.PhaseGrid(d, phi0)
+    values = random_complex(np.random.default_rng(seed), d)
+    built = gw.phase_function_op(grid, values)
+    assert built.flags.c_contiguous and built.base is None
+    assert np.max(np.abs(built - oracles.phase_function_op(grid, values))) <= 1e-12 * np.max(np.abs(values))
+    phis = grid.phis
+    assert np.max(np.abs(gw.phase_op(grid) - oracles.phase_function_op(grid, phis))) <= 1e-12 * np.max(np.abs(phis))
+
+
 class TestFourier:
     def test_constant_function(self):
         g = gw.PhaseGrid(4, 0.0)

@@ -4,25 +4,27 @@
 the complex overlap product and loops over every line and every
 line-family labelling.  The library checks the same identities through
 displacement covariance: every operator is a clock and shift conjugate of
-an operator ``Omega(0, n)``, and every line projector of a family a
-displacement conjugate of the family's line through the origin, so it
-builds the operators ``Omega(0, n)`` of the levels its budget allows,
-reads all their overlaps from one FFT of the factor-table products,
-checks one axis line per axis and the exact projectivity of one projector
-per family.  Both must give the same PASS/FAIL verdict on every check and
-deviations within 1e-12, for every valid dimension 3..45 of the three
-built-in kernels and for random custom kernels, whose tilted lines are no
-projectors: there the projectivity deviation is matched to 1e-12
-relative.  The two overlap deviations of the dense suite also carry the
-imaginary roundoff of its complex product (up to 2.4e-12 at dim 45), which
-the real overlaps do not form; that residue is allowed on top.  With the
-budget shrunk so that sampling runs at these sizes, the verdicts must not
-change.  The overlaps also match the explicit real Gram product of the
-checked operators, the placed line coefficients match the FFT2 of the line
-indicators, and the covariance itself is checked on the oracle operators
-and line projectors.
+``Omega(0, 0)``, and every line projector of a family a displacement
+conjugate of the family's line through the origin, so it builds
+``Omega(0, 0)`` alone, reads the overlaps of every pair from one forward
+kernel map of it, checks one axis line per axis and the exact
+projectivity of one projector per family.  Both must give the same
+PASS/FAIL verdict on every check and deviations within 1e-12, for every
+valid dimension 3..45 of the three built-in kernels and for random custom
+kernels, whose tilted lines are no projectors: there the projectivity
+deviation is matched to 1e-12 relative.  The two overlap deviations of the
+dense suite also carry the imaginary roundoff of its complex product (up
+to 2.4e-12 at dim 45), which the real overlaps do not form; that residue
+is allowed on top.  With the line-family budget shrunk so that sampling
+runs at these sizes, the verdicts must not change.  The overlaps also
+match the explicit real Gram product of every pair, the placed line
+coefficients match the FFT2 of the line indicators, and the covariance
+itself is checked on the oracle operators and line projectors: the
+``dim**4`` pair table is the library's ``dim x dim`` table at ``s - t``, and
+every operator has the Hermiticity and trace deviations of ``Omega(0, 0)``.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -32,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
-from gridwigner import quantizer
+from gridwigner import quantizer, tomography
 
 AGREE = 1e-12
 CHECKS = (
@@ -78,7 +80,6 @@ def _library(q, lines):
 
 def _assert_agree(q, dense, lines):
     report, devs = _library(q, lines)
-    assert report.seed is None and report.checked == q.grid.dim**2
     assert _verdicts(devs) == _verdicts({name: dense[name] for name in devs})
     for name, dev in devs.items():
         # the complex product leaves an imaginary residue on the overlaps that
@@ -94,17 +95,17 @@ def test_matches_the_dense_suite(d, family, phi0):
 
 @pytest.mark.parametrize("d, family, phi0", CASES)
 def test_sampling_keeps_every_verdict(monkeypatch, d, family, phi0):
+    # only the line families are sampled; the operator checks cover every operator at any budget
     budget = 9**4
-    monkeypatch.setattr(quantizer, "BUDGET", budget)
-    report, devs = _library(_quantizer(d, family, phi0), family == "wootters")
+    monkeypatch.setattr(tomography, "BUDGET", budget)
+    q = _quantizer(d, family, phi0)
+    _, devs = _library(q, family == "wootters")
     dense = _dense(d, family, phi0)
     assert _verdicts(devs) == _verdicts({name: dense[name] for name in devs})
-    if d**4 > budget:
-        # every operator at the levels the drawn points hit; no seed once they hit every level
-        drawn = np.random.default_rng(quantizer.SAMPLE_SEED).choice(d * d, max(1, budget // d**2), replace=False)
-        levels = len(np.unique(drawn % d))
-        assert report.checked == levels * d
-        assert report.seed == (None if levels == d else quantizer.SAMPLE_SEED)
+    if family == "wootters" and d**4 > budget:
+        lines = gw.verify_lines(q)
+        assert lines.checked == min(lines.families, max(1, budget // d**3))
+        assert lines.seed == (None if lines.checked == lines.families else tomography.SAMPLE_SEED)
 
 
 @settings(max_examples=25, deadline=None)
@@ -141,21 +142,33 @@ def test_non_unimodular_custom_kernel_fails_orthogonality_in_both():
 
 
 def test_sample_is_seeded_and_within_the_budget():
-    # at d = 101 the BUDGET // d**2 = 401 drawn points hit 97 of the 101 levels
+    # at d = 101 the line families are sampled; the operator report names no sample
     q = _quantizer(101, "wootters", 0.37)
-    first, again = gw.verify_quantizer(q), gw.verify_quantizer(q)
-    assert first == again
-    assert first.seed == quantizer.SAMPLE_SEED and first.checked == 97 * 101
+    assert gw.verify_quantizer(q) == gw.verify_quantizer(q)
+    assert {"checked", "seed"}.isdisjoint(f.name for f in dataclasses.fields(gw.QuantizerReport))
     lines = gw.verify_lines(q)
-    assert lines.families == 102 and lines.checked == quantizer.BUDGET // 101**3
-    assert lines.seed == quantizer.SAMPLE_SEED
+    assert lines == gw.verify_lines(q)
+    assert lines.families == 102 and lines.checked == tomography.BUDGET // 101**3
+    assert lines.seed == tomography.SAMPLE_SEED
 
 
 @pytest.mark.parametrize("d", [47, 61])
 def test_a_sample_that_hits_every_level_checks_every_operator(d):
-    # d = 47: 1856 drawn points, d = 61: 1102, and both hit every level
-    report = gw.verify_quantizer(_quantizer(d, "wootters", 0.37))
-    assert report.seed is None and report.checked == d * d
+    # no sample any more: the report covers the explicit operators of every level and every angle
+    q = _quantizer(d, "wootters", 0.37)
+    report = gw.verify_quantizer(q)
+    m = np.concatenate([np.zeros(d, int), np.arange(d)])
+    n = np.concatenate([np.arange(d), np.zeros(d, int)])
+    points = np.zeros((2 * d, d, d))
+    points[np.arange(2 * d), m, n] = d
+    ops = gw.quantize(q, points)
+    herm = np.max(np.linalg.norm(ops - ops.conj().swapaxes(-1, -2), axis=(-2, -1)))
+    assert abs(herm - report.hermiticity_dev) <= AGREE
+    assert abs(np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)) - report.trace_dev) <= AGREE
+    rows = np.concatenate([ops.real, ops.imag], axis=1).reshape(2 * d, -1)
+    predicted = np.fft.fft2(np.abs(q.kernel.values) ** 2) / d
+    gram_dev = np.max(np.abs(rows @ rows.T - predicted[(m[:, None] - m) % d, (n[:, None] - n) % d]))
+    assert gram_dev <= report.overlap_dev + AGREE
 
 
 @pytest.mark.parametrize("d", [3, 9, 15, 21, 25, 27, 45, 47, 63, 105])
@@ -171,38 +184,30 @@ def test_line_families_are_the_smallest_labels(d):
     assert list(zip(n1.tolist(), n2.tolist())) == expected
 
 
-def test_sampled_check_catches_a_broken_operator(monkeypatch):
+def _broken_quantizer():
     # a kernel without the conjugation pairing makes non-Hermitian operators
     values = gw.symmetric_kernel(10).values.copy()
     values[3, 4] *= 1.5
-    q = gw.build_quantizer(gw.PhaseGrid(21, 0.37), gw.kernel_from_table(values), check=False)
-    monkeypatch.setattr(quantizer, "BUDGET", 9**4)
-    report = gw.verify_quantizer(q)
-    assert report.seed is not None
+    return gw.build_quantizer(gw.PhaseGrid(21, 0.37), gw.kernel_from_table(values), check=False)
+
+
+def test_sampled_check_catches_a_broken_operator():
+    report = gw.verify_quantizer(_broken_quantizer())
     assert report.hermiticity_dev > gw.TOL and report.overlap_dev > gw.TOL
 
 
-@pytest.mark.parametrize(
-    "d, family, budget",
-    [(15, "wootters", None), (20, "almost-symmetric", None), (21, "symmetric", 9**4), (61, "wootters", 9**4)],
-)
-def test_overlaps_match_the_explicit_gram(monkeypatch, d, family, budget):
-    if budget is not None:
-        monkeypatch.setattr(quantizer, "BUDGET", budget)
+@pytest.mark.parametrize("d, family", [(15, "wootters"), (20, "almost-symmetric"), (21, "symmetric"), (31, "wootters")])
+def test_overlaps_match_the_explicit_gram(d, family):
     q = _quantizer(d, family, 0.37)
     report = gw.verify_quantizer(q)
-    assert (report.seed is None) == (budget is None)
     overlap, orthogonality = oracles.overlap_gram(q)
     assert abs(report.overlap_dev - overlap) <= AGREE
     assert abs(report.orthogonality_dev - orthogonality) <= AGREE
 
 
-def test_overlaps_of_broken_operators_match_the_explicit_gram(monkeypatch):
+def test_overlaps_of_broken_operators_match_the_explicit_gram():
     # the operators are not Hermitian, so the overlaps are Re sum Omega_s conj(Omega_t), not traces
-    values = gw.symmetric_kernel(10).values.copy()
-    values[3, 4] *= 1.5
-    q = gw.build_quantizer(gw.PhaseGrid(21, 0.37), gw.kernel_from_table(values), check=False)
-    monkeypatch.setattr(quantizer, "BUDGET", 9**4)
+    q = _broken_quantizer()
     report = gw.verify_quantizer(q)
     overlap, orthogonality = oracles.overlap_gram(q)
     assert overlap > gw.TOL
@@ -293,3 +298,37 @@ def test_operators_and_lines_are_displacement_covariant(d, phi0, seed, custom):
             x = _conjugator(grid, int(a[at]), int(b[at]))
             line = oracles.line_projector(grid, kernel, gw.Line(n1, n2, n3, d))
             assert np.max(np.abs(line - x @ origin @ x.conj().T)) <= AGREE
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 21),
+    phi0=st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e8, 1e8)),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("builtin", "custom", "unpaired")),
+)
+def test_every_pair_and_every_operator_is_read_from_the_origin(d, phi0, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "builtin":
+        kernel = (gw.wootters_kernel if d % 2 else gw.almost_symmetric_kernel)(d // 2)
+    else:
+        kernel = oracles.random_kernel(d, rng, unimodular=bool(rng.integers(2)))
+    if kind == "unpaired":  # an interior entry off its partner's conjugate: non-Hermitian operators
+        values = kernel.values.copy()
+        values[rng.integers(1, d), rng.integers(1, d)] *= 1.5 + 0.5j
+        kernel = gw.kernel_from_table(values)
+    grid = gw.PhaseGrid(d, phi0)
+    q = gw.build_quantizer(grid, kernel, check=False)
+    report = gw.verify_quantizer(q)
+    om = oracles.omega(grid, kernel).reshape(d * d, d, d)  # row s is the point (m, n) = divmod(s, d)
+    flat = om.reshape(d * d, -1)
+    pairs = (flat @ flat.conj().T).real  # [s, t] = Re sum_ab Omega_s[a, b] conj(Omega_t[a, b])
+    table = quantizer._overlap_table(q, om[0])
+    m, n = np.divmod(np.arange(d * d), d)
+    assert np.max(np.abs(pairs - table[(m[:, None] - m) % d, (n[:, None] - n) % d])) <= AGREE * kernel.scale**2
+    herm = np.linalg.norm(om - om.conj().swapaxes(-1, -2), axis=(-2, -1))
+    trace = np.abs(np.trace(om, axis1=-2, axis2=-1) - 1.0)
+    assert np.max(np.abs(herm - report.hermiticity_dev)) <= AGREE * kernel.scale
+    assert np.max(np.abs(trace - report.trace_dev)) <= AGREE * kernel.scale
+    if kind == "unpaired":
+        assert report.hermiticity_dev > gw.TOL
