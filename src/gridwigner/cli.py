@@ -44,6 +44,7 @@ from .states import (
 from .tomography import (
     ConvergenceReport,
     EmbeddingError,
+    _check_embedding,
     _halfgrid_from_json,
     continuum_study,
     leonhardt_reconstruct,
@@ -368,7 +369,10 @@ def cmd_converge(args) -> int:
     elif name == "fock":
         try:
             level = int(tokens[1])
+            _check_embedding(level, args.n, n_list)  # before a table of the level's size is built
             rho = fock_state(level + 1, level)
+        except EmbeddingError as exc:
+            raise CliError(EXIT_BAD_EMBEDDING, str(exc))
         except (IndexError, ValueError) as exc:
             raise CliError(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
     elif os.path.exists(name):

@@ -165,7 +165,7 @@ def fourier_coeffs(grid: PhaseGrid, values) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
     if v.shape != (grid.dim, grid.dim):
         raise ValueError("grid function shape does not match the grid")
-    return _angle_phases(grid) * np.fft.fft2(v) / grid.dim
+    return _angle_phases(grid) * (1 / grid.dim) * np.fft.fft2(v)
 
 
 def inverse_fourier(grid: PhaseGrid, coeffs) -> np.ndarray:
@@ -196,6 +196,11 @@ def _shear(grid: PhaseGrid) -> np.ndarray:
     return np.exp(-1j * np.pi * np.arange(2 * grid.dim) / grid.dim).take(kl)
 
 
+def _sheared_weights(grid: PhaseGrid, kernel_values) -> np.ndarray:
+    """``S = K[k, l] exp(-i*k*phi0) exp(-i*pi*k*l/dim) / dim**2``: every kernel map reads ``K`` through ``S``."""
+    return _shear(grid) * kernel_values * (_angle_phases(grid) * (1 / grid.dim**2))
+
+
 def characteristic(grid: PhaseGrid, a) -> np.ndarray:
     """Characteristic function ``chi[k, l] = trace(a D(k, l))``, ``0 <= k, l < dim``.
 
@@ -208,17 +213,20 @@ def characteristic(grid: PhaseGrid, a) -> np.ndarray:
 def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
     """Exact inverse of :func:`characteristic`: ``sum_{k,l} chi[k, l] D(k, l)^+ / dim``,
     the adjoint of a displacement sum; leading axes of ``chi`` are batch axes."""
-    return _displacement_sum(grid, np.conj(chi)).swapaxes(-1, -2).conj() / grid.dim
+    return _displacement_sum(grid, np.conj(chi) * _shear(grid)).swapaxes(-1, -2).conj() * (1 / grid.dim)
+
+
+def _kernel_map(grid: PhaseGrid, weights, a) -> np.ndarray:
+    """``fft2(weights * chi)``, ``chi`` the :func:`characteristic` of ``a``: the forward map of sheared ``weights``."""
+    return np.fft.fft2(weights * np.fft.ifft(_diagonals(grid, a), norm="forward"))
 
 
 def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
-    """``sum_{k,l} coeffs[k, l] D(k, l)``: entry ``[a, b]`` is the sheared inverse row
-    FFT ``s`` of row ``b - a mod dim`` at ``b``, times the corner phase when ``b < a``,
-    which is row ``a`` of :func:`_diagonals` of ``s`` transposed.  Leading axes are
-    batch axes; the stack comes back C-contiguous."""
-    s = np.multiply(coeffs, _shear(grid))  # ``*`` could reuse the temporary as shear * coeffs: other bits
-    np.fft.ifft(s, norm="forward", out=s)
-    return _diagonals(grid, s.swapaxes(-1, -2))
+    """``sum_{k,l} c[k, l] D(k, l)`` from the sheared ``coeffs = c * exp(-i*pi*k*l/dim)``:
+    entry ``[a, b]`` is the inverse row FFT ``s`` of row ``b - a mod dim`` at ``b``, times the
+    corner phase when ``b < a``, which is row ``a`` of :func:`_diagonals` of ``s`` transposed.
+    Leading axes are batch axes; the stack comes back C-contiguous."""
+    return _diagonals(grid, np.fft.ifft(coeffs, norm="forward").swapaxes(-1, -2))
 
 
 def _level_shifts(grid: PhaseGrid, a, levels) -> np.ndarray:

@@ -21,10 +21,11 @@ from .linalg import frob_dist, within
 from .kernels import Kernel, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
-    _angle_phases,
+    _diagonals,
     _displacement_sum,
+    _kernel_map,
     _level_shifts,
-    characteristic,
+    _sheared_weights,
     phase_function_op,
     phase_ket,
 )
@@ -33,16 +34,12 @@ from .phasespace import (
 CONDITION_TOL = 1e-6
 
 
-def _kernel_weights(grid: PhaseGrid, kernel: Kernel) -> np.ndarray:
-    """``K[k, l] exp(-i*k*phi0) / dim**2``: the weight of ``D(k, l)`` in every map."""
-    return kernel.values * _angle_phases(grid) / grid.dim**2
-
-
 @dataclass(frozen=True)
 class Quantizer:
     """Phase-point operators of one grid/kernel pair, held implicitly.
 
-    Only ``weights`` (:func:`_kernel_weights`) is stored.  ``omega[m, n]``,
+    Only ``weights`` is stored: the sheared table ``S`` through which every
+    map reads the kernel (:func:`phasespace._sheared_weights`).  ``omega[m, n]``,
     the operator of the grid point ``(phi_m, n)``, is built on first
     access and kept (``16 * dim**4`` bytes); nothing in the library reads it.
     """
@@ -113,7 +110,7 @@ def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quan
         )
     if check and not validate(kernel).valid:
         raise ValueError("kernel does not satisfy the validity conditions")
-    return Quantizer(grid=grid, kernel=kernel, weights=_kernel_weights(grid, kernel), check=check)
+    return Quantizer(grid=grid, kernel=kernel, weights=_sheared_weights(grid, kernel.values), check=check)
 
 
 def quantize(q: Quantizer, values) -> np.ndarray:
@@ -142,17 +139,17 @@ def _warn_if_ill_conditioned(kernel: Kernel):
 def symbol(q: Quantizer, op) -> np.ndarray:
     """Inverse of :func:`quantize`: the grid function of an operator.
 
-    Uses the kernel-division form: the displacement traces
-    ``trace(D(k, l)^+ op)`` are divided by the kernel weights and
-    Fourier-summed back onto the grid.
+    Uses the kernel-division form: the displacement traces ``trace(D(k, l)^+ op)`` are divided
+    by the kernel weights and Fourier-summed back onto the grid, the forward map of ``op^+``
+    with the dual table ``1 / conj(S)``, conjugated and divided by ``dim**3``.
     """
     a = np.asarray(op, dtype=complex)
     d = q.grid.dim
     if a.shape != (d, d):
         raise ValueError("operator dimension does not match the quantizer grid")
     _warn_if_ill_conditioned(q.kernel)
-    t = characteristic(q.grid, a.conj().T).conj()
-    return np.fft.ifft2(t / q.weights) / d
+    t = np.fft.ifft(_diagonals(q.grid, a.conj().T))  # conj(fft2(x)) / dim**3 = ifft2(conj(x)) / dim: this FFT's 1/dim
+    return np.fft.ifft2(np.conjugate(t, out=t) / q.weights)
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def _overlap_table(q: Quantizer, origin) -> np.ndarray:
     """``Re sum_ab Omega(m, n)[a, b] conj(origin[a, b])`` at ``[m, n]``: ``dim`` times
     the forward kernel map of ``origin^+``, since ``Omega(m, n)`` is ``dim`` times
     the quantization of the point ``(m, n)``."""
-    return (q.grid.dim * np.fft.fft2(q.weights * characteristic(q.grid, origin.conj().T))).real
+    return _kernel_map(q.grid, q.weights, origin.conj().T).real * q.grid.dim
 
 
 def verify_quantizer(q: Quantizer) -> QuantizerReport:
@@ -226,7 +223,7 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     number_sum = frob_dist(_line_sums(q, 0, 1, [0])[0], eye[:, :1] * eye[0])
     origin = _displacement_sum(grid, d * q.weights)  # the fft2 of the origin's indicator is 1
     overlaps = _overlap_table(q, origin)
-    overlap_dev = float(np.max(np.abs(overlaps - np.fft.fft2(np.abs(q.kernel.values) ** 2) / d)))
+    overlap_dev = float(np.max(np.abs(overlaps - np.fft.fft2(np.abs(q.kernel.values) ** 2 * (1 / d)))))
     overlaps[0, 0] -= d
 
     return QuantizerReport(

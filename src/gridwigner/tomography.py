@@ -376,6 +376,18 @@ class EmbeddingError(ValueError):
     """Raised when a state does not embed safely into the requested grids."""
 
 
+def _check_embedding(n_max: int, n: int, n_list) -> None:
+    """Refuse grid sizes ``n_list`` that a state of support ``0..n_max`` queried at level ``n`` does not fit."""
+    if not n_list:
+        raise EmbeddingError("need at least one grid size")
+    if any(N < 1 for N in n_list):
+        raise EmbeddingError("grid sizes must be positive")
+    if n < 0:
+        raise EmbeddingError(f"query level {n} is negative")
+    if n_max + n >= min(n_list):
+        raise EmbeddingError(f"state support {n_max} plus query level {n} too close to N={min(n_list)}")
+
+
 def embed_state(rho_small, dim: int) -> np.ndarray:
     """Zero-pad a finite-rank state into a larger Hilbert dimension."""
     r = np.asarray(rho_small, dtype=complex)
@@ -525,19 +537,8 @@ def continuum_study(
     n = _as_index(n, "query level")
     if not math.isfinite(phi):
         raise ValueError(f"target angle phi must be finite, got {phi!r}")
-    n_max = r.shape[0] - 1
     n_list = list(N_list)
-    if not n_list:
-        raise EmbeddingError("need at least one grid size")
-    if any(N < 1 for N in n_list):
-        raise EmbeddingError("grid sizes must be positive")
-    if n < 0:
-        raise EmbeddingError(f"query level {n} is negative")
-    smallest = min(n_list)
-    if n_max + n >= smallest:
-        raise EmbeddingError(
-            f"state support {n_max} plus query level {n} too close to N={smallest}"
-        )
+    _check_embedding(r.shape[0] - 1, n, n_list)
 
     odd = kernel_family != "almost-symmetric"
     grids = [PhaseGrid(2 * N + odd, phi0) for N in n_list]

@@ -14,8 +14,8 @@ import numpy as np
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .linalg import is_hermitian, is_positive_semidefinite, within
 from .kernels import Kernel
-from .phasespace import PhaseGrid, _displacement_sum, characteristic
-from .quantizer import Quantizer, _kernel_weights, _warn_if_ill_conditioned
+from .phasespace import PhaseGrid, _displacement_sum, _kernel_map, _sheared_weights
+from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
 
 class ReconstructionError(ValueError):
     """Raised when a Wigner grid does not determine a valid state."""
@@ -71,30 +71,22 @@ def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 
 def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
-    """Wigner function of a state on the quantizer's grid (see :func:`wigner_grid`)."""
-    return wigner_grid(q.grid, q.kernel, rho, validate_state)
+    """Wigner function of a state on the quantizer's grid, from its weights (see :func:`wigner_grid`)."""
+    r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
+    if r.shape != (q.grid.dim, q.grid.dim):
+        raise ValueError("state dimension does not match the grid")
+    values = _real_or_raise(_kernel_map(q.grid, q.weights, r), q.kernel.scale)
+    return WignerGrid(q.grid, q.kernel.label, values, q.kernel.eps)
 
 
 def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = True) -> WignerGrid:
     """Wigner function of a state: the normalised phase-point overlaps.
 
-    ``W = fft2(K * chi * exp(-i*k*phi0)) / dim**2`` with ``chi`` the
-    characteristic function of the state; O(dim**2 log dim) time and
-    O(dim**2) memory.
+    ``W = fft2(K * chi * exp(-i*k*phi0)) / dim**2`` with ``chi`` the characteristic function
+    of the state: the forward kernel map of the sheared weights of an unchecked
+    :func:`build_quantizer`; O(dim**2 log dim) time and O(dim**2) memory.
     """
-    r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
-    d = grid.dim
-    if kernel.dim != d:
-        raise ValueError("kernel dimension does not match the grid")
-    if r.shape != (d, d):
-        raise ValueError("state dimension does not match the grid")
-    raw = np.fft.fft2(_kernel_weights(grid, kernel) * characteristic(grid, r))
-    return WignerGrid(
-        grid=grid,
-        kernel_label=kernel.label,
-        values=_real_or_raise(raw, kernel.scale),
-        epsilon=kernel.eps,
-    )
+    return wigner(build_quantizer(grid, kernel, check=False), rho, validate_state)
 
 
 def expectation(w: WignerGrid, values) -> complex:
@@ -113,15 +105,13 @@ def marginals(w: WignerGrid):
 def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
     """Recover the density operator behind a Wigner grid.
 
-    The exact inverse of :func:`wigner_grid`: ``chi = ifft2(W) / weights`` is
-    the state's characteristic function, its conjugate ``fft2(W) / conj(weights)
-    / dim**2`` as ``W`` is real, and the state the adjoint of the displacement
-    sum of ``conj(chi) / dim``.  A kernel without the conjugation pairing leaves an
-    anti-Hermitian part; it raises when that part fails the tolerance on
-    the scale ``max |K| * max(1, max |rho|)``.  The result is averaged with
-    its adjoint, so its off-diagonal pairs are bitwise conjugates and its
-    diagonal imaginary parts are +0.0.  With ``validate_state`` it must
-    pass :func:`check_density`.
+    The exact inverse of :func:`wigner_grid`: ``fft2(W) / (conj(S) * dim**3)``, ``S`` the sheared
+    weights, is ``conj(chi) / dim`` sheared (``chi`` the state's characteristic function, ``W``
+    real), and the state the adjoint of its displacement sum.  A kernel without the conjugation
+    pairing leaves an anti-Hermitian part; it raises when that part fails the tolerance on the
+    scale ``max |K| * max(1, max |rho|)``.  The result is averaged with its adjoint, so its
+    off-diagonal pairs are bitwise conjugates and its diagonal imaginary parts are +0.0.  With
+    ``validate_state`` it must pass :func:`check_density`.
     """
     if kernel.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
@@ -130,9 +120,8 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
             f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}"
         )
     _warn_if_ill_conditioned(kernel)
-    # conj(chi) / dim; one complex division, as dividing by a real scalar costs one as well
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight leaves NaN: the defect check raises
-        h = _displacement_sum(w.grid, np.fft.fft2(w.values) / (np.conj(_kernel_weights(w.grid, kernel)) * w.dim**3))
+        h = _displacement_sum(w.grid, np.fft.fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
     rho = h.conj().T
     defect = float(np.max(np.abs(rho - h)))
     if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):

@@ -7,9 +7,11 @@ appear as package attributes only once something imports them.
 
 import ast
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gridwigner
 from gridwigner import cli
@@ -138,3 +140,63 @@ def test_a_grid_holds_no_tables():
         or (isinstance(value, tuple) and any(isinstance(v, np.ndarray) for v in value))
     ]
     assert held == []
+
+
+def test_a_quantizer_never_rebuilds_its_sheared_table(monkeypatch):
+    """Every map of a quantizer reads the kernel through ``Quantizer.weights``, the
+    sheared table built once by ``build_quantizer``: none of them builds the shear again."""
+    grid = gridwigner.PhaseGrid(7, 0.37)
+    q = gridwigner.build_quantizer(grid, gridwigner.wootters_kernel(3))
+
+    def refuse(grid):
+        raise AssertionError("the shear was built again")
+
+    monkeypatch.setattr(gridwigner.phasespace, "_shear", refuse)
+    w = gridwigner.wigner(q, gridwigner.fock_state(7, 2))
+    assert np.max(np.abs(gridwigner.symbol(q, gridwigner.quantize(q, w.values)) - w.values)) <= 1e-12
+    projector = gridwigner.line_projector(q, gridwigner.Line(1, 2, 3, 7))
+    assert np.max(np.abs(projector @ projector - projector)) <= 1e-12
+    assert gridwigner.verify_quantizer(q).core_pass()
+
+
+#: Budget of each kernel map's warm ``tracemalloc`` peak at dim 257, in complex dim x dim
+#: tables: a quarter table above the peak measured when the budget was set.
+WORKING_SET = {
+    "quantize": 6.25, "symbol": 4.25, "wigner": 4.25,
+    "wigner_grid": 4.25, "reconstruct": 5.25, "verify_quantizer": 5.75,
+}
+
+
+@pytest.fixture(scope="module")
+def maps_at_257():
+    d = 257
+    grid = gridwigner.PhaseGrid(d, 0.37)
+    kernel = gridwigner.symmetric_kernel((d - 1) // 2)
+    q = gridwigner.build_quantizer(grid, kernel)
+    rng = np.random.default_rng(257)
+    rho = gridwigner.random_density(d, rng)
+    f = rng.standard_normal((d, d))
+    w = gridwigner.wigner_grid(grid, kernel, rho)
+    op = gridwigner.quantize(q, f)
+    return {
+        "quantize": lambda: gridwigner.quantize(q, f),
+        "symbol": lambda: gridwigner.symbol(q, op),
+        "wigner": lambda: gridwigner.wigner(q, rho),
+        "wigner_grid": lambda: gridwigner.wigner_grid(grid, kernel, rho),
+        "reconstruct": lambda: gridwigner.reconstruct(w, kernel),
+        "verify_quantizer": lambda: gridwigner.verify_quantizer(q),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(WORKING_SET))
+def test_each_kernel_map_keeps_its_working_set(maps_at_257, name):
+    """The largest memory a warm call holds at once stays within its budget."""
+    call = maps_at_257[name]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * 257**2) <= WORKING_SET[name]

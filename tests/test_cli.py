@@ -694,7 +694,7 @@ class TestStderrLines:
         "argv, allocating",
         [
             ("verify --dim 100001 --kernel wootters", "wootters_kernel"),
-            ("converge --kernel symmetric --state fock 40000 --n 0 --phi 0 --Ns 5", "fock_state"),
+            ("converge --kernel symmetric --state fock 40000 --n 0 --phi 0 --Ns 40001", "fock_state"),
         ],
     )
     def test_a_size_the_host_cannot_hold_is_one_error_line(self, monkeypatch, capsys, argv, allocating, message, line):
@@ -705,6 +705,16 @@ class TestStderrLines:
         monkeypatch.setattr(cli, allocating, refuse)
         assert run(*argv.split()) == 3
         assert capsys.readouterr().err == line
+
+    def test_a_fock_level_too_close_to_the_grid_sizes_is_refused_before_its_table(self, monkeypatch, capsys):
+        # the support rule of the continuum study, applied before the (40001, 40001) table
+        def refuse(*args):
+            raise AssertionError("the number state was built")
+
+        monkeypatch.setattr(cli, "fock_state", refuse)
+        argv = "converge --kernel symmetric --state fock 40000 --n 0 --phi 0 --Ns 5"
+        assert run(*argv.split()) == 5
+        assert capsys.readouterr().err == "error: state support 40000 plus query level 0 too close to N=5\n"
 
     def test_a_fock_level_beyond_the_grid_is_refused_before_any_table(self, monkeypatch, capsys):
         built = []

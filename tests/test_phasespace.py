@@ -203,8 +203,9 @@ def test_level_shifts_are_shift_conjugates(d, phi0, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_the_gather_and_the_displacement_sum_match_their_definitions(d, phi0, batch, seed):
-    """``_diagonals`` is the corner-phased cyclic-diagonal gather, and ``_displacement_sum``
-    the dense sum of displacements, C-contiguous and owning its memory (no doubled buffer)."""
+    """``_diagonals`` is the corner-phased cyclic-diagonal gather, and ``_displacement_sum`` of
+    sheared coefficients the dense sum of displacements, C-contiguous and owning its memory
+    (no doubled buffer)."""
     rng = np.random.default_rng(seed)
     grid = gw.PhaseGrid(d, phi0)
     a = random_complex(rng, batch, d, d)
@@ -213,9 +214,10 @@ def test_the_gather_and_the_displacement_sum_match_their_definitions(d, phi0, ba
     gathered = gw.phasespace._diagonals(grid, a)
     assert np.max(np.abs(gathered - a[:, n, (n - k) % d] * corner)) <= 1e-15 * np.max(np.abs(a))
     ops = np.array([[gw.displacement(grid, kk, ll) for ll in range(d)] for kk in range(d)])
-    placed = gw.phasespace._displacement_sum(grid, a)
+    sheared = a * gw.phasespace._shear(grid)
+    placed = gw.phasespace._displacement_sum(grid, sheared)
     assert np.max(np.abs(placed - np.einsum("bkl,klij->bij", a, ops))) <= 1e-13 * d * np.max(np.abs(a))
-    for out in (placed, gw.phasespace._displacement_sum(grid, a[0])):
+    for out in (placed, gw.phasespace._displacement_sum(grid, sheared[0])):
         assert out.flags.c_contiguous and out.base is None
 
 
