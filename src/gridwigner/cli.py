@@ -337,8 +337,6 @@ def cmd_verify(args) -> int:
         lines = verify_lines(q)
         ok &= _print_check("line projectivity", lines.projectivity_dev)
         ok &= _print_check("line completeness", lines.completeness_dev)
-        if lines.seed is not None:
-            print(f"sampled: line projectivity on {lines.checked} of {lines.families} line families (seed {lines.seed})")
     elif grid.dim % 2 == 0:
         _print_check("line projectivity", None, note="even dim")
     else:

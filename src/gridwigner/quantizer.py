@@ -27,7 +27,6 @@ from .phasespace import (
     _level_shifts,
     _sheared_weights,
     phase_function_op,
-    phase_ket,
 )
 
 #: Kernel moduli below this trigger a conditioning warning on inversion.
@@ -207,8 +206,11 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     ``V`` and the shift ``U``.  A unitary conjugation keeps ``||Omega -
     Omega^+||_F``, the trace and the Hilbert-Schmidt product, so Hermiticity
     and unit trace are checked on ``Omega(0, 0)`` alone, the phase-axis sum at
-    ``m = 0`` and the number-axis sum at ``n = 0`` (:func:`_line_sums` of the
-    directions ``(1, 0)`` and ``(0, 1)``).  The overlaps ``Re sum_ab
+    ``m = 0`` and the number-axis sum at ``n = 0``.  Those sums place
+    ``K[k, 0] exp(-i*k*phi0) / dim`` on ``D(k, 0)`` and ``K[0, l] / dim`` on ``D(0, l)``,
+    their projectors the same with ``K = 1``, and ``trace(D(k, l)^+ D(k', l'))``
+    is ``dim`` or 0: by Parseval their distances are ``sqrt(sum_k |K[k, 0] - 1|**2
+    / dim)`` and ``sqrt(sum_l |K[0, l] - 1|**2 / dim)``.  The overlaps ``Re sum_ab
     Omega_s[a, b] conj(Omega_t[a, b])`` (the trace of ``Omega_s Omega_t`` if
     Hermitian) of every pair are the :func:`_overlap_table` of ``Omega(0, 0)``
     at ``s - t``, O(dim**2 log dim).  It is compared with ``fft2(|K|**2) / dim``
@@ -217,20 +219,17 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     """
     grid = q.grid
     d = grid.dim
-    eye = np.eye(d)
-    ket = phase_ket(grid, 0)
-    phase_sum = frob_dist(_line_sums(q, 1, 0, [0])[0], np.outer(ket, ket.conj()))
-    number_sum = frob_dist(_line_sums(q, 0, 1, [0])[0], eye[:, :1] * eye[0])
+    values = q.kernel.values
     origin = _displacement_sum(grid, d * q.weights)  # the fft2 of the origin's indicator is 1
     overlaps = _overlap_table(q, origin)
-    overlap_dev = float(np.max(np.abs(overlaps - np.fft.fft2(np.abs(q.kernel.values) ** 2 * (1 / d)))))
+    overlap_dev = float(np.max(np.abs(overlaps - np.fft.fft2(np.abs(values) ** 2 * (1 / d)))))
     overlaps[0, 0] -= d
 
     return QuantizerReport(
         hermiticity_dev=frob_dist(origin, origin.conj().T),
         trace_dev=float(abs(np.trace(origin) - 1.0)),
-        phase_sum_dev=phase_sum,
-        number_sum_dev=number_sum,
+        phase_sum_dev=float(np.linalg.norm(values[:, 0] - 1.0)) / math.sqrt(d),
+        number_sum_dev=float(np.linalg.norm(values[0] - 1.0)) / math.sqrt(d),
         completeness_dev=_completeness_dev(q),
         overlap_dev=overlap_dev,
         orthogonality_dev=float(np.max(np.abs(overlaps))),

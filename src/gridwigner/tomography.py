@@ -15,17 +15,9 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .kernels import Kernel, _admissible_eps, symmetric_kernel, wootters_kernel
-from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _reduced
-from .quantizer import Quantizer, _completeness_dev, _line_sums, _place_lines, _warn_if_ill_conditioned
+from .phasespace import PhaseGrid, _angles, _as_index, _reduced
+from .quantizer import Quantizer, _completeness_dev, _line_sums, _warn_if_ill_conditioned
 from .wigner import WignerGrid, _real_or_raise, check_density
-
-#: Budget of the line-family checks, in complex entries of explicit operators:
-#: every line family is checked while ``dim**4 <= BUDGET`` (``dim <= 45``); above
-#: that ``BUDGET // dim**3`` families (at least one), drawn with ``SAMPLE_SEED``.
-#: No step of the checks holds more than ``BUDGET`` entries.
-BUDGET = 45**4
-SAMPLE_SEED = 0
-
 
 @dataclass(frozen=True)
 class Line:
@@ -111,65 +103,61 @@ def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
     gives the same lines, so only the smallest such pair (in ``n1``, then
     ``n2``) is kept; pairs with ``gcd(n1, n2, dim) > 1`` are left out.
 
-    The codes ``n1*dim + n2`` are walked in ascending order: an open code is
-    the smallest of its family, whose unit multiples are then closed at once.
+    The unit multiples of ``n1`` are the residues sharing its gcd ``g`` with
+    ``dim``, so the smallest is ``g mod dim`` (0 first, for ``g = dim``).  The
+    units fixing it are those ``= 1 mod dim/g``; by the Chinese remainder
+    theorem they take ``n2`` to every residue with ``gcd(n2, g) = 1`` of its
+    class mod ``dim/g``.  So divisor ``g`` labels ``(g mod dim, x)`` for the
+    smallest such ``x`` of each class, ascending: O(dim log dim) per divisor.
     """
-    n1, n2 = np.divmod(np.arange(dim * dim), dim)
-    is_open = np.gcd(np.gcd(n1, n2), dim) == 1
-    c = np.arange(1, dim + 1)
-    units = c[np.gcd(c, dim) == 1]
-    labels = []
-    code = 0
-    while is_open[code:].any():
-        code += int(np.argmax(is_open[code:]))
-        labels.append(code)
-        is_open[(units * n1[code] % dim) * dim + units * n2[code] % dim] = False
-    return n1[labels], n2[labels]
+    x = np.arange(dim)
+    n1, n2 = [], []
+    for g in sorted((g for g in range(1, dim + 1) if dim % g == 0), key=lambda g: g % dim):
+        coprime = x[np.gcd(x, g) == 1]
+        first = np.sort(coprime[np.unique(coprime % (dim // g), return_index=True)[1]])
+        n1.append(np.full(len(first), g % dim))
+        n2.append(first)
+    return np.concatenate(n1), np.concatenate(n2)
 
 
-def _checked(dim: int, total: int) -> tuple[np.ndarray, int | None]:
-    """Indices of the ``total`` line families to check.
+def _projectivity(q: Quantizer, n1, n2) -> np.ndarray:
+    """``||P @ P - P||_F`` of the line through the origin of each family ``(n1[s], n2[s])``.
 
-    Every family while ``dim**4 <= BUDGET``; otherwise ``BUDGET // dim**3``
-    of them, at least one, drawn without replacement with ``SAMPLE_SEED``
-    and sorted.  The seed is returned with a sample, ``None`` otherwise.
+    ``P = sum_j K[k_j, l_j] exp(-i*k_j*phi0) / dim * D(k_j, l_j)`` with ``(k_j, l_j) =
+    (j*n1, j*n2) mod dim``.  Each ``D(k_j, l_j)`` is a phase times ``D(n1, n2)**j``,
+    a unitary with ``dim`` distinct eigenvalues, so ``P`` is normal and its
+    eigenvalues are ``e = fft(K[k_j, l_j] exp(i*pi*m_j/dim) / dim)``, with the
+    integer ``m_j = j**2*n1*n2 + j*dim*n1*n2 - k_j*l_j mod 2*dim`` (``phi0``
+    cancels).  The norm is ``sqrt(sum_k |e_k**2 - e_k|**2)``: O(dim log dim) a family.
     """
-    count = max(1, BUDGET // dim**3)
-    if dim**4 <= BUDGET or count >= total:
-        return np.arange(total), None
-    rng = np.random.default_rng(SAMPLE_SEED)
-    return np.sort(rng.choice(total, size=count, replace=False)), SAMPLE_SEED
-
-
-def _chunks(total: int, dim: int):
-    """Slices of ``range(total)`` over ``dim x dim`` matrices: at most ``dim`` of
-    them, and at most ``BUDGET`` entries, per slice (one matrix at least)."""
-    step = max(1, min(dim, BUDGET // dim**2))
-    return [slice(i, min(i + step, total)) for i in range(0, total, step)]
-
-
-def _max_norm(stack) -> float:
-    """Largest Frobenius norm among the matrices of a stack."""
-    flat = np.asarray(stack, dtype=complex).reshape(len(stack), -1).view(float)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", flat, flat))))
+    d = q.grid.dim
+    j = np.arange(d)
+    k, l = n1[:, None] * j % d, n2[:, None] * j % d
+    e = q.kernel.values[k, l]
+    m = k * l
+    del k, l
+    m -= j * (j + d) * (n1 * n2 % (2 * d))[:, None]  # -m_j, reduced below
+    m %= 2 * d
+    e *= (np.exp(-1j * np.pi * np.arange(2 * d) / d) * (1 / d)).take(m)
+    del m
+    e = np.fft.fft(e)
+    e *= e - 1.0
+    flat = e.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 @dataclass(frozen=True)
 class LineReport:
     """Worst deviations of the line-projector identities.
 
-    ``projectivity_dev`` is the largest ``||P @ P - P||_F`` over every line
-    of ``checked`` of the ``families`` families: all of them, or a sample
-    drawn with ``seed`` (``None`` when every family was checked).
-    ``completeness_dev`` is the Frobenius distance of a family's projector
-    sum from the identity, the same for every family.
+    ``projectivity_dev`` is the largest ``||P @ P - P||_F`` over every line of
+    all ``families`` families.  ``completeness_dev`` is the Frobenius distance
+    of a family's projector sum from the identity, the same for every family.
     """
 
     projectivity_dev: float
     completeness_dev: float
-    checked: int
     families: int
-    seed: int | None
 
 
 def verify_lines(q: Quantizer) -> LineReport:
@@ -177,23 +165,19 @@ def verify_lines(q: Quantizer) -> LineReport:
 
     Each line of a family is a displacement conjugate of the family's line
     through the origin, for any kernel, and conjugation keeps ``||P @ P -
-    P||_F``: projectivity is that exact norm of one projector per family.
-    The families chosen by :data:`BUDGET` (all of them for ``dim <= 45``) go
-    in chunks of at most ``dim`` families and ``BUDGET`` entries: O(dim**3)
-    per family.  The lines of a family partition the grid, so by linearity
-    every family sums to ``quantize(1)``: completeness is checked once.
+    P||_F``: projectivity is that norm of one projector per family, read
+    from its ``dim`` coefficients by :func:`_projectivity` without building
+    it.  Every family is checked, in blocks of at most ``dim``: O(dim log dim)
+    per family, no array beyond ``dim x dim``.  The lines of a family
+    partition the grid, so by linearity every family sums to ``quantize(1)``:
+    completeness is checked once.
     """
     d = q.grid.dim
     if d % 2 == 0:
         raise ValueError("line projectors are defined for odd dimensions here")
     n1, n2 = _line_families(d)
-    chosen, seed = _checked(d, len(n1))
-    projectivity = 0.0
-    for part in _chunks(len(chosen), d):
-        f = chosen[part]
-        origin = _displacement_sum(q.grid, _place_lines(q, n1[f], n2[f], 1.0))
-        projectivity = max(projectivity, _max_norm(origin @ origin - origin))
-    return LineReport(projectivity, _completeness_dev(q), len(chosen), len(n1), seed)
+    projectivity = np.concatenate([_projectivity(q, n1[i : i + d], n2[i : i + d]) for i in range(0, len(n1), d)])
+    return LineReport(float(np.max(projectivity)), _completeness_dev(q), len(n1))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ einsum Wigner function, quantization and symbol, the double loop of the
 phase-basis inversion with the dense rotation back to the number basis,
 the dense ``rho @ P`` table of phase overlaps, the shift-power loop of the
 unimodular shortcut,
-the point sum of a line projector, the dense identity suite over the
+the point sum of a line projector, the code walk that labels the line
+families, the explicit ``P @ P - P`` of a family's projector, the explicit
+axis line sums against their basis projectors, the dense identity suite over the
 whole operator table with the per-labelling line loop, the real Gram
 product of the overlaps of every pair of operators, the overlap and
 displacement routes through that table, the dyad sum of a half-integer
@@ -38,6 +40,7 @@ import math
 import numpy as np
 
 import gridwigner as gw
+from gridwigner import quantizer
 from gridwigner.phasespace import _angles
 from gridwigner.wigner import _real_or_raise
 
@@ -174,6 +177,40 @@ def line_projector(grid, kernel, line):
     """Average of the oracle phase-point operators over the line's points."""
     om = omega(grid, kernel)
     return sum(om[m, n] for m, n in line_points(line)) / grid.dim
+
+
+def line_families(dim):
+    """Direction labels ``(n1, n2)`` of the parallel line families, by walking the
+    codes ``n1*dim + n2`` in ascending order: an open code is the smallest of its
+    family, whose unit multiples are then closed at once."""
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    is_open = np.gcd(np.gcd(n1, n2), dim) == 1
+    c = np.arange(1, dim + 1)
+    units = c[np.gcd(c, dim) == 1]
+    labels = []
+    code = 0
+    while is_open[code:].any():
+        code += int(np.argmax(is_open[code:]))
+        labels.append(code)
+        is_open[(units * n1[code] % dim) * dim + units * n2[code] % dim] = False
+    return n1[labels], n2[labels]
+
+
+def axis_sum_devs(q):
+    """``(phase, number)``: Frobenius distances of the explicit line sums at ``m = 0``
+    and ``n = 0`` from ``|phi_0><phi_0|`` and ``|0><0|``."""
+    ket = gw.phase_ket(q.grid, 0)
+    eye = np.eye(q.grid.dim)
+    phase = gw.frob_dist(quantizer._line_sums(q, 1, 0, [0])[0], np.outer(ket, ket.conj()))
+    return phase, gw.frob_dist(quantizer._line_sums(q, 0, 1, [0])[0], eye[:, :1] * eye[0])
+
+
+def line_projectivity(q, n1, n2):
+    """``||P @ P - P||_F`` of the family's line through the origin, from its explicit
+    projector (the line sum that :func:`gridwigner.line_projector` takes, which also
+    admits the one family ``(0, 0)`` of ``dim = 1``): O(dim**3)."""
+    p = quantizer._line_sums(q, n1, n2, [0])[0]
+    return float(np.linalg.norm(p @ p - p))
 
 
 def symbol_via_overlaps(q, op):

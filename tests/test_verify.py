@@ -7,16 +7,20 @@ displacement covariance: every operator is a clock and shift conjugate of
 ``Omega(0, 0)``, and every line projector of a family a displacement
 conjugate of the family's line through the origin, so it builds
 ``Omega(0, 0)`` alone, reads the overlaps of every pair from one forward
-kernel map of it, checks one axis line per axis and the exact
-projectivity of one projector per family.  Both must give the same
+kernel map of it, and reads each axis sum and the exact projectivity of
+every family's line through the origin from that line's ``dim`` kernel
+coefficients, building no line operator.  Both must give the same
 PASS/FAIL verdict on every check and deviations within 1e-12, for every
 valid dimension 3..45 of the three built-in kernels and for random custom
 kernels, whose tilted lines are no projectors: there the projectivity
 deviation is matched to 1e-12 relative.  The two overlap deviations of the
 dense suite also carry the imaginary roundoff of its complex product (up
 to 2.4e-12 at dim 45), which the real overlaps do not form; that residue
-is allowed on top.  With the line-family budget shrunk so that sampling
-runs at these sizes, the verdicts must not change.  The overlaps also
+is allowed on top.  No family is sampled at any size: the line report
+is the worst of every family.  The three closed forms (projectivity from the
+coefficients, the axis sums by Parseval, the family labels by divisor) are
+property-tested against the explicit projectors, the explicit line sums and
+the code walk of ``oracles``.  The overlaps also
 match the explicit real Gram product of every pair, the placed line
 coefficients match the FFT2 of the line indicators, and the covariance
 itself is checked on the oracle operators and line projectors: the
@@ -94,18 +98,18 @@ def test_matches_the_dense_suite(d, family, phi0):
 
 
 @pytest.mark.parametrize("d, family, phi0", CASES)
-def test_sampling_keeps_every_verdict(monkeypatch, d, family, phi0):
-    # only the line families are sampled; the operator checks cover every operator at any budget
-    budget = 9**4
-    monkeypatch.setattr(tomography, "BUDGET", budget)
+def test_sampling_keeps_every_verdict(d, family, phi0):
+    # nothing is sampled: the line report is the worst explicit projector of every family
     q = _quantizer(d, family, phi0)
     _, devs = _library(q, family == "wootters")
     dense = _dense(d, family, phi0)
     assert _verdicts(devs) == _verdicts({name: dense[name] for name in devs})
-    if family == "wootters" and d**4 > budget:
+    if d % 2:
         lines = gw.verify_lines(q)
-        assert lines.checked == min(lines.families, max(1, budget // d**3))
-        assert lines.seed == (None if lines.checked == lines.families else tomography.SAMPLE_SEED)
+        n1, n2 = oracles.line_families(d)
+        worst = max(oracles.line_projectivity(q, a, b) for a, b in zip(n1.tolist(), n2.tolist()))
+        assert lines.families == len(n1)
+        assert abs(lines.projectivity_dev - worst) <= AGREE * max(1.0, worst)
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,14 +146,21 @@ def test_non_unimodular_custom_kernel_fails_orthogonality_in_both():
 
 
 def test_sample_is_seeded_and_within_the_budget():
-    # at d = 101 the line families are sampled; the operator report names no sample
+    # no report names a sample: at d = 101 every one of the 102 families is checked,
+    # so a defect on the line of any one family fails (a seeded sample of 3 missed most)
     q = _quantizer(101, "wootters", 0.37)
     assert gw.verify_quantizer(q) == gw.verify_quantizer(q)
-    assert {"checked", "seed"}.isdisjoint(f.name for f in dataclasses.fields(gw.QuantizerReport))
+    for report in (gw.QuantizerReport, gw.LineReport):
+        assert {"checked", "seed"}.isdisjoint(f.name for f in dataclasses.fields(report))
     lines = gw.verify_lines(q)
     assert lines == gw.verify_lines(q)
-    assert lines.families == 102 and lines.checked == tomography.BUDGET // 101**3
-    assert lines.seed == tomography.SAMPLE_SEED
+    assert lines.families == 102 and lines.projectivity_dev <= gw.TOL
+    n1, n2 = tomography._line_families(101)
+    for f in (0, 40, 77, 101):
+        values = q.kernel.values.copy()
+        values[5 * n1[f] % 101, 5 * n2[f] % 101] *= 1.5  # on the line of family f only: 101 is prime
+        broken = gw.build_quantizer(q.grid, gw.kernel_from_table(values), check=False)
+        assert gw.verify_lines(broken).projectivity_dev > gw.TOL
 
 
 @pytest.mark.parametrize("d", [47, 61])
@@ -182,6 +193,61 @@ def test_line_families_are_the_smallest_labels(d):
         if math.gcd(math.gcd(a, b), d) == 1 and min(((c * a) % d, (c * b) % d) for c in units) == (a, b)
     ]
     assert list(zip(n1.tolist(), n2.tolist())) == expected
+
+
+def test_line_families_match_the_code_walk():
+    # the labels by divisor against the walk over every code n1*dim + n2, for every odd d <= 401
+    for d in range(1, 402, 2):
+        n1, n2 = tomography._line_families(d)
+        walk = oracles.line_families(d)
+        assert np.array_equal(n1, walk[0]) and np.array_equal(n2, walk[1]), d
+
+
+ODD_DIMS = st.one_of(st.sampled_from((9, 15, 21, 25, 27, 33, 45)), st.integers(0, 22).map(lambda n: 2 * n + 1))
+ANGLES = st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e8, 1e8))
+KINDS = st.sampled_from(("builtin", "custom", "unpaired", "broken"))
+
+
+def _drawn_quantizer(d, phi0, kind, rng):
+    """A quantizer of a built-in or random custom kernel; ``unpaired`` scales an interior
+    entry off its partner's conjugate, ``broken`` an entry of an edge line."""
+    if kind == "builtin" and d > 2:
+        families = (gw.symmetric_kernel, gw.wootters_kernel) if d % 2 else (gw.almost_symmetric_kernel,)
+        kernel = families[rng.integers(len(families))](d // 2)
+    else:
+        kernel = oracles.random_kernel(d, rng, unimodular=bool(rng.integers(2)))
+    values = kernel.values.copy()
+    if kind == "unpaired":
+        values[tuple(rng.integers(min(1, d - 1), d, size=2))] *= 1.5 + 0.5j
+    elif kind == "broken":
+        edge = (rng.integers(d), 0) if rng.integers(2) else (0, rng.integers(d))
+        values[edge] *= 1.5 - 0.5j
+    return gw.build_quantizer(gw.PhaseGrid(d, phi0), gw.kernel_from_table(values), check=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=ODD_DIMS, phi0=ANGLES, seed=st.integers(0, 2**32 - 1), kind=KINDS)
+def test_line_projectivity_matches_the_explicit_projectors(d, phi0, seed, kind):
+    # every family's norm from its d coefficients against ||P @ P - P||_F of its explicit projector
+    q = _drawn_quantizer(d, phi0, kind, np.random.default_rng(seed))
+    n1, n2 = tomography._line_families(d)
+    devs = tomography._projectivity(q, n1, n2)
+    for a, b, dev in zip(n1.tolist(), n2.tolist(), devs.tolist()):
+        explicit = oracles.line_projectivity(q, a, b)
+        assert abs(dev - explicit) <= AGREE * max(1.0, explicit), (a, b)
+    assert gw.verify_lines(q).projectivity_dev == np.max(devs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.one_of(ODD_DIMS, st.integers(1, 45)), phi0=ANGLES, seed=st.integers(0, 2**32 - 1), kind=KINDS)
+def test_axis_sums_match_the_explicit_line_sums(d, phi0, seed, kind):
+    q = _drawn_quantizer(d, phi0, kind, np.random.default_rng(seed))
+    report = gw.verify_quantizer(q)
+    phase, number = oracles.axis_sum_devs(q)
+    assert abs(report.phase_sum_dev - phase) <= AGREE * max(1.0, phase)
+    assert abs(report.number_sum_dev - number) <= AGREE * max(1.0, number)
+    if kind == "broken":
+        assert max(phase, number) > gw.TOL
 
 
 def _broken_quantizer():
