@@ -19,8 +19,6 @@ from .phasespace import (
     PhaseGrid,
     characteristic,
     displacement,
-    fourier_coeffs,
-    inverse_fourier,
     number_ket,
     number_op,
     operator_from_characteristic,
@@ -37,7 +35,6 @@ from .kernels import (
     almost_symmetric_kernel,
     default_epsilon,
     is_unimodular,
-    kernel_from_table,
     load_kernel,
     save_kernel,
     symmetric_kernel,
@@ -75,11 +72,8 @@ from .tomography import (
     Line,
     LineReport,
     continuum_study,
-    embed_state,
     family_projectors,
-    half_phase_ket,
     halfgrid_to_json,
-    leonhardt_phase_point_op,
     leonhardt_reconstruct,
     leonhardt_wigner,
     line_points,

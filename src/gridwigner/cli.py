@@ -56,7 +56,6 @@ from .tomography import (
 from .wigner import (
     ReconstructionError,
     _wigner_from_json,
-    check_density,
     marginals,
     reconstruct,
     wigner_grid,
@@ -142,7 +141,8 @@ def _load_state_file(path: str) -> np.ndarray:
 def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
     """Turn a state spec (named generator or JSON path) into a density matrix.
 
-    Every returned state has passed :func:`check_density`.
+    A state file is checked once, by :func:`load_density_json`; a generated
+    state is a density matrix by construction and is returned as built.
     """
     if not tokens:
         raise CliError(EXIT_BAD_STATE, "empty state spec")
@@ -161,16 +161,14 @@ def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
         raise CliError(EXIT_BAD_STATE, "qubit states require --dim 2")
     try:
         if name == "fock":
-            rho = fock_state(dim, int(args[0]))
-        elif name == "phase":
-            rho = phase_state(dim, int(args[0]), phi0)
-        elif name == "mixed":
-            rho = maximally_mixed(dim)
-        elif name == "qubit":
-            rho = qubit_state(float(args[0]), float(args[1]), float(args[2]))
-        else:
-            rho = superposition01(dim)
-        return check_density(rho)
+            return fock_state(dim, int(args[0]))
+        if name == "phase":
+            return phase_state(dim, int(args[0]), phi0)
+        if name == "mixed":
+            return maximally_mixed(dim)
+        if name == "qubit":
+            return qubit_state(float(args[0]), float(args[1]), float(args[2]))
+        return superposition01(dim)
     except (IndexError, ValueError) as exc:
         raise CliError(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
 
@@ -413,24 +411,18 @@ def cmd_relate(args) -> int:
         return _grid_loader(label)
 
     _, w = _read_grid_file(args.grid, loader_for)
-    if args.direction == "odd":
-        try:
+    try:
+        if args.direction == "odd":
             out_grid = relate_odd(w)
-        except ValueError as exc:
-            raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
-        target = lambda: _resolve_kernel("symmetric", w.dim, None)
-    else:
-        eps = args.epsilon if args.epsilon is not None else 1.0 / (2 * w.n_half)
-        kernel = _resolve_kernel("almost-symmetric", w.dim, eps)
-        try:
-            out_grid = relate_even(w, eps)
-        except ValueError as exc:
-            raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
-        target = lambda: kernel
+        else:
+            out_grid = relate_even(w, args.epsilon if args.epsilon is not None else 1.0 / (2 * w.n_half))
+    except ValueError as exc:
+        raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
 
     if args.state:
         rho = _resolve_state(args.state, out_grid.dim, out_grid.grid.phi0)
-        direct = wigner_grid(out_grid.grid, target(), rho, validate_state=False)
+        kernel = _resolve_kernel(out_grid.kernel_label, out_grid.dim, out_grid.epsilon)
+        direct = wigner_grid(out_grid.grid, kernel, rho, validate_state=False)
         print(f"max deviation vs direct: {np.max(np.abs(out_grid.values - direct.values)):.3e}")
 
     out = args.out or "related.json"

@@ -175,11 +175,6 @@ def is_unimodular(kernel: Kernel) -> bool:
     return within(np.max(np.abs(np.abs(kernel.values) - 1.0)))
 
 
-def kernel_from_table(values, label: str = "custom") -> Kernel:
-    """Wrap a user-supplied square table; the caller must validate it."""
-    return Kernel(np.asarray(values, dtype=complex), label=label)
-
-
 def save_kernel(kernel: Kernel, path) -> None:
     """Write a kernel as JSON ``{"dim": d, "values": [[[re, im], ...]]}``."""
     write_json(path, {"dim": kernel.dim, "values": kernel.values})

@@ -3,8 +3,8 @@
 A grid of dimension ``d`` couples ``d`` equally spaced phase angles with
 ``d`` number levels and holds no tables.  This module provides both bases
 (number and phase), the number and phase operators, the clock/shift
-unitaries, the displacement operators, the grid Fourier transform and the
-characteristic-function pair that every state/grid map runs through.
+unitaries, the displacement operators and the characteristic-function
+pair that every state/grid map runs through.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ def _angles(grid: PhaseGrid, m) -> np.ndarray:
 
 def number_ket(grid: PhaseGrid, n: int) -> np.ndarray:
     """Standard basis vector |n>."""
+    n = _as_index(n, "number index")
     if not 0 <= n < grid.dim:
         raise ValueError(f"number index {n} outside 0..{grid.dim - 1}")
     e = np.zeros(grid.dim, dtype=complex)
@@ -89,7 +90,7 @@ def phase_ket(grid: PhaseGrid, r: int) -> np.ndarray:
     period ``grid.dim``.
     """
     n = np.arange(grid.dim)
-    return np.exp(1j * n * _angles(grid, r)) / np.sqrt(grid.dim)
+    return np.exp(1j * n * _angles(grid, _as_index(r, "phase index"))) / np.sqrt(grid.dim)
 
 
 def phase_basis(grid: PhaseGrid) -> np.ndarray:
@@ -147,7 +148,7 @@ def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     sign in general.  Row ``a`` holds one entry, in column ``b = a + k mod
     dim``, carrying the corner phase once per wrap of ``a + k``.
     """
-    d = grid.dim
+    d, k, l = grid.dim, _as_index(k, "displacement k"), _as_index(l, "displacement l")
     a = np.arange(d)
     b = (a + k) % d
     out = np.zeros((d, d), dtype=complex)
@@ -158,22 +159,6 @@ def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
 def _angle_phases(grid: PhaseGrid) -> np.ndarray:
     """Column ``exp(-i*k*phi0)``: the reference-angle factor of every map."""
     return np.exp(-1j * np.arange(grid.dim) * grid.phi0_reduced)[:, None]
-
-
-def fourier_coeffs(grid: PhaseGrid, values) -> np.ndarray:
-    """Grid Fourier coefficients with the symmetric ``1/dim`` prefactor (one FFT2)."""
-    v = np.asarray(values, dtype=complex)
-    if v.shape != (grid.dim, grid.dim):
-        raise ValueError("grid function shape does not match the grid")
-    return _angle_phases(grid) * (1 / grid.dim) * np.fft.fft2(v)
-
-
-def inverse_fourier(grid: PhaseGrid, coeffs) -> np.ndarray:
-    """Invert :func:`fourier_coeffs`; the round trip is exact."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (grid.dim, grid.dim):
-        raise ValueError("coefficient table shape does not match the grid")
-    return np.fft.ifft2(c / _angle_phases(grid)) * grid.dim
 
 
 def _diagonals(grid: PhaseGrid, a) -> np.ndarray:

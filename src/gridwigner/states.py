@@ -15,6 +15,14 @@ PAULI = (
 )
 
 
+def _dimension(dim) -> int:
+    """``dim`` as a Python int of at least 1."""
+    dim = _as_index(dim, "dimension")
+    if dim < 1:
+        raise ValueError("dimension must be a positive integer")
+    return dim
+
+
 def fock_state(dim: int, n: int) -> np.ndarray:
     """Pure number state |n><n| in the given dimension."""
     dim, n = _as_index(dim, "dimension"), _as_index(n, "number level")
@@ -27,15 +35,13 @@ def fock_state(dim: int, n: int) -> np.ndarray:
 
 def phase_state(dim: int, m: int, phi0: float = 0.0) -> np.ndarray:
     """Pure phase state |phi_m><phi_m| on the grid with angle phi0."""
-    v = phase_ket(PhaseGrid(dim, phi0), _as_index(m, "phase index"))
+    v = phase_ket(PhaseGrid(dim, phi0), m)
     return np.outer(v, v.conj())
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state 1/dim."""
-    dim = _as_index(dim, "dimension")
-    if dim < 1:
-        raise ValueError("dimension must be a positive integer")
+    dim = _dimension(dim)
     return np.eye(dim, dtype=complex) / dim
 
 
@@ -61,7 +67,7 @@ def superposition01(dim: int = 2) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density operator (Gram construction)."""
-    dim = _as_index(dim, "dimension")
+    dim = _dimension(dim)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
-from .kernels import Kernel, _admissible_eps, symmetric_kernel, wootters_kernel
+from .kernels import Kernel, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
 from .phasespace import PhaseGrid, _angles, _as_index, _reduced
 from .quantizer import Quantizer, _completeness_dev, _line_sums, _warn_if_ill_conditioned
 from .wigner import WignerGrid, _real_or_raise, check_density
@@ -210,33 +210,6 @@ class HalfIntegerWignerGrid:
         return 2 * self.n_half
 
 
-def half_phase_ket(dim: int, phi0: float, j2) -> np.ndarray:
-    """Phase-type unit vector for a doubled angle index ``j2``.
-
-    Extends the grid phase kets to half-integer indices; for even ``j2``
-    it coincides with the ordinary phase ket of index ``j2/2``.  An array
-    of indices gives the stack of their kets, one per row.  The entries
-    are integer multiples of the angle, so ``phi0`` enters reduced mod 2 pi.
-    """
-    phi = _reduced(phi0) + np.pi * np.asarray(j2) / dim
-    return np.exp(1j * np.multiply.outer(phi, np.arange(dim))) / np.sqrt(dim)
-
-
-def leonhardt_phase_point_op(N: int, phi0: float, jm: int, jn: int) -> np.ndarray:
-    """Half-integer-grid phase-point operator of an even dimension ``2N``.
-
-    A half-step sum of phase dyads over one full period; Hermitian for
-    every doubled index pair.  Under the extended half-index phase
-    vectors this family resolves the identity with weight two, so the
-    synthesis sum of :func:`leonhardt_reconstruct` uses it as is while
-    analysis-side traces carry half the naive prefactor.
-    """
-    d = 2 * N
-    jp = np.arange(-2 * N, 2 * N)
-    left = half_phase_ket(d, phi0, jm + jp) * np.exp(-1j * np.pi * jp * jn / d)[:, None]
-    return left.T @ half_phase_ket(d, phi0, jm - jp).conj() / 2.0
-
-
 def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> HalfIntegerWignerGrid:
     """Half-integer-grid Wigner function of an even-dimension state.
 
@@ -261,8 +234,13 @@ def leonhardt_reconstruct(w: HalfIntegerWignerGrid) -> np.ndarray:
     """Invert the half-integer-grid Wigner map.
 
     The state is the table-weighted sum of the phase-point operators.
-    Operator ``(jm, jn)`` is ``exp(i*(a - b)*(phi0 + pi*jm/dim))`` on the
-    anti-diagonal ``a + b = jn``, so the sum is one DFT over ``jm``.
+    Operator ``(jm, jn)``, a half-step sum of phase dyads over one full
+    period, is ``exp(i*(a - b)*(phi0 + pi*jm/dim))`` on the anti-diagonal
+    ``a + b = jn``, so the sum is one DFT over ``jm``.  Under the extended
+    half-index phase vectors this Hermitian family resolves the identity
+    with weight two, so this synthesis sum uses it as is while the
+    analysis-side traces of :func:`leonhardt_wigner` carry half the naive
+    prefactor.
     """
     N = w.n_half
     a = np.arange(2 * N)
@@ -315,18 +293,17 @@ def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
 
     Exact finite-dimension identity: the table circularly convolved (one FFT2
     product) with ``cos(pi*x*y/dim - eps) / (2N cos(eps))`` on the doubled grid,
-    sampled at even indices, i.e. on the integer ``2N x 2N`` grid.
+    sampled at even indices, i.e. on the integer ``2N x 2N`` grid.  Raises, as
+    :func:`almost_symmetric_kernel` does, for an ``eps`` that no kernel of
+    dimension ``2N`` admits: the grid is tagged with that kernel.
     """
-    _admissible_eps(eps)
     N = w.n_half
+    almost_symmetric_kernel(N, eps)
     d = 2 * N
     jidx = np.arange(4 * N)
     c = np.cos(np.pi * (np.outer(jidx, jidx) % (2 * d)) / d - eps)
     out = np.fft.irfft2(np.fft.rfft2(w.values) * np.fft.rfft2(c), s=c.shape)[::2, ::2] / (2 * N * np.cos(eps))
-    grid = PhaseGrid(d, w.phi0)
-    return WignerGrid(
-        grid=grid, kernel_label="almost-symmetric", values=out, epsilon=float(eps)
-    )
+    return WignerGrid(grid=PhaseGrid(d, w.phi0), kernel_label="almost-symmetric", values=out, epsilon=float(eps))
 
 
 def halfgrid_to_json(w: HalfIntegerWignerGrid, path) -> None:
@@ -372,16 +349,12 @@ def _check_embedding(n_max: int, n: int, n_list) -> None:
         raise EmbeddingError(f"state support {n_max} plus query level {n} too close to N={min(n_list)}")
 
 
-def embed_state(rho_small, dim: int) -> np.ndarray:
-    """Zero-pad a finite-rank state into a larger Hilbert dimension."""
-    r = np.asarray(rho_small, dtype=complex)
-    if r.shape[0] > dim:
-        raise EmbeddingError(
-            f"state of dimension {r.shape[0]} does not fit into dimension {dim}"
-        )
-    out = np.zeros((dim, dim), dtype=complex)
-    out[: r.shape[0], : r.shape[0]] = r
-    return out
+def _query_level(n) -> int:
+    """``n`` as a Python int of at least 0."""
+    n = _as_index(n, "query level")
+    if n < 0:
+        raise ValueError(f"query level {n} is negative")
+    return n
 
 
 def number_phase_target(rho_small, n: int, phi: float) -> float:
@@ -392,7 +365,7 @@ def number_phase_target(rho_small, n: int, phi: float) -> float:
     Every factor is ``e^{i k phi}`` with an integer ``k``, taken at ``phi``
     reduced mod 2 pi (so for :func:`wootters_target` and :func:`phase_density`).
     """
-    r = np.asarray(rho_small, dtype=complex)
+    r, n = np.asarray(rho_small, dtype=complex), _query_level(n)
     if n >= r.shape[0]:
         return 0.0
     phi = _reduced(phi)
@@ -407,7 +380,7 @@ def wootters_target(rho_small, n: int, phi: float) -> float:
     elements vanish.
     """
     r = np.asarray(rho_small, dtype=complex)
-    offsets, coeffs = _antidiagonal(r, n)
+    offsets, coeffs = _antidiagonal(r, _query_level(n))
     return float(np.sum(np.exp(1j * offsets * _reduced(phi)) * coeffs).real) / (2.0 * np.pi)
 
 

@@ -11,9 +11,10 @@ families, the explicit ``P @ P - P`` of a family's projector, the explicit
 axis line sums against their basis projectors, the dense identity suite over the
 whole operator table with the per-labelling line loop, the real Gram
 product of the overlaps of every pair of operators, the overlap and
-displacement routes through that table, the dyad sum of a half-integer
-phase-point operator, the operator sum of the half-integer
-reconstruction and the point loops of both relation transforms.  They
+displacement routes through that table, the half-index phase vectors and
+their dyad sum (a half-integer phase-point operator, which the library
+never builds), the operator sum of the half-integer reconstruction and
+the point loops of both relation transforms.  They
 cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
 the Cholesky and eigenvalue routes replaced.  The continuum sweep that
@@ -34,6 +35,7 @@ writers must reproduce byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -305,15 +307,27 @@ def overlap_gram(q):
     return overlap_dev, float(np.max(np.abs(overlaps)))
 
 
+@functools.lru_cache(maxsize=4096)
+def half_phase_ket(dim, phi0, j2):
+    """Phase-type unit vector for a doubled angle index ``j2``.
+
+    Extends the grid phase kets to half-integer indices; for even ``j2``
+    it coincides with the ordinary phase ket of index ``j2/2``.  The
+    entries are integer multiples of the angle, so ``phi0`` enters reduced
+    mod 2 pi.  Cached, as the dyad sums ask for each ket many times; every
+    caller only reads it.
+    """
+    phi = math.remainder(phi0, 2 * math.pi) + np.pi * j2 / dim
+    return np.exp(1j * phi * np.arange(dim)) / np.sqrt(dim)
+
+
 def leonhardt_phase_point_op(N, phi0, jm, jn):
     """Half-step sum of ``4N`` phase dyads, one outer product each."""
     d = 2 * N
     acc = np.zeros((d, d), dtype=complex)
     for jp in range(-2 * N, 2 * N):
         phase = np.exp(-1j * np.pi * jp * jn / d)
-        acc += phase * np.outer(
-            gw.half_phase_ket(d, phi0, jm + jp), gw.half_phase_ket(d, phi0, jm - jp).conj()
-        )
+        acc += phase * np.outer(half_phase_ket(d, phi0, jm + jp), half_phase_ket(d, phi0, jm - jp).conj())
     return acc / 2.0
 
 
@@ -323,7 +337,7 @@ def leonhardt_reconstruct(w):
     rho = np.zeros((2 * N, 2 * N), dtype=complex)
     for jm in range(4 * N):
         for jn in range(4 * N):
-            rho += w.values[jm, jn] * gw.leonhardt_phase_point_op(N, w.phi0, jm, jn)
+            rho += w.values[jm, jn] * leonhardt_phase_point_op(N, w.phi0, jm, jn)
     return rho
 
 
@@ -451,7 +465,7 @@ def leonhardt_wigner_phase_form(N, phi0, rho):
     """
     d = 2 * N
     r = np.asarray(rho, dtype=complex)
-    kets = [gw.half_phase_ket(d, phi0, j2) for j2 in range(-4 * N, 8 * N)]
+    kets = [half_phase_ket(d, phi0, j2) for j2 in range(-4 * N, 8 * N)]
     raw = np.zeros((4 * N, 4 * N), dtype=complex)
     for jm in range(4 * N):
         for jn in range(4 * N):
@@ -464,14 +478,14 @@ def leonhardt_wigner_phase_form(N, phi0, rho):
 
 
 def leonhardt_wigner_via_ops(N, phi0, rho):
-    """Half-integer Wigner table as ``trace(rho A) / (4N)`` over the library's
+    """Half-integer Wigner table as ``trace(rho A) / (4N)`` over the dyad-sum
     phase-point operators; the halved prefactor mirrors the weight-two
     identity resolution of the operator family."""
     r = np.asarray(rho, dtype=complex)
     raw = np.empty((4 * N, 4 * N), dtype=complex)
     for jm in range(4 * N):
         for jn in range(4 * N):
-            raw[jm, jn] = np.trace(r @ gw.leonhardt_phase_point_op(N, phi0, jm, jn)) / (4 * N)
+            raw[jm, jn] = np.trace(r @ leonhardt_phase_point_op(N, phi0, jm, jn)) / (4 * N)
     return gw.HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
 
 
@@ -530,7 +544,7 @@ def random_kernel(d, rng, unimodular=False):
             z = r * np.exp(2j * np.pi * rng.uniform())
             k[a, b] = z
             k[pa, pb] = (-1.0) ** (d + a + b) * np.conj(z)
-    kernel = gw.kernel_from_table(k)
+    kernel = gw.Kernel(k)
     assert gw.validate(kernel).valid
     return kernel
 
@@ -581,7 +595,8 @@ def continuum_study_table(rho_small, kernel_family, n, phi, N_list, phi0=0.0):
         dim = 2 * N if kernel_family == "almost-symmetric" else 2 * N + 1
         grid = gw.PhaseGrid(dim, phi0)
         m_star = gw.tomography._nearest_grid_index(grid, phi)
-        rho = gw.embed_state(r, dim)
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[: len(r), : len(r)] = r
         if kernel_family == "symmetric":
             w = wigner_symmetric(grid, rho)
             target = gw.number_phase_target(r, n, phi)

@@ -229,7 +229,7 @@ def test_criterion_7_inter_kernel_relations(rng):
                 np.max(np.abs(out.values - oracles.wigner_symmetric(g, rho).values)),
             )
     worst_even = 0.0
-    for n_half in (1, 2):
+    for n_half in (1, 3):  # pi/4 voids a kernel entry at dim 4, which relate_even refuses
         dim = 2 * n_half
         g = gw.PhaseGrid(dim, 0.0)
         for eps in (np.pi / 4, 1.0 / (2 * n_half)):

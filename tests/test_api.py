@@ -22,12 +22,10 @@ PUBLIC = [
     "QuantizerReport",
     "ReconstructionError", "TOL", "WignerGrid", "adjoint", "almost_symmetric_kernel",
     "build_quantizer", "characteristic", "check_density",
-    "continuum_study", "default_epsilon", "displacement",
-    "embed_state", "expectation",
-    "family_projectors", "fock_state", "fourier_coeffs", "frob_dist", "half_phase_ket",
-    "halfgrid_to_json", "inverse_fourier", "is_hermitian", "is_positive_semidefinite",
-    "is_unimodular", "is_unitary", "kernel_from_table", "leonhardt_phase_point_op",
-    "leonhardt_reconstruct", "leonhardt_wigner",
+    "continuum_study", "default_epsilon", "displacement", "expectation",
+    "family_projectors", "fock_state", "frob_dist",
+    "halfgrid_to_json", "is_hermitian", "is_positive_semidefinite",
+    "is_unimodular", "is_unitary", "leonhardt_reconstruct", "leonhardt_wigner",
     "line_points", "line_projector", "load_density_json",
     "load_halfgrid", "load_kernel", "load_wigner", "marginals", "maximally_mixed",
     "number_ket", "number_op", "number_phase_target", "operator_from_characteristic",
@@ -66,6 +64,23 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_every_private_helper_has_a_reader():
+    """Each private module-level function or class is read somewhere in the package
+    outside its own definition: a helper left behind by a removed route fails."""
+    defined, reads = {}, []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_") and not top.name.endswith("__"):
+                defined[top] = f"{path.name}: {top.name}"
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            reads.append((top, names | {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}))
+    unread = [
+        label for top, label in defined.items()
+        if not any(top.name in names for other, names in reads if other is not top)
+    ]
+    assert unread == []
 
 
 

@@ -424,6 +424,19 @@ class TestRelateCommand:
         w = gw.load_wigner(out)
         np.testing.assert_allclose(w.values, [[0.5, 0], [0.5, 0]], atol=1e-10)
 
+    def test_a_state_is_compared_on_the_kernel_of_the_related_grid(self, tmp_path, capsys, rng):
+        rho = gw.random_density(4, rng)
+        grid_file, state_file = tmp_path / "half.json", tmp_path / "rho.json"
+        gw.halfgrid_to_json(gw.leonhardt_wigner(2, 0.3, rho), grid_file)
+        gw.save_density_json(rho, state_file)
+        for eps in ([], ["--epsilon", "0.6"]):  # the default is 1/dim = 0.25
+            assert run(
+                "relate", "--direction", "even", "--grid", str(grid_file), *eps,
+                "--state", str(state_file), "--out", str(tmp_path / "r.json"),
+            ) == 0
+            deviation = capsys.readouterr().out.split("max deviation vs direct: ")[1].split()[0]
+            assert float(deviation) <= 1e-12
+
     def test_mixed_constant(self, tmp_path):
         grid_file = tmp_path / "woot.json"
         assert run(
@@ -610,17 +623,19 @@ class TestInputBoundary:
             calls.append(1)
             return original(*args, **kwargs)
 
-        for module in (gridwigner.cli, gridwigner.states, wigner_module):
+        for module in (gridwigner.states, wigner_module):
             monkeypatch.setattr(module, "check_density", counted)
+        assert not hasattr(gridwigner.cli, "check_density")
         state_file = tmp_path / "rho.json"
         gw.save_density_json(gw.random_density(3, rng), state_file)
-        for spec in (["fock", "1"], ["phase", "2"], ["mixed"], [str(state_file)]):
+        # a generated state is exact by construction (see test_core); a state file is checked on loading
+        for spec, checks in ((["fock", "1"], 0), (["phase", "2"], 0), (["mixed"], 0), ([str(state_file)], 1)):
             calls.clear()
             assert run(
                 "wigner", "--dim", "3", "--kernel", "symmetric", "--state", *spec,
                 "--out", str(tmp_path / "w.json"),
             ) == 0
-            assert len(calls) == 1, spec
+            assert len(calls) == checks, spec
 
 
 @pytest.mark.parametrize("command", WRITING)
@@ -652,7 +667,7 @@ def test_verify_validates_a_file_kernel_once(tmp_path, monkeypatch, capsys):
     assert calls == ["wootters"]
     bad = gw.wootters_kernel(2).values.copy()
     bad[0, 1] = 0.5
-    gw.save_kernel(gw.kernel_from_table(bad), path)
+    gw.save_kernel(gw.Kernel(bad), path)
     calls.clear()
     capsys.readouterr()
     assert run("verify", "--dim", "5", "--kernel", f"file:{path}") == 3

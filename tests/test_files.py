@@ -101,7 +101,7 @@ def test_state_writer_matches_json_dump_on_hermitian_tables(table):
 @SETTINGS
 @given(complex_tables())
 def test_kernel_writer_matches_json_dump(table):
-    _bytes_match(gw.save_kernel, oracles.save_kernel, gw.kernel_from_table(table))
+    _bytes_match(gw.save_kernel, oracles.save_kernel, gw.Kernel(table))
 
 
 @SETTINGS
@@ -147,7 +147,7 @@ def test_state_round_trip_is_exact(d, seed):
 @SETTINGS
 @given(complex_tables())
 def test_kernel_round_trip_is_exact(table):
-    kernel = gw.kernel_from_table(table)
+    kernel = gw.Kernel(table)
     assert _same(kernel.values, _round_trip(gw.save_kernel, gw.load_kernel, kernel).values)
 
 
@@ -198,7 +198,7 @@ def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
     path = tmp_path / "f.json"
     for write, key, obj in [
         (gw.save_density_json, "matrix", state),  # exactly Hermitian: lower rows reuse strings
-        (gw.save_kernel, "values", gw.kernel_from_table(rng.standard_normal((6, 6)) + 1j)),
+        (gw.save_kernel, "values", gw.Kernel(rng.standard_normal((6, 6)) + 1j)),
         (gw.wigner_to_json, "values", gw.WignerGrid(gw.PhaseGrid(6), "custom", rng.standard_normal((6, 6)))),
     ]:
         sizes.clear()

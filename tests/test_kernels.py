@@ -65,7 +65,7 @@ class TestWoottersKernel:
 
     def test_all_plus_minus_one_table_unimodular(self, rng):
         signs = rng.choice([-1.0, 1.0], size=(4, 4))
-        assert gw.is_unimodular(gw.kernel_from_table(signs))
+        assert gw.is_unimodular(gw.Kernel(signs))
 
 
 class TestAlmostSymmetricKernel:
@@ -112,7 +112,7 @@ class TestValidate:
         # cos(pi*k*l/4) vanishes at (1, 2); the nonvanishing check alone fails
         k = np.arange(4)[:, None]
         l = np.arange(4)[None, :]
-        kern = gw.kernel_from_table(np.cos(np.pi * k * l / 4))
+        kern = gw.Kernel(np.cos(np.pi * k * l / 4))
         report = gw.validate(kern)
         assert not report.nonvanishing
         assert not report.valid
@@ -126,7 +126,7 @@ class TestValidate:
         # nonvanishing condition is violated
         base[1, 1] = 0.0
         base[2, 2] = 0.0
-        report = gw.validate(gw.kernel_from_table(base))
+        report = gw.validate(gw.Kernel(base))
         assert not report.nonvanishing
         assert report.hermitian_pairing
         assert report.first_row_hermitian
@@ -138,7 +138,7 @@ class TestValidate:
     def test_pairing_violation_flagged_exactly(self):
         base = gw.symmetric_kernel(1).values.copy()
         base[1, 2] += 0.1
-        report = gw.validate(gw.kernel_from_table(base))
+        report = gw.validate(gw.Kernel(base))
         assert not report.hermitian_pairing
         assert report.nonvanishing
         assert report.first_row_hermitian
@@ -169,7 +169,7 @@ class TestValidate:
         broken = gw.symmetric_kernel(1).values.copy()
         broken[1, 2] += 0.1
         g = gw.PhaseGrid(3, 0.3)
-        q = build_quantizer(g, gw.kernel_from_table(broken), check=False)
+        q = build_quantizer(g, gw.Kernel(broken), check=False)
         worst = max(
             gw.frob_dist(q.omega[m, n], q.omega[m, n].conj().T)
             for m in range(3)
@@ -191,7 +191,7 @@ class TestKernelIO:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_invalid_table_loads_but_fails_validate(self, tmp_path):
-        bad = gw.kernel_from_table(np.zeros((3, 3)))
+        bad = gw.Kernel(np.zeros((3, 3)))
         path = tmp_path / "bad.json"
         gw.save_kernel(bad, path)
         loaded = gw.load_kernel(path)
@@ -199,7 +199,7 @@ class TestKernelIO:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            gw.kernel_from_table(np.ones((2, 3)))
+            gw.Kernel(np.ones((2, 3)))
 
 
 NON_INTEGERS = {
@@ -215,6 +215,10 @@ NON_INTEGERS = {
     "almost-symmetric N 1.5": lambda: gw.almost_symmetric_kernel(1.5),
     "epsilon N 1.5": lambda: gw.default_epsilon(1.5),
     "grid dim True": lambda: gw.PhaseGrid(True),
+    "number ket 1.5": lambda: gw.number_ket(gw.PhaseGrid(3), 1.5),
+    "phase ket 1.5": lambda: gw.phase_ket(gw.PhaseGrid(3), 1.5),
+    "displacement k 1.5": lambda: gw.displacement(gw.PhaseGrid(3), 1.5, 0),
+    "displacement l 0.5": lambda: gw.displacement(gw.PhaseGrid(3), 1, 0.5),
     "line n2 True": lambda: gw.Line(1, True, 0, 3),
 }
 
@@ -238,6 +242,15 @@ BELOW_ONE = {
 def test_half_sizes_reject_values_below_one(make):
     with pytest.raises(ValueError, match="N must be a positive integer"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make", [gw.maximally_mixed, lambda d: gw.random_density(d, np.random.default_rng(0))], ids=["mixed", "random"]
+)
+@pytest.mark.parametrize("dim", [0, -1])
+def test_dimensions_reject_values_below_one(make, dim):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        make(dim)
 
 
 @pytest.mark.parametrize("bloch", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, -math.inf), (1, 1, 0)])

@@ -239,41 +239,6 @@ def test_phase_function_op_matches_the_dense_products(d, phi0, seed):
     assert np.max(np.abs(gw.phase_op(grid) - oracles.phase_function_op(grid, phis))) <= 1e-12 * np.max(np.abs(phis))
 
 
-class TestFourier:
-    def test_constant_function(self):
-        g = gw.PhaseGrid(4, 0.0)
-        coeffs = gw.fourier_coeffs(g, np.ones((4, 4)))
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 4.0
-        np.testing.assert_allclose(coeffs, expected, atol=1e-12)
-
-    def test_constant_function_any_phi0(self):
-        g = gw.PhaseGrid(5, 1.3)
-        coeffs = gw.fourier_coeffs(g, np.ones((5, 5)))
-        expected = np.zeros((5, 5))
-        expected[0, 0] = 5.0
-        np.testing.assert_allclose(coeffs, expected, atol=1e-12)
-
-    def test_round_trip(self, rng):
-        g = gw.PhaseGrid(7, 0.2)
-        f = random_complex(rng, 7, 7)
-        np.testing.assert_allclose(
-            gw.inverse_fourier(g, gw.fourier_coeffs(g, f)), f, atol=1e-12
-        )
-
-    def test_plane_wave_concentrates(self):
-        g = gw.PhaseGrid(3, 0.0)
-        f = np.exp(1j * g.phis)[:, None] * np.ones((1, 3))
-        coeffs = gw.fourier_coeffs(g, f)
-        expected = np.zeros((3, 3), dtype=complex)
-        expected[1, 0] = 3.0
-        np.testing.assert_allclose(coeffs, expected, atol=1e-12)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            gw.fourier_coeffs(gw.PhaseGrid(3), np.ones((2, 2)))
-
-
 class TestGrid:
     def test_phis_increasing(self):
         g = gw.PhaseGrid(6, -0.5)

@@ -56,7 +56,7 @@ class TestBuild:
 
     def test_invalid_kernel_rejected(self):
         with pytest.raises(ValueError):
-            gw.build_quantizer(gw.PhaseGrid(3), gw.kernel_from_table(np.zeros((3, 3))))
+            gw.build_quantizer(gw.PhaseGrid(3), gw.Kernel(np.zeros((3, 3))))
 
     def test_invariants(self):
         q = build(5, gw.wootters_kernel(2), phi0=0.8)

@@ -1,6 +1,7 @@
 """Tests for lines, the half-integer construction, relations and continuum."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,7 +248,7 @@ class TestLeonhardt:
     def test_phase_point_ops_hermitian(self):
         for jm in range(4):
             for jn in range(4):
-                a = gw.leonhardt_phase_point_op(1, 0.4, jm, jn)
+                a = oracles.leonhardt_phase_point_op(1, 0.4, jm, jn)
                 assert gw.is_hermitian(a)
 
     def test_dimension_mismatch(self):
@@ -305,10 +306,10 @@ class TestRelations:
 
     @pytest.mark.parametrize("eps", [np.pi / 4, 0.25])
     def test_even_relation_random(self, eps, rng):
-        g = gw.PhaseGrid(4, 0.0)
+        g = gw.PhaseGrid(6, 0.0)  # pi/4 voids a kernel entry at dim 4, not at dim 6
         for _ in range(20):
-            rho = gw.random_density(4, rng)
-            out = gw.relate_even(gw.leonhardt_wigner(2, 0.0, rho), eps)
+            rho = gw.random_density(6, rng)
+            out = gw.relate_even(gw.leonhardt_wigner(3, 0.0, rho), eps)
             direct = oracles.wigner_almost_symmetric(g, rho, eps)
             assert np.max(np.abs(out.values - direct.values)) <= 1e-10
 
@@ -321,6 +322,14 @@ class TestRelations:
         with pytest.raises(ValueError):
             gw.relate_even(w, np.pi / 2)
 
+    @pytest.mark.parametrize("N, eps", [(2, np.pi / 4), (1, math.nan), (3, 1.5 * np.pi)])
+    def test_even_relation_refuses_what_no_kernel_admits(self, N, eps, rng):
+        w = gw.leonhardt_wigner(N, 0.0, gw.random_density(2 * N, rng))
+        with pytest.raises(ValueError) as refused:
+            gw.almost_symmetric_kernel(N, eps)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            gw.relate_even(w, eps)
+
 
 class TestContinuum:
     @pytest.mark.parametrize("phi", [123456789.123, 1e20 + 0.5, 1e307])
@@ -331,6 +340,16 @@ class TestContinuum:
         for target in (gw.number_phase_target, gw.wootters_target):
             assert target(rho, 3, phi) == target(rho, 3, near)
         assert gw.phase_density(rho, phi) == gw.phase_density(rho, near)
+
+    @pytest.mark.parametrize("target", [gw.number_phase_target, gw.wootters_target])
+    def test_targets_take_a_level_of_at_least_zero(self, target):
+        rho = np.eye(2) / 2  # level -1 read the last row, and a float level raised IndexError
+        with pytest.raises(ValueError, match="query level -1 is negative"):
+            target(rho, -1, 0.0)
+        with pytest.raises(ValueError, match="query level must be an integer"):
+            target(rho, 1.0, 0.0)
+        assert target(rho, np.int64(1), 0.3) == target(rho, 1, 0.3) != 0.0
+        assert target(rho, 2, 0.3) == 0.0
 
     def test_wootters_superposition_targets(self):
         rho = gw.superposition01()

@@ -159,7 +159,7 @@ def test_sample_is_seeded_and_within_the_budget():
     for f in (0, 40, 77, 101):
         values = q.kernel.values.copy()
         values[5 * n1[f] % 101, 5 * n2[f] % 101] *= 1.5  # on the line of family f only: 101 is prime
-        broken = gw.build_quantizer(q.grid, gw.kernel_from_table(values), check=False)
+        broken = gw.build_quantizer(q.grid, gw.Kernel(values), check=False)
         assert gw.verify_lines(broken).projectivity_dev > gw.TOL
 
 
@@ -222,7 +222,7 @@ def _drawn_quantizer(d, phi0, kind, rng):
     elif kind == "broken":
         edge = (rng.integers(d), 0) if rng.integers(2) else (0, rng.integers(d))
         values[edge] *= 1.5 - 0.5j
-    return gw.build_quantizer(gw.PhaseGrid(d, phi0), gw.kernel_from_table(values), check=False)
+    return gw.build_quantizer(gw.PhaseGrid(d, phi0), gw.Kernel(values), check=False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,7 +254,7 @@ def _broken_quantizer():
     # a kernel without the conjugation pairing makes non-Hermitian operators
     values = gw.symmetric_kernel(10).values.copy()
     values[3, 4] *= 1.5
-    return gw.build_quantizer(gw.PhaseGrid(21, 0.37), gw.kernel_from_table(values), check=False)
+    return gw.build_quantizer(gw.PhaseGrid(21, 0.37), gw.Kernel(values), check=False)
 
 
 def test_sampled_check_catches_a_broken_operator():
@@ -382,7 +382,7 @@ def test_every_pair_and_every_operator_is_read_from_the_origin(d, phi0, seed, ki
     if kind == "unpaired":  # an interior entry off its partner's conjugate: non-Hermitian operators
         values = kernel.values.copy()
         values[rng.integers(1, d), rng.integers(1, d)] *= 1.5 + 0.5j
-        kernel = gw.kernel_from_table(values)
+        kernel = gw.Kernel(values)
     grid = gw.PhaseGrid(d, phi0)
     q = gw.build_quantizer(grid, kernel, check=False)
     report = gw.verify_quantizer(q)
