@@ -30,7 +30,7 @@ from .kernels import (
     validate,
     wootters_kernel,
 )
-from .phasespace import PhaseGrid, _angle_phases, _diagonals
+from .phasespace import PhaseGrid, _angle_phases, _diagonals, _fft
 from .quantizer import build_quantizer, ordering_check, verify_quantizer
 from .states import (
     fock_state,
@@ -138,6 +138,17 @@ def _load_state_file(path: str) -> np.ndarray:
         raise CliError(EXIT_BAD_STATE, f"invalid state file: {exc}")
 
 
+#: Arguments each named state takes; a state file takes none.
+STATE_ARGS = {"fock": 1, "phase": 1, "mixed": 0, "qubit": 3, "superposition01": 0}
+
+
+def _refuse_extra_tokens(tokens: list[str]) -> None:
+    """Exit 2 on tokens after a complete state spec, which would be ignored otherwise."""
+    extra = tokens[1 + STATE_ARGS.get(tokens[0], 0) :]
+    if extra:
+        raise CliError(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: unexpected {' '.join(extra)!r}")
+
+
 def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
     """Turn a state spec (named generator or JSON path) into a density matrix.
 
@@ -147,9 +158,10 @@ def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
     if not tokens:
         raise CliError(EXIT_BAD_STATE, "empty state spec")
     name, args = tokens[0], tokens[1:]
-    if name not in ("fock", "phase", "mixed", "qubit", "superposition01"):
-        if not os.path.exists(name):
-            raise CliError(EXIT_BAD_STATE, f"unknown state spec {name!r}")
+    if name not in STATE_ARGS and not os.path.exists(name):
+        raise CliError(EXIT_BAD_STATE, f"unknown state spec {name!r}")
+    _refuse_extra_tokens(tokens)
+    if name not in STATE_ARGS:
         rho = _load_state_file(name)
         if rho.shape[0] != dim:
             raise CliError(
@@ -196,7 +208,7 @@ def _phase_marginal(grid: PhaseGrid, rho: np.ndarray) -> np.ndarray:
     """``<phi_m|rho|phi_m>``: one FFT of the cyclic-diagonal sums of ``rho``, the
     ``l = 0`` column of ``characteristic``."""
     sums = _diagonals(grid, rho).sum(axis=1)
-    return np.fft.fft(sums * _angle_phases(grid)[:, 0]).real / grid.dim
+    return _fft(sums * _angle_phases(grid)[:, 0]).real / grid.dim
 
 
 def _write(write, obj, path) -> None:
@@ -360,6 +372,9 @@ def cmd_converge(args) -> int:
 
     tokens = args.state
     name = tokens[0]
+    if name not in ("superposition01", "fock") and not os.path.exists(name):
+        raise CliError(EXIT_BAD_STATE, f"state spec {name!r} not usable for a continuum study")
+    _refuse_extra_tokens(tokens)
     if name == "superposition01":
         rho = superposition01()
     elif name == "fock":
@@ -371,10 +386,8 @@ def cmd_converge(args) -> int:
             raise CliError(EXIT_BAD_EMBEDDING, str(exc))
         except (IndexError, ValueError) as exc:
             raise CliError(EXIT_BAD_STATE, f"bad state spec {' '.join(tokens)!r}: {exc}")
-    elif os.path.exists(name):
-        rho = _load_state_file(name)
     else:
-        raise CliError(EXIT_BAD_STATE, f"state spec {name!r} not usable for a continuum study")
+        rho = _load_state_file(name)
 
     try:
         report = continuum_study(rho, family, args.n, args.phi, n_list, phi0=args.phi0)

@@ -88,4 +88,11 @@ def is_positive_semidefinite(a) -> bool:
     passes rank-deficient states.
     """
     h = _hermitian_part(a)
-    return h is not None and _cholesky_succeeds(h + TOL * np.eye(len(h)))
+    return h is not None and _is_psd_hermitian(h)
+
+
+def _is_psd_hermitian(h: np.ndarray) -> bool:
+    """Whether the Hermitian ``h`` has no eigenvalue below ``-TOL``: the Cholesky test of
+    :func:`is_positive_semidefinite`, shifting ``h`` in place."""
+    h.flat[:: len(h) + 1] += TOL
+    return _cholesky_succeeds(h)

@@ -9,6 +9,7 @@ pair that every state/grid map runs through.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -121,7 +122,7 @@ def phase_function_op(grid: PhaseGrid, values) -> np.ndarray:
     if v.shape != (d,):
         raise ValueError("need one value per phase angle")
     j = np.arange(1 - d, d)  # a - b
-    diffs = np.exp(1j * j * grid.phi0_reduced) * np.fft.ifft(v)[j % d]
+    diffs = np.exp(1j * j * grid.phi0_reduced) * _ifft(v)[j % d]
     a = np.arange(d)
     return diffs[np.subtract.outer(a, a) + (d - 1)]
 
@@ -154,6 +155,47 @@ def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)
     out[a, b] = np.exp(1j * ((a + k) // d * d * grid.phi0_reduced + 2 * np.pi * b * l / d))
     return np.exp(-1j * np.pi * k * l / d) * out
+
+
+#: Longest transform taken as a product with a cached DFT matrix; longer ones are ``np.fft`` calls.
+DFT_MATRIX_LIMIT = 35
+
+
+@functools.cache
+def _dft_matrix(n: int, inverse: bool, norm: str) -> np.ndarray:
+    """Read-only ``exp(-+2*pi*i*j*k/n)``, ``j*k`` reduced mod ``n`` in integers, with the ``1/n``
+    that numpy's ``norm`` (``"backward"`` or ``"forward"``) puts on this direction.  Read only
+    for ``n <= DFT_MATRIX_LIMIT``, so the cache holds at most ``4 * DFT_MATRIX_LIMIT`` matrices."""
+    jk = np.multiply.outer(np.arange(n), np.arange(n)) % n
+    roots = np.exp((2j if inverse else -2j) * np.pi * np.arange(n) / n)
+    m = (roots * (1 / n) if inverse == (norm == "backward") else roots).take(jk)
+    m.flags.writeable = False
+    return m
+
+
+def _dft(x, inverse: bool, axes: tuple, norm: str = "backward") -> np.ndarray:
+    """numpy's ``fft``/``ifft`` of ``x`` along ``axes=(-1,)`` or ``(-2,)``, or its ``fft2``/``ifft2``
+    along ``(-2, -1)``; leading axes are batch axes.  Up to :data:`DFT_MATRIX_LIMIT` points a product
+    with :func:`_dft_matrix`, which at small ``n`` costs a fraction of numpy's per-call overhead (and
+    of Bluestein at a prime ``n``).  Along the last axis each row is its own product, so its transform
+    does not depend on the rows stacked with it; a 2-D transform is ``F @ x @ F`` per table.
+    Longer transforms make the ``np.fft`` call itself, bit for bit."""
+    x = np.asarray(x)
+    if max(x.shape[a] for a in axes) > DFT_MATRIX_LIMIT:
+        if len(axes) == 2:
+            return (np.fft.ifft2 if inverse else np.fft.fft2)(x, axes=axes, norm=norm)
+        return (np.fft.ifft if inverse else np.fft.fft)(x, axis=axes[0], norm=norm)
+    x = np.ascontiguousarray(x, dtype=complex)
+    if axes == (-1,):
+        return (x[..., None, :] @ _dft_matrix(x.shape[-1], inverse, norm))[..., 0, :]
+    x = _dft_matrix(x.shape[-2], inverse, norm) @ x
+    return x @ _dft_matrix(x.shape[-1], inverse, norm) if len(axes) == 2 else x
+
+
+_fft = functools.partial(_dft, inverse=False, axes=(-1,))
+_ifft = functools.partial(_dft, inverse=True, axes=(-1,))
+_fft2 = functools.partial(_dft, inverse=False, axes=(-2, -1))
+_ifft2 = functools.partial(_dft, inverse=True, axes=(-2, -1))
 
 
 def _angle_phases(grid: PhaseGrid) -> np.ndarray:
@@ -192,7 +234,7 @@ def characteristic(grid: PhaseGrid, a) -> np.ndarray:
     Row ``k`` is one FFT of row ``k`` of :func:`_diagonals`, sheared by
     ``exp(-i*pi*k*l/dim)``: O(dim**2 log dim).  Leading axes of ``a`` are batch axes.
     """
-    return np.fft.ifft(_diagonals(grid, a), norm="forward") * _shear(grid)
+    return _ifft(_diagonals(grid, a), norm="forward") * _shear(grid)
 
 
 def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
@@ -203,7 +245,7 @@ def operator_from_characteristic(grid: PhaseGrid, chi) -> np.ndarray:
 
 def _kernel_map(grid: PhaseGrid, weights, a) -> np.ndarray:
     """``fft2(weights * chi)``, ``chi`` the :func:`characteristic` of ``a``: the forward map of sheared ``weights``."""
-    return np.fft.fft2(weights * np.fft.ifft(_diagonals(grid, a), norm="forward"))
+    return _fft2(weights * _ifft(_diagonals(grid, a), norm="forward"))
 
 
 def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
@@ -211,7 +253,7 @@ def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
     entry ``[a, b]`` is the inverse row FFT ``s`` of row ``b - a mod dim`` at ``b``, times the
     corner phase when ``b < a``, which is row ``a`` of :func:`_diagonals` of ``s`` transposed.
     Leading axes are batch axes; the stack comes back C-contiguous."""
-    return _diagonals(grid, np.fft.ifft(coeffs, norm="forward").swapaxes(-1, -2))
+    return _diagonals(grid, _ifft(coeffs, norm="forward").swapaxes(-1, -2))
 
 
 def _level_shifts(grid: PhaseGrid, a, levels) -> np.ndarray:

@@ -23,6 +23,9 @@ from .phasespace import (
     PhaseGrid,
     _diagonals,
     _displacement_sum,
+    _fft2,
+    _ifft,
+    _ifft2,
     _kernel_map,
     _level_shifts,
     _sheared_weights,
@@ -123,7 +126,7 @@ def quantize(q: Quantizer, values) -> np.ndarray:
     d = q.grid.dim
     if v.shape[-2:] != (d, d):
         raise ValueError("grid function shape does not match the quantizer grid")
-    return _displacement_sum(q.grid, q.weights * np.fft.fft2(v))
+    return _displacement_sum(q.grid, q.weights * _fft2(v))
 
 
 def _warn_if_ill_conditioned(kernel: Kernel):
@@ -147,8 +150,8 @@ def symbol(q: Quantizer, op) -> np.ndarray:
     if a.shape != (d, d):
         raise ValueError("operator dimension does not match the quantizer grid")
     _warn_if_ill_conditioned(q.kernel)
-    t = np.fft.ifft(_diagonals(q.grid, a.conj().T))  # conj(fft2(x)) / dim**3 = ifft2(conj(x)) / dim: this FFT's 1/dim
-    return np.fft.ifft2(np.conjugate(t, out=t) / q.weights)
+    t = _ifft(_diagonals(q.grid, a.conj().T))  # conj(fft2(x)) / dim**3 = ifft2(conj(x)) / dim: this FFT's 1/dim
+    return _ifft2(np.conjugate(t, out=t) / q.weights)
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,7 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     values = q.kernel.values
     origin = _displacement_sum(grid, d * q.weights)  # the fft2 of the origin's indicator is 1
     overlaps = _overlap_table(q, origin)
-    overlap_dev = float(np.max(np.abs(overlaps - np.fft.fft2(np.abs(values) ** 2 * (1 / d)))))
+    overlap_dev = float(np.max(np.abs(overlaps - _fft2(np.abs(values) ** 2 * (1 / d)))))
     overlaps[0, 0] -= d
 
     return QuantizerReport(

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
 from .kernels import Kernel, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
-from .phasespace import PhaseGrid, _angles, _as_index, _reduced
+from .phasespace import PhaseGrid, _angles, _as_index, _fft, _fft2, _ifft, _ifft2, _reduced
 from .quantizer import Quantizer, _completeness_dev, _line_sums, _warn_if_ill_conditioned
 from .wigner import WignerGrid, _real_or_raise, check_density
 
@@ -140,7 +140,7 @@ def _projectivity(q: Quantizer, n1, n2) -> np.ndarray:
     m %= 2 * d
     e *= (np.exp(-1j * np.pi * np.arange(2 * d) / d) * (1 / d)).take(m)
     del m
-    e = np.fft.fft(e)
+    e = _fft(e)
     e *= e - 1.0
     flat = e.view(float)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
@@ -226,7 +226,7 @@ def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> H
     jr = a - a[:, None]  # b - a
     g = np.zeros((4 * N, 4 * N), dtype=complex)
     g[a[:, None] + a, jr % (4 * N)] = r * np.exp(1j * jr * _reduced(phi0))
-    raw = np.fft.ifft(g).T
+    raw = _ifft(g).T
     return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
 
 
@@ -245,7 +245,7 @@ def leonhardt_reconstruct(w: HalfIntegerWignerGrid) -> np.ndarray:
     N = w.n_half
     a = np.arange(2 * N)
     jr = a[:, None] - a  # a - b
-    f = np.fft.ifft(w.values, axis=0, norm="forward")
+    f = _ifft(w.values, axes=(-2,), norm="forward")
     return np.exp(1j * jr * _reduced(w.phi0)) * f[jr % (4 * N), a[:, None] + a]
 
 
@@ -267,7 +267,7 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
     _warn_if_ill_conditioned(kernel_from)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero K_from leaves NaN: _real_or_raise raises
         ratio = kernel_to.values / kernel_from.values
-        raw = np.fft.fft2(np.fft.ifft2(w.values) * ratio)
+        raw = _fft2(_ifft2(w.values) * ratio)
     scale = float(np.max(np.abs(ratio))) * max(1.0, float(np.max(np.abs(w.values))))
     return WignerGrid(
         grid=w.grid, kernel_label=kernel_to.label, values=_real_or_raise(raw, scale), epsilon=kernel_to.eps

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonio import integer, number, number_table, open_out, read_json, write_json
-from .linalg import is_hermitian, is_positive_semidefinite, within
+from .linalg import _is_psd_hermitian, within
 from .kernels import Kernel
-from .phasespace import PhaseGrid, _displacement_sum, _kernel_map, _sheared_weights
+from .phasespace import PhaseGrid, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
 
 class ReconstructionError(ValueError):
@@ -22,17 +22,19 @@ class ReconstructionError(ValueError):
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density operator: finite, Hermitian, unit trace and PSD, on the scale 1 of a state."""
+    """Validate a density operator: finite, Hermitian, unit trace and PSD, on the scale 1 of a state.
+    One pass: the adjoint serves the Hermiticity distance and the Hermitian part that is factorized."""
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"density operator must be square, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError("density operator has non-finite entries")
-    if not is_hermitian(r):
+    adj = r.conj().T
+    if not within(np.linalg.norm(r - adj)):
         raise ValueError("density operator is not Hermitian")
     if not within(abs(np.trace(r) - 1.0)):
         raise ValueError("density operator trace differs from 1")
-    if not is_positive_semidefinite(r):
+    if not _is_psd_hermitian((r + adj) / 2.0):
         raise ValueError("density operator is not positive semidefinite")
     return r
 
@@ -121,7 +123,7 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
         )
     _warn_if_ill_conditioned(kernel)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight leaves NaN: the defect check raises
-        h = _displacement_sum(w.grid, np.fft.fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
+        h = _displacement_sum(w.grid, _fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
     rho = h.conj().T
     defect = float(np.max(np.abs(rho - h)))
     if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):

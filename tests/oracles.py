@@ -17,7 +17,8 @@ never builds), the operator sum of the half-integer reconstruction and
 the point loops of both relation transforms.  They
 cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
-the Cholesky and eigenvalue routes replaced.  The continuum sweep that
+the Cholesky and eigenvalue routes replaced, and the density check through
+the public predicates is the one-pass ``check_density``'s reference.  The continuum sweep that
 builds a whole table per grid size checks the point evaluation.  The
 closed forms are second constructions of library objects: the dense
 products of a phase-operator function, the spectral shift unitary, the
@@ -42,7 +43,7 @@ import math
 import numpy as np
 
 import gridwigner as gw
-from gridwigner import quantizer
+from gridwigner import linalg, quantizer
 from gridwigner.phasespace import _angles
 from gridwigner.wigner import _real_or_raise
 
@@ -547,6 +548,22 @@ def random_kernel(d, rng, unimodular=False):
     kernel = gw.Kernel(k)
     assert gw.validate(kernel).valid
     return kernel
+
+
+def check_density(rho):
+    """``gw.check_density`` through the public predicates, each coercing ``rho`` on its own."""
+    r = np.asarray(rho, dtype=complex)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"density operator must be square, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("density operator has non-finite entries")
+    if not gw.is_hermitian(r):
+        raise ValueError("density operator is not Hermitian")
+    if not linalg.within(abs(np.trace(r) - 1.0)):
+        raise ValueError("density operator trace differs from 1")
+    if not gw.is_positive_semidefinite(r):
+        raise ValueError("density operator is not positive semidefinite")
+    return r
 
 
 def min_diag_pivot(a) -> float:

@@ -83,6 +83,22 @@ def test_every_private_helper_has_a_reader():
     assert unread == []
 
 
+def test_only_the_transform_helper_calls_numpy_ffts():
+    """No code in the package but ``phasespace._dft`` names ``np.fft.fft``, ``ifft``, ``fft2``
+    or ``ifft2``: every complex transform takes one route."""
+    calls = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = [n for n in tree.body if isinstance(n, ast.FunctionDef) and (path.name, n.name) == ("phasespace.py", "_dft")]
+        exempt = {id(node) for n in helper for node in ast.walk(n)}
+        calls += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("fft", "ifft", "fft2", "ifft2")
+            and ast.unparse(node.value) in ("np.fft", "numpy.fft") and id(node) not in exempt
+        ]
+    assert calls == []
+
+
 
 def _opens_for_writing(call: ast.Call) -> bool:
     """Whether a call opens a file for writing: ``os.open``, ``write_text``,

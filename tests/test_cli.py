@@ -609,6 +609,31 @@ class TestInputBoundary:
             "--epsilon", "nan", "--state", "mixed",
         ) == 3
 
+    @pytest.mark.parametrize("spec", [
+        ["fock", "1", "junk"], ["mixed", "7"], ["phase", "0", "0"], ["superposition01", "x"], ["file", "extra"],
+        ["qubit", "0", "0", "1", "1"],
+    ])
+    def test_tokens_after_a_complete_state_spec_exit_2(self, tmp_path, capsys, rng, spec):
+        dim, kernel = ("2", "almost-symmetric") if spec[0] == "qubit" else ("3", "symmetric")
+        if spec[0] == "file":
+            spec = [str(tmp_path / "rho.json"), *spec[1:]]
+            gw.save_density_json(gw.random_density(3, rng), spec[0])
+        out = str(tmp_path / "w.json")
+        assert run("wigner", "--dim", dim, "--kernel", kernel, "--state", *spec, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: bad state spec") and "unexpected" in err, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("spec", [["fock", "1", "2"], ["superposition01", "0"], ["file", "0"]])
+    def test_converge_refuses_tokens_after_its_state_spec(self, tmp_path, capsys, rng, spec):
+        if spec[0] == "file":
+            spec = [str(tmp_path / "rho.json"), *spec[1:]]
+            gw.save_density_json(gw.random_density(2, rng), spec[0])
+        assert run_rejected(
+            capsys, "converge", "--kernel", "symmetric", "--state", *spec,
+            "--n", "0", "--phi", "0", "--Ns", "5,10", "--out", str(tmp_path / "c.csv"),
+        ) == 2
+
     def test_each_state_is_validated_once(self, tmp_path, monkeypatch, rng):
         import sys
 

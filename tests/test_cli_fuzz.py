@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
-from gridwigner.cli import main
+from gridwigner.cli import STATE_ARGS, main
 
 MAX_DIM = 12
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -137,11 +137,19 @@ def kernel_specs(paths):
 
 
 def state_specs(paths):
+    """A named spec with up to one token beyond its arguments, or the state file with or without one."""
     named = st.sampled_from(["fock", "phase", "mixed", "qubit", "superposition01", "nonsense"])
-    return st.one_of(
-        st.tuples(named, st.lists(numbers, max_size=3)).map(lambda t: [t[0], *t[1]]),
-        st.just([paths["state"]]),
-    )
+    return st.tuples(
+        st.one_of(named, st.just(paths["state"])), st.lists(numbers, max_size=4)
+    ).map(lambda t: [t[0], *t[1]])
+
+
+def state_tokens(argv):
+    """The tokens after ``--state``, up to the next option."""
+    if "--state" not in argv:
+        return []
+    rest = argv[argv.index("--state") + 1 :]
+    return rest[: next((i for i, tok in enumerate(rest) if tok.startswith("--")), len(rest))]
 
 
 def options(pairs):
@@ -226,6 +234,9 @@ def test_cli_exits_with_a_documented_code(command, data):
     unwritable = argv[-2:] in (["--out", paths["dir"]], ["--out", paths["missing"]])
     assert code in (EXIT_CODES - {0} | {EXIT_WRITE} if unwritable else EXIT_CODES), (code, err)
     assert_one_error_line(code, err)
+    spec = state_tokens(argv)
+    if spec and len(spec) > 1 + STATE_ARGS.get(spec[0], 0):  # a token the spec has no use for
+        assert code != 0, argv
 
 
 def assert_one_error_line(code, err):
@@ -259,4 +270,25 @@ def test_reconstruct_of_huge_finite_grids_exits_with_a_documented_code(grid):
         path.write_text(grid)
         code, err = run_cli(["reconstruct", "--grid", str(path), "--out", str(Path(tmp) / "out.json")])
     assert code in EXIT_CODES, (code, err)
+    assert_one_error_line(code, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, MAX_DIM // 2).map(lambda h: 2 * h + 1), name=st.sampled_from(sorted(STATE_ARGS) + ["file"]),
+    level=st.integers(0, 2), extra=st.lists(numbers, min_size=1, max_size=2), command=st.sampled_from(["wigner", "converge"]),
+)
+def test_a_token_after_a_complete_state_spec_exits_2(d, name, level, extra, command):
+    """A spec that is complete and valid on its own, followed by more tokens, is refused."""
+    with tempfile.TemporaryDirectory() as tmp:
+        state = str(Path(tmp) / "state.json")
+        gw.save_density_json(gw.maximally_mixed(2 if command == "converge" else d), state)
+        spec = {"fock": [name, str(level)], "phase": [name, str(level)], "qubit": [name, "0", "0", "1"], "file": [state]}.get(name, [name])
+        if command == "wigner":
+            dim, kernel = (2, "almost-symmetric") if name == "qubit" else (d, "symmetric")
+            argv = ["wigner", "--dim", str(dim), "--kernel", kernel, "--state", *spec, *extra]
+        else:
+            argv = ["converge", "--kernel", "symmetric", "--state", *spec, *extra, "--n", "0", "--phi", "0", "--Ns", "10,20"]
+        code, err = run_cli([*argv, "--out", str(Path(tmp) / "out")])
+    assert code == 2, (argv, err)
     assert_one_error_line(code, err)

@@ -318,9 +318,21 @@ def test_leonhardt_wigner_matches_phase_sums(case):
     assert _rel_dev(gw.leonhardt_reconstruct(w), rho, rho) <= AGREE
 
 
+def _admitted(N, eps):
+    """Whether ``almost_symmetric_kernel(N, eps)`` exists (no entry vanishes)."""
+    try:
+        gw.almost_symmetric_kernel(N, eps)
+    except ValueError:
+        return False
+    return True
+
+
 @settings(max_examples=15, deadline=None)  # the operator-sum oracle costs O(N**5)
-@given(half_cases, st.floats(-1.5, 1.5))
-def test_half_grid_maps_match_operator_and_point_sums(case, eps):
+@given(half_cases.flatmap(lambda case: st.tuples(
+    st.just(case), st.floats(-1.5, 1.5).filter(lambda eps: _admitted(case["N"], eps))
+)))
+def test_half_grid_maps_match_operator_and_point_sums(case_eps):
+    case, eps = case_eps
     rng = np.random.default_rng(case["seed"])
     N, phi0 = case["N"], case["phi0"]
     rho = gw.random_density(2 * N, rng)
@@ -329,18 +341,22 @@ def test_half_grid_maps_match_operator_and_point_sums(case, eps):
     else:
         w = gw.HalfIntegerWignerGrid(N, phi0, rng.standard_normal((4 * N, 4 * N)))
     assert _rel_dev(gw.leonhardt_reconstruct(w), oracles.leonhardt_reconstruct(w), w.values) <= AGREE
-    try:
-        gw.almost_symmetric_kernel(N, eps)
-    except ValueError as exc:  # eps = 0 voids an entry at every even dim: no grid can be tagged with it
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            gw.relate_even(w, eps)
-        return
     out = gw.relate_even(w, eps)
     scale = abs(math.cos(eps))
     assert _rel_dev(out.values, oracles.relate_even(w.values, eps), w.values) * scale <= AGREE
     if case["from_state"]:
         direct = oracles.wigner_almost_symmetric(gw.PhaseGrid(2 * N, phi0), rho, eps)
         assert _dev(out.values, direct.values) * scale <= AGREE
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_half_grid_relation_refuses_an_eps_no_kernel_admits(N):
+    # eps = 0 voids an entry at every even dim: no grid can be tagged with it
+    w = gw.leonhardt_wigner(N, 0.37, gw.random_density(2 * N, np.random.default_rng(N)))
+    with pytest.raises(ValueError) as refused:
+        gw.almost_symmetric_kernel(N, 0.0)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        gw.relate_even(w, 0.0)
 
 
 @SETTINGS
@@ -507,6 +523,39 @@ def test_a_negative_direction_is_rejected(case, t):
         w /= np.linalg.norm(w)
         with pytest.raises(ValueError, match="positive semidefinite"):
             gw.check_density(bad + delta * np.outer(w, w.conj()))
+
+
+def _verdict(check, rho):
+    """``None`` if ``check`` accepts ``rho``, else its message."""
+    try:
+        check(rho)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(psd_cases, st.sampled_from(("as is", "non-Hermitian", "non-PSD", "trace off", "NaN", "inf", "tiny skew")))
+def test_one_pass_density_check_matches_the_predicates(case, defect):
+    """The one-pass check gives the oracle's verdict and message on random, rank-deficient
+    (mixtures, fock and phase states) and planted-defect inputs."""
+    rng, rho = _psd_state(case)
+    rho = np.array(rho, dtype=complex)
+    d = case["d"]
+    i, j = (int(x) for x in rng.integers(d, size=2))
+    if defect == "non-Hermitian":
+        rho[i, j] += 1e-3j
+    elif defect == "non-PSD":  # the weight on v, and 0.1 more, spread over the identity: unit trace kept
+        v = _unit(rng, d)
+        t = float(np.vdot(v, rho @ v).real) + 0.1
+        rho = rho - t * np.outer(v, v.conj()) + t * np.eye(d) / d
+    elif defect == "trace off":
+        rho = rho * (1 + 1e-6)
+    elif defect in ("NaN", "inf"):
+        rho[i, j] = np.nan if defect == "NaN" else np.inf
+    elif defect == "tiny skew":  # within the tolerance of the Hermiticity distance
+        rho[i, j] += 1e-13j
+    assert _verdict(gw.check_density, rho) == _verdict(oracles.check_density, rho)
 
 
 @SETTINGS

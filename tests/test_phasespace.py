@@ -1,4 +1,4 @@
-"""Tests for grids, bases, clock/shift unitaries, displacements and Fourier."""
+"""Tests for grids, bases, clock/shift unitaries, displacements and the transform helper."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gridwigner as gw
 import oracles
+from gridwigner import phasespace
 from conftest import random_complex
 
 
@@ -296,3 +297,79 @@ class TestLargeAngle:
                 gw.displacement(large, k, l), gw.displacement(small, k, l), atol=1e-8
             )
         np.testing.assert_allclose(gw.phase_basis(large), gw.phase_basis(small), atol=1e-8)
+
+
+LIMIT = phasespace.DFT_MATRIX_LIMIT
+PRIMES = [p for p in range(2, 2 * LIMIT + 1) if all(p % k for k in range(2, p))]
+TRANSFORMS = {
+    "fft": (phasespace._fft, np.fft.fft),
+    "ifft": (phasespace._ifft, np.fft.ifft),
+    "fft2": (phasespace._fft2, np.fft.fft2),
+    "ifft2": (phasespace._ifft2, np.fft.ifft2),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 2 * LIMIT), st.sampled_from(PRIMES)),
+    other=st.integers(1, 2 * LIMIT),
+    batch=st.lists(st.integers(0, 3), max_size=2),
+    name=st.sampled_from(sorted(TRANSFORMS)),
+    axis=st.sampled_from((-1, -2)),
+    norm=st.sampled_from(("backward", "forward")),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transform_helper_matches_numpy(n, other, batch, name, axis, norm, real, seed):
+    """Both routes, both parities and primes up to twice the limit, either axis, with batch axes."""
+    ours, theirs = TRANSFORMS[name]
+    shape = (*batch, n, other) if axis == -2 else (*batch, other, n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) if real else random_complex(rng, *shape)
+    if name.endswith("2"):
+        got, expected, points = ours(x, norm=norm), theirs(x, norm=norm), n * other
+    else:
+        got, expected, points = ours(x, axes=(axis,), norm=norm), theirs(x, axis=axis, norm=norm), n
+    assert got.shape == expected.shape and got.dtype == np.complex128
+    scale = float(np.max(np.abs(x), initial=0.0))
+    assert float(np.max(np.abs(got - expected), initial=0.0)) <= 1e-13 * points * scale
+    if max(n, other if name.endswith("2") else n) > LIMIT:  # numpy's own call, bit for bit
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, LIMIT, LIMIT + 1, 64])
+@pytest.mark.parametrize("name", ["fft", "ifft"])
+def test_a_row_transform_does_not_depend_on_its_batch(n, name, rng):
+    ours = TRANSFORMS[name][0]
+    x = random_complex(rng, 2, n + 3, n)
+    stacked = ours(x, norm="forward")
+    for i in (0, 1):
+        for r in (0, n // 2, n + 2):
+            alone = ours(x[i, r], norm="forward")
+            assert stacked[i, r].tobytes() == alone.tobytes()
+            assert ours(x[i, r : r + 1], norm="forward")[0].tobytes() == alone.tobytes()
+            assert ours(x[i, : r + 1], norm="forward")[r].tobytes() == alone.tobytes()
+
+
+def test_dft_matrices_are_cached_and_read_only():
+    m = phasespace._dft_matrix(LIMIT, True, "forward")
+    assert m is phasespace._dft_matrix(LIMIT, True, "forward")
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d", [LIMIT, LIMIT + 1])
+def test_kernel_maps_match_the_oracles_on_both_sides_of_the_limit(d, rng):
+    n = d // 2
+    kernels = [gw.almost_symmetric_kernel(n)] if d % 2 == 0 else [gw.symmetric_kernel(n), gw.wootters_kernel(n)]
+    for kernel in kernels + [oracles.random_kernel(d, rng)]:
+        grid = gw.PhaseGrid(d, 0.37)
+        q = gw.build_quantizer(grid, kernel)
+        rho = gw.random_density(d, rng)
+        w = gw.wigner(q, rho)
+        assert np.max(np.abs(w.values - oracles.wigner(grid, kernel, rho).real)) <= 1e-12
+        f = random_complex(rng, d, d)
+        assert np.max(np.abs(gw.quantize(q, f) - oracles.quantize(grid, kernel, f))) <= 1e-12
+        op = random_complex(rng, d, d) / d
+        assert np.max(np.abs(gw.symbol(q, op) - oracles.symbol(grid, kernel, op))) <= 1e-12
+        assert np.max(np.abs(gw.reconstruct(w, kernel) - oracles.reconstruct(w, kernel))) <= 1e-12
