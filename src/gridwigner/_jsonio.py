@@ -4,12 +4,14 @@ every output file.
 Every writer of the package, JSON and CSV, opens its file with
 :func:`open_out`, which rewrites a file in place: the old blocks are
 reused and only the tail beyond the new text is trimmed.  JSON writers
-send each table through the C encoder of :func:`json.dumps` one row at a
-time, so a file is byte-identical to ``json.dump`` of the same nested
-lists but is never held in memory as one string.  A complex table that is
-exactly Hermitian off its diagonal formats each conjugate pair once.
-Readers accept JSON numbers only: strings, booleans and nulls are
-rejected, not coerced.
+write a table one row at a time, so a file is byte-identical to
+``json.dump`` of the same nested lists but is never held in memory as one
+string.  Each row is the text :func:`json.dumps` gives it: a table of fewer
+than ``VECTOR_MIN`` floats, or one that holds a nan or an infinity, goes
+through its C encoder row by row, and any larger float64 table through
+:mod:`._floattext`, which formats a block of rows at a time in numpy to the
+same bytes.  CSV writers format each value with ``%.17g``.  Readers accept
+JSON numbers only: strings, booleans and nulls are rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -22,36 +24,9 @@ from stat import S_ISREG
 
 import numpy as np
 
-_SIGN = np.uint64(1 << 63)
-
-
-def _pair_rows(table: np.ndarray):
-    """Row texts of a complex square table of ``[re, im]`` pairs.
-
-    Each row is the text ``json.dumps`` gives it.  When every off-diagonal
-    entry is finite and the bitwise conjugate of its mirror, only the upper
-    triangle and the diagonal are formatted: a lower entry takes its
-    mirror's strings with the sign of the imaginary part flipped, and the
-    strings kept for a row are dropped once it is written.  Any other table
-    is formatted entry by entry.
-    """
-    pairs = np.stack([table.real, table.imag], -1)
-    bits = pairs.view(np.uint64)
-    re, im = bits[..., 0], bits[..., 1]
-    mirror = (re == re.T) & (im == im.T ^ _SIGN) & np.isfinite(table)
-    np.fill_diagonal(mirror, True)
-    if not mirror.all():
-        yield from (json.dumps(row.tolist()) for row in pairs)
-        return
-    kept = [[] for _ in range(len(table))]  # kept[i]: "re, -im" of (j, i) for j < i
-    for i, row in enumerate(pairs):
-        text = json.dumps(row[i:].tolist())
-        # "a, b], [c, -d" -> ["a, -b", "c, d"]: flip the sign after every ", ",
-        # which also turns the separators "], [" into "], -["
-        conj = text[2:-2].replace(", -", "\0").replace(", ", ", -").replace("\0", ", ")
-        list(map(list.append, kept[i + 1:], conj.split("], -[")[1:]))
-        lower, kept[i] = kept[i], None
-        yield f"[[{'], ['.join(lower)}], {text[1:]}" if i else text
+#: Float count from which a finite table is formatted by :mod:`._floattext`: below
+#: it the fixed cost of a block outweighs the per-float saving (README, "Cost").
+VECTOR_MIN = 768
 
 
 @contextmanager
@@ -73,12 +48,21 @@ def open_out(path):
                 fh.truncate()
 
 
-def write_json(path, obj: dict) -> None:
-    """Write ``obj`` in key order; an ndarray value is a table written by rows.
+def _table_rows(value: np.ndarray):
+    """The text of each row of a table, a complex entry written as its ``[re, im]`` pair."""
+    table = value
+    if np.iscomplexobj(value):
+        table = np.ascontiguousarray(value)
+        table = table.view(table.real.dtype).reshape(table.shape + (2,))
+    if table.size >= VECTOR_MIN and table.dtype == np.float64 and np.isfinite(table).all():
+        from . import _floattext
 
-    A complex table is square and written as ``[re, im]`` pairs by
-    :func:`_pair_rows`.
-    """
+        return _floattext.json_rows(table)
+    return (json.dumps(row.tolist()) for row in table)
+
+
+def write_json(path, obj: dict) -> None:
+    """Write ``obj`` in key order; an ndarray value is a table written by rows."""
     with open_out(path) as fh:
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -86,12 +70,8 @@ def write_json(path, obj: dict) -> None:
             if not isinstance(value, np.ndarray):
                 fh.write(json.dumps(value))
                 continue
-            if np.iscomplexobj(value):
-                rows = _pair_rows(value)
-            else:
-                rows = (json.dumps(row.tolist()) for row in value)
             fh.write("[")
-            for j, row in enumerate(rows):
+            for j, row in enumerate(_table_rows(value)):
                 fh.write(f"{', ' if j else ''}{row}")
             fh.write("]")
         fh.write("}")

@@ -7,6 +7,9 @@ appear as package attributes only once something imports them.
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -98,6 +101,28 @@ def test_only_the_transform_helper_calls_numpy_ffts():
         ]
     assert calls == []
 
+
+
+def test_json_text_is_made_in_the_file_layer_alone():
+    """No module but ``_jsonio`` and ``_floattext`` names ``json.dumps`` or ``json.dump``:
+    every JSON file is written by ``_jsonio.write_json``."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        if path.name not in ("_jsonio.py", "_floattext.py"):
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if (isinstance(node, ast.Attribute) and node.attr in ("dumps", "dump") and ast.unparse(node.value) == "json")
+                or (isinstance(node, ast.ImportFrom) and node.module == "json")
+            ]
+    assert found == []
+
+
+def test_importing_the_package_leaves_the_block_formatter_unloaded():
+    """``_floattext`` builds its tables on import, so only the first large table loads it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gridwigner.__file__).parents[1])}
+    code = "import sys, gridwigner, gridwigner.cli; print('gridwigner._floattext' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -233,3 +258,37 @@ def test_each_kernel_map_keeps_its_working_set(maps_at_257, name):
     finally:
         tracemalloc.stop()
     assert peak / (16 * 257**2) <= WORKING_SET[name]
+
+
+#: Budget of each JSON writer's ``tracemalloc`` peak at dim 257, in complex dim x dim
+#: tables: a quarter table above the largest peak measured when the budget was set
+#: (1.37, ``wigner_to_json``).  A writer holds one block of rows at a time, so the peak
+#: follows ``_floattext.BLOCK``, not the dim.
+WRITER_WORKING_SET = 1.625
+
+
+@pytest.fixture(scope="module")
+def writers_at_257():
+    d = 257
+    kernel = gridwigner.symmetric_kernel((d - 1) // 2)
+    rho = gridwigner.random_density(d, np.random.default_rng(257))
+    return {
+        "save_density_json": (gridwigner.save_density_json, rho),
+        "save_kernel": (gridwigner.save_kernel, kernel),
+        "wigner_to_json": (gridwigner.wigner_to_json, gridwigner.wigner_grid(gridwigner.PhaseGrid(d), kernel, rho)),
+    }
+
+
+@pytest.mark.parametrize("name", ["save_density_json", "save_kernel", "wigner_to_json"])
+def test_each_json_writer_keeps_its_working_set(writers_at_257, tmp_path, name):
+    """A writer holds one block of rows at a time, never the whole text or a copy of the table."""
+    write, obj = writers_at_257[name]
+    path = tmp_path / "f.json"
+    write(obj, path)
+    tracemalloc.start()
+    try:
+        write(obj, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * 257**2) <= WRITER_WORKING_SET

@@ -2,10 +2,12 @@
 CSV oracles, exact round trips, in-place rewrites of existing files, and
 loaders that accept JSON numbers only.
 
-Tables have side 1 to 40 and carry the float edge values ``-0.0``,
-``5e-324``, ``1e308`` and ``1e-300`` at random places; the exactly
-Hermitian state tables also carry ``nan`` and ``inf``, in conjugate pairs
-and singly.
+Tables have side 1 to 40, or a side that puts their float count just below
+``_jsonio.VECTOR_MIN``, at or just above it, or over a block of
+``_floattext``, so the JSON writers take both routes.  They carry the float
+edge values ``-0.0``, ``5e-324``, ``1e308`` and ``1e-300`` at random places;
+the exactly Hermitian state tables also carry ``nan`` and ``inf``, in
+conjugate pairs and singly.
 """
 
 import json
@@ -23,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import gridwigner as gw
 import oracles
 from conftest import WRITING, writing_commands
-from gridwigner import _jsonio
+from gridwigner import _floattext, _jsonio
 
 EDGES = (-0.0, 5e-324, 1e308, 1e-300, -1e308, 0.0)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -31,10 +33,19 @@ SETTINGS = settings(max_examples=40, deadline=None)
 angles = st.one_of(st.floats(-10, 10), st.sampled_from(EDGES))
 
 
+def sides(floats_per_entry):
+    """Sides 1 to 40, and the sides of square tables whose float count is just below
+    the crossover to the block formatter, at or just above it, and over one block."""
+    at = math.ceil(math.sqrt(_jsonio.VECTOR_MIN / floats_per_entry))
+    assert (at - 1) ** 2 * floats_per_entry < _jsonio.VECTOR_MIN <= at**2 * floats_per_entry
+    over = math.ceil(math.sqrt(_floattext.BLOCK / floats_per_entry)) + 1
+    return st.one_of(st.integers(1, 40), st.sampled_from([at - 1, at, at + 1, over]))
+
+
 @st.composite
 def tables(draw, side=None):
     """A real ``side x side`` table: scaled normals with edge values planted."""
-    d = draw(st.integers(1, 40)) if side is None else side
+    d = draw(sides(1)) if side is None else side
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.standard_normal((d, d)) * draw(st.sampled_from([1.0, 1e-300, 1e300]))
     planted = draw(st.lists(st.tuples(st.integers(0, d * d - 1), st.sampled_from(EDGES)), max_size=8))
@@ -45,8 +56,8 @@ def tables(draw, side=None):
 
 @st.composite
 def complex_tables(draw):
-    re = draw(tables())
-    return re + 1j * draw(tables(side=re.shape[0]))
+    d = draw(sides(2))
+    return draw(tables(side=d)) + 1j * draw(tables(side=d))
 
 
 def _bytes_match(write, oracle, obj):
@@ -107,7 +118,7 @@ def test_kernel_writer_matches_json_dump(table):
 @SETTINGS
 @given(
     tables(), angles, st.one_of(st.none(), angles), st.sampled_from(["symmetric", "custom", "sümmetrisch"]),
-    st.lists(st.tuples(st.integers(0, 40 * 40 - 1), st.sampled_from(PLANTS)), max_size=6),
+    st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(PLANTS)), max_size=6),
 )
 def test_grid_writers_match_json_dump_and_csv_loop(values, phi0, eps, label, planted):
     w = gw.WignerGrid(gw.PhaseGrid(values.shape[0], phi0), label, values, eps)
@@ -207,6 +218,49 @@ def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
         rows = json.loads(text)[key]
         assert sum(sizes) == len(text) and len(sizes) > len(rows) >= 6
         assert max(sizes) <= len(", ") + max(len(json.dumps(row)) for row in rows)
+
+
+def test_block_formatted_tables_are_written_row_by_row(tmp_path, monkeypatch):
+    """Above the crossover too: each table goes through the block formatter and
+    no ``write`` call carries more than one row's text."""
+    sizes, formatted = [], []
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            sizes.append(len(text))
+            return self.fh.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    block_rows = _floattext.json_rows
+    monkeypatch.setattr(_floattext, "json_rows", lambda table: formatted.append(table.shape) or block_rows(table))
+    monkeypatch.setattr(_jsonio, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
+    rng = np.random.default_rng(2)
+    kernel = gw.symmetric_kernel(20)
+    state = gw.reconstruct(gw.wigner_grid(gw.PhaseGrid(41), kernel, gw.random_density(41, rng)), kernel)
+    path = tmp_path / "f.json"
+    for write, key, obj in [
+        (gw.save_density_json, "matrix", state),
+        (gw.save_kernel, "values", gw.Kernel(rng.standard_normal((33, 33)) + 1j)),
+        (gw.wigner_to_json, "values", gw.WignerGrid(gw.PhaseGrid(70), "custom", rng.standard_normal((70, 70)))),
+    ]:
+        sizes.clear()
+        write(obj, path)
+        text = path.read_text()
+        rows = json.loads(text)[key]
+        assert sum(sizes) == len(text) and len(sizes) > len(rows)
+        assert max(sizes) <= len(", ") + max(len(json.dumps(row)) for row in rows)
+    assert formatted == [(41, 41, 2), (33, 33, 2), (70, 70)]
 
 
 # --- every writer rewrites its file in place ---------------------------------
