@@ -1,23 +1,34 @@
-"""JSON text of finite float64 tables, formatted a block of entries at a time.
+"""JSON and CSV text of finite float64 tables, formatted a block of entries at a time.
 
-Each row comes out byte-identical to ``json.dumps(row.tolist())``: every entry
-is written as ``repr`` writes it, the shortest decimal that reads back as the
-same double (the one closest to it when there are several), positional from
-``1e-4`` up to ``1e16`` and in exponent form outside.
+Each JSON row comes out byte-identical to ``json.dumps(row.tolist())``: every
+entry is written as ``repr`` writes it, the shortest decimal that reads back as
+the same double (the one closest to it when there are several), positional from
+``1e-4`` up to ``1e16`` and in exponent form outside.  Each CSV value comes out as
+``'%.17g' % x``: the exact double rounded half to even to 17 significant digits,
+trailing zeros and a bare point dropped, positional from ``1e-4`` up to ``1e17``.
 
 The shortest decimal comes from Schubfach (R. Giulietti, "The Schubfach way to
 render doubles", 2020), the algorithm of Java's ``Double.toString``, in uint64
 numpy arithmetic: each 64 x 64 -> 128-bit product is built from 32-bit halves,
 and a 126-bit power of ten comes from a 617-entry table built with Python
 ints.  Java keeps two digits where one would do (``4.9E-324``); ``repr`` and
-this module keep one (``5e-324``).
+this module keep one (``5e-324``).  The 17-digit rounding, the fixed-precision
+problem of Adams' Ryu printf (2019), reads the same product (:func:`_rounded17`):
+where the scaled double has 17 digits its round-to-odd bits settle the rounding
+exactly, and where it has 16 the 63 bits below them give the last digit, settled
+unless the value lies within the product's error bound of a half.  Those
+entries, exact ties among them, and the subnormals with fewer digits are
+formatted by Python: about one in 4500 random bit patterns, and none of a
+million normal draws.
 
-The text of an entry fills a 40-byte cell of five little-endian uint64 words:
-its sign and the ``0.000`` lead of a positional fraction, the digits with the
-decimal point, the exponent and the separator that follows it in the row.
-Bytes a cell does not use are zero, and ``bytes.translate`` drops them from a
-block of cells at once.  The separator after the last entry of a row ends in
-``"\\n"``, which marks where the row ends; JSON numbers never hold one.
+The text of an entry fills a cell of little-endian uint64 words: its sign and
+the ``0.000`` lead of a positional fraction, the digits with the decimal point,
+the exponent and the separator that follows it in the row.  Bytes a cell does
+not use are zero, and ``bytes.translate`` drops them.  A JSON cell is five words
+and its separator ends in ``"\\n"`` after the last entry of a row, which marks
+where the row ends (JSON numbers never hold one); a CSV cell is four, its
+separator ``","`` or ``"\\n"`` in the last byte, and a CSV row is cut from a
+block by its fixed width.
 
 The tables cost a few milliseconds to build, so ``_jsonio`` imports this
 module only for the first table large enough to use it.
@@ -56,38 +67,42 @@ def _word_table(texts, at: int = 0) -> np.ndarray:
 
 def _digit_groups() -> np.ndarray:
     """Word of each 4-digit group 0000..9999: its ASCII digits in bytes 0..3, and in
-    byte 4 the place of its last nonzero digit (1..4) plus 32, or 0 for 0000."""
+    byte 7 the place of its last nonzero digit (1..4) plus 64, or 0 for 0000."""
     g = np.arange(10_000)
     digits = g[:, None] // 10 ** np.arange(3, -1, -1) % 10
     nonzero = digits != 0
-    last = np.where(nonzero.any(1), 4 - nonzero[:, ::-1].argmax(1) + 32, 0)
-    return ((digits + 48) @ 256 ** np.arange(4) + (last << 32)).astype(np.uint64)
+    last = np.where(nonzero.any(1), 68 - nonzero[:, ::-1].argmax(1), 0)
+    return ((digits + 48) @ 256 ** np.arange(4) + (last << 56)).astype(np.uint64)
 
 
 _DIGITS = _digit_groups()
 
 # The cell: byte 2 the sign, bytes 3..7 the lead "0." + up to three zeros, bytes
-# 8..25 the field F of the digits with the point, bytes 26..30 the exponent,
-# bytes 32..39 the separator.  With D the 17 digits of the decimal (trailing
-# zeros pad it to 17), F holds D[j] before the point at byte p and D[j - 1]
-# after it, up to its length L.  p, L and the lead follow from the decimal
-# exponent dc (-4 and 17 stand for every exponent form) and the digit count n.
-_CODES = 22 * 18
+# 8..25 the field F of the digits with the point, bytes 26..30 the exponent, and
+# the separator in byte 31 (CSV) or bytes 32..39 (JSON).  With D the 17 digits of
+# the decimal (trailing zeros pad it to 17), F holds D[j] before the point at byte
+# p and D[j - 1] after it, up to its length L.  p, L and the lead follow from the
+# decimal exponent dc (-4 and 18 stand for every exponent form), the digit count
+# n and the style: ``repr`` writes "1.0" and 1e16 as "1e+16", ``%.17g`` "1" and
+# "10000000000000000".
+_CODES = 23 * 18
 
 
-def _layouts():
+def _layouts(g: bool):
     """Per code ``(dc + 4) * 18 + n``: masks of the cell bytes taken from D and from
-    D shifted one byte up, and the constant bytes, each as five words."""
+    D shifted one byte up, and the constant bytes, each as five words (four for
+    ``%.17g``)."""
     dc, n = np.divmod(np.arange(_CODES), 18)
     dc -= 4
-    sci = (dc < -3) | (dc > 16)
+    sci = (dc < -3) | (dc > 16 + g)
     lead = ~sci & (dc <= 0)
+    whole = np.where(g & (n <= dc), dc, np.maximum(n, dc + 1) + 1)  # "1" or "1.0"
     p = np.where(sci, 1, np.where(lead, 99, dc))[:, None]
-    length = np.where(sci, n + (n > 1), np.where(lead, n, np.maximum(n, dc + 1) + 1))[:, None]
-    byte = np.arange(40)
+    length = np.where(sci, n + (n > 1), np.where(lead, n, whole))[:, None]
+    byte = np.arange(40 - 8 * g)
     j = byte - 8
     field = (j >= 0) & (j < length)
-    fixed = (byte == 2) | ((26 <= byte) & (byte <= 30)) | (byte >= 32)
+    fixed = (byte == 2) | (sci[:, None] & (26 <= byte) & (byte <= 30)) | (byte >= 31)
     from_d = (field & (j < p)) | fixed
     from_shifted = field & (j > p)
     const = np.where(field & (j == p), ord("."), 0)
@@ -100,16 +115,16 @@ def _layouts():
     return as_words(from_d * 255), as_words(from_shifted * 255), as_words(const)
 
 
-_FROM_D, _FROM_SHIFTED, _CONST = _layouts()
-# exponent word of cell word 3 by decimal point position decpt + 323; 0 where positional
-_EXPONENT = _word_table(
-    ["" if -3 <= d <= 16 else f"e{d - 1:+03d}" for d in range(-323, 310)], at=2
-)
+_REPR, _G17 = _layouts(False), _layouts(True)
+# by decimal point position decpt + 323: the exponent word of cell word 3, and the code less n
+_EXPONENT = _word_table([f"e{d - 1:+03d}" for d in range(-323, 310)], at=2)
+_CODE = (np.clip(np.arange(-323, 310), -4, 18) + 4).astype(np.uint64) * _U(18)
 
 
-def _decimal(bits: np.ndarray):
+def _decimal(bits: np.ndarray, shortest: bool = True):
     """``(s, k)`` with ``s * 10**k`` the shortest decimal that rounds to the finite
-    nonzero double of each of ``bits``, the one closest to it if there are several.
+    nonzero double of each of ``bits``, the one closest to it if there are several;
+    or, unless ``shortest``, the triple of :func:`_rounded17`.
 
     Names follow Schubfach: ``c * 2**q`` is the double, ``vb``, ``vbl`` and ``vbr``
     are four times it and the ends of its rounding interval, scaled by ``10**-k``
@@ -118,12 +133,17 @@ def _decimal(bits: np.ndarray):
     t = bits & _U(2**52 - 1)
     bq = (bits >> _U(52)) & _U(0x7FF)
     c = t | (np.minimum(bq, _U(1)) << _U(52))
-    # the interval is irregular (its lower half is half as wide) at a power of two above the smallest normal
-    irregular = ((t - _U(1)) >> _U(63)) & ((_U(1) - bq) >> _U(63))
     q = np.maximum(bq, _U(1)).view(np.int64) - 1075
-    k = (q * 661_971_961_083 - irregular.view(np.int64) * 274_743_187_321) >> 41
-    h = (q + ((-k * 913_124_641_741) >> 38) + 2).view(np.uint64)
-    g0, g1 = _G_LO.take(292 - k), _G_HI.take(292 - k)
+    k = q * 661_971_961_083
+    if shortest:
+        # the interval is irregular (its lower half is half as wide) at a power of two above
+        # the smallest normal; a rounding to 17 digits needs no interval
+        irregular = ((t - _U(1)) >> _U(63)) & ((_U(1) - bq) >> _U(63))
+        k -= irregular.view(np.int64) * 274_743_187_321
+    k >>= 41
+    h = (q + ((k * -913_124_641_741) >> 38) + 2).view(np.uint64)
+    i = 292 - k
+    g0, g1 = _G_LO.take(i), _G_HI.take(i)
     cp = c << (h + _U(2))
     cp0, cp1 = cp & _M32, cp >> _U(32)
 
@@ -136,11 +156,20 @@ def _decimal(bits: np.ndarray):
         return (y1 + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
 
     # the products g1 * cp as (y1, y0) and g0 * cp as (x1, x0), with the low words halved
-    # so that a carry out of a sum of them is its top bit
-    x1, x0, y1, y0 = high(g0), (g0 * cp) >> _U(1), high(g1), (g1 * cp) >> _U(1)
-    vb = rop(y1, y0, x1)
-    # the same for the ends of the interval, cp + 2**(h + 1) and cp - 2**(h + 1) (cp - 2**h
-    # if irregular): add or subtract g0 and g1 times the power of two
+    # so that a carry out of a sum of them is its top bit; f + z / 2**63 is 4 v 10**-k
+    x1, y1, y0 = high(g0), high(g1), (g1 * cp) >> _U(1)
+    z = y0 + x1
+    f = y1 + (z >> _U(63))
+    vb = f | (((z & _M63) + _M63) >> _U(63))
+    s = vb >> _U(2)
+    if not shortest:
+        return _rounded17(s, vb, f, z, k)
+    del z, f, i  # the working set of the interval search below
+    # s + 1 is closer to the double than s, or as close and s is odd
+    nearer_up = ((vb & _U(3)) + (s & _U(1)) + _U(1)) >> _U(2)
+    # the ends of the interval, cp + 2**(h + 1) and cp - 2**(h + 1) (cp - 2**h if
+    # irregular): add or subtract g0 and g1 times the power of two
+    x0 = (g0 * cp) >> _U(1)
     out = c & _U(1)
     up = h + _U(1)
     y0r = y0 + ((g1 << (up - _U(1))) & _M63)
@@ -152,7 +181,6 @@ def _decimal(bits: np.ndarray):
     y1l = y1 - (g1 >> (_U(64) - up)) - (y0l >> _U(63))
     x1l = x1 - (g0 >> (_U(64) - up)) - ((x0 - ((g0 << (up - _U(1))) & _M63)) >> _U(63))
     vbl = rop(y1l, y0l & _M63, x1l) + out
-    s = vb >> _U(2)
     s4 = s << _U(2)
     sp10 = s // _U(10) * _U(10)
     sp40 = sp10 << _U(2)
@@ -162,26 +190,56 @@ def _decimal(bits: np.ndarray):
     above_sp10 = (vbr - sp40 - _U(40)) >> _U(63)
     below_s = (s4 - vbl) >> _U(63)
     above_s = (vbr - s4 - _U(4)) >> _U(63)
-    # s + 1 is closer to the double than s, or as close and s is odd
-    nearer_up = ((vb & _U(3)) + (s & _U(1)) + _U(1)) >> _U(2)
     longer = s + ((above_s ^ _U(1)) & (below_s | nearer_up))
     shorter = sp10 + _U(10) - _U(10) * above_sp10
     return longer + (below_sp10 ^ above_sp10) * (shorter - longer), k
 
 
-def _cells(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
-    """The ``(len(x), 5)`` uint64 cells of the entries of ``x``, a finite 1-D float64
-    array, each followed by its word of ``separators``."""
+def _rounded17(s, vb, f, z, k):
+    """``(t, k, undecided)``: ``t * 10**k`` the double rounded half to even to 17
+    significant digits (``10**16 <= t < 10**17``), and where that is not settled.
+
+    ``vb`` is the round to odd of ``4 v 10**-k``, so where ``s`` has 17 digits the
+    answer is ``(vb + 1 + s % 2) // 4``.  With 16 digits the last one comes from
+    ``u = 10 (f % 4 + z / 2**63) / 4``, read as ``r / 2**60``: ``f + z / 2**63`` lies
+    within ``2**-62`` of ``4 v 10**-k`` (the dropped low words are below ``2**-63``,
+    and ``g`` is too large by less than ``cp / 2**127``), and ``r`` drops less than
+    ``2**-61`` of ``u / 10``, so ``r`` lies within 6 of the exact ``u * 2**60``.  The
+    rounding is settled unless ``r`` lies within 64 of a half, where the double may
+    be a tie; those entries, and the nonzero subnormals with fewer than 16 digits,
+    are left to the caller.
+    """
+    short = s < _U(10**16)
+    r = (((f & _U(3)) << _U(59)) | ((z & _M63) >> _U(4))) * _U(5) + _U(2**59)  # a half added
+    t = np.where(short, s * _U(10) + (r >> _U(60)), (vb + _U(1) + (s & _U(1))) >> _U(2))
+    undecided = short & ((((r + _U(64)) & _U(2**60 - 1)) <= _U(128)) | ((s - _U(1)) < _U(10**15 - 1)))
+    carry = t == _U(10**17)
+    t[carry] = 10**16
+    return t, k - short + carry, undecided
+
+
+def _cells(x: np.ndarray, g: bool = False) -> np.ndarray:
+    """The uint64 cells of the entries of ``x``, a finite 1-D float64 array, as
+    ``repr`` writes them (five words, the last left to the caller), or ``%.17g``
+    (four words)."""
     bits = x.view(np.uint64)
-    s, k = _decimal(bits)
-    nonzero = np.minimum(bits & _M63, _U(1))
-    s *= nonzero
-    k = np.where(nonzero, k, 1)  # 0 is written "0.0": D = "000...", point after one digit
-    # digit count of s: t is floor(log10 s) or one less, from the bit length of s
-    # (one too large where the float conversion rounds up, which t absorbs)
-    t = (np.frexp(s.astype(np.float64))[1] * 1233) >> 12
-    digits = t + (s >= _POW10.take(t))
-    s17 = s * _POW10.take(17 - digits)
+    if g:
+        s17, k, undecided = _decimal(bits, shortest=False)
+        for i in np.flatnonzero(undecided):
+            text = "%.16e" % abs(x[i])  # the same rounding as %.17g: d.ddd...e+XX
+            s17[i], k[i] = int(text[0] + text[2:18]), int(text[19:]) - 16
+        at = np.where(s17, k + 340, 324)  # decpt + 323; 0 is written "0": D = "000...", point after one digit
+    else:
+        s, k = _decimal(bits)
+        nonzero = np.minimum(bits & _M63, _U(1))
+        s *= nonzero
+        k = np.where(nonzero, k, 1)  # 0 is written "0.0"
+        # digit count of s: t is floor(log10 s) or one less, from the bit length of s
+        # (one too large where the float conversion rounds up, which t absorbs)
+        t = (np.frexp(s.astype(np.float64))[1] * 1233) >> 12
+        digits = t + (s >= _POW10.take(t))
+        s17 = s * _POW10.take(17 - digits)
+        at = digits + k + 323
     d0 = s17 // _U(10**16)
     r = s17 - d0 * _U(10**16)
     hi = r // _U(10**8)
@@ -190,26 +248,22 @@ def _cells(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
     g3 = lo // _U(10**4)
     w1, w2 = _DIGITS.take(g1), _DIGITS.take(hi - g1 * _U(10**4))
     w3, w4 = _DIGITS.take(g3), _DIGITS.take(lo - g3 * _U(10**4))
-    last = np.maximum(np.maximum(w1 >> _U(32), (w2 >> _U(32)) + _U(4)), np.maximum((w3 >> _U(32)) + _U(8), (w4 >> _U(32)) + _U(12)))
-    n = np.maximum(last.view(np.int64) - 31, 1)
-    decpt = digits + k
-    code = (np.minimum(np.maximum(decpt, -4), 17) + 4) * 18 + n
-    w1 &= _M32
-    w2 &= _M32
-    w3 &= _M32
-    w4 &= _M32
-    d = np.empty((len(x), 5), "<u8")  # byte j of the text is bits 8j..8j+7 of its word
+    # digit count n up to the last nonzero digit: the group's place plus 4 per group before it
+    top = np.maximum(np.maximum(w1, w2 + _U(4 << 56)), np.maximum(w3 + _U(8 << 56), w4 + _U(12 << 56)))
+    n = np.maximum(top >> _U(56), _U(64)) - _U(63)
+    code = _CODE.take(at) + n
+    from_d, from_shifted, const = _G17 if g else _REPR
+    d = np.empty((len(x), from_d.shape[1]), "<u8")  # byte j of the text is bits 8j..8j+7 of its word
     d[:, 0] = (bits >> _U(63)) * _U(ord("-") << 16)
     d[:, 1] = (d0 + _U(48)) | (w1 << _U(8)) | (w2 << _U(40))
-    d[:, 2] = (w2 >> _U(24)) | (w3 << _U(8)) | (w4 << _U(40))
-    d[:, 3] = (w4 >> _U(24)) | _EXPONENT.take(decpt + 323)
-    d[:, 4] = separators
+    d[:, 2] = ((w2 >> _U(24)) & _U(255)) | (w3 << _U(8)) | (w4 << _U(40))
+    d[:, 3] = ((w4 >> _U(24)) & _U(255)) | _EXPONENT.take(at)
     flat = d.reshape(-1)
     shifted = flat << _U(8)
     shifted[1:] |= flat[:-1] >> _U(56)
-    flat &= _FROM_D.take(code, axis=0).reshape(-1)
-    flat |= shifted & _FROM_SHIFTED.take(code, axis=0).reshape(-1)
-    flat |= _CONST.take(code, axis=0).reshape(-1)
+    flat &= from_d.take(code, axis=0).reshape(-1)
+    flat |= shifted & from_shifted.take(code, axis=0).reshape(-1)
+    flat |= const.take(code, axis=0).reshape(-1)
     return d
 
 
@@ -232,7 +286,56 @@ def json_rows(table: np.ndarray):
     per = max(1, BLOCK // max(rows.shape[1], 1))
     separators = np.tile(_separator_words(table.shape[1:]), per)
     for start in range(0, len(rows), per):
-        x = np.ascontiguousarray(rows[start:start + per]).reshape(-1)
-        text = _cells(x, separators[:len(x)]).tobytes().translate(None, b"\0").decode("ascii")
+        cells = _cells(np.ascontiguousarray(rows[start:start + per]).reshape(-1))
+        cells[:, 4] = separators[:len(cells)]
+        text = cells.tobytes().translate(None, b"\0").decode("ascii")
+        del cells  # not held while the next block is made
         for row in text.split("\n")[:-1]:
             yield head + row
+
+
+def _packed(cells: np.ndarray, separator: bytes) -> np.ndarray:
+    """The texts of cells that end in ``separator``, each zero-padded to the length
+    of the longest."""
+    texts = [t + separator for t in cells.tobytes().translate(None, b"\0").split(separator)[:-1]]
+    return np.array(texts, f"S{max(map(len, texts))}")
+
+
+# a CSV cell without its first two bytes, which are never text
+_TEXT = np.dtype({"names": ["text"], "formats": ["V30"], "offsets": [2], "itemsize": 32})
+
+
+def csv_rows(columns, shape: tuple):
+    """Yield the text of each row of a CSV table of ``shape`` ``(rows, lines)``: each
+    line the ``%.17g`` texts of ``columns`` there, joined by ``","``.  A column is a
+    finite float64 array of shape ``(rows or 1, lines or 1)``.  The columns of the
+    table's size are formatted ``BLOCK`` entries at a time; the smaller ones with the
+    first block, and packed so that a line carries few zero bytes of them."""
+    rows, lines = shape
+    full = [c.size == rows * lines for c in columns]
+    separators = [b","] * (len(columns) - 1) + [b"\n"]
+    packed = {}  # of the smaller columns, made with the first block
+    per = max(1, BLOCK // (lines * max(sum(full), 1)))
+
+    def block(start):
+        n = min(per, rows - start)
+        todo = [j for j, f in enumerate(full) if f or j not in packed]
+        parts = [columns[j][start:start + n] if full[j] else columns[j] for j in todo]
+        cells = _cells(np.concatenate([p.reshape(-1) for p in parts]), True)
+        fields, at = dict(packed), 0
+        for j, p in zip(todo, parts):
+            c = cells[at:at + p.size]
+            at += p.size
+            c[:, 3] |= _U(separators[j][0] << 56)
+            c = c.view(_TEXT)["text"] if full[j] else _packed(c, separators[j])
+            fields[j] = c.view(f"V{c.itemsize}").reshape(p.shape)
+            if not full[j]:
+                packed[j] = fields[j]
+        out = np.empty((n, lines), [(str(j), fields[j].dtype) for j in range(len(columns))])
+        for j, f in fields.items():  # a copy of whole cells, which numpy makes fastest as void entries
+            out[str(j)] = f[start:start + n] if not full[j] and len(f) > 1 else f
+        return out
+
+    for start in range(0, rows, per):
+        for row in block(start):  # the block is freed before the next one is made
+            yield row.tobytes().translate(None, b"\0").decode("ascii")

@@ -1,17 +1,19 @@
-"""JSON files of the state, kernel and grid formats, and the one opener of
-every output file.
+"""JSON files of the state, kernel and grid formats, CSV tables, and the one
+opener of every output file.
 
 Every writer of the package, JSON and CSV, opens its file with
 :func:`open_out`, which rewrites a file in place: the old blocks are
-reused and only the tail beyond the new text is trimmed.  JSON writers
-write a table one row at a time, so a file is byte-identical to
-``json.dump`` of the same nested lists but is never held in memory as one
-string.  Each row is the text :func:`json.dumps` gives it: a table of fewer
-than ``VECTOR_MIN`` floats, or one that holds a nan or an infinity, goes
-through its C encoder row by row, and any larger float64 table through
+reused and only the tail beyond the new text is trimmed.  Writers write a
+table one row at a time (a CSV row is the lines of one grid row), so a file
+is never held in memory as one string.  A JSON file is byte-identical to
+``json.dump`` of the same nested lists, each row the text :func:`json.dumps`
+gives it; a CSV line is the ``%.17g`` text of each value (``%d`` of an
+integer column).  A table smaller than ``VECTOR_MIN`` (``CSV_MIN``), one
+that holds a nan or an infinity, or a CSV integer column reaching 2**53 is
+written by ``json.dumps`` or one ``%`` template per row; any other table by
 :mod:`._floattext`, which formats a block of rows at a time in numpy to the
-same bytes.  CSV writers format each value with ``%.17g``.  Readers accept
-JSON numbers only: strings, booleans and nulls are rejected, not coerced.
+same bytes.  Readers accept JSON numbers only: strings, booleans and nulls
+are rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from stat import S_ISREG
 
 import numpy as np
 
-#: Float count from which a finite table is formatted by :mod:`._floattext`: below
-#: it the fixed cost of a block outweighs the per-float saving (README, "Cost").
+#: Float count from which a finite JSON table is formatted by :mod:`._floattext`, and
+#: count of values a ``%`` template would format from which a CSV table is: below
+#: them the fixed cost of a block outweighs the per-value saving (README, "Cost").
 VECTOR_MIN = 768
+CSV_MIN = 1024
 
 
 @contextmanager
@@ -75,6 +79,45 @@ def write_json(path, obj: dict) -> None:
                 fh.write(f"{', ' if j else ''}{row}")
             fh.write("]")
         fh.write("}")
+
+
+def _percent_rows(columns, rows: int, lines: int):
+    """The text of each row of a CSV table by one ``%`` template: the columns constant
+    along a row are written into it, once per row, and the others are its arguments."""
+    specs = ["%.17g" if c.dtype.kind == "f" else "%d" for c in columns]
+    outer = ",".join(s if c.shape[1] == 1 else "%" + s for s, c in zip(specs, columns)) + "\n"
+    constants = [c[:, 0].tolist() * (rows if len(c) == 1 else 1) for c in columns if c.shape[1] == 1]
+    varying = [c.tolist() for c in columns if c.shape[1] > 1]
+    args = [None] * (len(varying) * lines)
+    for i, row in enumerate(zip(*constants) if constants else [()] * rows):
+        for j, v in enumerate(varying):
+            args[j::len(varying)] = v[i if len(v) > 1 else 0]
+        yield (outer % row) * lines % tuple(args)
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write a header line and a table of ``%.17g`` texts (``%d`` for a column of
+    integers, an object column of Python ints among them), one write per row: the 2-D
+    ``columns``, each of ``rows`` or 1 rows and ``lines`` or 1 lines, broadcast to
+    ``(rows, lines)``, each line their texts joined by ``","``."""
+    columns = [np.asarray(c) for c in columns]
+    rows, lines = max(len(c) for c in columns), max(c.shape[1] for c in columns)
+    varying = sum(c.shape[1] > 1 for c in columns)
+
+    def as_floats(c):  # the block route writes floats: below 2**53 %d is the %.17g text of the float
+        return np.isfinite(c).all() if c.dtype.kind == "f" else c.dtype.kind in "iu" and (abs(c) < 2**53).all()
+
+    # the values a template formats: a column constant along a row counts once per row
+    if rows * (lines * varying + len(columns) - varying) >= CSV_MIN and all(map(as_floats, columns)):
+        from . import _floattext
+
+        texts = _floattext.csv_rows([c.astype(float, copy=False) for c in columns], (rows, lines))
+    else:
+        texts = _percent_rows(columns, rows, lines)
+    with open_out(path) as fh:
+        fh.write(header + "\n")
+        for text in texts:
+            fh.write(text)
 
 
 def read_json(path):

@@ -253,7 +253,8 @@ def cmd_reconstruct(args) -> int:
     label, w = _read_grid_file(args.grid)
     if label == "leonhardt":
         raw = leonhardt_reconstruct(w)
-        rho = (raw + raw.conj().T) / 2.0  # bitwise conjugate-symmetric
+        rho = np.add(raw, raw.conj().T, order="C")  # bitwise conjugate-symmetric
+        np.multiply(rho.view(float), 0.5, out=rho.view(float))
         try:  # 16N**2 values onto a 4N**2-dimensional image: the round trip can fail
             back = leonhardt_wigner(w.n_half, w.phi0, rho, validate_state=False)
             trip = float(np.max(np.abs(back.values - w.values)))

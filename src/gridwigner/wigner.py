@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonio import integer, number, number_table, open_out, read_json, write_json
+from ._jsonio import integer, number, number_table, read_json, write_csv, write_json
 from .linalg import _is_psd_hermitian, within
 from .kernels import Kernel
 from .phasespace import PhaseGrid, _displacement_sum, _fft2, _kernel_map, _sheared_weights
@@ -128,7 +128,8 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     defect = float(np.max(np.abs(rho - h)))
     if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):
         raise ReconstructionError(f"inconsistent Wigner grid: anti-Hermitian part {defect:.3e}")
-    rho = (rho + h) / 2
+    rho = np.add(rho, h, order="C")
+    np.multiply(rho.view(float), 0.5, out=rho.view(float))  # in place: a complex / 2 takes four times as long
     # equal imaginary parts average to +0.0 on both sides: give the lower one the conjugate's sign
     np.copysign(rho.imag, -rho.imag.T, out=rho.imag, where=np.tri(w.dim, k=-1, dtype=bool))
     if validate_state:
@@ -166,10 +167,5 @@ def _wigner_from_json(obj: dict) -> WignerGrid:
 
 def wigner_to_csv(w: WignerGrid, path) -> None:
     """Write a Wigner grid as CSV rows ``m,n,phi,value`` (17 digits)."""
-    with open_out(path) as fh:
-        fh.write("m,n,phi,value\n")
-        args = [0] * (2 * w.dim)  # n, value, n, value, ...
-        args[::2] = range(w.dim)
-        for m, (phi, row) in enumerate(zip(w.grid.phis.tolist(), w.values.tolist())):
-            args[1::2] = row
-            fh.write(f"{m},%d,{phi:.17g},%.17g\n" * w.dim % tuple(args))
+    levels = np.arange(w.dim)
+    write_csv(path, "m,n,phi,value", [levels[:, None], levels[None, :], w.grid.phis[:, None], w.values])

@@ -662,3 +662,10 @@ def wigner_to_csv(w, path):
         for m in range(w.dim):
             for n in range(w.dim):
                 fh.write(f"{m},{n},{phis[m]:.17g},{w.values[m, n]:.17g}\n")
+
+
+def convergence_to_csv(report, path):
+    with open(path, "w") as fh:
+        fh.write("N,n,phi_grid,scaled_value,target,abs_error\n")
+        for r in report.rows:
+            fh.write(f"{r.N},{r.n},{r.phi_grid:.17g},{r.scaled_value:.17g},{r.target:.17g},{r.abs_error:.17g}\n")

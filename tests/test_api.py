@@ -117,6 +117,20 @@ def test_json_text_is_made_in_the_file_layer_alone():
     assert found == []
 
 
+def test_csv_text_is_made_in_the_file_layer_alone():
+    """No module but ``_jsonio`` and ``_floattext`` holds a ``.17g`` format, in a
+    ``%`` template, an f-string or ``format``: every CSV file is written by
+    ``_jsonio.write_csv``."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        if path.name not in ("_jsonio.py", "_floattext.py"):
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+            ]
+    assert found == []
+
+
 def test_importing_the_package_leaves_the_block_formatter_unloaded():
     """``_floattext`` builds its tables on import, so only the first large table loads it."""
     env = {**os.environ, "PYTHONPATH": str(Path(gridwigner.__file__).parents[1])}
@@ -276,10 +290,11 @@ def writers_at_257():
         "save_density_json": (gridwigner.save_density_json, rho),
         "save_kernel": (gridwigner.save_kernel, kernel),
         "wigner_to_json": (gridwigner.wigner_to_json, gridwigner.wigner_grid(gridwigner.PhaseGrid(d), kernel, rho)),
+        "wigner_to_csv": (gridwigner.wigner_to_csv, gridwigner.wigner_grid(gridwigner.PhaseGrid(d, 0.37), kernel, rho)),
     }
 
 
-@pytest.mark.parametrize("name", ["save_density_json", "save_kernel", "wigner_to_json"])
+@pytest.mark.parametrize("name", ["save_density_json", "save_kernel", "wigner_to_json", "wigner_to_csv"])
 def test_each_json_writer_keeps_its_working_set(writers_at_257, tmp_path, name):
     """A writer holds one block of rows at a time, never the whole text or a copy of the table."""
     write, obj = writers_at_257[name]

@@ -4,10 +4,11 @@ loaders that accept JSON numbers only.
 
 Tables have side 1 to 40, or a side that puts their float count just below
 ``_jsonio.VECTOR_MIN``, at or just above it, or over a block of
-``_floattext``, so the JSON writers take both routes.  They carry the float
-edge values ``-0.0``, ``5e-324``, ``1e308`` and ``1e-300`` at random places;
-the exactly Hermitian state tables also carry ``nan`` and ``inf``, in
-conjugate pairs and singly.
+``_floattext``, so the JSON writers take both routes; the CSV writers are drawn
+likewise around ``_jsonio.CSV_MIN``, counted in the values their ``%`` template
+formats.  Tables carry the float edge values ``-0.0``, ``5e-324``, ``1e308`` and
+``1e-300`` at random places; the exactly Hermitian state tables also carry
+``nan`` and ``inf``, in conjugate pairs and singly.
 """
 
 import json
@@ -129,6 +130,56 @@ def test_grid_writers_match_json_dump_and_csv_loop(values, phi0, eps, label, pla
     _bytes_match(gw.wigner_to_csv, oracles.wigner_to_csv, w)
 
 
+def csv_sides():
+    """Sides of square grids whose CSV template formats just fewer values than the
+    limit (``2 d**2 + 2 d``: level and value per line, level and angle per row), at
+    or just above it, and more rows than one block holds."""
+    at = next(d for d in range(1, 100) if 2 * d * d + 2 * d >= _jsonio.CSV_MIN)
+    over = math.isqrt(_floattext.BLOCK) + 2
+    return st.sampled_from([at - 1, at, at + 1, over])
+
+
+@SETTINGS
+@given(csv_sides().flatmap(tables), angles, st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(PLANTS)), max_size=3))
+def test_grid_csv_matches_the_per_value_loop_across_the_limit(values, phi0, planted):
+    w = gw.WignerGrid(gw.PhaseGrid(values.shape[0], phi0), "custom", values)
+    for i, v in planted:
+        w.values.flat[i % w.values.size] = v
+    _bytes_match(gw.wigner_to_csv, oracles.wigner_to_csv, w)
+
+
+def _report(rows, seed, big_n=False):
+    """A convergence report of ``rows`` random rows; one N beyond int64 if ``big_n``."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 2**53, rows)
+    values = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+    table = [
+        gw.ConvergenceRow(int(N), 2 * int(N), int(N) % 97, float(phi), float(v), float(t))
+        for N, (phi, v, t) in zip(sizes, values)
+    ]
+    if big_n and table:
+        table[0] = gw.ConvergenceRow(10**20, 2 * 10**20, 3, 0.7, 0.25, 0.25)
+    return gw.ConvergenceReport("symmetric", 0, 0.5, table)
+
+
+@pytest.mark.parametrize("big_n", [False, True])
+def test_convergence_csv_matches_the_per_row_f_string_across_the_limit(big_n):
+    at = -(-_jsonio.CSV_MIN // 6)  # six values per row
+    for rows in (0, 1, at - 1, at, at + 1, _floattext.BLOCK // 6 + 5):
+        _bytes_match(gw.ConvergenceReport.to_csv, oracles.convergence_to_csv, _report(rows, rows, big_n))
+
+
+def test_integer_columns_read_as_g17_below_2_53():
+    """The block route writes the N and n columns as floats: below 2**53 ``%d`` of each
+    is the ``%.17g`` text of its float, so a report gives the bytes of ``%d``."""
+    report = _report(2 * _jsonio.CSV_MIN, 53)
+    edges = [0, 1, 9, 10, 99, 10**15, 10**15 + 1, 2**53 - 2, 2**53 - 1]
+    table = [*report.rows, *(gw.ConvergenceRow(N, N, N, 0.5, 0.25, 0.25) for N in edges)]
+    for r in table:
+        assert "%d" % r.N == "%.17g" % float(r.N) and "%d" % r.n == "%.17g" % float(r.n)
+    _bytes_match(gw.ConvergenceReport.to_csv, oracles.convergence_to_csv, gw.ConvergenceReport("wootters", 1, 0.5, table))
+
+
 @SETTINGS
 @given(st.integers(1, 10).flatmap(lambda n: tables(side=4 * n)), angles)
 def test_halfgrid_writer_matches_json_dump(values, phi0):
@@ -208,7 +259,7 @@ def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
     state = gw.reconstruct(gw.wigner_grid(gw.PhaseGrid(7), kernel, gw.random_density(7, rng)), kernel)
     path = tmp_path / "f.json"
     for write, key, obj in [
-        (gw.save_density_json, "matrix", state),  # exactly Hermitian: lower rows reuse strings
+        (gw.save_density_json, "matrix", state),  # exactly Hermitian, as reconstruct returns it
         (gw.save_kernel, "values", gw.Kernel(rng.standard_normal((6, 6)) + 1j)),
         (gw.wigner_to_json, "values", gw.WignerGrid(gw.PhaseGrid(6), "custom", rng.standard_normal((6, 6)))),
     ]:
@@ -261,6 +312,45 @@ def test_block_formatted_tables_are_written_row_by_row(tmp_path, monkeypatch):
         assert sum(sizes) == len(text) and len(sizes) > len(rows)
         assert max(sizes) <= len(", ") + max(len(json.dumps(row)) for row in rows)
     assert formatted == [(41, 41, 2), (33, 33, 2), (70, 70)]
+
+
+def test_block_formatted_csv_tables_are_written_row_by_row(tmp_path, monkeypatch):
+    """The CSV twin of the test above: a grid and a convergence report go through the
+    block formatter, and no ``write`` call carries more than the lines of one grid row
+    (one line of the report)."""
+    sizes, formatted = [], []
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            sizes.append(len(text))
+            return self.fh.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    block_rows = _floattext.csv_rows
+    monkeypatch.setattr(_floattext, "csv_rows", lambda columns, shape: formatted.append(shape) or block_rows(columns, shape))
+    monkeypatch.setattr(_jsonio, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
+    grid = gw.WignerGrid(gw.PhaseGrid(70, 0.37), "custom", np.random.default_rng(3).standard_normal((70, 70)))
+    path = tmp_path / "f.csv"
+    for write, obj, per_row in [(gw.wigner_to_csv, grid, 70), (gw.ConvergenceReport.to_csv, _report(300, 4), 1)]:
+        sizes.clear()
+        write(obj, path)
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)[1:]
+        rows = ["".join(lines[i:i + per_row]) for i in range(0, len(lines), per_row)]
+        assert sum(sizes) == len(text) and len(sizes) == 1 + len(rows)
+        assert max(sizes) <= max(map(len, rows))
+    assert formatted == [(70, 70), (300, 1)]
 
 
 # --- every writer rewrites its file in place ---------------------------------

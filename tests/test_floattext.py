@@ -1,12 +1,14 @@
-"""The block float formatter against ``repr``, token by token and byte for byte.
+"""The block float formatter against ``repr`` and ``%.17g``, token by token and
+byte for byte.
 
-``_floattext`` must write every finite double as ``repr`` does.  Hypothesis draws
-raw 64-bit patterns; fixed sweeps cover every binary exponent and the values
-where the shortest-decimal search or the text layout changes course: zeros, the
-subnormals with one-digit decimals, the smallest normal, powers of two (whose
-rounding interval is asymmetric), integers up to ``2**53``, ties between two
-shortest decimals, the borders of the positional form at ``1e-4`` and ``1e16``,
-and three-digit exponents.
+``_floattext`` must write every finite double as ``repr`` does in JSON rows, and
+as ``'%.17g' % x`` does in CSV rows.  Hypothesis draws raw 64-bit patterns; fixed
+sweeps cover every binary exponent and the values where the decimal or the text
+layout changes course: zeros, the subnormals, the smallest normal, powers of two
+(whose rounding interval is asymmetric), integers up to ``2**53``, ties (between
+two shortest decimals, and at the 18th digit), the borders of the positional
+form (``1e-4`` and ``1e16`` for ``repr``, ``1e-4`` and ``1e17`` for ``%.17g``), a
+17-digit rounding that carries into a power of ten, and three-digit exponents.
 """
 
 import json
@@ -86,3 +88,93 @@ def test_rows_over_many_blocks_match_json_dumps():
     for shape in [(3, 2 * _floattext.BLOCK + 5), (301, 37), (97, 45, 2), (5, 1, 1), (1, 1)]:
         table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
         assert list(_floattext.json_rows(table)) == [json.dumps(row.tolist()) for row in table]
+
+
+# --- %.17g, the CSV decimal ----------------------------------------------------
+
+
+def g17_tokens(values):
+    """The module's ``%.17g`` text of each of ``values``, the lines of one CSV row."""
+    (row,) = _floattext.csv_rows([np.array([values], dtype=np.float64)], (1, len(values)))
+    assert row[-1] == "\n"
+    return row[:-1].split("\n")
+
+
+def assert_as_g17(values):
+    values = [v for v in values if math.isfinite(v)]
+    if values:
+        assert g17_tokens(values) == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80))
+def test_raw_bit_patterns_read_as_g17(patterns):
+    assert_as_g17(np.array(patterns, np.uint64).view(np.float64).tolist())
+
+
+def test_every_binary_exponent_reads_as_g17():
+    rng = np.random.default_rng(2048)
+    mantissas = np.array([0, 1, 2, 3, 5, 2**51, 2**52 - 1, *rng.integers(0, 2**52, 9)], np.uint64)
+    bits = ((np.arange(2047, dtype=np.uint64) << np.uint64(52))[:, None] | mantissas).ravel()
+    assert_as_g17(signed(bits.view(np.float64).tolist()))
+
+
+def test_ties_round_half_to_even_at_17_digits():
+    """Exact halves at the 18th digit: where the scaled double has 17 digits the
+    round-to-odd bits decide them, where it has 16 the undecided entries do."""
+    assert g17_tokens([1250000000000000.25, 1250000000000000.75]) == ["1250000000000000.2", "1250000000000000.8"]
+    ties = [2.0**49 + 0.125, 2.0**49 + 0.375, 2.0**49 + 0.625, 2.0**49 + 0.875]
+    assert g17_tokens(ties) == ["562949953421312.12", "562949953421312.38", "562949953421312.62", "562949953421312.88"]
+    *_, undecided = _floattext._decimal(np.array(ties).view(np.uint64), shortest=False)
+    assert undecided.all()
+    rng = np.random.default_rng(18)
+    quarters = rng.integers(4 * 10**15, 2**53, 2000) / 4.0  # .25 and .75 from 1e15 to 2**51 are ties
+    eighths = rng.integers(8 * 10**14, 2**53, 2000) / 8.0  # .125 and the like from 1e14 to 2**50
+    assert_as_g17(signed([*quarters.tolist(), *eighths.tolist()]))
+
+
+G17_BORDERS = [
+    9.9999999999999991e-05, 0.0001, 0.00010000000000000002, 99999999999999984.0, 1e17,
+    1.0000000000000002e17, 9999999999999998.0, 1e16, 1e-5, 1e15,
+]
+
+
+def test_g17_edges():
+    """Borders of the positional form, zeros, integers without ``.0``, subnormal edges
+    and powers of ten, whose doubles below them round up to them at 17 digits."""
+    assert g17_tokens([9.9999999999999991e-05, 0.0001, 99999999999999984.0, 1e17]) == [
+        "9.9999999999999991e-05", "0.0001", "99999999999999984", "1e+17",
+    ]
+    assert g17_tokens([0.0, -0.0, 1.0, -7.0, 123.0]) == ["0", "-0", "1", "-7", "123"]
+    assert g17_tokens([5e-324]) == ["4.9406564584124654e-324"]
+    neighbours = [math.nextafter(v, d) for v in G17_BORDERS + EDGES for d in (-math.inf, math.inf)]
+    tens = [float(f"1e{e}") for e in range(-323, 309)]
+    assert_as_g17(signed(G17_BORDERS + EDGES + neighbours + tens))
+
+
+def test_powers_of_two_read_as_g17():
+    assert_as_g17(signed([2.0**e for e in range(-1074, 1024)]))
+
+
+def test_integers_up_to_2_53_read_as_g17():
+    rng = np.random.default_rng(54)
+    ints = [*range(10_001), *(2**53 - i for i in range(64)), 2**53, 2**53 + 2, *rng.integers(0, 2**53, 500).tolist()]
+    assert_as_g17(signed([float(i) for i in ints]))
+
+
+def test_subnormals_read_as_g17():
+    small = np.arange(1, 20_001, dtype=np.uint64)
+    top = np.uint64(2**52) - small
+    middle = np.random.default_rng(1074).integers(1, 2**52, 5000, dtype=np.uint64)
+    assert_as_g17(np.concatenate([small, top, middle]).view(np.float64).tolist())
+
+
+def test_csv_rows_across_blocks_match_the_percent_template():
+    """Columns broadcast along the rows and along the lines, rows split across
+    blocks, and a row longer than a block."""
+    rng = np.random.default_rng(8)
+    for rows, lines in [(3, 2 * _floattext.BLOCK + 5), (301, 37), (1, 1), (40, 1)]:
+        values = rng.standard_normal((rows, lines)) * 10.0 ** rng.integers(-30, 30, (rows, lines))
+        columns = [np.arange(rows)[:, None] * 1.0, np.arange(lines)[None, :] * 1.0, rng.uniform(0, 7, (rows, 1)), values]
+        expected = ["".join(f"{i},{j},{columns[2][i, 0]:.17g},{values[i, j]:.17g}\n" for j in range(lines)) for i in range(rows)]
+        assert list(_floattext.csv_rows(columns, (rows, lines))) == expected
