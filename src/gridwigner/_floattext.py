@@ -1,4 +1,4 @@
-"""JSON and CSV text of finite float64 tables, formatted a block of entries at a time.
+"""JSON text of finite float64 tables and CSV text of finite grids, a block of entries at a time.
 
 Each JSON row comes out byte-identical to ``json.dumps(row.tolist())``: every
 entry is written as ``repr`` writes it, the shortest decimal that reads back as
@@ -26,9 +26,9 @@ the ``0.000`` lead of a positional fraction, the digits with the decimal point,
 the exponent and the separator that follows it in the row.  Bytes a cell does
 not use are zero, and ``bytes.translate`` drops them.  A JSON cell is five words
 and its separator ends in ``"\\n"`` after the last entry of a row, which marks
-where the row ends (JSON numbers never hold one); a CSV cell is four, its
-separator ``","`` or ``"\\n"`` in the last byte, and a CSV row is cut from a
-block by its fixed width.
+where the row ends (JSON numbers never hold one).  A CSV cell is four words and
+ends in ``"\\n"``; a CSV line is the ``%`` texts of its levels and angle and the
+cell, as fields of fixed width, so a grid row is cut from a block by its width.
 
 The tables cost a few milliseconds to build, so ``_jsonio`` imports this
 module only for the first table large enough to use it.
@@ -109,6 +109,7 @@ def _layouts(g: bool):
     zeros = np.where(lead, -dc, -1)[:, None]
     zero_at = (byte == 3) | ((5 <= byte) & (byte < 5 + zeros))
     const += lead[:, None] * np.where(byte == 4, ord("."), np.where(zero_at, ord("0"), 0))
+    const[:, 31:] += g * ord("\n")  # a CSV value ends its line
     def as_words(a):
         return np.ascontiguousarray(a.astype(np.uint8)).view("<u8")
 
@@ -221,7 +222,7 @@ def _rounded17(s, vb, f, z, k):
 def _cells(x: np.ndarray, g: bool = False) -> np.ndarray:
     """The uint64 cells of the entries of ``x``, a finite 1-D float64 array, as
     ``repr`` writes them (five words, the last left to the caller), or ``%.17g``
-    (four words)."""
+    (four words, ending in ``"\\n"``)."""
     bits = x.view(np.uint64)
     if g:
         s17, k, undecided = _decimal(bits, shortest=False)
@@ -294,48 +295,20 @@ def json_rows(table: np.ndarray):
             yield head + row
 
 
-def _packed(cells: np.ndarray, separator: bytes) -> np.ndarray:
-    """The texts of cells that end in ``separator``, each zero-padded to the length
-    of the longest."""
-    texts = [t + separator for t in cells.tobytes().translate(None, b"\0").split(separator)[:-1]]
-    return np.array(texts, f"S{max(map(len, texts))}")
-
-
-# a CSV cell without its first two bytes, which are never text
-_TEXT = np.dtype({"names": ["text"], "formats": ["V30"], "offsets": [2], "itemsize": 32})
-
-
-def csv_rows(columns, shape: tuple):
-    """Yield the text of each row of a CSV table of ``shape`` ``(rows, lines)``: each
-    line the ``%.17g`` texts of ``columns`` there, joined by ``","``.  A column is a
-    finite float64 array of shape ``(rows or 1, lines or 1)``.  The columns of the
-    table's size are formatted ``BLOCK`` entries at a time; the smaller ones with the
-    first block, and packed so that a line carries few zero bytes of them."""
-    rows, lines = shape
-    full = [c.size == rows * lines for c in columns]
-    separators = [b","] * (len(columns) - 1) + [b"\n"]
-    packed = {}  # of the smaller columns, made with the first block
-    per = max(1, BLOCK // (lines * max(sum(full), 1)))
-
-    def block(start):
-        n = min(per, rows - start)
-        todo = [j for j, f in enumerate(full) if f or j not in packed]
-        parts = [columns[j][start:start + n] if full[j] else columns[j] for j in todo]
-        cells = _cells(np.concatenate([p.reshape(-1) for p in parts]), True)
-        fields, at = dict(packed), 0
-        for j, p in zip(todo, parts):
-            c = cells[at:at + p.size]
-            at += p.size
-            c[:, 3] |= _U(separators[j][0] << 56)
-            c = c.view(_TEXT)["text"] if full[j] else _packed(c, separators[j])
-            fields[j] = c.view(f"V{c.itemsize}").reshape(p.shape)
-            if not full[j]:
-                packed[j] = fields[j]
-        out = np.empty((n, lines), [(str(j), fields[j].dtype) for j in range(len(columns))])
-        for j, f in fields.items():  # a copy of whole cells, which numpy makes fastest as void entries
-            out[str(j)] = f[start:start + n] if not full[j] and len(f) > 1 else f
-        return out
-
+def grid_csv_rows(phis: np.ndarray, values: np.ndarray):
+    """Yield the lines ``m,n,phi,value`` of each row ``m`` of a finite float64 grid
+    ``values`` with row angles ``phis``, formatting ``BLOCK`` entries at a time."""
+    rows, lines = values.shape
+    levels = np.array(["%d," % i for i in range(max(rows, lines))], "S")
+    angles = np.array(["%.17g," % phi for phi in phis.tolist()], "S")
+    layout = [("m", levels.dtype), ("n", levels.dtype), ("phi", angles.dtype), ("value", "V32")]
+    per = max(1, BLOCK // lines)
     for start in range(0, rows, per):
-        for row in block(start):  # the block is freed before the next one is made
-            yield row.tobytes().translate(None, b"\0").decode("ascii")
+        stop = min(start + per, rows)
+        out = np.empty((stop - start, lines), layout)
+        out["m"] = levels[start:stop, None]
+        out["n"] = levels[:lines]
+        out["phi"] = angles[start:stop, None]
+        out["value"] = _cells(values[start:stop].reshape(-1), True).view("V32").reshape(out.shape)
+        # no loop variable holds a row past the block, so it is freed before the next one is made
+        yield from (row.tobytes().translate(None, b"\0").decode("ascii") for row in out)

@@ -1,19 +1,19 @@
-"""JSON files of the state, kernel and grid formats, CSV tables, and the one
-opener of every output file.
+"""JSON files of the state, kernel and grid formats, the CSV grid and
+convergence tables, and the one opener of every output file.
 
 Every writer of the package, JSON and CSV, opens its file with
 :func:`open_out`, which rewrites a file in place: the old blocks are
 reused and only the tail beyond the new text is trimmed.  Writers write a
-table one row at a time (a CSV row is the lines of one grid row), so a file
-is never held in memory as one string.  A JSON file is byte-identical to
+table one row at a time (all lines of a CSV grid row at once), so a file is
+never held in memory as one string.  A JSON file is byte-identical to
 ``json.dump`` of the same nested lists, each row the text :func:`json.dumps`
-gives it; a CSV line is the ``%.17g`` text of each value (``%d`` of an
-integer column).  A table smaller than ``VECTOR_MIN`` (``CSV_MIN``), one
-that holds a nan or an infinity, or a CSV integer column reaching 2**53 is
-written by ``json.dumps`` or one ``%`` template per row; any other table by
-:mod:`._floattext`, which formats a block of rows at a time in numpy to the
-same bytes.  Readers accept JSON numbers only: strings, booleans and nulls
-are rejected, not coerced.
+gives it; a CSV value is its ``%.17g`` text, a level or size its ``%d``.
+A finite JSON table of ``VECTOR_MIN`` floats or more, and a finite CSV grid
+of ``CSV_MIN`` values or more, go through :mod:`._floattext`, which formats
+a block of rows at a time in numpy to the same bytes; other tables, and
+every convergence table, through ``json.dumps`` or a ``%`` template per row.
+Readers accept JSON numbers only: strings, booleans and nulls are rejected,
+not coerced.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from stat import S_ISREG
 import numpy as np
 
 #: Float count from which a finite JSON table is formatted by :mod:`._floattext`, and
-#: count of values a ``%`` template would format from which a CSV table is: below
+#: count of values a ``%`` template would format from which a CSV grid is: below
 #: them the fixed cost of a block outweighs the per-value saving (README, "Cost").
 VECTOR_MIN = 768
 CSV_MIN = 1024
@@ -81,43 +81,35 @@ def write_json(path, obj: dict) -> None:
         fh.write("}")
 
 
-def _percent_rows(columns, rows: int, lines: int):
-    """The text of each row of a CSV table by one ``%`` template: the columns constant
-    along a row are written into it, once per row, and the others are its arguments."""
-    specs = ["%.17g" if c.dtype.kind == "f" else "%d" for c in columns]
-    outer = ",".join(s if c.shape[1] == 1 else "%" + s for s, c in zip(specs, columns)) + "\n"
-    constants = [c[:, 0].tolist() * (rows if len(c) == 1 else 1) for c in columns if c.shape[1] == 1]
-    varying = [c.tolist() for c in columns if c.shape[1] > 1]
-    args = [None] * (len(varying) * lines)
-    for i, row in enumerate(zip(*constants) if constants else [()] * rows):
-        for j, v in enumerate(varying):
-            args[j::len(varying)] = v[i if len(v) > 1 else 0]
-        yield (outer % row) * lines % tuple(args)
+def _percent_grid_rows(phis: np.ndarray, values: np.ndarray):
+    """The lines of each grid row by one ``%`` template, its level and angle written into it."""
+    args = [0] * (2 * values.shape[1])  # n, value, n, value, ...
+    args[::2] = range(values.shape[1])
+    for m, (phi, row) in enumerate(zip(phis.tolist(), values.tolist())):
+        args[1::2] = row
+        yield "%d,%%d,%.17g,%%.17g\n" % (m, phi) * len(row) % tuple(args)
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write a header line and a table of ``%.17g`` texts (``%d`` for a column of
-    integers, an object column of Python ints among them), one write per row: the 2-D
-    ``columns``, each of ``rows`` or 1 rows and ``lines`` or 1 lines, broadcast to
-    ``(rows, lines)``, each line their texts joined by ``","``."""
-    columns = [np.asarray(c) for c in columns]
-    rows, lines = max(len(c) for c in columns), max(c.shape[1] for c in columns)
-    varying = sum(c.shape[1] > 1 for c in columns)
-
-    def as_floats(c):  # the block route writes floats: below 2**53 %d is the %.17g text of the float
-        return np.isfinite(c).all() if c.dtype.kind == "f" else c.dtype.kind in "iu" and (abs(c) < 2**53).all()
-
-    # the values a template formats: a column constant along a row counts once per row
-    if rows * (lines * varying + len(columns) - varying) >= CSV_MIN and all(map(as_floats, columns)):
+def write_grid_csv(path, phis: np.ndarray, values: np.ndarray) -> None:
+    """Write a grid as CSV lines ``m,n,phi,value``, one write per grid row ``m``."""
+    texts = _percent_grid_rows(phis, values)
+    # the values a % template formats: level and value per line, level and angle per row
+    if 2 * values.size + 2 * len(values) >= CSV_MIN and np.isfinite(values).all():
         from . import _floattext
 
-        texts = _floattext.csv_rows([c.astype(float, copy=False) for c in columns], (rows, lines))
-    else:
-        texts = _percent_rows(columns, rows, lines)
+        texts = _floattext.grid_csv_rows(phis, values)
     with open_out(path) as fh:
-        fh.write(header + "\n")
+        fh.write("m,n,phi,value\n")
         for text in texts:
             fh.write(text)
+
+
+def write_report_csv(path, rows) -> None:
+    """Write convergence rows ``(N, n, phi_grid, scaled_value, target, abs_error)``, one write per line."""
+    with open_out(path) as fh:
+        fh.write("N,n,phi_grid,scaled_value,target,abs_error\n")
+        for row in rows:
+            fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row)
 
 
 def read_json(path):

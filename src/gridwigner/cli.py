@@ -25,6 +25,7 @@ from .kernels import (
     Kernel,
     KernelValidity,
     almost_symmetric_kernel,
+    default_epsilon,
     load_kernel,
     symmetric_kernel,
     validate,
@@ -55,6 +56,7 @@ from .tomography import (
 )
 from .wigner import (
     ReconstructionError,
+    _hermitian_average,
     _wigner_from_json,
     marginals,
     reconstruct,
@@ -253,8 +255,7 @@ def cmd_reconstruct(args) -> int:
     label, w = _read_grid_file(args.grid)
     if label == "leonhardt":
         raw = leonhardt_reconstruct(w)
-        rho = np.add(raw, raw.conj().T, order="C")  # bitwise conjugate-symmetric
-        np.multiply(rho.view(float), 0.5, out=rho.view(float))
+        rho = _hermitian_average(raw, raw.conj().T)
         try:  # 16N**2 values onto a 4N**2-dimensional image: the round trip can fail
             back = leonhardt_wigner(w.n_half, w.phi0, rho, validate_state=False)
             trip = float(np.max(np.abs(back.values - w.values)))
@@ -429,7 +430,7 @@ def cmd_relate(args) -> int:
         if args.direction == "odd":
             out_grid = relate_odd(w)
         else:
-            out_grid = relate_even(w, args.epsilon if args.epsilon is not None else 1.0 / (2 * w.n_half))
+            out_grid = relate_even(w, args.epsilon if args.epsilon is not None else default_epsilon(w.n_half))
     except ValueError as exc:
         raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
 

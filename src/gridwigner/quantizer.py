@@ -129,13 +129,14 @@ def quantize(q: Quantizer, values) -> np.ndarray:
     return _displacement_sum(q.grid, q.weights * _fft2(v))
 
 
-def _warn_if_ill_conditioned(kernel: Kernel):
+def _warn_if_ill_conditioned(kernel: Kernel) -> float:
     mn = float(np.min(np.abs(kernel.values)))
     if mn < CONDITION_TOL:
         warnings.warn(
             f"kernel inversion is ill-conditioned (min |K| = {mn:.3e})",
             stacklevel=3,
         )
+    return mn
 
 
 def symbol(q: Quantizer, op) -> np.ndarray:
@@ -143,13 +144,15 @@ def symbol(q: Quantizer, op) -> np.ndarray:
 
     Uses the kernel-division form: the displacement traces ``trace(D(k, l)^+ op)`` are divided
     by the kernel weights and Fourier-summed back onto the grid, the forward map of ``op^+``
-    with the dual table ``1 / conj(S)``, conjugated and divided by ``dim**3``.
+    with the dual table ``1 / conj(S)``, conjugated and divided by ``dim**3``.  A kernel with a
+    zero entry has no dual table and raises ``ValueError``.
     """
     a = np.asarray(op, dtype=complex)
     d = q.grid.dim
     if a.shape != (d, d):
         raise ValueError("operator dimension does not match the quantizer grid")
-    _warn_if_ill_conditioned(q.kernel)
+    if not _warn_if_ill_conditioned(q.kernel) > 0:
+        raise ValueError("kernel has a zero entry: the symbol divides by it")
     t = _ifft(_diagonals(q.grid, a.conj().T))  # conj(fft2(x)) / dim**3 = ifft2(conj(x)) / dim: this FFT's 1/dim
     return _ifft2(np.conjugate(t, out=t) / q.weights)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import integer, number, number_table, read_json, write_csv, write_json
+from ._jsonio import integer, number, number_table, read_json, write_json, write_report_csv
 from .kernels import Kernel, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
 from .phasespace import PhaseGrid, _angles, _as_index, _fft, _fft2, _ifft, _ifft2, _reduced
 from .quantizer import Quantizer, _completeness_dev, _line_sums, _warn_if_ill_conditioned
@@ -443,11 +443,7 @@ class ConvergenceReport:
         return float(x @ np.log([r.abs_error for r in rows]) / (x @ x))
 
     def to_csv(self, path) -> None:
-        # an N beyond int64 (the sweep takes any int) keeps N and n Python ints, for %d
-        ints = np.int64 if all(abs(r.N) < 2**63 for r in self.rows) else object
-        levels = np.array([(r.N, r.n) for r in self.rows], ints).reshape(-1, 2)
-        values = np.array([(r.phi_grid, r.scaled_value, r.target, r.abs_error) for r in self.rows]).reshape(-1, 4)
-        write_csv(path, "N,n,phi_grid,scaled_value,target,abs_error", [*levels.T[:, :, None], *values.T[:, :, None]])
+        write_report_csv(path, [(r.N, r.n, r.phi_grid, r.scaled_value, r.target, r.abs_error) for r in self.rows])
 
 
 def _nearest_grid_index(grid: PhaseGrid, phi: float) -> int:

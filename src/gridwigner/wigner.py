@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonio import integer, number, number_table, read_json, write_csv, write_json
+from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _is_psd_hermitian, within
 from .kernels import Kernel
 from .phasespace import PhaseGrid, _displacement_sum, _fft2, _kernel_map, _sheared_weights
@@ -104,6 +104,15 @@ def marginals(w: WignerGrid):
     return w.values.sum(axis=1), w.values.sum(axis=0)
 
 
+def _hermitian_average(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """``(a + adjoint) / 2``, its off-diagonal pairs bitwise conjugates and its diagonal imaginary parts +0.0."""
+    rho = np.add(a, adjoint, order="C")
+    np.multiply(rho.view(float), 0.5, out=rho.view(float))  # in place: a complex / 2 takes four times as long
+    # equal imaginary parts average to +0.0 on both sides: give the lower one the conjugate's sign
+    np.copysign(rho.imag, -rho.imag.T, out=rho.imag, where=np.tri(len(rho), k=-1, dtype=bool))
+    return rho
+
+
 def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
     """Recover the density operator behind a Wigner grid.
 
@@ -128,10 +137,7 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     defect = float(np.max(np.abs(rho - h)))
     if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):
         raise ReconstructionError(f"inconsistent Wigner grid: anti-Hermitian part {defect:.3e}")
-    rho = np.add(rho, h, order="C")
-    np.multiply(rho.view(float), 0.5, out=rho.view(float))  # in place: a complex / 2 takes four times as long
-    # equal imaginary parts average to +0.0 on both sides: give the lower one the conjugate's sign
-    np.copysign(rho.imag, -rho.imag.T, out=rho.imag, where=np.tri(w.dim, k=-1, dtype=bool))
+    rho = _hermitian_average(rho, h)
     if validate_state:
         try:
             check_density(rho)
@@ -167,5 +173,4 @@ def _wigner_from_json(obj: dict) -> WignerGrid:
 
 def wigner_to_csv(w: WignerGrid, path) -> None:
     """Write a Wigner grid as CSV rows ``m,n,phi,value`` (17 digits)."""
-    levels = np.arange(w.dim)
-    write_csv(path, "m,n,phi,value", [levels[:, None], levels[None, :], w.grid.phis[:, None], w.values])
+    write_grid_csv(path, w.grid.phis, w.values)

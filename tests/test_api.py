@@ -120,7 +120,7 @@ def test_json_text_is_made_in_the_file_layer_alone():
 def test_csv_text_is_made_in_the_file_layer_alone():
     """No module but ``_jsonio`` and ``_floattext`` holds a ``.17g`` format, in a
     ``%`` template, an f-string or ``format``: every CSV file is written by
-    ``_jsonio.write_csv``."""
+    ``_jsonio.write_grid_csv`` or ``_jsonio.write_report_csv``."""
     found = []
     for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
         if path.name not in ("_jsonio.py", "_floattext.py"):
@@ -131,12 +131,19 @@ def test_csv_text_is_made_in_the_file_layer_alone():
     assert found == []
 
 
-def test_importing_the_package_leaves_the_block_formatter_unloaded():
-    """``_floattext`` builds its tables on import, so only the first large table loads it."""
+def test_importing_the_package_leaves_the_block_formatter_unloaded(tmp_path):
+    """``_floattext`` builds its tables on import, so only the first large grid loads it;
+    a convergence table, however long, never does."""
     env = {**os.environ, "PYTHONPATH": str(Path(gridwigner.__file__).parents[1])}
     code = "import sys, gridwigner, gridwigner.cli; print('gridwigner._floattext' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+    sizes = ",".join(map(str, range(5, 305)))  # 300 rows, 1800 values: past CSV_MIN
+    argv = ["converge", "--kernel", "symmetric", "--state", "fock", "1", "--n", "1", "--phi", "0.5", "--Ns", sizes]
+    argv += ["--out", str(tmp_path / "c.csv")]
+    code = "import sys; from gridwigner.cli import main; main(sys.argv[1:]); print('gridwigner._floattext' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False" and len((tmp_path / "c.csv").read_text().splitlines()) == 301
 
 
 def _opens_for_writing(call: ast.Call) -> bool:

@@ -187,6 +187,18 @@ class TestReconstructCommand:
         assert recovered.tobytes() == rho.tobytes()
         assert not np.array_equal(raw, raw.conj().T)
 
+    def test_leonhardt_state_file_of_a_real_state_conjugates_bitwise(self, tmp_path):
+        # equal imaginary parts average to +0.0 on both sides of the diagonal: the
+        # lower one takes its conjugate's sign, as in the library's reconstruct
+        half = gw.leonhardt_wigner(3, 0.0, gw.fock_state(6, 1))
+        grid_file, state_out = tmp_path / "half.json", tmp_path / "state.json"
+        gw.halfgrid_to_json(half, grid_file)
+        assert run("reconstruct", "--grid", str(grid_file), "--out", str(state_out)) == 0
+        rec = gw.load_density_json(state_out)
+        lower = np.tril_indices(len(rec), -1)
+        assert rec[lower].view(np.uint64).tobytes() == rec.T[lower].conj().view(np.uint64).tobytes()
+        assert np.all(np.diagonal(rec).imag.view(np.uint64) == 0)  # +0.0
+
     def test_pure_state_needs_no_eigenvalues(self, tmp_path, monkeypatch):
         # a pure state's reconstruction has no Cholesky factor of its own; the shifted
         # test at the exit threshold decides its PSD term without an eigensolver

@@ -272,6 +272,14 @@ def test_zero_kernel_entry_fails_instead_of_returning_nan(rng):
         gw.reconstruct(w, kernel, validate_state=False)
 
 
+def test_symbol_of_a_kernel_with_a_zero_entry_fails_instead_of_returning_nan(rng):
+    values = oracles.random_kernel(5, rng).values
+    values[2, 3] = values[3, 2] = 0.0
+    q = gw.build_quantizer(gw.PhaseGrid(5), gw.Kernel(values), check=False)
+    with pytest.warns(UserWarning, match="ill-conditioned"), pytest.raises(ValueError, match="zero entry"):
+        gw.symbol(q, gw.random_density(5, rng))
+
+
 def test_relate_from_a_kernel_with_a_zero_entry_fails_without_a_numpy_warning(rng):
     values = oracles.random_kernel(5, rng).values
     values[2, 3] = values[3, 2] = 0.0

@@ -4,9 +4,9 @@ loaders that accept JSON numbers only.
 
 Tables have side 1 to 40, or a side that puts their float count just below
 ``_jsonio.VECTOR_MIN``, at or just above it, or over a block of
-``_floattext``, so the JSON writers take both routes; the CSV writers are drawn
+``_floattext``, so the JSON writers take both routes; CSV grids are drawn
 likewise around ``_jsonio.CSV_MIN``, counted in the values their ``%`` template
-formats.  Tables carry the float edge values ``-0.0``, ``5e-324``, ``1e308`` and
+formats.  Convergence reports have one route, a ``%`` template per line.  Tables carry the float edge values ``-0.0``, ``5e-324``, ``1e308`` and
 ``1e-300`` at random places; the exactly Hermitian state tables also carry
 ``nan`` and ``inf``, in conjugate pairs and singly.
 """
@@ -170,8 +170,8 @@ def test_convergence_csv_matches_the_per_row_f_string_across_the_limit(big_n):
 
 
 def test_integer_columns_read_as_g17_below_2_53():
-    """The block route writes the N and n columns as floats: below 2**53 ``%d`` of each
-    is the ``%.17g`` text of its float, so a report gives the bytes of ``%d``."""
+    """Below 2**53 ``%d`` of each N and n is the ``%.17g`` text of its float, and a
+    report gives the bytes of ``%d``."""
     report = _report(2 * _jsonio.CSV_MIN, 53)
     edges = [0, 1, 9, 10, 99, 10**15, 10**15 + 1, 2**53 - 2, 2**53 - 1]
     table = [*report.rows, *(gw.ConvergenceRow(N, N, N, 0.5, 0.25, 0.25) for N in edges)]
@@ -315,9 +315,9 @@ def test_block_formatted_tables_are_written_row_by_row(tmp_path, monkeypatch):
 
 
 def test_block_formatted_csv_tables_are_written_row_by_row(tmp_path, monkeypatch):
-    """The CSV twin of the test above: a grid and a convergence report go through the
-    block formatter, and no ``write`` call carries more than the lines of one grid row
-    (one line of the report)."""
+    """The CSV twin of the test above: a grid goes through the block formatter, a
+    convergence report does not, and no ``write`` call carries more than the lines of
+    one grid row (one line of the report)."""
     sizes, formatted = [], []
 
     class Recorder:
@@ -337,8 +337,8 @@ def test_block_formatted_csv_tables_are_written_row_by_row(tmp_path, monkeypatch
         def __exit__(self, *exc):
             self.fh.close()
 
-    block_rows = _floattext.csv_rows
-    monkeypatch.setattr(_floattext, "csv_rows", lambda columns, shape: formatted.append(shape) or block_rows(columns, shape))
+    block_rows = _floattext.grid_csv_rows
+    monkeypatch.setattr(_floattext, "grid_csv_rows", lambda phis, values: formatted.append(values.shape) or block_rows(phis, values))
     monkeypatch.setattr(_jsonio, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
     grid = gw.WignerGrid(gw.PhaseGrid(70, 0.37), "custom", np.random.default_rng(3).standard_normal((70, 70)))
     path = tmp_path / "f.csv"
@@ -350,7 +350,7 @@ def test_block_formatted_csv_tables_are_written_row_by_row(tmp_path, monkeypatch
         rows = ["".join(lines[i:i + per_row]) for i in range(0, len(lines), per_row)]
         assert sum(sizes) == len(text) and len(sizes) == 1 + len(rows)
         assert max(sizes) <= max(map(len, rows))
-    assert formatted == [(70, 70), (300, 1)]
+    assert formatted == [(70, 70)]
 
 
 # --- every writer rewrites its file in place ---------------------------------

@@ -94,10 +94,11 @@ def test_rows_over_many_blocks_match_json_dumps():
 
 
 def g17_tokens(values):
-    """The module's ``%.17g`` text of each of ``values``, the lines of one CSV row."""
-    (row,) = _floattext.csv_rows([np.array([values], dtype=np.float64)], (1, len(values)))
+    """The module's ``%.17g`` text of each of ``values``, the last field of the lines
+    of one CSV grid row."""
+    (row,) = _floattext.grid_csv_rows(np.zeros(1), np.array([values], dtype=np.float64))
     assert row[-1] == "\n"
-    return row[:-1].split("\n")
+    return [line.split(",")[3] for line in row[:-1].split("\n")]
 
 
 def assert_as_g17(values):
@@ -170,11 +171,11 @@ def test_subnormals_read_as_g17():
 
 
 def test_csv_rows_across_blocks_match_the_percent_template():
-    """Columns broadcast along the rows and along the lines, rows split across
-    blocks, and a row longer than a block."""
+    """Grids that are not square, rows split across blocks, a row longer than a
+    block, one row and one line."""
     rng = np.random.default_rng(8)
     for rows, lines in [(3, 2 * _floattext.BLOCK + 5), (301, 37), (1, 1), (40, 1)]:
         values = rng.standard_normal((rows, lines)) * 10.0 ** rng.integers(-30, 30, (rows, lines))
-        columns = [np.arange(rows)[:, None] * 1.0, np.arange(lines)[None, :] * 1.0, rng.uniform(0, 7, (rows, 1)), values]
-        expected = ["".join(f"{i},{j},{columns[2][i, 0]:.17g},{values[i, j]:.17g}\n" for j in range(lines)) for i in range(rows)]
-        assert list(_floattext.csv_rows(columns, (rows, lines))) == expected
+        phis = rng.uniform(0, 7, rows)
+        expected = ["".join(f"{i},{j},{phis[i]:.17g},{values[i, j]:.17g}\n" for j in range(lines)) for i in range(rows)]
+        assert list(_floattext.grid_csv_rows(phis, values)) == expected
