@@ -8,11 +8,8 @@ continuum-limit studies toward the number-phase Wigner function.
 
 from .linalg import (
     TOL,
-    adjoint,
     frob_dist,
-    is_hermitian,
     is_positive_semidefinite,
-    is_unitary,
     psd_deficit,
 )
 from .phasespace import (

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from ._jsonio import read_json
-from .linalg import is_positive_semidefinite, psd_deficit, within
+from .linalg import _hermitian_average, is_positive_semidefinite, psd_deficit, within
 from .kernels import (
     Kernel,
     KernelValidity,
@@ -56,7 +56,6 @@ from .tomography import (
 )
 from .wigner import (
     ReconstructionError,
-    _hermitian_average,
     _wigner_from_json,
     marginals,
     reconstruct,
@@ -80,16 +79,9 @@ class CliError(Exception):
         self.code = code
 
 
-def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> Kernel:
-    """Build the kernel named on the command line, enforcing parity rules."""
-    return _resolve_kernel_validity(name, dim, epsilon)[0]
-
-
-def _resolve_kernel_validity(
-    name: str, dim: int, epsilon: float | None
-) -> tuple[Kernel, KernelValidity | None]:
-    """The kernel of :func:`_resolve_kernel` and, for a ``file:`` kernel, the
-    validity that admitted it (``None`` for a built-in family)."""
+def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> tuple[Kernel, KernelValidity | None]:
+    """The kernel named on the command line, enforcing parity rules, and, for a
+    ``file:`` kernel, the validity that admitted it (``None`` for a built-in family)."""
     if name == "symmetric" or name == "wootters":
         if dim % 2 == 0 or dim < 3:
             raise CliError(
@@ -188,7 +180,7 @@ def _resolve_state(tokens: list[str], dim: int, phi0: float) -> np.ndarray:
 
 
 def cmd_wigner(args) -> int:
-    kernel = _resolve_kernel(args.kernel, args.dim, args.epsilon)
+    kernel, _ = _resolve_kernel(args.kernel, args.dim, args.epsilon)
     grid = _resolve_grid(args.dim, args.phi0)
     rho = _resolve_state(args.state, args.dim, args.phi0)
     w = wigner_grid(grid, kernel, rho, validate_state=False)
@@ -264,11 +256,11 @@ def cmd_reconstruct(args) -> int:
         residual = max(_state_residual(raw), trip)
     else:
         if label in ("symmetric", "wootters", "almost-symmetric"):
-            kernel = _resolve_kernel(
+            kernel, _ = _resolve_kernel(
                 label, w.dim, w.epsilon if w.epsilon is not None else args.epsilon
             )
         elif args.kernel:
-            kernel = _resolve_kernel(args.kernel, w.dim, args.epsilon)
+            kernel, _ = _resolve_kernel(args.kernel, w.dim, args.epsilon)
         else:
             raise CliError(
                 EXIT_KERNEL_MISMATCH,
@@ -304,7 +296,7 @@ def _print_check(name: str, dev: float | None, scale: float = 1.0, note: str = "
 
 
 def cmd_verify(args) -> int:
-    kernel, validity = _resolve_kernel_validity(args.kernel, args.dim, args.epsilon)
+    kernel, validity = _resolve_kernel(args.kernel, args.dim, args.epsilon)
     grid = _resolve_grid(args.dim, args.phi0)
 
     ok = True
@@ -436,7 +428,7 @@ def cmd_relate(args) -> int:
 
     if args.state:
         rho = _resolve_state(args.state, out_grid.dim, out_grid.grid.phi0)
-        kernel = _resolve_kernel(out_grid.kernel_label, out_grid.dim, out_grid.epsilon)
+        kernel, _ = _resolve_kernel(out_grid.kernel_label, out_grid.dim, out_grid.epsilon)
         direct = wigner_grid(out_grid.grid, kernel, rho, validate_state=False)
         print(f"max deviation vs direct: {np.max(np.abs(out_grid.values - direct.values)):.3e}")
 

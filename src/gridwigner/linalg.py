@@ -31,11 +31,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def frob_dist(a, b) -> float:
     """Frobenius norm of ``a - b``; the library-wide equality metric."""
     a, b = as_matrix(a), as_matrix(b)
@@ -44,21 +39,23 @@ def frob_dist(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def is_hermitian(a) -> bool:
-    return within(frob_dist(a, adjoint(a)))
-
-
-def is_unitary(a) -> bool:
-    a = as_matrix(a)
-    return within(frob_dist(a @ a.conj().T, np.eye(a.shape[0])))
+def _hermitian_average(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """``(a + adjoint) / 2``, its off-diagonal pairs bitwise conjugates and its diagonal imaginary parts +0.0."""
+    h = np.add(a, adjoint, order="C")
+    parts = h.view(float)
+    parts *= 0.5  # in place: a complex / 2 takes four times as long
+    # equal imaginary parts average to +0.0 on both sides: give the lower one the conjugate's sign
+    im = h.imag
+    np.copysign(im, -im.T, out=im, where=np.tri(len(h), k=-1, dtype=bool))
+    return h
 
 
 def _hermitian_part(a) -> np.ndarray | None:
-    """``(a + a^H) / 2``, or None when ``a`` has a non-finite entry."""
+    """The :func:`_hermitian_average` of ``a`` and its adjoint, or None when ``a`` has a non-finite entry."""
     m = as_matrix(a)
     if not np.isfinite(m).all():
         return None
-    return (m + m.conj().T) / 2.0
+    return _hermitian_average(m, m.conj().T)
 
 
 def _cholesky_succeeds(h: np.ndarray) -> bool:
@@ -81,18 +78,18 @@ def psd_deficit(a) -> float:
 
 
 def is_positive_semidefinite(a) -> bool:
-    """Whether ``a`` is finite and its Hermitian part has no eigenvalue below ``-TOL``.
+    """Whether ``a`` is finite and its Hermitian part ``h`` has no eigenvalue below
+    ``-TOL * max(1, max |h|)``, the tolerance on the size of ``h`` (1 for a state).
 
-    One Cholesky factorization of the Hermitian part plus ``TOL * I`` (the scale of a
-    state is 1); being backward stable on semidefinite matrices (Higham 1990), it
-    passes rank-deficient states.
+    One Cholesky factorization of ``h`` plus that shift times ``I``; being backward
+    stable on semidefinite matrices (Higham 1990), it passes rank-deficient ones.
     """
     h = _hermitian_part(a)
     return h is not None and _is_psd_hermitian(h)
 
 
 def _is_psd_hermitian(h: np.ndarray) -> bool:
-    """Whether the Hermitian ``h`` has no eigenvalue below ``-TOL``: the Cholesky test of
-    :func:`is_positive_semidefinite`, shifting ``h`` in place."""
-    h.flat[:: len(h) + 1] += TOL
+    """Whether the Hermitian ``h`` has no eigenvalue below ``-TOL * max(1, max |h|)``: the
+    Cholesky test of :func:`is_positive_semidefinite`, shifting ``h`` in place."""
+    h.flat[:: len(h) + 1] += TOL * np.abs(h).max(initial=1.0)
     return _cholesky_succeeds(h)

@@ -42,30 +42,24 @@ class Quantizer:
 
     Only ``weights`` is stored: the sheared table ``S`` through which every
     map reads the kernel (:func:`phasespace._sheared_weights`).  ``omega[m, n]``,
-    the operator of the grid point ``(phi_m, n)``, is built on first
-    access and kept (``16 * dim**4`` bytes); nothing in the library reads it.
+    the operator of the grid point ``(phi_m, n)``, is built unchecked on first
+    access and kept (``16 * dim**4`` bytes); nothing in the library reads it,
+    and :func:`verify_quantizer` checks the identities.
     """
 
     grid: PhaseGrid
     kernel: Kernel
     weights: np.ndarray
-    check: bool = True
 
     @cached_property
     def omega(self) -> np.ndarray:
         """All phase-point operators ``Omega(m, n) = V**m U**-n Omega(0, 0) U**n V**-m``,
-        ``(dim, dim, dim, dim)``; checked if ``check``."""
+        ``(dim, dim, dim, dim)``."""
         d = self.grid.dim
         idx = np.arange(d)
         clock = np.exp(2j * np.pi * idx / d)[np.multiply.outer(idx, idx[:, None] - idx) % d]
         origin = _displacement_sum(self.grid, d * self.weights)  # the fft2 of the origin's indicator is 1
-        ops = (clock[:, None] * _level_shifts(self.grid, origin, idx)).reshape(d * d, d, d)
-        if self.check:
-            if not within(_hermiticity(ops), self.kernel.scale):
-                raise ValueError("phase-point operator is not Hermitian")
-            if not within(np.max(np.abs(np.trace(ops, axis1=-2, axis2=-1) - 1.0)), self.kernel.scale):
-                raise ValueError("phase-point operator has non-unit trace")
-        return ops.reshape((d,) * 4)
+        return clock[:, None] * _level_shifts(self.grid, origin, idx)
 
 
 def _place_lines(q: Quantizer, n1, n2, phases) -> np.ndarray:
@@ -92,27 +86,16 @@ def _line_sums(q: Quantizer, n1: int, n2: int, offsets) -> np.ndarray:
     return _displacement_sum(q.grid, _place_lines(q, n1, n2, phases))
 
 
-def _hermiticity(ops) -> float:
-    """Largest ``||Omega - Omega^+||_F`` of a stack, with one stack besides it."""
-    dev = np.conjugate(ops.swapaxes(-1, -2), out=np.empty_like(ops))
-    dev -= ops
-    flat = dev.reshape(len(dev), -1).view(float)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", flat, flat))))
-
-
 def build_quantizer(grid: PhaseGrid, kernel: Kernel, check: bool = True) -> Quantizer:
-    """Set up the quantizer of a grid/kernel pair (kernel weights only).
-
-    With ``check`` the kernel is validated first, and the Hermiticity and
-    unit traces of the lazily built operators are asserted.
-    """
+    """Set up the quantizer of a grid/kernel pair (kernel weights only);
+    with ``check`` the kernel is validated first."""
     if kernel.dim != grid.dim:
         raise ValueError(
             f"kernel dimension {kernel.dim} does not match grid dimension {grid.dim}"
         )
     if check and not validate(kernel).valid:
         raise ValueError("kernel does not satisfy the validity conditions")
-    return Quantizer(grid=grid, kernel=kernel, weights=_sheared_weights(grid, kernel.values), check=check)
+    return Quantizer(grid=grid, kernel=kernel, weights=_sheared_weights(grid, kernel.values))
 
 
 def quantize(q: Quantizer, values) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
-from .linalg import _is_psd_hermitian, within
+from .linalg import _hermitian_average, _is_psd_hermitian, within
 from .kernels import Kernel
 from .phasespace import PhaseGrid, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
@@ -34,7 +34,7 @@ def check_density(rho) -> np.ndarray:
         raise ValueError("density operator is not Hermitian")
     if not within(abs(np.trace(r) - 1.0)):
         raise ValueError("density operator trace differs from 1")
-    if not _is_psd_hermitian((r + adj) / 2.0):
+    if not _is_psd_hermitian(_hermitian_average(r, adj)):
         raise ValueError("density operator is not positive semidefinite")
     return r
 
@@ -102,15 +102,6 @@ def expectation(w: WignerGrid, values) -> complex:
 def marginals(w: WignerGrid):
     """Phase marginal (sum over levels) and number marginal (sum over angles)."""
     return w.values.sum(axis=1), w.values.sum(axis=0)
-
-
-def _hermitian_average(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """``(a + adjoint) / 2``, its off-diagonal pairs bitwise conjugates and its diagonal imaginary parts +0.0."""
-    rho = np.add(a, adjoint, order="C")
-    np.multiply(rho.view(float), 0.5, out=rho.view(float))  # in place: a complex / 2 takes four times as long
-    # equal imaginary parts average to +0.0 on both sides: give the lower one the conjugate's sign
-    np.copysign(rho.imag, -rho.imag.T, out=rho.imag, where=np.tri(len(rho), k=-1, dtype=bool))
-    return rho
 
 
 def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:

@@ -18,8 +18,10 @@ the point loops of both relation transforms.  They
 cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
 the Cholesky and eigenvalue routes replaced, and the density check through
-the public predicates is the one-pass ``check_density``'s reference.  The continuum sweep that
-builds a whole table per grid size checks the point evaluation.  The
+the adjoint, Hermiticity and PSD predicates is the one-pass
+``check_density``'s reference; the unitarity predicate checks the clock,
+shift and displacement operators.  The continuum sweep that builds a whole
+table per grid size checks the point evaluation.  The
 closed forms are second constructions of library objects: the dense
 products of a phase-operator function, the spectral shift unitary, the
 dyad sums of the displacement, of the sign-kernel phase-point operator
@@ -550,14 +552,28 @@ def random_kernel(d, rng, unimodular=False):
     return kernel
 
 
+def adjoint(a) -> np.ndarray:
+    """Conjugate transpose."""
+    return linalg.as_matrix(a).conj().T
+
+
+def is_hermitian(a) -> bool:
+    return linalg.within(linalg.frob_dist(a, adjoint(a)))
+
+
+def is_unitary(a) -> bool:
+    a = linalg.as_matrix(a)
+    return linalg.within(linalg.frob_dist(a @ a.conj().T, np.eye(a.shape[0])))
+
+
 def check_density(rho):
-    """``gw.check_density`` through the public predicates, each coercing ``rho`` on its own."""
+    """``gw.check_density`` through the predicates, each coercing ``rho`` on its own."""
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"density operator must be square, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError("density operator has non-finite entries")
-    if not gw.is_hermitian(r):
+    if not is_hermitian(r):
         raise ValueError("density operator is not Hermitian")
     if not linalg.within(abs(np.trace(r) - 1.0)):
         raise ValueError("density operator trace differs from 1")

@@ -23,12 +23,12 @@ PUBLIC = [
     "ConvergenceReport", "ConvergenceRow", "EmbeddingError", "HalfIntegerWignerGrid", "Kernel",
     "KernelValidity", "Line", "LineReport", "OrderingReport", "PhaseGrid", "Quantizer",
     "QuantizerReport",
-    "ReconstructionError", "TOL", "WignerGrid", "adjoint", "almost_symmetric_kernel",
+    "ReconstructionError", "TOL", "WignerGrid", "almost_symmetric_kernel",
     "build_quantizer", "characteristic", "check_density",
     "continuum_study", "default_epsilon", "displacement", "expectation",
     "family_projectors", "fock_state", "frob_dist",
-    "halfgrid_to_json", "is_hermitian", "is_positive_semidefinite",
-    "is_unimodular", "is_unitary", "leonhardt_reconstruct", "leonhardt_wigner",
+    "halfgrid_to_json", "is_positive_semidefinite",
+    "is_unimodular", "leonhardt_reconstruct", "leonhardt_wigner",
     "line_points", "line_projector", "load_density_json",
     "load_halfgrid", "load_kernel", "load_wigner", "marginals", "maximally_mixed",
     "number_ket", "number_op", "number_phase_target", "operator_from_characteristic",

@@ -220,7 +220,7 @@ class TestReconstructCommand:
     def test_kernel_grid_runs_no_forward_map(self, dim, kernel, tmp_path, monkeypatch, rng):
         # reconstruct is the exact inverse of wigner_grid: only the state term decides exit 4
         grid_file = tmp_path / "w.json"
-        kernel = cli._resolve_kernel(kernel, dim, None)
+        kernel, _ = cli._resolve_kernel(kernel, dim, None)
         gw.wigner_to_json(gw.wigner_grid(gw.PhaseGrid(dim, 0.37), kernel, gw.random_density(dim, rng)), grid_file)
         calls = []
         for module in (cli, importlib.import_module("gridwigner.wigner")):

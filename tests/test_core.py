@@ -23,12 +23,13 @@ the cosine convolution, and the CLI phase marginal against the dense
 phase-overlap table, for dimensions 3 to 257 and angles up to 1e8.
 """
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gridwigner as gw
 import oracles
@@ -294,6 +295,7 @@ def test_omega_is_built_on_first_access():
     assert "omega" not in vars(q)
     assert q.omega is q.omega
     assert not hasattr(q, "dtensor")
+    assert [f.name for f in dataclasses.fields(gw.Quantizer)] == ["grid", "kernel", "weights"]
 
 
 half_cases = st.fixed_dictionaries(
@@ -594,6 +596,7 @@ def test_decisions_agree_with_the_pivot_oracle(case, log_gap, negative):
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("fock", "phase", "ket")))
+@example(seed=10250079, kind="ket")
 def test_scaled_rank_one_projectors_are_accepted(seed, kind):
     rng = np.random.default_rng(seed)
     d, m = 129, int(rng.integers(129))

@@ -259,7 +259,7 @@ def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
     state = gw.reconstruct(gw.wigner_grid(gw.PhaseGrid(7), kernel, gw.random_density(7, rng)), kernel)
     path = tmp_path / "f.json"
     for write, key, obj in [
-        (gw.save_density_json, "matrix", state),  # exactly Hermitian, as reconstruct returns it
+        (gw.save_density_json, "matrix", state),  # a complex table: rows of [re, im] pairs
         (gw.save_kernel, "values", gw.Kernel(rng.standard_normal((6, 6)) + 1j)),
         (gw.wigner_to_json, "values", gw.WignerGrid(gw.PhaseGrid(6), "custom", rng.standard_normal((6, 6)))),
     ]:

@@ -149,7 +149,8 @@ class TestValidate:
 
     def test_hermiticity_equivalence(self, rng):
         # the pairing condition is equivalent to Hermitian phase-point operators:
-        # valid built-ins give Hermitian operators, a pairing violation does not
+        # valid built-ins give Hermitian operators, a pairing violation does not,
+        # and verify_quantizer's check of Omega(0, 0) reads the same from the unchecked table
         from gridwigner.quantizer import build_quantizer
 
         for kernel in (
@@ -165,6 +166,7 @@ class TestValidate:
                 for n in range(kernel.dim)
             )
             assert worst <= 1e-12
+            assert gw.verify_quantizer(q).hermiticity_dev <= 1e-12
 
         broken = gw.symmetric_kernel(1).values.copy()
         broken[1, 2] += 0.1
@@ -176,6 +178,7 @@ class TestValidate:
             for n in range(3)
         )
         assert worst > 1e-3
+        assert gw.verify_quantizer(q).hermiticity_dev > 1e-3
 
 
 class TestKernelIO:

@@ -83,7 +83,7 @@ def test_what_reconstruct_accepts_the_loader_accepts(tmp_path_factory, d, phi0, 
     rng = np.random.default_rng(seed)
     grid = gw.PhaseGrid(d, phi0)
     family = "almost-symmetric" if d % 2 == 0 else ("symmetric", "wootters")[seed % 2]
-    kernel = cli._resolve_kernel(family, d, None)
+    kernel, _ = cli._resolve_kernel(family, d, None)
     rho = gw.phase_state(d, seed % d, phi0) if pure else gw.random_density(d, rng)
     values = gw.wigner_grid(grid, kernel, rho).values
     values = values + rng.choice([-1, 1]) * 10**shift / d**2 + 10**noise * rng.standard_normal((d, d))
@@ -113,7 +113,7 @@ def _planted_case(case):
     """The built-in kernel of the case (d = 2*half + 1, or 2*half for the skewed family) and its planted copy."""
     d = 2 * case["half"] + (case["family"] != "almost-symmetric")
     try:
-        kernel = cli._resolve_kernel(case["family"], d, case["eps"])
+        kernel, _ = cli._resolve_kernel(case["family"], d, case["eps"])
     except cli.CliError:  # an eps that makes an entry vanish
         assume(False)
     return kernel, planted(kernel, case["defect"], np.random.default_rng(case["seed"]))
