@@ -313,9 +313,9 @@ def cmd_verify(args) -> int:
     ):
         print(f"{cond}: {'PASS' if value else 'FAIL'}")
         ok = ok and value
-    print(f"kernel conditioning: max|K| / min|K| = {kernel.scale / float(np.min(np.abs(kernel.values))):.3e}")
-
     q = build_quantizer(grid, kernel, check=False)  # the validity is printed above
+    print(f"kernel conditioning: max|K| / min|K| = {q.moduli[1] / q.moduli[0]:.3e}")
+
     report = verify_quantizer(q)
     ok &= _print_check("phase-point Hermiticity", report.hermiticity_dev, report.scale)
     ok &= _print_check("phase-point unit trace", report.trace_dev, report.scale)
@@ -328,8 +328,8 @@ def cmd_verify(args) -> int:
     else:
         _print_check("overlap orthogonality", None, note="kernel not unimodular")
 
-    rng = np.random.default_rng(0)
     if kernel.label in ("symmetric", "almost-symmetric"):
+        rng = np.random.default_rng(0)
         f1 = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
         f2 = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
         rep = ordering_check(q, f1, f2)

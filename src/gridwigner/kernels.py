@@ -34,8 +34,8 @@ class Kernel:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"kernel table must be square, got shape {v.shape}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or not v.size:
+            raise ValueError(f"kernel table must be square and non-empty, got shape {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -76,30 +76,20 @@ def validate(kernel: Kernel) -> KernelValidity:
     """
     v = kernel.values
     d = kernel.dim
-
-    nonvanishing = bool(np.min(np.abs(v)) > ZERO_TOL)
-
+    moduli = np.abs(v)  # one pass: the nonvanishing flag and the scale max |K|
     sub = v[1:, 1:]
     flipped = sub[::-1, ::-1]  # K[d-k, d-l] for 1 <= k, l <= d-1
-    k = np.arange(1, d)[:, None]
-    l = np.arange(1, d)[None, :]
-    signs = (-1.0) ** (d + k + l)
+    k = np.arange(1, d)
+    signs = 1 - 2 * ((d + k[:, None] + k) & 1)
     # the edge and interior tables are empty at d = 1: a maximum of 0
-    hermitian_pairing = within(np.max(np.abs(sub.conj() - signs * flipped), initial=0.0), kernel.scale)
-    first_row_hermitian = within(np.max(np.abs(v[0, 1:].conj() - v[0, 1:][::-1]), initial=0.0))
-    first_col_hermitian = within(np.max(np.abs(v[1:, 0].conj() - v[1:, 0][::-1]), initial=0.0))
-    corner_real = within(abs(v[0, 0].imag))
-    first_col_unit = within(np.max(np.abs(v[:, 0] - 1.0)))
-    first_row_unit = within(np.max(np.abs(v[0, :] - 1.0)))
-
     return KernelValidity(
-        nonvanishing=nonvanishing,
-        hermitian_pairing=hermitian_pairing,
-        first_row_hermitian=first_row_hermitian,
-        first_col_hermitian=first_col_hermitian,
-        corner_real=corner_real,
-        first_col_unit=first_col_unit,
-        first_row_unit=first_row_unit,
+        nonvanishing=bool(moduli.min() > ZERO_TOL),
+        hermitian_pairing=within(np.abs(sub.conj() - signs * flipped).max(initial=0.0), moduli.max()),
+        first_row_hermitian=within(np.abs(v[0, 1:].conj() - v[0, :0:-1]).max(initial=0.0)),
+        first_col_hermitian=within(np.abs(v[1:, 0].conj() - v[:0:-1, 0]).max(initial=0.0)),
+        corner_real=within(abs(v[0, 0].imag)),
+        first_col_unit=within(np.abs(v[:, 0] - 1.0).max()),
+        first_row_unit=within(np.abs(v[0] - 1.0).max()),
     )
 
 

@@ -7,6 +7,8 @@ d = 4097, where one complex d x d table holds 269 MB.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: The one tolerance of the package, applied by :func:`within`.
@@ -36,7 +38,12 @@ def frob_dist(a, b) -> float:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return _frob(a - b)
+
+
+def _frob(x) -> float:
+    """Frobenius norm of ``x`` as one dot product, ``sqrt(vdot(x, x))``."""
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def _hermitian_average(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
@@ -85,11 +92,11 @@ def is_positive_semidefinite(a) -> bool:
     stable on semidefinite matrices (Higham 1990), it passes rank-deficient ones.
     """
     h = _hermitian_part(a)
-    return h is not None and _is_psd_hermitian(h)
+    return h is not None and _is_psd_hermitian(h, np.abs(h).max(initial=1.0))
 
 
-def _is_psd_hermitian(h: np.ndarray) -> bool:
-    """Whether the Hermitian ``h`` has no eigenvalue below ``-TOL * max(1, max |h|)``: the
-    Cholesky test of :func:`is_positive_semidefinite`, shifting ``h`` in place."""
-    h.flat[:: len(h) + 1] += TOL * np.abs(h).max(initial=1.0)
+def _is_psd_hermitian(h: np.ndarray, scale: float) -> bool:
+    """Whether the Hermitian ``h`` has no eigenvalue below ``-TOL * scale``, ``scale`` the size
+    of ``h`` (1 for a state): the Cholesky test of :func:`is_positive_semidefinite`, shifting ``h`` in place."""
+    h.flat[:: len(h) + 1] += TOL * scale
     return _cholesky_succeeds(h)

@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import frob_dist, within
-from .kernels import Kernel, is_unimodular, validate
+from .linalg import _frob, within
+from .kernels import Kernel, validate
 from .phasespace import (
     PhaseGrid,
     _diagonals,
@@ -50,6 +50,12 @@ class Quantizer:
     grid: PhaseGrid
     kernel: Kernel
     weights: np.ndarray
+
+    @cached_property
+    def moduli(self) -> tuple[float, float]:
+        """``(min |K|, max |K|)``, from one pass on first access: the conditioning and the scale of every check."""
+        moduli = np.abs(self.kernel.values)
+        return float(moduli.min()), float(moduli.max())
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -112,8 +118,7 @@ def quantize(q: Quantizer, values) -> np.ndarray:
     return _displacement_sum(q.grid, q.weights * _fft2(v))
 
 
-def _warn_if_ill_conditioned(kernel: Kernel) -> float:
-    mn = float(np.min(np.abs(kernel.values)))
+def _warn_if_ill_conditioned(mn: float) -> float:
     if mn < CONDITION_TOL:
         warnings.warn(
             f"kernel inversion is ill-conditioned (min |K| = {mn:.3e})",
@@ -134,7 +139,7 @@ def symbol(q: Quantizer, op) -> np.ndarray:
     d = q.grid.dim
     if a.shape != (d, d):
         raise ValueError("operator dimension does not match the quantizer grid")
-    if not _warn_if_ill_conditioned(q.kernel) > 0:
+    if not _warn_if_ill_conditioned(q.moduli[0]) > 0:
         raise ValueError("kernel has a zero entry: the symbol divides by it")
     t = _ifft(_diagonals(q.grid, a.conj().T))  # conj(fft2(x)) / dim**3 = ifft2(conj(x)) / dim: this FFT's 1/dim
     return _ifft2(np.conjugate(t, out=t) / q.weights)
@@ -209,21 +214,22 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     grid = q.grid
     d = grid.dim
     values = q.kernel.values
+    min_modulus, scale = q.moduli
     origin = _displacement_sum(grid, d * q.weights)  # the fft2 of the origin's indicator is 1
     overlaps = _overlap_table(q, origin)
-    overlap_dev = float(np.max(np.abs(overlaps - _fft2(np.abs(values) ** 2 * (1 / d)))))
+    overlap_dev = float(np.abs(overlaps - _fft2(np.abs(values) ** 2 * (1 / d))).max())
     overlaps[0, 0] -= d
 
     return QuantizerReport(
-        hermiticity_dev=frob_dist(origin, origin.conj().T),
-        trace_dev=float(abs(np.trace(origin) - 1.0)),
-        phase_sum_dev=float(np.linalg.norm(values[:, 0] - 1.0)) / math.sqrt(d),
-        number_sum_dev=float(np.linalg.norm(values[0] - 1.0)) / math.sqrt(d),
+        hermiticity_dev=_frob(origin - origin.conj().T),
+        trace_dev=float(abs(origin.trace() - 1.0)),
+        phase_sum_dev=_frob(values[:, 0] - 1.0) / math.sqrt(d),
+        number_sum_dev=_frob(values[0] - 1.0) / math.sqrt(d),
         completeness_dev=_completeness_dev(q),
         overlap_dev=overlap_dev,
-        orthogonality_dev=float(np.max(np.abs(overlaps))),
-        unimodular=is_unimodular(q.kernel),
-        scale=q.kernel.scale,
+        orthogonality_dev=float(np.abs(overlaps).max()),
+        unimodular=within(max(scale - 1.0, 1.0 - min_modulus)),  # max ||K| - 1|, exactly
+        scale=scale,
     )
 
 
@@ -265,4 +271,4 @@ def ordering_check(q: Quantizer, f1, f2) -> OrderingReport:
     if label == "almost-symmetric":
         tan_eps = float(np.tan(q.kernel.eps))
         target = target + 0.5j * tan_eps * (ab - ba)
-    return OrderingReport(deviation=frob_dist(op, target), tan_eps=tan_eps, scale=q.kernel.scale)
+    return OrderingReport(deviation=_frob(op - target), tan_eps=tan_eps, scale=q.moduli[1])

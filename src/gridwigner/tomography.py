@@ -8,6 +8,7 @@ phase factor is evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from ._jsonio import integer, number, number_table, read_json, write_json, write
 from .kernels import Kernel, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
 from .phasespace import PhaseGrid, _angles, _as_index, _fft, _fft2, _ifft, _ifft2, _reduced
 from .quantizer import Quantizer, _completeness_dev, _line_sums, _warn_if_ill_conditioned
-from .wigner import WignerGrid, _real_or_raise, check_density
+from .wigner import WignerGrid, _checked_grid, _real_or_raise, check_density
 
 @dataclass(frozen=True)
 class Line:
@@ -96,8 +97,9 @@ def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
     return _line_sums(q, line.n1, line.n2, offsets)
 
 
+@functools.lru_cache(maxsize=32)
 def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direction labels ``(n1, n2)`` of the parallel line families of a grid.
+    """Direction labels ``(n1, n2)`` of the parallel line families of a grid (read only, cached for 32 dims).
 
     One label per family: ``(c*n1, c*n2)`` with ``c`` a unit mod ``dim``
     gives the same lines, so only the smallest such pair (in ``n1``, then
@@ -117,7 +119,9 @@ def _line_families(dim: int) -> tuple[np.ndarray, np.ndarray]:
         first = np.sort(coprime[np.unique(coprime % (dim // g), return_index=True)[1]])
         n1.append(np.full(len(first), g % dim))
         n2.append(first)
-    return np.concatenate(n1), np.concatenate(n2)
+    n1, n2 = np.concatenate(n1), np.concatenate(n2)
+    n1.flags.writeable = n2.flags.writeable = False
+    return n1, n2
 
 
 def _projectivity(q: Quantizer, n1, n2) -> np.ndarray:
@@ -127,23 +131,21 @@ def _projectivity(q: Quantizer, n1, n2) -> np.ndarray:
     (j*n1, j*n2) mod dim``.  Each ``D(k_j, l_j)`` is a phase times ``D(n1, n2)**j``,
     a unitary with ``dim`` distinct eigenvalues, so ``P`` is normal and its
     eigenvalues are ``e = fft(K[k_j, l_j] exp(i*pi*m_j/dim) / dim)``, with the
-    integer ``m_j = j**2*n1*n2 + j*dim*n1*n2 - k_j*l_j mod 2*dim`` (``phi0``
-    cancels).  The norm is ``sqrt(sum_k |e_k**2 - e_k|**2)``: O(dim log dim) a family.
+    integer ``m_j = j**2*n1*n2 + j*dim*n1*n2 - k_j*l_j`` (``phi0`` cancels), a multiple of
+    the odd ``dim`` with the parity of ``k_j*l_j``: the phase is ``(-1)**(k_j*l_j)``, read with
+    ``K`` from one signed table.  The norm is ``sqrt(sum_k |e_k**2 - e_k|**2)``: O(dim log dim) a family.
     """
     d = q.grid.dim
     j = np.arange(d)
-    k, l = n1[:, None] * j % d, n2[:, None] * j % d
-    e = q.kernel.values[k, l]
-    m = k * l
-    del k, l
-    m -= j * (j + d) * (n1 * n2 % (2 * d))[:, None]  # -m_j, reduced below
-    m %= 2 * d
-    e *= (np.exp(-1j * np.pi * np.arange(2 * d) / d) * (1 / d)).take(m)
-    del m
+    flat = n1[:, None] * j % d * d + n2[:, None] * j % d  # k_j * dim + l_j
+    signed = q.kernel.values * (1 / d)
+    signed[1::2, 1::2] *= -1  # (-1)**(k*l) on the odd rows and columns
+    e = signed.ravel().take(flat)
+    del flat, signed
     e = _fft(e)
     e *= e - 1.0
-    flat = e.view(float)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    parts = e.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,8 @@ class HalfIntegerWignerGrid:
         object.__setattr__(self, "n_half", _as_index(self.n_half, "N"))
         if self.n_half < 1:
             raise ValueError("N must be a positive integer")
+        if np.iscomplexobj(self.values):
+            raise ValueError("half-integer table must be real, got a complex table")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (4 * self.n_half, 4 * self.n_half):
             raise ValueError("half-integer table must be 4N x 4N")
@@ -264,14 +268,12 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
         )
     if kernel_from.dim != w.dim or kernel_to.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
-    _warn_if_ill_conditioned(kernel_from)
+    _warn_if_ill_conditioned(float(np.abs(kernel_from.values).min()))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero K_from leaves NaN: _real_or_raise raises
         ratio = kernel_to.values / kernel_from.values
         raw = _fft2(_ifft2(w.values) * ratio)
     scale = float(np.max(np.abs(ratio))) * max(1.0, float(np.max(np.abs(w.values))))
-    return WignerGrid(
-        grid=w.grid, kernel_label=kernel_to.label, values=_real_or_raise(raw, scale), epsilon=kernel_to.eps
-    )
+    return _checked_grid(w.grid, kernel_to.label, _real_or_raise(raw, scale), kernel_to.eps)
 
 
 def relate_odd(w: WignerGrid) -> WignerGrid:
@@ -284,7 +286,7 @@ def relate_odd(w: WignerGrid) -> WignerGrid:
     if d % 2 == 0:
         raise ValueError("odd relation requires an odd dimension")
     if d == 1:  # both kernels are the table [[1]]
-        return WignerGrid(grid=w.grid, kernel_label="symmetric", values=w.values)
+        return WignerGrid(grid=w.grid, kernel_label="symmetric", values=w.values.copy())
     return relate(w, wootters_kernel(d // 2), symmetric_kernel(d // 2))
 
 

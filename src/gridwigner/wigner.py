@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
-from .linalg import _hermitian_average, _is_psd_hermitian, within
+from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
 from .kernels import Kernel
 from .phasespace import PhaseGrid, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
@@ -23,18 +23,20 @@ class ReconstructionError(ValueError):
 
 def check_density(rho) -> np.ndarray:
     """Validate a density operator: finite, Hermitian, unit trace and PSD, on the scale 1 of a state.
-    One pass: the adjoint serves the Hermiticity distance and the Hermitian part that is factorized."""
+    One Hermitian sum ``h = (r + r^+) / 2`` serves the distance ``||r - r^+||_F = 2 ||r - h||_F`` and the factorization."""
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"density operator must be square, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError("density operator has non-finite entries")
-    adj = r.conj().T
-    if not within(np.linalg.norm(r - adj)):
+    h = r.conj().T  # a new table: the Hermitian part is formed in it
+    h += r
+    h *= 0.5
+    if not within(2 * _frob(r - h)):
         raise ValueError("density operator is not Hermitian")
-    if not within(abs(np.trace(r) - 1.0)):
+    if not within(abs(r.trace() - 1.0)):
         raise ValueError("density operator trace differs from 1")
-    if not _is_psd_hermitian(_hermitian_average(r, adj)):
+    if not _is_psd_hermitian(h, 1.0):
         raise ValueError("density operator is not positive semidefinite")
     return r
 
@@ -49,6 +51,8 @@ class WignerGrid:
     epsilon: float | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("Wigner table must be real, got a complex table")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.dim, self.grid.dim):
             raise ValueError("Wigner table shape does not match the grid")
@@ -62,14 +66,24 @@ class WignerGrid:
 
 
 def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The real part of a table whose imaginary part is roundoff on the ``scale``
-    of the terms summed into it (``max |K|`` for a kernel map of a state)."""
-    resid = float(np.max(np.abs(values.imag)))
+    """The real part, a C-contiguous table of its own, of a finite table whose imaginary part is
+    roundoff on the ``scale`` of the terms summed into it (``max |K|`` for a kernel map of a state)."""
+    resid = float(np.abs(values.imag).max())
     if not within(resid, scale):
         raise ValueError(
             f"Wigner values have imaginary residue {resid:.3e} beyond tolerance"
         )
-    return values.real
+    real = values.real.copy()
+    if not np.isfinite(real).all():
+        raise ValueError("Wigner table has non-finite entries")
+    return real
+
+
+def _checked_grid(grid: PhaseGrid, kernel_label: str, values: np.ndarray, epsilon: float | None) -> WignerGrid:
+    """A :class:`WignerGrid` around a grid-shaped table that :func:`_real_or_raise` just made: not checked again."""
+    w = object.__new__(WignerGrid)
+    w.__dict__.update(grid=grid, kernel_label=kernel_label, values=values, epsilon=epsilon)
+    return w
 
 
 def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
@@ -77,8 +91,8 @@ def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
     if r.shape != (q.grid.dim, q.grid.dim):
         raise ValueError("state dimension does not match the grid")
-    values = _real_or_raise(_kernel_map(q.grid, q.weights, r), q.kernel.scale)
-    return WignerGrid(q.grid, q.kernel.label, values, q.kernel.eps)
+    values = _real_or_raise(_kernel_map(q.grid, q.weights, r), q.moduli[1])
+    return _checked_grid(q.grid, q.kernel.label, values, q.kernel.eps)
 
 
 def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = True) -> WignerGrid:
@@ -121,7 +135,7 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
         raise ValueError(
             f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}"
         )
-    _warn_if_ill_conditioned(kernel)
+    _warn_if_ill_conditioned(float(np.abs(kernel.values).min()))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight leaves NaN: the defect check raises
         h = _displacement_sum(w.grid, _fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
     rho = h.conj().T

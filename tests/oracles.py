@@ -19,7 +19,9 @@ cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
 the Cholesky and eigenvalue routes replaced, and the density check through
 the adjoint, Hermiticity and PSD predicates is the one-pass
-``check_density``'s reference; the unitarity predicate checks the clock,
+``check_density``'s reference, and so is the route it replaced: the norm of
+``r - r^+``, ``np.trace`` and the Cholesky of the signed Hermitian average
+shifted by its own size; the unitarity predicate checks the clock,
 shift and displacement operators.  The continuum sweep that builds a whole
 table per grid size checks the point evaluation.  The
 closed forms are second constructions of library objects: the dense
@@ -580,6 +582,48 @@ def check_density(rho):
     if not gw.is_positive_semidefinite(r):
         raise ValueError("density operator is not positive semidefinite")
     return r
+
+
+def check_density_average(rho):
+    """``gw.check_density`` before its one Hermitian sum: the Hermiticity distance from the adjoint,
+    the trace by ``np.trace``, and the Cholesky of ``linalg._hermitian_average`` shifted by
+    ``TOL * max(1, max |h|)``."""
+    r = np.asarray(rho, dtype=complex)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"density operator must be square, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("density operator has non-finite entries")
+    adj = r.conj().T
+    if not linalg.within(np.linalg.norm(r - adj)):
+        raise ValueError("density operator is not Hermitian")
+    if not linalg.within(abs(np.trace(r) - 1.0)):
+        raise ValueError("density operator trace differs from 1")
+    h = linalg._hermitian_average(r, adj)
+    h.flat[:: len(h) + 1] += linalg.TOL * np.abs(h).max(initial=1.0)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        raise ValueError("density operator is not positive semidefinite") from None
+    return r
+
+
+def validity_formulas(kernel) -> dict:
+    """Each ``validate`` flag from its defining formula, entry by entry.  The pairing is measured
+    on the scale ``max |K|``, NaN if an entry is NaN, which fails the pairing also at ``d = 1``."""
+    v, d = kernel.values.tolist(), kernel.dim
+    scale = float(np.max(np.abs(kernel.values)))
+    pairing = [
+        abs(v[k][l].conjugate() - (-1.0) ** (d + k + l) * v[d - k][d - l]) for k in range(1, d) for l in range(1, d)
+    ]
+    return {
+        "nonvanishing": all(abs(z) > gw.kernels.ZERO_TOL for row in v for z in row),
+        "hermitian_pairing": linalg.within(max(pairing, default=0.0), scale),
+        "first_row_hermitian": all(linalg.within(abs(v[0][l].conjugate() - v[0][d - l])) for l in range(1, d)),
+        "first_col_hermitian": all(linalg.within(abs(v[k][0].conjugate() - v[d - k][0])) for k in range(1, d)),
+        "corner_real": linalg.within(abs(v[0][0].imag)),
+        "first_col_unit": all(linalg.within(abs(v[k][0] - 1.0)) for k in range(d)),
+        "first_row_unit": all(linalg.within(abs(v[0][l] - 1.0)) for l in range(d)),
+    }
 
 
 def min_diag_pivot(a) -> float:

@@ -6,7 +6,10 @@ appear as package attributes only once something imports them.
 """
 
 import ast
+import contextlib
+import gc
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -279,6 +282,94 @@ def test_each_kernel_map_keeps_its_working_set(maps_at_257, name):
     finally:
         tracemalloc.stop()
     assert peak / (16 * 257**2) <= WORKING_SET[name]
+
+
+def test_every_route_returns_a_table_of_its_own(rng):
+    """Each Wigner table a library route returns is C-contiguous and owns its memory: no
+    view keeps a complex table (or the input's table) alive behind it."""
+    tables = {}
+    for d in (5, 37):  # a cached DFT matrix below 36 points, numpy's FFTs above
+        grid, sym, woot = gridwigner.PhaseGrid(d, 0.37), gridwigner.symmetric_kernel(d // 2), gridwigner.wootters_kernel(d // 2)
+        rho = gridwigner.random_density(d, rng)
+        w = gridwigner.wigner_grid(grid, woot, rho)
+        tables[f"wigner d={d}"] = gridwigner.wigner(gridwigner.build_quantizer(grid, sym), rho)
+        tables[f"wigner_grid d={d}"] = w
+        tables[f"relate d={d}"] = gridwigner.relate(w, woot, sym)
+        tables[f"relate_odd d={d}"] = gridwigner.relate_odd(w)
+        half = gridwigner.leonhardt_wigner(d // 2, 0.37, gridwigner.random_density(2 * (d // 2), rng))
+        tables[f"leonhardt_wigner N={d // 2}"] = half
+        tables[f"relate_even N={d // 2}"] = gridwigner.relate_even(half, 0.3)
+    single = gridwigner.WignerGrid(gridwigner.PhaseGrid(1), "wootters", np.ones((1, 1)))
+    tables["relate_odd d=1"] = gridwigner.relate_odd(single)
+    shared = [name for name, w in tables.items() if not (w.values.flags.c_contiguous and w.values.flags.owndata)]
+    assert shared == [] and not np.shares_memory(tables["relate_odd d=1"].values, single.values)
+
+
+def _profile_events(call) -> int:
+    """The ``sys.setprofile`` ``call`` and ``c_call`` events of one run of ``call``, its output
+    discarded and the garbage collector paused, so no finalizer of other objects is counted."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        gc.collect()
+        gc.disable()
+        try:
+            sys.setprofile(count)
+            call()
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+    return events
+
+
+#: Budget of the fixed cost of each small-d query, in ``sys.setprofile`` ``call`` and ``c_call``
+#: events of one warm run at d = 9 and at d = 15: a tenth above the count measured at both when
+#: the budget was set (numpy 2.4.6, Python 3.11).  Counts do not depend on the host's speed, so a
+#: query that gains a Python-level helper or a numpy wrapper call fails here on any host; another
+#: numpy or Python version may move them.
+CALL_BUDGET = {
+    "wigner": 87, "quantize": 35, "symbol": 35, "ordering_check": 64, "line_projector": 68,
+    "verify_quantizer": 93, "verify_lines": 59, "cli verify symmetric": 577, "cli verify wootters": 566,
+}
+
+
+def _small_queries(d):
+    grid = gridwigner.PhaseGrid(d, 0.37)
+    q = gridwigner.build_quantizer(grid, gridwigner.symmetric_kernel(d // 2))
+    q_lines = gridwigner.build_quantizer(grid, gridwigner.wootters_kernel(d // 2))
+    rng = np.random.default_rng(d)
+    rho = gridwigner.random_density(d, rng)
+    f = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    op = gridwigner.quantize(q, f)
+    f1, f2 = rng.standard_normal(d) + 1j * rng.standard_normal(d), rng.standard_normal(d)
+    verify = ["verify", "--dim", str(d), "--phi0", "0.37", "--kernel"]
+    return {
+        "wigner": lambda: gridwigner.wigner(q, rho),
+        "quantize": lambda: gridwigner.quantize(q, f),
+        "symbol": lambda: gridwigner.symbol(q, op),
+        "ordering_check": lambda: gridwigner.ordering_check(q, f1, f2),
+        "line_projector": lambda: gridwigner.line_projector(q_lines, gridwigner.Line(1, 2, 3, d)),
+        "verify_quantizer": lambda: gridwigner.verify_quantizer(q),
+        "verify_lines": lambda: gridwigner.verify_lines(q_lines),
+        "cli verify symmetric": lambda: cli.main([*verify, "symmetric"]),
+        "cli verify wootters": lambda: cli.main([*verify, "wootters"]),
+    }
+
+
+@pytest.mark.parametrize("d", [9, 15])
+def test_each_small_query_keeps_its_call_budget(d):
+    """One warm run of each cached-quantizer query and verification at small ``d`` stays within
+    its budget of calls: the fixed cost that dominates at ``d <= 31``, counted deterministically."""
+    counts = {}
+    for name, call in _small_queries(d).items():
+        _profile_events(call)  # warm: caches filled, the parser built
+        counts[name] = _profile_events(call)
+    over = {name: (n, CALL_BUDGET[name]) for name, n in counts.items() if n > CALL_BUDGET[name]}
+    assert over == {}, counts
 
 
 #: Budget of each JSON writer's ``tracemalloc`` peak at dim 257, in complex dim x dim

@@ -1,11 +1,16 @@
 """Tests for kernel construction, validity conditions and file round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridwigner as gw
+import oracles
+from conftest import random_complex
 
 
 class TestSymmetricKernel:
@@ -203,6 +208,51 @@ class TestKernelIO:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             gw.Kernel(np.ones((2, 3)))
+
+    def test_empty_table_rejected(self):
+        # it used to pass, and validate then failed inside a numpy reduction of no entries
+        with pytest.raises(ValueError, match="non-empty"):
+            gw.Kernel(np.zeros((0, 0)))
+
+
+@st.composite
+def flagged_kernels(draw):
+    """A kernel of dimension 1..40: valid, with one defect of ``side`` times the tolerance on
+    the pairing, an edge line or the corner, a random table, or with NaN entries."""
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("valid", "pairing", "edge", "corner", "unit line", "random", "NaN")))
+    side = draw(st.sampled_from((0.3, 0.7, 0.95, 1.05, 1.4, 3.0)))  # close to the tolerance and far from it
+    values = oracles.random_kernel(d, rng, unimodular=draw(st.booleans())).values
+    i, k, l = (int(x) for x in rng.integers(d, size=3))
+    if kind == "pairing" and d > 1:
+        values[max(k, 1), max(l, 1)] += 1j * side * gw.TOL * np.max(np.abs(values))
+    elif kind == "edge":
+        values[(0, i) if rng.integers(2) else (i, 0)] += 1j * side * gw.TOL
+    elif kind == "corner":
+        values[0, 0] += 1j * side * gw.TOL
+    elif kind == "unit line":
+        values[(0, i) if rng.integers(2) else (i, 0)] += side * gw.TOL
+    elif kind == "random":
+        values = random_complex(rng, d, d) * draw(st.sampled_from((1.0, 1e-13, 1e6)))
+    elif kind == "NaN":
+        nan = draw(st.sampled_from((np.nan, complex(0, np.nan))))
+        values.flat[rng.choice(d * d, size=min(d * d, 3), replace=False)] = nan
+    return gw.Kernel(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flagged_kernels())
+def test_moduli_and_flags_match_their_table_formulas(kernel):
+    """A quantizer's cached ``(min |K|, max |K|)`` and unimodular flag, and every ``validate``
+    flag, are their formulas over the table's entries; a NaN entry makes both moduli NaN."""
+    entries = np.abs(kernel.values).ravel().tolist()  # numpy's modulus: Python's may differ in the last bit
+    nan = any(math.isnan(m) for m in entries)
+    q = gw.build_quantizer(gw.PhaseGrid(kernel.dim, 0.37), kernel, check=False)
+    np.testing.assert_array_equal(q.moduli, (math.nan, math.nan) if nan else (min(entries), max(entries)))
+    unimodular = not nan and gw.linalg.within(max(abs(m - 1.0) for m in entries))
+    assert gw.verify_quantizer(q).unimodular == unimodular == gw.is_unimodular(kernel)
+    assert dataclasses.asdict(gw.validate(kernel)) == oracles.validity_formulas(kernel)
 
 
 NON_INTEGERS = {

@@ -259,6 +259,11 @@ class TestLeonhardt:
         with pytest.raises(ValueError, match="must be an integer"):
             gw.HalfIntegerWignerGrid(2.5, 0.0, np.zeros((10, 10)))
 
+    def test_complex_table_rejected(self):
+        # the real part alone would be kept, with only a ComplexWarning
+        with pytest.raises(ValueError, match="must be real"):
+            gw.HalfIntegerWignerGrid(1, 0.0, np.full((4, 4), 1 / 16) + 0.5j)
+
     def test_numpy_integer_half_dimension_accepted(self):
         w = gw.HalfIntegerWignerGrid(np.int64(2), 0.0, np.zeros((8, 8)))
         assert w.dim == 4 and type(w.n_half) is int

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridwigner as gw
 import oracles
@@ -341,3 +343,74 @@ class TestSerialization:
         m, n, phi, value = lines[1].split(",")
         assert (m, n) == ("0", "0")
         assert float(value) == pytest.approx(w.values[0, 0], abs=1e-16)
+
+
+def test_a_wigner_table_refuses_a_complex_table():
+    # the real part alone would be kept, with only a ComplexWarning
+    with pytest.raises(ValueError, match="must be real"):
+        gw.WignerGrid(gw.PhaseGrid(3), "symmetric", np.full((3, 3), 1 / 9) + 0.5j)
+    with pytest.raises(ValueError, match="must be real"):
+        gw.WignerGrid(gw.PhaseGrid(3), "symmetric", np.full((3, 3), 1 / 9, dtype=complex))
+
+
+def _verdict(check, rho):
+    """``None`` if ``check`` accepts ``rho``, else its message."""
+    try:
+        check(rho)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+#: Sizes of a planted defect in units of the tolerance: close to it on both sides (a factor
+#: of 2 in a distance shows), and well inside or outside it.
+SIDES = (0.3, 0.7, 0.95, 1.05, 1.4, 3.0)
+
+
+@st.composite
+def near_states(draw):
+    """``(rho, verdict)``: a state of dimension 1..40 and any rank, or a projector scaled near 1,
+    with at most one defect, and the message ``check_density`` must give (``None`` to accept).
+    A defect is a Hermiticity distance, a trace deviation or a negative eigenvalue of ``side``
+    times the tolerance, or a NaN or infinite entry."""
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    defect = draw(st.sampled_from(("none", "skew", "trace", "negative", "scaled projector", "non-finite")))
+    side = draw(st.sampled_from(SIDES))
+    fails = side > 1
+    rank = draw(st.integers(1, max(1, d - 1) if defect == "negative" else d))
+    p = np.zeros(d)
+    p[:rank] = rng.uniform(0.1, 1.0, rank)
+    p /= p.sum()
+    verdict = None
+    if defect == "negative" and rank < d:  # unit trace kept by the other eigenvalues
+        p[:rank] *= 1 + side * gw.TOL
+        p[-1] = -side * gw.TOL
+        verdict = "density operator is not positive semidefinite" if fails else None
+    elif defect == "scaled projector":
+        p[:] = 0.0
+        p[0] = 1 + draw(st.sampled_from((-1, 1))) * side * gw.TOL
+        verdict = "density operator trace differs from 1" if fails else None
+    u = np.linalg.qr(random_complex(rng, d, d))[0]
+    rho = (u * p) @ u.conj().T
+    i, j = (int(x) for x in rng.choice(d, size=2, replace=d == 1))
+    if defect == "skew":  # ||rho - rho^+||_F = side * TOL
+        rho[i, j] += 1j * side * gw.TOL / (np.sqrt(2) if i != j else 2)
+        verdict = "density operator is not Hermitian" if fails else None
+    elif defect == "trace":
+        rho[i, i] += draw(st.sampled_from((-1, 1))) * side * gw.TOL
+        verdict = "density operator trace differs from 1" if fails else None
+    elif defect == "non-finite":
+        rho[i, j] = draw(st.sampled_from((np.nan, complex(0, np.nan), np.inf, complex(0, -np.inf))))
+        verdict = "density operator has non-finite entries"
+    return rho, verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_states())
+def test_check_density_decides_as_the_averaged_route(case):
+    """The one Hermitian sum accepts and refuses what the route through the adjoint, ``np.trace``
+    and the signed Hermitian average shifted by ``TOL * max(1, max |h|)`` did, with its message."""
+    rho, verdict = case
+    assert _verdict(oracles.check_density_average, rho) == verdict
+    assert _verdict(gw.check_density, rho) == verdict
