@@ -270,7 +270,7 @@ def cmd_reconstruct(args) -> int:
             rho = reconstruct(w, kernel, validate_state=False)
         except ReconstructionError as exc:
             raise CliError(EXIT_RESIDUAL, f"reconstruction failed: {exc}")
-        except ValueError as exc:  # the kernel does not match the grid's label
+        except ValueError as exc:  # the kernel did not make the grid
             raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
         residual = _state_residual(rho)
 
@@ -314,7 +314,7 @@ def cmd_verify(args) -> int:
         print(f"{cond}: {'PASS' if value else 'FAIL'}")
         ok = ok and value
     q = build_quantizer(grid, kernel, check=False)  # the validity is printed above
-    print(f"kernel conditioning: max|K| / min|K| = {q.moduli[1] / q.moduli[0]:.3e}")
+    print(f"kernel conditioning: max|K| / min|K| = {kernel.moduli[1] / kernel.moduli[0]:.3e}")
 
     report = verify_quantizer(q)
     ok &= _print_check("phase-point Hermiticity", report.hermiticity_dev, report.scale)

@@ -9,6 +9,7 @@ phase-only and number-only functions quantize spectrally.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,9 @@ ZERO_TOL = 1e-12
 class Kernel:
     """A kernel table with a text label and optional skew angle.
 
-    ``eps`` is only meaningful for the almost-symmetric family, where it
-    records the angle used to dodge the cosine zeros of even dimensions.
+    ``eps`` is only meaningful for the almost-symmetric family, where it records the angle used
+    to dodge the cosine zeros of even dimensions.  The table must not be changed after
+    construction: ``moduli``, like a ``Quantizer``'s weights, is read from it once.
     """
 
     values: np.ndarray
@@ -42,10 +44,12 @@ class Kernel:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def scale(self) -> float:
-        """``max |K|``: the scale of every check on what is linear in the kernel."""
-        return float(np.max(np.abs(self.values)))
+    @cached_property
+    def moduli(self) -> tuple[float, float]:
+        """``(min |K|, max |K|)``, from one pass on first access: the conditioning of every
+        inversion and the scale of every check on what is linear in the kernel."""
+        moduli = np.abs(self.values)
+        return float(moduli.min()), float(moduli.max())
 
 
 @dataclass(frozen=True)
@@ -76,15 +80,14 @@ def validate(kernel: Kernel) -> KernelValidity:
     """
     v = kernel.values
     d = kernel.dim
-    moduli = np.abs(v)  # one pass: the nonvanishing flag and the scale max |K|
     sub = v[1:, 1:]
     flipped = sub[::-1, ::-1]  # K[d-k, d-l] for 1 <= k, l <= d-1
     k = np.arange(1, d)
     signs = 1 - 2 * ((d + k[:, None] + k) & 1)
     # the edge and interior tables are empty at d = 1: a maximum of 0
     return KernelValidity(
-        nonvanishing=bool(moduli.min() > ZERO_TOL),
-        hermitian_pairing=within(np.abs(sub.conj() - signs * flipped).max(initial=0.0), moduli.max()),
+        nonvanishing=kernel.moduli[0] > ZERO_TOL,
+        hermitian_pairing=within(np.abs(sub.conj() - signs * flipped).max(initial=0.0), kernel.moduli[1]),
         first_row_hermitian=within(np.abs(v[0, 1:].conj() - v[0, :0:-1]).max(initial=0.0)),
         first_col_hermitian=within(np.abs(v[1:, 0].conj() - v[:0:-1, 0]).max(initial=0.0)),
         corner_real=within(abs(v[0, 0].imag)),
@@ -152,17 +155,15 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     eps = default_epsilon(N) if eps is None else _admissible_eps(eps)
     a = _cosine_angles(2 * N)
     # cos(a + eps) / cos(eps), expanded so that a large eps keeps its precision
-    values = np.cos(a) - np.tan(eps) * np.sin(a)
-    if np.min(np.abs(values * np.cos(eps))) <= ZERO_TOL:
-        raise ValueError(
-            f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps"
-        )
-    return Kernel(values, label="almost-symmetric", eps=float(eps))
+    kernel = Kernel(np.cos(a) - np.tan(eps) * np.sin(a), label="almost-symmetric", eps=float(eps))
+    if kernel.moduli[0] * abs(np.cos(eps)) <= ZERO_TOL:  # min |K cos(eps)|: the table is real
+        raise ValueError(f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps")
+    return kernel
 
 
 def is_unimodular(kernel: Kernel) -> bool:
-    """True iff every entry has unit modulus within ``TOL``."""
-    return within(np.max(np.abs(np.abs(kernel.values) - 1.0)))
+    """True iff every entry has unit modulus within ``TOL``: ``max ||K| - 1| = max(max |K| - 1, 1 - min |K|)``."""
+    return within(max(kernel.moduli[1] - 1.0, 1.0 - kernel.moduli[0]))
 
 
 def save_kernel(kernel: Kernel, path) -> None:

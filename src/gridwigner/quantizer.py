@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import _frob, within
-from .kernels import Kernel, validate
+from .kernels import Kernel, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
     _diagonals,
@@ -50,12 +50,6 @@ class Quantizer:
     grid: PhaseGrid
     kernel: Kernel
     weights: np.ndarray
-
-    @cached_property
-    def moduli(self) -> tuple[float, float]:
-        """``(min |K|, max |K|)``, from one pass on first access: the conditioning and the scale of every check."""
-        moduli = np.abs(self.kernel.values)
-        return float(moduli.min()), float(moduli.max())
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -118,13 +112,13 @@ def quantize(q: Quantizer, values) -> np.ndarray:
     return _displacement_sum(q.grid, q.weights * _fft2(v))
 
 
-def _warn_if_ill_conditioned(mn: float) -> float:
-    if mn < CONDITION_TOL:
+def _warn_if_ill_conditioned(kernel: Kernel) -> float:
+    if kernel.moduli[0] < CONDITION_TOL:
         warnings.warn(
-            f"kernel inversion is ill-conditioned (min |K| = {mn:.3e})",
+            f"kernel inversion is ill-conditioned (min |K| = {kernel.moduli[0]:.3e})",
             stacklevel=3,
         )
-    return mn
+    return kernel.moduli[0]
 
 
 def symbol(q: Quantizer, op) -> np.ndarray:
@@ -139,7 +133,7 @@ def symbol(q: Quantizer, op) -> np.ndarray:
     d = q.grid.dim
     if a.shape != (d, d):
         raise ValueError("operator dimension does not match the quantizer grid")
-    if not _warn_if_ill_conditioned(q.moduli[0]) > 0:
+    if not _warn_if_ill_conditioned(q.kernel) > 0:
         raise ValueError("kernel has a zero entry: the symbol divides by it")
     t = _ifft(_diagonals(q.grid, a.conj().T))  # conj(fft2(x)) / dim**3 = ifft2(conj(x)) / dim: this FFT's 1/dim
     return _ifft2(np.conjugate(t, out=t) / q.weights)
@@ -214,7 +208,7 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
     grid = q.grid
     d = grid.dim
     values = q.kernel.values
-    min_modulus, scale = q.moduli
+    scale = q.kernel.moduli[1]
     origin = _displacement_sum(grid, d * q.weights)  # the fft2 of the origin's indicator is 1
     overlaps = _overlap_table(q, origin)
     overlap_dev = float(np.abs(overlaps - _fft2(np.abs(values) ** 2 * (1 / d))).max())
@@ -228,7 +222,7 @@ def verify_quantizer(q: Quantizer) -> QuantizerReport:
         completeness_dev=_completeness_dev(q),
         overlap_dev=overlap_dev,
         orthogonality_dev=float(np.abs(overlaps).max()),
-        unimodular=within(max(scale - 1.0, 1.0 - min_modulus)),  # max ||K| - 1|, exactly
+        unimodular=is_unimodular(q.kernel),
         scale=scale,
     )
 
@@ -271,4 +265,4 @@ def ordering_check(q: Quantizer, f1, f2) -> OrderingReport:
     if label == "almost-symmetric":
         tan_eps = float(np.tan(q.kernel.eps))
         target = target + 0.5j * tan_eps * (ab - ba)
-    return OrderingReport(deviation=_frob(op - target), tan_eps=tan_eps, scale=q.moduli[1])
+    return OrderingReport(deviation=_frob(op - target), tan_eps=tan_eps, scale=q.kernel.moduli[1])

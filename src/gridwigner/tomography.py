@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_json, write_report_csv
-from .kernels import Kernel, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
+from .kernels import Kernel, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
 from .phasespace import PhaseGrid, _angles, _as_index, _fft, _fft2, _ifft, _ifft2, _reduced
 from .quantizer import Quantizer, _completeness_dev, _line_sums, _warn_if_ill_conditioned
-from .wigner import WignerGrid, _checked_grid, _real_or_raise, check_density
+from .wigner import WignerGrid, _check_kernel_of, _checked_grid, _real_or_raise, check_density
 
 @dataclass(frozen=True)
 class Line:
@@ -196,9 +196,7 @@ class HalfIntegerWignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_half", _as_index(self.n_half, "N"))
-        if self.n_half < 1:
-            raise ValueError("N must be a positive integer")
+        object.__setattr__(self, "n_half", _positive_half(self.n_half))
         if np.iscomplexobj(self.values):
             raise ValueError("half-integer table must be real, got a complex table")
         v = np.asarray(self.values, dtype=float)
@@ -222,6 +220,9 @@ def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> H
     (``phi0`` reduced mod 2 pi).  The table is real and sums to one over
     all ``16 N**2`` points.
     """
+    N = _positive_half(N)
+    if not math.isfinite(phi0):
+        raise ValueError("half-integer grid has a non-finite value or phi0")
     d = 2 * N
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
     if r.shape != (d, d):
@@ -260,15 +261,13 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
     the kernel ratio in Fourier space, ``W_to = Re fft2(ifft2(W_from) *
     K_to / K_from)`` (the angle factor cancels).  Division by ``K_from``
     amplifies noise by up to ``max |K_to / K_from|``.  Input and output
-    share the grid and the state.
+    share the grid and the state.  A ``kernel_from`` of another dimension or
+    label, or of another ``eps`` than a grid that records one, raises ``ValueError``.
     """
-    if kernel_from.label != w.kernel_label:
-        raise ValueError(
-            f"kernel {kernel_from.label!r} does not match grid kernel {w.kernel_label!r}"
-        )
-    if kernel_from.dim != w.dim or kernel_to.dim != w.dim:
+    _check_kernel_of(w, kernel_from)
+    if kernel_to.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
-    _warn_if_ill_conditioned(float(np.abs(kernel_from.values).min()))
+    _warn_if_ill_conditioned(kernel_from)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero K_from leaves NaN: _real_or_raise raises
         ratio = kernel_to.values / kernel_from.values
         raw = _fft2(_ifft2(w.values) * ratio)

@@ -91,7 +91,7 @@ def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
     if r.shape != (q.grid.dim, q.grid.dim):
         raise ValueError("state dimension does not match the grid")
-    values = _real_or_raise(_kernel_map(q.grid, q.weights, r), q.moduli[1])
+    values = _real_or_raise(_kernel_map(q.grid, q.weights, r), q.kernel.moduli[1])
     return _checked_grid(q.grid, q.kernel.label, values, q.kernel.eps)
 
 
@@ -118,6 +118,16 @@ def marginals(w: WignerGrid):
     return w.values.sum(axis=1), w.values.sum(axis=0)
 
 
+def _check_kernel_of(w: WignerGrid, kernel: Kernel) -> None:
+    """Raise ``ValueError`` unless ``kernel`` made the grid: its dimension, its label and any ``eps`` it records."""
+    if kernel.dim != w.dim:
+        raise ValueError("kernel dimension does not match the Wigner grid")
+    if kernel.label != w.kernel_label:
+        raise ValueError(f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}")
+    if w.epsilon is not None and kernel.eps != w.epsilon:
+        raise ValueError(f"kernel eps={kernel.eps!r} does not match grid epsilon {w.epsilon!r}")
+
+
 def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
     """Recover the density operator behind a Wigner grid.
 
@@ -127,20 +137,16 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     pairing leaves an anti-Hermitian part; it raises when that part fails the tolerance on the
     scale ``max |K| * max(1, max |rho|)``.  The result is averaged with its adjoint, so its
     off-diagonal pairs are bitwise conjugates and its diagonal imaginary parts are +0.0.  With
-    ``validate_state`` it must pass :func:`check_density`.
+    ``validate_state`` it must pass :func:`check_density`.  A kernel of another dimension or
+    label, or of another ``eps`` than a grid that records one, raises ``ValueError``.
     """
-    if kernel.dim != w.dim:
-        raise ValueError("kernel dimension does not match the Wigner grid")
-    if kernel.label != w.kernel_label:
-        raise ValueError(
-            f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}"
-        )
-    _warn_if_ill_conditioned(float(np.abs(kernel.values).min()))
+    _check_kernel_of(w, kernel)
+    _warn_if_ill_conditioned(kernel)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight leaves NaN: the defect check raises
         h = _displacement_sum(w.grid, _fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
     rho = h.conj().T
     defect = float(np.max(np.abs(rho - h)))
-    if not within(defect, kernel.scale * max(1.0, float(np.max(np.abs(rho))))):
+    if not within(defect, kernel.moduli[1] * max(1.0, float(np.max(np.abs(rho))))):
         raise ReconstructionError(f"inconsistent Wigner grid: anti-Hermitian part {defect:.3e}")
     rho = _hermitian_average(rho, h)
     if validate_state:

@@ -200,6 +200,51 @@ def test_the_tolerance_is_named_in_linalg_alone():
     assert found == []
 
 
+def _is_kernel_table(node) -> bool:
+    """``<...>kernel<...>.values``: ``kernel.values``, ``kernel_from.values``, ``q.kernel.values``."""
+    return isinstance(node, ast.Attribute) and node.attr == "values" and "kernel" in ast.unparse(node.value).split(".")[-1]
+
+
+def test_the_kernel_moduli_are_taken_in_kernels_alone():
+    """No module but ``kernels`` calls ``np.abs`` on a kernel's table: ``min |K|`` and ``max |K|``
+    are read from ``Kernel.moduli``."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        if path.name != "kernels.py":
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.abs", "np.absolute")
+                and any(_is_kernel_table(arg) for arg in node.args)
+            ]
+    assert found == []
+
+
+def test_a_kernel_table_takes_one_abs_pass(monkeypatch, rng):
+    """Across every map that reads ``min |K|`` or ``max |K|``, the kernel's table takes one ``abs``
+    pass, in ``Kernel.moduli``; the only other is ``verify_quantizer``'s, which predicts the
+    overlaps from every ``|K|**2``."""
+    grid = gridwigner.PhaseGrid(7, 0.37)
+    kernel, kernel_to = gridwigner.wootters_kernel(3), gridwigner.symmetric_kernel(3)
+    rho = gridwigner.random_density(7, rng)
+    passes = []
+
+    def absolute(x, *args, **kwargs):
+        if x is kernel.values or x is kernel_to.values:
+            passes.append((x is kernel.values, sys._getframe(1).f_code.co_name))
+        return np.absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", absolute)
+    gridwigner.validate(kernel)
+    q = gridwigner.build_quantizer(grid, kernel)
+    w = gridwigner.wigner(q, rho)
+    gridwigner.symbol(q, rho)
+    gridwigner.reconstruct(w, kernel)
+    gridwigner.relate(w, kernel, kernel_to)
+    gridwigner.verify_quantizer(q)
+    gridwigner.is_unimodular(kernel)
+    assert passes == [(True, "moduli"), (True, "verify_quantizer")]
+
+
 def test_a_grid_holds_no_tables():
     """Every map leaves its grid a plain value: after the maps run, no attribute of the
     ``PhaseGrid`` is an array or a tuple holding one, so no table outlives its call."""

@@ -607,6 +607,12 @@ class TestInputBoundary:
         grid = write_grid(tmp_path / "g.json", 3, "custom", 3, 3)
         assert run_rejected(capsys, "reconstruct", "--grid", grid, "--kernel", f"file:{kpath}") == 3
 
+    def test_reconstruct_kernel_not_matching_grid_epsilon(self, tmp_path, capsys):
+        # the grid records a skew that its symmetric kernel does not have
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"dim": 3, "kernel": "symmetric", "epsilon": 0.3, "values": np.full((3, 3), 1 / 9).tolist()}))
+        assert run_rejected(capsys, "reconstruct", "--grid", str(grid)) == 3
+
     @pytest.mark.parametrize("extra", [
         ("--kernel", "wootters", "--dim", "5", "--phi0=1e10"),
         ("--kernel", "almost-symmetric", "--dim", "4", "--epsilon=1e300"),

@@ -281,6 +281,23 @@ def test_symbol_of_a_kernel_with_a_zero_entry_fails_instead_of_returning_nan(rng
         gw.symbol(q, gw.random_density(5, rng))
 
 
+MAPS_FROM_A_GRID = {
+    "reconstruct": lambda w, kernel: gw.reconstruct(w, kernel),
+    "relate": lambda w, kernel: gw.relate(w, kernel, gw.almost_symmetric_kernel(4)),
+}
+
+
+@pytest.mark.parametrize("apply", MAPS_FROM_A_GRID.values(), ids=MAPS_FROM_A_GRID.keys())
+def test_a_kernel_of_another_eps_than_the_grid_is_refused(apply):
+    # a valid state whose grid, read with eps 0.25, reconstructs 5.6e-3 off and relates 6.5e-4 off
+    rho = 0.8 * gw.maximally_mixed(8) + 0.2 * np.pad(gw.superposition01(), (0, 6))
+    w = gw.wigner_grid(gw.PhaseGrid(8, 0.37), gw.almost_symmetric_kernel(4, 0.3), rho)
+    with pytest.raises(ValueError, match="kernel eps=0.25 does not match grid epsilon 0.3"):
+        apply(w, gw.almost_symmetric_kernel(4, 0.25))
+    apply(w, gw.almost_symmetric_kernel(4, 0.3))
+    apply(gw.WignerGrid(w.grid, w.kernel_label, w.values), gw.almost_symmetric_kernel(4, 0.25))  # no eps recorded
+
+
 def test_relate_from_a_kernel_with_a_zero_entry_fails_without_a_numpy_warning(rng):
     values = oracles.random_kernel(5, rng).values
     values[2, 3] = values[3, 2] = 0.0
@@ -296,6 +313,14 @@ def test_omega_is_built_on_first_access():
     assert q.omega is q.omega
     assert not hasattr(q, "dtensor")
     assert [f.name for f in dataclasses.fields(gw.Quantizer)] == ["grid", "kernel", "weights"]
+
+
+def test_kernel_moduli_are_built_on_first_access():
+    kernel = gw.symmetric_kernel(2)
+    assert "moduli" not in vars(kernel)
+    assert kernel.moduli is kernel.moduli
+    assert not hasattr(kernel, "scale") and not hasattr(gw.build_quantizer(gw.PhaseGrid(5), kernel), "moduli")
+    assert [f.name for f in dataclasses.fields(gw.Kernel)] == ["values", "label", "eps"]
 
 
 half_cases = st.fixed_dictionaries(

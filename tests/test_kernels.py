@@ -244,12 +244,12 @@ def flagged_kernels(draw):
 @settings(max_examples=200, deadline=None)
 @given(flagged_kernels())
 def test_moduli_and_flags_match_their_table_formulas(kernel):
-    """A quantizer's cached ``(min |K|, max |K|)`` and unimodular flag, and every ``validate``
+    """A kernel's cached ``(min |K|, max |K|)``, the unimodular flags and every ``validate``
     flag, are their formulas over the table's entries; a NaN entry makes both moduli NaN."""
     entries = np.abs(kernel.values).ravel().tolist()  # numpy's modulus: Python's may differ in the last bit
     nan = any(math.isnan(m) for m in entries)
     q = gw.build_quantizer(gw.PhaseGrid(kernel.dim, 0.37), kernel, check=False)
-    np.testing.assert_array_equal(q.moduli, (math.nan, math.nan) if nan else (min(entries), max(entries)))
+    np.testing.assert_array_equal(kernel.moduli, (math.nan, math.nan) if nan else (min(entries), max(entries)))
     unimodular = not nan and gw.linalg.within(max(abs(m - 1.0) for m in entries))
     assert gw.verify_quantizer(q).unimodular == unimodular == gw.is_unimodular(kernel)
     assert dataclasses.asdict(gw.validate(kernel)) == oracles.validity_formulas(kernel)

@@ -255,6 +255,18 @@ class TestLeonhardt:
         with pytest.raises(ValueError):
             gw.leonhardt_wigner(2, 0.0, gw.fock_state(2, 0))
 
+    @pytest.mark.parametrize("N, phi0, dim, match", [
+        (1.5, 0.0, 3, "N must be an integer"),
+        (np.float64(2.0), 0.0, 4, "N must be an integer"),
+        (0, 0.0, 2, "N must be a positive integer"),
+        (-1, 0.0, 2, "N must be a positive integer"),
+        (1, math.inf, 2, "non-finite value or phi0"),
+        (1, math.nan, 2, "non-finite value or phi0"),
+    ])
+    def test_half_dimension_and_angle_checked_before_the_table_is_built(self, N, phi0, dim, match):
+        with pytest.raises(ValueError, match=match):
+            gw.leonhardt_wigner(N, phi0, gw.maximally_mixed(dim))
+
     def test_non_integer_half_dimension_rejected(self):
         with pytest.raises(ValueError, match="must be an integer"):
             gw.HalfIntegerWignerGrid(2.5, 0.0, np.zeros((10, 10)))

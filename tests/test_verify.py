@@ -391,10 +391,10 @@ def test_every_pair_and_every_operator_is_read_from_the_origin(d, phi0, seed, ki
     pairs = (flat @ flat.conj().T).real  # [s, t] = Re sum_ab Omega_s[a, b] conj(Omega_t[a, b])
     table = quantizer._overlap_table(q, om[0])
     m, n = np.divmod(np.arange(d * d), d)
-    assert np.max(np.abs(pairs - table[(m[:, None] - m) % d, (n[:, None] - n) % d])) <= AGREE * kernel.scale**2
+    assert np.max(np.abs(pairs - table[(m[:, None] - m) % d, (n[:, None] - n) % d])) <= AGREE * kernel.moduli[1]**2
     herm = np.linalg.norm(om - om.conj().swapaxes(-1, -2), axis=(-2, -1))
     trace = np.abs(np.trace(om, axis1=-2, axis2=-1) - 1.0)
-    assert np.max(np.abs(herm - report.hermiticity_dev)) <= AGREE * kernel.scale
-    assert np.max(np.abs(trace - report.trace_dev)) <= AGREE * kernel.scale
+    assert np.max(np.abs(herm - report.hermiticity_dev)) <= AGREE * kernel.moduli[1]
+    assert np.max(np.abs(trace - report.trace_dev)) <= AGREE * kernel.moduli[1]
     if kind == "unpaired":
         assert report.hermiticity_dev > gw.TOL
