@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -27,6 +28,13 @@ def _as_index(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_angle(value, what: str) -> float:
+    """``value`` as a Python float; booleans and values that are not real numbers raise ``ValueError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def _reduced(phi0: float) -> float:
     """``phi0`` reduced mod 2 pi into ``[-pi, pi]`` (bit for bit ``phi0`` there):
     the angle at which every factor ``exp(i*integer*phi0)`` is evaluated."""
@@ -38,7 +46,7 @@ class PhaseGrid:
     """A ``dim x dim`` phase-space grid with reference angle ``phi0``.
 
     Phase values are ``phi0 + 2*pi*m/dim`` for ``m = 0 .. dim-1``.
-    ``phi0`` is kept as given; every factor ``exp(i*integer*phi0)`` is
+    ``phi0`` is held as a Python float; every factor ``exp(i*integer*phi0)`` is
     evaluated at :attr:`phi0_reduced`, so a large angle keeps its precision.
     """
 
@@ -49,9 +57,11 @@ class PhaseGrid:
         dim = _as_index(self.dim, "grid dimension")
         if dim < 1:
             raise ValueError("grid dimension must be a positive integer")
-        if not math.isfinite(self.phi0):
-            raise ValueError(f"reference angle phi0 must be finite, got {self.phi0!r}")
+        phi0 = _as_angle(self.phi0, "reference angle phi0")
+        if not math.isfinite(phi0):
+            raise ValueError(f"reference angle phi0 must be finite, got {phi0!r}")
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "phi0", phi0)
 
     @property
     def phis(self) -> np.ndarray:
@@ -255,14 +265,3 @@ def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
     Leading axes are batch axes; the stack comes back C-contiguous."""
     return _diagonals(grid, _ifft(coeffs, norm="forward").swapaxes(-1, -2))
 
-
-def _level_shifts(grid: PhaseGrid, a, levels) -> np.ndarray:
-    """``U**-n a U**n`` for each level ``0 <= n < dim`` (``U`` the shift :func:`u_op`): ``a[b - n, c - n]``
-    (mod dim) at ``[b, c]``, times ``exp(i*dim*phi0)`` where ``c < n`` and its conjugate where ``b < n``;
-    the window at ``(dim - n, dim - n)`` of ``a`` tiled 2 x 2, those phases on its first columns and rows."""
-    d = grid.dim
-    wrapped = np.where(np.arange(2 * d) < d, np.exp(1j * d * grid.phi0_reduced), 1.0)
-    tiled = np.tile(a, (2, 2)) * wrapped
-    tiled *= wrapped.conj()[:, None]
-    start = d - np.asarray(levels)
-    return np.lib.stride_tricks.sliding_window_view(tiled, (d, d))[start, start]

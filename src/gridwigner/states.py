@@ -25,7 +25,7 @@ def _dimension(dim) -> int:
 
 def fock_state(dim: int, n: int) -> np.ndarray:
     """Pure number state |n><n| in the given dimension."""
-    dim, n = _as_index(dim, "dimension"), _as_index(n, "number level")
+    dim, n = _dimension(dim), _as_index(n, "number level")
     if not 0 <= n < dim:
         raise ValueError(f"number level {n} outside 0..{dim - 1}")
     rho = np.zeros((dim, dim), dtype=complex)

@@ -16,9 +16,9 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_json, write_report_csv
 from .kernels import Kernel, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
-from .phasespace import PhaseGrid, _angles, _as_index, _fft, _fft2, _ifft, _ifft2, _reduced
-from .quantizer import Quantizer, _completeness_dev, _line_sums, _warn_if_ill_conditioned
-from .wigner import WignerGrid, _check_kernel_of, _checked_grid, _real_or_raise, check_density
+from .phasespace import PhaseGrid, _angles, _as_angle, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _reduced
+from .quantizer import Quantizer, _completeness_dev, _warn_if_ill_conditioned
+from .wigner import WignerGrid, _check_kernel_of, _own_table, _real_or_raise, check_density
 
 @dataclass(frozen=True)
 class Line:
@@ -85,6 +85,9 @@ def family_projectors(q: Quantizer, n1: int, n2: int) -> np.ndarray:
 
 
 def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
+    """``quantize`` of the indicators of the lines ``n1*m + n2*n = offsets[s] (mod dim)``: with ``gcd(n1, n2,
+    dim) == 1`` the fft2 of the indicator of offset ``n3`` is ``dim * exp(-2*pi*i*j*n3/dim)`` at ``(j*n1, j*n2)
+    mod dim`` and zero elsewhere, so those ``dim`` weighted coefficients are placed and no fft2 is taken."""
     d = q.grid.dim
     if d % 2 == 0:
         raise ValueError("line projectors are defined for odd dimensions here")
@@ -94,7 +97,11 @@ def _quantize_lines(q: Quantizer, line: Line, offsets) -> np.ndarray:
         raise ValueError("degenerate line: both direction coefficients vanish")
     if line.family_gcd > 1:
         raise ValueError(f"degenerate line family (gcd {line.family_gcd}); refusing to sum")
-    return _line_sums(q, line.n1, line.n2, offsets)
+    j = np.arange(d)
+    k, l = line.n1 * j % d, line.n2 * j % d
+    coeffs = np.zeros((len(offsets), d, d), dtype=complex)
+    coeffs[:, k, l] = d * q.weights[k, l] * np.exp(-2j * np.pi * (np.outer(offsets, j) % d) / d)
+    return _displacement_sum(q.grid, coeffs)
 
 
 @functools.lru_cache(maxsize=32)
@@ -188,7 +195,7 @@ class HalfIntegerWignerGrid:
 
     ``values[jm, jn]`` belongs to angle index ``jm/2`` and level
     ``jn/2``; both doubled indices run over ``0 .. 4N-1`` for Hilbert
-    dimension ``2N``.
+    dimension ``2N``.  Table and ``phi0`` are held as a :class:`WignerGrid` holds its own.
     """
 
     n_half: int
@@ -197,12 +204,13 @@ class HalfIntegerWignerGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "n_half", _positive_half(self.n_half))
+        object.__setattr__(self, "phi0", _as_angle(self.phi0, "half-integer grid phi0"))
         if np.iscomplexobj(self.values):
             raise ValueError("half-integer table must be real, got a complex table")
-        v = np.asarray(self.values, dtype=float)
+        v = _own_table(self.values)
         if v.shape != (4 * self.n_half, 4 * self.n_half):
             raise ValueError("half-integer table must be 4N x 4N")
-        if not (np.all(np.isfinite(v)) and math.isfinite(self.phi0)):
+        if not (np.isfinite(v).all() and math.isfinite(self.phi0)):
             raise ValueError("half-integer grid has a non-finite value or phi0")
         object.__setattr__(self, "values", v)
 
@@ -272,7 +280,7 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
         ratio = kernel_to.values / kernel_from.values
         raw = _fft2(_ifft2(w.values) * ratio)
     scale = float(np.max(np.abs(ratio))) * max(1.0, float(np.max(np.abs(w.values))))
-    return _checked_grid(w.grid, kernel_to.label, _real_or_raise(raw, scale), kernel_to.eps)
+    return WignerGrid(w.grid, kernel_to.label, _real_or_raise(raw, scale), kernel_to.eps)
 
 
 def relate_odd(w: WignerGrid) -> WignerGrid:

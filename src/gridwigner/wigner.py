@@ -14,7 +14,7 @@ import numpy as np
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
 from .kernels import Kernel
-from .phasespace import PhaseGrid, _displacement_sum, _fft2, _kernel_map, _sheared_weights
+from .phasespace import PhaseGrid, _as_angle, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
 
 class ReconstructionError(ValueError):
@@ -41,9 +41,17 @@ def check_density(rho) -> np.ndarray:
     return r
 
 
+def _own_table(values) -> np.ndarray:
+    """``values`` as a C-contiguous float64 table that owns its memory, copied only when it is not one:
+    no view keeps a complex table, or another table, alive behind a grid."""
+    v = np.asarray(values, dtype=float)
+    return v if v.flags.c_contiguous and v.flags.owndata else v.copy()
+
+
 @dataclass(frozen=True)
 class WignerGrid:
-    """Real Wigner table on a grid, tagged with the kernel that made it."""
+    """Real Wigner table on a grid, tagged with the kernel that made it: the table is checked
+    finite once and held as :func:`_own_table` makes it, ``epsilon`` (if any) as a Python float."""
 
     grid: PhaseGrid
     kernel_label: str
@@ -53,12 +61,13 @@ class WignerGrid:
     def __post_init__(self):
         if np.iscomplexobj(self.values):
             raise ValueError("Wigner table must be real, got a complex table")
-        v = np.asarray(self.values, dtype=float)
+        v = _own_table(self.values)
         if v.shape != (self.grid.dim, self.grid.dim):
             raise ValueError("Wigner table shape does not match the grid")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("Wigner table has non-finite entries")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "epsilon", None if self.epsilon is None else _as_angle(self.epsilon, "grid epsilon"))
 
     @property
     def dim(self) -> int:
@@ -66,24 +75,12 @@ class WignerGrid:
 
 
 def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The real part, a C-contiguous table of its own, of a finite table whose imaginary part is
-    roundoff on the ``scale`` of the terms summed into it (``max |K|`` for a kernel map of a state)."""
+    """The real part, a view, of a table whose imaginary part is roundoff on the ``scale`` of
+    the terms summed into it (``max |K|`` for a kernel map of a state)."""
     resid = float(np.abs(values.imag).max())
     if not within(resid, scale):
-        raise ValueError(
-            f"Wigner values have imaginary residue {resid:.3e} beyond tolerance"
-        )
-    real = values.real.copy()
-    if not np.isfinite(real).all():
-        raise ValueError("Wigner table has non-finite entries")
-    return real
-
-
-def _checked_grid(grid: PhaseGrid, kernel_label: str, values: np.ndarray, epsilon: float | None) -> WignerGrid:
-    """A :class:`WignerGrid` around a grid-shaped table that :func:`_real_or_raise` just made: not checked again."""
-    w = object.__new__(WignerGrid)
-    w.__dict__.update(grid=grid, kernel_label=kernel_label, values=values, epsilon=epsilon)
-    return w
+        raise ValueError(f"Wigner values have imaginary residue {resid:.3e} beyond tolerance")
+    return values.real
 
 
 def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
@@ -92,7 +89,7 @@ def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
     if r.shape != (q.grid.dim, q.grid.dim):
         raise ValueError("state dimension does not match the grid")
     values = _real_or_raise(_kernel_map(q.grid, q.weights, r), q.kernel.moduli[1])
-    return _checked_grid(q.grid, q.kernel.label, values, q.kernel.eps)
+    return WignerGrid(q.grid, q.kernel.label, values, q.kernel.eps)
 
 
 def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = True) -> WignerGrid:

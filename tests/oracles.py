@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 import gridwigner as gw
-from gridwigner import linalg, quantizer
+from gridwigner import linalg
 from gridwigner.phasespace import _angles
 from gridwigner.wigner import _real_or_raise
 
@@ -203,20 +203,27 @@ def line_families(dim):
     return n1[labels], n2[labels]
 
 
+def origin_line_sum(q, n1, n2):
+    """``quantize`` of the indicator of the line ``n1*m + n2*n = 0 (mod dim)``: the
+    line sum by its definition, at any parity (and for the family ``(0, 0)``, the whole grid)."""
+    idx = np.arange(q.grid.dim)
+    return gw.quantize(q, ((n1 * idx[:, None] + n2 * idx) % q.grid.dim == 0).astype(float))
+
+
 def axis_sum_devs(q):
     """``(phase, number)``: Frobenius distances of the explicit line sums at ``m = 0``
     and ``n = 0`` from ``|phi_0><phi_0|`` and ``|0><0|``."""
     ket = gw.phase_ket(q.grid, 0)
     eye = np.eye(q.grid.dim)
-    phase = gw.frob_dist(quantizer._line_sums(q, 1, 0, [0])[0], np.outer(ket, ket.conj()))
-    return phase, gw.frob_dist(quantizer._line_sums(q, 0, 1, [0])[0], eye[:, :1] * eye[0])
+    phase = gw.frob_dist(origin_line_sum(q, 1, 0), np.outer(ket, ket.conj()))
+    return phase, gw.frob_dist(origin_line_sum(q, 0, 1), eye[:, :1] * eye[0])
 
 
 def line_projectivity(q, n1, n2):
     """``||P @ P - P||_F`` of the family's line through the origin, from its explicit
-    projector (the line sum that :func:`gridwigner.line_projector` takes, which also
-    admits the one family ``(0, 0)`` of ``dim = 1``): O(dim**3)."""
-    p = quantizer._line_sums(q, n1, n2, [0])[0]
+    projector :func:`origin_line_sum` (which also admits the one family ``(0, 0)`` of
+    ``dim = 1``): O(dim**3)."""
+    p = origin_line_sum(q, n1, n2)
     return float(np.linalg.norm(p @ p - p))
 
 

@@ -89,6 +89,19 @@ def test_every_private_helper_has_a_reader():
     assert unread == []
 
 
+def test_every_object_is_built_by_its_constructor():
+    """No module calls ``object.__new__`` or touches an instance ``__dict__``: a grid, a kernel
+    or a quantizer is made by its own constructor, which checks it, and by no bypass."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and (node.attr == "__dict__" or (node.attr == "__new__" and ast.unparse(node.value) == "object"))
+        ]
+    assert found == []
+
+
 def test_only_the_transform_helper_calls_numpy_ffts():
     """No code in the package but ``phasespace._dft`` names ``np.fft.fft``, ``ifft``, ``fft2``
     or ``ifft2``: every complex transform takes one route."""
@@ -329,9 +342,10 @@ def test_each_kernel_map_keeps_its_working_set(maps_at_257, name):
     assert peak / (16 * 257**2) <= WORKING_SET[name]
 
 
-def test_every_route_returns_a_table_of_its_own(rng):
-    """Each Wigner table a library route returns is C-contiguous and owns its memory: no
-    view keeps a complex table (or the input's table) alive behind it."""
+def test_every_route_returns_a_table_of_its_own(rng, tmp_path):
+    """Each Wigner table a library route, a loader or a public constructor returns is
+    C-contiguous float64 and owns its memory: no view keeps a complex table (or the input's
+    table) alive behind it."""
     tables = {}
     for d in (5, 37):  # a cached DFT matrix below 36 points, numpy's FFTs above
         grid, sym, woot = gridwigner.PhaseGrid(d, 0.37), gridwigner.symmetric_kernel(d // 2), gridwigner.wootters_kernel(d // 2)
@@ -344,10 +358,27 @@ def test_every_route_returns_a_table_of_its_own(rng):
         half = gridwigner.leonhardt_wigner(d // 2, 0.37, gridwigner.random_density(2 * (d // 2), rng))
         tables[f"leonhardt_wigner N={d // 2}"] = half
         tables[f"relate_even N={d // 2}"] = gridwigner.relate_even(half, 0.3)
+        gridwigner.wigner_to_json(w, tmp_path / "w.json")
+        tables[f"load_wigner d={d}"] = gridwigner.load_wigner(tmp_path / "w.json")
+        gridwigner.halfgrid_to_json(half, tmp_path / "h.json")
+        tables[f"load_halfgrid N={d // 2}"] = gridwigner.load_halfgrid(tmp_path / "h.json")
+        wide = rng.standard_normal((d, 2 * d))
+        tables[f"WignerGrid strided d={d}"] = gridwigner.WignerGrid(grid, "custom", wide[:, ::2])
+        tables[f"WignerGrid float32 d={d}"] = gridwigner.WignerGrid(grid, "custom", wide[:, :d].astype(np.float32))
+        wide = rng.standard_normal((4 * (d // 2), 8 * (d // 2)))
+        tables[f"HalfIntegerWignerGrid strided N={d // 2}"] = gridwigner.HalfIntegerWignerGrid(d // 2, 0.37, wide[:, ::2])
+        tables[f"HalfIntegerWignerGrid float32 N={d // 2}"] = gridwigner.HalfIntegerWignerGrid(
+            d // 2, 0.37, wide[:, : 4 * (d // 2)].astype(np.float32)
+        )
     single = gridwigner.WignerGrid(gridwigner.PhaseGrid(1), "wootters", np.ones((1, 1)))
     tables["relate_odd d=1"] = gridwigner.relate_odd(single)
-    shared = [name for name, w in tables.items() if not (w.values.flags.c_contiguous and w.values.flags.owndata)]
+    shared = [
+        name for name, w in tables.items()
+        if not (w.values.dtype == np.float64 and w.values.flags.c_contiguous and w.values.flags.owndata)
+    ]
     assert shared == [] and not np.shares_memory(tables["relate_odd d=1"].values, single.values)
+    owned = np.ones((5, 5))
+    assert gridwigner.WignerGrid(gridwigner.PhaseGrid(5), "custom", owned).values is owned
 
 
 def _profile_events(call) -> int:

@@ -232,6 +232,36 @@ def test_halfgrid_round_trip_is_exact(values, phi0):
     assert math.copysign(1, back.phi0) == math.copysign(1, phi0) and back.phi0 == phi0
 
 
+@pytest.mark.parametrize(
+    "angle", [np.float16(0.3), np.float32(0.3), np.float32(-0.0), np.int64(2), 3], ids=["f16", "f32", "f32 -0", "i64", "int"]
+)
+def test_grid_angles_are_held_and_written_as_python_floats(angle):
+    """``phi0`` and ``epsilon`` of a numpy or integer type are held as the Python float of
+    their value, so the grid files write them as JSON numbers and read them back."""
+    w = gw.WignerGrid(gw.PhaseGrid(3, angle), "custom", np.eye(3) / 3, angle)
+    half = gw.HalfIntegerWignerGrid(1, angle, np.full((4, 4), 1 / 16))
+    assert {type(w.grid.phi0), type(w.epsilon), type(half.phi0)} == {float}
+    back, back_half = _round_trip(gw.wigner_to_json, gw.load_wigner, w), _round_trip(gw.halfgrid_to_json, gw.load_halfgrid, half)
+    for value in (back.grid.phi0, back.epsilon, back_half.phi0):
+        assert value == float(angle) and math.copysign(1, value) == math.copysign(1, float(angle))
+
+
+NON_REAL_ANGLES = {
+    "phi0 True": lambda: gw.PhaseGrid(3, True),
+    "phi0 numpy True": lambda: gw.PhaseGrid(3, np.True_),
+    "phi0 complex": lambda: gw.PhaseGrid(3, 0.3 + 0j),
+    "phi0 string": lambda: gw.PhaseGrid(3, "0.3"),
+    "half phi0 True": lambda: gw.HalfIntegerWignerGrid(1, True, np.zeros((4, 4))),
+    "epsilon True": lambda: gw.WignerGrid(gw.PhaseGrid(3), "custom", np.zeros((3, 3)), True),
+}
+
+
+@pytest.mark.parametrize("make", NON_REAL_ANGLES.values(), ids=NON_REAL_ANGLES.keys())
+def test_grid_angles_refuse_booleans_and_non_reals(make):
+    with pytest.raises(ValueError, match="must be a real number"):
+        make()
+
+
 def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):
     """A table is written row by row: no ``write`` call carries more than one row's text."""
     sizes = []

@@ -298,7 +298,9 @@ def test_half_sizes_reject_values_below_one(make):
 
 
 @pytest.mark.parametrize(
-    "make", [gw.maximally_mixed, lambda d: gw.random_density(d, np.random.default_rng(0))], ids=["mixed", "random"]
+    "make",
+    [gw.maximally_mixed, lambda d: gw.random_density(d, np.random.default_rng(0)), lambda d: gw.fock_state(d, 0)],
+    ids=["mixed", "random", "fock"],
 )
 @pytest.mark.parametrize("dim", [0, -1])
 def test_dimensions_reject_values_below_one(make, dim):

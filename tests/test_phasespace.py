@@ -179,22 +179,6 @@ class TestDisplacement:
             )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    d=st.integers(1, 33),
-    phi0=st.one_of(st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e8, 1e8)),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_level_shifts_are_shift_conjugates(d, phi0, seed):
-    rng = np.random.default_rng(seed)
-    grid = gw.PhaseGrid(d, phi0)
-    a = random_complex(rng, d, d)
-    levels = rng.integers(d, size=int(rng.integers(1, 6)))
-    u = gw.u_op(grid)
-    expected = [np.linalg.matrix_power(np.linalg.inv(u), n) @ a @ np.linalg.matrix_power(u, n) for n in levels]
-    assert np.max(np.abs(gw.phasespace._level_shifts(grid, a, levels) - expected)) <= 1e-12
-
-
 
 @settings(max_examples=40, deadline=None)
 @given(
