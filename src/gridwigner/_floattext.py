@@ -30,6 +30,10 @@ where the row ends (JSON numbers never hold one).  A CSV cell is four words and
 ends in ``"\\n"``; a CSV line is the ``%`` texts of its levels and angle and the
 cell, as fields of fixed width, so a grid row is cut from a block by its width.
 
+A row bit for bit equal to the row before it is not formatted again: it takes
+that row's JSON text or CSV value cells.  The Wigner table of a state diagonal in
+the number basis is one row repeated, so it is formatted at the cost of one row.
+
 The tables cost a few milliseconds to build, so ``_jsonio`` imports this
 module only for the first table large enough to use it.
 """
@@ -279,36 +283,57 @@ def _separator_words(inner: tuple) -> np.ndarray:
     return np.append(between[depth], _word_table(["]" * len(inner) + "\n"]))
 
 
+def _fresh(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Whether each row ``start..stop-1`` of the 2-D ``rows`` differs bit for bit from the row
+    before it (so ``0.0`` and ``-0.0`` differ, as their texts do); row 0 has none before it."""
+    bits = rows[max(start - 1, 0):stop].view(np.uint64)
+    fresh = (bits[1:] != bits[:-1]).any(axis=1)
+    return fresh if start else np.append(True, fresh)
+
+
+def _json_texts(block: np.ndarray, separators: np.ndarray) -> list:
+    """The text of each row of a 2-D block, without its head of brackets."""
+    cells = _cells(np.ascontiguousarray(block).reshape(-1))
+    cells[:, 4] = separators[:len(cells)]
+    return cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
 def json_rows(table: np.ndarray):
     """Yield ``json.dumps(row.tolist())`` for each row of ``table``, a finite float64
-    array of two or more dimensions, formatting ``BLOCK`` entries at a time."""
+    array of two or more dimensions, formatting ``BLOCK`` entries at a time.  A row
+    equal to the one before it yields that row's text again, formatted once."""
     rows = table.reshape(len(table), -1)
     head = "[" * (table.ndim - 1)
     per = max(1, BLOCK // max(rows.shape[1], 1))
     separators = np.tile(_separator_words(table.shape[1:]), per)
     for start in range(0, len(rows), per):
-        cells = _cells(np.ascontiguousarray(rows[start:start + per]).reshape(-1))
-        cells[:, 4] = separators[:len(cells)]
-        text = cells.tobytes().translate(None, b"\0").decode("ascii")
-        del cells  # not held while the next block is made
-        for row in text.split("\n")[:-1]:
-            yield head + row
+        block, fresh = rows[start:start + per], _fresh(rows, start, start + per)
+        texts = iter(_json_texts(block if fresh.all() else block[fresh], separators))
+        for new in fresh.tolist():
+            if new:
+                row = head + next(texts)
+            yield row
 
 
 def grid_csv_rows(phis: np.ndarray, values: np.ndarray):
     """Yield the lines ``m,n,phi,value`` of each row ``m`` of a finite float64 grid
-    ``values`` with row angles ``phis``, formatting ``BLOCK`` entries at a time."""
+    ``values`` with row angles ``phis``, formatting ``BLOCK`` entries at a time.  A row
+    equal to the one before it reuses that row's value cells, formatted once."""
     rows, lines = values.shape
     levels = np.array(["%d," % i for i in range(max(rows, lines))], "S")
     angles = np.array(["%.17g," % phi for phi in phis.tolist()], "S")
     layout = [("m", levels.dtype), ("n", levels.dtype), ("phi", angles.dtype), ("value", "V32")]
     per = max(1, BLOCK // lines)
+    buffer = np.empty((min(per, rows), lines), layout)  # every block but the last fills it
+    buffer["n"] = levels[:lines]
     for start in range(0, rows, per):
         stop = min(start + per, rows)
-        out = np.empty((stop - start, lines), layout)
+        out, fresh = buffer[:stop - start], _fresh(values, start, stop)
         out["m"] = levels[start:stop, None]
-        out["n"] = levels[:lines]
         out["phi"] = angles[start:stop, None]
-        out["value"] = _cells(values[start:stop].reshape(-1), True).view("V32").reshape(out.shape)
-        # no loop variable holds a row past the block, so it is freed before the next one is made
+        if fresh.all():
+            out["value"] = _cells(values[start:stop].reshape(-1), True).view("V32").reshape(out.shape)
+        else:  # row 0 of the sources is the last row of the block before, still in the buffer
+            cells = _cells(values[start:stop][fresh].reshape(-1), True).view("V32").reshape(-1, lines)
+            out["value"] = np.concatenate((buffer["value"][-1:], cells))[np.cumsum(fresh)]
         yield from (row.tobytes().translate(None, b"\0").decode("ascii") for row in out)

@@ -145,9 +145,11 @@ def number_table(rows, ndim: int, what: str) -> np.ndarray:
         names = ", ".join(sorted(t.__name__ for t in odd))
         raise ValueError(f"{what} has entries that are not JSON numbers ({names})")
     try:
-        return np.array(entries, dtype=float).reshape(shape)
+        table = np.array(entries, dtype=float)
     except OverflowError as exc:
         raise ValueError(f"{what}: {exc}") from exc
+    table.shape = shape  # in place: the table owns its memory, so a grid holds it without a copy
+    return table
 
 
 def complex_table(rows, dim: int, what: str) -> np.ndarray:

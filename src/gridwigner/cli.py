@@ -374,6 +374,8 @@ def cmd_converge(args) -> int:
     elif name == "fock":
         try:
             level = int(tokens[1])
+            if level < 0:
+                raise ValueError(f"number level {level} is negative")
             _check_embedding(level, args.n, n_list)  # before a table of the level's size is built
             rho = fock_state(level + 1, level)
         except EmbeddingError as exc:

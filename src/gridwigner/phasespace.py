@@ -72,9 +72,9 @@ class PhaseGrid:
         """Phase angle for an arbitrary (also non-integer) index ``m``."""
         return self.phi0 + 2.0 * np.pi * m / self.dim
 
-    @property
+    @functools.cached_property
     def phi0_reduced(self) -> float:
-        """:func:`_reduced` of ``phi0``."""
+        """:func:`_reduced` of ``phi0``, computed once per grid."""
         return _reduced(self.phi0)
 
 
@@ -191,7 +191,7 @@ def _dft(x, inverse: bool, axes: tuple, norm: str = "backward") -> np.ndarray:
     does not depend on the rows stacked with it; a 2-D transform is ``F @ x @ F`` per table.
     Longer transforms make the ``np.fft`` call itself, bit for bit."""
     x = np.asarray(x)
-    if max(x.shape[a] for a in axes) > DFT_MATRIX_LIMIT:
+    if (max(x.shape[-2:]) if len(axes) == 2 else x.shape[axes[0]]) > DFT_MATRIX_LIMIT:
         if len(axes) == 2:
             return (np.fft.ifft2 if inverse else np.fft.fft2)(x, axes=axes, norm=norm)
         return (np.fft.ifft if inverse else np.fft.fft)(x, axis=axes[0], norm=norm)

@@ -532,6 +532,14 @@ class TestInputBoundary:
             "--n", "0", "--phi", "0", "--Ns", "5,10",
         ) == 2
 
+    def test_converge_refuses_a_negative_fock_level_by_name(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the number state was built")
+
+        monkeypatch.setattr(cli, "fock_state", refuse)
+        assert run(*"converge --kernel symmetric --state fock -1 --n 0 --phi 0 --Ns 5".split()) == 2
+        assert capsys.readouterr().err == "error: bad state spec 'fock -1': number level -1 is negative\n"
+
     @pytest.mark.parametrize("kernel, dim, size", [
         ("symmetric", 3, 2), ("wootters", 5, 3), ("leonhardt", 4, 5),
     ])

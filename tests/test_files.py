@@ -11,6 +11,7 @@ formats.  Convergence reports have one route, a ``%`` template per line.  Tables
 ``nan`` and ``inf``, in conjugate pairs and singly.
 """
 
+import importlib
 import json
 import math
 import os
@@ -260,6 +261,29 @@ NON_REAL_ANGLES = {
 def test_grid_angles_refuse_booleans_and_non_reals(make):
     with pytest.raises(ValueError, match="must be a real number"):
         make()
+
+
+def test_a_read_table_owns_its_memory():
+    for rows, ndim in [([[1, 2.5], [3, -0.0]], 2), ([[[1, 2]], [[3, 4]]], 3), ([[]], 2)]:
+        table = _jsonio.number_table(rows, ndim, "table")
+        assert table.flags.owndata and table.flags.c_contiguous and table.tolist() == rows
+
+
+def test_a_loaded_grid_holds_the_readers_own_array(tmp_path, monkeypatch):
+    """The grid loaders hold the table ``number_table`` read as it is, with no second copy."""
+    read = []
+
+    def reading(*args):
+        read.append(_jsonio.number_table(*args))
+        return read[-1]
+
+    for module in ("gridwigner.wigner", "gridwigner.tomography"):
+        monkeypatch.setattr(importlib.import_module(module), "number_table", reading)
+    rng = np.random.default_rng(5)
+    gw.wigner_to_json(gw.wigner_grid(gw.PhaseGrid(5, 0.37), gw.symmetric_kernel(2), gw.random_density(5, rng)), tmp_path / "w.json")
+    assert gw.load_wigner(tmp_path / "w.json").values is read[-1]
+    gw.halfgrid_to_json(gw.leonhardt_wigner(2, 0.37, gw.random_density(4, rng)), tmp_path / "h.json")
+    assert gw.load_halfgrid(tmp_path / "h.json").values is read[-1]
 
 
 def test_writers_emit_no_whole_file_string(tmp_path, monkeypatch):

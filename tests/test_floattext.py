@@ -15,6 +15,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridwigner import _floattext
@@ -179,3 +180,74 @@ def test_csv_rows_across_blocks_match_the_percent_template():
         phis = rng.uniform(0, 7, rows)
         expected = ["".join(f"{i},{j},{phis[i]:.17g},{values[i, j]:.17g}\n" for j in range(lines)) for i in range(rows)]
         assert list(_floattext.grid_csv_rows(phis, values)) == expected
+
+
+# --- repeated rows, formatted once ---------------------------------------------
+
+
+def percent_lines(phis, values):
+    return ["".join("%d,%d,%.17g,%.17g\n" % (i, j, phis[i], v) for j, v in enumerate(row)) for i, row in enumerate(values.tolist())]
+
+
+@st.composite
+def tables_with_repeats(draw):
+    """A table drawn from a few distinct rows, in runs: some rows differ only by the sign
+    of a zero, some tables are complex, and ``block`` may cut runs across block borders."""
+    cols = draw(st.integers(1, 9))
+    entry = st.sampled_from([0.0, -0.0, 1.0, -2.5e-300, 5e-324, 1e17, 0.1]) | st.floats(allow_nan=False, allow_infinity=False)
+    base = draw(st.lists(entry, min_size=cols, max_size=cols))
+    pool = [base, [-v if v == 0 else v for v in base]]  # the same but for zero signs
+    pool += draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=2))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 6)), min_size=1, max_size=8))
+    table = np.array([pool[i] for i, n in runs for _ in range(n)], dtype=np.float64)
+    if draw(st.booleans()):  # complex with equal rows: each entry a [re, im] pair
+        table = np.stack([table, table[::-1]], axis=-1)
+    return table, draw(st.sampled_from([1, 2, 3, 5, 8, 4096]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_repeats())
+def test_repeated_rows_read_as_json_dumps_and_percent(drawn):
+    table, block = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_floattext, "BLOCK", block)
+        assert list(_floattext.json_rows(table)) == [json.dumps(row.tolist()) for row in table]
+        if table.ndim == 2:
+            phis = np.linspace(0.0, 6.0, len(table))
+            assert list(_floattext.grid_csv_rows(phis, table)) == percent_lines(phis, table)
+
+
+def test_equal_rows_a_single_row_and_signed_zeros_read_as_json_dumps_and_percent(monkeypatch):
+    rng = np.random.default_rng(34)
+    row = rng.standard_normal(7)
+    zeros = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    tables = [np.tile(row, (50, 1)), row[None], zeros, np.tile(row + 1j * row[::-1], (9, 1))]
+    for block in (3, 7, 4096):
+        monkeypatch.setattr(_floattext, "BLOCK", block)
+        for table in tables:
+            pairs = table.view(np.float64).reshape(*table.shape, 2) if np.iscomplexobj(table) else table
+            assert list(_floattext.json_rows(pairs)) == [json.dumps(r.tolist()) for r in pairs]
+            if not np.iscomplexobj(table):
+                phis = np.arange(len(table)) * 0.37
+                assert list(_floattext.grid_csv_rows(phis, table)) == percent_lines(phis, table)
+
+
+@pytest.mark.parametrize("d", [7, 129])
+def test_a_table_of_equal_rows_formats_one_row(monkeypatch, d):
+    """Each row equal to the one before it reuses that row's text: a d x d table of one
+    row repeated formats d entries, for JSON and for CSV, over every block."""
+    formatted = []
+    cells = _floattext._cells
+
+    def counting(x, g=False):
+        formatted.append(len(x))
+        return cells(x, g)
+
+    monkeypatch.setattr(_floattext, "_cells", counting)
+    table = np.tile(np.random.default_rng(d).standard_normal(d), (d, 1))
+    assert list(_floattext.json_rows(table)) == [json.dumps(r.tolist()) for r in table]
+    assert sum(formatted) == d
+    formatted.clear()
+    phis = np.arange(d) * 0.1
+    assert list(_floattext.grid_csv_rows(phis, table)) == percent_lines(phis, table)
+    assert sum(formatted) == d

@@ -414,3 +414,22 @@ def test_check_density_decides_as_the_averaged_route(case):
     rho, verdict = case
     assert _verdict(oracles.check_density_average, rho) == verdict
     assert _verdict(gw.check_density, rho) == verdict
+
+
+@pytest.mark.parametrize("phi0", [0.0, 0.37, 1e8])
+def test_number_diagonal_states_have_one_row(phi0):
+    """A state diagonal in the number basis has its characteristic function on row k = 0
+    only, so its Wigner table does not depend on the phase: every row is bit for bit the
+    row before it, which the file writers format once.  Fock states and the maximally
+    mixed state at d = 2..65 under every family of the parity."""
+    differing = []
+    for d in range(2, 66):
+        grid = gw.PhaseGrid(d, phi0)
+        kernels = [gw.symmetric_kernel(d // 2), gw.wootters_kernel(d // 2)] if d % 2 else [gw.almost_symmetric_kernel(d // 2)]
+        states = {"mixed": gw.maximally_mixed(d), **{f"fock {n}": gw.fock_state(d, n) for n in {0, 1, d // 2, d - 1}}}
+        for kernel in kernels:
+            for name, rho in states.items():
+                bits = gw.wigner_grid(grid, kernel, rho).values.view(np.uint64)
+                if not (bits[1:] == bits[:-1]).all():
+                    differing.append((d, kernel.label, name))
+    assert differing == []
