@@ -34,6 +34,16 @@ A row bit for bit equal to the row before it is not formatted again: it takes
 that row's JSON text or CSV value cells.  The Wigner table of a state diagonal in
 the number basis is one row repeated, so it is formatted at the cost of one row.
 
+:func:`read_table` reads such a table back, as ``json.loads`` and ``float`` would.  It
+finds the entries from the commas, checks every separator byte and each entry
+against the JSON number grammar, reads an entry's digits eight at a time from
+64-bit words at any byte offset (SWAR), and turns the significand ``w`` (19 digits
+at most) and decimal exponent ``q`` into the nearest double by Eisel-Lemire
+(D. Lemire, "Number Parsing at a Gigabyte per Second", 2021) on the top word of
+the same table of powers of ten.  An entry whose product lies within its error of
+a tie between two doubles, or whose double is subnormal, is read by ``float``; a
+table in another layout is left to ``json.loads``.
+
 The tables cost a few milliseconds to build, so ``_jsonio`` imports this
 module only for the first table large enough to use it.
 """
@@ -61,7 +71,7 @@ def _g(e: int) -> int:
 _G = [_g(e) for e in range(-292, 325)]
 _G_LO = np.array([g & (2**63 - 1) for g in _G], np.uint64)  # by -k + 292
 _G_HI = np.array([g >> 63 for g in _G], np.uint64)
-_POW10 = np.array([10**i for i in range(18)], np.uint64)
+_POW10 = np.array([10**i for i in range(20)], np.uint64)
 
 
 def _word_table(texts, at: int = 0) -> np.ndarray:
@@ -227,6 +237,8 @@ def _cells(x: np.ndarray, g: bool = False) -> np.ndarray:
     """The uint64 cells of the entries of ``x``, a finite 1-D float64 array, as
     ``repr`` writes them (five words, the last left to the caller), or ``%.17g``
     (four words, ending in ``"\\n"``)."""
+    if not len(x):  # a block of repeated rows: no call of the fixed cost below
+        return np.empty((0, 4 if g else 5), "<u8")
     bits = x.view(np.uint64)
     if g:
         s17, k, undecided = _decimal(bits, shortest=False)
@@ -337,3 +349,128 @@ def grid_csv_rows(phis: np.ndarray, values: np.ndarray):
             cells = _cells(values[start:stop][fresh].reshape(-1), True).view("V32").reshape(-1, lines)
             out["value"] = np.concatenate((buffer["value"][-1:], cells))[np.cumsum(fresh)]
         yield from (row.tobytes().translate(None, b"\0").decode("ascii") for row in out)
+
+
+# The reader.  A word read at any byte offset is little-endian: the last digit of a field is
+# the top byte of the word that ends with it.
+_G64 = (_G_HI << _U(1)) | (_G_LO >> _U(62))  # the top 64 bits of each _G entry
+_TOP = np.array([2**64 - 2 ** (64 - 8 * c) for c in range(9)], np.uint64)  # the top c bytes of a word
+
+
+def _digit_value(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Value of the ASCII digits in the top ``counts`` bytes (up to 8) of each word: the digits
+    less "0", the bytes below them cleared, then pairs, quads and all eight combined (SWAR)."""
+    v = (words ^ _U(0x3030303030303030)) & _TOP.take(np.clip(counts, 0, 8))
+    v = (v * _U(10 << 8 | 1) >> _U(8)) & _U(0x00FF00FF00FF00FF)
+    v = (v * _U(100 << 16 | 1) >> _U(16)) & _U(0x0000FFFF0000FFFF)
+    return v * _U(10000 << 32 | 1) >> _U(32)
+
+
+def _binary(w: np.ndarray, q: np.ndarray):
+    """``(bits, undecided)``: the double nearest ``w * 10**q`` for ``0 < w < 10**19``, by
+    Eisel-Lemire on the top word of ``_G``; undecided where a tie between two doubles lies
+    within the error of the product, and where the double is subnormal or out of range."""
+    # the bit length of w, or one more where w rounds up to 2**bitlen; wn * t then still
+    # reaches bit 126 (t > 1.001 * 2**63) but at q = 0, where it rounds to 2**bitlen too
+    bitlen = (w.astype(np.float64).view(np.uint64) >> _U(52)) - _U(1022)
+    wn, t = w << (_U(64) - bitlen), _G64.take(np.clip(q, -292, 324) + 292)
+    # hi, the high word of wn * t, lies below the exact product by less than 2**64 + 4
+    a0, a1, b0, b1 = wn & _M32, wn >> _U(32), t & _M32, t >> _U(32)
+    mid1, mid2 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U(32)) + (mid1 & _M32) + (mid2 & _M32)
+    hi = a1 * b1 + (mid1 >> _U(32)) + (mid2 >> _U(32)) + (mid >> _U(32))
+    upper = hi >> _U(63)
+    hi <<= _U(1) - upper  # its top bit set; bit 10 is the round bit below the 53 of the double
+    near_tie = (hi & _U(2047)) - _U(1022) <= _U(2)  # the bits from bit 10 down lie within 2 of a half
+    m = ((hi >> _U(10)) + _U(1)) >> _U(1)
+    carry = m >> _U(53)
+    e = (((q * 913_124_641_741) >> 38) + 1022).astype(np.uint64) + upper + carry + bitlen
+    return (e << _U(52)) | ((m >> carry) & _U(2**52 - 1)), near_tie | (q < -292) | (e - _U(1) > _U(2045))
+
+
+def read_table(data: bytes, start: int, stop: int, ndim: int):
+    """The float64 array of ``data[start:stop]``, ``ndim`` levels of JSON lists of numbers
+    from ``ndim`` "[" to ``ndim`` "]" in the layout of :func:`json_rows`, each entry as
+    ``json.loads`` and ``float`` read it; or None where the text has another layout or a
+    significand of more than 19 digits.  ``data`` goes on after ``stop``."""
+    buf, span = np.frombuffer(data, np.uint8), 16 * BLOCK  # text bytes scanned at once
+    n = 1 + sum(np.count_nonzero(buf[at:min(at + span, stop)] == 44) for at in range(start, stop, span))
+    # entries in the first list of each level, innermost first: up to the level's first separator
+    sizes = [n if at < 0 else data.count(b",", start, at) + 1
+             for at in (data.find(b"]" * k + b", " + b"[" * k, start, stop) for k in range(1, ndim))]
+    shape = [n // sizes[-1], *(a // b for a, b in zip(sizes[::-1], sizes[-2::-1])), sizes[0]]
+    if start + ndim < 23 or np.prod(shape) != n:  # an entry's words reach 24 bytes back
+        return None
+    # the 8 and the 24 bytes from each offset
+    words, triples = (np.ndarray(len(data) + 1 - size, f"V{size}", data, 0, (1,)) for size in (8, 24))
+    # the separator that closes t lists, in the word that ends ndim bytes after its comma
+    expected = _word_table(["\0" * (7 - ndim - t) + "]" * t + ", " + "[" * t for t in range(ndim)])
+    masks = (expected.view(np.uint8) != 0).view(np.uint64) * _U(255)
+    out = np.empty(n)
+    i, first, at = 0, start + ndim, start  # entries read, where the next one starts, where to scan
+
+    def entry_of(marks):  # the entry of each mark; None where one entry holds two
+        if len(marks) == k and ((marks >= starts) & (marks < ends)).all():
+            return slice(None)
+        e = np.searchsorted(commas, marks)
+        return e if (np.diff(e) > 0).all() else None
+
+    while i < n:
+        commas = np.flatnonzero(buf[at:min(at + span, stop)] == 44) + at
+        final = i + len(commas) == n - 1
+        if not (final or len(commas)):
+            return None
+        text = buf[at:stop if final else commas[-1]]  # the entries read in this pass
+        dots, exps = np.flatnonzero(text == 46) + at, np.flatnonzero((text | np.uint8(32)) == 101) + at
+        depth = np.zeros(len(commas), np.intp)  # the lists each comma closes: entry j + 1 ends
+        for size in sizes:  # one per level whose size divides j + 1
+            depth[(-1 - i) % size::size] += 1
+        if not ((words[commas + ndim - 7].view("<u8") & masks[depth]) == expected[depth]).all():
+            return None
+        k, starts = len(commas) + final, np.append(first, commas + 2 + depth)  # and the next one's
+        ends, first = np.append(commas - depth, stop - ndim)[:k], starts[-1]
+        starts = starts[:k]
+        neg = buf[starts] == 45
+        m0, token_exp, token_dot = starts + neg, entry_of(exps), entry_of(dots)
+        if token_exp is None or token_dot is None:
+            return None
+        end = ends.copy()  # where the significand ends, and the point or that end
+        end[token_exp] = exps
+        point = end.copy()
+        point[token_dot] = dots
+        after = buf[exps + 1]
+        exp_sign = (after == 43) - (after == 45).astype(np.intp)  # 1, -1, or 0 without one
+        exp_at = exps + 1 + (exp_sign != 0)
+        signs = np.count_nonzero(((text - np.uint8(43)) | np.uint8(2)) == 2)
+        digits = np.count_nonzero((text - np.uint8(48)) < 10)
+        # every byte of an entry is a digit, point, sign or exponent mark (no separator holds
+        # one); a sign leads an entry or follows a mark; each point and mark has a digit on
+        # either side (after the mark's sign), one of each per entry, the point first; and
+        # an entry starts with a digit, with no digit after a leading 0
+        if ((point > end).any() or signs != np.count_nonzero(neg) + np.count_nonzero(exp_sign)
+                or digits + len(dots) + len(exps) + signs != (ends - starts).sum()
+                or ((buf[np.concatenate((dots - 1, dots + 1, exps - 1, exp_at, m0))] - np.uint8(48)) >= 10).any()
+                or ((buf[m0] == 48) & (buf[m0 + 1] - np.uint8(48) < 10)).any()):
+            return None
+        exp_digits = ends[token_exp] - exp_at  # up to 8 are read here, more by float()
+        q = np.zeros(k, np.int64)
+        q[token_exp] = _digit_value(words[exp_at + exp_digits - 8].view("<u8"), exp_digits)
+        q[token_exp] *= exp_sign | 1
+        whole = point - m0  # digits before the point, up to 8 read here
+        frac = np.maximum(end - point - 1, 0)  # digits after it, up to 24 in three words
+        fields = [words[point - 8].view("<u8")[None], triples[end - 24].view("<u8").reshape(k, 3).T]
+        a, b2, b1, b0 = _digit_value(np.concatenate(fields), np.stack((whole, frac - 16, frac - 8, frac)))
+        if np.where((whole > 8) | (a > 0), whole + frac > 19, b2 >= 1000).any():
+            return None
+        w = a * _POW10.take(np.minimum(frac, 19)) + b2 * _U(10**16) + b1 * _U(10**8) + b0
+        bits, undecided = _binary(np.maximum(w, _U(1)), q - frac)
+        zero = w == 0
+        sign = neg & ~(zero & (point == ends))  # an integer zero ("-0") reads as json reads it, 0.0
+        out[i:i + k] = (np.where(zero, _U(0), bits) | (sign.astype(np.uint64) << _U(63))).view(np.float64)
+        slow = (whole > 8) | (frac > 24) | (undecided & ~zero)
+        slow[token_exp] |= exp_digits > 8
+        for e in np.flatnonzero(slow).tolist():
+            out[i + e] = float(data[starts[e]:ends[e]])
+        i, at = i + k, at + len(text) + 1
+    out.shape = shape
+    return out

@@ -12,8 +12,13 @@ A finite JSON table of ``VECTOR_MIN`` floats or more, and a finite CSV grid
 of ``CSV_MIN`` values or more, go through :mod:`._floattext`, which formats
 a block of rows at a time in numpy to the same bytes; other tables, and
 every convergence table, through ``json.dumps`` or a ``%`` template per row.
-Readers accept JSON numbers only: strings, booleans and nulls are rejected,
-not coerced.
+
+A file is read as UTF-8 whatever the locale (a BOM is refused, line ends read as in
+text mode).  A table of ``READ_MIN`` floats or more in the writer's layout, under the
+one key of scalar pairs without escapes, is read by :mod:`._floattext` and the pairs by
+``json.loads``; any other file by ``json.loads`` whole, to the same floats bit for bit
+and the same errors.  Readers accept JSON numbers only: strings, booleans and nulls
+are rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -26,11 +31,13 @@ from stat import S_ISREG
 
 import numpy as np
 
-#: Float count from which a finite JSON table is formatted by :mod:`._floattext`, and
-#: count of values a ``%`` template would format from which a CSV grid is: below
-#: them the fixed cost of a block outweighs the per-value saving (README, "Cost").
+#: Float count from which a finite JSON table is formatted by :mod:`._floattext`, count
+#: of values a ``%`` template would format from which a CSV grid is, and float count from
+#: which a table is read by it: below them the fixed cost of a block outweighs the
+#: per-value saving (README, "Cost").
 VECTOR_MIN = 768
 CSV_MIN = 1024
+READ_MIN = 2048
 
 
 @contextmanager
@@ -112,9 +119,31 @@ def write_report_csv(path, rows) -> None:
             fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row)
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def read_json(path, key: str, ndim: int):
+    """The JSON file at ``path``; its table under ``key``, ``ndim`` lists deep, comes as a
+    float64 array where :mod:`._floattext` reads it (module docstring)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = json.dumps(key).encode() + b": " + b"[" * ndim
+    start, stop = data.find(head) + len(head) - ndim, data.rfind(b"]" * ndim) + ndim
+    # the key found, and the commas of READ_MIN floats within 64 bytes a float of its table
+    if (data[:1] == b"{" and stop >= start >= len(head) - ndim
+            and np.count_nonzero(np.frombuffer(data, np.uint8, min(stop - start, 64 * READ_MIN), start) == 44)
+            >= READ_MIN - 1):
+        header = data[:start] + b"0" + data[stop:]
+        try:
+            pairs = json.loads(header.decode("utf-8"), object_pairs_hook=list)
+        except ValueError:
+            pairs = []
+        if (b"\\" not in header and [name for name, _ in pairs].count(key) == 1
+                and not any(isinstance(v, list) for _, v in pairs) and dict(pairs)[key] == 0):
+            from . import _floattext
+
+            table = _floattext.read_table(data, start, stop, ndim)
+            if table is not None:
+                return {**dict(pairs), key: table}
+    text = data.decode("utf-8")
+    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
 
 
 def integer(value, what: str) -> int:
@@ -130,7 +159,10 @@ def number(value, what: str) -> float:
 
 
 def number_table(rows, ndim: int, what: str) -> np.ndarray:
-    """Float array from ``ndim`` levels of nested JSON lists of numbers."""
+    """Float array from ``ndim`` levels of nested JSON lists of numbers; a float64 array of
+    ``ndim`` dimensions, as :func:`read_json` reads a table, is returned as it is."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == ndim:
+        return rows
     shape = [len(rows)]
     entries = rows
     for _ in range(ndim - 1):

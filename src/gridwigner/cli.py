@@ -236,7 +236,7 @@ def _read_grid_file(path, loader_for=_grid_loader):
     The decoded file, several times the size of its table, is freed on return.
     """
     try:
-        obj = read_json(path)
+        obj = read_json(path, "values", 2)
         label = obj.get("kernel")
         return label, loader_for(label)(obj)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -173,6 +173,6 @@ def save_kernel(kernel: Kernel, path) -> None:
 
 def load_kernel(path) -> Kernel:
     """Read a kernel from the JSON table format; its label is ``"file"``."""
-    obj = read_json(path)
+    obj = read_json(path, "values", 3)
     d = integer(obj["dim"], "kernel file dim")
     return Kernel(complex_table(obj["values"], d, "kernel file table"), label="file")

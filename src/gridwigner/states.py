@@ -81,6 +81,6 @@ def save_density_json(rho, path) -> None:
 
 def load_density_json(path) -> np.ndarray:
     """Read and validate a density matrix from its JSON format."""
-    obj = read_json(path)
+    obj = read_json(path, "matrix", 3)
     d = integer(obj["dim"], "density file dim")
     return check_density(complex_table(obj["matrix"], d, "density file matrix"))

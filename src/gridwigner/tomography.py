@@ -322,7 +322,7 @@ def halfgrid_to_json(w: HalfIntegerWignerGrid, path) -> None:
 
 def load_halfgrid(path) -> HalfIntegerWignerGrid:
     """Read a half-integer grid from its JSON format."""
-    return _halfgrid_from_json(read_json(path))
+    return _halfgrid_from_json(read_json(path, "values", 2))
 
 
 def _halfgrid_from_json(obj: dict) -> HalfIntegerWignerGrid:

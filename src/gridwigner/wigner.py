@@ -164,7 +164,7 @@ def wigner_to_json(w: WignerGrid, path) -> None:
 
 def load_wigner(path) -> WignerGrid:
     """Read a Wigner grid from its JSON format."""
-    return _wigner_from_json(read_json(path))
+    return _wigner_from_json(read_json(path, "values", 2))
 
 
 def _wigner_from_json(obj: dict) -> WignerGrid:

@@ -14,7 +14,7 @@ import pytest
 import gridwigner as gw
 import oracles
 from conftest import WRITING, planted, writing_commands
-from gridwigner import cli
+from gridwigner import _jsonio, cli
 from gridwigner.cli import main
 
 
@@ -838,13 +838,13 @@ class TestNonNumberEntries:
 def test_grid_file_is_decoded_once(tmp_path, monkeypatch, rng, argv, label):
     grid = TestNonNumberEntries.grid_of(tmp_path, rng, label, float)
     decoded = []
-    original = json.load
 
-    def counted(fh, *args, **kwargs):
-        decoded.append(fh.name)
-        return original(fh, *args, **kwargs)
+    def counted(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            decoded.append(str(file))
+        return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(json, "load", counted)
+    monkeypatch.setattr(_jsonio, "open", counted, raising=False)
     assert run(*argv, "--grid", grid, "--out", str(tmp_path / "out.json")) == 0
     assert decoded == [grid]
 
