@@ -41,8 +41,8 @@ against the JSON number grammar, reads an entry's digits eight at a time from
 at most) and decimal exponent ``q`` into the nearest double by Eisel-Lemire
 (D. Lemire, "Number Parsing at a Gigabyte per Second", 2021) on the top word of
 the same table of powers of ten.  An entry whose product lies within its error of
-a tie between two doubles, or whose double is subnormal, is read by ``float``; a
-table in another layout is left to ``json.loads``.
+a tie between two doubles, or whose double is subnormal or out of range, is read
+by ``float``; a table in another layout is left to ``json.loads``.
 
 The tables cost a few milliseconds to build, so ``_jsonio`` imports this
 module only for the first table large enough to use it.
@@ -373,7 +373,8 @@ def _binary(w: np.ndarray, q: np.ndarray):
     # the bit length of w, or one more where w rounds up to 2**bitlen; wn * t then still
     # reaches bit 126 (t > 1.001 * 2**63) but at q = 0, where it rounds to 2**bitlen too
     bitlen = (w.astype(np.float64).view(np.uint64) >> _U(52)) - _U(1022)
-    wn, t = w << (_U(64) - bitlen), _G64.take(np.clip(q, -292, 324) + 292)
+    qc = np.clip(q, -292, 324)  # beyond it the double is 0 or inf, and q * 913... may wrap
+    wn, t = w << (_U(64) - bitlen), _G64.take(qc + 292)
     # hi, the high word of wn * t, lies below the exact product by less than 2**64 + 4
     a0, a1, b0, b1 = wn & _M32, wn >> _U(32), t & _M32, t >> _U(32)
     mid1, mid2 = a0 * b1, a1 * b0
@@ -384,17 +385,17 @@ def _binary(w: np.ndarray, q: np.ndarray):
     near_tie = (hi & _U(2047)) - _U(1022) <= _U(2)  # the bits from bit 10 down lie within 2 of a half
     m = ((hi >> _U(10)) + _U(1)) >> _U(1)
     carry = m >> _U(53)
-    e = (((q * 913_124_641_741) >> 38) + 1022).astype(np.uint64) + upper + carry + bitlen
-    return (e << _U(52)) | ((m >> carry) & _U(2**52 - 1)), near_tie | (q < -292) | (e - _U(1) > _U(2045))
+    e = (((qc * 913_124_641_741) >> 38) + 1022).astype(np.uint64) + upper + carry + bitlen
+    return (e << _U(52)) | ((m >> carry) & _U(2**52 - 1)), near_tie | (qc != q) | (e - _U(1) > _U(2045))
 
 
-def read_table(data: bytes, start: int, stop: int, ndim: int):
+def read_table(data: bytes, start: int, stop: int, ndim: int, n: int):
     """The float64 array of ``data[start:stop]``, ``ndim`` levels of JSON lists of numbers
     from ``ndim`` "[" to ``ndim`` "]" in the layout of :func:`json_rows`, each entry as
     ``json.loads`` and ``float`` read it; or None where the text has another layout or a
-    significand of more than 19 digits.  ``data`` goes on after ``stop``."""
+    significand of more than 19 digits.  ``n`` is one more than the commas of the text, and
+    ``data`` goes on after ``stop``."""
     buf, span = np.frombuffer(data, np.uint8), 16 * BLOCK  # text bytes scanned at once
-    n = 1 + sum(np.count_nonzero(buf[at:min(at + span, stop)] == 44) for at in range(start, stop, span))
     # entries in the first list of each level, innermost first: up to the level's first separator
     sizes = [n if at < 0 else data.count(b",", start, at) + 1
              for at in (data.find(b"]" * k + b", " + b"[" * k, start, stop) for k in range(1, ndim))]

@@ -126,10 +126,9 @@ def read_json(path, key: str, ndim: int):
         data = fh.read()
     head = json.dumps(key).encode() + b": " + b"[" * ndim
     start, stop = data.find(head) + len(head) - ndim, data.rfind(b"]" * ndim) + ndim
-    # the key found, and the commas of READ_MIN floats within 64 bytes a float of its table
-    if (data[:1] == b"{" and stop >= start >= len(head) - ndim
-            and np.count_nonzero(np.frombuffer(data, np.uint8, min(stop - start, 64 * READ_MIN), start) == 44)
-            >= READ_MIN - 1):
+    buf = np.frombuffer(data, np.uint8)  # commas counted 64 KiB at a time: 6x bytes.count's speed
+    n = 1 + sum(np.count_nonzero(buf[at:min(at + 2**16, stop)] == 44) for at in range(start, stop, 2**16))
+    if data[:1] == b"{" and stop >= start >= len(head) - ndim and n >= READ_MIN:
         header = data[:start] + b"0" + data[stop:]
         try:
             pairs = json.loads(header.decode("utf-8"), object_pairs_hook=list)
@@ -139,7 +138,7 @@ def read_json(path, key: str, ndim: int):
                 and not any(isinstance(v, list) for _, v in pairs) and dict(pairs)[key] == 0):
             from . import _floattext
 
-            table = _floattext.read_table(data, start, stop, ndim)
+            table = _floattext.read_table(data, start, stop, ndim, n)
             if table is not None:
                 return {**dict(pairs), key: table}
     text = data.decode("utf-8")

@@ -144,6 +144,8 @@ HAND_MADE = {
     "1E5": grid_text(rows=("[1E5, 1e+05, 1.5E-3]",) * 3),
     "exponent with many digits": grid_text(rows=("[1e0000000005, 1.5e-0000000000000004, 2e+000]",) * 3),
     "huge exponent": grid_text(rows=("[1e400, -1e400, 1e-400]",) * 3),
+    # q * log2(10) in 64-bit fixed point wraps near these exponents
+    "wrapping exponent": grid_text(rows=("[1e20201781, -1e40403562, 1e80807124]", "[1e-20201781, 1e60606343, 3.0]", ROW)),
     "-0": grid_text(rows=("[-0, 0, -0.0]",) * 3),
     "integers": grid_text(rows=("[1, -2, 12345678901234567]",) * 3),
     "01": grid_text(rows=("[01, 2.0, 3.0]",) * 3),
@@ -211,7 +213,7 @@ def test_hand_made_files_read_alike_on_both_routes(name, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["writer layout", "1E5", "-0", "integers", "exponent with many digits",
-                                  "huge exponent", "9-digit whole", "subnormal and tie", "rounds up to 2**60",
+                                  "huge exponent", "wrapping exponent", "9-digit whole", "subnormal and tie", "rounds up to 2**60",
                                   "non-ASCII header", "[ in a header string"])
 def test_the_numpy_route_reads_the_writers_layout(name, monkeypatch, tmp_path):
     """These files are read by the numpy route itself, not handed to json.loads."""
