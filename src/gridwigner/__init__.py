@@ -49,10 +49,13 @@ from .quantizer import (
     verify_quantizer,
 )
 from .wigner import (
+    HalfIntegerWignerGrid,
     ReconstructionError,
     WignerGrid,
     check_density,
     expectation,
+    halfgrid_to_json,
+    load_halfgrid,
     load_wigner,
     marginals,
     reconstruct,
@@ -65,17 +68,14 @@ from .tomography import (
     ConvergenceReport,
     ConvergenceRow,
     EmbeddingError,
-    HalfIntegerWignerGrid,
     Line,
     LineReport,
     continuum_study,
     family_projectors,
-    halfgrid_to_json,
     leonhardt_reconstruct,
     leonhardt_wigner,
     line_points,
     line_projector,
-    load_halfgrid,
     number_phase_target,
     phase_density,
     relate,

@@ -22,6 +22,7 @@ import numpy as np
 from ._jsonio import read_json
 from .linalg import _hermitian_average, is_positive_semidefinite, psd_deficit, within
 from .kernels import (
+    FAMILIES,
     Kernel,
     KernelValidity,
     almost_symmetric_kernel,
@@ -46,7 +47,6 @@ from .tomography import (
     ConvergenceReport,
     EmbeddingError,
     _check_embedding,
-    _halfgrid_from_json,
     continuum_study,
     leonhardt_reconstruct,
     leonhardt_wigner,
@@ -55,8 +55,9 @@ from .tomography import (
     verify_lines,
 )
 from .wigner import (
+    HalfIntegerWignerGrid,
     ReconstructionError,
-    _wigner_from_json,
+    _grid_from_json,
     marginals,
     reconstruct,
     wigner_grid,
@@ -226,26 +227,28 @@ def _state_residual(rho: np.ndarray) -> float:
     return float(max(psd, abs(np.trace(rho) - 1.0)))  # an inf deficit wins over a NaN trace
 
 
-def _grid_loader(label):
-    return _halfgrid_from_json if label == "leonhardt" else _wigner_from_json
+#: The kernel label of the grid file each ``relate`` direction reads, and the grid it names.
+RELATION_INPUT = {"odd": ("wootters", "grid"), "even": (HalfIntegerWignerGrid.kernel_label, "half grid")}
 
 
-def _read_grid_file(path, loader_for=_grid_loader):
-    """Decode a grid file once: its kernel label and the grid built by ``loader_for(label)``.
-
-    The decoded file, several times the size of its table, is freed on return.
-    """
+def _read_grid_file(path, need=None):
+    """Decode a grid file once into its grid, of the kind its kernel label names.  With ``need``, a
+    ``relate`` direction, the label is checked before any grid is built: a file of another exits 3.
+    The decoded file, several times the size of its table, is freed on return."""
     try:
         obj = read_json(path, "values", 2)
         label = obj.get("kernel")
-        return label, loader_for(label)(obj)
+        if need is not None and label != RELATION_INPUT[need][0]:
+            wanted, noun = RELATION_INPUT[need]
+            raise CliError(EXIT_KERNEL_MISMATCH, f"{need} relation needs a {wanted} {noun}, got kernel {label!r}")
+        return _grid_from_json(obj)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(EXIT_BAD_STATE, f"invalid grid file: {exc}")
 
 
 def cmd_reconstruct(args) -> int:
-    label, w = _read_grid_file(args.grid)
-    if label == "leonhardt":
+    w = _read_grid_file(args.grid)
+    if isinstance(w, HalfIntegerWignerGrid):
         raw = leonhardt_reconstruct(w)
         rho = _hermitian_average(raw, raw.conj().T)
         try:  # 16N**2 values onto a 4N**2-dimensional image: the round trip can fail
@@ -255,17 +258,13 @@ def cmd_reconstruct(args) -> int:
             trip = math.inf
         residual = max(_state_residual(raw), trip)
     else:
-        if label in ("symmetric", "wootters", "almost-symmetric"):
-            kernel, _ = _resolve_kernel(
-                label, w.dim, w.epsilon if w.epsilon is not None else args.epsilon
-            )
+        label = w.kernel_label
+        if label in FAMILIES:
+            kernel, _ = _resolve_kernel(label, w.dim, w.epsilon if w.epsilon is not None else args.epsilon)
         elif args.kernel:
             kernel, _ = _resolve_kernel(args.kernel, w.dim, args.epsilon)
         else:
-            raise CliError(
-                EXIT_KERNEL_MISMATCH,
-                f"grid kernel {label!r} is not built in; pass --kernel file:<path>",
-            )
+            raise CliError(EXIT_KERNEL_MISMATCH, f"grid kernel {label!r} is not built in; pass --kernel file:<path>")
         try:
             rho = reconstruct(w, kernel, validate_state=False)
         except ReconstructionError as exc:
@@ -359,7 +358,7 @@ def cmd_converge(args) -> int:
     except ValueError:
         raise CliError(EXIT_BAD_EMBEDDING, f"bad --Ns list {args.Ns!r}")
     family = args.kernel
-    if family not in ("symmetric", "wootters", "almost-symmetric"):
+    if family not in FAMILIES:
         raise CliError(EXIT_KERNEL_MISMATCH, f"unsupported kernel family {family!r}")
     if not (math.isfinite(args.phi) and math.isfinite(args.phi0)):
         raise CliError(EXIT_BAD_EMBEDDING, "--phi and --phi0 must be finite")
@@ -406,20 +405,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_relate(args) -> int:
-    def loader_for(label):
-        if args.direction == "odd" and label != "wootters":
-            raise CliError(
-                EXIT_KERNEL_MISMATCH,
-                f"odd relation needs a wootters grid, got kernel {label!r}",
-            )
-        if args.direction == "even" and label != "leonhardt":
-            raise CliError(
-                EXIT_KERNEL_MISMATCH,
-                f"even relation needs a leonhardt half grid, got kernel {label!r}",
-            )
-        return _grid_loader(label)
-
-    _, w = _read_grid_file(args.grid, loader_for)
+    w = _read_grid_file(args.grid, need=args.direction)
     try:
         if args.direction == "odd":
             out_grid = relate_odd(w)

@@ -20,6 +20,9 @@ from .phasespace import _as_index
 #: Entries smaller than this are treated as structural zeros.
 ZERO_TOL = 1e-12
 
+#: Labels of the built-in kernel families, the names the command line takes.
+FAMILIES = ("symmetric", "wootters", "almost-symmetric")
+
 
 @dataclass(frozen=True)
 class Kernel:

@@ -1,5 +1,6 @@
-"""Phase-space lines, the even-dimension half-integer construction,
-inter-kernel relation transforms and continuum-limit studies.
+"""Maps on grids: phase-space lines, the even-dimension half-integer (Leonhardt)
+map and its inverse, inter-kernel relation transforms and continuum-limit
+studies.  The grids and their files live in :mod:`.wigner`.
 
 Half-integer grid indices are stored as doubled integers so index
 arithmetic stays exact; angles are recovered only when a vector or a
@@ -14,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import integer, number, number_table, read_json, write_json, write_report_csv
-from .kernels import Kernel, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
-from .phasespace import PhaseGrid, _angles, _as_angle, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _reduced
+from ._jsonio import write_report_csv
+from .kernels import FAMILIES, Kernel, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
+from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _reduced
 from .quantizer import Quantizer, _completeness_dev, _warn_if_ill_conditioned
-from .wigner import WignerGrid, _check_kernel_of, _own_table, _real_or_raise, check_density
+from .wigner import HalfIntegerWignerGrid, WignerGrid, _check_kernel_of, _real_or_raise, check_density
 
 @dataclass(frozen=True)
 class Line:
@@ -189,37 +190,6 @@ def verify_lines(q: Quantizer) -> LineReport:
     return LineReport(float(np.max(projectivity)), _completeness_dev(q), len(n1))
 
 
-@dataclass(frozen=True)
-class HalfIntegerWignerGrid:
-    """Wigner table on the doubled half-integer grid of an even dimension.
-
-    ``values[jm, jn]`` belongs to angle index ``jm/2`` and level
-    ``jn/2``; both doubled indices run over ``0 .. 4N-1`` for Hilbert
-    dimension ``2N``.  Table and ``phi0`` are held as a :class:`WignerGrid` holds its own.
-    """
-
-    n_half: int
-    phi0: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_half", _positive_half(self.n_half))
-        object.__setattr__(self, "phi0", _as_angle(self.phi0, "half-integer grid phi0"))
-        if np.iscomplexobj(self.values):
-            raise ValueError("half-integer table must be real, got a complex table")
-        v = _own_table(self.values)
-        if v.shape != (4 * self.n_half, 4 * self.n_half):
-            raise ValueError("half-integer table must be 4N x 4N")
-        if not (np.isfinite(v).all() and math.isfinite(self.phi0)):
-            raise ValueError("half-integer grid has a non-finite value or phi0")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        """Hilbert-space dimension ``2N``."""
-        return 2 * self.n_half
-
-
 def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> HalfIntegerWignerGrid:
     """Half-integer-grid Wigner function of an even-dimension state.
 
@@ -286,9 +256,7 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
 def relate_odd(w: WignerGrid) -> WignerGrid:
     """Map a sign-kernel Wigner grid to the symmetric-kernel one (see :func:`relate`)."""
     if w.kernel_label != "wootters":
-        raise ValueError(
-            f"odd relation needs a sign-kernel grid, got {w.kernel_label!r}"
-        )
+        raise ValueError(f"odd relation needs a sign-kernel grid, got {w.kernel_label!r}")
     d = w.dim
     if d % 2 == 0:
         raise ValueError("odd relation requires an odd dimension")
@@ -313,30 +281,6 @@ def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
     c = np.cos(np.pi * (np.outer(jidx, jidx) % (2 * d)) / d - eps)
     out = np.fft.irfft2(np.fft.rfft2(w.values) * np.fft.rfft2(c), s=c.shape)[::2, ::2] / (2 * N * np.cos(eps))
     return WignerGrid(grid=PhaseGrid(d, w.phi0), kernel_label="almost-symmetric", values=out, epsilon=float(eps))
-
-
-def halfgrid_to_json(w: HalfIntegerWignerGrid, path) -> None:
-    """Write a half-integer grid as JSON (kernel tag ``leonhardt``)."""
-    write_json(path, {"dim": w.dim, "phi0": w.phi0, "kernel": "leonhardt", "values": w.values})
-
-
-def load_halfgrid(path) -> HalfIntegerWignerGrid:
-    """Read a half-integer grid from its JSON format."""
-    return _halfgrid_from_json(read_json(path, "values", 2))
-
-
-def _halfgrid_from_json(obj: dict) -> HalfIntegerWignerGrid:
-    """The half-integer grid of a decoded grid file."""
-    if obj.get("kernel") != "leonhardt":
-        raise ValueError("not a half-integer grid file")
-    d = integer(obj["dim"], "grid dim")
-    if d % 2:
-        raise ValueError("half-integer grids require an even integer Hilbert dimension")
-    return HalfIntegerWignerGrid(
-        n_half=d // 2,
-        phi0=number(obj.get("phi0", 0.0), "grid phi0"),
-        values=number_table(obj["values"], 2, "grid values"),
-    )
 
 
 # --- continuum-limit study ---------------------------------------------------
@@ -491,7 +435,7 @@ def continuum_study(
     The nearest index and the factors ``e^{i k phi_m}`` take both angles
     reduced mod 2 pi, so a large ``phi`` or ``phi0`` keeps its precision.
     """
-    if kernel_family not in ("symmetric", "wootters", "almost-symmetric"):
+    if kernel_family not in FAMILIES:
         raise ValueError(f"unknown kernel family {kernel_family!r}")
     r = check_density(rho_small)
     n = _as_index(n, "query level")

@@ -1,8 +1,11 @@
-"""Wigner functions of states, expectations, marginals and reconstruction.
+"""Wigner functions of states, expectations, marginals and reconstruction,
+and both kinds of grid: the kernel grid and the half-integer (Leonhardt) grid.
 
 The Wigner grid of a state is the normalised table of phase-point
 overlaps.  Computed values are asserted real before the imaginary part
 is dropped, so kernel bugs cannot hide behind a silent truncation.
+Both grid kinds check their table alike and name their kernel in
+``kernel_label``; one decoder reads both files, whose ``kernel`` field picks the kind.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
-from .kernels import Kernel
+from .kernels import Kernel, _positive_half
 from .phasespace import PhaseGrid, _as_angle, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
 
@@ -41,17 +44,25 @@ def check_density(rho) -> np.ndarray:
     return r
 
 
-def _own_table(values) -> np.ndarray:
-    """``values`` as a C-contiguous float64 table that owns its memory, copied only when it is not one:
-    no view keeps a complex table, or another table, alive behind a grid."""
+def _checked_table(values, side: int, kind: str, wrong_shape: str, non_finite: str) -> np.ndarray:
+    """The table of a grid, refused unless real, ``side x side`` and finite (``kind`` names it in the
+    first refusal), as a C-contiguous float64 table that owns its memory, copied only when it is not
+    one: no view keeps a complex table, or another table, alive behind a grid."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{kind} table must be real, got a complex table")
     v = np.asarray(values, dtype=float)
-    return v if v.flags.c_contiguous and v.flags.owndata else v.copy()
+    v = v if v.flags.c_contiguous and v.flags.owndata else v.copy()
+    if v.shape != (side, side):
+        raise ValueError(wrong_shape)
+    if not np.isfinite(v).all():
+        raise ValueError(non_finite)
+    return v
 
 
 @dataclass(frozen=True)
 class WignerGrid:
     """Real Wigner table on a grid, tagged with the kernel that made it: the table is checked
-    finite once and held as :func:`_own_table` makes it, ``epsilon`` (if any) as a Python float."""
+    finite once and held as :func:`_checked_table` makes it, ``epsilon`` (if any) as a Python float."""
 
     grid: PhaseGrid
     kernel_label: str
@@ -59,19 +70,42 @@ class WignerGrid:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if np.iscomplexobj(self.values):
-            raise ValueError("Wigner table must be real, got a complex table")
-        v = _own_table(self.values)
-        if v.shape != (self.grid.dim, self.grid.dim):
-            raise ValueError("Wigner table shape does not match the grid")
-        if not np.isfinite(v).all():
-            raise ValueError("Wigner table has non-finite entries")
-        object.__setattr__(self, "values", v)
+        shape, finite = "Wigner table shape does not match the grid", "Wigner table has non-finite entries"
+        object.__setattr__(self, "values", _checked_table(self.values, self.grid.dim, "Wigner", shape, finite))
         object.__setattr__(self, "epsilon", None if self.epsilon is None else _as_angle(self.epsilon, "grid epsilon"))
 
     @property
     def dim(self) -> int:
         return self.grid.dim
+
+
+@dataclass(frozen=True)
+class HalfIntegerWignerGrid:
+    """Wigner table on the doubled half-integer grid of an even dimension.
+
+    ``values[jm, jn]`` belongs to angle index ``jm/2`` and level
+    ``jn/2``; both doubled indices run over ``0 .. 4N-1`` for Hilbert
+    dimension ``2N``.  Table and ``phi0`` are held as a :class:`WignerGrid` holds its own.
+    """
+
+    n_half: int
+    phi0: float
+    values: np.ndarray
+    kernel_label = "leonhardt"  # a class attribute, not a field: the label of every half grid
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_half", _positive_half(self.n_half))
+        object.__setattr__(self, "phi0", _as_angle(self.phi0, "half-integer grid phi0"))
+        non_finite = "half-integer grid has a non-finite value or phi0"
+        v = _checked_table(self.values, 4 * self.n_half, "half-integer", "half-integer table must be 4N x 4N", non_finite)
+        if not np.isfinite(self.phi0):
+            raise ValueError(non_finite)
+        object.__setattr__(self, "values", v)
+
+    @property
+    def dim(self) -> int:
+        """Hilbert-space dimension ``2N``."""
+        return 2 * self.n_half
 
 
 def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -162,21 +196,37 @@ def wigner_to_json(w: WignerGrid, path) -> None:
     write_json(path, obj)
 
 
+def halfgrid_to_json(w: HalfIntegerWignerGrid, path) -> None:
+    """Write a half-integer grid as JSON (kernel tag ``leonhardt``)."""
+    write_json(path, {"dim": w.dim, "phi0": w.phi0, "kernel": w.kernel_label, "values": w.values})
+
+
 def load_wigner(path) -> WignerGrid:
-    """Read a Wigner grid from its JSON format."""
-    return _wigner_from_json(read_json(path, "values", 2))
+    """Read a kernel grid from its JSON format; a half-integer grid file raises ``ValueError``."""
+    return _grid_from_json(read_json(path, "values", 2), WignerGrid)
 
 
-def _wigner_from_json(obj: dict) -> WignerGrid:
-    """The Wigner grid of a decoded grid file."""
-    grid = PhaseGrid(integer(obj["dim"], "grid dim"), number(obj.get("phi0", 0.0), "grid phi0"))
-    eps = obj.get("epsilon")
-    return WignerGrid(
-        grid=grid,
-        kernel_label=str(obj["kernel"]),
-        values=number_table(obj["values"], 2, "grid values"),
-        epsilon=None if eps is None else number(eps, "grid epsilon"),
-    )
+def load_halfgrid(path) -> HalfIntegerWignerGrid:
+    """Read a half-integer grid from its JSON format; any other grid file raises ``ValueError``."""
+    return _grid_from_json(read_json(path, "values", 2), HalfIntegerWignerGrid)
+
+
+def _grid_from_json(obj: dict, kind: type | None = None) -> WignerGrid | HalfIntegerWignerGrid:
+    """The grid of a decoded grid file, of the kind its ``kernel`` label names: a half-integer grid
+    for ``leonhardt``, a kernel grid for any other label.  A file of another kind than ``kind``, if
+    given, raises ``ValueError`` before its table is read."""
+    half = obj.get("kernel") == HalfIntegerWignerGrid.kernel_label
+    if kind is not None and half != (kind is HalfIntegerWignerGrid):
+        raise ValueError("a half-integer grid file: read it with load_halfgrid" if half else "not a half-integer grid file")
+    d = integer(obj["dim"], "grid dim")
+    if half and d % 2:
+        raise ValueError("half-integer grids require an even integer Hilbert dimension")
+    phi0 = number(obj.get("phi0", 0.0), "grid phi0")
+    if half:
+        return HalfIntegerWignerGrid(d // 2, phi0, number_table(obj["values"], 2, "grid values"))
+    grid, label, eps = PhaseGrid(d, phi0), str(obj["kernel"]), obj.get("epsilon")
+    values = number_table(obj["values"], 2, "grid values")
+    return WignerGrid(grid, label, values, None if eps is None else number(eps, "grid epsilon"))
 
 
 def wigner_to_csv(w: WignerGrid, path) -> None:

@@ -147,6 +147,37 @@ def test_csv_text_is_made_in_the_file_layer_alone():
     assert found == []
 
 
+def test_grid_files_are_decoded_in_wigner_alone():
+    """No module but ``wigner`` holds the label ``"leonhardt"`` or calls ``number_table`` (defined
+    in ``_jsonio``): one decoder reads both grid kinds, and every other module asks
+    ``HalfIntegerWignerGrid.kernel_label`` or ``isinstance`` which kind a grid is."""
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        if path.name != "wigner.py":
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if (isinstance(node, ast.Constant) and node.value == "leonhardt")
+                or (path.name != "_jsonio.py" and isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "number_table")
+            ]
+    assert found == []
+
+
+def test_the_kernel_families_are_named_in_kernels_alone():
+    """No module but ``kernels`` spells out the built-in family labels as a tuple: the others read
+    ``kernels.FAMILIES``."""
+    families = {"symmetric", "wootters", "almost-symmetric"}
+    found = []
+    for path in sorted(Path(gridwigner.__file__).parent.glob("*.py")):
+        if path.name != "kernels.py":
+            found += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                and families <= {e.value for e in node.elts if isinstance(e, ast.Constant)}
+            ]
+    assert found == []
+
+
 def test_importing_the_package_leaves_the_block_formatter_unloaded(tmp_path):
     """``_floattext`` builds its tables on import, so only the first large grid loads it;
     a convergence table, however long, never does."""

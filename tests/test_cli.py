@@ -554,6 +554,17 @@ class TestInputBoundary:
         grid = write_grid(tmp_path / "g.json", dim, kernel, size, size + 1)
         assert run_rejected(capsys, "relate", "--direction", direction, "--grid", grid) == 2
 
+    @pytest.mark.parametrize("direction, kernel, dim, wanted", [
+        ("odd", "leonhardt", 4, "a wootters grid"), ("even", "wootters", 3, "a leonhardt half grid"),
+    ])
+    def test_relate_checks_the_label_before_the_table(self, tmp_path, capsys, direction, kernel, dim, wanted):
+        # a malformed table under the wrong label exits 3 for the label, not 2 for the table
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"dim": dim, "phi0": 0.0, "kernel": kernel, "values": [["x"]]}))
+        assert run("relate", "--direction", direction, "--grid", str(grid), "--out", str(tmp_path / "r.json")) == 3
+        assert capsys.readouterr().err == f"error: {direction} relation needs {wanted}, got kernel {kernel!r}\n"
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("kernel", ["symmetric", "leonhardt"])
     def test_grid_file_with_fractional_dim(self, tmp_path, capsys, kernel):
         grid = write_grid(tmp_path / "g.json", 2.5, kernel, 2, 2)

@@ -11,6 +11,7 @@ formats.  Convergence reports have one route, a ``%`` template per line.  Tables
 ``nan`` and ``inf``, in conjugate pairs and singly.
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -277,8 +278,7 @@ def test_a_loaded_grid_holds_the_readers_own_array(tmp_path, monkeypatch):
         read.append(_jsonio.number_table(*args))
         return read[-1]
 
-    for module in ("gridwigner.wigner", "gridwigner.tomography"):
-        monkeypatch.setattr(importlib.import_module(module), "number_table", reading)
+    monkeypatch.setattr(importlib.import_module("gridwigner.wigner"), "number_table", reading)  # the one grid decoder
     rng = np.random.default_rng(5)
     gw.wigner_to_json(gw.wigner_grid(gw.PhaseGrid(5, 0.37), gw.symmetric_kernel(2), gw.random_density(5, rng)), tmp_path / "w.json")
     assert gw.load_wigner(tmp_path / "w.json").values is read[-1]
@@ -605,6 +605,25 @@ def test_grid_loaders_reject_non_numbers(tmp_path, load, kernel, side, field, en
         obj[field] = entry
     with pytest.raises(ValueError):
         load(_dump(tmp_path / "g.json", obj))
+
+
+@pytest.mark.parametrize("values", [np.full((4, 4), 1 / 16), [["x"]]])
+def test_each_grid_loader_refuses_the_other_kind_by_its_label(tmp_path, values):
+    """A grid file of the other kind is refused by its ``kernel`` label before its table is read:
+    a half-integer grid read as a kernel grid names ``load_halfgrid``, not its table's shape."""
+    half, kernel_grid = _grid_obj(np.zeros((4, 4)), "leonhardt", dim=2), _grid_obj(np.zeros((4, 4)), "almost-symmetric")
+    half["values"] = kernel_grid["values"] = np.asarray(values).tolist()
+    with pytest.raises(ValueError, match=r"^a half-integer grid file: read it with load_halfgrid$"):
+        gw.load_wigner(_dump(tmp_path / "h.json", half))
+    with pytest.raises(ValueError, match=r"^not a half-integer grid file$"):
+        gw.load_halfgrid(_dump(tmp_path / "w.json", kernel_grid))
+
+
+def test_both_grid_kinds_name_their_kernel():
+    half = gw.HalfIntegerWignerGrid(1, 0.0, np.full((4, 4), 1 / 16))
+    grid = gw.WignerGrid(gw.PhaseGrid(3), "wootters", np.full((3, 3), 1 / 9))
+    assert (half.kernel_label, grid.kernel_label) == ("leonhardt", "wootters")
+    assert [f.name for f in dataclasses.fields(half)] == ["n_half", "phi0", "values"]  # the label is no field
 
 
 def test_grid_loader_rejects_a_string_epsilon(tmp_path):
