@@ -120,8 +120,8 @@ def write_report_csv(path, rows) -> None:
 
 
 def read_json(path, key: str, ndim: int):
-    """The JSON file at ``path``; its table under ``key``, ``ndim`` lists deep, comes as a
-    float64 array where :mod:`._floattext` reads it (module docstring)."""
+    """The JSON object (no other top level) in the file at ``path``; its table under ``key``, ``ndim``
+    lists deep, comes as a float64 array where :mod:`._floattext` reads it (module docstring)."""
     with open(path, "rb") as fh:
         data = fh.read()
     head = json.dumps(key).encode() + b": " + b"[" * ndim
@@ -142,7 +142,10 @@ def read_json(path, key: str, ndim: int):
             if table is not None:
                 return {**dict(pairs), key: table}
     text = data.decode("utf-8")
-    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    obj = json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"the file's top level must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def integer(value, what: str) -> int:

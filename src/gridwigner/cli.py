@@ -238,7 +238,7 @@ def _read_grid_file(path, need=None):
     try:
         obj = read_json(path, "values", 2)
         label = obj.get("kernel")
-        if need is not None and label != RELATION_INPUT[need][0]:
+        if need is not None and isinstance(label, str) and label != RELATION_INPUT[need][0]:
             wanted, noun = RELATION_INPUT[need]
             raise CliError(EXIT_KERNEL_MISMATCH, f"{need} relation needs a {wanted} {noun}, got kernel {label!r}")
         return _grid_from_json(obj)

@@ -9,7 +9,7 @@ phase-only and number-only functions quantize spectrally.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -30,12 +30,17 @@ class Kernel:
 
     ``eps`` is only meaningful for the almost-symmetric family, where it records the angle used
     to dodge the cosine zeros of even dimensions.  The table must not be changed after
-    construction: ``moduli``, like a ``Quantizer``'s weights, is read from it once.
+    construction: ``moduli``, like a ``Quantizer``'s weights, is read from it once.  A built-in
+    family's kernel builds its table on the first read of ``values`` (:class:`_ChirpKernel`).
     """
 
     values: np.ndarray
     label: str = "custom"
     eps: float | None = None
+
+    #: A built-in family's chirp form, at most two terms ``(a, c)`` with ``K[k, l] exp(-i*pi*k*l/dim) =
+    #: sum a * omega**(c*k*l)``, ``omega = exp(-2*pi*i/dim)`` (:func:`phasespace._chirp_map`); none for a table.
+    chirps = ()
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -43,7 +48,7 @@ class Kernel:
             raise ValueError(f"kernel table must be square and non-empty, got shape {v.shape}")
         object.__setattr__(self, "values", v)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.values.shape[0]
 
@@ -53,6 +58,25 @@ class Kernel:
         inversion and the scale of every check on what is linear in the kernel."""
         moduli = np.abs(self.values)
         return float(moduli.min()), float(moduli.max())
+
+
+class _ChirpKernel(Kernel):
+    """A built-in family's kernel: its ``dim``, ``chirps`` and ``table()``, run on the first read of ``values``
+    (a module-level callable or a ``partial`` of one, so that the kernel pickles)."""
+
+    def __init__(self, dim: int, chirps: tuple, table, label: str, eps: float | None = None):
+        for name, value in zip(("dim", "chirps", "_table", "label", "eps"), (dim, chirps, table, label, eps)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.asarray(self._table(), dtype=complex)
+
+    @cached_property
+    def max_modulus(self) -> float:
+        """``max |K|``: ``sum |a|`` if ``K = sum a`` at ``k = 0`` reaches it (symmetric, wootters), else ``moduli[1]``."""
+        bound = sum(abs(a) for a, _ in self.chirps)
+        return bound if bound == abs(sum(a for a, _ in self.chirps)) else self.moduli[1]
 
 
 @dataclass(frozen=True)
@@ -107,26 +131,32 @@ def _positive_half(N) -> int:
     return N
 
 
-def _cosine_angles(d: int) -> np.ndarray:
-    """``pi*k*l/d`` with ``k*l`` reduced mod ``2d`` in integers: the pairing holds to roundoff."""
-    k = np.arange(d)
-    return np.pi * (np.multiply.outer(k, k) % (2 * d)) / d
+def _cosine_table(d: int, f) -> np.ndarray:
+    """``f(pi*k*l/d)`` with ``k*l`` reduced mod ``2d`` in integers (the pairing holds to roundoff), as a
+    complex table read from its length ``2d`` period: ``f`` runs on ``2d`` angles, not ``d**2``."""
+    kl = np.multiply.outer(np.arange(d), np.arange(d))
+    kl %= 2 * d
+    return f(np.pi * np.arange(2 * d) / d).astype(complex).take(kl)
 
 
 def symmetric_kernel(N: int) -> Kernel:
-    """Cosine kernel of odd dimension ``2N+1`` (symmetric ordering)."""
-    return Kernel(np.cos(_cosine_angles(2 * _positive_half(N) + 1)), label="symmetric")
+    """Cosine kernel of odd dimension ``2N+1`` (symmetric ordering): ``(1 + omega**(k*l)) / 2`` sheared."""
+    d = 2 * _positive_half(N) + 1
+    return _ChirpKernel(d, ((0.5, 0), (0.5, 1)), partial(_cosine_table, d, np.cos), "symmetric")
+
+
+def _sign_table(d: int) -> np.ndarray:
+    """``(-1)**(k*l)``, the table of the wootters kernel."""
+    return (-1.0) ** np.multiply.outer(np.arange(d), np.arange(d))
 
 
 def wootters_kernel(N: int) -> Kernel:
-    """Sign kernel ``(-1)**(k*l)`` of odd dimension ``2N+1``.
+    """Sign kernel ``(-1)**(k*l)`` of odd dimension ``2N+1``: ``omega**(-N*k*l)`` sheared.
 
     Unimodular; its line sums are projectors (see the tomography module).
     """
     d = 2 * _positive_half(N) + 1
-    k = np.arange(d)[:, None]
-    l = np.arange(d)[None, :]
-    return Kernel((-1.0) ** (k * l), label="wootters")
+    return _ChirpKernel(d, ((1.0, -(d // 2)),), partial(_sign_table, d), "wootters")
 
 
 def default_epsilon(N: int) -> float:
@@ -156,9 +186,10 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     """
     N = _positive_half(N)
     eps = default_epsilon(N) if eps is None else _admissible_eps(eps)
-    a = _cosine_angles(2 * N)
-    # cos(a + eps) / cos(eps), expanded so that a large eps keeps its precision
-    kernel = Kernel(np.cos(a) - np.tan(eps) * np.sin(a), label="almost-symmetric", eps=float(eps))
+    t = np.tan(eps)
+    table = _cosine_table(2 * N, lambda a: np.cos(a) - t * np.sin(a))  # cos(a + eps) / cos(eps): a large eps keeps its precision
+    chirps = (((1 + 1j * t) / 2, 0), ((1 - 1j * t) / 2, 1))  # (e^{i eps} + e^{-i eps} omega**(k*l)) / (2 cos(eps))
+    kernel = _ChirpKernel(2 * N, chirps, partial(np.asarray, table), "almost-symmetric", float(eps))
     if kernel.moduli[0] * abs(np.cos(eps)) <= ZERO_TOL:  # min |K cos(eps)|: the table is real
         raise ValueError(f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps")
     return kernel

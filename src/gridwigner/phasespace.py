@@ -258,6 +258,28 @@ def _kernel_map(grid: PhaseGrid, weights, a) -> np.ndarray:
     return _fft2(weights * _ifft(_diagonals(grid, a), norm="forward"))
 
 
+def _chirp_map(grid: PhaseGrid, chirps, a) -> np.ndarray:
+    """:func:`_kernel_map` of a kernel in chirp form (``Kernel.chirps``): summed over ``l``, ``fft2`` leaves
+    ``G[k, n] = exp(-i*k*phi0) / dim * sum coeff * Dg[k, n + c*k mod dim]`` (``Dg``: :func:`_diagonals` of
+    ``a``) to transform along ``k``.  Row ``k`` of ``Dg`` goes twice into row ``c*k mod dim`` of a table read
+    as rows one entry longer, whose row ``c*k`` is the skew (a view for ``c = 1``).  The last ``c`` is prime
+    to ``dim``; of two terms the first has ``c = 0``, the last ``c = 1``."""
+    d, (coeff, _), (last, c) = grid.dim, chirps[0], chirps[-1]
+    rows = slice(None) if c == 1 else np.arange(d) * c % d
+    dg = _diagonals(grid, a)
+    dg *= _angle_phases(grid) * (coeff / d)
+    buf = np.empty(d * (2 * d + 1), dtype=complex)
+    doubled = buf[: 2 * d * d].reshape(d, 2, d)
+    doubled[rows] = dg[:, None]
+    del dg
+    g = buf.reshape(d, 2 * d + 1)[rows, :d]
+    if len(chirps) == 2:  # the first half of the doubled rows is the unskewed term
+        g = g * (last / coeff)
+        g += doubled[:, 0]
+    del buf, doubled
+    return _dft(g, inverse=False, axes=(-2,))
+
+
 def _displacement_sum(grid: PhaseGrid, coeffs) -> np.ndarray:
     """``sum_{k,l} c[k, l] D(k, l)`` from the sheared ``coeffs = c * exp(-i*pi*k*l/dim)``:
     entry ``[a, b]`` is the inverse row FFT ``s`` of row ``b - a mod dim`` at ``b``, times the

@@ -17,7 +17,7 @@ import numpy as np
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
 from .kernels import Kernel, _positive_half
-from .phasespace import PhaseGrid, _as_angle, _displacement_sum, _fft2, _kernel_map, _sheared_weights
+from .phasespace import PhaseGrid, _as_angle, _chirp_map, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
 
 class ReconstructionError(ValueError):
@@ -117,23 +117,35 @@ def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return values.real
 
 
-def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
-    """Wigner function of a state on the quantizer's grid, from its weights (see :func:`wigner_grid`)."""
+def _wigner(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool, weights=None) -> WignerGrid:
+    """The Wigner grid of a state: the chirp map of a kernel in chirp form, else that of its sheared ``weights``."""
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
-    if r.shape != (q.grid.dim, q.grid.dim):
+    if r.shape != (grid.dim, grid.dim):
         raise ValueError("state dimension does not match the grid")
-    values = _real_or_raise(_kernel_map(q.grid, q.weights, r), q.kernel.moduli[1])
-    return WignerGrid(q.grid, q.kernel.label, values, q.kernel.eps)
+    if kernel.chirps:  # + 0.0 owns the table and signs its zeros alike: the one transform leaves -0.0 by row
+        values = _real_or_raise(_chirp_map(grid, kernel.chirps, r), kernel.max_modulus) + 0.0
+    else:
+        values = _real_or_raise(_kernel_map(grid, weights, r), kernel.moduli[1])
+    return WignerGrid(grid, kernel.label, values, kernel.eps)
+
+
+def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
+    """Wigner function of a state on the quantizer's grid (see :func:`wigner_grid`)."""
+    return _wigner(q.grid, q.kernel, rho, validate_state, q.weights)
 
 
 def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = True) -> WignerGrid:
     """Wigner function of a state: the normalised phase-point overlaps.
 
     ``W = fft2(K * chi * exp(-i*k*phi0)) / dim**2`` with ``chi`` the characteristic function
-    of the state: the forward kernel map of the sheared weights of an unchecked
-    :func:`build_quantizer`; O(dim**2 log dim) time and O(dim**2) memory.
+    of the state.  A built-in kernel times the shear is at most two chirps ``omega**(c*k*l)``: the sum
+    over ``l`` is a skewed read of the state's cyclic diagonals, then one FFT along ``k``, and neither
+    the kernel table nor the sheared weights of :func:`build_quantizer`, which any other kernel's map
+    reads, are built (:func:`phasespace._chirp_map`).  O(dim**2 log dim) time and O(dim**2) memory.
     """
-    return wigner(build_quantizer(grid, kernel, check=False), rho, validate_state)
+    if kernel.dim != grid.dim or not kernel.chirps:  # build_quantizer refuses the first
+        return wigner(build_quantizer(grid, kernel, check=False), rho, validate_state)
+    return _wigner(grid, kernel, rho, validate_state)
 
 
 def expectation(w: WignerGrid, values) -> complex:
@@ -213,9 +225,12 @@ def load_halfgrid(path) -> HalfIntegerWignerGrid:
 
 def _grid_from_json(obj: dict, kind: type | None = None) -> WignerGrid | HalfIntegerWignerGrid:
     """The grid of a decoded grid file, of the kind its ``kernel`` label names: a half-integer grid
-    for ``leonhardt``, a kernel grid for any other label.  A file of another kind than ``kind``, if
-    given, raises ``ValueError`` before its table is read."""
-    half = obj.get("kernel") == HalfIntegerWignerGrid.kernel_label
+    for ``leonhardt``, a kernel grid for any other label.  A label that is not a JSON string, or a
+    file of another kind than ``kind``, if given, raises ``ValueError`` before its table is read."""
+    label = obj.get("kernel")
+    if not isinstance(label, str):
+        raise ValueError(f"grid kernel must be a JSON string, got {label!r}")
+    half = label == HalfIntegerWignerGrid.kernel_label
     if kind is not None and half != (kind is HalfIntegerWignerGrid):
         raise ValueError("a half-integer grid file: read it with load_halfgrid" if half else "not a half-integer grid file")
     d = integer(obj["dim"], "grid dim")
@@ -224,7 +239,7 @@ def _grid_from_json(obj: dict, kind: type | None = None) -> WignerGrid | HalfInt
     phi0 = number(obj.get("phi0", 0.0), "grid phi0")
     if half:
         return HalfIntegerWignerGrid(d // 2, phi0, number_table(obj["values"], 2, "grid values"))
-    grid, label, eps = PhaseGrid(d, phi0), str(obj["kernel"]), obj.get("epsilon")
+    grid, eps = PhaseGrid(d, phi0), obj.get("epsilon")
     values = number_table(obj["values"], 2, "grid values")
     return WignerGrid(grid, label, values, None if eps is None else number(eps, "grid epsilon"))
 

@@ -8,9 +8,11 @@ appear as package attributes only once something imports them.
 import ast
 import contextlib
 import gc
+import importlib
 import inspect
 import io
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -331,8 +333,8 @@ def test_a_quantizer_never_rebuilds_its_sheared_table(monkeypatch):
 #: Budget of each kernel map's warm ``tracemalloc`` peak at dim 257, in complex dim x dim
 #: tables: a quarter table above the peak measured when the budget was set.
 WORKING_SET = {
-    "quantize": 6.25, "symbol": 4.25, "wigner": 4.25,
-    "wigner_grid": 4.25, "reconstruct": 5.25, "verify_quantizer": 5.25,
+    "quantize": 6.25, "symbol": 4.25, "wigner": 3.375,
+    "wigner_grid": 3.375, "reconstruct": 5.25, "verify_quantizer": 5.25,
     "verify_lines": 2.75,
 }
 
@@ -371,6 +373,42 @@ def test_each_kernel_map_keeps_its_working_set(maps_at_257, name):
     finally:
         tracemalloc.stop()
     assert peak / (16 * 257**2) <= WORKING_SET[name]
+
+
+@pytest.mark.parametrize("make", [gridwigner.symmetric_kernel, gridwigner.wootters_kernel])
+def test_a_built_in_kernel_maps_a_state_without_its_table(tmp_path, monkeypatch, make):
+    """Building a symmetric or wootters kernel and running ``wigner_grid`` builds neither the kernel
+    table nor the sheared weights: at d = 257 both together stay within the map's own working set,
+    which one more complex table would break.  Read afterwards, the table is bitwise its closed
+    form, and ``save_kernel`` writes the bytes it writes for that table given as ``Kernel(values)``."""
+    d = 257
+    grid, rho = gridwigner.PhaseGrid(d, 0.37), gridwigner.random_density(d, np.random.default_rng(d))
+
+    def refuse(*args):
+        raise AssertionError("the sheared weights were built")
+
+    monkeypatch.setattr(importlib.import_module("gridwigner.quantizer"), "_sheared_weights", refuse)
+    def call():
+        return gridwigner.wigner_grid(grid, make(d // 2), rho)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * d**2) <= WORKING_SET["wigner_grid"]
+    kernel = make(d // 2)
+    gridwigner.wigner_grid(grid, kernel, rho)
+    assert "values" not in vars(kernel) and "moduli" not in vars(kernel)
+    kl = np.multiply.outer(np.arange(d), np.arange(d))
+    table = np.cos(np.pi * (kl % (2 * d)) / d) if make is gridwigner.symmetric_kernel else (-1.0) ** kl
+    assert kernel.values.dtype == complex and kernel.values.tobytes() == table.astype(complex).tobytes()
+    assert pickle.loads(pickle.dumps(make(d // 2))).values.tobytes() == kernel.values.tobytes()
+    gridwigner.save_kernel(kernel, tmp_path / "built_in.json")
+    gridwigner.save_kernel(gridwigner.Kernel(table), tmp_path / "table.json")
+    assert (tmp_path / "built_in.json").read_bytes() == (tmp_path / "table.json").read_bytes()
 
 
 def test_every_route_returns_a_table_of_its_own(rng, tmp_path):

@@ -525,6 +525,20 @@ def write_grid(path, dim, kernel, rows, cols, phi0=0.0):
     return str(path)
 
 
+@pytest.mark.parametrize("kernel", ["symmetric", "wootters"])
+def test_wigner_at_odd_dim_builds_no_kernel_table(tmp_path, monkeypatch, kernel):
+    """``wigner`` maps a state through the chirp form of an odd-dimension kernel: it reads no
+    kernel table and builds no sheared weights."""
+    def refuse(*args):
+        raise AssertionError("a kernel table was built")
+
+    monkeypatch.setattr(importlib.import_module("gridwigner.kernels")._ChirpKernel, "values", property(refuse))
+    monkeypatch.setattr(importlib.import_module("gridwigner.quantizer"), "_sheared_weights", refuse)
+    out = tmp_path / "w.json"
+    assert run("wigner", "--dim", "9", "--kernel", kernel, "--state", "phase", "2", "--out", str(out)) == 0
+    assert gw.load_wigner(out).kernel_label == kernel
+
+
 class TestInputBoundary:
     def test_converge_fock_without_level(self, capsys):
         assert run_rejected(
@@ -564,6 +578,25 @@ class TestInputBoundary:
         assert run("relate", "--direction", direction, "--grid", str(grid), "--out", str(tmp_path / "r.json")) == 3
         assert capsys.readouterr().err == f"error: {direction} relation needs {wanted}, got kernel {kernel!r}\n"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("label", [5, None])
+    @pytest.mark.parametrize("argv", [["reconstruct"], ["relate", "--direction", "odd"], ["relate", "--direction", "even"]])
+    def test_grid_label_that_is_not_a_string(self, tmp_path, capsys, label, argv):
+        grid = write_grid(tmp_path / "g.json", 4, label, 4, 4)
+        assert run_rejected(capsys, *argv, "--grid", grid, "--out", str(tmp_path / "o.json")) == 2
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["wigner", "--dim", "3", "--kernel", "symmetric", "--out", "o.json", "--state", "{}"], 2),
+        (["verify", "--dim", "3", "--kernel", "file:{}"], 3),
+        (["reconstruct", "--out", "o.json", "--grid", "{}"], 2),
+        (["relate", "--direction", "even", "--out", "o.json", "--grid", "{}"], 2),
+    ])
+    def test_a_file_whose_top_level_is_not_an_object(self, tmp_path, capsys, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.json").write_text("[1, 2]")
+        assert run_rejected(capsys, *argv[:-1], argv[-1].format("f.json")) == code
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("kernel", ["symmetric", "leonhardt"])
     def test_grid_file_with_fractional_dim(self, tmp_path, capsys, kernel):

@@ -626,6 +626,20 @@ def test_both_grid_kinds_name_their_kernel():
     assert [f.name for f in dataclasses.fields(half)] == ["n_half", "phi0", "values"]  # the label is no field
 
 
+@pytest.mark.parametrize("load", [gw.load_wigner, gw.load_halfgrid])
+@pytest.mark.parametrize("label", [5, None])
+def test_grid_loaders_refuse_a_label_that_is_not_a_string(tmp_path, load, label):
+    with pytest.raises(ValueError, match=r"^grid kernel must be a JSON string, got (5|None)$"):
+        load(_dump(tmp_path / "g.json", _grid_obj(np.full((4, 4), 1 / 16), label)))
+
+
+@pytest.mark.parametrize("load", [gw.load_density_json, gw.load_kernel, gw.load_wigner, gw.load_halfgrid])
+@pytest.mark.parametrize("top", [[1, 2], 5, "values", None])
+def test_loaders_refuse_a_top_level_that_is_not_an_object(tmp_path, load, top):
+    with pytest.raises(ValueError, match="top level must be a JSON object"):
+        load(_dump(tmp_path / "f.json", top))
+
+
 def test_grid_loader_rejects_a_string_epsilon(tmp_path):
     obj = _grid_obj(np.full((2, 2), 0.25), "almost-symmetric")
     obj["epsilon"] = "0.5"

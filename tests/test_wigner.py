@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import gridwigner as gw
@@ -433,3 +433,47 @@ def test_number_diagonal_states_have_one_row(phi0):
                 if not (bits[1:] == bits[:-1]).all():
                     differing.append((d, kernel.label, name))
     assert differing == []
+
+
+@st.composite
+def chirp_cases(draw):
+    """A built-in kernel and a state of any rank: symmetric or wootters at odd d = 3..129,
+    almost-symmetric at even d = 2..128 with an admitted eps (negative ones, ones near a
+    quarter turn and ones up to 1e8 among them), and phi0 up to 1e8."""
+    d = draw(st.integers(2, 129))
+    if d % 2:
+        kernel = draw(st.sampled_from((gw.symmetric_kernel, gw.wootters_kernel)))(d // 2)
+    else:
+        eps = draw(st.one_of(st.none(), st.floats(-1.5, 1.5), st.floats(1.5707, 1.5708), st.floats(-1e8, 1e8)))
+        try:
+            kernel = gw.almost_symmetric_kernel(d // 2, eps)
+        except ValueError:
+            reject()
+    phi0 = draw(st.one_of(st.sampled_from((0.0, 0.37)), st.floats(-1e8, 1e8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_complex(rng, d, draw(st.integers(1, d)))
+    rho = a @ a.conj().T
+    return gw.PhaseGrid(d, phi0), kernel, rho / rho.trace().real
+
+
+def _assert_routes_agree(grid, kernel, rho):
+    """``wigner_grid`` and ``wigner`` of a built-in kernel, which map through its chirp form, give one
+    table, within the tolerance on max |K| of the table route of the same table as ``Kernel(values)``."""
+    fast = gw.wigner_grid(grid, kernel, rho, validate_state=False).values
+    via_quantizer = gw.wigner(gw.build_quantizer(grid, kernel, check=False), rho, validate_state=False).values
+    table = gw.wigner_grid(grid, gw.Kernel(kernel.values), rho, validate_state=False).values
+    assert np.array_equal(fast, via_quantizer)
+    assert gw.linalg.within(np.max(np.abs(fast - table)), kernel.moduli[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(chirp_cases())
+def test_the_chirp_route_agrees_with_the_table_route(case):
+    _assert_routes_agree(*case)
+
+
+@pytest.mark.parametrize("make, d", [(gw.symmetric_kernel, 1025), (gw.wootters_kernel, 1025), (gw.almost_symmetric_kernel, 1024)])
+def test_the_chirp_route_agrees_with_the_table_route_at_large_dim(rng, make, d):
+    a = random_complex(rng, d, 3)
+    rho = a @ a.conj().T
+    _assert_routes_agree(gw.PhaseGrid(d, 1e8), make(d // 2), rho / rho.trace().real)
