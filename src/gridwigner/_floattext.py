@@ -33,6 +33,12 @@ cell, as fields of fixed width, so a grid row is cut from a block by its width.
 A row bit for bit equal to the row before it is not formatted again: it takes
 that row's JSON text or CSV value cells.  The Wigner table of a state diagonal in
 the number basis is one row repeated, so it is formatted at the cost of one row.
+A table of ``[re, im]`` pairs Hermitian bit for bit (real parts symmetric, imaginary
+parts off the diagonal their mirrors' with the sign bit flipped), as ``reconstruct``
+returns a state, formats its diagonal and upper triangle: an entry below takes its
+mirror's cells with the imaginary sign byte toggled, as a cell's other bytes depend on
+|x| alone.  Cells kept for mirroring (row written, column's row not) are at most
+d**2 / 4 entries, one complex table, besides the block.
 
 :func:`read_table` reads such a table back, as ``json.loads`` and ``float`` would.  It
 finds the entries from the commas, checks every separator byte and each entry
@@ -310,14 +316,49 @@ def _json_texts(block: np.ndarray, separators: np.ndarray) -> list:
     return cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
+def _mirrored(table: np.ndarray) -> bool:
+    """Whether ``table`` is a table of pairs Hermitian bit for bit (module docstring) whose diagonal
+    and upper triangle, d (d + 1) floats, are fewer than its rows would format."""
+    d, bits = len(table), table.view(np.uint64)
+    return bool(table.shape == (d, d, 2) and (bits[..., 0] == bits[..., 0].T).all()
+                and ((bits[..., 1] ^ bits[..., 1].T == _U(1 << 63)) | np.eye(d, dtype=bool)).all()
+                and d + 1 < 2 * np.count_nonzero(_fresh(table.reshape(d, -1), 0, d)))
+
+
+def _mirror_texts(table: np.ndarray, bounds: list, b: int, store: dict, separators: np.ndarray) -> list:
+    """The text of the rows of block ``b`` of a :func:`_mirrored` table.  It takes the cells of its
+    lower entries from ``store`` and leaves there the cells of its rows in each later block's columns."""
+    (r0, r1), d = bounds[b:b + 2], len(table)
+    buffer = bytearray(80 * d * (r1 - r0))  # the cells of the block's rows, their text read in place
+    out = np.frombuffer(buffer, "<u8").reshape(r1 - r0, d, 2, 5)
+    for column, cells in store.pop(b, ()):
+        out[:, column:column + len(cells), :, :4] = cells.transpose(1, 0, 2, 3)
+    rows = np.arange(r0, r1)[:, None]
+    upper, lower = np.arange(r0, d) >= rows, np.arange(r1) < rows
+    out[:, r0:][upper] = _cells(table[r0:r1, r0:][upper].reshape(-1)).reshape(-1, 2, 5)
+    out[:, r0:r1][lower[:, r0:]] = out[:, r0:r1].transpose(1, 0, 2, 3)[lower[:, r0:]]
+    out[:, :r1][lower, 1, 0] ^= _U(ord("-") << 16)
+    out.reshape(r1 - r0, -1, 5)[..., 4] = separators
+    for later in range(b + 1, len(bounds) - 1):
+        store.setdefault(later, []).append((r0, out[:, bounds[later]:bounds[later + 1], :, :4].copy()))
+    return buffer.translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
 def json_rows(table: np.ndarray):
-    """Yield ``json.dumps(row.tolist())`` for each row of ``table``, a finite float64
-    array of two or more dimensions, formatting ``BLOCK`` entries at a time.  A row
-    equal to the one before it yields that row's text again, formatted once."""
+    """Yield ``json.dumps(row.tolist())`` for each row of ``table``, a finite float64 array of
+    two or more dimensions, ``BLOCK`` entries at a time.  A row equal to the one before it
+    yields that row's text again, formatted once; a :func:`_mirrored` table, its upper half."""
     rows = table.reshape(len(table), -1)
-    head = "[" * (table.ndim - 1)
+    head, words = "[" * (table.ndim - 1), _separator_words(table.shape[1:])
+    if _mirrored(table):
+        d, bounds, store = len(table), [0], {}  # store: per block, (first column, cells) of each block before it
+        while bounds[-1] < d:  # cells from the diagonal on about BLOCK floats, in 8 rows or more (fewer pieces)
+            bounds.append(min(d, bounds[-1] + max(1, BLOCK // 512, BLOCK // (2 * (d - bounds[-1])))))
+        for b in range(len(bounds) - 1):
+            yield from (head + text for text in _mirror_texts(table, bounds, b, store, words))
+        return
     per = max(1, BLOCK // max(rows.shape[1], 1))
-    separators = np.tile(_separator_words(table.shape[1:]), per)
+    separators = np.tile(words, per)
     for start in range(0, len(rows), per):
         block, fresh = rows[start:start + per], _fresh(rows, start, start + per)
         texts = iter(_json_texts(block if fresh.all() else block[fresh], separators))

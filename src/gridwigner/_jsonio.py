@@ -8,10 +8,10 @@ table one row at a time (all lines of a CSV grid row at once), so a file is
 never held in memory as one string.  A JSON file is byte-identical to
 ``json.dump`` of the same nested lists, each row the text :func:`json.dumps`
 gives it; a CSV value is its ``%.17g`` text, a level or size its ``%d``.
-A finite JSON table of ``VECTOR_MIN`` floats or more, and a finite CSV grid
-of ``CSV_MIN`` values or more, go through :mod:`._floattext`, which formats
-a block of rows at a time in numpy to the same bytes; other tables, and
-every convergence table, through ``json.dumps`` or a ``%`` template per row.
+A finite JSON table of ``VECTOR_MIN`` floats or more, and a finite CSV grid of ``CSV_MIN``
+values or more, go through :mod:`._floattext`, which formats a block of rows at a time in
+numpy to the same bytes, holding that block (a Hermitian state also the cells it mirrors, up to
+one table); other tables, and every convergence table, through ``json.dumps`` or a ``%`` template.
 
 A file is read as UTF-8 whatever the locale (a BOM is refused, line ends read as in
 text mode).  A table of ``READ_MIN`` floats or more in the writer's layout, under the

@@ -74,8 +74,10 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def save_density_json(rho, path) -> None:
-    """Write a density matrix as JSON ``{"dim": d, "matrix": [[[re, im], ...]]}``."""
+    """Write a density matrix, a non-empty square table, as JSON ``{"dim": d, "matrix": [[[re, im], ...]]}``."""
     r = np.asarray(rho, dtype=complex)
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or not r.size:
+        raise ValueError(f"density matrix must be a non-empty square matrix, got shape {r.shape}")
     write_json(path, {"dim": r.shape[0], "matrix": r})
 
 

@@ -112,6 +112,18 @@ def test_state_writer_matches_json_dump_on_hermitian_tables(table):
     _bytes_match(gw.save_density_json, oracles.save_density_json, table)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (0, 0), (3,), ()])
+def test_state_writer_refuses_a_table_its_loader_would_refuse(tmp_path, shape):
+    """A table that is not a non-empty square matrix is refused before the file is opened:
+    an existing target keeps its bytes and a missing one is not made."""
+    kept, missing = tmp_path / "kept.json", tmp_path / "missing.json"
+    kept.write_bytes(b'{"dim": 1, "matrix": [[[1.0, 0.0]]]}')
+    for path in (kept, missing):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            gw.save_density_json(np.zeros(shape, complex), path)
+    assert kept.read_bytes() == b'{"dim": 1, "matrix": [[[1.0, 0.0]]]}' and not missing.exists()
+
+
 @SETTINGS
 @given(complex_tables())
 def test_kernel_writer_matches_json_dump(table):

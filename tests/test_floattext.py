@@ -251,3 +251,130 @@ def test_a_table_of_equal_rows_formats_one_row(monkeypatch, d):
     phis = np.arange(d) * 0.1
     assert list(_floattext.grid_csv_rows(phis, table)) == percent_lines(phis, table)
     assert sum(formatted) == d
+
+
+# --- Hermitian pair tables, the upper triangle mirrored -------------------------
+
+MIRROR_PLANTS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, *BORDERS, -1e-5, 1e300]
+
+
+def pairs_of(table):
+    """The ``(d, d, 2)`` float table of ``[re, im]`` pairs of a complex table."""
+    return np.ascontiguousarray(table).view(np.float64).reshape(*table.shape, 2)
+
+
+def hermitian(d, rng, scale=1.0):
+    """An exactly Hermitian table: every lower entry the bitwise conjugate of its mirror."""
+    table = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * scale
+    lower = np.tril_indices(d, -1)
+    table[lower] = table.T[lower].conj()
+    table.imag[np.diag_indices(d)] = 0.0
+    return table
+
+
+@st.composite
+def mirror_tables(draw):
+    """A pairs table that is Hermitian bit for bit, or near it, and a block size.  Sides fall on
+    both sides of ``VECTOR_MIN`` pairs tables (19 and 20) and above one block; edge values are
+    planted in conjugate pairs, ``-0.0`` and ``+0.0`` imaginary parts on and off the diagonal
+    among them.  Near a Hermitian table, one real part moves by one ulp or one imaginary pair
+    is equal instead of negated."""
+    d = draw(st.integers(1, 24) | st.sampled_from([19, 20, 46, 47, 65]))
+    table = hermitian(d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.sampled_from([1.0, 1e-300, 1e300])))
+    index = st.integers(0, d - 1)
+    plant = st.tuples(index, index, st.sampled_from(MIRROR_PLANTS), st.sampled_from(MIRROR_PLANTS))
+    for i, j, re, im in draw(st.lists(plant, max_size=8)):
+        table[i, j], table[j, i] = complex(re, im), complex(re, -im)
+        if i == j:
+            table[i, i] = complex(re, draw(st.sampled_from([0.0, -0.0, im])))
+    near = d > 1 and draw(st.booleans())
+    if near:
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            table.real[i, j] = np.nextafter(table.real[i, j], draw(st.sampled_from([-math.inf, math.inf])))
+        else:
+            table.imag[i, j] = table.imag[j, i]
+    return pairs_of(table), near, draw(st.sampled_from([1, 2, 3, 5, 8, 4096]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mirror_tables())
+def test_hermitian_tables_read_as_json_dumps(drawn):
+    """The mirror route writes the bytes of ``json.dumps`` rows over every block size, and
+    only an exactly Hermitian table takes it."""
+    table, near, block = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_floattext, "BLOCK", block)
+        assert list(_floattext.json_rows(table)) == [json.dumps(row.tolist()) for row in table]
+    assert _floattext._mirrored(table) == (not near and len(table) + 1 < 2 * fresh_rows(table))
+
+
+def fresh_rows(table):
+    """The rows that differ bit for bit from the row before them: the rows that the row route formats."""
+    bits = table.reshape(len(table), -1).view(np.uint64)
+    return 1 + np.count_nonzero((bits[1:] != bits[:-1]).any(axis=1))
+
+
+def counted(monkeypatch):
+    """The float count of each call of ``_cells`` from now on."""
+    formatted, cells = [], _floattext._cells
+    monkeypatch.setattr(_floattext, "_cells", lambda x, g=False: formatted.append(len(x)) or cells(x, g))
+    return formatted
+
+
+@pytest.mark.parametrize("d", [129, 257])
+def test_a_hermitian_state_formats_its_upper_triangle(monkeypatch, d):
+    """A state as ``reconstruct`` returns it formats d (d + 1) floats, about half of its
+    2 d**2; one imaginary pair made equal sends it back to the row route, all 2 d**2."""
+    import gridwigner as gw
+
+    kernel = gw.symmetric_kernel((d - 1) // 2)
+    state = gw.reconstruct(gw.wigner_grid(gw.PhaseGrid(d), kernel, gw.random_density(d, np.random.default_rng(d))), kernel)
+    table = pairs_of(state)
+    formatted = counted(monkeypatch)
+    assert list(_floattext.json_rows(table)) == [json.dumps(row.tolist()) for row in table]
+    assert sum(formatted) == d * (d + 1) <= 0.55 * 2 * d**2
+    formatted.clear()
+    table[2, 1, 1] = table[1, 2, 1]
+    assert list(_floattext.json_rows(table)) == [json.dumps(row.tolist()) for row in table]
+    assert sum(formatted) == 2 * d**2
+
+
+def repeated_pairs(d, pairs):
+    """A Hermitian table, bit for bit, whose rows ``2k`` and ``2k + 1`` are equal for each
+    ``k < pairs``: 0.25 with imaginary part +0.0 above the diagonal and -0.0 below it, and
+    on the diagonal -0.0 at ``2k`` and +0.0 at ``2k + 1``."""
+    table = np.full((d, d), 0.25 + 0j)
+    table[np.tril_indices(d, -1)] = complex(0.25, -0.0)
+    table.imag[np.arange(0, 2 * pairs, 2), np.arange(0, 2 * pairs, 2)] = -0.0
+    return pairs_of(table)
+
+
+def one_ulp_off(table):
+    """``table`` with the real part of entry (7, 3) one ulp up, so that it is no longer Hermitian."""
+    table[7, 3, 0] = np.nextafter(table[7, 3, 0], math.inf)
+    return table
+
+
+@pytest.mark.parametrize("case", ["hermitian", "near", "complex", "pairs 1", "pairs 31", "pairs 32", "rows 1"])
+def test_no_table_formats_more_than_its_rows(monkeypatch, case):
+    """A table formats at most what the row route does, 2d floats per row that differs from
+    the row before it; a Hermitian table with so many equal rows takes the row route."""
+    d, rng = 65, np.random.default_rng(65)
+    table = {
+        "hermitian": lambda: pairs_of(hermitian(d, rng)),
+        "near": lambda: one_ulp_off(pairs_of(hermitian(d, rng))),
+        "complex": lambda: pairs_of(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))),
+        "pairs 1": lambda: repeated_pairs(d, 1),
+        "pairs 31": lambda: repeated_pairs(d, 31),
+        "pairs 32": lambda: repeated_pairs(d, 32),
+        "rows 1": lambda: np.tile(pairs_of(hermitian(d, rng))[:1], (d, 1, 1)),
+    }[case]()
+    formatted = counted(monkeypatch)
+    for block in (5, 4096):
+        monkeypatch.setattr(_floattext, "BLOCK", block)
+        formatted.clear()
+        assert list(_floattext.json_rows(table)) == [json.dumps(row.tolist()) for row in table]
+        rows = 2 * d * fresh_rows(table)
+        assert sum(formatted) == (d * (d + 1) if _floattext._mirrored(table) else rows) <= rows
+    assert _floattext._mirrored(table) == (case in ("hermitian", "pairs 1", "pairs 31"))
