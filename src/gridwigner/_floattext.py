@@ -1,4 +1,4 @@
-"""JSON text of finite float64 tables and CSV text of finite grids, a block of entries at a time.
+"""JSON text of finite float64 tables and CSV text of grids, a block of entries at a time.
 
 Each JSON row comes out byte-identical to ``json.dumps(row.tolist())``: every
 entry is written as ``repr`` writes it, the shortest decimal that reads back as
@@ -29,6 +29,8 @@ and its separator ends in ``"\\n"`` after the last entry of a row, which marks
 where the row ends (JSON numbers never hold one).  A CSV cell is four words and
 ends in ``"\\n"``; a CSV line is the ``%`` texts of its levels and angle and the
 cell, as fields of fixed width, so a grid row is cut from a block by its width.
+A non-finite CSV value is formatted as 0.0, then its cell replaced by that of
+``nan`` (a NaN of either sign), ``inf`` or ``-inf``, as ``%.17g`` writes them.
 
 A row bit for bit equal to the row before it is not formatted again: it takes
 that row's JSON text or CSV value cells.  The Wigner table of a state diagonal in
@@ -51,7 +53,7 @@ a tie between two doubles, or whose double is subnormal or out of range, is read
 by ``float``; a table in another layout is left to ``json.loads``.
 
 The tables cost a few milliseconds to build, so ``_jsonio`` imports this
-module only for the first table large enough to use it.
+module only for the first CSV grid, or JSON table large enough to use it.
 """
 
 from __future__ import annotations
@@ -140,6 +142,8 @@ _REPR, _G17 = _layouts(False), _layouts(True)
 # by decimal point position decpt + 323: the exponent word of cell word 3, and the code less n
 _EXPONENT = _word_table([f"e{d - 1:+03d}" for d in range(-323, 310)], at=2)
 _CODE = (np.clip(np.arange(-323, 310), -4, 18) + 4).astype(np.uint64) * _U(18)
+# the CSV cells of nan, inf and -inf, as %.17g writes them: the text from byte 0, "\n" in byte 31
+_NONFINITE = np.frombuffer(b"".join(t.ljust(31, b"\0") + b"\n" for t in (b"nan", b"inf", b"-inf")), "<u8").reshape(3, 4)
 
 
 def _decimal(bits: np.ndarray, shortest: bool = True):
@@ -369,9 +373,9 @@ def json_rows(table: np.ndarray):
 
 
 def grid_csv_rows(phis: np.ndarray, values: np.ndarray):
-    """Yield the lines ``m,n,phi,value`` of each row ``m`` of a finite float64 grid
-    ``values`` with row angles ``phis``, formatting ``BLOCK`` entries at a time.  A row
-    equal to the one before it reuses that row's value cells, formatted once."""
+    """Yield the lines ``m,n,phi,value`` of each row ``m`` of a float64 grid ``values``
+    with row angles ``phis``, formatting ``BLOCK`` entries at a time.  A row equal to
+    the one before it reuses that row's value cells, formatted once."""
     rows, lines = values.shape
     levels = np.array(["%d," % i for i in range(max(rows, lines))], "S")
     angles = np.array(["%.17g," % phi for phi in phis.tolist()], "S")
@@ -384,11 +388,14 @@ def grid_csv_rows(phis: np.ndarray, values: np.ndarray):
         out, fresh = buffer[:stop - start], _fresh(values, start, stop)
         out["m"] = levels[start:stop, None]
         out["phi"] = angles[start:stop, None]
-        if fresh.all():
-            out["value"] = _cells(values[start:stop].reshape(-1), True).view("V32").reshape(out.shape)
-        else:  # row 0 of the sources is the last row of the block before, still in the buffer
-            cells = _cells(values[start:stop][fresh].reshape(-1), True).view("V32").reshape(-1, lines)
-            out["value"] = np.concatenate((buffer["value"][-1:], cells))[np.cumsum(fresh)]
+        new = (values[start:stop] if fresh.all() else values[start:stop][fresh]).reshape(-1)
+        odd = ~np.isfinite(new)  # formatted as 0.0, then given the cell of nan, inf or -inf
+        cells = _cells(np.where(odd, 0.0, new) if odd.any() else new, True)
+        if odd.any():
+            cells[odd] = _NONFINITE.take(np.isinf(new[odd]) * (1 + np.signbit(new[odd])), axis=0)
+        cells = cells.view("V32").reshape(-1, lines)
+        # row 0 of the sources is the last row of the block before, still in the buffer
+        out["value"] = cells if fresh.all() else np.concatenate((buffer["value"][-1:], cells))[np.cumsum(fresh)]
         yield from (row.tobytes().translate(None, b"\0").decode("ascii") for row in out)
 
 

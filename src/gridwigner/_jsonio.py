@@ -8,10 +8,10 @@ table one row at a time (all lines of a CSV grid row at once), so a file is
 never held in memory as one string.  A JSON file is byte-identical to
 ``json.dump`` of the same nested lists, each row the text :func:`json.dumps`
 gives it; a CSV value is its ``%.17g`` text, a level or size its ``%d``.
-A finite JSON table of ``VECTOR_MIN`` floats or more, and a finite CSV grid of ``CSV_MIN``
-values or more, go through :mod:`._floattext`, which formats a block of rows at a time in
-numpy to the same bytes, holding that block (a Hermitian state also the cells it mirrors, up to
-one table); other tables, and every convergence table, through ``json.dumps`` or a ``%`` template.
+Every CSV grid, and a finite JSON table of ``VECTOR_MIN`` floats or more, go through
+:mod:`._floattext`, which formats a block of rows at a time in numpy to the same bytes,
+holding that block (a Hermitian state also the cells it mirrors, up to one table); other
+JSON tables go through ``json.dumps``, and every convergence table through a ``%`` template.
 
 A file is read as UTF-8 whatever the locale (a BOM is refused, line ends read as in
 text mode).  A table of ``READ_MIN`` floats or more in the writer's layout, under the
@@ -31,12 +31,11 @@ from stat import S_ISREG
 
 import numpy as np
 
-#: Float count from which a finite JSON table is formatted by :mod:`._floattext`, count
-#: of values a ``%`` template would format from which a CSV grid is, and float count from
-#: which a table is read by it: below them the fixed cost of a block outweighs the
-#: per-value saving (README, "Cost").
+#: Float counts from which :mod:`._floattext` formats a finite JSON table and reads a table: below them
+#: a block's fixed cost outweighs the per-value saving (README, "Cost").  On the benchmark tomography-suite's
+#: states of 72 to 288 floats and half grids of 144 to 576 lie below, wigner-forward's and
+#: reconstruct-inverse's grids and states (d of 32 and more) above.
 VECTOR_MIN = 768
-CSV_MIN = 1024
 READ_MIN = 2048
 
 
@@ -88,26 +87,13 @@ def write_json(path, obj: dict) -> None:
         fh.write("}")
 
 
-def _percent_grid_rows(phis: np.ndarray, values: np.ndarray):
-    """The lines of each grid row by one ``%`` template, its level and angle written into it."""
-    args = [0] * (2 * values.shape[1])  # n, value, n, value, ...
-    args[::2] = range(values.shape[1])
-    for m, (phi, row) in enumerate(zip(phis.tolist(), values.tolist())):
-        args[1::2] = row
-        yield "%d,%%d,%.17g,%%.17g\n" % (m, phi) * len(row) % tuple(args)
-
-
 def write_grid_csv(path, phis: np.ndarray, values: np.ndarray) -> None:
     """Write a grid as CSV lines ``m,n,phi,value``, one write per grid row ``m``."""
-    texts = _percent_grid_rows(phis, values)
-    # the values a % template formats: level and value per line, level and angle per row
-    if 2 * values.size + 2 * len(values) >= CSV_MIN and np.isfinite(values).all():
-        from . import _floattext
+    from . import _floattext
 
-        texts = _floattext.grid_csv_rows(phis, values)
     with open_out(path) as fh:
         fh.write("m,n,phi,value\n")
-        for text in texts:
+        for text in _floattext.grid_csv_rows(phis, values):
             fh.write(text)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._jsonio import complex_table, integer, read_json, write_json
 from .linalg import within
-from .phasespace import _as_index
+from .phasespace import _as_index, _product_table
 
 #: Entries smaller than this are treated as structural zeros.
 ZERO_TOL = 1e-12
@@ -132,11 +132,8 @@ def _positive_half(N) -> int:
 
 
 def _cosine_table(d: int, f) -> np.ndarray:
-    """``f(pi*k*l/d)`` with ``k*l`` reduced mod ``2d`` in integers (the pairing holds to roundoff), as a
-    complex table read from its length ``2d`` period: ``f`` runs on ``2d`` angles, not ``d**2``."""
-    kl = np.multiply.outer(np.arange(d), np.arange(d))
-    kl %= 2 * d
-    return f(np.pi * np.arange(2 * d) / d).astype(complex).take(kl)
+    """``f(pi*k*l/d)``, a complex table read from its length ``2d`` period (the pairing holds to roundoff)."""
+    return _product_table(f(np.pi * np.arange(2 * d) / d).astype(complex), d)
 
 
 def symmetric_kernel(N: int) -> Kernel:
@@ -145,18 +142,13 @@ def symmetric_kernel(N: int) -> Kernel:
     return _ChirpKernel(d, ((0.5, 0), (0.5, 1)), partial(_cosine_table, d, np.cos), "symmetric")
 
 
-def _sign_table(d: int) -> np.ndarray:
-    """``(-1)**(k*l)``, the table of the wootters kernel."""
-    return (-1.0) ** np.multiply.outer(np.arange(d), np.arange(d))
-
-
 def wootters_kernel(N: int) -> Kernel:
     """Sign kernel ``(-1)**(k*l)`` of odd dimension ``2N+1``: ``omega**(-N*k*l)`` sheared.
 
     Unimodular; its line sums are projectors (see the tomography module).
     """
     d = 2 * _positive_half(N) + 1
-    return _ChirpKernel(d, ((1.0, -(d // 2)),), partial(_sign_table, d), "wootters")
+    return _ChirpKernel(d, ((1.0, -(d // 2)),), partial(_product_table, np.array([1.0, -1.0]), d), "wootters")
 
 
 def default_epsilon(N: int) -> float:

@@ -167,18 +167,24 @@ def displacement(grid: PhaseGrid, k: int, l: int) -> np.ndarray:
     return np.exp(-1j * np.pi * k * l / d) * out
 
 
-#: Longest transform taken as a product with a cached DFT matrix; longer ones are ``np.fft`` calls.
+def _product_table(period: np.ndarray, n: int) -> np.ndarray:
+    """``period[j*k mod p]`` for ``0 <= j, k < n``, ``p = len(period)``, with ``j*k`` reduced in integers."""
+    jk = np.multiply.outer(np.arange(n), np.arange(n))
+    jk %= len(period)
+    return period.take(jk)
+
+
+#: Longest transform taken as a product with a cached DFT matrix; longer ones are ``np.fft`` calls.  On the
+#: benchmark, quantizer-cache (d up to 31) and wigner-forward's d = 32 and 33 take products, d >= 64 ``np.fft``.
 DFT_MATRIX_LIMIT = 35
 
 
 @functools.cache
 def _dft_matrix(n: int, inverse: bool, norm: str) -> np.ndarray:
-    """Read-only ``exp(-+2*pi*i*j*k/n)``, ``j*k`` reduced mod ``n`` in integers, with the ``1/n``
-    that numpy's ``norm`` (``"backward"`` or ``"forward"``) puts on this direction.  Read only
-    for ``n <= DFT_MATRIX_LIMIT``, so the cache holds at most ``4 * DFT_MATRIX_LIMIT`` matrices."""
-    jk = np.multiply.outer(np.arange(n), np.arange(n)) % n
+    """Read-only ``exp(-+2*pi*i*j*k/n)`` with the ``1/n`` that numpy's ``norm`` (``"backward"`` or ``"forward"``)
+    puts on this direction; used up to ``DFT_MATRIX_LIMIT``, so the cache holds at most ``4 * DFT_MATRIX_LIMIT``."""
     roots = np.exp((2j if inverse else -2j) * np.pi * np.arange(n) / n)
-    m = (roots * (1 / n) if inverse == (norm == "backward") else roots).take(jk)
+    m = _product_table(roots * (1 / n) if inverse == (norm == "backward") else roots, n)
     m.flags.writeable = False
     return m
 
@@ -227,10 +233,8 @@ def _diagonals(grid: PhaseGrid, a) -> np.ndarray:
 
 
 def _shear(grid: PhaseGrid) -> np.ndarray:
-    """``exp(-i*pi*k*l/dim)``, read from its length ``2*dim`` period with ``k*l`` reduced in integers."""
-    kl = np.multiply.outer(np.arange(grid.dim), np.arange(grid.dim))
-    kl %= 2 * grid.dim
-    return np.exp(-1j * np.pi * np.arange(2 * grid.dim) / grid.dim).take(kl)
+    """``exp(-i*pi*k*l/dim)``, read from its length ``2*dim`` period."""
+    return _product_table(np.exp(-1j * np.pi * np.arange(2 * grid.dim) / grid.dim), grid.dim)
 
 
 def _sheared_weights(grid: PhaseGrid, kernel_values) -> np.ndarray:

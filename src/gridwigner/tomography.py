@@ -17,7 +17,7 @@ import numpy as np
 
 from ._jsonio import write_report_csv
 from .kernels import FAMILIES, Kernel, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
-from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _reduced
+from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _product_table, _reduced
 from .quantizer import Quantizer, _completeness_dev, _warn_if_ill_conditioned
 from .wigner import HalfIntegerWignerGrid, WignerGrid, _check_kernel_of, _real_or_raise, check_density
 
@@ -277,8 +277,7 @@ def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
     N = w.n_half
     almost_symmetric_kernel(N, eps)
     d = 2 * N
-    jidx = np.arange(4 * N)
-    c = np.cos(np.pi * (np.outer(jidx, jidx) % (2 * d)) / d - eps)
+    c = _product_table(np.cos(np.pi * np.arange(2 * d) / d - eps), 2 * d)
     out = np.fft.irfft2(np.fft.rfft2(w.values) * np.fft.rfft2(c), s=c.shape)[::2, ::2] / (2 * N * np.cos(eps))
     return WignerGrid(grid=PhaseGrid(d, w.phi0), kernel_label="almost-symmetric", values=out, epsilon=float(eps))
 

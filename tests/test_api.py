@@ -181,13 +181,13 @@ def test_the_kernel_families_are_named_in_kernels_alone():
 
 
 def test_importing_the_package_leaves_the_block_formatter_unloaded(tmp_path):
-    """``_floattext`` builds its tables on import, so only the first large grid loads it;
-    a convergence table, however long, never does."""
+    """``_floattext`` builds its tables on import, so only the first CSV grid or large JSON table
+    loads it; a convergence table, however long, never does."""
     env = {**os.environ, "PYTHONPATH": str(Path(gridwigner.__file__).parents[1])}
     code = "import sys, gridwigner, gridwigner.cli; print('gridwigner._floattext' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
-    sizes = ",".join(map(str, range(5, 305)))  # 300 rows, 1800 values: past CSV_MIN
+    sizes = ",".join(map(str, range(5, 305)))  # 300 rows, 1800 values: past 1024
     argv = ["converge", "--kernel", "symmetric", "--state", "fock", "1", "--n", "1", "--phi", "0.5", "--Ns", sizes]
     argv += ["--out", str(tmp_path / "c.csv")]
     code = "import sys; from gridwigner.cli import main; main(sys.argv[1:]); print('gridwigner._floattext' in sys.modules)"

@@ -4,11 +4,13 @@ loaders that accept JSON numbers only.
 
 Tables have side 1 to 40, or a side that puts their float count just below
 ``_jsonio.VECTOR_MIN``, at or just above it, or over a block of
-``_floattext``, so the JSON writers take both routes; CSV grids are drawn
-likewise around ``_jsonio.CSV_MIN``, counted in the values their ``%`` template
-formats.  Convergence reports have one route, a ``%`` template per line.  Tables carry the float edge values ``-0.0``, ``5e-324``, ``1e308`` and
-``1e-300`` at random places; the exactly Hermitian state tables also carry
-``nan`` and ``inf``, in conjugate pairs and singly.
+``_floattext``, so the JSON writers take both routes.  CSV grids have one
+route, the block formatter, also for their non-finite values; they are drawn
+at side 1 to 40, at 1, 2, 22 and 23, and over a block.  Convergence reports
+have one route, a ``%`` template per line.  Tables carry the float edge values
+``-0.0``, ``5e-324``, ``1e308`` and ``1e-300`` at random places; the exactly
+Hermitian state tables and the grids also carry ``nan`` (of either sign) and
+``inf``, the state tables in conjugate pairs and singly.
 """
 
 import dataclasses
@@ -77,7 +79,7 @@ def test_state_writer_matches_json_dump(table):
     _bytes_match(gw.save_density_json, oracles.save_density_json, table)
 
 
-PLANTS = EDGES + (math.nan, math.inf, -math.inf)
+PLANTS = EDGES + (math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf)
 
 
 @st.composite
@@ -145,12 +147,8 @@ def test_grid_writers_match_json_dump_and_csv_loop(values, phi0, eps, label, pla
 
 
 def csv_sides():
-    """Sides of square grids whose CSV template formats just fewer values than the
-    limit (``2 d**2 + 2 d``: level and value per line, level and angle per row), at
-    or just above it, and more rows than one block holds."""
-    at = next(d for d in range(1, 100) if 2 * d * d + 2 * d >= _jsonio.CSV_MIN)
-    over = math.isqrt(_floattext.BLOCK) + 2
-    return st.sampled_from([at - 1, at, at + 1, over])
+    """Sides of square grids: the smallest, 22 and 23, and more rows than one block holds."""
+    return st.sampled_from([1, 2, 22, 23, math.isqrt(_floattext.BLOCK) + 2])
 
 
 @SETTINGS
@@ -160,6 +158,20 @@ def test_grid_csv_matches_the_per_value_loop_across_the_limit(values, phi0, plan
     for i, v in planted:
         w.values.flat[i % w.values.size] = v
     _bytes_match(gw.wigner_to_csv, oracles.wigner_to_csv, w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 22, 23, 33])
+def test_every_csv_grid_is_formatted_by_the_block_formatter(monkeypatch, d):
+    """A grid of any side, finite or not, is written by one call of ``_floattext.grid_csv_rows``."""
+    formatted = []
+    block_rows = _floattext.grid_csv_rows
+    monkeypatch.setattr(_floattext, "grid_csv_rows", lambda phis, values: formatted.append(values.shape) or block_rows(phis, values))
+    w = gw.WignerGrid(gw.PhaseGrid(d, 0.37), "custom", np.random.default_rng(d).standard_normal((d, d)))
+    _bytes_match(gw.wigner_to_csv, oracles.wigner_to_csv, w)
+    w.values.flat[::3] = math.copysign(math.nan, -1.0)
+    w.values.flat[-1] = -math.inf
+    _bytes_match(gw.wigner_to_csv, oracles.wigner_to_csv, w)
+    assert formatted == [(d, d)] * 2
 
 
 def _report(rows, seed, big_n=False):
@@ -178,7 +190,7 @@ def _report(rows, seed, big_n=False):
 
 @pytest.mark.parametrize("big_n", [False, True])
 def test_convergence_csv_matches_the_per_row_f_string_across_the_limit(big_n):
-    at = -(-_jsonio.CSV_MIN // 6)  # six values per row
+    at = -(-1024 // 6)  # six values per row
     for rows in (0, 1, at - 1, at, at + 1, _floattext.BLOCK // 6 + 5):
         _bytes_match(gw.ConvergenceReport.to_csv, oracles.convergence_to_csv, _report(rows, rows, big_n))
 
@@ -186,7 +198,7 @@ def test_convergence_csv_matches_the_per_row_f_string_across_the_limit(big_n):
 def test_integer_columns_read_as_g17_below_2_53():
     """Below 2**53 ``%d`` of each N and n is the ``%.17g`` text of its float, and a
     report gives the bytes of ``%d``."""
-    report = _report(2 * _jsonio.CSV_MIN, 53)
+    report = _report(2 * 1024, 53)
     edges = [0, 1, 9, 10, 99, 10**15, 10**15 + 1, 2**53 - 2, 2**53 - 1]
     table = [*report.rows, *(gw.ConvergenceRow(N, N, N, 0.5, 0.25, 0.25) for N in edges)]
     for r in table:

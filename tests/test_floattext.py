@@ -253,6 +253,28 @@ def test_a_table_of_equal_rows_formats_one_row(monkeypatch, d):
     assert sum(formatted) == d
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_non_finite_values_read_as_percent(monkeypatch, block):
+    """A nan of either sign and any payload reads ``nan``, and the infinities ``inf`` and ``-inf``,
+    as ``'%.17g' %`` writes them: among finite values, in repeated rows, in rows of nothing else
+    and across blocks.  The cells of the finite values are made from finite entries only."""
+    rng = np.random.default_rng(9)
+    payloads = rng.integers(1, 2**52, 30, dtype=np.uint64)
+    nans = np.concatenate([payloads | np.uint64(0x7FF << 52), payloads | np.uint64(0xFFF << 52)]).view(np.float64)
+    values = rng.standard_normal((40, 9)) * 10.0 ** rng.integers(-30, 30, (40, 9))
+    values.flat[rng.choice(values.size, len(nans) + 4, replace=False)] = [*nans, math.inf, -math.inf, math.inf, -math.inf]
+    values[10:13] = values[9]
+    values[20] = [math.nan, -math.nan, math.inf, -math.inf, math.copysign(math.nan, -1.0), math.inf, *nans[:3]]
+    values[21] = values[20]
+    values[30] = -math.inf
+    inputs, cells = [], _floattext._cells
+    monkeypatch.setattr(_floattext, "_cells", lambda x, g=False: inputs.append(np.isfinite(x).all()) or cells(x, g))
+    monkeypatch.setattr(_floattext, "BLOCK", block)
+    phis = np.linspace(-3.0, 3.0, len(values))
+    assert list(_floattext.grid_csv_rows(phis, values)) == percent_lines(phis, values)
+    assert inputs and all(inputs)
+
+
 # --- Hermitian pair tables, the upper triangle mirrored -------------------------
 
 MIRROR_PLANTS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, *BORDERS, -1e-5, 1e300]
