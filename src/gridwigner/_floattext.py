@@ -32,9 +32,10 @@ cell, as fields of fixed width, so a grid row is cut from a block by its width.
 A non-finite CSV value is formatted as 0.0, then its cell replaced by that of
 ``nan`` (a NaN of either sign), ``inf`` or ``-inf``, as ``%.17g`` writes them.
 
-A row bit for bit equal to the row before it is not formatted again: it takes
-that row's JSON text or CSV value cells.  The Wigner table of a state diagonal in
-the number basis is one row repeated, so it is formatted at the cost of one row.
+A row bit for bit equal to the row before it takes that row's JSON text, or its CSV
+line template.  The other rows are formatted here from ``_jsonio.VECTOR_MIN`` floats
+on, else by ``json.dumps`` and ``'%.17g' %``: the Wigner table of a state diagonal in
+the number basis, one row repeated, costs one row's text and the others' assembly.
 A table of ``[re, im]`` pairs Hermitian bit for bit (real parts symmetric, imaginary
 parts off the diagonal their mirrors' with the sign bit flipped), as ``reconstruct``
 returns a state, formats its diagonal and upper triangle: an entry below takes its
@@ -58,7 +59,12 @@ module only for the first CSV grid, or JSON table large enough to use it.
 
 from __future__ import annotations
 
+import json
+from itertools import chain
+
 import numpy as np
+
+from . import _jsonio
 
 #: Entries formatted at once (rounded to whole rows): it bounds the working set.
 BLOCK = 4096
@@ -247,8 +253,6 @@ def _cells(x: np.ndarray, g: bool = False) -> np.ndarray:
     """The uint64 cells of the entries of ``x``, a finite 1-D float64 array, as
     ``repr`` writes them (five words, the last left to the caller), or ``%.17g``
     (four words, ending in ``"\\n"``)."""
-    if not len(x):  # a block of repeated rows: no call of the fixed cost below
-        return np.empty((0, 4 if g else 5), "<u8")
     bits = x.view(np.uint64)
     if g:
         s17, k, undecided = _decimal(bits, shortest=False)
@@ -305,19 +309,18 @@ def _separator_words(inner: tuple) -> np.ndarray:
     return np.append(between[depth], _word_table(["]" * len(inner) + "\n"]))
 
 
-def _fresh(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Whether each row ``start..stop-1`` of the 2-D ``rows`` differs bit for bit from the row
-    before it (so ``0.0`` and ``-0.0`` differ, as their texts do); row 0 has none before it."""
-    bits = rows[max(start - 1, 0):stop].view(np.uint64)
-    fresh = (bits[1:] != bits[:-1]).any(axis=1)
-    return fresh if start else np.append(True, fresh)
+def _fresh(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of the 2-D ``rows`` differs bit for bit from the row before it (so ``0.0``
+    and ``-0.0`` differ, as their texts do); row 0 has none before it."""
+    bits = rows.view(np.uint64)
+    return np.append(True, (bits[1:] != bits[:-1]).any(axis=1))
 
 
-def _json_texts(block: np.ndarray, separators: np.ndarray) -> list:
-    """The text of each row of a 2-D block, without its head of brackets."""
+def _json_texts(block: np.ndarray, separators: np.ndarray, head: str) -> list:
+    """The text of each row of a 2-D block, after ``head``, its opening brackets."""
     cells = _cells(np.ascontiguousarray(block).reshape(-1))
     cells[:, 4] = separators[:len(cells)]
-    return cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return [head + text for text in cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]]
 
 
 def _mirrored(table: np.ndarray) -> bool:
@@ -326,7 +329,7 @@ def _mirrored(table: np.ndarray) -> bool:
     d, bits = len(table), table.view(np.uint64)
     return bool(table.shape == (d, d, 2) and (bits[..., 0] == bits[..., 0].T).all()
                 and ((bits[..., 1] ^ bits[..., 1].T == _U(1 << 63)) | np.eye(d, dtype=bool)).all()
-                and d + 1 < 2 * np.count_nonzero(_fresh(table.reshape(d, -1), 0, d)))
+                and d + 1 < 2 * np.count_nonzero(_fresh(table.reshape(d, -1))))
 
 
 def _mirror_texts(table: np.ndarray, bounds: list, b: int, store: dict, separators: np.ndarray) -> list:
@@ -349,54 +352,77 @@ def _mirror_texts(table: np.ndarray, bounds: list, b: int, store: dict, separato
 
 
 def json_rows(table: np.ndarray):
-    """Yield ``json.dumps(row.tolist())`` for each row of ``table``, a finite float64 array of
-    two or more dimensions, ``BLOCK`` entries at a time.  A row equal to the one before it
-    yields that row's text again, formatted once; a :func:`_mirrored` table, its upper half."""
-    rows = table.reshape(len(table), -1)
-    head, words = "[" * (table.ndim - 1), _separator_words(table.shape[1:])
+    """Yield ``json.dumps(row.tolist())`` for each row of ``table``, a finite float64 array of two or more dimensions:
+    for a row equal to the one before it that row's text again; for the others ``json.dumps`` below ``_jsonio.VECTOR_MIN``
+    of their floats, else ``BLOCK`` entries at a time (the upper half of a :func:`_mirrored` table)."""
+    rows, head = table.reshape(len(table), -1), "[" * (table.ndim - 1)
     if _mirrored(table):
         d, bounds, store = len(table), [0], {}  # store: per block, (first column, cells) of each block before it
         while bounds[-1] < d:  # cells from the diagonal on about BLOCK floats, in 8 rows or more (fewer pieces)
             bounds.append(min(d, bounds[-1] + max(1, BLOCK // 512, BLOCK // (2 * (d - bounds[-1])))))
+        words = _separator_words(table.shape[1:])
         for b in range(len(bounds) - 1):
             yield from (head + text for text in _mirror_texts(table, bounds, b, store, words))
         return
-    per = max(1, BLOCK // max(rows.shape[1], 1))
-    separators = np.tile(words, per)
-    for start in range(0, len(rows), per):
-        block, fresh = rows[start:start + per], _fresh(rows, start, start + per)
-        texts = iter(_json_texts(block if fresh.all() else block[fresh], separators))
-        for new in fresh.tolist():
-            if new:
-                row = head + next(texts)
-            yield row
+    fresh = _fresh(rows)
+    starts = np.flatnonzero(fresh)
+    if len(starts) * rows.shape[1] < _jsonio.VECTOR_MIN:
+        texts = map(json.dumps, table[starts].tolist())
+    else:
+        per = max(1, BLOCK // max(rows.shape[1], 1))
+        separators = np.tile(_separator_words(table.shape[1:]), per)
+        texts = chain.from_iterable(_json_texts(rows[starts[i:i + per]], separators, head) for i in range(0, len(starts), per))
+    for new in fresh.tolist():
+        if new:
+            row = next(texts)
+        yield row
 
 
 def grid_csv_rows(phis: np.ndarray, values: np.ndarray):
-    """Yield the lines ``m,n,phi,value`` of each row ``m`` of a float64 grid ``values``
-    with row angles ``phis``, formatting ``BLOCK`` entries at a time.  A row equal to
-    the one before it reuses that row's value cells, formatted once."""
+    """Yield the lines ``m,n,phi,value`` of each row ``m`` of a float64 grid ``values`` with row angles
+    ``phis``: the rows that differ from the row before them by ``'%.17g' %`` below ``_jsonio.VECTOR_MIN``
+    floats, else ``BLOCK`` entries at a time; each other row from its source row's line template, the
+    lines split at the level field with "\\x02" for the angle, joined by its level and given its angle."""
     rows, lines = values.shape
+    starts = np.flatnonzero(_fresh(values)).tolist()
+    angles = ["%.17g" % phi for phi in phis.tolist()]
+    runs = zip(starts, starts[1:] + [rows])  # each row that differs from the one before, and the end of its run
+    if len(starts) * lines < _jsonio.VECTOR_MIN:  # one '%' template per row, its level and angle written in
+        args = np.arange(lines).repeat(2).tolist()  # n, value, n, value, ...
+        for r, end in runs:
+            args[1::2] = values[r].tolist()
+            if end == r + 1:
+                yield "%d,%%d,%s,%%.17g\n" % (r, angles[r]) * lines % tuple(args)
+            else:  # the run, its first row too, from the line template: its values formatted once
+                pieces = ("\x01,%d,\x02,%.17g\n" * lines % tuple(args)).split("\x01")
+                for m in range(r, end):
+                    yield str(m).join(pieces).replace("\x02", angles[m])
+        return
     levels = np.array(["%d," % i for i in range(max(rows, lines))], "S")
-    angles = np.array(["%.17g," % phi for phi in phis.tolist()], "S")
-    layout = [("m", levels.dtype), ("n", levels.dtype), ("phi", angles.dtype), ("value", "V32")]
+    fields = np.array([angle + "," for angle in angles], "S")
+    layout = [("m", levels.dtype), ("n", levels.dtype), ("phi", fields.dtype), ("value", "V32")]
     per = max(1, BLOCK // lines)
-    buffer = np.empty((min(per, rows), lines), layout)  # every block but the last fills it
+    buffer = np.empty((min(per, len(starts)), lines), layout)  # every block but the last fills it
     buffer["n"] = levels[:lines]
-    for start in range(0, rows, per):
-        stop = min(start + per, rows)
-        out, fresh = buffer[:stop - start], _fresh(values, start, stop)
-        out["m"] = levels[start:stop, None]
-        out["phi"] = angles[start:stop, None]
-        new = (values[start:stop] if fresh.all() else values[start:stop][fresh]).reshape(-1)
+    for at in range(0, len(starts), per):
+        block = starts[at:at + per]
+        out = buffer[:len(block)]
+        picked = slice(block[0], block[-1] + 1) if block[-1] - block[0] == len(block) - 1 else block  # no copy
+        out["m"] = levels[picked, None]
+        out["phi"] = fields[picked, None]
+        new = values[picked].reshape(-1)
         odd = ~np.isfinite(new)  # formatted as 0.0, then given the cell of nan, inf or -inf
         cells = _cells(np.where(odd, 0.0, new) if odd.any() else new, True)
         if odd.any():
             cells[odd] = _NONFINITE.take(np.isinf(new[odd]) * (1 + np.signbit(new[odd])), axis=0)
-        cells = cells.view("V32").reshape(-1, lines)
-        # row 0 of the sources is the last row of the block before, still in the buffer
-        out["value"] = cells if fresh.all() else np.concatenate((buffer["value"][-1:], cells))[np.cumsum(fresh)]
-        yield from (row.tobytes().translate(None, b"\0").decode("ascii") for row in out)
+        out["value"] = cells.view("V32").reshape(-1, lines)
+        for row, (r, end) in zip(out, runs):  # out first: zip stops at the block's end, no run taken
+            yield row.tobytes().translate(None, b"\0").decode("ascii")
+            if end > r + 1:  # the template, taken before a later block writes over the row
+                row["m"], row["phi"] = b"\x01,", b"\x02,"
+                pieces = row.tobytes().translate(None, b"\0").decode("ascii").split("\x01")
+                for m in range(r + 1, end):
+                    yield str(m).join(pieces).replace("\x02", angles[m])
 
 
 # The reader.  A word read at any byte offset is little-endian: the last digit of a field is

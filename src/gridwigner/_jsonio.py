@@ -9,9 +9,11 @@ never held in memory as one string.  A JSON file is byte-identical to
 ``json.dump`` of the same nested lists, each row the text :func:`json.dumps`
 gives it; a CSV value is its ``%.17g`` text, a level or size its ``%d``.
 Every CSV grid, and a finite JSON table of ``VECTOR_MIN`` floats or more, go through
-:mod:`._floattext`, which formats a block of rows at a time in numpy to the same bytes,
-holding that block (a Hermitian state also the cells it mirrors, up to one table); other
-JSON tables go through ``json.dumps``, and every convergence table through a ``%`` template.
+:mod:`._floattext`, which repeats the text of a row equal to the row before it and formats
+the other rows a block at a time in numpy to the same bytes (a Hermitian state holding the
+cells it mirrors, up to one table), or by ``json.dumps`` and ``%`` if they hold fewer than
+``VECTOR_MIN`` floats; other JSON tables go through ``json.dumps``, and every convergence
+table through a ``%`` template.
 
 A file is read as UTF-8 whatever the locale (a BOM is refused, line ends read as in
 text mode).  A table of ``READ_MIN`` floats or more in the writer's layout, under the
@@ -31,10 +33,10 @@ from stat import S_ISREG
 
 import numpy as np
 
-#: Float counts from which :mod:`._floattext` formats a finite JSON table and reads a table: below them
-#: a block's fixed cost outweighs the per-value saving (README, "Cost").  On the benchmark tomography-suite's
-#: states of 72 to 288 floats and half grids of 144 to 576 lie below, wigner-forward's and
-#: reconstruct-inverse's grids and states (d of 32 and more) above.
+#: Float counts from which :mod:`._floattext` formats a table's rows that differ from the row before them,
+#: and reads a table: below them a block's fixed cost outweighs the per-value saving (README, "Cost").  On the
+#: benchmark tomography-suite's tables and the one distinct row of a number state's grid lie below,
+#: wigner-forward's other grids and reconstruct-inverse's grids and states (d of 32 and more) above.
 VECTOR_MIN = 768
 READ_MIN = 2048
 

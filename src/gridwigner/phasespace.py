@@ -262,16 +262,21 @@ def _kernel_map(grid: PhaseGrid, weights, a) -> np.ndarray:
     return _fft2(weights * _ifft(_diagonals(grid, a), norm="forward"))
 
 
-def _chirp_map(grid: PhaseGrid, chirps, a) -> np.ndarray:
-    """:func:`_kernel_map` of a kernel in chirp form (``Kernel.chirps``): summed over ``l``, ``fft2`` leaves
-    ``G[k, n] = exp(-i*k*phi0) / dim * sum coeff * Dg[k, n + c*k mod dim]`` (``Dg``: :func:`_diagonals` of
-    ``a``) to transform along ``k``.  Row ``k`` of ``Dg`` goes twice into row ``c*k mod dim`` of a table read
-    as rows one entry longer, whose row ``c*k`` is the skew (a view for ``c = 1``).  The last ``c`` is prime
-    to ``dim``; of two terms the first has ``c = 0``, the last ``c = 1``."""
+def _chirp_phases(grid: PhaseGrid, chirps) -> np.ndarray:
+    """Column ``exp(-i*k*phi0) * coeff / dim`` of the first term of ``chirps``: the row factor of :func:`_chirp_map`."""
+    return _angle_phases(grid) * (chirps[0][0] / grid.dim)
+
+
+def _chirp_map(grid: PhaseGrid, chirps, phases, a) -> np.ndarray:
+    """:func:`_kernel_map` of a kernel in chirp form (``Kernel.chirps``, their :func:`_chirp_phases` ``phases``):
+    summed over ``l``, ``fft2`` leaves ``G[k, n] = exp(-i*k*phi0) / dim * sum coeff * Dg[k, n + c*k mod dim]``
+    (``Dg``: :func:`_diagonals` of ``a``) to transform along ``k``.  Row ``k`` of ``Dg`` goes twice into row
+    ``c*k mod dim`` of a table read as rows one entry longer, whose row ``c*k`` is the skew (a view for
+    ``c = 1``).  The last ``c`` is prime to ``dim``; of two terms the first has ``c = 0``, the last ``c = 1``."""
     d, (coeff, _), (last, c) = grid.dim, chirps[0], chirps[-1]
     rows = slice(None) if c == 1 else np.arange(d) * c % d
     dg = _diagonals(grid, a)
-    dg *= _angle_phases(grid) * (coeff / d)
+    dg *= phases
     buf = np.empty(d * (2 * d + 1), dtype=complex)
     doubled = buf[: 2 * d * d].reshape(d, 2, d)
     doubled[rows] = dg[:, None]

@@ -21,6 +21,7 @@ from .linalg import _frob, within
 from .kernels import Kernel, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
+    _chirp_phases,
     _diagonals,
     _displacement_sum,
     _fft2,
@@ -49,6 +50,11 @@ class Quantizer:
     grid: PhaseGrid
     kernel: Kernel
     weights: np.ndarray
+
+    @cached_property
+    def chirp_phases(self) -> np.ndarray:
+        """The row phases of :func:`wigner`'s chirp map (:func:`phasespace._chirp_phases`), kept from its first call."""
+        return _chirp_phases(self.grid, self.kernel.chirps)
 
     @cached_property
     def omega(self) -> np.ndarray:

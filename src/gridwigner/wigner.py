@@ -17,7 +17,7 @@ import numpy as np
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
 from .kernels import Kernel, _positive_half
-from .phasespace import PhaseGrid, _as_angle, _chirp_map, _displacement_sum, _fft2, _kernel_map, _sheared_weights
+from .phasespace import PhaseGrid, _as_angle, _chirp_map, _chirp_phases, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
 
 class ReconstructionError(ValueError):
@@ -117,21 +117,22 @@ def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return values.real
 
 
-def _wigner(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool, weights=None) -> WignerGrid:
-    """The Wigner grid of a state: the chirp map of a kernel in chirp form, else that of its sheared ``weights``."""
+def _wigner(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool, q: Quantizer | None = None) -> WignerGrid:
+    """The Wigner grid of a state: the chirp map of a kernel in chirp form, else the map of ``q``'s sheared weights."""
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
     if r.shape != (grid.dim, grid.dim):
         raise ValueError("state dimension does not match the grid")
     if kernel.chirps:  # + 0.0 owns the table and signs its zeros alike: the one transform leaves -0.0 by row
-        values = _real_or_raise(_chirp_map(grid, kernel.chirps, r), kernel.max_modulus) + 0.0
+        phases = _chirp_phases(grid, kernel.chirps) if q is None else q.chirp_phases
+        values = _real_or_raise(_chirp_map(grid, kernel.chirps, phases, r), kernel.max_modulus) + 0.0
     else:
-        values = _real_or_raise(_kernel_map(grid, weights, r), kernel.moduli[1])
+        values = _real_or_raise(_kernel_map(grid, q.weights, r), kernel.moduli[1])
     return WignerGrid(grid, kernel.label, values, kernel.eps)
 
 
 def wigner(q: Quantizer, rho, validate_state: bool = True) -> WignerGrid:
     """Wigner function of a state on the quantizer's grid (see :func:`wigner_grid`)."""
-    return _wigner(q.grid, q.kernel, rho, validate_state, q.weights)
+    return _wigner(q.grid, q.kernel, rho, validate_state, q)
 
 
 def wigner_grid(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool = True) -> WignerGrid:

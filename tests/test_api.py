@@ -7,6 +7,7 @@ appear as package attributes only once something imports them.
 
 import ast
 import contextlib
+import functools
 import gc
 import importlib
 import inspect
@@ -515,6 +516,28 @@ def test_each_small_query_keeps_its_call_budget(d):
         counts[name] = _profile_events(call)
     over = {name: (n, CALL_BUDGET[name]) for name, n in counts.items() if n > CALL_BUDGET[name]}
     assert over == {}, counts
+
+
+#: Budget of writing the grid of a number state, one row repeated, in ``sys.setprofile`` ``call`` and
+#: ``c_call`` events of one warm write, by format and dim: a tenth above the count measured when the
+#: budget was set (numpy 2.4.6, Python 3.11; the Fock and the maximally mixed grid count alike).
+#: The block formatter's fixed cost, about a hundred numpy calls, does not fit in it.
+NUMBER_GRID_BUDGET = {("json", 33): 217, ("csv", 33): 224, ("json", 129): 428, ("csv", 129): 647}
+
+
+@pytest.mark.parametrize("d", [33, 129])
+@pytest.mark.parametrize("state", ["fock", "mixed"])
+def test_each_number_state_grid_write_keeps_its_call_budget(tmp_path, state, d):
+    """A grid of one row repeated is written at the cost of its rows' assembly: no fixed cost of
+    the block formatter, counted deterministically."""
+    rho = gridwigner.fock_state(d, 1) if state == "fock" else gridwigner.maximally_mixed(d)
+    w = gridwigner.wigner_grid(gridwigner.PhaseGrid(d, 0.37), gridwigner.symmetric_kernel((d - 1) // 2), rho)
+    counts = {}
+    for fmt, write in [("json", gridwigner.wigner_to_json), ("csv", gridwigner.wigner_to_csv)]:
+        call = functools.partial(write, w, tmp_path / f"w.{fmt}")
+        _profile_events(call)  # warm: the formatter's module imported
+        counts[fmt, d] = _profile_events(call)
+    assert all(n <= NUMBER_GRID_BUDGET[key] for key, n in counts.items()), counts
 
 
 #: Budget of each JSON writer's ``tracemalloc`` peak at dim 257, in complex dim x dim

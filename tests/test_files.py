@@ -4,9 +4,12 @@ loaders that accept JSON numbers only.
 
 Tables have side 1 to 40, or a side that puts their float count just below
 ``_jsonio.VECTOR_MIN``, at or just above it, or over a block of
-``_floattext``, so the JSON writers take both routes.  CSV grids have one
-route, the block formatter, also for their non-finite values; they are drawn
-at side 1 to 40, at 1, 2, 22 and 23, and over a block.  Convergence reports
+``_floattext``, so the JSON writers take both routes.  A table's rows that
+differ from the row before them are formatted by the block formatter from
+``VECTOR_MIN`` of their floats on, by ``json.dumps`` and ``'%'`` below it, and
+a repeated CSV row is its source row's line template; grids of runs of equal
+rows are drawn on both sides of that limit.  CSV grids, non-finite values
+included, are drawn at side 1 to 40, at 1, 2, 22 and 23, and over a block.  Convergence reports
 have one route, a ``%`` template per line.  Tables carry the float edge values
 ``-0.0``, ``5e-324``, ``1e308`` and ``1e-300`` at random places; the exactly
 Hermitian state tables and the grids also carry ``nan`` (of either sign) and
@@ -162,7 +165,8 @@ def test_grid_csv_matches_the_per_value_loop_across_the_limit(values, phi0, plan
 
 @pytest.mark.parametrize("d", [1, 2, 3, 22, 23, 33])
 def test_every_csv_grid_is_formatted_by_the_block_formatter(monkeypatch, d):
-    """A grid of any side, finite or not, is written by one call of ``_floattext.grid_csv_rows``."""
+    """A grid of any side, finite or not, is written by one call of ``_floattext.grid_csv_rows``,
+    which sends the rows to the block formatter or to ``'%'`` by their distinct floats."""
     formatted = []
     block_rows = _floattext.grid_csv_rows
     monkeypatch.setattr(_floattext, "grid_csv_rows", lambda phis, values: formatted.append(values.shape) or block_rows(phis, values))
@@ -172,6 +176,89 @@ def test_every_csv_grid_is_formatted_by_the_block_formatter(monkeypatch, d):
     w.values.flat[-1] = -math.inf
     _bytes_match(gw.wigner_to_csv, oracles.wigner_to_csv, w)
     assert formatted == [(d, d)] * 2
+
+
+# --- number-state grids: one row repeated, few distinct floats -------------------
+
+NUMBER_PLANTS = (math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-4)
+
+
+def distinct_floats(values):
+    """The floats of the rows that differ bit for bit from the row before them."""
+    bits = values.view(np.uint64)
+    return values.shape[1] * (1 + np.count_nonzero((bits[1:] != bits[:-1]).any(axis=1)))
+
+
+@st.composite
+def runs_of_rows(draw):
+    """A square grid of runs of equal rows, of side 1 to 40, 64, 65 or 129, with edge values planted in
+    the rows that repeat; a block size, also of two and three grid rows so that runs cross block borders
+    and a repeated row opens a block with rows that differ after it; and the limit against which the
+    grid's distinct floats F are compared: ``VECTOR_MIN`` itself (None), or F plus 1, F or F minus 1."""
+    d = draw(st.integers(1, 40) | st.sampled_from([64, 65, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, d), min_size=1, max_size=6))
+    rows = []
+    while len(rows) < d:
+        for n in lengths:
+            row = rng.standard_normal(d) * 10.0 ** rng.integers(-20, 20)
+            row[rng.integers(0, d, 3)] = rng.choice(NUMBER_PLANTS, 3)
+            rows += [row] * min(n, d - len(rows))
+    return np.array(rows), draw(st.sampled_from([1, 2, 3, 5, 8, 4096, 2 * d, 3 * d])), draw(st.sampled_from([None, 1, 0, -1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs_of_rows(), angles)
+def test_runs_of_equal_rows_match_the_oracles_on_both_sides_of_the_limit(drawn, phi0):
+    """Repeated rows are their source row's line template in CSV and its text in JSON, byte for byte,
+    whichever formatter writes the rows that differ: the block formatter from ``VECTOR_MIN`` of their
+    floats on, ``'%'`` and ``json.dumps`` below it.  JSON tables are made finite first."""
+    values, block, delta = drawn
+    d, formatted, cells = len(values), [], _floattext._cells
+    w = gw.WignerGrid(gw.PhaseGrid(d, phi0), "custom", np.zeros((d, d)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_floattext, "BLOCK", block)
+        patch.setattr(_floattext, "_cells", lambda x, g=False: formatted.append(len(x)) or cells(x, g))
+        for table, write, oracle in [(values, gw.wigner_to_csv, oracles.wigner_to_csv),
+                                     (np.where(np.isfinite(values), values, 1e-4), gw.wigner_to_json, oracles.wigner_to_json)]:
+            F = distinct_floats(table)
+            limit = _jsonio.VECTOR_MIN if delta is None else F - delta
+            patch.setattr(_jsonio, "VECTOR_MIN", limit)
+            w.values[:] = table
+            formatted.clear()
+            _bytes_match(write, oracle, w)
+            assert sum(formatted) == (F if F >= limit and d * d >= limit else 0)
+
+
+@pytest.mark.parametrize("rows, lines", [(59, 13), (12, 64), (769, 1), (767, 1)])
+def test_distinct_floats_at_the_limit_choose_the_formatter(tmp_path, monkeypatch, rows, lines):
+    """767, 768 and 769 distinct floats, each row written twice in a row: the block formatter
+    formats them from ``VECTOR_MIN`` = 768 on, and no float below it."""
+    formatted, cells = [], _floattext._cells
+    monkeypatch.setattr(_floattext, "_cells", lambda x, g=False: formatted.append(len(x)) or cells(x, g))
+    values = np.repeat(np.random.default_rng(rows).standard_normal((rows, lines)), 2, axis=0)
+    phis = np.linspace(-1.0, 5.0, 2 * rows)
+    _jsonio.write_grid_csv(tmp_path / "g.csv", phis, values)
+    lines_of = ["%d,%d,%.17g,%.17g\n" % (m, n, phis[m], v) for m, row in enumerate(values.tolist()) for n, v in enumerate(row)]
+    assert (tmp_path / "g.csv").read_text() == "m,n,phi,value\n" + "".join(lines_of)
+    assert list(_floattext.json_rows(values)) == [json.dumps(row) for row in values.tolist()]
+    assert formatted == ([rows * lines] * 2 if rows * lines >= _jsonio.VECTOR_MIN else [])
+
+
+@pytest.mark.parametrize("d", [33, 129])
+def test_number_state_grids_skip_the_block_formatter(tmp_path, monkeypatch, d):
+    """The grid of a Fock state and of the maximally mixed state is one row repeated: in both formats
+    its d floats go to ``json.dumps`` and ``'%'``, with no call of the block formatter.  The grid of a
+    random state, every row different, still takes it."""
+    formatted, cells = [], _floattext._cells
+    monkeypatch.setattr(_floattext, "_cells", lambda x, g=False: formatted.append(len(x)) or cells(x, g))
+    grid, kernel = gw.PhaseGrid(d, 0.37), gw.symmetric_kernel((d - 1) // 2)
+    for state, expected in [(gw.fock_state(d, 1), 0), (gw.maximally_mixed(d), 0), (gw.random_density(d, np.random.default_rng(d)), d * d)]:
+        w = gw.wigner_grid(grid, kernel, state)
+        for write, oracle in [(gw.wigner_to_csv, oracles.wigner_to_csv), (gw.wigner_to_json, oracles.wigner_to_json)]:
+            formatted.clear()
+            _bytes_match(write, oracle, w)
+            assert sum(formatted) == expected
 
 
 def _report(rows, seed, big_n=False):

@@ -9,6 +9,11 @@ layout changes course: zeros, the subnormals, the smallest normal, powers of two
 two shortest decimals, and at the 18th digit), the borders of the positional
 form (``1e-4`` and ``1e16`` for ``repr``, ``1e-4`` and ``1e17`` for ``%.17g``), a
 17-digit rounding that carries into a power of ten, and three-digit exponents.
+
+The rows that differ from the row before them go to ``json.dumps`` and ``'%'``
+below ``_jsonio.VECTOR_MIN`` floats; this module sets that limit to 0, so that
+its tables of a few floats reach the block formatter (``test_files`` tests the
+limit itself).
 """
 
 import json
@@ -18,7 +23,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridwigner import _floattext
+from gridwigner import _floattext, _jsonio
+
+
+@pytest.fixture(autouse=True, scope="module")
+def block_formatter():
+    """Every table of this module goes through the block formatter, however few its floats."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_jsonio, "VECTOR_MIN", 0)
+        yield
 
 
 def tokens(values):

@@ -477,3 +477,14 @@ def test_the_chirp_route_agrees_with_the_table_route_at_large_dim(rng, make, d):
     a = random_complex(rng, d, 3)
     rho = a @ a.conj().T
     _assert_routes_agree(gw.PhaseGrid(d, 1e8), make(d // 2), rho / rho.trace().real)
+
+
+def test_a_quantizer_keeps_the_row_phases_of_its_chirp_map(monkeypatch):
+    """``wigner`` of a cached quantizer computes the chirp map's row phases on its first call only."""
+    from gridwigner import phasespace
+
+    q = gw.build_quantizer(gw.PhaseGrid(9, 0.37), gw.symmetric_kernel(4))
+    rho = gw.random_density(9, np.random.default_rng(9))
+    first = gw.wigner(q, rho).values
+    monkeypatch.setattr(phasespace, "_angle_phases", None)  # a call would raise
+    assert np.array_equal(gw.wigner(q, rho).values, first)
