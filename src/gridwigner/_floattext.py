@@ -25,23 +25,20 @@ The text of an entry fills a cell of little-endian uint64 words: its sign and
 the ``0.000`` lead of a positional fraction, the digits with the decimal point,
 the exponent and the separator that follows it in the row.  Bytes a cell does
 not use are zero, and ``bytes.translate`` drops them.  A JSON cell is five words
-and its separator ends in ``"\\n"`` after the last entry of a row, which marks
-where the row ends (JSON numbers never hold one).  A CSV cell is four words and
-ends in ``"\\n"``; a CSV line is the ``%`` texts of its levels and angle and the
-cell, as fields of fixed width, so a grid row is cut from a block by its width.
-A non-finite CSV value is formatted as 0.0, then its cell replaced by that of
-``nan`` (a NaN of either sign), ``inf`` or ``-inf``, as ``%.17g`` writes them.
+and a row's last separator closes its lists.  A CSV cell is four words and
+ends in ``"\\n"``; a CSV line is the texts of its level, column and angle and the
+cell, as fields of fixed width.  A non-finite CSV value is formatted as 0.0, then
+its cell replaced by that of ``nan`` (a NaN of either sign), ``inf`` or ``-inf``.
 
-A row bit for bit equal to the row before it takes that row's JSON text, or its CSV
-line template.  The other rows are formatted here from ``_jsonio.VECTOR_MIN`` floats
-on, else by ``json.dumps`` and ``'%.17g' %``: the Wigner table of a state diagonal in
-the number basis, one row repeated, costs one row's text and the others' assembly.
-A table of ``[re, im]`` pairs Hermitian bit for bit (real parts symmetric, imaginary
-parts off the diagonal their mirrors' with the sign bit flipped), as ``reconstruct``
-returns a state, formats its diagonal and upper triangle: an entry below takes its
-mirror's cells with the imaginary sign byte toggled, as a cell's other bytes depend on
-|x| alone.  Cells kept for mirroring (row written, column's row not) are at most
-d**2 / 4 entries, one complex table, besides the block.
+Text already made is reused (``_jsonio`` says which tables come here, and why).
+One row loop, :func:`_rows`, serves both formats: a row bit for bit equal to the
+row before it is that row's text, a CSV row with its own level and angle written
+into the template of its source.  One rule reuses a cell: the sign byte is the
+only byte of a cell that depends on the sign of x, so a reused cell is its source
+cell with the sign byte written from the entry's own sign bit.  A table of
+``[re, im]`` pairs Hermitian bit for bit (real parts symmetric, imaginary parts off
+the diagonal their mirrors' with the sign bit flipped), as ``reconstruct`` returns a
+state, formats its diagonal and upper triangle and reuses the mirror cells below.
 
 :func:`read_table` reads such a table back, as ``json.loads`` and ``float`` would.  It
 finds the entries from the commas, checks every separator byte and each entry
@@ -300,13 +297,13 @@ def _cells(x: np.ndarray, g: bool = False) -> np.ndarray:
 
 def _separator_words(inner: tuple) -> np.ndarray:
     """Word of the text after each entry of a row of shape ``inner``: ", " inside a
-    list, "], [" between lists, and the closing brackets and "\n" after the last."""
+    list, "], [" between lists, and the closing brackets after the last."""
     j = np.arange(1, int(np.prod(inner)))
     depth = np.zeros(len(j), int)
     for span in np.cumprod(inner[::-1])[:-1]:  # entries of each nested list, innermost first
         depth += j % span == 0
     between = _word_table(["]" * d + ", " + "[" * d for d in range(len(inner))])
-    return np.append(between[depth], _word_table(["]" * len(inner) + "\n"]))
+    return np.append(between[depth], _word_table(["]" * len(inner)]))
 
 
 def _fresh(rows: np.ndarray) -> np.ndarray:
@@ -314,13 +311,6 @@ def _fresh(rows: np.ndarray) -> np.ndarray:
     and ``-0.0`` differ, as their texts do); row 0 has none before it."""
     bits = rows.view(np.uint64)
     return np.append(True, (bits[1:] != bits[:-1]).any(axis=1))
-
-
-def _json_texts(block: np.ndarray, separators: np.ndarray, head: str) -> list:
-    """The text of each row of a 2-D block, after ``head``, its opening brackets."""
-    cells = _cells(np.ascontiguousarray(block).reshape(-1))
-    cells[:, 4] = separators[:len(cells)]
-    return [head + text for text in cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]]
 
 
 def _mirrored(table: np.ndarray) -> bool:
@@ -332,97 +322,104 @@ def _mirrored(table: np.ndarray) -> bool:
                 and d + 1 < 2 * np.count_nonzero(_fresh(table.reshape(d, -1))))
 
 
-def _mirror_texts(table: np.ndarray, bounds: list, b: int, store: dict, separators: np.ndarray) -> list:
-    """The text of the rows of block ``b`` of a :func:`_mirrored` table.  It takes the cells of its
-    lower entries from ``store`` and leaves there the cells of its rows in each later block's columns."""
-    (r0, r1), d = bounds[b:b + 2], len(table)
-    buffer = bytearray(80 * d * (r1 - r0))  # the cells of the block's rows, their text read in place
-    out = np.frombuffer(buffer, "<u8").reshape(r1 - r0, d, 2, 5)
-    for column, cells in store.pop(b, ()):
-        out[:, column:column + len(cells), :, :4] = cells.transpose(1, 0, 2, 3)
-    rows = np.arange(r0, r1)[:, None]
-    upper, lower = np.arange(r0, d) >= rows, np.arange(r1) < rows
-    out[:, r0:][upper] = _cells(table[r0:r1, r0:][upper].reshape(-1)).reshape(-1, 2, 5)
-    out[:, r0:r1][lower[:, r0:]] = out[:, r0:r1].transpose(1, 0, 2, 3)[lower[:, r0:]]
-    out[:, :r1][lower, 1, 0] ^= _U(ord("-") << 16)
-    out.reshape(r1 - r0, -1, 5)[..., 4] = separators
-    for later in range(b + 1, len(bounds) - 1):
-        store.setdefault(later, []).append((r0, out[:, bounds[later]:bounds[later + 1], :, :4].copy()))
-    return buffer.translate(None, b"\0").decode("ascii").split("\n")[:-1]
+def _blocks(rows: np.ndarray, starts: np.ndarray, g: bool, cut, mirror: bool = False):
+    """Yield ``cut(block, cells)`` for each block of the rows ``starts`` of the 2-D ``rows`` that formats
+    about ``BLOCK`` floats (a mirror's in 8 rows or more: fewer stored pieces), ``cells`` an array (rows,
+    floats, words).  A non-finite value is formatted as 0.0 and given the cell of its ``%.17g`` text.  A
+    :func:`_mirrored` table formats its upper triangle and reuses the mirror cells below (module docstring);
+    ``store`` keeps the cells of rows written in each later block's columns, at most d**2 / 4 entries."""
+    d, width = rows.shape
+    bounds, store = [0], {}
+    while bounds[-1] < len(starts):
+        own = width - mirror * width * int(starts[bounds[-1]]) // d  # floats the block's first row formats
+        bounds.append(min(len(starts), bounds[-1] + max(1, mirror * BLOCK // 512, BLOCK // own)))
+
+    def cells_of(b, block):  # a call, so that a block's arrays are freed before the next is made
+        if not mirror:
+            x = rows[block].reshape(-1)
+            odd = ~np.isfinite(x)
+            cells = _cells(np.where(odd, 0.0, x) if odd.any() else x, g)
+            if odd.any():
+                cells[odd] = _NONFINITE.take(np.isinf(x[odd]) * (1 + np.signbit(x[odd])), axis=0)
+            return cells.reshape(len(block), width, -1)
+        (r0, r1), n = bounds[b:b + 2], len(block)  # a mirror's starts are all its rows
+        out = np.empty((n, d, 2, 5), "<u8")
+        for column, cells in store.pop(b, ()):
+            out[:, column:column + len(cells), :, :4] = cells.transpose(1, 0, 2, 3)
+        upper = np.arange(r0, d) >= block[:, None]
+        out[:, r0:][upper] = _cells(rows[r0:r1].reshape(n, d, 2)[:, r0:][upper].reshape(-1)).reshape(-1, 2, 5)
+        lower = ~upper[:, :n]
+        out[:, r0:r1][lower] = out[:, r0:r1].transpose(1, 0, 2, 3)[lower]
+        signs = rows[r0:r1].view(np.uint64).reshape(n, d, 2) >> _U(63)
+        out[..., 0] &= ~_U(255 << 16)
+        out[..., 0] |= signs * _U(ord("-") << 16)
+        for later in range(b + 1, len(bounds) - 1):
+            store.setdefault(later, []).append((r0, out[:, bounds[later]:bounds[later + 1], :, :4].copy()))
+        return out.reshape(n, width, 5)
+
+    for b in range(len(bounds) - 1):
+        block = starts[bounds[b]:bounds[b + 1]]
+        yield cut(block, cells_of(b, block))
+
+
+def _rows(table: np.ndarray, fresh: np.ndarray, small, blocks, angles=None):
+    """The row loop of both formats.  A ``fresh`` row is formatted once: by ``small`` below ``_jsonio.VECTOR_MIN``
+    such floats, else by ``blocks``.  Every other row is its source's text, the last fresh row's.  A CSV template,
+    given as its pieces split at the level placeholder "\x01", takes each row's own level and angle ("\x02")."""
+    starts = np.flatnonzero(fresh)
+    if len(starts) * (table.size // len(table)) < _jsonio.VECTOR_MIN:
+        texts = map(small, table[starts].tolist())
+    else:
+        texts = chain.from_iterable(blocks(starts))
+    for m, new in enumerate(fresh.tolist()):
+        if new:
+            text = next(texts)
+        yield text if text.__class__ is str else str(m).join(text).replace("\x02", angles[m])
 
 
 def json_rows(table: np.ndarray):
-    """Yield ``json.dumps(row.tolist())`` for each row of ``table``, a finite float64 array of two or more dimensions:
-    for a row equal to the one before it that row's text again; for the others ``json.dumps`` below ``_jsonio.VECTOR_MIN``
-    of their floats, else ``BLOCK`` entries at a time (the upper half of a :func:`_mirrored` table)."""
-    rows, head = table.reshape(len(table), -1), "[" * (table.ndim - 1)
-    if _mirrored(table):
-        d, bounds, store = len(table), [0], {}  # store: per block, (first column, cells) of each block before it
-        while bounds[-1] < d:  # cells from the diagonal on about BLOCK floats, in 8 rows or more (fewer pieces)
-            bounds.append(min(d, bounds[-1] + max(1, BLOCK // 512, BLOCK // (2 * (d - bounds[-1])))))
-        words = _separator_words(table.shape[1:])
-        for b in range(len(bounds) - 1):
-            yield from (head + text for text in _mirror_texts(table, bounds, b, store, words))
-        return
-    fresh = _fresh(rows)
-    starts = np.flatnonzero(fresh)
-    if len(starts) * rows.shape[1] < _jsonio.VECTOR_MIN:
-        texts = map(json.dumps, table[starts].tolist())
-    else:
-        per = max(1, BLOCK // max(rows.shape[1], 1))
-        separators = np.tile(_separator_words(table.shape[1:]), per)
-        texts = chain.from_iterable(_json_texts(rows[starts[i:i + per]], separators, head) for i in range(0, len(starts), per))
-    for new in fresh.tolist():
-        if new:
-            row = next(texts)
-        yield row
+    """Yield ``json.dumps(row.tolist())`` for each row of ``table``, a finite float64 array of two or
+    more dimensions, through :func:`_rows`; every row of a :func:`_mirrored` table is formatted."""
+    rows, mirror = table.reshape(len(table), -1), _mirrored(table)
+
+    def blocks(starts):
+        head, separators = "[" * (table.ndim - 1), _separator_words(table.shape[1:])
+
+        def cut(block, cells):
+            cells[..., 4] = separators
+            return [head + row.tobytes().translate(None, b"\0").decode("ascii") for row in cells]
+
+        return _blocks(rows, starts, False, cut, mirror)
+
+    return _rows(table, np.ones(len(table), bool) if mirror else _fresh(rows), json.dumps, blocks)
 
 
 def grid_csv_rows(phis: np.ndarray, values: np.ndarray):
-    """Yield the lines ``m,n,phi,value`` of each row ``m`` of a float64 grid ``values`` with row angles
-    ``phis``: the rows that differ from the row before them by ``'%.17g' %`` below ``_jsonio.VECTOR_MIN``
-    floats, else ``BLOCK`` entries at a time; each other row from its source row's line template, the
-    lines split at the level field with "\\x02" for the angle, joined by its level and given its angle."""
-    rows, lines = values.shape
-    starts = np.flatnonzero(_fresh(values)).tolist()
+    """Yield the lines ``m,n,phi,value`` of each row ``m`` of a float64 grid ``values`` with row angles ``phis``,
+    through :func:`_rows`: a template below ``_jsonio.VECTOR_MIN`` and where a repeat follows, else the lines."""
+    (rows, lines), fresh = values.shape, _fresh(values)
     angles = ["%.17g" % phi for phi in phis.tolist()]
-    runs = zip(starts, starts[1:] + [rows])  # each row that differs from the one before, and the end of its run
-    if len(starts) * lines < _jsonio.VECTOR_MIN:  # one '%' template per row, its level and angle written in
-        args = np.arange(lines).repeat(2).tolist()  # n, value, n, value, ...
-        for r, end in runs:
-            args[1::2] = values[r].tolist()
-            if end == r + 1:
-                yield "%d,%%d,%s,%%.17g\n" % (r, angles[r]) * lines % tuple(args)
-            else:  # the run, its first row too, from the line template: its values formatted once
-                pieces = ("\x01,%d,\x02,%.17g\n" * lines % tuple(args)).split("\x01")
-                for m in range(r, end):
-                    yield str(m).join(pieces).replace("\x02", angles[m])
-        return
-    levels = np.array(["%d," % i for i in range(max(rows, lines))], "S")
-    fields = np.array([angle + "," for angle in angles], "S")
-    layout = [("m", levels.dtype), ("n", levels.dtype), ("phi", fields.dtype), ("value", "V32")]
-    per = max(1, BLOCK // lines)
-    buffer = np.empty((min(per, len(starts)), lines), layout)  # every block but the last fills it
-    buffer["n"] = levels[:lines]
-    for at in range(0, len(starts), per):
-        block = starts[at:at + per]
-        out = buffer[:len(block)]
-        picked = slice(block[0], block[-1] + 1) if block[-1] - block[0] == len(block) - 1 else block  # no copy
-        out["m"] = levels[picked, None]
-        out["phi"] = fields[picked, None]
-        new = values[picked].reshape(-1)
-        odd = ~np.isfinite(new)  # formatted as 0.0, then given the cell of nan, inf or -inf
-        cells = _cells(np.where(odd, 0.0, new) if odd.any() else new, True)
-        if odd.any():
-            cells[odd] = _NONFINITE.take(np.isinf(new[odd]) * (1 + np.signbit(new[odd])), axis=0)
-        out["value"] = cells.view("V32").reshape(-1, lines)
-        for row, (r, end) in zip(out, runs):  # out first: zip stops at the block's end, no run taken
-            yield row.tobytes().translate(None, b"\0").decode("ascii")
-            if end > r + 1:  # the template, taken before a later block writes over the row
-                row["m"], row["phi"] = b"\x01,", b"\x02,"
-                pieces = row.tobytes().translate(None, b"\0").decode("ascii").split("\x01")
-                for m in range(r + 1, end):
-                    yield str(m).join(pieces).replace("\x02", angles[m])
+    template = "\x01,%d,\x02,%%.17g\n" * lines % tuple(range(lines))
+
+    def blocks(starts):
+        levels = np.array(["%d," % i for i in range(max(rows, lines))], "S")
+        fields = np.array([angle + "," for angle in angles], "S")
+        repeated = np.append(~fresh[1:], False)  # rows that a repeat follows
+        layout = [("m", levels.dtype), ("n", levels.dtype), ("phi", fields.dtype), ("value", "V32")]
+
+        def cut(block, cells):
+            runs = np.flatnonzero(repeated[block])  # the block's rows that a repeat follows: templates
+            out = np.empty(cells.shape[:2], layout)
+            out["m"], out["n"], out["phi"] = levels[block, None], levels[:lines], fields[block, None]
+            out["m"][runs], out["phi"][runs], out["value"] = b"\x01,", b"\x02,", cells.view("V32")[..., 0]
+            texts = [row.tobytes().translate(None, b"\0").decode("ascii") for row in out]
+            for i in runs.tolist():
+                texts[i] = texts[i].split("\x01")
+            return texts
+
+        return _blocks(values, starts, True, cut)
+
+    return _rows(values, fresh, lambda row: (template % tuple(row)).split("\x01"), blocks, angles)
 
 
 # The reader.  A word read at any byte offset is little-endian: the last digit of a field is

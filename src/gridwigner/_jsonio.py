@@ -8,12 +8,17 @@ table one row at a time (all lines of a CSV grid row at once), so a file is
 never held in memory as one string.  A JSON file is byte-identical to
 ``json.dump`` of the same nested lists, each row the text :func:`json.dumps`
 gives it; a CSV value is its ``%.17g`` text, a level or size its ``%d``.
-Every CSV grid, and a finite JSON table of ``VECTOR_MIN`` floats or more, go through
-:mod:`._floattext`, which repeats the text of a row equal to the row before it and formats
-the other rows a block at a time in numpy to the same bytes (a Hermitian state holding the
-cells it mirrors, up to one table), or by ``json.dumps`` and ``%`` if they hold fewer than
-``VECTOR_MIN`` floats; other JSON tables go through ``json.dumps``, and every convergence
-table through a ``%`` template.
+
+Which table goes where: every CSV grid, and a finite JSON table of ``VECTOR_MIN``
+floats or more, go through :mod:`._floattext`; other JSON tables through
+``json.dumps`` (a process that writes none never loads that module), and every
+convergence table through one ``%`` template per line.  There the rows that differ
+from the row before them are formatted by ``json.dumps`` and ``'%.17g' %`` below
+``VECTOR_MIN`` such floats, by the block formatter from it on.  Both formats share
+the rule because they share the crossover: a block costs about a hundred numpy
+calls, and the block formatter overtakes ``json.dumps`` and ``%`` at 300 to 600
+floats of a Wigner grid in JSON and CSV alike (README, "Cost"), so 768 is late for
+both; no benchmark grid lies between.  A number state's one distinct row stays below.
 
 A file is read as UTF-8 whatever the locale (a BOM is refused, line ends read as in
 text mode).  A table of ``READ_MIN`` floats or more in the writer's layout, under the
@@ -33,10 +38,7 @@ from stat import S_ISREG
 
 import numpy as np
 
-#: Float counts from which :mod:`._floattext` formats a table's rows that differ from the row before them,
-#: and reads a table: below them a block's fixed cost outweighs the per-value saving (README, "Cost").  On the
-#: benchmark tomography-suite's tables and the one distinct row of a number state's grid lie below,
-#: wigner-forward's other grids and reconstruct-inverse's grids and states (d of 32 and more) above.
+#: Float counts from which :mod:`._floattext` formats a table's distinct rows (module docstring) and reads a table.
 VECTOR_MIN = 768
 READ_MIN = 2048
 

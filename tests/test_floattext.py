@@ -413,3 +413,18 @@ def test_no_table_formats_more_than_its_rows(monkeypatch, case):
         rows = 2 * d * fresh_rows(table)
         assert sum(formatted) == (d * (d + 1) if _floattext._mirrored(table) else rows) <= rows
     assert _floattext._mirrored(table) == (case in ("hermitian", "pairs 1", "pairs 31"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1) | st.sampled_from([0, 1, 2, 2**52 - 1, 2**52, 2**62]), min_size=1, max_size=60), st.booleans())
+def test_a_cell_and_its_negation_differ_in_the_sign_byte_alone(patterns, g):
+    """The reuse rule's premise: every byte of a cell but the sign byte, byte 2 of word 0, depends on
+    |x| alone, so a reused cell is its source's with that byte written from its own sign bit.  Raw bit
+    patterns of |x| (zero, subnormals and the smallest normal among them), both styles."""
+    x = np.array(patterns, np.uint64).view(np.float64)
+    x = x[np.isfinite(x)]
+    if len(x):
+        plus, minus = _floattext._cells(x, g)[:, :4], _floattext._cells(-x, g)[:, :4]  # JSON's word 4 is the caller's
+        assert (plus[:, 1:] == minus[:, 1:]).all()
+        assert ((plus[:, 0] ^ minus[:, 0]) == np.uint64(ord("-") << 16)).all()
+        assert (minus[:, 0] >> np.uint64(16) & np.uint64(255) == np.uint64(ord("-"))).all()
