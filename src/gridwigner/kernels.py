@@ -8,6 +8,7 @@ phase-only and number-only functions quantize spectrally.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import astuple, dataclass
 from functools import cached_property, partial
 
@@ -19,6 +20,9 @@ from .phasespace import _as_index, _product_table
 
 #: Entries smaller than this are treated as structural zeros.
 ZERO_TOL = 1e-12
+
+#: Kernel moduli below this trigger a conditioning warning on inversion.
+CONDITION_TOL = 1e-6
 
 #: Labels of the built-in kernel families, the names the command line takes.
 FAMILIES = ("symmetric", "wootters", "almost-symmetric")
@@ -121,6 +125,16 @@ def validate(kernel: Kernel) -> KernelValidity:
         first_col_unit=within(np.abs(v[:, 0] - 1.0).max()),
         first_row_unit=within(np.abs(v[0] - 1.0).max()),
     )
+
+
+def _check_inversion(kernel: Kernel) -> None:
+    """The rule of every map that divides by ``kernel`` (``symbol``, ``reconstruct``, ``relate``), called before it
+    divides: failing :func:`validate`'s ``nonvanishing`` (a NaN entry too) raises, min |K| < ``CONDITION_TOL`` warns."""
+    low = kernel.moduli[0]
+    if not low > ZERO_TOL:
+        raise ValueError(f"kernel has a zero entry (min |K| = {low:.3e}): the map divides by it")
+    if low < CONDITION_TOL:
+        warnings.warn(f"kernel inversion is ill-conditioned (min |K| = {low:.3e})", stacklevel=3)
 
 
 def _positive_half(N) -> int:

@@ -11,14 +11,13 @@ operator the identity checks below build.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import _frob, within
-from .kernels import Kernel, is_unimodular, validate
+from .kernels import Kernel, _check_inversion, is_unimodular, validate
 from .phasespace import (
     PhaseGrid,
     _chirp_phases,
@@ -31,10 +30,6 @@ from .phasespace import (
     _sheared_weights,
     phase_function_op,
 )
-
-#: Kernel moduli below this trigger a conditioning warning on inversion.
-CONDITION_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class Quantizer:
@@ -89,29 +84,19 @@ def quantize(q: Quantizer, values) -> np.ndarray:
     return _displacement_sum(q.grid, q.weights * _fft2(v))
 
 
-def _warn_if_ill_conditioned(kernel: Kernel) -> float:
-    if kernel.moduli[0] < CONDITION_TOL:
-        warnings.warn(
-            f"kernel inversion is ill-conditioned (min |K| = {kernel.moduli[0]:.3e})",
-            stacklevel=3,
-        )
-    return kernel.moduli[0]
-
-
 def symbol(q: Quantizer, op) -> np.ndarray:
     """Inverse of :func:`quantize`: the grid function of an operator.
 
     Uses the kernel-division form: the displacement traces ``trace(D(k, l)^+ op)`` are divided
     by the kernel weights and Fourier-summed back onto the grid, the forward map of ``op^+``
-    with the dual table ``1 / conj(S)``, conjugated and divided by ``dim**3``.  A kernel with a
-    zero entry has no dual table and raises ``ValueError``.
+    with the dual table ``1 / conj(S)``, conjugated and divided by ``dim**3``.  A kernel with a zero
+    entry has no dual table: :func:`kernels._check_inversion` refuses it first, and warns on a small one.
     """
     a = np.asarray(op, dtype=complex)
     d = q.grid.dim
     if a.shape != (d, d):
         raise ValueError("operator dimension does not match the quantizer grid")
-    if not _warn_if_ill_conditioned(q.kernel) > 0:
-        raise ValueError("kernel has a zero entry: the symbol divides by it")
+    _check_inversion(q.kernel)
     t = _ifft(_diagonals(q.grid, a.conj().T))  # conj(fft2(x)) / dim**3 = ifft2(conj(x)) / dim: this FFT's 1/dim
     return _ifft2(np.conjugate(t, out=t) / q.weights)
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import write_report_csv
-from .kernels import FAMILIES, Kernel, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
+from .kernels import FAMILIES, Kernel, _check_inversion, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
 from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _product_table, _reduced
-from .quantizer import Quantizer, _completeness_dev, _warn_if_ill_conditioned
+from .quantizer import Quantizer, _completeness_dev
 from .wigner import HalfIntegerWignerGrid, WignerGrid, _check_kernel_of, _real_or_raise, check_density
 
 @dataclass(frozen=True)
@@ -245,10 +245,9 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
     _check_kernel_of(w, kernel_from)
     if kernel_to.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
-    _warn_if_ill_conditioned(kernel_from)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero K_from leaves NaN: _real_or_raise raises
-        ratio = kernel_to.values / kernel_from.values
-        raw = _fft2(_ifft2(w.values) * ratio)
+    _check_inversion(kernel_from)
+    ratio = kernel_to.values / kernel_from.values
+    raw = _fft2(_ifft2(w.values) * ratio)
     scale = float(np.max(np.abs(ratio))) * max(1.0, float(np.max(np.abs(w.values))))
     return WignerGrid(w.grid, kernel_to.label, _real_or_raise(raw, scale), kernel_to.eps)
 

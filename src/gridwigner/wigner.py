@@ -16,9 +16,9 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
-from .kernels import Kernel, _positive_half
+from .kernels import Kernel, _check_inversion, _positive_half
 from .phasespace import PhaseGrid, _as_angle, _chirp_map, _chirp_phases, _displacement_sum, _fft2, _kernel_map, _sheared_weights
-from .quantizer import Quantizer, _warn_if_ill_conditioned, build_quantizer
+from .quantizer import Quantizer, build_quantizer
 
 class ReconstructionError(ValueError):
     """Raised when a Wigner grid does not determine a valid state."""
@@ -181,13 +181,13 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     pairing leaves an anti-Hermitian part; it raises when that part fails the tolerance on the
     scale ``max |K| * max(1, max |rho|)``.  The result is averaged with its adjoint, so its
     off-diagonal pairs are bitwise conjugates and its diagonal imaginary parts are +0.0.  With
-    ``validate_state`` it must pass :func:`check_density`.  A kernel of another dimension or
-    label, or of another ``eps`` than a grid that records one, raises ``ValueError``.
+    ``validate_state`` it must pass :func:`check_density`.  A kernel of another dimension or label,
+    or of another ``eps`` than a grid that records one, raises ``ValueError``; so does one with a zero
+    entry, before the division (:func:`kernels._check_inversion`, which warns on a small entry).
     """
     _check_kernel_of(w, kernel)
-    _warn_if_ill_conditioned(kernel)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero weight leaves NaN: the defect check raises
-        h = _displacement_sum(w.grid, _fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
+    _check_inversion(kernel)
+    h = _displacement_sum(w.grid, _fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
     rho = h.conj().T
     defect = float(np.max(np.abs(rho - h)))
     if not within(defect, kernel.moduli[1] * max(1.0, float(np.max(np.abs(rho))))):

@@ -19,13 +19,20 @@ The cases, in order:
   0.37, in JSON and CSV;
 - ``reconstruct`` of random states' grids up to d = 257, and of half-integer grids;
 - ``relate``, odd and even, with and without the direct check against a state file;
+- ``verify`` of every family at every dimension of 2..31 that the family takes, at phi0 0
+  and 0.37;
+- ``converge`` of every family for ``superposition01``, a Fock state and a state file, off
+  and on the grid through the target angle;
+- ``file:`` kernels through ``wigner``, ``verify`` and ``reconstruct --kernel``: valid tables
+  that no family builds, and one whose min |K| of about 1e-7 prints the conditioning warning;
 - ``--fuzz`` tables (3000 by default) through the writers of ``gridwigner._jsonio``: real
   and ``[re, im]`` tables and CSV grids on both sides of ``VECTOR_MIN`` and of one block,
   with runs of equal rows, exactly Hermitian pairs, signed zeros, subnormals and, where a
   format writes them, nan and the infinities.
 
-State files and half-integer grids are written by this script (the grids with the
-library's own maps, their files compared as cases too), so both trees read the same inputs.
+State files, half-integer grids and kernel files are written by this script (the grids and
+kernels with the library's own maps and writer, their files compared as cases too), so both
+trees read the same inputs.
 This file needs only the standard library and numpy, and pytest does not collect it.
 """
 
@@ -69,6 +76,22 @@ def state_file(d, seed):
     return name
 
 
+def kernel_file(family, d, seed, eps=None):
+    """Write a kernel file with ``gridwigner.save_kernel``; its name and the digest of the file.  With a
+    ``seed``, the family's table times ``exp(a + i*b)`` on the interior, ``a`` even and ``b`` odd under
+    ``(k, l) -> (d-k, d-l)``: the pairing, the unit edge lines and the corner hold, and no family builds it."""
+    import gridwigner as gw
+
+    kernel = {"symmetric": gw.symmetric_kernel, "almost-symmetric": gw.almost_symmetric_kernel}[family]
+    values = (kernel(d // 2) if eps is None else kernel(d // 2, eps)).values.copy()
+    if seed is not None:
+        a, b = np.random.default_rng(seed).uniform(-0.5, 0.5, (2, d - 1, d - 1))
+        values[1:, 1:] *= np.exp(a + a[::-1, ::-1] + 1j * (b - b[::-1, ::-1]))
+    name = f"kernel-{family}-{d}-{seed}.json"
+    gw.save_kernel(gw.Kernel(values), name)
+    return name, digest(name)
+
+
 def cases():
     """Yield ``(name, run)`` for every case; ``run()`` returns the files the case wrote."""
     for d in WIGNER_DIMS:
@@ -104,6 +127,30 @@ def cases():
         for direct in ([], ["--state", f"state-{2 * n}-{n}.json"]):
             yield f"relate even N={n}{' direct' if direct else ''}", lambda n=n, direct=direct: cli(
                 ["relate", "--direction", "even", "--grid", f"half-{n}.json", *direct, "--out", "rel.json"], "rel.json")
+    for d in range(2, 32):
+        for family in families(d):
+            for phi0 in ("0", "0.37"):
+                yield f"verify {family} d={d} phi0={phi0}", lambda d=d, family=family, phi0=phi0: cli(
+                    ["verify", "--dim", str(d), "--kernel", family, "--phi0", phi0], "none")
+    for family in ("symmetric", "wootters", "almost-symmetric"):
+        for state in (["superposition01"], ["fock", "2"], ["state-3-3.json"]):
+            for phi0 in ([], ["--phi0", "0.7"]):
+                def run(family=family, state=state, phi0=phi0):
+                    state_file(3, 3)
+                    return cli(["converge", "--kernel", family, "--state", *state, "--n", "1", "--phi", "0.7",
+                                "--Ns", "5,10,20,40,80,1000", *phi0, "--out", "conv.csv"], "conv.csv")
+                yield f"converge {family} {' '.join(state)}{' on grid' if phi0 else ''}", run
+    for family, d, seed, eps in (("symmetric", 5, 1, None), ("symmetric", 9, 2, None), ("almost-symmetric", 6, 3, None),
+                                 ("almost-symmetric", 4, None, 0.7853981)):
+        def run(family=family, d=d, seed=seed, eps=eps):
+            name, written = kernel_file(family, d, seed, eps)
+            kernel, grid = ["--kernel", f"file:{name}"], f"grid-file-{d}.json"
+            return {name: written,
+                    "wigner": cli(["wigner", "--dim", str(d), *kernel, "--phi0", "0.37", "--state", state_file(d, d + 2),
+                                   "--out", grid], grid),
+                    "verify": cli(["verify", "--dim", str(d), *kernel, "--phi0", "0.37"], "none"),
+                    "reconstruct": cli(["reconstruct", "--grid", grid, *kernel, "--out", "state.json"], "state.json")}
+        yield f"file kernel {family} d={d} {'seed=' + str(seed) if eps is None else 'eps=' + str(eps)}", run
 
 
 def fuzz_cases(count):

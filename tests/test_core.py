@@ -26,6 +26,7 @@ phase-overlap table, for dimensions 3 to 257 and angles up to 1e8.
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -264,21 +265,39 @@ def test_inconsistent_kernel_fails_like_the_loop(rng):
         gw.reconstruct(w, kernel, validate_state=False)
 
 
-def test_zero_kernel_entry_fails_instead_of_returning_nan(rng):
+MAPS_DIVIDING_BY_A_KERNEL = {
+    "symbol": lambda w, kernel, rng: gw.symbol(gw.build_quantizer(w.grid, kernel, check=False), gw.random_density(5, rng)),
+    "reconstruct": lambda w, kernel, rng: gw.reconstruct(w, kernel, validate_state=False),
+    "relate": lambda w, kernel, rng: gw.relate(w, kernel, gw.symmetric_kernel(2)).values,
+}
+
+
+@pytest.mark.parametrize("low", [0.0, 1e-13, gw.kernels.ZERO_TOL, np.nan], ids=["0", "1e-13", "ZERO_TOL", "nan"])
+@pytest.mark.parametrize("apply", MAPS_DIVIDING_BY_A_KERNEL.values(), ids=MAPS_DIVIDING_BY_A_KERNEL.keys())
+def test_a_kernel_with_a_zero_entry_is_refused_before_any_division(rng, apply, low):
+    # a symmetric pair of entries at min |K| = low: validate's nonvanishing fails, so every map refuses alike
     values = oracles.random_kernel(5, rng).values
-    values[2, 3] = values[3, 2] = 0.0
+    values[2, 3] = values[3, 2] = low
+    kernel = gw.Kernel(values)
+    assert not gw.validate(kernel).nonvanishing
+    w = gw.WignerGrid(gw.PhaseGrid(5), kernel.label, rng.uniform(size=(5, 5)) / 25)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'kernel has a zero entry (min |K| = {low:.3e}): the map divides by it')}$"):
+            apply(w, kernel, rng)
+    assert caught == []
+
+
+def test_a_kernel_above_the_zero_tolerance_warns_and_divides(rng):
+    # min |K| = 1e-8: above ZERO_TOL, below CONDITION_TOL, the map runs after one warning
+    values = oracles.random_kernel(5, rng).values
+    values[2, 3] = values[3, 2] = 1e-8
     kernel = gw.Kernel(values)
     w = gw.WignerGrid(gw.PhaseGrid(5), kernel.label, rng.uniform(size=(5, 5)) / 25)
-    with pytest.warns(UserWarning, match="ill-conditioned"), pytest.raises(gw.ReconstructionError, match="nan"):
-        gw.reconstruct(w, kernel, validate_state=False)
-
-
-def test_symbol_of_a_kernel_with_a_zero_entry_fails_instead_of_returning_nan(rng):
-    values = oracles.random_kernel(5, rng).values
-    values[2, 3] = values[3, 2] = 0.0
-    q = gw.build_quantizer(gw.PhaseGrid(5), gw.Kernel(values), check=False)
-    with pytest.warns(UserWarning, match="ill-conditioned"), pytest.raises(ValueError, match="zero entry"):
-        gw.symbol(q, gw.random_density(5, rng))
+    for apply in MAPS_DIVIDING_BY_A_KERNEL.values():
+        with pytest.warns(UserWarning, match=r"^kernel inversion is ill-conditioned \(min \|K\| = 1\.000e-08\)$") as caught:
+            assert np.isfinite(apply(w, kernel, rng)).all()
+        assert len(caught) == 1
 
 
 MAPS_FROM_A_GRID = {
@@ -296,15 +315,6 @@ def test_a_kernel_of_another_eps_than_the_grid_is_refused(apply):
         apply(w, gw.almost_symmetric_kernel(4, 0.25))
     apply(w, gw.almost_symmetric_kernel(4, 0.3))
     apply(gw.WignerGrid(w.grid, w.kernel_label, w.values), gw.almost_symmetric_kernel(4, 0.25))  # no eps recorded
-
-
-def test_relate_from_a_kernel_with_a_zero_entry_fails_without_a_numpy_warning(rng):
-    values = oracles.random_kernel(5, rng).values
-    values[2, 3] = values[3, 2] = 0.0
-    kernel = gw.Kernel(values)
-    w = gw.WignerGrid(gw.PhaseGrid(5), kernel.label, rng.uniform(size=(5, 5)) / 25)
-    with pytest.warns(UserWarning, match="ill-conditioned"), pytest.raises(ValueError, match="nan"):
-        gw.relate(w, kernel, gw.symmetric_kernel(2))
 
 
 def test_omega_is_built_on_first_access():

@@ -402,6 +402,19 @@ class TestContinuum:
         assert rep.rows[0].target == pytest.approx((1 + 1) / (4 * np.pi))
         assert rep.rows[-1].abs_error <= 1e-10
 
+    @pytest.mark.parametrize("phi", [0.7, 2.1])
+    def test_almost_symmetric_error_is_the_skew_in_closed_form(self, phi):
+        # on grids through phi, scaled - target = -tan(eps) Im z / (2 pi), eps = 1/dim, z the continuum value
+        rng = np.random.default_rng(int(10 * phi))
+        n_list = [10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000]
+        for _ in range(5):
+            rho = gw.random_density(3, rng)
+            for n in range(3):
+                z = np.sum(rho[n] * np.exp(1j * (np.arange(3) - n) * phi))
+                for row in gw.continuum_study(rho, "almost-symmetric", n, phi, n_list, phi0=phi).rows:
+                    skew = -math.tan(1.0 / row.dim) * z.imag / (2 * math.pi)
+                    assert abs(row.scaled_value - row.target - skew) <= 1e-15 * max(1.0, abs(z))
+
     def test_marginal_contrast(self):
         # level sum of the sign-kernel target is flat in phi; the
         # number-phase target recovers the true phase density
