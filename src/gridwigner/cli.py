@@ -21,17 +21,7 @@ import numpy as np
 
 from ._jsonio import read_json
 from .linalg import _hermitian_average, is_positive_semidefinite, psd_deficit, within
-from .kernels import (
-    FAMILIES,
-    Kernel,
-    KernelValidity,
-    almost_symmetric_kernel,
-    default_epsilon,
-    load_kernel,
-    symmetric_kernel,
-    validate,
-    wootters_kernel,
-)
+from .kernels import FAMILIES, Kernel, KernelValidity, _family_kernel, default_epsilon, load_kernel, validate
 from .phasespace import PhaseGrid, _angle_phases, _diagonals, _fft
 from .quantizer import build_quantizer, ordering_check, verify_quantizer
 from .states import (
@@ -81,24 +71,11 @@ class CliError(Exception):
 
 
 def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> tuple[Kernel, KernelValidity | None]:
-    """The kernel named on the command line, enforcing parity rules, and, for a
-    ``file:`` kernel, the validity that admitted it (``None`` for a built-in family)."""
-    if name == "symmetric" or name == "wootters":
-        if dim % 2 == 0 or dim < 3:
-            raise CliError(
-                EXIT_KERNEL_MISMATCH,
-                f"kernel {name!r} requires an odd dimension >= 3, got {dim}",
-            )
-        n_half = (dim - 1) // 2
-        return (symmetric_kernel(n_half) if name == "symmetric" else wootters_kernel(n_half)), None
-    if name == "almost-symmetric":
-        if dim % 2 or dim < 2:
-            raise CliError(
-                EXIT_KERNEL_MISMATCH,
-                f"kernel 'almost-symmetric' requires an even dimension >= 2, got {dim}",
-            )
+    """The kernel named on the command line and, for a ``file:`` kernel, the validity that admitted it
+    (``None`` for a built-in family, whose parity rule :func:`kernels._family_kernel` owns: its refusal exits 3)."""
+    if name in FAMILIES:
         try:
-            return almost_symmetric_kernel(dim // 2, epsilon), None
+            return _family_kernel(name, dim, epsilon), None
         except ValueError as exc:
             raise CliError(EXIT_KERNEL_MISMATCH, str(exc))
     if name.startswith("file:"):

@@ -28,7 +28,7 @@ CONDITION_TOL = 1e-6
 FAMILIES = ("symmetric", "wootters", "almost-symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """A kernel table with a text label and optional skew angle.
 
@@ -36,6 +36,7 @@ class Kernel:
     to dodge the cosine zeros of even dimensions.  The table must not be changed after
     construction: ``moduli``, like a ``Quantizer``'s weights, is read from it once.  A built-in
     family's kernel builds its table on the first read of ``values`` (:class:`_ChirpKernel`).
+    Like a quantizer and a grid, a kernel holds an array, so ``==`` and ``hash`` go by identity.
     """
 
     values: np.ndarray
@@ -199,6 +200,18 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     if kernel.moduli[0] * abs(np.cos(eps)) <= ZERO_TOL:  # min |K cos(eps)|: the table is real
         raise ValueError(f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps")
     return kernel
+
+
+def _family_kernel(label: str, dim: int, eps: float | None = None) -> Kernel:
+    """The kernel of the family ``label`` of :data:`FAMILIES` on ``dim``, the one owner of the paper's parity rule:
+    symmetric and wootters on an odd ``dim = 2N+1 >= 3``, almost-symmetric on an even ``dim = 2N >= 2`` with ``eps``
+    as :func:`almost_symmetric_kernel` takes it.  Any other ``dim``, or a refused ``eps``, raises ``ValueError``."""
+    odd = label != "almost-symmetric"
+    if dim % 2 != odd or dim < 2 + odd:
+        raise ValueError(f"kernel {label!r} requires an {'odd' if odd else 'even'} dimension >= {2 + odd}, got {dim}")
+    if odd:
+        return {"symmetric": symmetric_kernel, "wootters": wootters_kernel}[label](dim // 2)
+    return almost_symmetric_kernel(dim // 2, eps)
 
 
 def is_unimodular(kernel: Kernel) -> bool:

@@ -31,7 +31,7 @@ from .phasespace import (
     phase_function_op,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quantizer:
     """Phase-point operators of one grid/kernel pair, held implicitly.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import write_report_csv
-from .kernels import FAMILIES, Kernel, _check_inversion, _positive_half, almost_symmetric_kernel, symmetric_kernel, wootters_kernel
+from .kernels import FAMILIES, Kernel, _check_inversion, _family_kernel, _positive_half, almost_symmetric_kernel, default_epsilon
 from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _product_table, _reduced
 from .quantizer import Quantizer, _completeness_dev
 from .wigner import HalfIntegerWignerGrid, WignerGrid, _check_kernel_of, _real_or_raise, check_density
@@ -253,15 +253,17 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
 
 
 def relate_odd(w: WignerGrid) -> WignerGrid:
-    """Map a sign-kernel Wigner grid to the symmetric-kernel one (see :func:`relate`)."""
+    """Map a sign-kernel Wigner grid to the symmetric-kernel one (see :func:`relate`), both kernels
+    as :func:`kernels._family_kernel` builds them for the grid's dimension."""
     if w.kernel_label != "wootters":
         raise ValueError(f"odd relation needs a sign-kernel grid, got {w.kernel_label!r}")
-    d = w.dim
-    if d % 2 == 0:
-        raise ValueError("odd relation requires an odd dimension")
-    if d == 1:  # both kernels are the table [[1]]
+    if w.dim == 1:  # both kernels are the table [[1]]
         return WignerGrid(grid=w.grid, kernel_label="symmetric", values=w.values.copy())
-    return relate(w, wootters_kernel(d // 2), symmetric_kernel(d // 2))
+    try:
+        pair = _family_kernel("wootters", w.dim), _family_kernel("symmetric", w.dim)
+    except ValueError:  # an even dimension: neither family takes it
+        raise ValueError("odd relation requires an odd dimension") from None
+    return relate(w, *pair)
 
 
 def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
@@ -427,7 +429,7 @@ def continuum_study(
     One value needs only the state's support ``s``: ``dim * W(phi_m, n)``
     is ``Re sum_a rho[n, a] e^{i(a - n) phi_m}`` (symmetric; the skewed
     kernel multiplies by ``e^{i eps}`` before the real part and divides by
-    ``cos eps``, ``eps = 1/(2N)``) or the anti-diagonal sum
+    ``cos eps``, ``eps`` the skew :func:`kernels.default_epsilon` owns) or the anti-diagonal sum
     ``Re sum_{a+b=2n} rho[a, b] e^{i(b - a) phi_m}`` (wootters; no pair
     wraps modulo ``dim`` because ``n + s < N``).  Each size costs O(s).
     The nearest index and the factors ``e^{i k phi_m}`` take both angles
@@ -456,7 +458,7 @@ def continuum_study(
         target = number_phase_target(r, n, phi)
     z = np.exp(1j * np.multiply.outer(angles, offsets)) @ coeffs
     if kernel_family == "almost-symmetric":
-        eps = 1.0 / np.array([float(g.dim) for g in grids])  # dim = 2N
+        eps = np.array([default_epsilon(N) for N in n_list])
         z = np.exp(1j * eps) * z / np.cos(eps)
     scaled = z.real / (2.0 * np.pi)
     rows = [

@@ -59,7 +59,7 @@ def _checked_table(values, side: int, kind: str, wrong_shape: str, non_finite: s
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Real Wigner table on a grid, tagged with the kernel that made it: the table is checked
     finite once and held as :func:`_checked_table` makes it, ``epsilon`` (if any) as a Python float."""
@@ -79,7 +79,7 @@ class WignerGrid:
         return self.grid.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfIntegerWignerGrid:
     """Wigner table on the doubled half-integer grid of an even dimension.
 

@@ -25,6 +25,11 @@ The cases, in order:
   and on the grid through the target angle;
 - ``file:`` kernels through ``wigner``, ``verify`` and ``reconstruct --kernel``: valid tables
   that no family builds, and one whose min |K| of about 1e-7 prints the conditioning warning;
+- the family rule's refusals and their neighbours: ``wigner`` and ``verify`` of every family at
+  ``--dim`` -1..5, ``reconstruct`` of hand-written grid files whose label and ``dim`` may disagree in
+  parity, ``relate odd`` of hand-written sign-kernel grids at d = 1..4 and ``relate even`` at
+  admitted and refused skews, each with and without ``--state``, and ``converge`` of every family
+  at grid sizes from 2 to 99999;
 - ``--fuzz`` tables (3000 by default) through the writers of ``gridwigner._jsonio``: real
   and ``[re, im]`` tables and CSV grids on both sides of ``VECTOR_MIN`` and of one block,
   with runs of equal rows, exactly Hermitian pairs, signed zeros, subnormals and, where a
@@ -151,6 +156,52 @@ def cases():
                     "verify": cli(["verify", "--dim", str(d), *kernel, "--phi0", "0.37"], "none"),
                     "reconstruct": cli(["reconstruct", "--grid", grid, *kernel, "--out", "state.json"], "state.json")}
         yield f"file kernel {family} d={d} {'seed=' + str(seed) if eps is None else 'eps=' + str(eps)}", run
+    for family in ("symmetric", "wootters", "almost-symmetric"):
+        for d in (-1, 0, 1, 2, 3, 4, 5):
+            yield f"wigner {family} --dim {d}", lambda family=family, d=d: cli(
+                ["wigner", "--dim", str(d), "--kernel", family, "--state", "mixed", "--out", "out.json"], "out.json")
+            yield f"verify {family} --dim {d}", lambda family=family, d=d: cli(
+                ["verify", "--dim", str(d), "--kernel", family], "none")
+        for d in (4, 5):
+            for eps in ("0.7853981633974483", "0.785398", "nan", "-inf"):
+                yield f"wigner {family} --dim {d} --epsilon {eps}", lambda family=family, d=d, eps=eps: cli(
+                    ["wigner", "--dim", str(d), "--kernel", family, f"--epsilon={eps}", "--state", "mixed", "--out", "out.json"],
+                    "out.json")
+        for d in (1, 2, 3, 4, 5):
+            for eps in (None, 0.3):
+                def run(family=family, d=d, eps=eps):
+                    name = grid_file(family, d, eps)
+                    return cli(["reconstruct", "--grid", name, "--out", "state.json"], "state.json")
+                yield f"reconstruct hand-written {family} d={d} eps={eps}", run
+    for d in (1, 2, 3, 4):
+        for direct in ([], ["--state", "mixed"]):
+            yield f"relate odd hand-written d={d}{' direct' if direct else ''}", lambda d=d, direct=direct: cli(
+                ["relate", "--direction", "odd", "--grid", grid_file("wootters", d), *direct, "--out", "rel.json"], "rel.json")
+    for n, eps in ((1, "0.3"), (2, "0.7853981633974483"), (2, "0.785398"), (2, "nan"), (3, "1.5707963267948966")):
+        for direct in ([], ["--state", "mixed"]):
+            def run(n=n, eps=eps, direct=direct):
+                import gridwigner as gw
+
+                half = f"half-{n}.json"
+                gw.halfgrid_to_json(gw.leonhardt_wigner(n, 0.37, gw.load_density_json(state_file(2 * n, n))), half)
+                return cli(["relate", "--direction", "even", "--grid", half, "--epsilon", eps, *direct, "--out", "rel.json"],
+                           "rel.json")
+            yield f"relate even N={n} eps={eps}{' direct' if direct else ''}", run
+    for family in ("symmetric", "wootters", "almost-symmetric"):
+        yield f"converge {family} Ns to 99999", lambda family=family: cli(
+            ["converge", "--kernel", family, "--state", "superposition01", "--n", "0", "--phi", "2.1", "--phi0", "2.1",
+             "--Ns", "2,3,7,160,4096,99999", "--out", "conv.csv"], "conv.csv")
+
+
+def grid_file(label, d, eps=None):
+    """Write a grid file by hand: a random table of side ``max(d, 1)`` under the kernel ``label`` and ``dim`` ``d``,
+    which need not agree in parity, with an ``epsilon`` field if ``eps`` is given; its name."""
+    table = np.random.default_rng(abs(d) + 7).standard_normal((max(d, 1), max(d, 1))) / max(d, 1) ** 2
+    obj = {"dim": d, "phi0": 0.37, "kernel": label, "values": table.tolist(), **({} if eps is None else {"epsilon": eps})}
+    name = f"hand-{label}-{d}-{eps}.json"
+    with open(name, "w") as fh:
+        json.dump(obj, fh)
+    return name
 
 
 def fuzz_cases(count):

@@ -301,7 +301,7 @@ class TestVerifyCommand:
     def test_a_kernel_failing_validity_is_reported_not_raised(self, capsys, monkeypatch, rng):
         # a built-in kernel with a planted pairing defect: verify prints the failed condition
         broken = planted(gw.almost_symmetric_kernel(3, 1.5707963), "pairing", rng)
-        monkeypatch.setattr(cli, "almost_symmetric_kernel", lambda N, eps: broken)
+        monkeypatch.setattr(gw.kernels, "almost_symmetric_kernel", lambda N, eps: broken)
         assert run("verify", "--dim", "6", "--kernel", "almost-symmetric", "--epsilon", "1.5707963") == 1
         captured = capsys.readouterr()
         assert "kernel conjugation pairing: FAIL" in captured.out.splitlines()
@@ -810,7 +810,7 @@ class TestStderrLines:
         def refuse(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, allocating, refuse)
+        monkeypatch.setattr(gw.kernels if allocating == "wootters_kernel" else cli, allocating, refuse)
         assert run(*argv.split()) == 3
         assert capsys.readouterr().err == line
 

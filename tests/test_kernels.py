@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridwigner as gw
@@ -253,6 +254,58 @@ def test_moduli_and_flags_match_their_table_formulas(kernel):
     unimodular = not nan and gw.linalg.within(max(abs(m - 1.0) for m in entries))
     assert gw.verify_quantizer(q).unimodular == unimodular == gw.is_unimodular(kernel)
     assert dataclasses.asdict(gw.validate(kernel)) == oracles.validity_formulas(kernel)
+
+
+FAMILY_EPS = [None, 0.3, -1.1, math.pi / 4, math.pi / 2, 1e8, math.nan, math.inf]
+CONSTRUCTORS = {"symmetric": gw.symmetric_kernel, "wootters": gw.wootters_kernel, "almost-symmetric": gw.almost_symmetric_kernel}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(gw.kernels.FAMILIES), st.integers(-3, 70), st.sampled_from(FAMILY_EPS))
+@example("symmetric", 1, None)  # the edges of the rule, drawn or not
+@example("wootters", 3, None)
+@example("almost-symmetric", 0, None)
+@example("almost-symmetric", 2, None)
+@example("almost-symmetric", 4, math.pi / 4)
+def test_a_family_kernel_is_its_constructors_or_the_command_lines_refusal(label, dim, eps):
+    """``kernels._family_kernel`` returns the public constructor's kernel for ``N = dim // 2``, bit for bit and
+    pickled alike, or raises the refusal the command line prints for that dimension, or the constructor's own."""
+    if label == "almost-symmetric":
+        admitted, refusal = dim % 2 == 0 and dim >= 2, f"kernel 'almost-symmetric' requires an even dimension >= 2, got {dim}"
+        args = (dim // 2, eps)
+    else:
+        admitted, refusal = dim % 2 == 1 and dim >= 3, f"kernel {label!r} requires an odd dimension >= 3, got {dim}"
+        args = ((dim - 1) // 2,)
+    try:
+        expected = CONSTRUCTORS[label](*args) if admitted else None
+    except ValueError as exc:  # the constructor refuses eps
+        expected, refusal = None, str(exc)
+    if expected is None:
+        with pytest.raises(ValueError) as exc:
+            gw.kernels._family_kernel(label, dim, eps)
+        assert str(exc.value) == refusal
+        return
+    kernel = gw.kernels._family_kernel(label, dim, eps)
+    assert kernel.values.tobytes() == expected.values.tobytes()
+    assert (kernel.dim, kernel.chirps, kernel.label, kernel.eps) == (dim, expected.chirps, expected.label, expected.eps)
+    assert pickle.loads(pickle.dumps(kernel)).values.tobytes() == expected.values.tobytes()
+
+
+def test_kernels_quantizers_and_grids_compare_and_hash_by_identity():
+    # the generated value equality compared their arrays: == raised "truth value ... is ambiguous", hash a TypeError
+    kernel, rho = gw.symmetric_kernel(2), gw.maximally_mixed(5)
+    q = gw.build_quantizer(gw.PhaseGrid(5), kernel)
+    w = gw.wigner(q, rho)
+    for obj, twin in (
+        (kernel, gw.symmetric_kernel(2)),
+        (gw.Kernel(kernel.values), gw.Kernel(kernel.values)),
+        (q, gw.build_quantizer(gw.PhaseGrid(5), kernel)),
+        (w, gw.WignerGrid(w.grid, w.kernel_label, w.values.copy())),
+        (gw.HalfIntegerWignerGrid(1, 0.0, np.zeros((4, 4))), gw.HalfIntegerWignerGrid(1, 0.0, np.zeros((4, 4)))),
+    ):
+        assert obj == obj and obj != twin and not obj == twin
+        assert {obj: 1, twin: 2}[obj] == 1
+    assert gw.PhaseGrid(5, 0.3) == gw.PhaseGrid(5, 0.3) and gw.Line(1, 2, 0, 5) == gw.Line(1, 2, 0, 5)  # values: compared by value
 
 
 NON_INTEGERS = {

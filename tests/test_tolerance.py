@@ -143,7 +143,7 @@ def test_verify_reports_planted_defects(case):
     name = "almost_symmetric_kernel" if case["family"] == "almost-symmetric" else f"{case['family']}_kernel"
     argv = ["verify", "--dim", str(kernel.dim), "--kernel", case["family"], f"--epsilon={case['eps']!r}"]
     out = io.StringIO()
-    with mock.patch.object(cli, name, lambda *args: broken), contextlib.redirect_stdout(out):
+    with mock.patch.object(gw.kernels, name, lambda *args: broken), contextlib.redirect_stdout(out):
         assert run(*argv) == 1
     assert [line for line in out.getvalue().splitlines() if line.startswith("kernel ") and line.endswith(": FAIL")]
 

@@ -316,6 +316,19 @@ class TestRelations:
         with pytest.raises(ValueError):
             gw.relate_odd(w)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_odd_relation_at_the_smallest_dimensions(self, d, rng):
+        # d = 1 is the table [[1]] of both kernels; an even d, which neither kernel takes, is refused
+        g = gw.PhaseGrid(d, 0.37)
+        if d % 2 == 0:
+            with pytest.raises(ValueError, match="^odd relation requires an odd dimension$"):
+                gw.relate_odd(gw.WignerGrid(g, "wootters", np.full((d, d), 1 / d**2)))
+            return
+        rho = gw.random_density(d, rng)
+        out = gw.relate_odd(oracles.wigner_wootters(g, rho))
+        assert out.kernel_label == "symmetric"
+        assert np.max(np.abs(out.values - oracles.wigner_symmetric(g, rho).values)) <= 1e-12
+
     def test_even_relation_qubit(self):
         w = gw.leonhardt_wigner(1, 0.0, gw.qubit_state(0, 0, 1))
         out = gw.relate_even(w, np.pi / 4)
