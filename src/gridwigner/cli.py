@@ -72,7 +72,7 @@ class CliError(Exception):
 
 def _resolve_kernel(name: str, dim: int, epsilon: float | None) -> tuple[Kernel, KernelValidity | None]:
     """The kernel named on the command line and, for a ``file:`` kernel, the validity that admitted it
-    (``None`` for a built-in family, whose parity rule :func:`kernels._family_kernel` owns: its refusal exits 3)."""
+    (``None`` for a built-in family, whose parity and skew rules :func:`kernels._family_kernel` owns: a refusal exits 3)."""
     if name in FAMILIES:
         try:
             return _family_kernel(name, dim, epsilon), None

@@ -204,12 +204,14 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
 
 def _family_kernel(label: str, dim: int, eps: float | None = None) -> Kernel:
     """The kernel of the family ``label`` of :data:`FAMILIES` on ``dim``, the one owner of the paper's parity rule:
-    symmetric and wootters on an odd ``dim = 2N+1 >= 3``, almost-symmetric on an even ``dim = 2N >= 2`` with ``eps``
-    as :func:`almost_symmetric_kernel` takes it.  Any other ``dim``, or a refused ``eps``, raises ``ValueError``."""
+    symmetric and wootters on an odd ``dim = 2N+1 >= 3`` with no ``eps``, almost-symmetric on an even ``dim = 2N >= 2``
+    with ``eps`` as :func:`almost_symmetric_kernel` takes it.  Any other ``dim`` or ``eps`` raises ``ValueError``."""
     odd = label != "almost-symmetric"
     if dim % 2 != odd or dim < 2 + odd:
         raise ValueError(f"kernel {label!r} requires an {'odd' if odd else 'even'} dimension >= {2 + odd}, got {dim}")
     if odd:
+        if eps is not None:
+            raise ValueError(f"kernel {label!r} takes no skew angle, got eps={eps!r}")
         return {"symmetric": symmetric_kernel, "wootters": wootters_kernel}[label](dim // 2)
     return almost_symmetric_kernel(dim // 2, eps)
 

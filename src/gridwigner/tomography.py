@@ -253,17 +253,11 @@ def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
 
 
 def relate_odd(w: WignerGrid) -> WignerGrid:
-    """Map a sign-kernel Wigner grid to the symmetric-kernel one (see :func:`relate`), both kernels
-    as :func:`kernels._family_kernel` builds them for the grid's dimension."""
+    """Map a sign-kernel Wigner grid to the symmetric-kernel one (see :func:`relate`), both kernels as
+    :func:`kernels._family_kernel`, the parity rule's owner, builds or refuses them for the grid's dimension."""
     if w.kernel_label != "wootters":
         raise ValueError(f"odd relation needs a sign-kernel grid, got {w.kernel_label!r}")
-    if w.dim == 1:  # both kernels are the table [[1]]
-        return WignerGrid(grid=w.grid, kernel_label="symmetric", values=w.values.copy())
-    try:
-        pair = _family_kernel("wootters", w.dim), _family_kernel("symmetric", w.dim)
-    except ValueError:  # an even dimension: neither family takes it
-        raise ValueError("odd relation requires an odd dimension") from None
-    return relate(w, *pair)
+    return relate(w, _family_kernel("wootters", w.dim), _family_kernel("symmetric", w.dim))
 
 
 def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
-from .kernels import Kernel, _check_inversion, _positive_half
+from .kernels import Kernel, _check_inversion, _positive_half, validate
 from .phasespace import PhaseGrid, _as_angle, _chirp_map, _chirp_phases, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, build_quantizer
 
@@ -177,22 +177,21 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
 
     The exact inverse of :func:`wigner_grid`: ``fft2(W) / (conj(S) * dim**3)``, ``S`` the sheared
     weights, is ``conj(chi) / dim`` sheared (``chi`` the state's characteristic function, ``W``
-    real), and the state the adjoint of its displacement sum.  A kernel without the conjugation
-    pairing leaves an anti-Hermitian part; it raises when that part fails the tolerance on the
-    scale ``max |K| * max(1, max |rho|)``.  The result is averaged with its adjoint, so its
-    off-diagonal pairs are bitwise conjugates and its diagonal imaginary parts are +0.0.  With
-    ``validate_state`` it must pass :func:`check_density`.  A kernel of another dimension or label,
+    real), and the state the adjoint of its displacement sum.  A kernel of another dimension or label,
     or of another ``eps`` than a grid that records one, raises ``ValueError``; so does one with a zero
-    entry, before the division (:func:`kernels._check_inversion`, which warns on a small entry).
+    entry, before the division (:func:`kernels._check_inversion`, which warns on a small entry).  One
+    that fails a pairing :func:`kernels.validate` owns (interior, edge lines, corner) raises
+    ``ReconstructionError``; with them the inverse of a real table is Hermitian, and it is averaged
+    with its adjoint: off-diagonal pairs bitwise conjugates, diagonal imaginary parts +0.0.  With
+    ``validate_state`` it must pass :func:`check_density`.
     """
     _check_kernel_of(w, kernel)
     _check_inversion(kernel)
+    v = validate(kernel)
+    if not (v.hermitian_pairing and v.first_row_hermitian and v.first_col_hermitian and v.corner_real):
+        raise ReconstructionError("kernel fails the conjugation pairing: its phase-point operators are not Hermitian")
     h = _displacement_sum(w.grid, _fft2(w.values) / (np.conj(_sheared_weights(w.grid, kernel.values)) * w.dim**3))
-    rho = h.conj().T
-    defect = float(np.max(np.abs(rho - h)))
-    if not within(defect, kernel.moduli[1] * max(1.0, float(np.max(np.abs(rho))))):
-        raise ReconstructionError(f"inconsistent Wigner grid: anti-Hermitian part {defect:.3e}")
-    rho = _hermitian_average(rho, h)
+    rho = _hermitian_average(h.conj().T, h)
     if validate_state:
         try:
             check_density(rho)

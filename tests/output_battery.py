@@ -5,12 +5,15 @@ Run from the root of a checkout:
     python tests/output_battery.py                          # this tree against itself
     python tests/output_battery.py --parent /path/to/tree   # against another checkout, e.g. from git archive
     python tests/output_battery.py --limit 3 --fuzz 0       # the first three cases only
+    python tests/output_battery.py --parent TREE --expect tests/output_battery.expect
 
 Each tree runs the same cases in a process of its own, in a scratch directory of its own:
 the process imports ``gridwigner`` from the tree's ``src`` and calls ``gridwigner.cli.main``
 in-process, with relative paths so that the messages of both trees read alike.  A case
 records its exit code, stdout, stderr and the sha256 of every file it writes.  The battery
-prints each case on which the trees differ, and exits 1 if there is one.
+prints each case on which the trees differ, and exits 1 if there is one.  With ``--expect FILE``,
+a list of case names (one a line) that a change means to alter, it exits 0 only if exactly the
+listed cases differ, and names every listed case that does not.
 
 The cases, in order:
 
@@ -26,8 +29,9 @@ The cases, in order:
 - ``file:`` kernels through ``wigner``, ``verify`` and ``reconstruct --kernel``: valid tables
   that no family builds, and one whose min |K| of about 1e-7 prints the conditioning warning;
 - the family rule's refusals and their neighbours: ``wigner`` and ``verify`` of every family at
-  ``--dim`` -1..5, ``reconstruct`` of hand-written grid files whose label and ``dim`` may disagree in
-  parity, ``relate odd`` of hand-written sign-kernel grids at d = 1..4 and ``relate even`` at
+  ``--dim`` -1..5, ``verify`` of the odd families with ``--epsilon 0.3``, ``reconstruct`` of hand-written
+  grid files whose label and ``dim`` may disagree in parity and of a symmetric grid with ``--epsilon
+  0.3``, ``relate odd`` of hand-written sign-kernel grids at d = 1..4 and ``relate even`` at
   admitted and refused skews, each with and without ``--state``, and ``converge`` of every family
   at grid sizes from 2 to 99999;
 - ``--fuzz`` tables (3000 by default) through the writers of ``gridwigner._jsonio``: real
@@ -162,6 +166,10 @@ def cases():
                 ["wigner", "--dim", str(d), "--kernel", family, "--state", "mixed", "--out", "out.json"], "out.json")
             yield f"verify {family} --dim {d}", lambda family=family, d=d: cli(
                 ["verify", "--dim", str(d), "--kernel", family], "none")
+        if family != "almost-symmetric":
+            for d in (3, 5):
+                yield f"verify {family} --dim {d} --epsilon 0.3", lambda family=family, d=d: cli(
+                    ["verify", "--dim", str(d), "--kernel", family, "--epsilon", "0.3"], "none")
         for d in (4, 5):
             for eps in ("0.7853981633974483", "0.785398", "nan", "-inf"):
                 yield f"wigner {family} --dim {d} --epsilon {eps}", lambda family=family, d=d, eps=eps: cli(
@@ -173,6 +181,13 @@ def cases():
                     name = grid_file(family, d, eps)
                     return cli(["reconstruct", "--grid", name, "--out", "state.json"], "state.json")
                 yield f"reconstruct hand-written {family} d={d} eps={eps}", run
+    for d in (3, 5):
+        def run(d=d):
+            grid = f"grid-symmetric-{d}.json"
+            wigner = cli(["wigner", "--dim", str(d), "--kernel", "symmetric", "--state", "mixed", "--out", grid], grid)
+            return {"wigner": wigner, "reconstruct": cli(["reconstruct", "--grid", grid, "--epsilon", "0.3", "--out", "state.json"],
+                                                         "state.json")}
+        yield f"reconstruct symmetric d={d} --epsilon 0.3", run
     for d in (1, 2, 3, 4):
         for direct in ([], ["--state", "mixed"]):
             yield f"relate odd hand-written d={d}{' direct' if direct else ''}", lambda d=d, direct=direct: cli(
@@ -289,6 +304,7 @@ def main(argv=None):
     parser.add_argument("--parent", default=str(TREE), help="root of the tree to compare with (default: this tree)")
     parser.add_argument("--limit", type=int, default=None, help="run only the first LIMIT cases")
     parser.add_argument("--fuzz", type=int, default=3000, help="fuzzed tables (default 3000)")
+    parser.add_argument("--expect", help="file of case names, one a line, that are meant to differ (default: none)")
     parser.add_argument("--work", help=argparse.SUPPRESS)  # a worker: run the cases with this src
     args = parser.parse_args(argv)
     if args.work:
@@ -299,9 +315,13 @@ def main(argv=None):
     for name in differ:
         keys = sorted(k for k in {*mine[name], *theirs.get(name, {})} if mine[name].get(k) != theirs.get(name, {}).get(k))
         print(f"DIFFER {name}: " + "; ".join(f"{k}: {mine[name].get(k)!r} here, {theirs.get(name, {}).get(k)!r} there" for k in keys))
+    expected = [] if args.expect is None else [line for line in Path(args.expect).read_text().splitlines() if line.strip()]
+    for name in expected:
+        if name not in differ:
+            print(f"ALIKE {name}: expected to differ")
     print(f"{len(mine)} cases ({sum(n.startswith('wigner') for n in mine)} wigner, {sum(n.startswith('fuzz') for n in mine)} fuzzed"
-          f" tables), {len(differ)} differ")
-    return 1 if differ or len(mine) != len(theirs) else 0
+          f" tables), {len(differ)} differ" + ("" if args.expect is None else f", {len(expected)} expected to"))
+    return 1 if sorted(differ) != sorted(expected) or len(mine) != len(theirs) else 0
 
 
 if __name__ == "__main__":

@@ -679,6 +679,16 @@ class TestInputBoundary:
             "--epsilon", "nan", "--state", "mixed",
         ) == 3
 
+    @pytest.mark.parametrize("kernel", ["symmetric", "wootters"])
+    @pytest.mark.parametrize("command", ["wigner", "verify"])
+    def test_an_odd_family_refuses_a_skew(self, tmp_path, capsys, command, kernel):
+        # an odd family's kernel has no skew to take: refused, not dropped
+        out = tmp_path / "w.json"
+        extra = ["--state", "mixed", "--out", str(out)] if command == "wigner" else []
+        assert run(command, "--dim", "5", "--kernel", kernel, "--epsilon", "0.3", *extra) == 3
+        assert capsys.readouterr().err == f"error: kernel {kernel!r} takes no skew angle, got eps=0.3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", [
         ["fock", "1", "junk"], ["mixed", "7"], ["phase", "0", "0"], ["superposition01", "x"], ["file", "extra"],
         ["qubit", "0", "0", "1", "1"],

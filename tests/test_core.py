@@ -257,12 +257,48 @@ def test_line_projectors_match_point_sums(case):
 
 
 def test_inconsistent_kernel_fails_like_the_loop(rng):
-    # a kernel without the pairing leaves an anti-Hermitian part
+    # a kernel without the pairing makes non-Hermitian phase-point operators
     grid = gw.PhaseGrid(5, 0.4)
     kernel = gw.Kernel(oracles.random_kernel(5, rng).values * np.exp(0.3j))
     w = gw.WignerGrid(grid, kernel.label, rng.uniform(size=(5, 5)) / 25)
-    with pytest.raises(gw.ReconstructionError, match="anti-Hermitian part"):
+    with pytest.raises(gw.ReconstructionError, match="fails the conjugation pairing"):
         gw.reconstruct(w, kernel, validate_state=False)
+
+
+@pytest.mark.parametrize("line", ["edge row", "edge column", "corner"])
+def test_a_kernel_without_the_edge_pairing_is_refused(rng, line):
+    # the interior keeps the pairing; an edge entry or the corner turned by 0.3 breaks the Hermiticity
+    values = oracles.random_kernel(5, rng).values
+    values[{"edge row": (0, 1), "edge column": (1, 0), "corner": (0, 0)}[line]] *= np.exp(0.3j)
+    kernel = gw.Kernel(values)
+    assert gw.validate(kernel).hermitian_pairing
+    w = gw.WignerGrid(gw.PhaseGrid(5, 0.4), kernel.label, rng.uniform(size=(5, 5)) / 25)
+    with pytest.raises(gw.ReconstructionError, match="fails the conjugation pairing"):
+        gw.reconstruct(w, kernel, validate_state=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.sampled_from((0.0, 0.37, 1e8)), st.integers(0, 2**32 - 1), st.floats(-9, -4), st.booleans())
+@example(5, 0.0, 0, -8.0, False)  # the inverse's roundoff reaches 1e-9 here: above TOL on the scale of a state
+@example(6, 0.37, 1, -5.0, True)
+def test_a_paired_kernel_reconstructs_at_any_small_modulus(d, phi0, seed, low, edges):
+    """One conjugate pair of a random valid kernel scaled to min |K| = 10**low, and with ``edges`` its edge
+    lines doubled (not valid, still paired): the inverse of its state's grid is exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    values = oracles.random_kernel(d, rng).values
+    a, b = (int(x) for x in rng.integers(1, d, size=2))
+    for k, l in {(a, b), (d - a, d - b)}:
+        values[k, l] *= 10**low / abs(values[k, l])
+    if edges:
+        values[0] *= 2.0
+        values[1:, 0] *= 2.0
+    kernel = gw.Kernel(values)
+    validity = gw.validate(kernel)
+    assert validity.hermitian_pairing and validity.valid != edges
+    w = gw.wigner(gw.build_quantizer(gw.PhaseGrid(d, phi0), kernel, check=False), gw.random_density(d, rng))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "kernel inversion is ill-conditioned")
+        _assert_exactly_hermitian(gw.reconstruct(w, kernel, validate_state=False))
 
 
 MAPS_DIVIDING_BY_A_KERNEL = {
@@ -406,7 +442,7 @@ def test_half_grid_relation_refuses_an_eps_no_kernel_admits(N):
 
 @SETTINGS
 @given(
-    st.integers(0, 20).map(lambda h: 2 * h + 1),
+    st.integers(1, 20).map(lambda h: 2 * h + 1),
     st.floats(-2 * math.pi, 2 * math.pi),
     st.integers(0, 2**32 - 1),
     st.booleans(),

@@ -269,12 +269,15 @@ CONSTRUCTORS = {"symmetric": gw.symmetric_kernel, "wootters": gw.wootters_kernel
 @example("almost-symmetric", 4, math.pi / 4)
 def test_a_family_kernel_is_its_constructors_or_the_command_lines_refusal(label, dim, eps):
     """``kernels._family_kernel`` returns the public constructor's kernel for ``N = dim // 2``, bit for bit and
-    pickled alike, or raises the refusal the command line prints for that dimension, or the constructor's own."""
+    pickled alike, or raises the refusal the command line prints for that dimension or for a skew of an odd
+    family, or the constructor's own."""
     if label == "almost-symmetric":
         admitted, refusal = dim % 2 == 0 and dim >= 2, f"kernel 'almost-symmetric' requires an even dimension >= 2, got {dim}"
         args = (dim // 2, eps)
     else:
         admitted, refusal = dim % 2 == 1 and dim >= 3, f"kernel {label!r} requires an odd dimension >= 3, got {dim}"
+        if admitted and eps is not None:
+            admitted, refusal = False, f"kernel {label!r} takes no skew angle, got eps={eps!r}"
         args = ((dim - 1) // 2,)
     try:
         expected = CONSTRUCTORS[label](*args) if admitted else None

@@ -318,10 +318,10 @@ class TestRelations:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_odd_relation_at_the_smallest_dimensions(self, d, rng):
-        # d = 1 is the table [[1]] of both kernels; an even d, which neither kernel takes, is refused
+        # d = 1 and an even d, which neither kernel takes, are refused with the parity rule's own text
         g = gw.PhaseGrid(d, 0.37)
-        if d % 2 == 0:
-            with pytest.raises(ValueError, match="^odd relation requires an odd dimension$"):
+        if d != 3:
+            with pytest.raises(ValueError, match=f"^kernel 'wootters' requires an odd dimension >= 3, got {d}$"):
                 gw.relate_odd(gw.WignerGrid(g, "wootters", np.full((d, d), 1 / d**2)))
             return
         rho = gw.random_density(d, rng)
