@@ -385,6 +385,7 @@ def cmd_relate(args) -> int:
     w = _read_grid_file(args.grid, need=args.direction)
     try:
         if args.direction == "odd":
+            _resolve_kernel(w.kernel_label, w.dim, args.epsilon)  # the family rule refuses any skew
             out_grid = relate_odd(w)
         else:
             out_grid = relate_even(w, args.epsilon if args.epsilon is not None else default_epsilon(w.n_half))

@@ -129,7 +129,7 @@ def validate(kernel: Kernel) -> KernelValidity:
 
 
 def _check_inversion(kernel: Kernel) -> None:
-    """The rule of every map that divides by ``kernel`` (``symbol``, ``reconstruct``, ``relate``), called before it
+    """The rule of every map that divides by ``kernel`` (``symbol``, ``reconstruct`` and through it ``relate``), called before it
     divides: failing :func:`validate`'s ``nonvanishing`` (a NaN entry too) raises, min |K| < ``CONDITION_TOL`` warns."""
     low = kernel.moduli[0]
     if not low > ZERO_TOL:

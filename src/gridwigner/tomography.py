@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import write_report_csv
-from .kernels import FAMILIES, Kernel, _check_inversion, _family_kernel, _positive_half, almost_symmetric_kernel, default_epsilon
-from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _fft2, _ifft, _ifft2, _product_table, _reduced
+from .kernels import FAMILIES, Kernel, _family_kernel, _positive_half, almost_symmetric_kernel, default_epsilon
+from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _ifft, _product_table, _reduced
 from .quantizer import Quantizer, _completeness_dev
-from .wigner import HalfIntegerWignerGrid, WignerGrid, _check_kernel_of, _real_or_raise, check_density
+from .wigner import HalfIntegerWignerGrid, WignerGrid, _real_or_raise, check_density, reconstruct, wigner_grid
 
 @dataclass(frozen=True)
 class Line:
@@ -210,7 +210,7 @@ def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> H
     g = np.zeros((4 * N, 4 * N), dtype=complex)
     g[a[:, None] + a, jr % (4 * N)] = r * np.exp(1j * jr * _reduced(phi0))
     raw = _ifft(g).T
-    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw))
+    return HalfIntegerWignerGrid(n_half=N, phi0=phi0, values=_real_or_raise(raw, 1.0, None if validate_state else r))
 
 
 def leonhardt_reconstruct(w: HalfIntegerWignerGrid) -> np.ndarray:
@@ -235,21 +235,15 @@ def leonhardt_reconstruct(w: HalfIntegerWignerGrid) -> np.ndarray:
 def relate(w: WignerGrid, kernel_from: Kernel, kernel_to: Kernel) -> WignerGrid:
     """Map a Wigner grid of one kernel to the grid of another kernel on the same grid.
 
-    Exact finite-dimension identity: on one grid the two tables differ by
-    the kernel ratio in Fourier space, ``W_to = Re fft2(ifft2(W_from) *
-    K_to / K_from)`` (the angle factor cancels).  Division by ``K_from``
-    amplifies noise by up to ``max |K_to / K_from|``.  Input and output
-    share the grid and the state.  A ``kernel_from`` of another dimension or
-    label, or of another ``eps`` than a grid that records one, raises ``ValueError``.
+    Exact for any real table: the forward map of ``kernel_to`` applied to ``reconstruct(w, kernel_from)``,
+    neither state checked, is ``Re fft2(ifft2(W) * K_to / K_from)``.  So ``kernel_from`` is refused as
+    :func:`reconstruct` refuses it; unpaired, it raises ``ReconstructionError`` before any division (the
+    ratio route raised on an imaginary residue, or not at all).  A ``kernel_to`` of another dimension
+    raises ``ValueError``, and an unpaired one too, through the forward map's imaginary residue.
     """
-    _check_kernel_of(w, kernel_from)
     if kernel_to.dim != w.dim:
         raise ValueError("kernel dimension does not match the Wigner grid")
-    _check_inversion(kernel_from)
-    ratio = kernel_to.values / kernel_from.values
-    raw = _fft2(_ifft2(w.values) * ratio)
-    scale = float(np.max(np.abs(ratio))) * max(1.0, float(np.max(np.abs(w.values))))
-    return WignerGrid(w.grid, kernel_to.label, _real_or_raise(raw, scale), kernel_to.eps)
+    return wigner_grid(w.grid, kernel_to, reconstruct(w, kernel_from, validate_state=False), validate_state=False)
 
 
 def relate_odd(w: WignerGrid) -> WignerGrid:

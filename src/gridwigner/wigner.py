@@ -108,9 +108,11 @@ class HalfIntegerWignerGrid:
         return 2 * self.n_half
 
 
-def _real_or_raise(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The real part, a view, of a table whose imaginary part is roundoff on the ``scale`` of
-    the terms summed into it (``max |K|`` for a kernel map of a state)."""
+def _real_or_raise(values: np.ndarray, scale: float = 1.0, rho: np.ndarray | None = None) -> np.ndarray:
+    """The real part, a view, of a forward map's table, whose imaginary part is roundoff on the size of the terms
+    summed into it: ``scale`` (``max |K|``, 1 for the half grid) times ``max(1, max |rho|)`` for an unchecked state
+    ``rho``.  A state that passed :func:`check_density` is passed as ``None``: its ``|rho_ab| <= 1``, with no pass."""
+    scale *= 1.0 if rho is None else max(1.0, float(np.abs(rho).max()))
     resid = float(np.abs(values.imag).max())
     if not within(resid, scale):
         raise ValueError(f"Wigner values have imaginary residue {resid:.3e} beyond tolerance")
@@ -122,11 +124,12 @@ def _wigner(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool, q: Quant
     r = check_density(rho) if validate_state else np.asarray(rho, dtype=complex)
     if r.shape != (grid.dim, grid.dim):
         raise ValueError("state dimension does not match the grid")
+    unchecked = None if validate_state else r
     if kernel.chirps:  # + 0.0 owns the table and signs its zeros alike: the one transform leaves -0.0 by row
         phases = _chirp_phases(grid, kernel.chirps) if q is None else q.chirp_phases
-        values = _real_or_raise(_chirp_map(grid, kernel.chirps, phases, r), kernel.max_modulus) + 0.0
+        values = _real_or_raise(_chirp_map(grid, kernel.chirps, phases, r), kernel.max_modulus, unchecked) + 0.0
     else:
-        values = _real_or_raise(_kernel_map(grid, q.weights, r), kernel.moduli[1])
+        values = _real_or_raise(_kernel_map(grid, q.weights, r), kernel.moduli[1], unchecked)
     return WignerGrid(grid, kernel.label, values, kernel.eps)
 
 
@@ -162,16 +165,6 @@ def marginals(w: WignerGrid):
     return w.values.sum(axis=1), w.values.sum(axis=0)
 
 
-def _check_kernel_of(w: WignerGrid, kernel: Kernel) -> None:
-    """Raise ``ValueError`` unless ``kernel`` made the grid: its dimension, its label and any ``eps`` it records."""
-    if kernel.dim != w.dim:
-        raise ValueError("kernel dimension does not match the Wigner grid")
-    if kernel.label != w.kernel_label:
-        raise ValueError(f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}")
-    if w.epsilon is not None and kernel.eps != w.epsilon:
-        raise ValueError(f"kernel eps={kernel.eps!r} does not match grid epsilon {w.epsilon!r}")
-
-
 def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> np.ndarray:
     """Recover the density operator behind a Wigner grid.
 
@@ -185,7 +178,12 @@ def reconstruct(w: WignerGrid, kernel: Kernel, validate_state: bool = True) -> n
     with its adjoint: off-diagonal pairs bitwise conjugates, diagonal imaginary parts +0.0.  With
     ``validate_state`` it must pass :func:`check_density`.
     """
-    _check_kernel_of(w, kernel)
+    if kernel.dim != w.dim:
+        raise ValueError("kernel dimension does not match the Wigner grid")
+    if kernel.label != w.kernel_label:
+        raise ValueError(f"kernel {kernel.label!r} does not match grid kernel {w.kernel_label!r}")
+    if w.epsilon is not None and kernel.eps != w.epsilon:
+        raise ValueError(f"kernel eps={kernel.eps!r} does not match grid epsilon {w.epsilon!r}")
     _check_inversion(kernel)
     v = validate(kernel)
     if not (v.hermitian_pairing and v.first_row_hermitian and v.first_col_hermitian and v.corner_real):

@@ -15,7 +15,9 @@ displacement routes through that table, the half-index phase vectors and
 their dyad sum (a half-integer phase-point operator, which the library
 never builds), the operator sum of the half-integer reconstruction and
 the point loops of both relation transforms.  They
-cost O(dim**4) to O(dim**6) and are meant for small grids only.  The
+cost O(dim**4) to O(dim**6) and are meant for small grids only.
+``relate_ratio`` keeps the kernel-ratio formula in Fourier space that
+``relate`` replaced by the inverse map followed by the forward map.  The
 pivot loop of diagonal-pivoted elimination is the positivity check that
 the Cholesky and eigenvalue routes replaced, and the density check through
 the adjoint, Hermiticity and PSD predicates is the one-pass
@@ -363,6 +365,11 @@ def relate_odd(values):
             ang = 4.0 * np.pi * np.outer(m - idx, n - idx) / d
             out[m, n] = np.sum(np.cos(ang) * values) / d
     return out
+
+
+def relate_ratio(values, k_from, k_to):
+    """The kernel-ratio route of a relation between two kernel tables on one grid: ``Re fft2(ifft2(W) * K_to / K_from)``."""
+    return np.fft.fft2(np.fft.ifft2(values) * (np.asarray(k_to) / np.asarray(k_from))).real
 
 
 def relate_odd_convolution(values):

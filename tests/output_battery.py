@@ -32,7 +32,8 @@ The cases, in order:
   ``--dim`` -1..5, ``verify`` of the odd families with ``--epsilon 0.3``, ``reconstruct`` of hand-written
   grid files whose label and ``dim`` may disagree in parity and of a symmetric grid with ``--epsilon
   0.3``, ``relate odd`` of hand-written sign-kernel grids at d = 1..4 and ``relate even`` at
-  admitted and refused skews, each with and without ``--state``, and ``converge`` of every family
+  admitted and refused skews, each with and without ``--state``, ``relate odd`` of a hand-written grid
+  at d = 5 with ``--epsilon`` nan and 0.3, and ``converge`` of every family
   at grid sizes from 2 to 99999;
 - ``--fuzz`` tables (3000 by default) through the writers of ``gridwigner._jsonio``: real
   and ``[re, im]`` tables and CSV grids on both sides of ``VECTOR_MIN`` and of one block,
@@ -192,6 +193,10 @@ def cases():
         for direct in ([], ["--state", "mixed"]):
             yield f"relate odd hand-written d={d}{' direct' if direct else ''}", lambda d=d, direct=direct: cli(
                 ["relate", "--direction", "odd", "--grid", grid_file("wootters", d), *direct, "--out", "rel.json"], "rel.json")
+    for eps in ("nan", "0.3"):
+        yield f"relate odd hand-written d=5 --epsilon {eps}", lambda eps=eps: cli(
+            ["relate", "--direction", "odd", "--grid", grid_file("wootters", 5), "--epsilon", eps, "--state", "mixed",
+             "--out", "rel.json"], "rel.json")
     for n, eps in ((1, "0.3"), (2, "0.7853981633974483"), (2, "0.785398"), (2, "nan"), (3, "1.5707963267948966")):
         for direct in ([], ["--state", "mixed"]):
             def run(n=n, eps=eps, direct=direct):

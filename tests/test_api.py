@@ -336,7 +336,7 @@ def test_a_quantizer_never_rebuilds_its_sheared_table(monkeypatch):
 WORKING_SET = {
     "quantize": 6.25, "symbol": 4.25, "wigner": 3.375,
     "wigner_grid": 3.375, "reconstruct": 5.25, "verify_quantizer": 5.25,
-    "verify_lines": 2.75,
+    "verify_lines": 2.75, "relate": 5.25, "relate_odd": 6.25,
 }
 
 
@@ -344,12 +344,12 @@ WORKING_SET = {
 def maps_at_257():
     d = 257
     grid = gridwigner.PhaseGrid(d, 0.37)
-    kernel = gridwigner.symmetric_kernel((d - 1) // 2)
+    kernel, woot = gridwigner.symmetric_kernel((d - 1) // 2), gridwigner.wootters_kernel((d - 1) // 2)
     q = gridwigner.build_quantizer(grid, kernel)
     rng = np.random.default_rng(257)
     rho = gridwigner.random_density(d, rng)
     f = rng.standard_normal((d, d))
-    w = gridwigner.wigner_grid(grid, kernel, rho)
+    w, w_woot = gridwigner.wigner_grid(grid, kernel, rho), gridwigner.wigner_grid(grid, woot, rho)
     op = gridwigner.quantize(q, f)
     return {
         "quantize": lambda: gridwigner.quantize(q, f),
@@ -359,6 +359,8 @@ def maps_at_257():
         "reconstruct": lambda: gridwigner.reconstruct(w, kernel),
         "verify_quantizer": lambda: gridwigner.verify_quantizer(q),
         "verify_lines": lambda: gridwigner.verify_lines(q),
+        "relate": lambda: gridwigner.relate(w_woot, woot, kernel),
+        "relate_odd": lambda: gridwigner.relate_odd(w_woot),
     }
 
 

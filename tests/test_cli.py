@@ -689,6 +689,17 @@ class TestInputBoundary:
         assert capsys.readouterr().err == f"error: kernel {kernel!r} takes no skew angle, got eps=0.3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "0.3"])
+    def test_the_odd_relation_refuses_a_skew(self, tmp_path, capsys, eps):
+        # relate --direction odd reads a wootters grid: its family takes no skew either
+        grid, out = tmp_path / "woot.json", tmp_path / "rel.json"
+        assert run("wigner", "--dim", "5", "--kernel", "wootters", "--state", "mixed", "--out", str(grid)) == 0
+        capsys.readouterr()
+        argv = ["relate", "--direction", "odd", "--grid", str(grid), "--epsilon", eps, "--state", "mixed", "--out", str(out)]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == f"error: kernel 'wootters' takes no skew angle, got eps={float(eps)!r}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", [
         ["fock", "1", "junk"], ["mixed", "7"], ["phase", "0", "0"], ["superposition01", "x"], ["file", "extra"],
         ["qubit", "0", "0", "1", "1"],

@@ -16,11 +16,13 @@ kernels at dimensions 2 to 65 and angles up to 1e8, to 1e-13, and it must
 be exactly Hermitian (bitwise conjugate pairs, +0.0 imaginary diagonal)
 at every size up to 700; whenever it passes and the CLI's state term is
 within tolerance, ``wigner_grid`` gives the table back (built-in, random and
-perturbed kernels, states, real tables and noisy states).  The kernel
-ratio of ``relate`` is checked
+perturbed kernels, states, real tables and noisy states).  ``relate``, the
+inverse map of one kernel followed by the forward map of another, is checked
 against the target kernel's Wigner grid in both directions and against
 the cosine convolution, and the CLI phase marginal against the dense
-phase-overlap table, for dimensions 3 to 257 and angles up to 1e8.
+phase-overlap table, for dimensions 3 to 257 and angles up to 1e8; on
+random real tables it is checked against the kernel-ratio route for
+dimensions 2 to 33, built-in and random kernel pairs.
 """
 
 import dataclasses
@@ -230,11 +232,7 @@ def test_a_passing_state_term_implies_the_grid_round_trip(d, phi0, seed, family,
         if kind == "noisy":
             values = values + rng.standard_normal((d, d)) * 10 ** rng.uniform(-14, -9)
     w = gw.WignerGrid(grid, kernel.label, values, kernel.eps)
-    try:
-        rho = gw.reconstruct(w, kernel, validate_state=False)
-    except gw.ReconstructionError:
-        assert family == "perturbed"
-        return
+    rho = gw.reconstruct(w, kernel, validate_state=False)
     if linalg.within(cli._state_residual(rho)):
         assert _dev(gw.wigner_grid(grid, kernel, rho, validate_state=False).values, values) <= 10 * gw.TOL
     else:
@@ -502,6 +500,45 @@ def test_relate_is_the_kernel_ratio_in_both_directions(case):
         out = gw.relate(w_from, first, second)
         assert _rel_dev(out.values, oracles.relate_odd_convolution(w_from.values), w_from.values) <= 1e-15
         assert _dev(gw.relate_odd(w_from).values, out.values) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 33), large_angles, st.integers(0, 2**32 - 1), st.booleans(), st.floats(-3, 6))
+def test_relate_is_the_ratio_route_on_any_real_table(d, phi0, seed, custom, log_scale):
+    """Not only images of states: a random real table of size ``10**log_scale`` relates as the kernel-ratio
+    route of ``oracles.relate_ratio`` relates it, in both directions, to roundoff on the size of the inverse's
+    output, ``max |K_to| / min |K_from|`` times ``max |W|`` (two skews exceed ``max |K_to / K_from|`` alone up to 1.9x)."""
+    rng = np.random.default_rng(seed)
+    grid = gw.PhaseGrid(d, phi0)
+    values = rng.standard_normal((d, d)) * 10**log_scale
+    first, second = _relation_pair(d, rng, custom)
+    for k_from, k_to in ((first, second), (second, first)):
+        out = gw.relate(gw.WignerGrid(grid, k_from.label, values, k_from.eps), k_from, k_to)
+        gain = k_to.moduli[1] / k_from.moduli[0]
+        bound = 1e-15 * max(1.0, gain) * max(1.0, float(np.max(np.abs(values))))
+        assert _dev(out.values, oracles.relate_ratio(values, k_from.values, k_to.values)) <= bound
+
+
+def test_relate_refuses_an_unpaired_kernel_from_before_dividing(rng):
+    # the ratio route divided by this kernel and raised on the residue at most; reconstruct now refuses it first
+    values = oracles.random_kernel(5, rng).values
+    values[1, 2] *= np.exp(0.3j)  # its partner K[4, 3] is not turned
+    kernel = gw.Kernel(values)
+    assert not gw.validate(kernel).hermitian_pairing
+    w = gw.WignerGrid(gw.PhaseGrid(5, 0.37), kernel.label, rng.uniform(size=(5, 5)) / 25)
+    with pytest.raises(gw.ReconstructionError, match="fails the conjugation pairing"):
+        gw.relate(w, kernel, gw.symmetric_kernel(2))
+
+
+def test_relate_refuses_an_unpaired_kernel_to_on_its_residue(rng):
+    # the forward map of kernel_to is left with an imaginary part that is no roundoff
+    grid = gw.PhaseGrid(5, 0.37)
+    w = gw.wigner_grid(grid, gw.wootters_kernel(2), gw.random_density(5, rng))
+    values = gw.symmetric_kernel(2).values.copy()
+    values[1, 2] *= np.exp(0.3j)
+    assert not gw.validate(gw.Kernel(values)).hermitian_pairing
+    with pytest.raises(ValueError, match="^Wigner values have imaginary residue .* beyond tolerance$"):
+        gw.relate(w, gw.wootters_kernel(2), gw.Kernel(values))
 
 
 @settings(max_examples=30, deadline=None)
