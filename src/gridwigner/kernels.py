@@ -8,9 +8,10 @@ phase-only and number-only functions quantize spectrally.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import astuple, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -66,22 +67,23 @@ class Kernel:
 
 
 class _ChirpKernel(Kernel):
-    """A built-in family's kernel: its ``dim``, ``chirps`` and ``table()``, run on the first read of ``values``
-    (a module-level callable or a ``partial`` of one, so that the kernel pickles)."""
+    """A built-in family's kernel: ``dim``, ``chirps`` and the real period of ``K[k, l] = period[k*l mod len(period)]``
+    (2*dim cosine samples, wootters' [1, -1]).  ``moduli`` and :func:`validate` read no table; ``values`` builds it for
+    ``build_quantizer``'s weights, ``reconstruct``'s sheared weights (so ``relate``), ``symbol``, ``quantize``, the
+    line sums and ``verify_quantizer``."""
 
-    def __init__(self, dim: int, chirps: tuple, table, label: str, eps: float | None = None):
-        for name, value in zip(("dim", "chirps", "_table", "label", "eps"), (dim, chirps, table, label, eps)):
-            object.__setattr__(self, name, value)
+    def __init__(self, dim: int, chirps: tuple, period: np.ndarray, label: str, eps: float | None = None):
+        vars(self).update(dim=dim, chirps=chirps, _period=period, label=label, eps=eps)  # frozen: no setattr
 
     @cached_property
     def values(self) -> np.ndarray:
-        return np.asarray(self._table(), dtype=complex)
+        return _product_table(self._period.astype(complex), self.dim)
 
     @cached_property
-    def max_modulus(self) -> float:
-        """``max |K|``: ``sum |a|`` if ``K = sum a`` at ``k = 0`` reaches it (symmetric, wootters), else ``moduli[1]``."""
-        bound = sum(abs(a) for a, _ in self.chirps)
-        return bound if bound == abs(sum(a for a, _ in self.chirps)) else self.moduli[1]
+    def moduli(self) -> tuple[float, float]:
+        """``(min |K|, max |K|)`` of the period, O(dim): a sample no ``k*l`` reaches is minus one that does, to rounding."""
+        moduli = np.abs(self._period)
+        return float(moduli.min()), float(moduli.max())
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,9 @@ def validate(kernel: Kernel) -> KernelValidity:
     The interior pairing is measured on the scale ``max |K|``, the edge
     lines and the corner on the scale 1 of their unit entries.
     """
-    v = kernel.values
-    d = kernel.dim
+    if isinstance(kernel, _ChirpKernel):  # its real period is 1 at k*l = 0 and period[j + d] = -period[j]: all paired
+        return KernelValidity(kernel.moduli[0] > ZERO_TOL, *[True] * 6)
+    v, d = kernel.values, kernel.dim
     sub = v[1:, 1:]
     flipped = sub[::-1, ::-1]  # K[d-k, d-l] for 1 <= k, l <= d-1
     k = np.arange(1, d)
@@ -129,13 +132,16 @@ def validate(kernel: Kernel) -> KernelValidity:
 
 
 def _check_inversion(kernel: Kernel) -> None:
-    """The rule of every map that divides by ``kernel`` (``symbol``, ``reconstruct`` and through it ``relate``), called before it
-    divides: failing :func:`validate`'s ``nonvanishing`` (a NaN entry too) raises, min |K| < ``CONDITION_TOL`` warns."""
+    """The rule of the maps dividing by ``kernel`` (``symbol``, ``reconstruct``, so ``relate``), run first: failing ``validate``'s
+    ``nonvanishing`` (a NaN entry too) raises, min |K| < ``CONDITION_TOL`` warns at the first calling line outside the package."""
     low = kernel.moduli[0]
     if not low > ZERO_TOL:
         raise ValueError(f"kernel has a zero entry (min |K| = {low:.3e}): the map divides by it")
     if low < CONDITION_TOL:
-        warnings.warn(f"kernel inversion is ill-conditioned (min |K| = {low:.3e})", stacklevel=3)
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+            level, frame = level + 1, frame.f_back
+        warnings.warn(f"kernel inversion is ill-conditioned (min |K| = {low:.3e})", stacklevel=level)
 
 
 def _positive_half(N) -> int:
@@ -146,15 +152,10 @@ def _positive_half(N) -> int:
     return N
 
 
-def _cosine_table(d: int, f) -> np.ndarray:
-    """``f(pi*k*l/d)``, a complex table read from its length ``2d`` period (the pairing holds to roundoff)."""
-    return _product_table(f(np.pi * np.arange(2 * d) / d).astype(complex), d)
-
-
 def symmetric_kernel(N: int) -> Kernel:
     """Cosine kernel of odd dimension ``2N+1`` (symmetric ordering): ``(1 + omega**(k*l)) / 2`` sheared."""
     d = 2 * _positive_half(N) + 1
-    return _ChirpKernel(d, ((0.5, 0), (0.5, 1)), partial(_cosine_table, d, np.cos), "symmetric")
+    return _ChirpKernel(d, ((0.5, 0), (0.5, 1)), np.cos(np.pi * np.arange(2 * d) / d), "symmetric")
 
 
 def wootters_kernel(N: int) -> Kernel:
@@ -163,7 +164,7 @@ def wootters_kernel(N: int) -> Kernel:
     Unimodular; its line sums are projectors (see the tomography module).
     """
     d = 2 * _positive_half(N) + 1
-    return _ChirpKernel(d, ((1.0, -(d // 2)),), partial(_product_table, np.array([1.0, -1.0]), d), "wootters")
+    return _ChirpKernel(d, ((1.0, -(d // 2)),), np.array([1.0, -1.0]), "wootters")
 
 
 def default_epsilon(N: int) -> float:
@@ -174,15 +175,6 @@ def default_epsilon(N: int) -> float:
     return 1.0 / (2 * _positive_half(N))
 
 
-def _admissible_eps(eps: float) -> float:
-    """``eps`` itself; raises unless it is a finite angle whose cosine does not vanish."""
-    if not np.isfinite(eps):
-        raise ValueError(f"eps={eps!r} rejected: not a finite angle")
-    if abs(np.cos(eps)) <= ZERO_TOL:
-        raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
-    return eps
-
-
 def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     """Skewed cosine kernel of even dimension ``2N``.
 
@@ -191,23 +183,33 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     chosen ``eps`` leaves a vanishing entry; the caller should then pick
     another value.
     """
-    N = _positive_half(N)
-    eps = default_epsilon(N) if eps is None else _admissible_eps(eps)
-    t = np.tan(eps)
-    table = _cosine_table(2 * N, lambda a: np.cos(a) - t * np.sin(a))  # cos(a + eps) / cos(eps): a large eps keeps its precision
+    d = 2 * _positive_half(N)
+    if eps is None:
+        eps = default_epsilon(N)
+    elif not np.isfinite(eps):
+        raise ValueError(f"eps={eps!r} rejected: not a finite angle")
+    elif abs(np.cos(eps)) <= ZERO_TOL:
+        raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
+    t, a = np.tan(eps), np.pi * np.arange(2 * d) / d
+    period = np.cos(a) - t * np.sin(a)  # cos(a + eps) / cos(eps): a large eps keeps its precision
     chirps = (((1 + 1j * t) / 2, 0), ((1 - 1j * t) / 2, 1))  # (e^{i eps} + e^{-i eps} omega**(k*l)) / (2 cos(eps))
-    kernel = _ChirpKernel(2 * N, chirps, partial(np.asarray, table), "almost-symmetric", float(eps))
-    if kernel.moduli[0] * abs(np.cos(eps)) <= ZERO_TOL:  # min |K cos(eps)|: the table is real
+    kernel = _ChirpKernel(d, chirps, period, "almost-symmetric", float(eps))
+    if kernel.moduli[0] * abs(np.cos(eps)) <= ZERO_TOL:  # min |K cos(eps)|: the period is real
         raise ValueError(f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps")
     return kernel
 
 
+def _family_dim(label: str, N: int) -> int:
+    """The paper's parity rule: dimension ``2N+1`` for symmetric and wootters, ``2N`` for almost-symmetric."""
+    return 2 * N + (label != "almost-symmetric")
+
+
 def _family_kernel(label: str, dim: int, eps: float | None = None) -> Kernel:
-    """The kernel of the family ``label`` of :data:`FAMILIES` on ``dim``, the one owner of the paper's parity rule:
-    symmetric and wootters on an odd ``dim = 2N+1 >= 3`` with no ``eps``, almost-symmetric on an even ``dim = 2N >= 2``
+    """The kernel of the family ``label`` of :data:`FAMILIES` on ``dim``, the one owner of the parity rule
+    (:func:`_family_dim`): symmetric and wootters on ``dim >= 3`` with no ``eps``, almost-symmetric on ``dim >= 2``
     with ``eps`` as :func:`almost_symmetric_kernel` takes it.  Any other ``dim`` or ``eps`` raises ``ValueError``."""
-    odd = label != "almost-symmetric"
-    if dim % 2 != odd or dim < 2 + odd:
+    odd = _family_dim(label, 0)
+    if dim != _family_dim(label, dim // 2) or dim < 2 + odd:
         raise ValueError(f"kernel {label!r} requires an {'odd' if odd else 'even'} dimension >= {2 + odd}, got {dim}")
     if odd:
         if eps is not None:

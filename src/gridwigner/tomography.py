@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import write_report_csv
-from .kernels import FAMILIES, Kernel, _family_kernel, _positive_half, almost_symmetric_kernel, default_epsilon
+from .kernels import FAMILIES, Kernel, _family_dim, _family_kernel, _positive_half, almost_symmetric_kernel, default_epsilon
 from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _ifft, _product_table, _reduced
 from .quantizer import Quantizer, _completeness_dev
 from .wigner import HalfIntegerWignerGrid, WignerGrid, _real_or_raise, check_density, reconstruct, wigner_grid
@@ -263,11 +263,9 @@ def relate_even(w: HalfIntegerWignerGrid, eps: float) -> WignerGrid:
     :func:`almost_symmetric_kernel` does, for an ``eps`` that no kernel of
     dimension ``2N`` admits: the grid is tagged with that kernel.
     """
-    N = w.n_half
-    almost_symmetric_kernel(N, eps)
-    d = 2 * N
+    d = almost_symmetric_kernel(w.n_half, eps).dim
     c = _product_table(np.cos(np.pi * np.arange(2 * d) / d - eps), 2 * d)
-    out = np.fft.irfft2(np.fft.rfft2(w.values) * np.fft.rfft2(c), s=c.shape)[::2, ::2] / (2 * N * np.cos(eps))
+    out = np.fft.irfft2(np.fft.rfft2(w.values) * np.fft.rfft2(c), s=c.shape)[::2, ::2] / (d * np.cos(eps))
     return WignerGrid(grid=PhaseGrid(d, w.phi0), kernel_label="almost-symmetric", values=out, epsilon=float(eps))
 
 
@@ -432,8 +430,7 @@ def continuum_study(
     n_list = list(N_list)
     _check_embedding(r.shape[0] - 1, n, n_list)
 
-    odd = kernel_family != "almost-symmetric"
-    grids = [PhaseGrid(2 * N + odd, phi0) for N in n_list]
+    grids = [PhaseGrid(_family_dim(kernel_family, N), phi0) for N in n_list]
     m = [_nearest_grid_index(g, phi) for g in grids]
     phi_grid = [g.phi(i) for g, i in zip(grids, m)]
     angles = np.array([_angles(g, i) for g, i in zip(grids, m)])

@@ -127,7 +127,7 @@ def _wigner(grid: PhaseGrid, kernel: Kernel, rho, validate_state: bool, q: Quant
     unchecked = None if validate_state else r
     if kernel.chirps:  # + 0.0 owns the table and signs its zeros alike: the one transform leaves -0.0 by row
         phases = _chirp_phases(grid, kernel.chirps) if q is None else q.chirp_phases
-        values = _real_or_raise(_chirp_map(grid, kernel.chirps, phases, r), kernel.max_modulus, unchecked) + 0.0
+        values = _real_or_raise(_chirp_map(grid, kernel.chirps, phases, r), kernel.moduli[1], unchecked) + 0.0
     else:
         values = _real_or_raise(_kernel_map(grid, q.weights, r), kernel.moduli[1], unchecked)
     return WignerGrid(grid, kernel.label, values, kernel.eps)

@@ -26,6 +26,8 @@ The cases, in order:
   and 0.37;
 - ``converge`` of every family for ``superposition01``, a Fock state and a state file, off
   and on the grid through the target angle;
+- ``wigner``, ``verify`` and ``reconstruct`` of the almost-symmetric kernel at d = 2, 4, 6 and 12 and the
+  extreme skews 1.5707963, 7.0 and -3.0, whose moduli are read from the kernel's period;
 - ``file:`` kernels through ``wigner``, ``verify`` and ``reconstruct --kernel``: valid tables
   that no family builds, and one whose min |K| of about 1e-7 prints the conditioning warning;
 - the family rule's refusals and their neighbours: ``wigner`` and ``verify`` of every family at
@@ -161,6 +163,16 @@ def cases():
                     "verify": cli(["verify", "--dim", str(d), *kernel, "--phi0", "0.37"], "none"),
                     "reconstruct": cli(["reconstruct", "--grid", grid, *kernel, "--out", "state.json"], "state.json")}
         yield f"file kernel {family} d={d} {'seed=' + str(seed) if eps is None else 'eps=' + str(eps)}", run
+    for d in (2, 4, 6, 12):
+        for eps in ("1.5707963", "7.0", "-3.0"):
+            skew, grid = ["--kernel", "almost-symmetric", "--epsilon", eps], f"grid-skew-{d}-{eps}.json"
+            def wigner(d=d, skew=skew, grid=grid):
+                return cli(["wigner", "--dim", str(d), *skew, "--phi0", "0.37", "--state", state_file(d, d + 3), "--out", grid], grid)
+            yield f"wigner almost-symmetric d={d} --epsilon {eps}", wigner
+            yield f"verify almost-symmetric d={d} --epsilon {eps}", lambda d=d, skew=skew: cli(
+                ["verify", "--dim", str(d), *skew, "--phi0", "0.37"], "none")
+            yield f"reconstruct almost-symmetric d={d} --epsilon {eps}", lambda wigner=wigner, grid=grid: {
+                "wigner": wigner(), "reconstruct": cli(["reconstruct", "--grid", grid, "--out", "state.json"], "state.json")}
     for family in ("symmetric", "wootters", "almost-symmetric"):
         for d in (-1, 0, 1, 2, 3, 4, 5):
             yield f"wigner {family} --dim {d}", lambda family=family, d=d: cli(

@@ -267,29 +267,31 @@ def test_the_kernel_moduli_are_taken_in_kernels_alone():
 
 
 def test_a_kernel_table_takes_one_abs_pass(monkeypatch, rng):
-    """Across every map that reads ``min |K|`` or ``max |K|``, the kernel's table takes one ``abs``
+    """Across every map that reads ``min |K|`` or ``max |K|``, a kernel's table takes one ``abs``
     pass, in ``Kernel.moduli``; the only other is ``verify_quantizer``'s, which predicts the
-    overlaps from every ``|K|**2``."""
+    overlaps from every ``|K|**2``.  A built-in kernel's table takes none in ``moduli``, which
+    reads its period."""
     grid = gridwigner.PhaseGrid(7, 0.37)
-    kernel, kernel_to = gridwigner.wootters_kernel(3), gridwigner.symmetric_kernel(3)
     rho = gridwigner.random_density(7, rng)
-    passes = []
+    for kernel, moduli in ((gridwigner.Kernel(gridwigner.wootters_kernel(3).values), [(True, "moduli")]),
+                           (gridwigner.wootters_kernel(3), [])):
+        kernel_to, passes = gridwigner.symmetric_kernel(3), []
 
-    def absolute(x, *args, **kwargs):
-        if x is kernel.values or x is kernel_to.values:
-            passes.append((x is kernel.values, sys._getframe(1).f_code.co_name))
-        return np.absolute(x, *args, **kwargs)
+        def absolute(x, *args, **kwargs):
+            if x is kernel.values or x is kernel_to.values:
+                passes.append((x is kernel.values, sys._getframe(1).f_code.co_name))
+            return np.absolute(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "abs", absolute)
-    gridwigner.validate(kernel)
-    q = gridwigner.build_quantizer(grid, kernel)
-    w = gridwigner.wigner(q, rho)
-    gridwigner.symbol(q, rho)
-    gridwigner.reconstruct(w, kernel)
-    gridwigner.relate(w, kernel, kernel_to)
-    gridwigner.verify_quantizer(q)
-    gridwigner.is_unimodular(kernel)
-    assert passes == [(True, "moduli"), (True, "verify_quantizer")]
+        monkeypatch.setattr(np, "abs", absolute)
+        gridwigner.validate(kernel)
+        q = gridwigner.build_quantizer(grid, kernel)
+        w = gridwigner.wigner(q, rho)
+        gridwigner.symbol(q, rho)
+        gridwigner.reconstruct(w, kernel)
+        gridwigner.relate(w, kernel, kernel_to)
+        gridwigner.verify_quantizer(q)
+        gridwigner.is_unimodular(kernel)
+        assert passes == [*moduli, (True, "verify_quantizer")]
 
 
 def test_a_grid_holds_no_tables():
@@ -378,13 +380,14 @@ def test_each_kernel_map_keeps_its_working_set(maps_at_257, name):
     assert peak / (16 * 257**2) <= WORKING_SET[name]
 
 
-@pytest.mark.parametrize("make", [gridwigner.symmetric_kernel, gridwigner.wootters_kernel])
+@pytest.mark.parametrize("make", [gridwigner.symmetric_kernel, gridwigner.wootters_kernel, gridwigner.almost_symmetric_kernel])
 def test_a_built_in_kernel_maps_a_state_without_its_table(tmp_path, monkeypatch, make):
-    """Building a symmetric or wootters kernel and running ``wigner_grid`` builds neither the kernel
-    table nor the sheared weights: at d = 257 both together stay within the map's own working set,
-    which one more complex table would break.  Read afterwards, the table is bitwise its closed
-    form, and ``save_kernel`` writes the bytes it writes for that table given as ``Kernel(values)``."""
-    d = 257
+    """Building a built-in kernel and running ``wigner_grid`` builds neither the kernel table nor
+    the sheared weights: at d = 257 (256 for the almost-symmetric kernel) both together stay within
+    the map's own working set, which one more complex table would break.  Read afterwards, the table
+    is bitwise its closed form, and ``save_kernel`` writes the bytes it writes for that table given
+    as ``Kernel(values)``."""
+    d = 256 if make is gridwigner.almost_symmetric_kernel else 257
     grid, rho = gridwigner.PhaseGrid(d, 0.37), gridwigner.random_density(d, np.random.default_rng(d))
 
     def refuse(*args):
@@ -404,9 +407,11 @@ def test_a_built_in_kernel_maps_a_state_without_its_table(tmp_path, monkeypatch,
     assert peak / (16 * d**2) <= WORKING_SET["wigner_grid"]
     kernel = make(d // 2)
     gridwigner.wigner_grid(grid, kernel, rho)
-    assert "values" not in vars(kernel) and "moduli" not in vars(kernel)
+    assert "values" not in vars(kernel)  # the table was not built
     kl = np.multiply.outer(np.arange(d), np.arange(d))
-    table = np.cos(np.pi * (kl % (2 * d)) / d) if make is gridwigner.symmetric_kernel else (-1.0) ** kl
+    a = np.pi * (kl % (2 * d)) / d
+    table = {gridwigner.symmetric_kernel: lambda: np.cos(a), gridwigner.wootters_kernel: lambda: (-1.0) ** kl,
+             gridwigner.almost_symmetric_kernel: lambda: np.cos(a) - np.tan(1 / d) * np.sin(a)}[make]()
     assert kernel.values.dtype == complex and kernel.values.tobytes() == table.astype(complex).tobytes()
     assert pickle.loads(pickle.dumps(make(d // 2))).values.tobytes() == kernel.values.tobytes()
     gridwigner.save_kernel(kernel, tmp_path / "built_in.json")

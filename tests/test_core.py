@@ -334,6 +334,26 @@ def test_a_kernel_above_the_zero_tolerance_warns_and_divides(rng):
         assert len(caught) == 1
 
 
+def test_the_conditioning_warning_names_each_calling_line():
+    # through relate the inversion runs two calls deep in the package: each warning still names the line that called
+    # the map, so the once-per-location filter shows one for each line, for symbol, reconstruct and relate alike
+    values = oracles.random_kernel(5, np.random.default_rng(5)).values
+    values[2, 3] = values[3, 2] = 1e-8
+    kernel, rng = gw.Kernel(values), np.random.default_rng(7)
+    w = gw.WignerGrid(gw.PhaseGrid(5), kernel.label, rng.uniform(size=(5, 5)) / 25)
+    q, rho = gw.build_quantizer(w.grid, kernel, check=False), gw.random_density(5, rng)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        gw.relate(w, kernel, gw.symmetric_kernel(2))
+        gw.relate(w, kernel, gw.symmetric_kernel(2))
+        gw.reconstruct(w, kernel, validate_state=False)
+        gw.reconstruct(w, kernel, validate_state=False)
+        gw.symbol(q, rho)
+        gw.symbol(q, rho)
+    assert [str(c.message) for c in caught] == ["kernel inversion is ill-conditioned (min |K| = 1.000e-08)"] * 6
+    assert {c.filename for c in caught} == {__file__} and len({c.lineno for c in caught}) == 6
+
+
 MAPS_FROM_A_GRID = {
     "reconstruct": lambda w, kernel: gw.reconstruct(w, kernel),
     "relate": lambda w, kernel: gw.relate(w, kernel, gw.almost_symmetric_kernel(4)),

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridwigner as gw
+import gridwigner.cli
 import oracles
 from conftest import random_complex
 
@@ -292,6 +293,97 @@ def test_a_family_kernel_is_its_constructors_or_the_command_lines_refusal(label,
     assert kernel.values.tobytes() == expected.values.tobytes()
     assert (kernel.dim, kernel.chirps, kernel.label, kernel.eps) == (dim, expected.chirps, expected.label, expected.eps)
     assert pickle.loads(pickle.dumps(kernel)).values.tobytes() == expected.values.tobytes()
+
+
+BUILT_IN_EPS = st.one_of(
+    st.none(), st.floats(1e-3, 1.5707963), st.floats(-1.5707963, -1e-3), st.sampled_from([7.0, -3.0, 1e3])
+)
+
+
+def _closed_form(label, d, eps=0.0):
+    """The table of a built-in kernel of dimension ``d`` entry by entry: the wootters signs ``(-1)**(k*l)``, or the
+    cosine ``cos(a + eps) / cos(eps)`` at ``a = pi * (k*l mod 2d) / d`` (``eps = 0`` for the symmetric kernel)."""
+    kl = np.multiply.outer(np.arange(d), np.arange(d))
+    if label == "wootters":
+        return (-1.0) ** kl
+    a = np.pi * (kl % (2 * d)) / d
+    return np.cos(a) - np.tan(eps) * np.sin(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(gw.kernels.FAMILIES), st.integers(1, 64), BUILT_IN_EPS, st.one_of(st.none(), st.integers(0, 10**6)))
+@example("almost-symmetric", 512, None, None)  # d = 1024, 1025, 2048, 2049 and 4096
+@example("symmetric", 512, None, None)
+@example("wootters", 1024, None, None)
+@example("almost-symmetric", 1024, 1.5707963, None)
+@example("symmetric", 1024, None, None)
+@example("almost-symmetric", 2048, 7.0, None)
+@example("almost-symmetric", 1, -1.5707963, None)  # the table misses samples 2 and 3 of the period
+@example("almost-symmetric", 12, -3.0, None)
+@example("symmetric", 5, None, None)
+@example("almost-symmetric", 3, None, 1)
+def test_a_built_in_kernel_reads_its_moduli_and_validity_from_its_period(label, N, eps, vanish):
+    """A built-in kernel's ``moduli`` and ``validate`` flags, read from its period, are those of its table given
+    as ``Kernel(values)`` and the flags' entrywise formulas (up to d = 129).  The period holds every entry of the
+    table, so its min is at most the table's and its max at least; a sample no ``k*l`` reaches is minus one that
+    does, so they differ by at most the rounding of a sample.  A skew that makes an entry vanish, ``pi/2 - pi*j/d``
+    with ``0 < j < d`` (drawn as ``vanish``), is refused with the constructor's message, as is any skew whose
+    table, built entry by entry, has ``min |K cos(eps)|`` at most ``ZERO_TOL``."""
+    d = gw.kernels._family_dim(label, N)
+    if label != "almost-symmetric":
+        kernel, table = gw.kernels._family_kernel(label, d), _closed_form(label, d)
+    else:
+        if vanish is not None:  # cos(pi*j/d + eps) = 0 at k*l = j
+            eps = math.pi / 2 - math.pi * (1 + vanish % (d - 1)) / d
+        eps = gw.default_epsilon(N) if eps is None else eps
+        table = _closed_form(label, d, eps)
+        vanishes = np.abs(table).min() * abs(math.cos(eps)) <= gw.kernels.ZERO_TOL
+        assert vanishes or vanish is None
+        if vanishes:
+            with pytest.raises(ValueError) as refusal:
+                gw.almost_symmetric_kernel(N, eps)
+            assert str(refusal.value) == f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps"
+            return
+        kernel = gw.almost_symmetric_kernel(N, eps)
+    (low, high), validity = kernel.moduli, gw.validate(kernel)
+    assert "values" not in vars(kernel)
+    np.testing.assert_array_equal(kernel.values, table)
+    as_table = gw.Kernel(kernel.values)
+    (table_low, table_high), roundoff = as_table.moduli, 4 * np.finfo(float).eps * high
+    assert table_low - roundoff <= low <= table_low and table_high <= high <= table_high + roundoff
+    assert validity == gw.validate(as_table) and validity.valid
+    if d <= 129:
+        assert dataclasses.asdict(validity) == oracles.validity_formulas(as_table)
+
+
+FAMILY_ARGS = {"symmetric": (4, ()), "wootters": (4, ()), "almost-symmetric": (4, (0.3,))}
+
+
+@pytest.mark.parametrize("label", gw.kernels.FAMILIES)
+def test_no_map_of_a_built_in_kernel_builds_its_table_to_know_it(label, monkeypatch, tmp_path, capsys):
+    """With the period-to-table builder raising, every family's constructors, ``_family_kernel``, ``moduli``,
+    ``validate``, ``_check_inversion``, ``is_unimodular``, ``wigner_grid``, ``relate_even``'s admission (a
+    skew admitted and one refused) and CLI ``wigner`` run: none of them builds the kernel's table."""
+    def refuse(*args):
+        raise AssertionError("a kernel table was built")
+
+    monkeypatch.setattr(gw.kernels, "_product_table", refuse)
+    N, args = FAMILY_ARGS[label]
+    d = gw.kernels._family_dim(label, N)
+    kernels = [CONSTRUCTORS[label](N), CONSTRUCTORS[label](N, *args), gw.kernels._family_kernel(label, d, *args)]
+    rho = gw.random_density(d, np.random.default_rng(d))
+    for kernel in kernels:
+        assert gw.validate(kernel).valid
+        gw.kernels._check_inversion(kernel)
+        assert gw.is_unimodular(kernel) == (label == "wootters") and kernel.moduli[0] > 0
+        assert np.isfinite(gw.wigner_grid(gw.PhaseGrid(d, 0.37), kernel, rho).values).all()
+    if label == "almost-symmetric":
+        half = gw.leonhardt_wigner(N, 0.37, rho)
+        assert gw.relate_even(half, 0.3).epsilon == 0.3
+        with pytest.raises(ValueError, match="a kernel entry vanishes"):
+            gw.relate_even(half, math.pi / 4)
+    assert gw.cli.main(["wigner", "--dim", str(d), "--kernel", label, "--state", "mixed", "--out", str(tmp_path / "w.json")]) == 0
+    assert all("values" not in vars(kernel) for kernel in kernels)
 
 
 def test_kernels_quantizers_and_grids_compare_and_hash_by_identity():
