@@ -17,7 +17,7 @@ import numpy as np
 
 from ._jsonio import complex_table, integer, read_json, write_json
 from .linalg import within
-from .phasespace import _as_index, _product_table
+from .phasespace import _as_angle, _as_index, _product_table
 
 #: Entries smaller than this are treated as structural zeros.
 ZERO_TOL = 1e-12
@@ -115,14 +115,15 @@ def validate(kernel: Kernel) -> KernelValidity:
     if isinstance(kernel, _ChirpKernel):  # its real period is 1 at k*l = 0 and period[j + d] = -period[j]: all paired
         return KernelValidity(kernel.moduli[0] > ZERO_TOL, *[True] * 6)
     v, d = kernel.values, kernel.dim
-    sub = v[1:, 1:]
-    flipped = sub[::-1, ::-1]  # K[d-k, d-l] for 1 <= k, l <= d-1
     k = np.arange(1, d)
-    signs = 1 - 2 * ((d + k[:, None] + k) & 1)
+    defect = np.conj(v[:0:-1, :0:-1])  # conj(K[d-k, d-l]) for 1 <= k, l <= d-1, one table signed in place:
+    defect *= (1 - 2 * ((d + k) & 1))[:, None]  # (-1)**(d+k)
+    defect *= 1 - 2 * (k & 1)  # (-1)**l
+    np.subtract(v[1:, 1:], defect, out=defect)  # the conjugate of the pairing defect, of the same modulus
     # the edge and interior tables are empty at d = 1: a maximum of 0
     return KernelValidity(
         nonvanishing=kernel.moduli[0] > ZERO_TOL,
-        hermitian_pairing=within(np.abs(sub.conj() - signs * flipped).max(initial=0.0), kernel.moduli[1]),
+        hermitian_pairing=within(np.abs(defect).max(initial=0.0), kernel.moduli[1]),
         first_row_hermitian=within(np.abs(v[0, 1:].conj() - v[0, :0:-1]).max(initial=0.0)),
         first_col_hermitian=within(np.abs(v[1:, 0].conj() - v[:0:-1, 0]).max(initial=0.0)),
         corner_real=within(abs(v[0, 0].imag)),
@@ -144,17 +145,9 @@ def _check_inversion(kernel: Kernel) -> None:
         warnings.warn(f"kernel inversion is ill-conditioned (min |K| = {low:.3e})", stacklevel=level)
 
 
-def _positive_half(N) -> int:
-    """``N`` of a dimension ``2N`` or ``2N+1``, an integer of at least 1."""
-    N = _as_index(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    return N
-
-
 def symmetric_kernel(N: int) -> Kernel:
     """Cosine kernel of odd dimension ``2N+1`` (symmetric ordering): ``(1 + omega**(k*l)) / 2`` sheared."""
-    d = 2 * _positive_half(N) + 1
+    d = 2 * _as_index(N, "N", 1) + 1
     return _ChirpKernel(d, ((0.5, 0), (0.5, 1)), np.cos(np.pi * np.arange(2 * d) / d), "symmetric")
 
 
@@ -163,7 +156,7 @@ def wootters_kernel(N: int) -> Kernel:
 
     Unimodular; its line sums are projectors (see the tomography module).
     """
-    d = 2 * _positive_half(N) + 1
+    d = 2 * _as_index(N, "N", 1) + 1
     return _ChirpKernel(d, ((1.0, -(d // 2)),), np.array([1.0, -1.0]), "wootters")
 
 
@@ -172,7 +165,7 @@ def default_epsilon(N: int) -> float:
 
     Vanishes as the dimension grows, which the continuum limit requires.
     """
-    return 1.0 / (2 * _positive_half(N))
+    return 1.0 / (2 * _as_index(N, "N", 1))
 
 
 def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
@@ -183,17 +176,16 @@ def almost_symmetric_kernel(N: int, eps: float | None = None) -> Kernel:
     chosen ``eps`` leaves a vanishing entry; the caller should then pick
     another value.
     """
-    d = 2 * _positive_half(N)
-    if eps is None:
-        eps = default_epsilon(N)
-    elif not np.isfinite(eps):
+    d = 2 * _as_index(N, "N", 1)
+    eps = default_epsilon(N) if eps is None else _as_angle(eps, "eps")
+    if not np.isfinite(eps):
         raise ValueError(f"eps={eps!r} rejected: not a finite angle")
-    elif abs(np.cos(eps)) <= ZERO_TOL:
+    if abs(np.cos(eps)) <= ZERO_TOL:
         raise ValueError(f"eps={eps!r} rejected: cos(eps) vanishes")
     t, a = np.tan(eps), np.pi * np.arange(2 * d) / d
     period = np.cos(a) - t * np.sin(a)  # cos(a + eps) / cos(eps): a large eps keeps its precision
     chirps = (((1 + 1j * t) / 2, 0), ((1 - 1j * t) / 2, 1))  # (e^{i eps} + e^{-i eps} omega**(k*l)) / (2 cos(eps))
-    kernel = _ChirpKernel(d, chirps, period, "almost-symmetric", float(eps))
+    kernel = _ChirpKernel(d, chirps, period, "almost-symmetric", eps)
     if kernel.moduli[0] * abs(np.cos(eps)) <= ZERO_TOL:  # min |K cos(eps)|: the period is real
         raise ValueError(f"eps={eps!r} rejected: a kernel entry vanishes; pick another eps")
     return kernel

@@ -18,18 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_index(value, what: str) -> int:
-    """``value`` as a Python int; booleans, floats and other non-integers raise ``ValueError``."""
+def _as_index(value, what: str, low: int | None = None) -> int:
+    """``value`` as a Python int of at least ``low``: the one check of every integer argument.  Booleans,
+    floats and other non-integers raise ``ValueError``, and so does a value below ``low`` (1 or 0)."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low is None or n >= low:
+                return n
+            raise ValueError(f"{what} must be a positive integer" if low == 1 else f"{what} {n} is negative")
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_angle(value, what: str) -> float:
-    """``value`` as a Python float; booleans and values that are not real numbers raise ``ValueError``."""
+    """``value`` as a Python float: the one check of every angle and real scalar argument.  Booleans and values
+    that are not real numbers (a str, a complex, a 0-d array) raise ``ValueError``; finiteness is tested where
+    the value is used, with that site's message."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{what} must be a real number, got {value!r}")
@@ -54,9 +61,7 @@ class PhaseGrid:
     phi0: float = 0.0
 
     def __post_init__(self):
-        dim = _as_index(self.dim, "grid dimension")
-        if dim < 1:
-            raise ValueError("grid dimension must be a positive integer")
+        dim = _as_index(self.dim, "grid dimension", 1)
         phi0 = _as_angle(self.phi0, "reference angle phi0")
         if not math.isfinite(phi0):
             raise ValueError(f"reference angle phi0 must be finite, got {phi0!r}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._jsonio import complex_table, integer, read_json, write_json
-from .phasespace import PhaseGrid, _as_index, phase_ket
+from .phasespace import PhaseGrid, _as_angle, _as_index, phase_ket
 from .wigner import check_density
 
 PAULI = (
@@ -15,17 +15,9 @@ PAULI = (
 )
 
 
-def _dimension(dim) -> int:
-    """``dim`` as a Python int of at least 1."""
-    dim = _as_index(dim, "dimension")
-    if dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    return dim
-
-
 def fock_state(dim: int, n: int) -> np.ndarray:
     """Pure number state |n><n| in the given dimension."""
-    dim, n = _dimension(dim), _as_index(n, "number level")
+    dim, n = _as_index(dim, "dimension", 1), _as_index(n, "number level")
     if not 0 <= n < dim:
         raise ValueError(f"number level {n} outside 0..{dim - 1}")
     rho = np.zeros((dim, dim), dtype=complex)
@@ -41,12 +33,13 @@ def phase_state(dim: int, m: int, phi0: float = 0.0) -> np.ndarray:
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state 1/dim."""
-    dim = _dimension(dim)
+    dim = _as_index(dim, "dimension", 1)
     return np.eye(dim, dtype=complex) / dim
 
 
 def qubit_state(a1: float, a2: float, a3: float) -> np.ndarray:
     """Two-level state with the given Bloch vector."""
+    a1, a2, a3 = (_as_angle(a, "Bloch component") for a in (a1, a2, a3))
     if not a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + 1e-12:  # a NaN component fails too
         raise ValueError("Bloch vector must be finite with length at most 1")
     rho = np.eye(2, dtype=complex)
@@ -67,7 +60,7 @@ def superposition01(dim: int = 2) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density operator (Gram construction)."""
-    dim = _dimension(dim)
+    dim = _as_index(dim, "dimension", 1)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)

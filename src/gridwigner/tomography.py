@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import write_report_csv
-from .kernels import FAMILIES, Kernel, _family_dim, _family_kernel, _positive_half, almost_symmetric_kernel, default_epsilon
-from .phasespace import PhaseGrid, _angles, _as_index, _displacement_sum, _fft, _ifft, _product_table, _reduced
+from .kernels import FAMILIES, Kernel, _family_dim, _family_kernel, almost_symmetric_kernel, default_epsilon
+from .phasespace import PhaseGrid, _angles, _as_angle, _as_index, _displacement_sum, _fft, _ifft, _product_table, _reduced
 from .quantizer import Quantizer, _completeness_dev
 from .wigner import HalfIntegerWignerGrid, WignerGrid, _real_or_raise, check_density, reconstruct, wigner_grid
 
@@ -198,7 +198,7 @@ def leonhardt_wigner(N: int, phi0: float, rho, validate_state: bool = True) -> H
     (``phi0`` reduced mod 2 pi).  The table is real and sums to one over
     all ``16 N**2`` points.
     """
-    N = _positive_half(N)
+    N, phi0 = _as_index(N, "N", 1), _as_angle(phi0, "half-integer grid phi0")
     if not math.isfinite(phi0):
         raise ValueError("half-integer grid has a non-finite value or phi0")
     d = 2 * N
@@ -288,14 +288,6 @@ def _check_embedding(n_max: int, n: int, n_list) -> None:
         raise EmbeddingError(f"state support {n_max} plus query level {n} too close to N={min(n_list)}")
 
 
-def _query_level(n) -> int:
-    """``n`` as a Python int of at least 0."""
-    n = _as_index(n, "query level")
-    if n < 0:
-        raise ValueError(f"query level {n} is negative")
-    return n
-
-
 def number_phase_target(rho_small, n: int, phi: float) -> float:
     """Continuum number-phase Wigner value at ``(phi, n)``.
 
@@ -304,7 +296,8 @@ def number_phase_target(rho_small, n: int, phi: float) -> float:
     Every factor is ``e^{i k phi}`` with an integer ``k``, taken at ``phi``
     reduced mod 2 pi (so for :func:`wootters_target` and :func:`phase_density`).
     """
-    r, n = np.asarray(rho_small, dtype=complex), _query_level(n)
+    r, n = np.asarray(rho_small, dtype=complex), _as_index(n, "query level", 0)
+    phi = _as_angle(phi, "target angle phi")
     if n >= r.shape[0]:
         return 0.0
     phi = _reduced(phi)
@@ -319,8 +312,9 @@ def wootters_target(rho_small, n: int, phi: float) -> float:
     elements vanish.
     """
     r = np.asarray(rho_small, dtype=complex)
-    offsets, coeffs = _antidiagonal(r, _query_level(n))
-    return float(np.sum(np.exp(1j * offsets * _reduced(phi)) * coeffs).real) / (2.0 * np.pi)
+    offsets, coeffs = _antidiagonal(r, _as_index(n, "query level", 0))
+    phi = _reduced(_as_angle(phi, "target angle phi"))
+    return float(np.sum(np.exp(1j * offsets * phi) * coeffs).real) / (2.0 * np.pi)
 
 
 def _antidiagonal(r: np.ndarray, n: int):
@@ -333,7 +327,7 @@ def phase_density(rho_small, phi: float) -> float:
     """Continuum phase marginal ``<phi|rho|phi>`` of a finite-rank state."""
     r = np.asarray(rho_small, dtype=complex)
     idx = np.arange(r.shape[0])
-    v = np.exp(1j * idx * _reduced(phi))
+    v = np.exp(1j * idx * _reduced(_as_angle(phi, "target angle phi")))
     return float(np.real(v.conj() @ r @ v)) / (2.0 * np.pi)
 
 
@@ -424,10 +418,10 @@ def continuum_study(
     if kernel_family not in FAMILIES:
         raise ValueError(f"unknown kernel family {kernel_family!r}")
     r = check_density(rho_small)
-    n = _as_index(n, "query level")
+    n, phi = _as_index(n, "query level"), _as_angle(phi, "target angle phi")
     if not math.isfinite(phi):
         raise ValueError(f"target angle phi must be finite, got {phi!r}")
-    n_list = list(N_list)
+    n_list = [_as_index(N, "grid size") for N in N_list]
     _check_embedding(r.shape[0] - 1, n, n_list)
 
     grids = [PhaseGrid(_family_dim(kernel_family, N), phi0) for N in n_list]
@@ -447,9 +441,7 @@ def continuum_study(
         z = np.exp(1j * eps) * z / np.cos(eps)
     scaled = z.real / (2.0 * np.pi)
     rows = [
-        ConvergenceRow(
-            N=int(N), dim=g.dim, n=n, phi_grid=float(p), scaled_value=float(v), target=target
-        )
+        ConvergenceRow(N=N, dim=g.dim, n=n, phi_grid=float(p), scaled_value=float(v), target=target)
         for N, g, p, v in zip(n_list, grids, phi_grid, scaled)
     ]
     return ConvergenceReport(kernel_label=kernel_family, n=n, phi=phi, rows=rows)

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._jsonio import integer, number, number_table, read_json, write_grid_csv, write_json
 from .linalg import _frob, _hermitian_average, _is_psd_hermitian, within
-from .kernels import Kernel, _check_inversion, _positive_half, validate
-from .phasespace import PhaseGrid, _as_angle, _chirp_map, _chirp_phases, _displacement_sum, _fft2, _kernel_map, _sheared_weights
+from .kernels import Kernel, _check_inversion, validate
+from .phasespace import PhaseGrid, _as_angle, _as_index, _chirp_map, _chirp_phases, _displacement_sum, _fft2, _kernel_map, _sheared_weights
 from .quantizer import Quantizer, build_quantizer
 
 class ReconstructionError(ValueError):
@@ -94,7 +94,7 @@ class HalfIntegerWignerGrid:
     kernel_label = "leonhardt"  # a class attribute, not a field: the label of every half grid
 
     def __post_init__(self):
-        object.__setattr__(self, "n_half", _positive_half(self.n_half))
+        object.__setattr__(self, "n_half", _as_index(self.n_half, "N", 1))
         object.__setattr__(self, "phi0", _as_angle(self.phi0, "half-integer grid phi0"))
         non_finite = "half-integer grid has a non-finite value or phi0"
         v = _checked_table(self.values, 4 * self.n_half, "half-integer", "half-integer table must be 4N x 4N", non_finite)

@@ -12,6 +12,7 @@ import gc
 import importlib
 import inspect
 import io
+import math
 import os
 import pickle
 import subprocess
@@ -21,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridwigner
 from gridwigner import cli
@@ -380,6 +383,26 @@ def test_each_kernel_map_keeps_its_working_set(maps_at_257, name):
     assert peak / (16 * 257**2) <= WORKING_SET[name]
 
 
+#: Budget of ``validate``'s warm ``tracemalloc`` peak on a table kernel, in complex dim x dim tables: one
+#: signed copy of the flipped block and its moduli (1.5 tables) besides the edge lines.
+VALIDATE_WORKING_SET = 1.6
+
+
+@pytest.mark.parametrize("d", [257, 1025])
+def test_validate_keeps_its_working_set(d):
+    """The pairing defect of a table kernel is formed in one complex table, signed in place: no
+    sign table and no second complex temporary (the sign-table formula peaked at 2.73 tables)."""
+    kernel = gridwigner.Kernel(gridwigner.symmetric_kernel(d // 2).values)
+    assert gridwigner.validate(kernel).valid
+    tracemalloc.start()
+    try:
+        gridwigner.validate(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * d**2) <= VALIDATE_WORKING_SET
+
+
 @pytest.mark.parametrize("make", [gridwigner.symmetric_kernel, gridwigner.wootters_kernel, gridwigner.almost_symmetric_kernel])
 def test_a_built_in_kernel_maps_a_state_without_its_table(tmp_path, monkeypatch, make):
     """Building a built-in kernel and running ``wigner_grid`` builds neither the kernel table nor
@@ -599,3 +622,94 @@ def test_a_hermitian_state_writer_keeps_its_working_set(tmp_path, d, budget):
     finally:
         tracemalloc.stop()
     assert peak / (16 * d**2) <= budget
+
+
+def _scalar_calls() -> dict:
+    """``{site: call}``: each call passes its one argument ``x`` to one integer or angle
+    parameter of a public function, with valid values for the others."""
+    gw = gridwigner
+    rho4, sup = gw.maximally_mixed(4), gw.superposition01()
+    half, grid = gw.leonhardt_wigner(2, 0.0, rho4), gw.PhaseGrid(5)
+    return {
+        "symmetric_kernel N": lambda x: gw.symmetric_kernel(x),
+        "wootters_kernel N": lambda x: gw.wootters_kernel(x),
+        "almost_symmetric_kernel N": lambda x: gw.almost_symmetric_kernel(x),
+        "almost_symmetric_kernel eps": lambda x: gw.almost_symmetric_kernel(2, x),
+        "default_epsilon N": lambda x: gw.default_epsilon(x),
+        "HalfIntegerWignerGrid n_half": lambda x: gw.HalfIntegerWignerGrid(x, 0.0, half.values),
+        "HalfIntegerWignerGrid phi0": lambda x: gw.HalfIntegerWignerGrid(2, x, half.values),
+        "leonhardt_wigner N": lambda x: gw.leonhardt_wigner(x, 0.0, rho4),
+        "leonhardt_wigner phi0": lambda x: gw.leonhardt_wigner(2, x, rho4),
+        "relate_even eps": lambda x: gw.relate_even(half, x),
+        "fock_state dim": lambda x: gw.fock_state(x, 0),
+        "fock_state n": lambda x: gw.fock_state(3, x),
+        "maximally_mixed dim": lambda x: gw.maximally_mixed(x),
+        "random_density dim": lambda x: gw.random_density(x, np.random.default_rng(0)),
+        "qubit_state a1": lambda x: gw.qubit_state(x, 0.0, 0.0),
+        "qubit_state a2": lambda x: gw.qubit_state(0.0, x, 0.0),
+        "qubit_state a3": lambda x: gw.qubit_state(0.0, 0.0, x),
+        "phase_state dim": lambda x: gw.phase_state(x, 0),
+        "phase_state m": lambda x: gw.phase_state(3, x),
+        "phase_state phi0": lambda x: gw.phase_state(3, 0, x),
+        "number_phase_target n": lambda x: gw.number_phase_target(sup, x, 0.3),
+        "number_phase_target phi": lambda x: gw.number_phase_target(sup, 0, x),
+        "wootters_target n": lambda x: gw.wootters_target(sup, x, 0.3),
+        "wootters_target phi": lambda x: gw.wootters_target(sup, 0, x),
+        "phase_density phi": lambda x: gw.phase_density(sup, x),
+        "continuum_study n": lambda x: gw.continuum_study(sup, "symmetric", x, 0.3, [5, 10]),
+        "continuum_study phi": lambda x: gw.continuum_study(sup, "symmetric", 0, x, [5, 10]),
+        "continuum_study N_list": lambda x: gw.continuum_study(sup, "almost-symmetric", 0, 0.3, [5, x]),
+        "continuum_study phi0": lambda x: gw.continuum_study(sup, "wootters", 0, 0.3, [5, 10], phi0=x),
+        "PhaseGrid dim": lambda x: gw.PhaseGrid(x),
+        "PhaseGrid phi0": lambda x: gw.PhaseGrid(5, x),
+        "Line n1": lambda x: gw.Line(x, 1, 0, 5),
+        "Line n2": lambda x: gw.Line(1, x, 0, 5),
+        "Line n3": lambda x: gw.Line(1, 1, x, 5),
+        "Line dim": lambda x: gw.Line(1, 1, 0, x),
+        "displacement k": lambda x: gw.displacement(grid, x, 1),
+        "displacement l": lambda x: gw.displacement(grid, 1, x),
+    }
+
+
+SCALAR_CALLS = _scalar_calls()
+
+#: What no integer or angle parameter should take as such, and the integers and reals next to it:
+#: bools, strings, complex numbers, 0-d arrays, integers held as floats, NaN, the infinities, 0 and
+#: negatives, each small enough to make only a small table when it is taken.
+JUNK_SCALARS = st.one_of(
+    st.booleans(),
+    st.sampled_from(["", "x", "5", "0.3", "nan"]),
+    st.complex_numbers(max_magnitude=4),
+    st.integers(-3, 3).map(np.array),
+    st.floats(-4, 4).map(np.array),
+    st.integers(-3, 5).map(float),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-4, 0),
+    st.floats(-7, 0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JUNK_SCALARS)
+def test_every_scalar_argument_is_checked_by_its_owner(x):
+    """Each integer argument goes through ``phasespace._as_index`` and each angle or real scalar
+    through ``phasespace._as_angle``: a call either returns or raises ``ValueError``, never the
+    ``TypeError`` of an arithmetic on a string or a complex number, and a bool is not read as 1."""
+    broken = {}
+    for site, call in SCALAR_CALLS.items():
+        try:
+            call(x)
+        except ValueError:
+            pass
+        except Exception as exc:
+            broken[site] = f"{type(exc).__name__}: {exc}"
+    assert broken == {}, f"{x!r}: {broken}"
+
+
+@pytest.mark.parametrize("site", sorted(SCALAR_CALLS))
+def test_a_bool_or_a_0d_real_array_is_no_angle_and_no_size(site):
+    """``True`` is refused by every integer and angle parameter alike, and so is a 0-d float array; a
+    0-d integer array is an integer, as ``operator.index`` reads it."""
+    for x in (True, np.array(0.5)):
+        with pytest.raises(ValueError):
+            SCALAR_CALLS[site](x)

@@ -257,6 +257,45 @@ def test_moduli_and_flags_match_their_table_formulas(kernel):
     assert dataclasses.asdict(gw.validate(kernel)) == oracles.validity_formulas(kernel)
 
 
+def sign_table_validity(kernel) -> dict:
+    """Each ``validate`` flag as the formulas over whole tables that preceded its in-place pairing
+    defect: ``|conj(K[k, l]) - s * K[d-k, d-l]|`` with the full sign table ``s = (-1)**(d+k+l)``."""
+    v, d = kernel.values, kernel.dim
+    sub = v[1:, 1:]
+    k = np.arange(1, d)
+    signs = 1 - 2 * ((d + k[:, None] + k) & 1)
+    moduli = np.abs(v)
+    return {
+        "nonvanishing": moduli.min() > gw.kernels.ZERO_TOL,
+        "hermitian_pairing": gw.linalg.within(np.abs(sub.conj() - signs * sub[::-1, ::-1]).max(initial=0.0), moduli.max()),
+        "first_row_hermitian": gw.linalg.within(np.abs(v[0, 1:].conj() - v[0, :0:-1]).max(initial=0.0)),
+        "first_col_hermitian": gw.linalg.within(np.abs(v[1:, 0].conj() - v[:0:-1, 0]).max(initial=0.0)),
+        "corner_real": gw.linalg.within(abs(v[0, 0].imag)),
+        "first_col_unit": gw.linalg.within(np.abs(v[:, 0] - 1.0).max()),
+        "first_row_unit": gw.linalg.within(np.abs(v[0] - 1.0).max()),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(flagged_kernels())
+def test_the_signed_pairing_defect_keeps_every_flag(kernel):
+    """``validate`` signs one conjugated copy of the flipped block in place, by ``(-1)**(d+k)`` and
+    ``(-1)**l``: on valid kernels, planted pairing and edge defects, random tables and NaN entries,
+    every flag is what the sign-table formula and the entrywise formulas give."""
+    assert dataclasses.asdict(gw.validate(kernel)) == sign_table_validity(kernel) == oracles.validity_formulas(kernel)
+
+
+@pytest.mark.parametrize("entry", [complex(math.inf, 0.0), complex(1.0, math.inf), complex(-math.inf, math.inf)])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_an_infinite_entry_fails_the_pairing(rng, d, entry):
+    """An infinite interior entry and its partner leave a NaN pairing defect (an ``inf * 0`` of the
+    signing), which fails on the infinite scale ``max |K|``, where an infinite defect would pass."""
+    values = oracles.random_kernel(d, rng).values
+    values[1, 1] = values[d - 1, d - 1] = entry
+    with np.errstate(invalid="ignore"):
+        assert not gw.validate(gw.Kernel(values)).hermitian_pairing
+
+
 FAMILY_EPS = [None, 0.3, -1.1, math.pi / 4, math.pi / 2, 1e8, math.nan, math.inf]
 CONSTRUCTORS = {"symmetric": gw.symmetric_kernel, "wootters": gw.wootters_kernel, "almost-symmetric": gw.almost_symmetric_kernel}
 
