@@ -288,46 +288,51 @@ def _check_embedding(n_max: int, n: int, n_list) -> None:
         raise EmbeddingError(f"state support {n_max} plus query level {n} too close to N={min(n_list)}")
 
 
+def _level_sums(r: np.ndarray, n: int, family: str, angles) -> np.ndarray:
+    """``z = sum c e^{i o angle}`` at each angle over the level-``n`` terms, which only this function derives: row
+    ``n``, ``c = r[n, b]`` at offsets ``o = b - n`` (cosine families), or the pairs ``a + b = 2n``, ``c = r[a, b]``
+    at ``o = b - a`` (wootters); none past the support.  Each angle is its own row product, so a grid angle
+    equal to a target's reads the target's sum bit for bit, whatever angles stand beside it."""
+    k, n = np.arange(len(r)), min(n, len(r))  # no term lies past the support; the clip keeps 2n in int64
+    a, b = (k, 2 * n - k) if family == "wootters" else (np.full(len(r), n), k)
+    a, b = np.array([a, b])[:, (a < len(r)) & (b >= 0) & (b < len(r))]
+    return (np.exp(1j * np.multiply.outer(angles, b - a))[:, None, :] @ r[a, b])[:, 0]
+
+
+def _target_angle(phi) -> float:
+    """The continuum angle ``phi`` as a finite Python float: the one check of every continuum function."""
+    phi = _as_angle(phi, "target angle phi")
+    if not math.isfinite(phi):
+        raise ValueError(f"target angle phi must be finite, got {phi!r}")
+    return phi
+
+
 def number_phase_target(rho_small, n: int, phi: float) -> float:
     """Continuum number-phase Wigner value at ``(phi, n)``.
 
-    The real part of the state's matrix element between the number level
-    and the continuum phase vector, with ``<phi|n> = e^{-i n phi} / sqrt(2 pi)``.
-    Every factor is ``e^{i k phi}`` with an integer ``k``, taken at ``phi``
-    reduced mod 2 pi (so for :func:`wootters_target` and :func:`phase_density`).
+    The real part of the state's matrix element between the number level and the continuum phase vector,
+    with ``<phi|n> = e^{-i n phi} / sqrt(2 pi)``: ``Re z / (2 pi)``, ``z = sum_b rho[n, b] e^{i(b - n) phi}``
+    the :func:`_level_sums` sum a grid through ``phi`` reads (0.0 past the support).  Every factor is taken
+    at ``phi`` reduced mod 2 pi; a NaN or infinite ``phi`` raises ``ValueError`` (so for
+    :func:`wootters_target` and :func:`phase_density`).
     """
     r, n = np.asarray(rho_small, dtype=complex), _as_index(n, "query level", 0)
-    phi = _as_angle(phi, "target angle phi")
-    if n >= r.shape[0]:
-        return 0.0
-    phi = _reduced(phi)
-    z = np.exp(-1j * n * phi) * np.sum(r[n, :] * np.exp(1j * np.arange(r.shape[0]) * phi))
-    return float(z.real) / (2.0 * np.pi)
+    return float(_level_sums(r, n, "symmetric", [_reduced(_target_angle(phi))])[0].real) / (2.0 * np.pi)
 
 
 def wootters_target(rho_small, n: int, phi: float) -> float:
     """Continuum limit of the scaled sign-kernel Wigner value at ``(phi, n)``.
 
-    Exact anti-diagonal sum of the state at level ``n``; out-of-range
-    elements vanish.
+    Exact anti-diagonal sum of the state at level ``n``; out-of-range elements vanish.
     """
-    r = np.asarray(rho_small, dtype=complex)
-    offsets, coeffs = _antidiagonal(r, _as_index(n, "query level", 0))
-    phi = _reduced(_as_angle(phi, "target angle phi"))
-    return float(np.sum(np.exp(1j * offsets * phi) * coeffs).real) / (2.0 * np.pi)
-
-
-def _antidiagonal(r: np.ndarray, n: int):
-    """Offsets ``b - a`` and entries ``r[a, b]`` of the pairs with ``a + b = 2n``."""
-    a = np.arange(max(0, 2 * n - len(r) + 1), min(2 * n, len(r) - 1) + 1)
-    return 2 * (n - a), r[a, 2 * n - a]
+    r, n = np.asarray(rho_small, dtype=complex), _as_index(n, "query level", 0)
+    return float(_level_sums(r, n, "wootters", [_reduced(_target_angle(phi))])[0].real) / (2.0 * np.pi)
 
 
 def phase_density(rho_small, phi: float) -> float:
     """Continuum phase marginal ``<phi|rho|phi>`` of a finite-rank state."""
     r = np.asarray(rho_small, dtype=complex)
-    idx = np.arange(r.shape[0])
-    v = np.exp(1j * idx * _reduced(_as_angle(phi, "target angle phi")))
+    v = np.exp(1j * np.arange(len(r)) * _reduced(_target_angle(phi)))
     return float(np.real(v.conj() @ r @ v)) / (2.0 * np.pi)
 
 
@@ -398,50 +403,37 @@ def continuum_study(
     padded; see below), the Wigner value is sampled at the grid angle
     nearest ``phi`` and scaled by ``dim / (2 pi)``, and the target is the continuum value at ``phi``
     itself (the sampled angle is reported so the offset is visible).
-    With ``phi0 = phi`` the angle lies on every grid, which leaves only
-    the kernel's own error (zero for ``symmetric``, O(1/N) from the skew
-    of ``almost-symmetric``).
     Kernel families: ``symmetric`` and ``almost-symmetric`` share the
     number-phase target; ``wootters`` keeps its own anti-diagonal target,
     whose level sum stays flat in ``phi`` (the marginal defect of that
     route).
 
-    One value needs only the state's support ``s``: ``dim * W(phi_m, n)``
-    is ``Re sum_a rho[n, a] e^{i(a - n) phi_m}`` (symmetric; the skewed
-    kernel multiplies by ``e^{i eps}`` before the real part and divides by
-    ``cos eps``, ``eps`` the skew :func:`kernels.default_epsilon` owns) or the anti-diagonal sum
-    ``Re sum_{a+b=2n} rho[a, b] e^{i(b - a) phi_m}`` (wootters; no pair
-    wraps modulo ``dim`` because ``n + s < N``).  Each size costs O(s).
-    The nearest index and the factors ``e^{i k phi_m}`` take both angles
-    reduced mod 2 pi, so a large ``phi`` or ``phi0`` keeps its precision.
+    One value needs only the state's support ``s``: ``dim * W(phi_m, n)`` is ``Re z``, ``z`` the
+    :func:`_level_sums` sum at ``phi_m`` (no wootters pair wraps modulo ``dim`` because ``n + s < N``),
+    or ``Re(e^{i eps} z) / cos eps`` for the skew ``eps`` :func:`kernels.default_epsilon` owns.  Each
+    size costs O(s).  With ``phi0 = phi`` every grid reads the target's own sum, so the error is zero
+    for ``symmetric`` and ``wootters`` and the skew's O(1/N) for ``almost-symmetric``.  The nearest index
+    and the factors ``e^{i k phi_m}`` take both angles reduced mod 2 pi, so a large ``phi`` or ``phi0``
+    keeps its precision.
     """
     if kernel_family not in FAMILIES:
         raise ValueError(f"unknown kernel family {kernel_family!r}")
     r = check_density(rho_small)
-    n, phi = _as_index(n, "query level"), _as_angle(phi, "target angle phi")
-    if not math.isfinite(phi):
-        raise ValueError(f"target angle phi must be finite, got {phi!r}")
+    n, phi = _as_index(n, "query level"), _target_angle(phi)
     n_list = [_as_index(N, "grid size") for N in N_list]
     _check_embedding(r.shape[0] - 1, n, n_list)
 
     grids = [PhaseGrid(_family_dim(kernel_family, N), phi0) for N in n_list]
     m = [_nearest_grid_index(g, phi) for g in grids]
-    phi_grid = [g.phi(i) for g, i in zip(grids, m)]
     angles = np.array([_angles(g, i) for g, i in zip(grids, m)])
-    if kernel_family == "wootters":
-        offsets, coeffs = _antidiagonal(r, n)
-        target = wootters_target(r, n, phi)
-    else:
-        offsets = np.arange(len(r)) - n
-        coeffs = r[n] if n < len(r) else np.zeros(len(r))
-        target = number_phase_target(r, n, phi)
-    z = np.exp(1j * np.multiply.outer(angles, offsets)) @ coeffs
+    z = _level_sums(r, n, kernel_family, angles)
+    target = (wootters_target if kernel_family == "wootters" else number_phase_target)(r, n, phi)
     if kernel_family == "almost-symmetric":
         eps = np.array([default_epsilon(N) for N in n_list])
         z = np.exp(1j * eps) * z / np.cos(eps)
     scaled = z.real / (2.0 * np.pi)
     rows = [
-        ConvergenceRow(N=N, dim=g.dim, n=n, phi_grid=float(p), scaled_value=float(v), target=target)
-        for N, g, p, v in zip(n_list, grids, phi_grid, scaled)
+        ConvergenceRow(N=N, dim=g.dim, n=n, phi_grid=float(g.phi(i)), scaled_value=float(v), target=target)
+        for N, g, i, v in zip(n_list, grids, m, scaled)
     ]
     return ConvergenceReport(kernel_label=kernel_family, n=n, phi=phi, rows=rows)

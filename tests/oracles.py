@@ -685,7 +685,7 @@ def continuum_study_table(rho_small, kernel_family, n, phi, N_list, phi0=0.0):
     for N in N_list:
         dim = 2 * N if kernel_family == "almost-symmetric" else 2 * N + 1
         grid = gw.PhaseGrid(dim, phi0)
-        m_star = gw.tomography._nearest_grid_index(grid, phi)
+        m_star = round((math.remainder(phi, 2 * math.pi) - grid.phi0_reduced) * dim / (2 * math.pi)) % dim
         rho = np.zeros((dim, dim), dtype=complex)
         rho[: len(r), : len(r)] = r
         if kernel_family == "symmetric":

@@ -776,6 +776,24 @@ def test_grids_through_phi_leave_no_error_without_skew(case):
         assert rep.slope() is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-10, 10), st.data())
+def test_grids_through_phi_read_their_target_exactly(support, seed, phi, data):
+    # a grid through phi sums the target's own terms at the target's own angle: no error, not even roundoff,
+    # and a size reads the same bits beside other sizes as alone
+    rho = gw.random_density(support, np.random.default_rng(seed))
+    n = data.draw(st.one_of(st.integers(0, 12), st.integers(0, 2**66)), label="n")
+    sizes = data.draw(st.lists(st.integers(support + n, support + n + 500), max_size=5), label="sizes")
+    big = data.draw(st.integers(max(2**63, support + n), 2**70), label="size above 2**63")
+    sizes.insert(data.draw(st.integers(0, len(sizes)), label="its place"), big)
+    bits = lambda row: [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row)]
+    for family in ("symmetric", "wootters"):
+        rep = gw.continuum_study(rho, family, n, phi, sizes, phi0=phi)
+        for N, row in zip(sizes, rep.rows):
+            assert row.scaled_value == row.target and row.abs_error == 0.0
+            assert bits(row) == bits(gw.continuum_study(rho, family, n, phi, [N], phi0=phi).rows[0])
+
+
 @SETTINGS
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(-10, 10), st.data())
 def test_almost_symmetric_skew_error_is_first_order(support, seed, phi, data):

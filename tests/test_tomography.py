@@ -381,6 +381,16 @@ class TestContinuum:
         assert target(rho, np.int64(1), 0.3) == target(rho, 1, 0.3) != 0.0
         assert target(rho, 2, 0.3) == 0.0
 
+    @pytest.mark.parametrize("level", [0, 5])  # inside and outside the support of superposition01(3)
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["number_phase_target", "wootters_target", "phase_density"])
+    def test_a_non_finite_angle_is_refused(self, name, phi, level):
+        # one check for every continuum angle, also past the support, where no term reads phi
+        rho = gw.superposition01(3)
+        args = (rho, phi) if name == "phase_density" else (rho, level, phi)
+        with pytest.raises(ValueError, match=re.escape(f"target angle phi must be finite, got {phi!r}")):
+            getattr(gw, name)(*args)
+
     def test_wootters_superposition_targets(self):
         rho = gw.superposition01()
         for n in (0, 1):
